@@ -19,18 +19,12 @@ import sys
 
 from .diffcalc import DEFAULT_FLOAT_TOL, default_window_len
 from .errors import MisolabError, PreconditionError, SpecFileError
-from .isometry import (
-    DEFAULT_DEFECT_TOL,
-    default_m_max,
-    local_isometry_survey,
-    strict_order,
-)
+from .isometry import DEFAULT_DEFECT_TOL, default_m_max, local_isometry_survey
 from .matrices import DenseOperator, basis_vector
 from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, Scalar
 from .shifts import WeightedShiftOperator, build_shift_spec, shift_is_m_isometry
 from .specio import (
-    format_rational,
     load_spec_file,
     parse_entry,
     parse_rational,
@@ -80,10 +74,6 @@ def _parse_eps_flag(text, mode):
     if len(parts) != 2:
         raise SpecFileError("--eps wants two comma-separated values, e.g. 1,i")
     return tuple(_parse_scalar_flag(p, mode) for p in parts)
-
-
-def _scalar_out(s):
-    return scalar_to_report(s)
 
 
 def _vector_out(v):
@@ -163,12 +153,11 @@ def _cmd_order(args):
     mmax = args.mmax if args.mmax is not None else default_m_max(T)
     window = args.window if args.window is not None else default_window_len(T.dim)
     report = _base_report("order", spec, {"mmax": mmax, "tol": tol, "window": window})
-    verdict = strict_order(T, m_max=mmax, tol=tol)
-    report["verdict"] = _verdict_dict(verdict, T.mode)
     survey = local_isometry_survey(
         T, [basis_vector(T.dim, j, T.mode) for j in range(T.dim)],
-        window_len=window, defect_tol=tol,
+        window_len=window, defect_tol=tol, m_max=mmax,
     )
+    report["verdict"] = _verdict_dict(survey.global_verdict, T.mode)
     report["basis_orbit_degrees"] = [v.describe() for v in survey.per_vector]
     _emit(report, args.output)
     return EXIT_OK
@@ -189,7 +178,7 @@ def _cmd_decompose(args):
         "predicted_strict_order": dec.predicted_strict_order,
         "blocks": [
             {
-                "eigenvalue": _scalar_out(b.eigenvalue),
+                "eigenvalue": scalar_to_report(b.eigenvalue),
                 "dimension": b.space.dimension,
                 "nilpotency_index": b.nilpotent.index,
             }

@@ -17,6 +17,7 @@ from .errors import (
     NotPolynomialError,
     WindowTooShortError,
 )
+from .matrices import float_max_abs
 from .polynomials import Polynomial, falling_factorial_poly
 from .scalars import EXACT, FLOAT, Scalar
 
@@ -111,10 +112,10 @@ def difference_table(gamma, depth):
 
 def _check_binomial_form(gamma, rows):
     vals = gamma.values
-    scale = max(1.0, gamma.max_abs())
+    scale = max(1.0, gamma.max_abs()) if gamma.mode == FLOAT else 1.0
     for m, row in enumerate(rows):
         sign_m = 1 if m % 2 == 0 else -1
-        slack = 0.0 if gamma.mode == EXACT else 1e-12 * scale * math.comb(m, m // 2) * (m + 1)
+        slack = 1e-12 * scale * math.comb(m, m // 2) * (m + 1)
         for n, entry in enumerate(row):
             acc = Scalar.zero(gamma.mode)
             for k in range(m + 1):
@@ -126,22 +127,6 @@ def _check_binomial_form(gamma, rows):
                 )
 
 
-def _row_threshold(gamma, depth, tol):
-    """Float-mode zero threshold for a difference row.
-
-    The binomial factor compensates the cancellation amplification of
-    depth-fold differencing.
-    """
-    return tol * max(1.0, gamma.max_abs()) * math.comb(depth, depth // 2)
-
-
-def _row_is_zero(gamma, row, depth, tol):
-    if gamma.mode == EXACT:
-        return all(v.is_zero() for v in row)
-    thr = _row_threshold(gamma, depth, tol)
-    return all(v.modulus() <= thr for v in row)
-
-
 def detect_degree(gamma, tol=DEFAULT_FLOAT_TOL):
     """Smallest d with Delta^(d+1) vanishing over the window.
 
@@ -151,19 +136,24 @@ def detect_degree(gamma, tol=DEFAULT_FLOAT_TOL):
     if gamma.window_len < 3:
         raise WindowTooShortError("degree detection needs at least 3 samples")
     table = difference_table(gamma, gamma.window_len - 1)
-    if _row_is_zero(gamma, table.row(0), 0, tol):
+    scale = tol * max(1.0, gamma.max_abs()) if gamma.mode == FLOAT else 0.0
+
+    def row_is_zero(depth):
+        # the binomial factor compensates the cancellation amplification
+        # of depth-fold differencing
+        thr = scale * math.comb(depth, depth // 2)
+        return all(v.is_zero(thr) for v in table.row(depth))
+
+    if row_is_zero(0):
         return DegreeVerdict(polynomial=True, degree=None, zero_sequence=True,
-                             residual=gamma.max_abs())
+                             residual=float_max_abs(gamma.values, gamma.mode))
     for d in range(gamma.window_len - 1):
-        row = table.row(d + 1)
-        if _row_is_zero(gamma, row, d + 1, tol):
-            if d > gamma.window_len - 2:
-                break
-            residual = max((v.modulus() for v in row), default=0.0)
-            return DegreeVerdict(polynomial=True, degree=d, residual=residual)
-    last = table.row(gamma.window_len - 1)
-    residual = max((v.modulus() for v in last), default=0.0)
-    return DegreeVerdict(polynomial=False, degree=None, residual=residual)
+        if row_is_zero(d + 1):
+            return DegreeVerdict(polynomial=True, degree=d,
+                                 residual=float_max_abs(table.row(d + 1), gamma.mode))
+    return DegreeVerdict(polynomial=False, degree=None,
+                         residual=float_max_abs(table.row(gamma.window_len - 1),
+                                                 gamma.mode))
 
 
 def newton_reconstruct(gamma, tol=DEFAULT_FLOAT_TOL):

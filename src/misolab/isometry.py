@@ -10,12 +10,11 @@ alternating sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .diffcalc import (
     DEFAULT_FLOAT_TOL,
-    DegreeVerdict,
     OrbitSequence,
     default_window_len,
     detect_degree,
@@ -25,12 +24,14 @@ from .matrices import (
     DenseOperator,
     FiniteVector,
     basis_vector,
+    float_max_abs,
+    polarization_candidates,
     vec_add,
     vec_inner,
     vec_norm_sq,
     vec_scale,
 )
-from .scalars import EXACT, FLOAT, Scalar, falling_factorial
+from .scalars import FLOAT, Scalar, falling_factorial
 
 DEFAULT_DEFECT_TOL = 1e-8
 
@@ -39,7 +40,7 @@ DEFAULT_DEFECT_TOL = 1e-8
 class DefectOperator:
     m: int
     matrix: DenseOperator
-    float_scale: float = 1.0   # magnitude of the summed terms; 1.0 in exact mode
+    float_scale: float = 1.0   # magnitude of the summed terms (float mode only)
 
     def threshold(self, tol):
         return tol * self.float_scale
@@ -58,14 +59,6 @@ class OrderVerdict:
         return f"not-within-bound({self.m})"
 
 
-def _power_list(T, m):
-    """[I, T, ..., T^m]."""
-    powers = [DenseOperator.identity(T.dim, T.mode)]
-    for _ in range(m):
-        powers.append(powers[-1] @ T)
-    return powers
-
-
 def _gram_list(T, m):
     """[T*^k T^k for k = 0..m] via G_{k+1} = T* G_k T."""
     Tstar = T.adjoint()
@@ -77,13 +70,13 @@ def _gram_list(T, m):
 
 def _defect_from_grams(grams, m, mode):
     acc = DenseOperator.zeros(grams[0].dim, mode)
-    scale = 0.0
     for k in range(m + 1):
         c = (-1) ** k * math.comb(m, k)
-        scale += math.comb(m, k) * max(grams[k].max_abs(), 1.0)
         acc = acc + grams[k].scale(Scalar.from_int(c, mode))
-    return DefectOperator(m=m, matrix=acc,
-                          float_scale=scale if mode == FLOAT else 1.0)
+    scale = 1.0
+    if mode == FLOAT:
+        scale = sum(math.comb(m, k) * max(grams[k].max_abs(), 1.0) for k in range(m + 1))
+    return DefectOperator(m=m, matrix=acc, float_scale=scale)
 
 
 def defect(T, m, _validate=True):
@@ -98,8 +91,7 @@ def defect(T, m, _validate=True):
     d = _defect_from_grams(_gram_list(T, m), m, T.mode)
     if _validate:
         rec = _defect_by_recurrence(T, m)
-        slack = 0.0 if T.mode == EXACT else 1e-12 * d.float_scale
-        if not (d.matrix - rec).is_zero(slack):
+        if not (d.matrix - rec).is_zero(1e-12 * d.float_scale):
             raise InternalCheckError(
                 f"defect recurrence and binomial sum disagree at m={m}"
             )
@@ -119,7 +111,7 @@ def is_m_isometry(T, m, tol=DEFAULT_DEFECT_TOL):
     if m < 1:
         raise PreconditionError("m-isometry requires m >= 1")
     d = defect(T, m)
-    return d.matrix.is_zero(d.threshold(tol) if T.mode == FLOAT else 0.0)
+    return d.matrix.is_zero(d.threshold(tol))
 
 
 def default_m_max(T):
@@ -138,8 +130,7 @@ def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
     prev = None
     for m in range(1, m_max + 1):
         d = _defect_from_grams(grams, m, T.mode)
-        thr = d.threshold(tol) if T.mode == FLOAT else 0.0
-        if d.matrix.is_zero(thr):
+        if d.matrix.is_zero(d.threshold(tol)):
             witness = None
             if m >= 2:
                 witness = _nonzero_form_witness(prev, tol)
@@ -148,10 +139,13 @@ def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
                         f"beta_{m - 1} reported nonzero but no witness found"
                     )
             return OrderVerdict(strict=True, m=m, witness=witness,
-                                residual=d.matrix.max_abs())
+                                residual=_residual(d.matrix))
         prev = d
-    return OrderVerdict(strict=False, m=m_max,
-                        residual=prev.matrix.max_abs() if prev else 0.0)
+    return OrderVerdict(strict=False, m=m_max, residual=_residual(prev.matrix))
+
+
+def _residual(beta):
+    return float_max_abs((s for r in beta.rows for s in r), beta.mode)
 
 
 def _nonzero_form_witness(d, tol):
@@ -167,15 +161,10 @@ def _nonzero_form_witness(d, tol):
     # hence the slack on the acceptance threshold
     thr = d.threshold(tol) * 0.25 if mode == FLOAT else 0.0
     best, best_val = None, thr
-    candidates = [basis_vector(dim, j, mode) for j in range(dim)]
-    i_unit = Scalar.i_unit(mode)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            ea, eb = candidates[a], candidates[b]
-            candidates.append(vec_add(ea, eb))
-            candidates.append(vec_add(ea, vec_scale(i_unit, eb)))
-    for h in candidates:
-        val = vec_inner(beta.apply(h), h).modulus()
+    for h in polarization_candidates([basis_vector(dim, j, mode) for j in range(dim)]):
+        form = vec_inner(beta.apply(h), h)
+        # the form is real; exact mode ranks the exact value, never a float
+        val = form.modulus() if mode == FLOAT else abs(form.re)
         if val > best_val:
             best, best_val = h, val
     return best
@@ -210,8 +199,7 @@ def newton_expansion_check(T, m, n_max, tol=DEFAULT_DEFECT_TOL):
             c = falling_factorial(n, k) * (-1) ** k
             coeff = Scalar.from_int(c, T.mode) / Scalar.from_int(math.factorial(k), T.mode)
             rhs = rhs + betas[k].matrix.scale(coeff)
-        slack = 0.0 if T.mode == EXACT else tol * scale * max(1.0, float(n) ** m)
-        if not (lhs - rhs).is_zero(slack):
+        if not (lhs - rhs).is_zero(tol * scale * max(1.0, float(n) ** m)):
             ok = False
         Tn = Tn @ T
     return ok
@@ -238,19 +226,13 @@ class DefectForm:
             term = _generic_inner(orbit_f, orbit_g) * c
             acc = term if acc is None else acc + term
             if j < self.k:
-                orbit_f = _generic_apply(self.op, orbit_f)
-                orbit_g = _generic_apply(self.op, orbit_g)
+                orbit_f = self.op.apply(orbit_f)
+                orbit_g = self.op.apply(orbit_g)
         return acc
 
 
 def defect_form(op, k):
     return DefectForm(op, k)
-
-
-def _generic_apply(op, v):
-    if isinstance(v, FiniteVector):
-        return op.apply(v)
-    return op.apply(v)
 
 
 def _generic_inner(u, v):
@@ -301,17 +283,21 @@ class SurveyResult:
 
 
 def local_isometry_survey(op, vectors, tol=DEFAULT_FLOAT_TOL,
-                          window_len=None, defect_tol=DEFAULT_DEFECT_TOL):
+                          window_len=None, defect_tol=DEFAULT_DEFECT_TOL,
+                          m_max=None):
     """Per-vector orbit degree verdicts plus a global order verdict.
 
-    For a dense operator the global verdict is strict_order; otherwise the
-    max of (degree + 1) over the sampled vectors is reported as a lower
-    bound.  Uniform polynomiality of the sampled orbits is reported as
-    'consistent with m-isometry' for m = max degree + 1.
+    For a dense operator the global verdict is strict_order up to m_max;
+    otherwise the max of (degree + 1) over the sampled vectors is reported
+    as a lower bound.  Uniform polynomiality of the sampled orbits is
+    reported as 'consistent with m-isometry' for m = max degree + 1.
     """
     vectors = list(vectors)
     if not vectors:
         raise PreconditionError("survey needs at least one vector")
+    global_verdict = None
+    if isinstance(op, DenseOperator):
+        global_verdict = strict_order(op, m_max=m_max, tol=defect_tol)
     verdicts = []
     for h in vectors:
         gamma = _generic_orbit(op, h, window_len)
@@ -323,9 +309,6 @@ def local_isometry_survey(op, vectors, tol=DEFAULT_FLOAT_TOL,
             all_poly = False
         elif not v.zero_sequence:
             lower = max(lower, v.degree + 1)
-    global_verdict = None
-    if isinstance(op, DenseOperator):
-        global_verdict = strict_order(op, tol=defect_tol)
     consistent = lower if all_poly else None
     if consistent == 0:
         consistent = 1
@@ -347,5 +330,5 @@ def _generic_orbit(op, h, window_len):
     v = h
     for _ in range(window_len):
         vals.append(_generic_inner(v, v))
-        v = _generic_apply(op, v)
+        v = op.apply(v)
     return OrbitSequence(vals, source="generic orbit")

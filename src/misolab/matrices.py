@@ -208,8 +208,30 @@ def vec_is_zero(u, tol=0.0):
     return all(a.is_zero(tol) for a in u)
 
 
+def polarization_candidates(vectors):
+    """The vectors v_j, then v_a + v_b and v_a + i v_b for each a < b.
+
+    A Hermitian quadratic form vanishing on all of them vanishes on their
+    span.  The order is fixed: searches report the first best candidate."""
+    out = list(vectors)
+    i_unit = Scalar.i_unit(out[0][0].mode)
+    for a in range(len(vectors)):
+        for b in range(a + 1, len(vectors)):
+            out.append(vec_add(vectors[a], vectors[b]))
+            out.append(vec_add(vectors[a], vec_scale(i_unit, vectors[b])))
+    return out
+
+
 def vec_max_abs(u):
     return max(a.modulus() for a in u)
+
+
+def float_max_abs(values, mode):
+    """Largest |value| for float diagnostics; 0.0 in exact mode, which
+    decides zeros exactly and converts no entry to float."""
+    if mode == EXACT:
+        return 0.0
+    return max((v.modulus() for v in values), default=0.0)
 
 
 class FiniteVector:

@@ -17,7 +17,7 @@ from .diffcalc import DEFAULT_FLOAT_TOL, OrbitSequence, detect_degree
 from .errors import PreconditionError
 from .matrices import FiniteVector, vec_norm_sq
 from .polynomials import Polynomial
-from .scalars import EXACT, FLOAT, Scalar
+from .scalars import FLOAT, Scalar
 
 
 class WeightedShiftOperator:

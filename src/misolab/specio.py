@@ -19,7 +19,7 @@ from .errors import SpecFileError
 from .matrices import DenseOperator, direct_sum
 from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, Scalar
-from .shifts import WeightedShiftOperator, shift_from_polynomial
+from .shifts import shift_from_polynomial
 from .spectral import JordanSpec, jordan_matrix
 
 _RATIONAL_RE = re.compile(
@@ -79,7 +79,8 @@ def parse_entry(entry, mode):
     return Scalar.flt(float(re_part), float(im_part))
 
 
-def format_entry(s):
+def scalar_to_report(s):
+    """Report rendering: rational strings in exact mode, numbers in float."""
     if s.mode == EXACT:
         return format_rational(s)
     return [float(s.re), float(s.im)]
@@ -153,20 +154,20 @@ def serialize_parsed(mode, kind, doc, op, hints):
     """Canonical document for the parsed spec (round-trips to the same spec)."""
     out = {"mode": mode}
     if kind == "matrix":
-        out["matrix"] = [[format_entry(e) for e in r] for r in op.rows]
+        out["matrix"] = [[scalar_to_report(e) for e in r] for r in op.rows]
     elif kind == "jordan_blocks":
         out["jordan_blocks"] = [
-            {"z": format_entry(parse_entry(b["z"], mode)), "size": b["size"]}
+            {"z": scalar_to_report(parse_entry(b["z"], mode)), "size": b["size"]}
             for b in doc["jordan_blocks"]
         ]
     else:
         body = doc["shift"]
         out["shift"] = {
-            "polynomial": [format_entry(parse_entry(c, mode)) for c in body["polynomial"]],
+            "polynomial": [scalar_to_report(parse_entry(c, mode)) for c in body["polynomial"]],
             "prefix": body.get("prefix", 32),
         }
     if hints is not None and (kind != "jordan_blocks" or "eigen_hints" in doc):
-        out["eigen_hints"] = [format_entry(h) for h in hints]
+        out["eigen_hints"] = [scalar_to_report(h) for h in hints]
     return out
 
 
@@ -181,10 +182,3 @@ def load_spec_file(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecFileError(f"cannot read spec file {path}: {exc}") from exc
     return parse_operator_spec(doc)
-
-
-def scalar_to_report(s):
-    """Report rendering: rational strings in exact mode, numbers in float."""
-    if s.mode == EXACT:
-        return format_rational(s)
-    return [float(s.re), float(s.im)]

@@ -25,8 +25,6 @@ from .errors import (
 )
 from .isometry import (
     DEFAULT_DEFECT_TOL,
-    OrderVerdict,
-    defect,
     is_m_isometry,
     orbit_sequence,
     strict_order,
@@ -34,6 +32,8 @@ from .isometry import (
 from .matrices import (
     DenseOperator,
     basis_vector,
+    float_max_abs,
+    polarization_candidates,
     vec_add,
     vec_inner,
     vec_is_zero,
@@ -85,24 +85,23 @@ class NilpotentInfo:
 
 def nilpotency_index(N, tol=DEFAULT_DEFECT_TOL):
     """NilpotentInfo for a nilpotent matrix, or None when N^dim != 0."""
-    scale = max(1.0, N.max_abs())
+    scale = max(1.0, N.max_abs()) if N.mode == FLOAT else 1.0
     power = DenseOperator.identity(N.dim, N.mode)
     prev = power
     for k in range(1, N.dim + 1):
         prev = power
         power = power @ N
-        thr = 0.0 if N.mode == EXACT else tol * scale ** k
-        if power.is_zero(thr):
+        if power.is_zero(tol * scale ** k):
             witness = _max_column_vector(prev)
             return NilpotentInfo(index=k, witness=witness)
     return None
 
 
 def _max_column_vector(P):
-    """Basis vector e_j maximizing ||P e_j||."""
+    """Basis vector e_j maximizing the largest |entry| of P e_j."""
     best_j, best = 0, -1.0
     for j in range(P.dim):
-        col_norm = max(P.rows[i][j].modulus() for i in range(P.dim))
+        col_norm = max(P.rows[i][j].abs2().re for i in range(P.dim))
         if col_norm > best:
             best_j, best = j, col_norm
     return basis_vector(P.dim, best_j, P.mode)
@@ -142,10 +141,6 @@ def exact_rref(rows):
     return rows, pivots
 
 
-def exact_rank(rows):
-    return len(exact_rref(rows)[1])
-
-
 def exact_nullspace(A):
     """Kernel basis of an exact DenseOperator (or raw row list)."""
     rows = A.rows if isinstance(A, DenseOperator) else A
@@ -181,11 +176,13 @@ def _vec_from_numpy(col):
     return tuple(Scalar.flt(z.real, z.imag) for z in col)
 
 
-def _float_nullspace(arr, thr):
+def _float_nullspace(arr, tol):
+    """Kernel basis: right singular vectors whose singular value is within
+    the tolerance, scaled by the largest |entry|."""
+    thr = max(tol, 1e-10) * max(1.0, float(np.abs(arr).max()))
     _, s, vh = np.linalg.svd(arr)
-    small = [i for i in range(len(s)) if s[i] <= thr]
     # trailing rows of vh span the kernel
-    return [_vec_from_numpy(vh[i].conj()) for i in range(len(s)) if s[i] <= thr], len(small)
+    return [_vec_from_numpy(vh[i].conj()) for i in range(len(s)) if s[i] <= thr]
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +222,34 @@ def _exact_eigenspaces(T, hints):
     total = 0
     ident = DenseOperator.identity(T.dim, T.mode)
     for z in hints:
-        M = T - ident.scale(z)
-        power = ident
-        dims = []
-        kernels = []
-        for _ in range(T.dim):
-            power = power @ M
-            ker = exact_nullspace(power)
-            dims.append(len(ker))
-            kernels.append(ker)
-            if len(dims) >= 2 and dims[-1] == dims[-2]:
-                break
-        if dims[-1] == 0:
+        depth, basis = _kernel_chain(ident, T - ident.scale(z), T.dim, exact_nullspace)
+        if not basis:
             continue  # hint is not an eigenvalue; contributes nothing
-        depth = next(k + 1 for k in range(len(dims)) if dims[k] == dims[-1])
         spaces.append(GeneralizedEigenspace(
-            eigenvalue=z, basis=tuple(kernels[depth - 1]), chain_depth=depth))
-        total += dims[-1]
+            eigenvalue=z, basis=tuple(basis), chain_depth=depth))
+        total += len(basis)
     if total != T.dim:
         raise EigenHintError(
             f"hints cover only {total} of {T.dim} dimensions; an eigenvalue is missing"
         )
     return spaces
+
+
+def _kernel_chain(ident, M, dim, nullspace):
+    """Kernels of M, M^2, ... until their dimension stabilizes.
+
+    Returns (depth, basis): the smallest k whose kernel has the final
+    dimension, and the kernel basis of M^k."""
+    power = ident
+    kernels = []
+    for _ in range(dim):
+        power = power @ M
+        kernels.append(nullspace(power))
+        if len(kernels) >= 2 and len(kernels[-1]) == len(kernels[-2]):
+            break
+    final = len(kernels[-1])
+    depth = next(k + 1 for k, ker in enumerate(kernels) if len(ker) == final)
+    return depth, kernels[depth - 1]
 
 
 def _float_eigenspaces(T, tol, cluster_tol):
@@ -308,25 +311,13 @@ def _spaces_from_clusters(T, arr, clusters, tol):
     for members in clusters:
         mult = len(members)
         z = complex(np.mean(members))   # mean cancels the Jordan scatter
-        M = arr - z * np.eye(dim)
-        mscale = max(1.0, float(np.abs(M).max()))
-        power = np.eye(dim)
-        dims, kernels = [], []
-        for _ in range(dim):
-            power = power @ M
-            thr = max(tol, 1e-10) * mscale ** len(dims) if dims else max(tol, 1e-10) * mscale
-            thr = max(tol, 1e-10) * max(1.0, float(np.abs(power).max()))
-            ker, kdim = _float_nullspace(power, thr)
-            dims.append(kdim)
-            kernels.append(ker)
-            if len(dims) >= 2 and dims[-1] == dims[-2]:
-                break
-        if dims[-1] != mult:
+        depth, basis = _kernel_chain(np.eye(dim), arr - z * np.eye(dim), dim,
+                                     lambda P: _float_nullspace(P, tol))
+        if len(basis) != mult:
             return None, False
-        depth = next(k + 1 for k in range(len(dims)) if dims[k] == dims[-1])
         spaces.append(GeneralizedEigenspace(
             eigenvalue=Scalar.flt(z.real, z.imag),
-            basis=tuple(kernels[depth - 1]),
+            basis=tuple(basis),
             chain_depth=depth,
         ))
         total += mult
@@ -349,7 +340,7 @@ class DecompositionBlock:
 @dataclass(frozen=True)
 class AlgebraicDecomposition:
     blocks: tuple
-    pairwise_gram: float
+    pairwise_gram: float                # largest cross |<u, v>| (float mode; 0.0 in exact)
     certified: bool
     failures: tuple                     # reasons certification was refused
     predicted_strict_order: Optional[int]
@@ -385,17 +376,11 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL,
         if not on_circle:
             failures.append(f"eigenvalue {_fmt_scalar(b.eigenvalue)} is not unimodular")
             break
-    gram = 0.0
-    gram_zero = True
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            for u in blocks[i].space.basis:
-                for v in blocks[j].space.basis:
-                    ip = vec_inner(u, v)
-                    gram = max(gram, ip.modulus())
-                    if not ip.is_zero(0.0 if T.mode == EXACT else tol):
-                        gram_zero = False
-    if not gram_zero:
+    cross = [vec_inner(u, v)
+             for i, bi in enumerate(blocks) for bj in blocks[i + 1:]
+             for u in bi.space.basis for v in bj.space.basis]
+    gram = float_max_abs(cross, T.mode)
+    if not all(ip.is_zero(tol) for ip in cross):
         failures.append("generalized eigenspaces are not pairwise orthogonal")
     certified = not failures
     predicted = None
@@ -420,17 +405,12 @@ def _restricted_nilpotent_info(T, ident, sp):
     M = T - ident.scale(sp.eigenvalue)
     P = M.power(depth - 1)
     thr = 0.0 if T.mode == EXACT else 1e-8 * max(1.0, M.max_abs()) ** max(depth - 1, 1)
-    witness = None
-    best = thr
+    # depth 1: every basis vector works (P = I)
+    witness, best = sp.basis[0], thr ** 2
     for v in sp.basis:
-        img = P.apply(v)
-        m = vec_max_abs(img)
-        if m > best or (T.mode == EXACT and not vec_is_zero(img)):
-            if witness is None or m > best:
-                witness, best = v, m
-    if witness is None:
-        # depth 1: every basis vector works (P = I)
-        witness = sp.basis[0]
+        m = max(a.abs2().re for a in P.apply(v))
+        if m > best:
+            witness, best = v, m
     return NilpotentInfo(index=depth, witness=witness)
 
 
@@ -490,14 +470,7 @@ def _strictness_criterion(A, N, m_a, nu, tol):
     a_powers = [DenseOperator.identity(dim, mode)]
     for _ in range(m_a - 1):
         a_powers.append(a_powers[-1] @ A)
-    candidates = [basis_vector(dim, j, mode) for j in range(dim)]
-    i_unit = Scalar.i_unit(mode)
-    base = list(candidates)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            candidates.append(vec_add(base[a], base[b]))
-            candidates.append(vec_add(base[a], vec_scale(i_unit, base[b])))
-    for f0 in candidates:
+    for f0 in polarization_candidates([basis_vector(dim, j, mode) for j in range(dim)]):
         g = P.apply(f0)
         val = Scalar.zero(mode)
         scale = 0.0
@@ -505,9 +478,9 @@ def _strictness_criterion(A, N, m_a, nu, tol):
             t = vec_norm_sq(a_powers[l].apply(g))
             c = (-1) ** l * math.comb(m_a - 1, l)
             val = val + t * c
-            scale += math.comb(m_a - 1, l) * abs(float(t.re))
-        thr = 0.0 if mode == EXACT else tol * max(1.0, scale)
-        if not val.is_zero(thr):
+            if mode == FLOAT:
+                scale += math.comb(m_a - 1, l) * abs(t.re)
+        if not val.is_zero(tol * max(1.0, scale)):
             return True, f0
     return False, None
 
@@ -528,13 +501,8 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
         for q in ortho:
             coeff = vec_inner(w, q) / vec_norm_sq(q)
             w = vec_sub(w, vec_scale(coeff, q))
-        nw = vec_norm_sq(w)
-        if T.mode == EXACT:
-            dependent = nw.is_zero()
-        else:
-            dependent = float(nw.re) <= (tol * max(1.0, float(vec_norm_sq(v).re))) ** 2 \
-                or float(nw.re) <= tol * max(1.0, float(vec_norm_sq(v).re))
-        if dependent:
+        thr = tol * max(1.0, vec_norm_sq(v).re) if T.mode == FLOAT else 0.0
+        if vec_norm_sq(w).is_zero(max(thr, thr ** 2)):
             break
         basis.append(v)
         ortho.append(w)
@@ -561,8 +529,23 @@ def _unimodular_check(z, mode, tol):
         raise PreconditionError("eigenvalue is not unimodular")
 
 
-_EPS_FIRST = (1, -1)
-_EPS_SECOND = ("i", "-i")
+def _pair_preconditions(T, h1, h2, z1, z2, tol, window_len):
+    """Checks shared by the orthogonality tests: z1 != z2 unimodular, h1 and
+    h2 in their generalized eigenspaces.  Returns the window length, whether
+    z1 = -z2, and the orbit-polynomiality test over that window."""
+    _unimodular_check(z1, T.mode, tol)
+    _unimodular_check(z2, T.mode, tol)
+    if (z1 - z2).is_zero(tol):
+        raise PreconditionError("eigenvalues must be distinct")
+    _membership_check(T, h1, z1, tol)
+    _membership_check(T, h2, z2, tol)
+    if window_len is None:
+        window_len = default_window_len(T.dim)
+
+    def poly(v):
+        return detect_degree(orbit_sequence(T, v, window_len), tol).polynomial
+
+    return window_len, (z1 + z2).is_zero(tol), poly
 
 
 def _default_eps_pair(mode):
@@ -586,7 +569,7 @@ class OrthoTestResult:
     mixed_inner_vanishes: bool
     re_only: bool
     agrees_with_theory: bool
-    diagnostics: dict
+    diagnostics: dict               # largest inner products (float mode; empty in exact)
 
 
 def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
@@ -594,22 +577,11 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
     """Finite-window check of the orthogonality criteria for generalized
     eigenvectors at distinct unimodular eigenvalues."""
     mode = T.mode
-    _unimodular_check(z1, mode, tol)
-    _unimodular_check(z2, mode, tol)
-    if (z1 - z2).is_zero(0.0 if mode == EXACT else tol):
-        raise PreconditionError("eigenvalues must be distinct")
-    _membership_check(T, h1, z1, tol)
-    _membership_check(T, h2, z2, tol)
-    if window_len is None:
-        window_len = default_window_len(T.dim)
-    opposite = (z1 + z2).is_zero(0.0 if mode == EXACT else tol)
+    window_len, opposite, poly = _pair_preconditions(T, h1, h2, z1, z2, tol, window_len)
     if eps_pair is None:
         eps_pair = _default_eps_pair(mode)
     else:
         _validate_eps_pair(eps_pair, mode)
-
-    def poly(v):
-        return detect_degree(orbit_sequence(T, v, window_len), tol).polynomial
 
     main_poly = poly(vec_add(h1, h2))
     eps_polys = None
@@ -617,28 +589,19 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
         eps_polys = tuple(poly(vec_add(vec_scale(e, h1), h2)) for e in eps_pair)
 
     # conclusions over the window
-    re_ok = True
-    full_ok = True
-    max_re = 0.0
-    max_abs = 0.0
+    inners = []
     u, v = h1, h2
+    for _ in range(window_len):
+        inners.append(vec_inner(u, v))
+        u, v = T.apply(u), T.apply(v)
     inner_thr = 0.0 if mode == EXACT else tol * max(
         1.0, vec_max_abs(h1) * vec_max_abs(h2)) * max(1.0, T.max_abs()) ** window_len
-    for _ in range(window_len):
-        ip = vec_inner(u, v)
-        max_re = max(max_re, abs(float(ip.re)))
-        max_abs = max(max_abs, ip.modulus())
-        if mode == EXACT:
-            if ip.re != 0:
-                re_ok = False
-            if not ip.is_zero():
-                full_ok = False
-        else:
-            if abs(float(ip.re)) > inner_thr:
-                re_ok = False
-            if ip.modulus() > inner_thr:
-                full_ok = False
-        u, v = T.apply(u), T.apply(v)
+    re_ok = all(Scalar(mode, ip.re, 0).is_zero(inner_thr) for ip in inners)   # Re <u, v>
+    full_ok = all(ip.is_zero(inner_thr) for ip in inners)
+    diagnostics = {}
+    if mode == FLOAT:
+        diagnostics = {"max_re_inner": max(abs(ip.re) for ip in inners),
+                       "max_abs_inner": max(ip.modulus() for ip in inners)}
 
     if opposite:
         agree = (not main_poly or re_ok) and (not (eps_polys and all(eps_polys)) or full_ok)
@@ -652,7 +615,7 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
         mixed_inner_vanishes=full_ok,
         re_only=re_ok and not full_ok,
         agrees_with_theory=agree,
-        diagnostics={"max_re_inner": max_re, "max_abs_inner": max_abs},
+        diagnostics=diagnostics,
     )
 
 
@@ -684,14 +647,7 @@ def jordan_pair_equivalences(T, h1, h2, z1, z2, tol=DEFAULT_FLOAT_TOL,
     Condition (iv) is sampled on random pairs rather than all of them;
     sufficiency at test scale follows from polarization."""
     mode = T.mode
-    _unimodular_check(z1, mode, tol)
-    _unimodular_check(z2, mode, tol)
-    if (z1 - z2).is_zero(0.0 if mode == EXACT else tol):
-        raise PreconditionError("eigenvalues must be distinct")
-    _membership_check(T, h1, z1, tol)
-    _membership_check(T, h2, z2, tol)
-    if window_len is None:
-        window_len = default_window_len(T.dim)
+    window_len, opposite, poly = _pair_preconditions(T, h1, h2, z1, z2, tol, window_len)
     rng = random.Random(seed)
     c1 = cyclic_subspace(T, h1, tol)
     c2 = cyclic_subspace(T, h2, tol)
@@ -702,10 +658,6 @@ def jordan_pair_equivalences(T, h1, h2, z1, z2, tol=DEFAULT_FLOAT_TOL,
         vec_inner(u, v).is_zero(inner_thr) for u in c1 for v in c2
     )
 
-    def poly(v):
-        return detect_degree(orbit_sequence(T, v, window_len), tol).polynomial
-
-    opposite = (z1 + z2).is_zero(0.0 if mode == EXACT else tol)
     if opposite:
         eps_pair = _default_eps_pair(mode)
         cond_ii = all(
@@ -772,15 +724,9 @@ def _restricted_strict_order(T, spanning, tol):
         R = _restriction_matrix(T, spanning, tol)
         verdict = strict_order(R, tol=max(tol, DEFAULT_DEFECT_TOL))
         return verdict.m if verdict.strict else None
-    samples = list(spanning)
-    i_unit = Scalar.i_unit(mode)
-    for a in range(len(spanning)):
-        for b in range(a + 1, len(spanning)):
-            samples.append(vec_add(spanning[a], spanning[b]))
-            samples.append(vec_add(spanning[a], vec_scale(i_unit, spanning[b])))
     orbits = []
     m_max = 2 * len(spanning) + 1
-    for v in samples:
+    for v in polarization_candidates(spanning):
         vals = []
         w = v
         for _ in range(m_max + 1):

@@ -90,9 +90,6 @@ class _Recorder:
             self.failures.append(message)
         return ok
 
-    def note(self, message):
-        self.notes.append(message)
-
     def result(self):
         return SuiteResult(
             name=self.name,
@@ -111,10 +108,6 @@ def operator_to_float(T):
     return DenseOperator(
         [[Scalar.flt(float(s.re), float(s.im)) for s in row] for row in T.rows]
     )
-
-
-def vector_to_float(v):
-    return tuple(Scalar.flt(float(s.re), float(s.im)) for s in v)
 
 
 def random_unitary(dim, np_rng):

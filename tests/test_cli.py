@@ -125,6 +125,18 @@ class TestCommands:
         assert report["verdict"]["kind"] == "strict-order"
         assert report["verdict"]["m"] == 3
 
+    def test_order_witness_is_first_best_polarization_candidate(self, tmp_path, capsys):
+        # J(1, 2) conjugated by the rotation with cos 3/5, sin 4/5: the
+        # largest <beta_2 h, h> is first reached at h = e0 + i e1
+        path = write(tmp_path, "r.json",
+                     {"mode": "exact",
+                      "matrix": [["13/25", "9/25"], ["-16/25", "37/25"]]})
+        out = tmp_path / "r.json.out"
+        assert main(["order", path, "--output", str(out)]) == 0
+        capsys.readouterr()
+        verdict = json.loads(out.read_text())["verdict"]
+        assert verdict == {"kind": "strict-order", "m": 3, "witness": ["1", "0+1i"]}
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path, capsys):
@@ -140,6 +152,11 @@ class TestExitCodes:
                      "--z1", "1", "--z2=-1"])
         assert code == 3
         capsys.readouterr()
+
+    def test_mmax_zero_is_3(self, tmp_path, capsys):
+        path = write(tmp_path, "e.json", EXAMPLE_DOC)
+        assert main(["order", path, "--mmax", "0"]) == 3
+        assert "m_max must be at least 1" in capsys.readouterr().err
 
     def test_suite_violation_is_4(self, capsys, monkeypatch):
         def failing(seed):
@@ -171,3 +188,31 @@ class TestSeedHandling:
         monkeypatch.setenv("MISOLAB_SEED", "seven")
         assert main(["verify", "--suite", "shift-factory"]) == 2
         capsys.readouterr()
+
+
+BIG = "1" + "0" * 310   # beyond float range
+
+
+class TestExactEntriesBeyondFloatRange:
+    """Exact mode decides zeros exactly and never converts an entry to float."""
+
+    def test_order(self, tmp_path, capsys):
+        path = write(tmp_path, "b.json",
+                     {"mode": "exact", "matrix": [[BIG, "0"], ["0", "1"]]})
+        assert main(["order", path]) == 0
+        assert "not-within-bound" in capsys.readouterr().out
+
+    def test_order_with_witness(self, tmp_path, capsys):
+        path = write(tmp_path, "b.json",
+                     {"mode": "exact", "matrix": [["1", BIG], ["0", "1"]]})
+        assert main(["order", path]) == 0
+        assert "strict-order" in capsys.readouterr().out
+
+    def test_perturb(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json",
+                  {"mode": "exact", "matrix": [["1", "0"], ["0", "1"]]})
+        n = write(tmp_path, "n.json",
+                  {"mode": "exact", "matrix": [["0", BIG], ["0", "0"]]})
+        assert main(["perturb", a, n]) == 0
+        out = capsys.readouterr().out
+        assert "order_bound: 3" in out and "strict_at_bound: True" in out

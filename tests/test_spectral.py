@@ -204,6 +204,34 @@ class TestOrthoTest:
                                    eps_pair=(Scalar.exact(2), I_))
 
 
+@pytest.mark.parametrize("test_fn", [ortho_test_generalized, jordan_pair_equivalences])
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+class TestPairPreconditions:
+    """Both orthogonality tests share one precondition check."""
+
+    def run(self, test_fn, mode, T, z1, z2, h2=(0, 1)):
+        if mode == FLOAT:
+            T, z1, z2 = operator_to_float(T), Scalar.flt(z1), Scalar.flt(z2)
+        else:
+            z1, z2 = Scalar.exact(z1), Scalar.exact(z2)
+        test_fn(T, vec_from_ints([1, 0], mode), vec_from_ints(list(h2), mode), z1, z2)
+
+    def test_non_unimodular_eigenvalue(self, test_fn, mode):
+        T = DenseOperator.from_ints([[2, 0], [0, -1]])
+        with pytest.raises(PreconditionError, match="not unimodular"):
+            self.run(test_fn, mode, T, 2, -1)
+
+    def test_equal_eigenvalues(self, test_fn, mode):
+        T = DenseOperator.from_ints([[1, 0], [0, 1]])
+        with pytest.raises(PreconditionError, match="distinct"):
+            self.run(test_fn, mode, T, 1, 1)
+
+    def test_membership(self, test_fn, mode):
+        T = DenseOperator.from_ints([[1, 0], [0, -1]])
+        with pytest.raises(PreconditionError, match="generalized eigenspace"):
+            self.run(test_fn, mode, T, 1, -1, h2=(1, 1))
+
+
 class TestJordanPairEquivalences:
     def test_orthogonal_pair_all_true(self):
         T = direct_sum(jordan_matrix(JordanSpec(ONE, 2)),
