@@ -15,9 +15,10 @@ from typing import Optional
 from .errors import (
     InternalCheckError,
     NotPolynomialError,
+    PreconditionError,
     WindowTooShortError,
 )
-from .matrices import float_max_abs
+from .matrices import _from_ints, _int_form, float_max_abs
 from .polynomials import Polynomial, falling_factorial_poly
 from .scalars import EXACT, FLOAT, Scalar
 
@@ -46,12 +47,16 @@ class OrbitSequence:
         modes = {v.mode for v in values}
         if len(modes) != 1:
             raise WindowTooShortError("orbit samples must share one mode")
-        for v in values:
+        mode = modes.pop()
+        for n, v in enumerate(values):
+            if mode == FLOAT and not (math.isfinite(v.re) and math.isfinite(v.im)):
+                raise PreconditionError(
+                    f"orbit sample {n} is not finite: float overflow at step n={n}")
             if not v.is_real():
                 raise ValueError("orbit samples must be real")
         self.values = values
         self.source = source
-        self.mode = modes.pop()
+        self.mode = mode
 
     @property
     def window_len(self):
@@ -96,32 +101,45 @@ def difference_table(gamma, depth):
 
     Both the subtraction recurrence and the alternating binomial-sum form
     are computed for every entry; a mismatch raises, since the two must
-    agree identically (exactly in exact mode).
+    agree identically (exactly in exact mode).  Both run on plain real
+    numbers: in exact mode integers over the window's common denominator,
+    in float mode the real parts of the samples.
     """
     if depth >= gamma.window_len:
         raise WindowTooShortError(
             f"depth {depth} too large for window of {gamma.window_len} samples"
         )
-    rows = [gamma.values]
+    if gamma.mode == EXACT:
+        den, reals, _ = _int_form(gamma.values)
+        scale, to_scalar = 0.0, lambda x: _from_ints(x, 0, den)
+    else:
+        reals = [v.re for v in gamma.values]
+        scale, to_scalar = max(1.0, gamma.max_abs()), lambda x: Scalar(FLOAT, x, 0.0)
+    rows = [reals]
     for k in range(depth):
         prev = rows[-1]
-        rows.append(tuple(prev[n + 1] - prev[n] for n in range(len(prev) - 1)))
-    _check_binomial_form(gamma, rows)
-    return DifferenceTable(rows=tuple(rows), depth=depth)
+        rows.append([prev[n + 1] - prev[n] for n in range(len(prev) - 1)])
+    _check_binomial_form(rows, scale)
+    return DifferenceTable(rows=(gamma.values, *(tuple(map(to_scalar, r)) for r in rows[1:])),
+                           depth=depth)
 
 
-def _check_binomial_form(gamma, rows):
-    vals = gamma.values
-    scale = max(1.0, gamma.max_abs()) if gamma.mode == FLOAT else 1.0
+def _check_binomial_form(rows, scale):
+    """rows[m][n] must equal sum_k (-1)^(m-k) C(m,k) rows[0][n+k].
+
+    The entries are ints or floats; float entries may differ by a slack
+    that grows with the largest binomial coefficient, and scale is 0.0 for
+    ints, which are compared exactly."""
+    vals = rows[0]
     for m, row in enumerate(rows):
         sign_m = 1 if m % 2 == 0 else -1
+        coeffs = [sign_m * (-1) ** k * math.comb(m, k) for k in range(m + 1)]
         slack = 1e-12 * scale * math.comb(m, m // 2) * (m + 1)
         for n, entry in enumerate(row):
-            acc = Scalar.zero(gamma.mode)
-            for k in range(m + 1):
-                c = sign_m * (-1) ** k * math.comb(m, k)
-                acc = acc + Scalar.from_int(c, gamma.mode) * vals[n + k]
-            if not (acc - entry).is_zero(slack):
+            acc = 0
+            for k, c in enumerate(coeffs):
+                acc = acc + c * vals[n + k]
+            if not abs(acc - entry) <= slack:
                 raise InternalCheckError(
                     f"difference table row {m} entry {n} disagrees with binomial form"
                 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .diffcalc import (
@@ -23,6 +24,8 @@ from .errors import InternalCheckError, PreconditionError
 from .matrices import (
     DenseOperator,
     FiniteVector,
+    _from_ints,
+    _int_form,
     basis_vector,
     float_max_abs,
     polarization_candidates,
@@ -31,7 +34,7 @@ from .matrices import (
     vec_norm_sq,
     vec_scale,
 )
-from .scalars import FLOAT, Scalar, falling_factorial
+from .scalars import EXACT, FLOAT, Scalar, falling_factorial
 
 DEFAULT_DEFECT_TOL = 1e-8
 
@@ -69,14 +72,26 @@ def _gram_list(T, m):
 
 
 def _defect_from_grams(grams, m, mode):
+    if mode == EXACT:
+        return DefectOperator(m=m, matrix=_exact_binomial_sum(grams[:m + 1], m))
     acc = DenseOperator.zeros(grams[0].dim, mode)
     for k in range(m + 1):
         c = (-1) ** k * math.comb(m, k)
         acc = acc + grams[k].scale(Scalar.from_int(c, mode))
-    scale = 1.0
-    if mode == FLOAT:
-        scale = sum(math.comb(m, k) * max(grams[k].max_abs(), 1.0) for k in range(m + 1))
+    scale = sum(math.comb(m, k) * max(grams[k].max_abs(), 1.0) for k in range(m + 1))
     return DefectOperator(m=m, matrix=acc, float_scale=scale)
+
+
+def _exact_binomial_sum(grams, m):
+    """sum_k (-1)^k C(m,k) G_k on numerators over the lcm of the Gram
+    denominators."""
+    forms = [_int_form([s for r in g.rows for s in r]) for g in grams]
+    den = math.lcm(*(d for d, _, _ in forms))
+    coeffs = [(-1) ** k * math.comb(m, k) * (den // d) for k, (d, _, _) in enumerate(forms)]
+    entries = [_from_ints(sum(map(mul, coeffs, re)), sum(map(mul, coeffs, im)), den)
+               for re, im in zip(zip(*(f[1] for f in forms)), zip(*(f[2] for f in forms)))]
+    n = grams[0].dim
+    return DenseOperator([entries[i * n:(i + 1) * n] for i in range(n)])
 
 
 def defect(T, m, _validate=True):

@@ -3,8 +3,12 @@ sequence vectors over dual-mode scalars."""
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from operator import mul
+
 from .errors import DimensionMismatchError, ModeMismatchError
-from .scalars import EXACT, FLOAT, Scalar
+from .scalars import EXACT, FLOAT, Scalar, same_mode
 
 
 class DenseOperator:
@@ -52,6 +56,11 @@ class DenseOperator:
 
     def __matmul__(self, other):
         self._check(other)
+        if self.mode == EXACT:
+            da, a_rows = _int_rows(self.rows)
+            db, b_cols = _int_rows(list(zip(*other.rows)))
+            return DenseOperator([[_int_dot(ar, ai, br, bi, da * db)
+                                   for br, bi in b_cols] for ar, ai in a_rows])
         n = self.dim
         cols = list(zip(*other.rows))
         out = []
@@ -102,6 +111,10 @@ class DenseOperator:
     def apply(self, vec):
         if len(vec) != self.dim:
             raise DimensionMismatchError("vector length does not match operator")
+        if self.mode == EXACT and same_mode(*vec) == EXACT:
+            da, a_rows = _int_rows(self.rows)
+            dv, v_re, v_im = _int_form(vec)
+            return tuple(_int_dot(ar, ai, v_re, v_im, da * dv) for ar, ai in a_rows)
         return tuple(
             _dot_row(row, vec) for row in self.rows
         )
@@ -134,6 +147,39 @@ def _dot_row(row, vec):
     for a, x in zip(row[1:], vec[1:]):
         acc = acc + a * x
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Exact kernels.  A list of Gaussian rationals is brought to one common
+# denominator, the loops run on Python ints, and each output entry becomes
+# a Scalar again through Fraction(num, den).  Canonical fractions are
+# unique, so the results equal those of the Scalar loops entry by entry.
+# ---------------------------------------------------------------------------
+
+def _int_form(scalars):
+    """(den, re_nums, im_nums) with scalars[k] = (re_nums[k] + i im_nums[k]) / den,
+    den the lcm of the denominators of all real and imaginary parts."""
+    re = [s.re.as_integer_ratio() for s in scalars]
+    im = [s.im.as_integer_ratio() for s in scalars]
+    den = math.lcm(*{d for _, d in re}, *{d for _, d in im})
+    return den, [n * (den // d) for n, d in re], [n * (den // d) for n, d in im]
+
+
+def _int_rows(rows):
+    """(den, [(re_nums, im_nums) per row]) for a square grid of exact scalars."""
+    n = len(rows)
+    den, re, im = _int_form([s for r in rows for s in r])
+    return den, [(re[i * n:(i + 1) * n], im[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def _from_ints(re, im, den):
+    return Scalar(EXACT, Fraction(re, den), Fraction(im, den))
+
+
+def _int_dot(a_re, a_im, b_re, b_im, den):
+    """sum_k a_k b_k over den, for Gaussian integers given by their parts."""
+    return _from_ints(sum(map(mul, a_re, b_re)) - sum(map(mul, a_im, b_im)),
+                      sum(map(mul, a_re, b_im)) + sum(map(mul, a_im, b_re)), den)
 
 
 def direct_sum(*ops):
@@ -194,6 +240,10 @@ def vec_inner(u, v):
     """<u, v>, conjugate-linear in v."""
     if len(u) != len(v):
         raise DimensionMismatchError("vector length mismatch")
+    if same_mode(*u, *v) == EXACT:
+        du, u_re, u_im = _int_form(u)
+        dv, v_re, v_im = (du, u_re, u_im) if v is u else _int_form(v)
+        return _int_dot(u_re, u_im, v_re, [-x for x in v_im], du * dv)
     acc = u[0] * v[0].conj()
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b.conj()

@@ -10,6 +10,7 @@ the same grammar, so they are byte-identical across runs.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,7 +77,13 @@ def parse_entry(entry, mode):
         return Scalar.exact(re_part, im_part)
     if not all(isinstance(x, (int, float)) for x in (re_part, im_part)):
         raise SpecFileError(f"bad float entry {entry!r}")
-    return Scalar.flt(float(re_part), float(im_part))
+    try:
+        re_part, im_part = float(re_part), float(im_part)
+    except OverflowError as exc:
+        raise SpecFileError(f"float entry {entry!r} is beyond float range") from exc
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise SpecFileError(f"float entry {entry!r} is not finite")
+    return Scalar.flt(re_part, im_part)
 
 
 def scalar_to_report(s):
@@ -122,6 +129,9 @@ def parse_operator_spec(doc):
         mats = []
         zs = []
         for b in blocks:
+            if not isinstance(b, dict) or "z" not in b:
+                raise SpecFileError(
+                    f'jordan block {b!r} must be an object with "z" and "size"')
             size = b.get("size")
             if not isinstance(size, int) or size < 1:
                 raise SpecFileError("jordan block size must be a positive integer")

@@ -415,7 +415,12 @@ def _restricted_nilpotent_info(T, ident, sp):
 
 
 def _fmt_scalar(s):
-    return f"{float(s.re):g}{float(s.im):+g}i"
+    try:
+        return f"{float(s.re):g}{float(s.im):+g}i"
+    except OverflowError:
+        # an exact value beyond float range; specio imports this module
+        from .specio import format_rational
+        return format_rational(s)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,36 @@ class TestSeedHandling:
         capsys.readouterr()
 
 
+class TestSpecRejection:
+    """Malformed specs exit 2 with a message, never with a traceback."""
+
+    @pytest.mark.parametrize("text,message", [
+        pytest.param('{"mode": "float", "matrix": [[NaN, 0], [0, 1]]}', "not finite",
+                     id="float-nan"),
+        pytest.param('{"mode": "float", "matrix": [[1e999, 0], [0, 1]]}', "not finite",
+                     id="float-inf"),
+        pytest.param('{"mode": "float", "matrix": [[1%s, 0], [0, 1]]}' % ("0" * 400),
+                     "beyond float range", id="float-int-overflow"),
+        pytest.param('{"mode": "exact", "jordan_blocks": [{"size": 2}]}', '"z"',
+                     id="jordan-block-without-z"),
+        pytest.param('{"mode": "exact", "jordan_blocks": [[3]]}', '"z"',
+                     id="jordan-block-not-object"),
+    ])
+    def test_parse_error_is_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["order", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_float_orbit_overflow_is_3(tmp_path, capsys):
+    # ||T^n e_0||^2 = 1e60n leaves float range at n = 6
+    path = write(tmp_path, "o.json", {"mode": "float", "matrix": [[1e30, 0], [0, 1]]})
+    assert main(["order", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "overflow" in err and "n=6" in err
+
+
 BIG = "1" + "0" * 310   # beyond float range
 
 
@@ -207,6 +237,13 @@ class TestExactEntriesBeyondFloatRange:
                      {"mode": "exact", "matrix": [["1", BIG], ["0", "1"]]})
         assert main(["order", path]) == 0
         assert "strict-order" in capsys.readouterr().out
+
+    def test_decompose_off_circle(self, tmp_path, capsys):
+        path = write(tmp_path, "b.json",
+                     {"mode": "exact", "matrix": [[BIG, "0"], ["0", "1"]],
+                      "eigen_hints": [BIG, "1"]})
+        assert main(["decompose", path]) == 0
+        assert f"eigenvalue {BIG} is not unimodular" in capsys.readouterr().out
 
     def test_perturb(self, tmp_path, capsys):
         a = write(tmp_path, "a.json",

@@ -1,0 +1,182 @@
+"""Exact integer kernels against the Scalar loops, and the internal
+cross-checks that guard them."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from misolab import (
+    DenseOperator,
+    InternalCheckError,
+    JordanSpec,
+    ModeMismatchError,
+    OrbitSequence,
+    Scalar,
+    defect,
+    jordan_matrix,
+    vec_inner,
+)
+from misolab import isometry
+from misolab.diffcalc import _check_binomial_form
+from misolab.isometry import _defect_from_grams
+from misolab.matrices import _int_form
+from misolab.scalars import EXACT, FLOAT
+
+# ---------------------------------------------------------------------------
+# Reference Scalar loops: the exact kernels must reproduce them entry by entry.
+# ---------------------------------------------------------------------------
+
+
+def ref_dot(row, vec):
+    acc = row[0] * vec[0]
+    for a, x in zip(row[1:], vec[1:]):
+        acc = acc + a * x
+    return acc
+
+
+def ref_matmul(a, b):
+    cols = list(zip(*b.rows))
+    return [[ref_dot(row, col) for col in cols] for row in a.rows]
+
+
+def ref_apply(a, v):
+    return tuple(ref_dot(row, v) for row in a.rows)
+
+
+def ref_inner(u, v):
+    acc = u[0] * v[0].conj()
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b.conj()
+    return acc
+
+
+def ref_defect_from_grams(grams, m):
+    acc = DenseOperator.zeros(grams[0].dim, EXACT)
+    for k in range(m + 1):
+        acc = acc + grams[k].scale(Scalar.exact((-1) ** k * math.comb(m, k)))
+    return acc.rows
+
+
+# Large, coprime and mixed denominators, plus exact zeros.
+denominators = st.one_of(
+    st.sampled_from([1, 2, 3, 5, 7, 25, 2 ** 61 - 1, 10 ** 20 + 39]),
+    st.integers(1, 10 ** 30),
+)
+parts = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10 ** 25, 10 ** 25), denominators),
+)
+gaussian = st.builds(Scalar.exact, parts, parts)
+
+
+def vectors(n):
+    return st.lists(gaussian, min_size=n, max_size=n).map(tuple)
+
+
+def operators(n):
+    return st.lists(vectors(n), min_size=n, max_size=n).map(DenseOperator)
+
+
+dims = st.integers(1, 4)
+
+
+class TestExactKernels:
+    @given(dims.flatmap(lambda n: st.tuples(operators(n), operators(n))))
+    @settings(max_examples=30, deadline=None)
+    def test_matmul(self, ab):
+        a, b = ab
+        assert list(map(list, (a @ b).rows)) == ref_matmul(a, b)
+
+    @given(dims.flatmap(lambda n: st.tuples(operators(n), vectors(n))))
+    @settings(max_examples=30, deadline=None)
+    def test_apply(self, av):
+        a, v = av
+        assert a.apply(v) == ref_apply(a, v)
+
+    @given(dims.flatmap(lambda n: st.tuples(vectors(n), vectors(n))))
+    @settings(max_examples=30, deadline=None)
+    def test_vec_inner(self, uv):
+        u, v = uv
+        assert vec_inner(u, v) == ref_inner(u, v)
+        assert vec_inner(u, u) == ref_inner(u, u)
+
+    @given(st.integers(0, 4).flatmap(
+        lambda m: dims.flatmap(lambda n: st.lists(operators(n), min_size=m + 1,
+                                                  max_size=m + 1))))
+    @settings(max_examples=25, deadline=None)
+    def test_defect_from_grams(self, grams):
+        m = len(grams) - 1
+        assert _defect_from_grams(grams, m, EXACT).matrix.rows == ref_defect_from_grams(grams, m)
+
+    def test_int_form(self):
+        den, re, im = _int_form([Scalar.exact(Fraction(1, 6), Fraction(-3, 4)),
+                                 Scalar.exact(0, 5)])
+        assert (den, re, im) == (12, [2, 0], [-9, 60])
+
+    def test_mixed_modes_raise(self):
+        a = DenseOperator.from_ints([[1, 0], [0, 1]])
+        exact = (Scalar.exact(1), Scalar.exact(0))
+        mixed = (Scalar.exact(1), Scalar.flt(0.0))
+        with pytest.raises(ModeMismatchError):
+            a.apply(mixed)
+        with pytest.raises(ModeMismatchError):
+            vec_inner(exact, mixed)
+        with pytest.raises(ModeMismatchError):
+            vec_inner(mixed, exact)
+
+
+# ---------------------------------------------------------------------------
+# The cross-checks raise when the two computations disagree.
+# ---------------------------------------------------------------------------
+
+
+def difference_rows(reals):
+    rows = [list(reals)]
+    while len(rows[-1]) > 1:
+        prev = rows[-1]
+        rows.append([prev[n + 1] - prev[n] for n in range(len(prev) - 1)])
+    return rows
+
+
+class TestBinomialFormCheck:
+    def test_exact_row_off_by_one_over_den_raises(self):
+        gamma = OrbitSequence.from_reals([Fraction(n ** 3 - 2, 7 + n) for n in range(7)], EXACT)
+        den, reals, _ = _int_form(gamma.values)
+        rows = difference_rows(reals)
+        _check_binomial_form(rows, 0.0)
+        rows[3][1] += 1          # one unit of 1/den
+        with pytest.raises(InternalCheckError, match="row 3 entry 1"):
+            _check_binomial_form(rows, 0.0)
+
+    def test_float_row_beyond_slack_raises(self):
+        reals = [float(n * n) + 0.5 for n in range(7)]
+        scale = max(reals)
+        m = 4
+        slack = 1e-12 * scale * math.comb(m, m // 2) * (m + 1)
+        rows = difference_rows(reals)
+        rows[m][0] += 0.5 * slack
+        _check_binomial_form(rows, scale)
+        rows[m][0] += 2 * slack
+        with pytest.raises(InternalCheckError, match=f"row {m} entry 0"):
+            _check_binomial_form(rows, scale)
+
+
+class TestDefectCrossCheck:
+    @pytest.mark.parametrize("mode,bump", [(EXACT, Scalar.exact(Fraction(1, 10 ** 30))),
+                                           (FLOAT, Scalar.flt(1e-6))])
+    def test_perturbed_recurrence_raises(self, monkeypatch, mode, bump):
+        T = jordan_matrix(JordanSpec(z=Scalar.one(mode), size=3))
+        assert defect(T, 4).m == 4
+        real = isometry._defect_by_recurrence
+
+        def perturbed(T, m):
+            rows = [list(r) for r in real(T, m).rows]
+            rows[0][-1] = rows[0][-1] + bump
+            return DenseOperator(rows)
+
+        monkeypatch.setattr(isometry, "_defect_by_recurrence", perturbed)
+        with pytest.raises(InternalCheckError, match="m=4"):
+            defect(T, 4)
