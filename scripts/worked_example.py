@@ -15,6 +15,8 @@ all of it with an honest orthogonal block sum.
 Run:  python3 scripts/worked_example.py
 """
 
+from itertools import islice
+
 from misolab import (
     format_rational,
     DenseOperator,
@@ -24,6 +26,7 @@ from misolab import (
     direct_sum,
     jordan_matrix,
     jordan_pair_equivalences,
+    orbit,
     ortho_test_generalized,
     strict_order,
     vec_add,
@@ -48,16 +51,11 @@ def main():
     h2 = (I_, ONE)                       # eigenvector at -i
 
     banner("Orbit of h1 + h2 has constant squared norm 3")
-    w = vec_add(h1, h2)
-    for n in range(8):
+    for n, w in enumerate(islice(orbit(T, vec_add(h1, h2)), 8)):
         print(f"  ||T^{n}(h1+h2)||^2 = {format_rational(vec_norm_sq(w))}")
-        w = T.apply(w)
 
     banner("Inner products <T^k h1, T^l h2> = -i^(k+l+1)")
-    p1, p2 = [h1], [h2]
-    for _ in range(4):
-        p1.append(T.apply(p1[-1]))
-        p2.append(T.apply(p2[-1]))
+    p1, p2 = list(islice(orbit(T, h1), 4)), list(islice(orbit(T, h2), 4))
     for k in range(4):
         row = "  ".join(format_rational(vec_inner(p1[k], p2[l])).rjust(5)
                         for l in range(4))

@@ -53,6 +53,7 @@ from .matrices import (
     FiniteVector,
     basis_vector,
     direct_sum,
+    orbit,
     vec,
     vec_add,
     vec_from_ints,

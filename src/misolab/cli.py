@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -23,7 +24,11 @@ from .isometry import DEFAULT_DEFECT_TOL, default_m_max, local_isometry_survey
 from .matrices import DenseOperator, basis_vector
 from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, Scalar
-from .shifts import WeightedShiftOperator, build_shift_spec, shift_is_m_isometry
+from .shifts import (
+    WeightedShiftOperator,
+    newton_coefficients_nonnegative,
+    shift_is_m_isometry,
+)
 from .specio import (
     load_spec_file,
     parse_entry,
@@ -74,6 +79,15 @@ def _parse_eps_flag(text, mode):
     if len(parts) != 2:
         raise SpecFileError("--eps wants two comma-separated values, e.g. 1,i")
     return tuple(_parse_scalar_flag(p, mode) for p in parts)
+
+
+def _tolerance(text):
+    """--tol value: NaN, infinite or negative tolerances would make float
+    zero tests confidently wrong."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _vector_out(v):
@@ -198,16 +212,16 @@ def _cmd_shift(args):
     body = spec.document["shift"]
     p = Polynomial([parse_entry(c, spec.mode) for c in body["polynomial"]],
                    mode=spec.mode)
-    shift_spec = build_shift_spec(p, body["prefix"])
+    certified = newton_coefficients_nonnegative(p)
     tol = args.tol if args.tol is not None else DEFAULT_FLOAT_TOL
     report = _base_report("shift", spec, {"m": args.m, "tol": tol})
     report["shift"] = {
         "generator_degree": p.degree,
         "m": args.m,
         "is_m_isometry": shift_is_m_isometry(spec.operator, args.m, tol=tol),
-        "positivity_certified": shift_spec.positivity_certified,
+        "positivity_certified": certified,
     }
-    if not shift_spec.positivity_certified:
+    if not certified:
         report["warnings"].append(
             "generator positivity verified only on the prefix, not for all n"
         )
@@ -323,7 +337,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="float-mode zero tolerance")
         p.add_argument("--output", default=None, help="write the JSON report here")
 

@@ -38,9 +38,9 @@ def default_window_len(dim):
 class OrbitSequence:
     """A finite window of real scalar samples gamma_0 .. gamma_N."""
 
-    __slots__ = ("values", "source", "mode")
+    __slots__ = ("values", "mode")
 
-    def __init__(self, values, source=""):
+    def __init__(self, values):
         values = tuple(values)
         if len(values) < 2:
             raise WindowTooShortError("orbit window must hold at least 2 samples")
@@ -55,7 +55,6 @@ class OrbitSequence:
             if not v.is_real():
                 raise ValueError("orbit samples must be real")
         self.values = values
-        self.source = source
         self.mode = mode
 
     @property
@@ -63,10 +62,10 @@ class OrbitSequence:
         return len(self.values)
 
     @staticmethod
-    def from_reals(reals, mode, source=""):
+    def from_reals(reals, mode):
         if mode == EXACT:
-            return OrbitSequence([Scalar.exact(r) for r in reals], source)
-        return OrbitSequence([Scalar.flt(r) for r in reals], source)
+            return OrbitSequence([Scalar.exact(r) for r in reals])
+        return OrbitSequence([Scalar.flt(r) for r in reals])
 
     def max_abs(self):
         return max(v.modulus() for v in self.values)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import mul
 from typing import Optional
 
@@ -28,10 +29,10 @@ from .matrices import (
     _int_form,
     basis_vector,
     float_max_abs,
+    orbit,
     polarization_candidates,
     vec_add,
     vec_inner,
-    vec_norm_sq,
     vec_scale,
 )
 from .scalars import EXACT, FLOAT, Scalar, falling_factorial
@@ -186,15 +187,14 @@ def _nonzero_form_witness(d, tol):
 
 
 def orbit_sequence(T, h, window_len=None):
-    """gamma_{T,h}: the window of squared orbit norms ||T^n h||^2."""
+    """gamma_{T,h}: the window of squared orbit norms ||T^n h||^2.
+
+    T is a DenseOperator, or any operator exposing apply() on the vectors
+    it is given; the default window is default_window_len(dim) for a dense
+    operator and 16 otherwise."""
     if window_len is None:
-        window_len = default_window_len(T.dim)
-    vals = []
-    v = h
-    for _ in range(window_len):
-        vals.append(vec_norm_sq(v))
-        v = T.apply(v)
-    return OrbitSequence(vals, source=f"dense orbit (dim={T.dim})")
+        window_len = default_window_len(T.dim) if isinstance(T, DenseOperator) else 16
+    return OrbitSequence(_generic_inner(v, v) for v in islice(orbit(T, h), window_len))
 
 
 def newton_expansion_check(T, m, n_max, tol=DEFAULT_DEFECT_TOL):
@@ -234,15 +234,11 @@ class DefectForm:
         self.k = k
 
     def __call__(self, f, g):
-        orbit_f, orbit_g = f, g
         acc = None
-        for j in range(self.k + 1):
-            c = (-1) ** j * math.comb(self.k, j)
-            term = _generic_inner(orbit_f, orbit_g) * c
+        walks = zip(orbit(self.op, f), orbit(self.op, g))
+        for j, (u, v) in enumerate(islice(walks, self.k + 1)):
+            term = _generic_inner(u, v) * ((-1) ** j * math.comb(self.k, j))
             acc = term if acc is None else acc + term
-            if j < self.k:
-                orbit_f = self.op.apply(orbit_f)
-                orbit_g = self.op.apply(orbit_g)
         return acc
 
 
@@ -315,8 +311,7 @@ def local_isometry_survey(op, vectors, tol=DEFAULT_FLOAT_TOL,
         global_verdict = strict_order(op, m_max=m_max, tol=defect_tol)
     verdicts = []
     for h in vectors:
-        gamma = _generic_orbit(op, h, window_len)
-        verdicts.append(detect_degree(gamma, tol))
+        verdicts.append(detect_degree(orbit_sequence(op, h, window_len), tol))
     lower = 0
     all_poly = True
     for v in verdicts:
@@ -334,16 +329,3 @@ def local_isometry_survey(op, vectors, tol=DEFAULT_FLOAT_TOL,
         consistent_with=consistent,
     )
 
-
-def _generic_orbit(op, h, window_len):
-    if isinstance(op, DenseOperator):
-        return orbit_sequence(op, h, window_len)
-    # weighted shift or anything exposing apply(); norms via generic inner
-    if window_len is None:
-        window_len = 16
-    vals = []
-    v = h
-    for _ in range(window_len):
-        vals.append(_generic_inner(v, v))
-        v = op.apply(v)
-    return OrbitSequence(vals, source="generic orbit")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from operator import mul
 
 from .errors import DimensionMismatchError, ModeMismatchError
@@ -109,10 +110,14 @@ class DenseOperator:
         return out
 
     def apply(self, vec):
+        return self._apply(vec, None)
+
+    def _apply(self, vec, int_rows):
+        """T vec; int_rows, when given, is _int_rows(self.rows) of an exact T."""
         if len(vec) != self.dim:
             raise DimensionMismatchError("vector length does not match operator")
         if self.mode == EXACT and same_mode(*vec) == EXACT:
-            da, a_rows = _int_rows(self.rows)
+            da, a_rows = int_rows or _int_rows(self.rows)
             dv, v_re, v_im = _int_form(vec)
             return tuple(_int_dot(ar, ai, v_re, v_im, da * dv) for ar, ai in a_rows)
         return tuple(
@@ -180,6 +185,20 @@ def _int_dot(a_re, a_im, b_re, b_im, den):
     """sum_k a_k b_k over den, for Gaussian integers given by their parts."""
     return _from_ints(sum(map(mul, a_re, b_re)) - sum(map(mul, a_im, b_im)),
                       sum(map(mul, a_re, b_im)) + sum(map(mul, a_im, b_re)), den)
+
+
+def orbit(op, h):
+    """The orbit h, Th, T^2 h, ... of h under op, without end.
+
+    An exact DenseOperator is brought to its integer form once per walk;
+    each step keeps apply()'s checks, so a float or mixed vector raises
+    ModeMismatchError.  Any other operator steps with its apply()."""
+    step = op.apply
+    if isinstance(op, DenseOperator) and op.mode == EXACT:
+        step = partial(op._apply, int_rows=_int_rows(op.rows))
+    while True:
+        yield h
+        h = step(h)
 
 
 def direct_sum(*ops):

@@ -107,6 +107,11 @@ class Scalar:
             return NotImplemented
         d = o.re * o.re + o.im * o.im
         if d == 0:
+            if self.mode == FLOAT and not o.is_zero(0.0):
+                # |o|^2 underflowed: divide by o scaled to about 1 first
+                s = max(abs(o.re), abs(o.im))
+                return (Scalar(FLOAT, self.re / s, self.im / s)
+                        / Scalar(FLOAT, o.re / s, o.im / s))
             raise ZeroDivisionError("division by zero scalar")
         return Scalar(
             self.mode,

@@ -12,35 +12,47 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
-from .diffcalc import DEFAULT_FLOAT_TOL, OrbitSequence, detect_degree
+from .diffcalc import DEFAULT_FLOAT_TOL, OrbitSequence, default_window_len, detect_degree
 from .errors import PreconditionError
-from .matrices import FiniteVector, vec_norm_sq
+from .isometry import orbit_sequence
+from .matrices import FiniteVector
 from .polynomials import Polynomial
 from .scalars import FLOAT, Scalar
 
 
 class WeightedShiftOperator:
-    """W e_n = lambda_n e_{n+1}, with |lambda_n|^2 given by weight_sq."""
+    """W e_n = lambda_n e_{n+1}, with |lambda_n|^2 = weights_sq[n] on the
+    verified prefix n < prefix_len."""
 
-    __slots__ = ("mode", "prefix_len", "_weight_sq", "description")
+    __slots__ = ("mode", "weights_sq", "description")
 
-    def __init__(self, weight_sq, prefix_len, mode, description=""):
-        if prefix_len < 2:
+    def __init__(self, weights_sq, mode, description=""):
+        weights_sq = tuple(weights_sq)
+        if len(weights_sq) < 2:
             raise PreconditionError("shift prefix must cover at least 2 weights")
         self.mode = mode
-        self.prefix_len = prefix_len
-        self._weight_sq = weight_sq
+        self.weights_sq = weights_sq
         self.description = description
 
-    def weight_sq(self, n):
-        if n < 0:
+    @property
+    def prefix_len(self):
+        return len(self.weights_sq)
+
+    def _prefix(self, j, count):
+        """The squared weights j .. j + count - 1, all inside the prefix."""
+        if j < 0:
             raise PreconditionError("weight index must be nonnegative")
-        if n >= self.prefix_len:
+        if j + count > self.prefix_len:
             raise PreconditionError(
-                f"weight index {n} beyond verified prefix {self.prefix_len}"
+                f"weight index {j + count - 1} beyond verified prefix {self.prefix_len}"
             )
-        return self._weight_sq(n)
+        return self.weights_sq[j:j + count]
+
+    def weight_sq(self, n):
+        return self._prefix(n, 1)[0]
 
     def weight(self, n):
         """lambda_n with the positive-root sign convention."""
@@ -65,18 +77,12 @@ class WeightedShiftOperator:
 
     def orbit_norm_sq(self, j, n):
         """||W^n e_j||^2 as a telescoping product of squared weights."""
-        acc = Scalar.one(self.mode)
-        for t in range(j, j + n):
-            acc = acc * self.weight_sq(t)
-        return acc
+        return math.prod(self._prefix(j, n), start=Scalar.one(self.mode))
 
     def basis_orbit(self, j, window_len):
-        vals = []
-        acc = Scalar.one(self.mode)
-        for n in range(window_len):
-            vals.append(acc)
-            acc = acc * self.weight_sq(j + n)
-        return OrbitSequence(vals, source=f"shift orbit of e_{j}")
+        """The window ||W^n e_j||^2, n < window_len: running products."""
+        return OrbitSequence(accumulate(self._prefix(j, window_len - 1), mul,
+                                        initial=Scalar.one(self.mode)))
 
 
 def _rational_sqrt(q):
@@ -122,17 +128,12 @@ def shift_from_polynomial(p, prefix_len=32):
         raise PreconditionError("shift generator must have real coefficients")
     if p.is_zero():
         raise PreconditionError("shift generator must be nonzero")
-    for n in range(prefix_len + 2):
-        val = p(n)
+    values = [p(n) for n in range(prefix_len + 2)]
+    for n, val in enumerate(values):
         if not (val.is_real() and val.re > 0):
             raise PreconditionError(f"generator is not positive at n={n}")
-    values = [p(n) for n in range(prefix_len + 2)]
-
-    def weight_sq(n):
-        return values[n + 1] / values[n]
-
     return WeightedShiftOperator(
-        weight_sq, prefix_len + 1, p.mode,
+        (b / a for a, b in zip(values, values[1:])), p.mode,
         description=f"shift from generator of degree {p.degree}",
     )
 
@@ -151,28 +152,18 @@ def localization_shift(T, h, prefix_len=None):
 
     A vanishing orbit norm signals non-injectivity and is rejected
     (m-isometries are injective)."""
-    from .diffcalc import default_window_len
-
     if prefix_len is None:
         prefix_len = default_window_len(T.dim) + 4
-    norms = []
-    v = h
-    for n in range(prefix_len + 1):
-        ns = vec_norm_sq(v)
+    norms = orbit_sequence(T, h, prefix_len + 1).values
+    for n, ns in enumerate(norms):
         if ns.is_zero(0.0):
             if n == 0:
                 raise PreconditionError("localization shift needs a nonzero vector")
             raise PreconditionError(
                 f"orbit norm vanishes at n={n}; operator not injective on the orbit"
             )
-        norms.append(ns)
-        v = T.apply(v)
-
-    def weight_sq(n):
-        return norms[n + 1] / norms[n]
-
     return WeightedShiftOperator(
-        weight_sq, prefix_len, T.mode, description="localization shift"
+        (b / a for a, b in zip(norms, norms[1:])), T.mode, description="localization shift"
     )
 
 

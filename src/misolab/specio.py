@@ -116,14 +116,16 @@ def parse_operator_spec(doc):
     kind = kinds[0]
     hints = None
     if "eigen_hints" in doc:
-        hints = tuple(parse_entry(e, mode) for e in doc["eigen_hints"])
+        hints = tuple(parse_entry(e, mode)
+                      for e in _json_list(doc["eigen_hints"], '"eigen_hints"'))
     if kind == "matrix":
-        rows = doc["matrix"]
+        rows = [_json_list(r, "each matrix row")
+                for r in _json_list(doc["matrix"], '"matrix"')]
         if not rows or any(len(r) != len(rows) for r in rows):
             raise SpecFileError("matrix rows must form a nonempty square grid")
         op = DenseOperator([[parse_entry(e, mode) for e in r] for r in rows])
     elif kind == "jordan_blocks":
-        blocks = doc["jordan_blocks"]
+        blocks = _json_list(doc["jordan_blocks"], '"jordan_blocks"')
         if not blocks:
             raise SpecFileError("jordan_blocks must be nonempty")
         mats = []
@@ -144,7 +146,9 @@ def parse_operator_spec(doc):
             hints = tuple(zs)
     else:
         body = doc["shift"]
-        coeffs = body.get("polynomial")
+        if not isinstance(body, dict):
+            raise SpecFileError('"shift" must be a JSON object')
+        coeffs = _json_list(body.get("polynomial", []), 'shift "polynomial"')
         if not coeffs:
             raise SpecFileError("shift polynomial must be nonzero")
         prefix = body.get("prefix", 32)
@@ -158,6 +162,12 @@ def parse_operator_spec(doc):
         mode=mode, kind=kind, operator=op, eigen_hints=hints,
         document=serialize_parsed(mode, kind, doc, op, hints),
     )
+
+
+def _json_list(value, what):
+    if not isinstance(value, list):
+        raise SpecFileError(f"{what} must be a JSON list")
+    return value
 
 
 def serialize_parsed(mode, kind, doc, op, hints):

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .diffcalc import DEFAULT_FLOAT_TOL, default_window_len, detect_degree
+from .diffcalc import DEFAULT_FLOAT_TOL, default_window_len, detect_degree, difference_table
 from .errors import (
     EigenHintError,
     InternalCheckError,
@@ -33,6 +34,7 @@ from .matrices import (
     DenseOperator,
     basis_vector,
     float_max_abs,
+    orbit,
     polarization_candidates,
     vec_add,
     vec_inner,
@@ -179,6 +181,8 @@ def _vec_from_numpy(col):
 def _float_nullspace(arr, tol):
     """Kernel basis: right singular vectors whose singular value is within
     the tolerance, scaled by the largest |entry|."""
+    if not np.isfinite(arr).all():
+        raise PreconditionError("float overflow: a power of T - zI left float range")
     thr = max(tol, 1e-10) * max(1.0, float(np.abs(arr).max()))
     _, s, vh = np.linalg.svd(arr)
     # trailing rows of vh span the kernel
@@ -399,19 +403,12 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL,
 def _restricted_nilpotent_info(T, ident, sp):
     """Nilpotency data of (T - zI) restricted to the eigenspace.
 
-    The restriction's index equals the chain depth; the witness is a basis
-    vector of the space surviving (T - zI)^(depth - 1)."""
-    depth = sp.chain_depth
-    M = T - ident.scale(sp.eigenvalue)
-    P = M.power(depth - 1)
-    thr = 0.0 if T.mode == EXACT else 1e-8 * max(1.0, M.max_abs()) ** max(depth - 1, 1)
-    # depth 1: every basis vector works (P = I)
-    witness, best = sp.basis[0], thr ** 2
-    for v in sp.basis:
-        m = max(a.abs2().re for a in P.apply(v))
-        if m > best:
-            witness, best = v, m
-    return NilpotentInfo(index=depth, witness=witness)
+    The restriction's index equals the chain depth; the witness is the first
+    basis vector whose image under (T - zI)^(depth - 1) has the largest
+    entry, which is nonzero by the definition of the depth."""
+    P = (T - ident.scale(sp.eigenvalue)).power(sp.chain_depth - 1)
+    witness = max(sp.basis, key=lambda v: max(a.abs2().re for a in P.apply(v)))
+    return NilpotentInfo(index=sp.chain_depth, witness=witness)
 
 
 def _fmt_scalar(s):
@@ -472,15 +469,11 @@ def _strictness_criterion(A, N, m_a, nu, tol):
     identically."""
     dim, mode = A.dim, A.mode
     P = N.power(nu - 1)
-    a_powers = [DenseOperator.identity(dim, mode)]
-    for _ in range(m_a - 1):
-        a_powers.append(a_powers[-1] @ A)
     for f0 in polarization_candidates([basis_vector(dim, j, mode) for j in range(dim)]):
-        g = P.apply(f0)
         val = Scalar.zero(mode)
         scale = 0.0
-        for l in range(m_a):
-            t = vec_norm_sq(a_powers[l].apply(g))
+        for l, w in enumerate(islice(orbit(A, P.apply(f0)), m_a)):
+            t = vec_norm_sq(w)
             c = (-1) ** l * math.comb(m_a - 1, l)
             val = val + t * c
             if mode == FLOAT:
@@ -500,8 +493,7 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
         raise PreconditionError("cyclic subspace of the zero vector")
     basis = []
     ortho = []   # orthogonalized copies used only for the dependence test
-    v = h
-    for _ in range(T.dim):
+    for v in islice(orbit(T, h), T.dim):
         w = v
         for q in ortho:
             coeff = vec_inner(w, q) / vec_norm_sq(q)
@@ -511,7 +503,6 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
             break
         basis.append(v)
         ortho.append(w)
-        v = T.apply(v)
     return basis
 
 
@@ -548,7 +539,11 @@ def _pair_preconditions(T, h1, h2, z1, z2, tol, window_len):
         window_len = default_window_len(T.dim)
 
     def poly(v):
-        return detect_degree(orbit_sequence(T, v, window_len), tol).polynomial
+        # a polynomial orbit norm on C^dim has degree at most 2*dim - 2; a
+        # higher degree only means the window's last differences vanished
+        verdict = detect_degree(orbit_sequence(T, v, window_len), tol)
+        return verdict.polynomial and (verdict.zero_sequence
+                                       or verdict.degree <= 2 * T.dim - 2)
 
     return window_len, (z1 + z2).is_zero(tol), poly
 
@@ -594,11 +589,8 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
         eps_polys = tuple(poly(vec_add(vec_scale(e, h1), h2)) for e in eps_pair)
 
     # conclusions over the window
-    inners = []
-    u, v = h1, h2
-    for _ in range(window_len):
-        inners.append(vec_inner(u, v))
-        u, v = T.apply(u), T.apply(v)
+    inners = [vec_inner(u, v)
+              for u, v in islice(zip(orbit(T, h1), orbit(T, h2)), window_len)]
     inner_thr = 0.0 if mode == EXACT else tol * max(
         1.0, vec_max_abs(h1) * vec_max_abs(h2)) * max(1.0, T.max_abs()) ** window_len
     re_ok = all(Scalar(mode, ip.re, 0).is_zero(inner_thr) for ip in inners)   # Re <u, v>
@@ -724,30 +716,17 @@ def _restricted_strict_order(T, spanning, tol):
     polarization combinations (the raw cyclic basis is not orthonormal, so
     the defect matrix route is unavailable); float mode builds the
     restriction matrix in an orthonormalized basis."""
-    mode = T.mode
-    if mode == FLOAT:
+    if T.mode == FLOAT:
         R = _restriction_matrix(T, spanning, tol)
         verdict = strict_order(R, tol=max(tol, DEFAULT_DEFECT_TOL))
         return verdict.m if verdict.strict else None
-    orbits = []
+    # the form F_m(v, v) = sum_k (-1)^k C(m,k) ||T^k v||^2 is
+    # (-1)^m (Delta^m gamma_v)(0), row m of v's difference table at 0
     m_max = 2 * len(spanning) + 1
-    for v in polarization_candidates(spanning):
-        vals = []
-        w = v
-        for _ in range(m_max + 1):
-            vals.append(vec_norm_sq(w))
-            w = T.apply(w)
-        orbits.append(vals)
+    tables = [difference_table(orbit_sequence(T, v, m_max + 1), m_max)
+              for v in polarization_candidates(spanning)]
     for m in range(1, m_max + 1):
-        ok = True
-        for vals in orbits:
-            acc = Scalar.zero(mode)
-            for k in range(m + 1):
-                acc = acc + vals[k] * ((-1) ** k * math.comb(m, k))
-            if not acc.is_zero():
-                ok = False
-                break
-        if ok:
+        if all(t.row(m)[0].is_zero() for t in tables):
             return m
     return None
 

@@ -204,12 +204,37 @@ class TestSpecRejection:
                      id="jordan-block-without-z"),
         pytest.param('{"mode": "exact", "jordan_blocks": [[3]]}', '"z"',
                      id="jordan-block-not-object"),
+        pytest.param('{"mode": "exact", "jordan_blocks": 5}', '"jordan_blocks" must be',
+                     id="jordan-blocks-not-list"),
+        pytest.param('{"mode": "exact", "matrix": 5}', '"matrix" must be',
+                     id="matrix-not-list"),
+        pytest.param('{"mode": "exact", "matrix": ["12", "34"]}', "matrix row must be",
+                     id="matrix-row-string"),
+        pytest.param('{"mode": "exact", "matrix": [["1"]], "eigen_hints": 3}',
+                     '"eigen_hints" must be', id="eigen-hints-number"),
+        pytest.param('{"mode": "exact", "matrix": [["1"]], "eigen_hints": "12"}',
+                     '"eigen_hints" must be', id="eigen-hints-string"),
+        pytest.param('{"mode": "exact", "shift": 5}', '"shift" must be',
+                     id="shift-not-object"),
+        pytest.param('{"mode": "exact", "shift": {"polynomial": 5}}', '"polynomial" must be',
+                     id="shift-polynomial-not-list"),
     ])
     def test_parse_error_is_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert main(["order", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["order", "decompose"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_tol_that_breaks_zero_tests_is_2(tmp_path, capsys, command, tol):
+    # with --tol inf the float Jordan block J(1, 2) passed as strict-order(1)
+    path = write(tmp_path, "j.json", {"mode": "float", "matrix": [[1, 1], [0, 1]]})
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
 
 
 def test_float_orbit_overflow_is_3(tmp_path, capsys):

@@ -1,0 +1,101 @@
+"""Spec documents of arbitrary JSON shape through the CLI: every one ends
+in a documented exit code, never in an escaping exception.
+
+A document is a well-formed spec of dimension <= 3 in which up to two
+values, at any depth and the whole document included, are replaced by
+arbitrary JSON."""
+
+import copy
+import json
+
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from misolab.cli import main
+
+SMALL_INT = st.integers(-2, 3)
+JSON = st.recursive(
+    st.none() | st.booleans() | SMALL_INT | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+FLOAT = st.floats(allow_nan=False, allow_infinity=False) | SMALL_INT
+ENTRY = {
+    "exact": st.sampled_from(["0", "1", "-1", "2", "0+1i", "0-1i", "1/2", "3/5+4/5i",
+                              "-3/5+4/5i", "1+1i", "10000000000"]) | SMALL_INT,
+    "float": FLOAT | st.lists(FLOAT, min_size=2, max_size=2),
+}
+
+
+def well_formed(mode):
+    entry = ENTRY[mode]
+    matrix = st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    blocks = st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+        lambda sizes: sum(sizes) <= 3).flatmap(
+        lambda sizes: st.tuples(*[st.fixed_dictionaries({"z": entry, "size": st.just(k)})
+                                  for k in sizes]).map(list))
+    shift = st.fixed_dictionaries({"polynomial": st.lists(entry, min_size=1, max_size=3)},
+                                  optional={"prefix": st.integers(2, 40)})
+    operator = (st.fixed_dictionaries({"matrix": matrix})
+                | st.fixed_dictionaries({"jordan_blocks": blocks})
+                | st.fixed_dictionaries({"shift": shift}))
+    hints = st.fixed_dictionaries({}, optional={"eigen_hints": st.lists(entry, max_size=4)})
+    return st.builds(lambda op, more: {"mode": mode, **op, **more}, operator, hints)
+
+
+def paths(value, path=()):
+    yield path
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from paths(child, path + (key,))
+
+
+@st.composite
+def documents(draw):
+    doc = draw(st.sampled_from(["exact", "float"]).flatmap(well_formed))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(paths(doc))))
+        junk = draw(JSON)
+        if not path:
+            doc = junk
+            continue
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = junk
+    return doc
+
+
+def dimension(doc):
+    """The operator dimension the document would give if it parsed."""
+    if not isinstance(doc, dict):
+        return 0
+    blocks = doc.get("jordan_blocks")
+    if isinstance(blocks, list):
+        return sum(b["size"] for b in blocks
+                   if isinstance(b, dict) and isinstance(b.get("size"), int))
+    rows = doc.get("matrix")
+    return len(rows) if isinstance(rows, list) else 0
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=documents(), command=st.sampled_from(["order", "decompose"]))
+# float overflow in the kernel chain: LinAlgError from the SVD, now exit 3
+@example(doc={"mode": "float", "jordan_blocks": [{"z": 0.0, "size": 2},
+                                                 {"z": [0.0, -8.8e204], "size": 1}]},
+         command="decompose")
+# the witness threshold of a nilpotency index overflowed: OverflowError
+@example(doc={"mode": "float", "matrix": [[2, [-9e191, 0]], [0, 0]]}, command="decompose")
+# squared weights of a tiny generator: |p(n)|^2 underflowed in the division
+@example(doc={"mode": "float", "shift": {"polynomial": [8e-219, 8e-219, 8e-219]}},
+         command="order")
+def test_spec_documents_end_in_documented_exit_codes(tmp_path_factory, doc, command):
+    assume(dimension(doc) <= 3)
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) in (0, 2, 3, 4)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -15,11 +16,15 @@ from misolab import (
     detect_degree,
     is_m_isometry,
     JordanSpec,
+    ModeMismatchError,
+    Polynomial,
     jordan_matrix,
     local_isometry_survey,
     newton_expansion_check,
+    orbit,
     orbit_sequence,
     polarization_reconstruct,
+    shift_from_polynomial,
     strict_order,
     vec_from_ints,
     vec_inner,
@@ -186,6 +191,39 @@ class TestSurvey:
     def test_empty_list_rejected(self):
         with pytest.raises(PreconditionError):
             local_isometry_survey(J12, [])
+
+    def test_weighted_shift(self):
+        # ||W^n e_j||^2 = (n+j+1)^2 / (j+1)^2: degree 2 on every basis vector
+        W = shift_from_polynomial(Polynomial.from_ints([1, 2, 1]), 32)
+        res = local_isometry_survey(W, [FiniteVector.basis(j, EXACT) for j in range(3)])
+        assert [v.describe() for v in res.per_vector] == ["polynomial(degree=2)"] * 3
+        assert res.global_verdict is None
+        assert res.order_lower_bound == 3 and res.consistent_with == 3
+
+
+class TestOrbitWalk:
+    def test_shift_walk_matches_running_weight_products(self):
+        # squared weights (n+2)^2/(n+1)^2 are rational squares, so the exact
+        # walk can step with W.apply
+        W = shift_from_polynomial(Polynomial.from_ints([1, 2, 1]), 32)
+        for j in range(4):
+            walked = orbit_sequence(W, FiniteVector.basis(j, EXACT), 12)
+            assert walked.values == W.basis_orbit(j, 12).values
+
+    def test_walk_matches_matrix_powers(self):
+        h = (Scalar.exact(1, 2), Scalar.exact(Fraction(-1, 3)))
+        walked = list(islice(orbit(EXAMPLE, h), 5))
+        assert walked == [EXAMPLE.power(n).apply(h) for n in range(5)]
+
+    @pytest.mark.parametrize("h", [
+        (Scalar.flt(1.0), Scalar.flt(0.0)),
+        (Scalar.exact(1), Scalar.flt(0.0)),
+    ], ids=["float", "mixed"])
+    def test_exact_walk_rejects_other_modes(self, h):
+        with pytest.raises(ModeMismatchError):
+            list(islice(orbit(J12, h), 3))
+        with pytest.raises(ModeMismatchError):
+            orbit_sequence(J12, h)
 
 
 class TestSpanningSetImpliesDefectVanishing:

@@ -44,6 +44,14 @@ class TestScalar:
         assert a.conj().im == -4
         assert a.abs2() == Scalar.exact(25)
 
+    def test_float_division_by_tiny_divisor(self):
+        # |d|^2 underflows to 0.0 for |d| < 1e-154; d itself is nonzero
+        d = Scalar.flt(3e-200, -4e-200)
+        q = Scalar.flt(6e-200, 8e-200) / d
+        assert abs(q.as_complex() - (6 + 8j) / (3 - 4j)) < 1e-15
+        with pytest.raises(ZeroDivisionError):
+            Scalar.flt(1.0) / Scalar.flt(0.0)
+
     def test_mode_mixing_raises(self):
         with pytest.raises(ModeMismatchError):
             Scalar.exact(1) + Scalar.flt(1.0)

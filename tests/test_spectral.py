@@ -196,6 +196,23 @@ class TestOrthoTest:
                 ONE, Scalar.exact(-1),
             )
 
+    def test_chance_vanishing_last_difference_is_not_polynomial(self):
+        # a sheared, non-orthogonal pair: on the 20-sample window the orbit
+        # of h1 + h2 passes as polynomial(degree=18), above the cap 2*dim - 2
+        T = DenseOperator([
+            [Scalar.exact(0, -1), Scalar.exact(0), Scalar.exact(0), Scalar.exact(1, -1)],
+            [Scalar.exact(0), Scalar.exact(-1), Scalar.exact(1), Scalar.exact(0)],
+            [Scalar.exact(0), Scalar.exact(0), Scalar.exact(-1), Scalar.exact(1)],
+            [Scalar.exact(0), Scalar.exact(0), Scalar.exact(0), Scalar.exact(-1)],
+        ])
+        h1 = vec_from_ints([2, 0, 0, 0])
+        h2 = (Scalar.exact(-1, 1), Scalar.exact(-2, -1), Scalar.exact(2, -1),
+              Scalar.exact(1, -1))
+        res = ortho_test_generalized(T, h1, h2, Scalar.exact(0, -1), Scalar.exact(-1))
+        assert res.case == "generic"
+        assert not res.orbit_polynomial and not res.mixed_inner_vanishes
+        assert res.agrees_with_theory
+
     def test_eps_pair_validation(self):
         h1 = (ONE, Scalar.exact(0))
         h2 = (I_, ONE)
