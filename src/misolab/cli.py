@@ -150,6 +150,8 @@ def _cmd_order(args):
     if isinstance(spec.operator, WeightedShiftOperator):
         W = spec.operator
         mmax = args.mmax if args.mmax is not None else 8
+        if mmax < 1:
+            raise PreconditionError("m_max must be at least 1")
         report = _base_report("order", spec, {"mmax": mmax, "tol": tol})
         found = None
         for m in range(1, mmax + 1):
@@ -193,8 +195,8 @@ def _cmd_decompose(args):
         "blocks": [
             {
                 "eigenvalue": scalar_to_report(b.eigenvalue),
-                "dimension": b.space.dimension,
-                "nilpotency_index": b.nilpotent.index,
+                "dimension": b.dimension,
+                "nilpotency_index": b.chain_depth,
             }
             for b in dec.blocks
         ],

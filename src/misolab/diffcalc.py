@@ -18,7 +18,7 @@ from .errors import (
     PreconditionError,
     WindowTooShortError,
 )
-from .matrices import _from_ints, _int_form, float_max_abs
+from .matrices import _int_form, _scalar, float_max_abs
 from .polynomials import Polynomial, falling_factorial_poly
 from .scalars import EXACT, FLOAT, Scalar
 
@@ -110,7 +110,7 @@ def difference_table(gamma, depth):
         )
     if gamma.mode == EXACT:
         den, reals, _ = _int_form(gamma.values)
-        scale, to_scalar = 0.0, lambda x: _from_ints(x, 0, den)
+        scale, to_scalar = 0.0, lambda x: _scalar(x, 0, den, EXACT)
     else:
         reals = [v.re for v in gamma.values]
         scale, to_scalar = max(1.0, gamma.max_abs()), lambda x: Scalar(FLOAT, x, 0.0)

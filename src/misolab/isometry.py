@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
 from .diffcalc import (
@@ -21,12 +22,12 @@ from .diffcalc import (
     default_window_len,
     detect_degree,
 )
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError, PreconditionError, WindowTooShortError
 from .matrices import (
     DenseOperator,
     FiniteVector,
-    _from_ints,
-    _int_form,
+    _parts,
+    _scalar,
     basis_vector,
     float_max_abs,
     orbit,
@@ -63,33 +64,37 @@ class OrderVerdict:
         return f"not-within-bound({self.m})"
 
 
-def _gram_list(T, m):
-    """[T*^k T^k for k = 0..m] via G_{k+1} = T* G_k T."""
+def _grams(T):
+    """The Gram operators T*^k T^k for k = 0, 1, ..., without end, via
+    G_{k+1} = T* G_k T."""
     Tstar = T.adjoint()
-    grams = [DenseOperator.identity(T.dim, T.mode)]
-    for _ in range(m):
-        grams.append(Tstar @ grams[-1] @ T)
-    return grams
+    g = DenseOperator.identity(T.dim, T.mode)
+    while True:
+        yield g
+        g = Tstar @ g @ T
 
 
 def _defect_from_grams(grams, m, mode):
+    """beta_m from the Gram list G_0..G_m (further entries are ignored)."""
+    matrix = _binomial_sum(grams[:m + 1], m, mode)
     if mode == EXACT:
-        return DefectOperator(m=m, matrix=_exact_binomial_sum(grams[:m + 1], m))
-    acc = DenseOperator.zeros(grams[0].dim, mode)
-    for k in range(m + 1):
-        c = (-1) ** k * math.comb(m, k)
-        acc = acc + grams[k].scale(Scalar.from_int(c, mode))
+        return DefectOperator(m=m, matrix=matrix)
     scale = sum(math.comb(m, k) * max(grams[k].max_abs(), 1.0) for k in range(m + 1))
-    return DefectOperator(m=m, matrix=acc, float_scale=scale)
+    if not (math.isfinite(scale) and all(math.isfinite(x) for r in matrix.rows
+                                         for s in r for x in (s.re, s.im))):
+        raise PreconditionError(
+            f"float overflow: the Gram operators T*^k T^k for k <= {m} leave float range")
+    return DefectOperator(m=m, matrix=matrix, float_scale=scale)
 
 
-def _exact_binomial_sum(grams, m):
-    """sum_k (-1)^k C(m,k) G_k on numerators over the lcm of the Gram
-    denominators."""
-    forms = [_int_form([s for r in g.rows for s in r]) for g in grams]
+def _binomial_sum(grams, m, mode):
+    """sum_k (-1)^k C(m,k) G_k on the parts of the Gram entries over the lcm
+    of their denominators (1 in float mode), added from k = 0 up."""
+    forms = [_parts([s for r in g.rows for s in r], mode) for g in grams]
     den = math.lcm(*(d for d, _, _ in forms))
     coeffs = [(-1) ** k * math.comb(m, k) * (den // d) for k, (d, _, _) in enumerate(forms)]
-    entries = [_from_ints(sum(map(mul, coeffs, re)), sum(map(mul, coeffs, im)), den)
+    entries = [_scalar(reduce(add, map(mul, coeffs, re)), reduce(add, map(mul, coeffs, im)),
+                       den, mode)
                for re, im in zip(zip(*(f[1] for f in forms)), zip(*(f[2] for f in forms)))]
     n = grams[0].dim
     return DenseOperator([entries[i * n:(i + 1) * n] for i in range(n)])
@@ -104,7 +109,7 @@ def defect(T, m, _validate=True):
     """
     if m < 0:
         raise PreconditionError("defect order must be nonnegative")
-    d = _defect_from_grams(_gram_list(T, m), m, T.mode)
+    d = _defect_from_grams(list(islice(_grams(T), m + 1)), m, T.mode)
     if _validate:
         rec = _defect_by_recurrence(T, m)
         if not (d.matrix - rec).is_zero(1e-12 * d.float_scale):
@@ -142,9 +147,11 @@ def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
         m_max = default_m_max(T)
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
-    grams = _gram_list(T, m_max)
+    walk = _grams(T)
+    grams = [next(walk)]
     prev = None
     for m in range(1, m_max + 1):
+        grams.append(next(walk))
         d = _defect_from_grams(grams, m, T.mode)
         if d.matrix.is_zero(d.threshold(tol)):
             witness = None
@@ -194,6 +201,8 @@ def orbit_sequence(T, h, window_len=None):
     operator and 16 otherwise."""
     if window_len is None:
         window_len = default_window_len(T.dim) if isinstance(T, DenseOperator) else 16
+    if window_len < 2:
+        raise WindowTooShortError("orbit window must hold at least 2 samples")
     return OrbitSequence(_generic_inner(v, v) for v in islice(orbit(T, h), window_len))
 
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
-from operator import mul
+from functools import partial, reduce
+from operator import add, mul, sub
 
 from .errors import DimensionMismatchError, ModeMismatchError
 from .scalars import EXACT, FLOAT, Scalar, same_mode
@@ -57,25 +57,10 @@ class DenseOperator:
 
     def __matmul__(self, other):
         self._check(other)
-        if self.mode == EXACT:
-            da, a_rows = _int_rows(self.rows)
-            db, b_cols = _int_rows(list(zip(*other.rows)))
-            return DenseOperator([[_int_dot(ar, ai, br, bi, da * db)
-                                   for br, bi in b_cols] for ar, ai in a_rows])
-        n = self.dim
-        cols = list(zip(*other.rows))
-        out = []
-        for i in range(n):
-            row_i = self.rows[i]
-            out_row = []
-            for j in range(n):
-                col_j = cols[j]
-                acc = row_i[0] * col_j[0]
-                for k in range(1, n):
-                    acc = acc + row_i[k] * col_j[k]
-                out_row.append(acc)
-            out.append(out_row)
-        return DenseOperator(out)
+        da, a_rows = _row_parts(self.rows, self.mode)
+        db, b_cols = _row_parts(list(zip(*other.rows)), self.mode)
+        return DenseOperator([[_dot(ar, ai, br, bi, da * db, self.mode)
+                               for br, bi in b_cols] for ar, ai in a_rows])
 
     def __add__(self, other):
         self._check(other)
@@ -112,17 +97,15 @@ class DenseOperator:
     def apply(self, vec):
         return self._apply(vec, None)
 
-    def _apply(self, vec, int_rows):
-        """T vec; int_rows, when given, is _int_rows(self.rows) of an exact T."""
+    def _apply(self, vec, row_parts):
+        """T vec; row_parts, when given, is _row_parts(self.rows, self.mode)."""
         if len(vec) != self.dim:
             raise DimensionMismatchError("vector length does not match operator")
-        if self.mode == EXACT and same_mode(*vec) == EXACT:
-            da, a_rows = int_rows or _int_rows(self.rows)
-            dv, v_re, v_im = _int_form(vec)
-            return tuple(_int_dot(ar, ai, v_re, v_im, da * dv) for ar, ai in a_rows)
-        return tuple(
-            _dot_row(row, vec) for row in self.rows
-        )
+        if same_mode(*vec) != self.mode:
+            raise ModeMismatchError("vector mode does not match operator mode")
+        da, a_rows = row_parts or _row_parts(self.rows, self.mode)
+        dv, v_re, v_im = _parts(vec, self.mode)
+        return tuple(_dot(ar, ai, v_re, v_im, da * dv, self.mode) for ar, ai in a_rows)
 
     # -- queries ------------------------------------------------------
 
@@ -147,18 +130,11 @@ class DenseOperator:
         return f"DenseOperator(dim={self.dim}, mode={self.mode})"
 
 
-def _dot_row(row, vec):
-    acc = row[0] * vec[0]
-    for a, x in zip(row[1:], vec[1:]):
-        acc = acc + a * x
-    return acc
-
-
 # ---------------------------------------------------------------------------
-# Exact kernels.  A list of Gaussian rationals is brought to one common
-# denominator, the loops run on Python ints, and each output entry becomes
-# a Scalar again through Fraction(num, den).  Canonical fractions are
-# unique, so the results equal those of the Scalar loops entry by entry.
+# Kernels, one per operation for both modes.  The loops run on the parts of
+# the scalars (_parts) and each output entry becomes a Scalar again.  Exact
+# results are the canonical fractions the Scalar loops give; float sums keep
+# the Scalar loop's order, so they round as it does, bit for bit.
 # ---------------------------------------------------------------------------
 
 def _int_form(scalars):
@@ -170,32 +146,47 @@ def _int_form(scalars):
     return den, [n * (den // d) for n, d in re], [n * (den // d) for n, d in im]
 
 
-def _int_rows(rows):
-    """(den, [(re_nums, im_nums) per row]) for a square grid of exact scalars."""
+def _parts(scalars, mode):
+    """(den, re, im) of scalars of the given mode: _int_form in exact mode,
+    the float parts over 1 in float mode.  The mode is never inferred, since
+    float.as_integer_ratio would turn a float list exact without a word."""
+    if mode == EXACT:
+        return _int_form(scalars)
+    return 1, [s.re for s in scalars], [s.im for s in scalars]
+
+
+def _row_parts(rows, mode):
+    """(den, [(re, im) per row]) for a square grid of scalars of one mode."""
     n = len(rows)
-    den, re, im = _int_form([s for r in rows for s in r])
+    den, re, im = _parts([s for r in rows for s in r], mode)
     return den, [(re[i * n:(i + 1) * n], im[i * n:(i + 1) * n]) for i in range(n)]
 
 
-def _from_ints(re, im, den):
-    return Scalar(EXACT, Fraction(re, den), Fraction(im, den))
+def _scalar(re, im, den, mode):
+    """The Scalar (re + i im) / den; den is 1 in float mode."""
+    if mode == EXACT:
+        return Scalar(EXACT, Fraction(re, den), Fraction(im, den))
+    return Scalar(FLOAT, re, im)
 
 
-def _int_dot(a_re, a_im, b_re, b_im, den):
-    """sum_k a_k b_k over den, for Gaussian integers given by their parts."""
-    return _from_ints(sum(map(mul, a_re, b_re)) - sum(map(mul, a_im, b_im)),
-                      sum(map(mul, a_re, b_im)) + sum(map(mul, a_im, b_re)), den)
+def _dot(a_re, a_im, b_re, b_im, den, mode):
+    """sum_k a_k b_k over den, one complex term at a time from left to right.
+    sum() is not used: from Python 3.12 on it compensates float sums, which
+    rounds them differently."""
+    return _scalar(reduce(add, map(sub, map(mul, a_re, b_re), map(mul, a_im, b_im))),
+                   reduce(add, map(add, map(mul, a_re, b_im), map(mul, a_im, b_re))),
+                   den, mode)
 
 
 def orbit(op, h):
     """The orbit h, Th, T^2 h, ... of h under op, without end.
 
-    An exact DenseOperator is brought to its integer form once per walk;
-    each step keeps apply()'s checks, so a float or mixed vector raises
-    ModeMismatchError.  Any other operator steps with its apply()."""
+    A DenseOperator is taken apart into its parts once per walk; each step
+    keeps apply()'s checks, so a vector of the other mode, or a mixed one,
+    raises ModeMismatchError.  Any other operator steps with its apply()."""
     step = op.apply
-    if isinstance(op, DenseOperator) and op.mode == EXACT:
-        step = partial(op._apply, int_rows=_int_rows(op.rows))
+    if isinstance(op, DenseOperator):
+        step = partial(op._apply, row_parts=_row_parts(op.rows, op.mode))
     while True:
         yield h
         h = step(h)
@@ -259,14 +250,10 @@ def vec_inner(u, v):
     """<u, v>, conjugate-linear in v."""
     if len(u) != len(v):
         raise DimensionMismatchError("vector length mismatch")
-    if same_mode(*u, *v) == EXACT:
-        du, u_re, u_im = _int_form(u)
-        dv, v_re, v_im = (du, u_re, u_im) if v is u else _int_form(v)
-        return _int_dot(u_re, u_im, v_re, [-x for x in v_im], du * dv)
-    acc = u[0] * v[0].conj()
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b.conj()
-    return acc
+    mode = same_mode(*u, *v)
+    du, u_re, u_im = _parts(u, mode)
+    dv, v_re, v_im = (du, u_re, u_im) if v is u else _parts(v, mode)
+    return _dot(u_re, u_im, v_re, [-x for x in v_im], du * dv, mode)
 
 
 def vec_norm_sq(u):

@@ -93,10 +93,23 @@ def nilpotency_index(N, tol=DEFAULT_DEFECT_TOL):
     for k in range(1, N.dim + 1):
         prev = power
         power = power @ N
-        if power.is_zero(tol * scale ** k):
+        if power.is_zero(_float_threshold(tol, scale, k, f"N^{k}")):
             witness = _max_column_vector(prev)
             return NilpotentInfo(index=k, witness=witness)
     return None
+
+
+def _float_threshold(tol, scale, k, what):
+    """tol * scale ** k; an infinite threshold would call every value zero,
+    so one beyond float range raises PreconditionError."""
+    try:
+        thr = tol * scale ** k
+    except OverflowError:
+        thr = math.inf
+    if not math.isfinite(thr):
+        raise PreconditionError(f"float overflow: the zero threshold of {what} "
+                                "leaves float range")
+    return thr
 
 
 def _max_column_vector(P):
@@ -335,15 +348,8 @@ def _spaces_from_clusters(T, arr, clusters, tol):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DecompositionBlock:
-    eigenvalue: Scalar
-    space: GeneralizedEigenspace
-    nilpotent: NilpotentInfo
-
-
-@dataclass(frozen=True)
 class AlgebraicDecomposition:
-    blocks: tuple
+    blocks: tuple                       # GeneralizedEigenspace per eigenvalue
     pairwise_gram: float                # largest cross |<u, v>| (float mode; 0.0 in exact)
     certified: bool
     failures: tuple                     # reasons certification was refused
@@ -362,53 +368,34 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL,
         spaces = _exact_eigenspaces(T, eigen_hints)
     else:
         spaces, warnings = _float_eigenspaces(T, tol, cluster_tol)
-    ident = DenseOperator.identity(T.dim, T.mode)
-    blocks = []
-    for sp in spaces:
-        blocks.append(DecompositionBlock(
-            eigenvalue=sp.eigenvalue,
-            space=sp,
-            nilpotent=_restricted_nilpotent_info(T, ident, sp),
-        ))
     failures = []
-    for b in blocks:
-        a2 = b.eigenvalue.abs2()
+    for sp in spaces:
+        a2 = sp.eigenvalue.abs2()
         if T.mode == EXACT:
             on_circle = a2 == Scalar.exact(1)
         else:
-            on_circle = abs(b.eigenvalue.modulus() - 1.0) <= tol
+            on_circle = abs(sp.eigenvalue.modulus() - 1.0) <= tol
         if not on_circle:
-            failures.append(f"eigenvalue {_fmt_scalar(b.eigenvalue)} is not unimodular")
+            failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue)} is not unimodular")
             break
     cross = [vec_inner(u, v)
-             for i, bi in enumerate(blocks) for bj in blocks[i + 1:]
-             for u in bi.space.basis for v in bj.space.basis]
+             for i, bi in enumerate(spaces) for bj in spaces[i + 1:]
+             for u in bi.basis for v in bj.basis]
     gram = float_max_abs(cross, T.mode)
     if not all(ip.is_zero(tol) for ip in cross):
         failures.append("generalized eigenspaces are not pairwise orthogonal")
     certified = not failures
     predicted = None
     if certified:
-        predicted = max(2 * b.nilpotent.index - 1 for b in blocks)
+        predicted = max(2 * sp.chain_depth - 1 for sp in spaces)
     return AlgebraicDecomposition(
-        blocks=tuple(blocks),
+        blocks=tuple(spaces),
         pairwise_gram=gram,
         certified=certified,
         failures=tuple(failures),
         predicted_strict_order=predicted,
         warnings=tuple(warnings),
     )
-
-
-def _restricted_nilpotent_info(T, ident, sp):
-    """Nilpotency data of (T - zI) restricted to the eigenspace.
-
-    The restriction's index equals the chain depth; the witness is the first
-    basis vector whose image under (T - zI)^(depth - 1) has the largest
-    entry, which is nonzero by the definition of the depth."""
-    P = (T - ident.scale(sp.eigenvalue)).power(sp.chain_depth - 1)
-    witness = max(sp.basis, key=lambda v: max(a.abs2().re for a in P.apply(v)))
-    return NilpotentInfo(index=sp.chain_depth, witness=witness)
 
 
 def _fmt_scalar(s):
@@ -591,8 +578,9 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
     # conclusions over the window
     inners = [vec_inner(u, v)
               for u, v in islice(zip(orbit(T, h1), orbit(T, h2)), window_len)]
-    inner_thr = 0.0 if mode == EXACT else tol * max(
-        1.0, vec_max_abs(h1) * vec_max_abs(h2)) * max(1.0, T.max_abs()) ** window_len
+    inner_thr = 0.0 if mode == EXACT else _float_threshold(
+        tol * max(1.0, vec_max_abs(h1) * vec_max_abs(h2)), max(1.0, T.max_abs()), window_len,
+        f"the inner products over {window_len} steps")
     re_ok = all(Scalar(mode, ip.re, 0).is_zero(inner_thr) for ip in inners)   # Re <u, v>
     full_ok = all(ip.is_zero(inner_thr) for ip in inners)
     diagnostics = {}

@@ -245,6 +245,16 @@ def test_float_orbit_overflow_is_3(tmp_path, capsys):
     assert "overflow" in err and "n=6" in err
 
 
+def test_float_gram_overflow_is_3(tmp_path, capsys):
+    # T*^2 T^2 = diag(1e400, 1) leaves float range; this ended in the
+    # internal-check message "defect recurrence and binomial sum disagree"
+    a = write(tmp_path, "a.json", {"mode": "float", "matrix": [[1e100, 0], [0, 1]]})
+    n = write(tmp_path, "n.json", {"mode": "float", "matrix": [[0, 0], [0, 0]]})
+    assert main(["perturb", a, n]) == 3
+    err = capsys.readouterr().err
+    assert "float overflow" in err and "disagree" not in err
+
+
 BIG = "1" + "0" * 310   # beyond float range
 
 

@@ -1,9 +1,12 @@
-"""Spec documents of arbitrary JSON shape through the CLI: every one ends
-in a documented exit code, never in an escaping exception.
+"""Spec documents of arbitrary JSON shape, and flag values, through the
+CLI: every request ends in a documented exit code, never in an escaping
+exception.
 
 A document is a well-formed spec of dimension <= 3 in which up to two
 values, at any depth and the whole document included, are replaced by
-arbitrary JSON."""
+arbitrary JSON.  The flag test sends well-formed specs of dimension <= 3
+to every command but verify, with integer flags in [-3, 40], so that no
+request runs long."""
 
 import copy
 import json
@@ -99,3 +102,81 @@ def test_spec_documents_end_in_documented_exit_codes(tmp_path_factory, doc, comm
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) in (0, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# Flag values
+# ---------------------------------------------------------------------------
+
+FLAG_INT = st.integers(-3, 40)
+SCALAR_TEXT = st.sampled_from(["1", "-1", "i", "-i", "+i", "0", "2", "1/2", "3/5+4/5i",
+                               "-3/5-4/5i", "0+1i", "1e300", "x", ""])
+VECTOR_TEXT = st.lists(st.sampled_from(["0", "1"]) | SCALAR_TEXT, max_size=4).map(",".join)
+EPS_TEXT = (st.lists(SCALAR_TEXT, max_size=3).map(",".join)
+            | st.sampled_from(["1,i", "1,-i", "-1,i", "-1,-i"]))
+
+
+def flag(name, value):
+    """--name=value or --name value; argparse reads a value that starts
+    with '-' in the second form as an option and exits 2."""
+    return st.sampled_from([[f"--{name}={value}"], [f"--{name}", str(value)]])
+
+
+def optional_flag(name, values):
+    return st.one_of(st.just([]), values.flatmap(lambda v: flag(name, v)))
+
+
+@st.composite
+def requests(draw):
+    """(command, spec documents, flags) for one CLI request."""
+    command = draw(st.sampled_from(["order", "decompose", "shift", "ortho", "perturb"]))
+    mode = draw(st.sampled_from(["exact", "float"]))
+    docs = [draw(well_formed(mode)) for _ in range(2 if command == "perturb" else 1)]
+    flags = []
+    if command == "order":
+        flags += draw(optional_flag("window", FLAG_INT)) + draw(optional_flag("mmax", FLAG_INT))
+    elif command == "shift":
+        flags += draw(FLAG_INT.flatmap(lambda m: flag("m", m)))
+    elif command == "ortho":
+        for name, values in (("h1", VECTOR_TEXT), ("h2", VECTOR_TEXT),
+                             ("z1", SCALAR_TEXT), ("z2", SCALAR_TEXT)):
+            flags += draw(values.flatmap(lambda v, name=name: flag(name, v)))
+        flags += draw(optional_flag("eps", EPS_TEXT)) + draw(optional_flag("window", FLAG_INT))
+    return command, docs, flags
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(request=requests())
+# a negative window reached islice: ValueError
+@example(request=("order", [{"mode": "exact", "matrix": [["1", "1"], ["0", "1"]]}],
+                  ["--window=-3"]))
+@example(request=("ortho", [{"mode": "exact", "matrix": [["1", "0"], ["0", "-1"]]}],
+                  ["--h1=1,0", "--h2=0,1", "--z1=1", "--z2=-1", "--window=-1"]))
+# shifts took m_max < 1 and reported not-within-bound with that m
+@example(request=("order", [{"mode": "exact", "shift": {"polynomial": ["1", "1"]}}],
+                  ["--mmax=0"]))
+@example(request=("order", [{"mode": "exact", "shift": {"polynomial": ["1", "1"]}}],
+                  ["--mmax=-2"]))
+# the zero threshold of N^k overflowed in nilpotency_index: OverflowError
+@example(request=("perturb", [{"mode": "float", "matrix": [[1, 0], [0, 1]]},
+                              {"mode": "float", "matrix": [[0, 1e200], [0, 0]]}], []))
+# the inner-product threshold max(1, |T|)^window overflowed: OverflowError
+@example(request=("ortho", [{"mode": "float", "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 1e10]]}],
+                  ["--h1=1,0,0", "--h2=0,1,0", "--z1=1", "--z2=-1", "--window=40"]))
+def test_flag_values_end_in_documented_exit_codes(tmp_path_factory, request):
+    command, docs, flags = request
+    workdir = tmp_path_factory.mktemp("flags")
+    files = []
+    for k, doc in enumerate(docs):
+        path = workdir / f"spec{k}.json"
+        path.write_text(json.dumps(doc))
+        files.append(str(path))
+    out = workdir / "report.json"
+    try:
+        code = main([command, *files, *flags, f"--output={out}"])
+    except SystemExit as exc:   # argparse rejects the flags
+        code = exc.code
+    assert code in (0, 2, 3, 4)
+    if command == "order" and code == 0:
+        # an order, or the bound searched, is at least 1
+        assert json.loads(out.read_text())["verdict"]["m"] >= 1

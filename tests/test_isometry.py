@@ -105,6 +105,27 @@ class TestStrictOrder:
             assert is_m_isometry(J12, v.m + extra)
 
 
+class TestFloatGramOverflow:
+    """Gram operators T*^k T^k beyond float range raise; they made the zero
+    threshold infinite and strict_order report a wrong order."""
+
+    @pytest.mark.parametrize("big,k", [(1e100, 2), (1e200, 1)])
+    def test_strict_order_raises(self, big, k):
+        T = DenseOperator([[Scalar.flt(big), Scalar.flt(0.0)],
+                           [Scalar.flt(0.0), Scalar.flt(1.0)]])
+        with pytest.raises(PreconditionError, match=f"float overflow.*k <= {k}"):
+            strict_order(T)
+
+    def test_defect_and_is_m_isometry_raise(self):
+        T = DenseOperator([[Scalar.flt(1e100), Scalar.flt(0.0)],
+                           [Scalar.flt(0.0), Scalar.flt(1.0)]])
+        assert not defect(T, 1).matrix.is_zero(1e-8)
+        with pytest.raises(PreconditionError, match="float overflow"):
+            defect(T, 2)
+        with pytest.raises(PreconditionError, match="float overflow"):
+            is_m_isometry(T, 3)
+
+
 class TestNewtonExpansion:
     def test_isometry(self):
         assert newton_expansion_check(DenseOperator.identity(3, EXACT), 1, 6)

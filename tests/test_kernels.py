@@ -1,8 +1,9 @@
-"""Exact integer kernels against the Scalar loops, and the internal
+"""The kernels against the Scalar loops in both modes, and the internal
 cross-checks that guard them."""
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -17,16 +18,18 @@ from misolab import (
     Scalar,
     defect,
     jordan_matrix,
+    orbit,
     vec_inner,
 )
 from misolab import isometry
 from misolab.diffcalc import _check_binomial_form
-from misolab.isometry import _defect_from_grams
+from misolab.isometry import _binomial_sum, _defect_from_grams
 from misolab.matrices import _int_form
 from misolab.scalars import EXACT, FLOAT
 
 # ---------------------------------------------------------------------------
-# Reference Scalar loops: the exact kernels must reproduce them entry by entry.
+# Reference Scalar loops: the kernels must reproduce them entry by entry,
+# exactly in exact mode and bit for bit in float mode.
 # ---------------------------------------------------------------------------
 
 
@@ -53,10 +56,10 @@ def ref_inner(u, v):
     return acc
 
 
-def ref_defect_from_grams(grams, m):
-    acc = DenseOperator.zeros(grams[0].dim, EXACT)
+def ref_defect_from_grams(grams, m, mode=EXACT):
+    acc = DenseOperator.zeros(grams[0].dim, mode)
     for k in range(m + 1):
-        acc = acc + grams[k].scale(Scalar.exact((-1) ** k * math.comb(m, k)))
+        acc = acc + grams[k].scale(Scalar.from_int((-1) ** k * math.comb(m, k), mode))
     return acc.rows
 
 
@@ -126,6 +129,77 @@ class TestExactKernels:
             vec_inner(exact, mixed)
         with pytest.raises(ModeMismatchError):
             vec_inner(mixed, exact)
+
+
+# Finite floats with signed zeros, subnormals and magnitudes whose products
+# overflow to inf (and sums of those to nan).
+float_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0, -0.1, 1e308,
+                     -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+float_scalars = st.builds(Scalar.flt, float_parts, float_parts)
+BOUNDED = st.floats(-1e300, 1e300)
+
+
+def float_vectors(n, scalars=float_scalars):
+    return st.lists(scalars, min_size=n, max_size=n).map(tuple)
+
+
+def float_operators(n, scalars=float_scalars):
+    return st.lists(float_vectors(n, scalars), min_size=n, max_size=n).map(DenseOperator)
+
+
+def bits(scalars):
+    """float.hex of every part: equal bits, signed zeros included."""
+    return [(s.re.hex(), s.im.hex()) for s in scalars]
+
+
+class TestFloatKernels:
+    @given(dims.flatmap(lambda n: st.tuples(float_operators(n), float_operators(n))))
+    @settings(max_examples=60, deadline=None)
+    def test_matmul(self, ab):
+        a, b = ab
+        for row, ref in zip((a @ b).rows, ref_matmul(a, b)):
+            assert bits(row) == bits(ref)
+
+    @given(dims.flatmap(lambda n: st.tuples(float_operators(n), float_vectors(n))))
+    @settings(max_examples=60, deadline=None)
+    def test_apply(self, av):
+        a, v = av
+        assert bits(a.apply(v)) == bits(ref_apply(a, v))
+
+    @given(dims.flatmap(lambda n: st.tuples(float_vectors(n), float_vectors(n))))
+    @settings(max_examples=60, deadline=None)
+    def test_vec_inner(self, uv):
+        u, v = uv
+        assert bits([vec_inner(u, v)]) == bits([ref_inner(u, v)])
+        assert bits([vec_inner(u, u)]) == bits([ref_inner(u, u)])
+
+    # parts below 1e300 in size, so that no binomial sum of them overflows
+    @given(st.integers(0, 4).flatmap(
+        lambda m: dims.flatmap(lambda n: st.lists(
+            float_operators(n, st.builds(Scalar.flt, BOUNDED, BOUNDED)),
+            min_size=m + 1, max_size=m + 1))))
+    @settings(max_examples=40, deadline=None)
+    def test_binomial_sum(self, grams):
+        # equal to the float loop the kernel replaced; only the sign of a
+        # zero may differ, since that loop started from +0.0
+        m = len(grams) - 1
+        ref = ref_defect_from_grams(grams, m, FLOAT)
+        for got in (_binomial_sum(grams, m, FLOAT), _defect_from_grams(grams, m, FLOAT).matrix):
+            for row, ref_row in zip(got.rows, ref):
+                assert [(s.re, s.im) for s in row] == [(r.re, r.im) for r in ref_row]
+
+    def test_mode_mismatch_raises(self):
+        exact_op = DenseOperator.from_ints([[1, 0], [0, 1]])
+        float_op = DenseOperator.from_ints([[1, 0], [0, 1]], FLOAT)
+        with pytest.raises(ModeMismatchError):
+            float_op.apply((Scalar.exact(1), Scalar.exact(0)))
+        with pytest.raises(ModeMismatchError):
+            exact_op.apply((Scalar.flt(1.0), Scalar.flt(0.0)))
+        with pytest.raises(ModeMismatchError):
+            next(islice(orbit(float_op, (Scalar.exact(1), Scalar.exact(0))), 1, None))
 
 
 # ---------------------------------------------------------------------------
