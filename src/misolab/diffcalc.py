@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Optional
 
 from .errors import (
@@ -18,7 +20,7 @@ from .errors import (
     PreconditionError,
     WindowTooShortError,
 )
-from .matrices import _int_form, _scalar, float_max_abs
+from .matrices import _parts, _scalar
 from .polynomials import Polynomial, falling_factorial_poly
 from .scalars import EXACT, FLOAT, Scalar
 
@@ -71,13 +73,43 @@ class OrbitSequence:
         return max(v.modulus() for v in self.values)
 
 
-@dataclass(frozen=True)
 class DifferenceTable:
-    rows: tuple          # rows[k][n] = (Delta^k gamma)_n
-    depth: int
+    """Iterated forward differences (Delta^k gamma)_n of a window, k <= depth.
+
+    Row k is made from row k - 1 when a caller first reads it, and is
+    cross-checked against the alternating binomial-sum form as it is made.
+    Rows are kept as plain real numbers: in exact mode integers over the
+    window's common denominator, in float mode the real parts of the samples.
+    """
+
+    def __init__(self, gamma, depth):
+        if depth >= gamma.window_len:
+            raise WindowTooShortError(
+                f"depth {depth} too large for window of {gamma.window_len} samples"
+            )
+        self._gamma, self.depth = gamma, depth
+        self._den, reals, _ = _parts(gamma.values, gamma.mode)
+        self._plain = [reals]
+        # the binomial check's slack scale; 0.0 for ints, which compare exactly
+        self._scale = max(1.0, gamma.max_abs()) if gamma.mode == FLOAT else 0.0
 
     def row(self, k):
-        return self.rows[k]
+        """Row k as Scalars; row 0 is the window itself."""
+        if k == 0:
+            return self._gamma.values
+        if self._gamma.mode == FLOAT:
+            return tuple(Scalar(FLOAT, x, 0.0) for x in self._plain_row(k))
+        return tuple(_scalar(x, 0, self._den, EXACT) for x in self._plain_row(k))
+
+    def _plain_row(self, k):
+        if not 0 <= k <= self.depth:
+            raise IndexError(f"difference row {k} outside 0..{self.depth}")
+        rows = self._plain
+        while len(rows) <= k:
+            row = [b - a for a, b in zip(rows[-1], rows[-1][1:])]
+            _check_binomial_form(rows[0], len(rows), row, self._scale)
+            rows.append(row)
+        return rows[k]
 
 
 @dataclass(frozen=True)
@@ -96,52 +128,25 @@ class DegreeVerdict:
 
 
 def difference_table(gamma, depth):
-    """Iterated forward differences, cross-checked against the binomial sum.
-
-    Both the subtraction recurrence and the alternating binomial-sum form
-    are computed for every entry; a mismatch raises, since the two must
-    agree identically (exactly in exact mode).  Both run on plain real
-    numbers: in exact mode integers over the window's common denominator,
-    in float mode the real parts of the samples.
-    """
-    if depth >= gamma.window_len:
-        raise WindowTooShortError(
-            f"depth {depth} too large for window of {gamma.window_len} samples"
-        )
-    if gamma.mode == EXACT:
-        den, reals, _ = _int_form(gamma.values)
-        scale, to_scalar = 0.0, lambda x: _scalar(x, 0, den, EXACT)
-    else:
-        reals = [v.re for v in gamma.values]
-        scale, to_scalar = max(1.0, gamma.max_abs()), lambda x: Scalar(FLOAT, x, 0.0)
-    rows = [reals]
-    for k in range(depth):
-        prev = rows[-1]
-        rows.append([prev[n + 1] - prev[n] for n in range(len(prev) - 1)])
-    _check_binomial_form(rows, scale)
-    return DifferenceTable(rows=(gamma.values, *(tuple(map(to_scalar, r)) for r in rows[1:])),
-                           depth=depth)
+    """The window's DifferenceTable to the given depth; rows are made on first read."""
+    return DifferenceTable(gamma, depth)
 
 
-def _check_binomial_form(rows, scale):
-    """rows[m][n] must equal sum_k (-1)^(m-k) C(m,k) rows[0][n+k].
+def _check_binomial_form(vals, m, row, scale):
+    """row[n] = (Delta^m vals)_n must equal sum_k (-1)^(m-k) C(m,k) vals[n+k].
 
     The entries are ints or floats; float entries may differ by a slack
     that grows with the largest binomial coefficient, and scale is 0.0 for
     ints, which are compared exactly."""
-    vals = rows[0]
-    for m, row in enumerate(rows):
-        sign_m = 1 if m % 2 == 0 else -1
-        coeffs = [sign_m * (-1) ** k * math.comb(m, k) for k in range(m + 1)]
-        slack = 1e-12 * scale * math.comb(m, m // 2) * (m + 1)
-        for n, entry in enumerate(row):
-            acc = 0
-            for k, c in enumerate(coeffs):
-                acc = acc + c * vals[n + k]
-            if not abs(acc - entry) <= slack:
-                raise InternalCheckError(
-                    f"difference table row {m} entry {n} disagrees with binomial form"
-                )
+    coeffs = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
+    slack = 1e-12 * scale * math.comb(m, m // 2) * (m + 1)
+    for n, entry in enumerate(row):
+        # reduce, not sum(): sum() compensates float sums from Python 3.12 on
+        acc = reduce(add, map(mul, coeffs, vals[n:n + m + 1]), 0)
+        if not abs(acc - entry) <= slack:
+            raise InternalCheckError(
+                f"difference table row {m} entry {n} disagrees with binomial form"
+            )
 
 
 def detect_degree(gamma, tol=DEFAULT_FLOAT_TOL):
@@ -150,27 +155,25 @@ def detect_degree(gamma, tol=DEFAULT_FLOAT_TOL):
     Returns the zero-sequence verdict when the samples themselves vanish,
     and NotPolynomialWithinWindow when no d <= window_len - 2 works.
     """
+    return _detect_degree(gamma, tol)[0]
+
+
+def _detect_degree(gamma, tol):
+    """detect_degree's verdict and its table, made up to the first vanishing row."""
     if gamma.window_len < 3:
         raise WindowTooShortError("degree detection needs at least 3 samples")
     table = difference_table(gamma, gamma.window_len - 1)
     scale = tol * max(1.0, gamma.max_abs()) if gamma.mode == FLOAT else 0.0
-
-    def row_is_zero(depth):
+    for k in range(gamma.window_len):
+        # |x| is Scalar.is_zero's modulus of a real entry, math.hypot(x, 0.0);
         # the binomial factor compensates the cancellation amplification
-        # of depth-fold differencing
-        thr = scale * math.comb(depth, depth // 2)
-        return all(v.is_zero(thr) for v in table.row(depth))
-
-    if row_is_zero(0):
-        return DegreeVerdict(polynomial=True, degree=None, zero_sequence=True,
-                             residual=float_max_abs(gamma.values, gamma.mode))
-    for d in range(gamma.window_len - 1):
-        if row_is_zero(d + 1):
-            return DegreeVerdict(polynomial=True, degree=d,
-                                 residual=float_max_abs(table.row(d + 1), gamma.mode))
-    return DegreeVerdict(polynomial=False, degree=None,
-                         residual=float_max_abs(table.row(gamma.window_len - 1),
-                                                 gamma.mode))
+        # of k-fold differencing
+        largest = max(map(abs, table._plain_row(k)))
+        residual = largest if gamma.mode == FLOAT else 0.0
+        if largest <= scale * math.comb(k, k // 2):
+            return DegreeVerdict(polynomial=True, degree=k - 1 if k else None,
+                                 zero_sequence=k == 0, residual=residual), table
+    return DegreeVerdict(polynomial=False, degree=None, residual=residual), table
 
 
 def newton_reconstruct(gamma, tol=DEFAULT_FLOAT_TOL):
@@ -179,17 +182,13 @@ def newton_reconstruct(gamma, tol=DEFAULT_FLOAT_TOL):
     Requires a polynomial degree verdict; reproduces every sample in the
     window (exactly in exact mode) and has the detected degree.
     """
-    verdict = detect_degree(gamma, tol)
+    verdict, table = _detect_degree(gamma, tol)
     if not verdict.polynomial:
         raise NotPolynomialError(
             "sequence is not polynomial within its window; cannot reconstruct"
         )
-    if verdict.zero_sequence:
-        return Polynomial.zero(gamma.mode)
-    d = verdict.degree
-    table = difference_table(gamma, d)
     p = Polynomial.zero(gamma.mode)
-    for k in range(d + 1):
+    for k in range(0 if verdict.zero_sequence else verdict.degree + 1):
         coeff = table.row(k)[0] / Scalar.from_int(math.factorial(k), gamma.mode)
         p = p + falling_factorial_poly(k, gamma.mode).scale(coeff)
     return p

@@ -100,7 +100,7 @@ def _binomial_sum(grams, m, mode):
     return DenseOperator([entries[i * n:(i + 1) * n] for i in range(n)])
 
 
-def defect(T, m, _validate=True):
+def defect(T, m):
     """beta_m(T), computed by the definitional binomial sum.
 
     The recurrence beta_{m+1} = beta_m - T* beta_m T is an implementation
@@ -110,12 +110,11 @@ def defect(T, m, _validate=True):
     if m < 0:
         raise PreconditionError("defect order must be nonnegative")
     d = _defect_from_grams(list(islice(_grams(T), m + 1)), m, T.mode)
-    if _validate:
-        rec = _defect_by_recurrence(T, m)
-        if not (d.matrix - rec).is_zero(1e-12 * d.float_scale):
-            raise InternalCheckError(
-                f"defect recurrence and binomial sum disagree at m={m}"
-            )
+    rec = _defect_by_recurrence(T, m)
+    if not (d.matrix - rec).is_zero(1e-12 * d.float_scale):
+        raise InternalCheckError(
+            f"defect recurrence and binomial sum disagree at m={m}"
+        )
     return d
 
 

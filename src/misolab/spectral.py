@@ -217,12 +217,11 @@ class GeneralizedEigenspace:
         return len(self.basis)
 
 
-def generalized_eigenspaces(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL,
-                            cluster_tol=CLUSTER_TOL):
+def generalized_eigenspaces(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
     """One space per distinct eigenvalue; dimensions sum to dim."""
     if T.mode == EXACT:
         return _exact_eigenspaces(T, eigen_hints)
-    return _float_eigenspaces(T, tol, cluster_tol)[0]
+    return _float_eigenspaces(T, tol)[0]
 
 
 def _exact_eigenspaces(T, hints):
@@ -269,12 +268,12 @@ def _kernel_chain(ident, M, dim, nullspace):
     return depth, kernels[depth - 1]
 
 
-def _float_eigenspaces(T, tol, cluster_tol):
+def _float_eigenspaces(T, tol):
     arr = to_numpy(T)
     eigs = np.linalg.eigvals(arr)
     scale = max(1.0, float(np.abs(eigs).max()))
     warnings = []
-    radius = cluster_tol * scale
+    radius = CLUSTER_TOL * scale
     for attempt in range(_CLUSTER_MAX_ESCALATIONS):
         clusters = _single_linkage(eigs, radius)
         spaces, consistent = _spaces_from_clusters(T, arr, clusters, tol)
@@ -357,8 +356,7 @@ class AlgebraicDecomposition:
     warnings: tuple = ()
 
 
-def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL,
-                        cluster_tol=CLUSTER_TOL):
+def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
     """Split into generalized eigenspaces; certify m-isometricity iff every
     eigenvalue is unimodular and the blocks are pairwise orthogonal.
 
@@ -367,7 +365,7 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL,
     if T.mode == EXACT:
         spaces = _exact_eigenspaces(T, eigen_hints)
     else:
-        spaces, warnings = _float_eigenspaces(T, tol, cluster_tol)
+        spaces, warnings = _float_eigenspaces(T, tol)
     failures = []
     for sp in spaces:
         a2 = sp.eigenvalue.abs2()
@@ -485,8 +483,11 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
         for q in ortho:
             coeff = vec_inner(w, q) / vec_norm_sq(q)
             w = vec_sub(w, vec_scale(coeff, q))
-        thr = tol * max(1.0, vec_norm_sq(v).re) if T.mode == FLOAT else 0.0
-        if vec_norm_sq(w).is_zero(max(thr, thr ** 2)):
+        thr = 0.0
+        if T.mode == FLOAT:
+            thr = _float_threshold(tol, max(1.0, vec_norm_sq(v).re), 1, "the cyclic subspace")
+            thr = max(thr, _float_threshold(1.0, thr, 2, "the cyclic subspace"))
+        if vec_norm_sq(w).is_zero(thr):
             break
         basis.append(v)
         ortho.append(w)
@@ -714,7 +715,7 @@ def _restricted_strict_order(T, spanning, tol):
     tables = [difference_table(orbit_sequence(T, v, m_max + 1), m_max)
               for v in polarization_candidates(spanning)]
     for m in range(1, m_max + 1):
-        if all(t.row(m)[0].is_zero() for t in tables):
+        if not any(t._plain_row(m)[0] for t in tables):
             return m
     return None
 

@@ -1,5 +1,6 @@
 """Forward-difference calculus and Newton interpolation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misolab import (
+    DegreeVerdict,
     DenseOperator,
+    InternalCheckError,
     NotPolynomialError,
     OrbitSequence,
     Polynomial,
@@ -19,6 +22,9 @@ from misolab import (
     newton_reconstruct,
     orbit_sequence,
 )
+from misolab import diffcalc
+from misolab.matrices import _int_form, _scalar, float_max_abs
+from misolab.polynomials import falling_factorial_poly
 from misolab.scalars import EXACT, FLOAT
 
 
@@ -136,3 +142,166 @@ class TestOrbitSequenceInvariants:
     def test_rejects_complex_samples(self):
         with pytest.raises(ValueError):
             OrbitSequence([Scalar.exact(0, 1), Scalar.exact(1)])
+
+
+# ---------------------------------------------------------------------------
+# The eager table the lazy one replaced, kept as the reference: it makes,
+# cross-checks and boxes every row to the requested depth before any row is
+# read.
+# ---------------------------------------------------------------------------
+
+
+def ref_difference_rows(gamma, depth):
+    if gamma.mode == EXACT:
+        den, reals, _ = _int_form(gamma.values)
+        scale, to_scalar = 0.0, lambda x: _scalar(x, 0, den, EXACT)
+    else:
+        reals = [v.re for v in gamma.values]
+        scale, to_scalar = max(1.0, gamma.max_abs()), lambda x: Scalar(FLOAT, x, 0.0)
+    rows = [reals]
+    for k in range(depth):
+        prev = rows[-1]
+        rows.append([prev[n + 1] - prev[n] for n in range(len(prev) - 1)])
+    for m, row in enumerate(rows):
+        sign_m = 1 if m % 2 == 0 else -1
+        coeffs = [sign_m * (-1) ** k * math.comb(m, k) for k in range(m + 1)]
+        slack = 1e-12 * scale * math.comb(m, m // 2) * (m + 1)
+        for n, entry in enumerate(row):
+            acc = 0
+            for k, c in enumerate(coeffs):
+                acc = acc + c * reals[n + k]
+            if not abs(acc - entry) <= slack:
+                raise InternalCheckError(f"row {m} entry {n} disagrees with binomial form")
+    return (gamma.values, *(tuple(map(to_scalar, r)) for r in rows[1:]))
+
+
+def ref_detect_degree(gamma, tol=diffcalc.DEFAULT_FLOAT_TOL):
+    rows = ref_difference_rows(gamma, gamma.window_len - 1)
+    scale = tol * max(1.0, gamma.max_abs()) if gamma.mode == FLOAT else 0.0
+
+    def row_is_zero(depth):
+        thr = scale * math.comb(depth, depth // 2)
+        return all(v.is_zero(thr) for v in rows[depth])
+
+    if row_is_zero(0):
+        return DegreeVerdict(polynomial=True, degree=None, zero_sequence=True,
+                             residual=float_max_abs(gamma.values, gamma.mode))
+    for d in range(gamma.window_len - 1):
+        if row_is_zero(d + 1):
+            return DegreeVerdict(polynomial=True, degree=d,
+                                 residual=float_max_abs(rows[d + 1], gamma.mode))
+    return DegreeVerdict(polynomial=False, degree=None,
+                         residual=float_max_abs(rows[-1], gamma.mode))
+
+
+def ref_newton_reconstruct(gamma, tol=diffcalc.DEFAULT_FLOAT_TOL):
+    verdict = ref_detect_degree(gamma, tol)
+    if not verdict.polynomial:
+        raise NotPolynomialError("not polynomial within the window")
+    if verdict.zero_sequence:
+        return Polynomial.zero(gamma.mode)
+    rows = ref_difference_rows(gamma, verdict.degree)
+    p = Polynomial.zero(gamma.mode)
+    for k in range(verdict.degree + 1):
+        coeff = rows[k][0] / Scalar.from_int(math.factorial(k), gamma.mode)
+        p = p + falling_factorial_poly(k, gamma.mode).scale(coeff)
+    return p
+
+
+def bits(s):
+    """A Scalar's parts, float parts by float.hex so that signed zeros and
+    last bits count."""
+    if s.mode == EXACT:
+        return (EXACT, s.re, s.im)
+    return (FLOAT, float.hex(s.re), float.hex(s.im))
+
+
+def poly_values(coeffs, length, offset=0):
+    return [offset + sum(c * n ** j for j, c in enumerate(coeffs)) for n in range(length)]
+
+
+lengths = st.integers(3, 14)
+# Large, coprime and mixed denominators, plus exact zeros.
+fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10 ** 25, 10 ** 25),
+              st.one_of(st.sampled_from([1, 2, 3, 7, 2 ** 61 - 1, 10 ** 20 + 39]),
+                        st.integers(1, 10 ** 30))),
+)
+exact_values = st.one_of(
+    st.builds(poly_values, st.lists(fractions, min_size=1, max_size=6), lengths),
+    st.lists(fractions, min_size=3, max_size=14),                        # not polynomial
+    lengths.map(lambda n: [0] * n),
+    # a huge common offset: the differences cancel it exactly
+    st.builds(poly_values, st.lists(fractions, min_size=1, max_size=4), lengths,
+              st.just(Fraction(10 ** 40 + 1, 3))),
+)
+small_floats = st.floats(-1e3, 1e3, allow_nan=False)
+float_values = st.one_of(
+    st.builds(poly_values, st.lists(small_floats, min_size=1, max_size=6), lengths),
+    st.lists(st.floats(-1e150, 1e150, allow_nan=False), min_size=3, max_size=14),
+    lengths.map(lambda n: [0.0] * n),
+    st.builds(lambda n, z: [z] * n, lengths, st.sampled_from([-0.0, 5e-324, 1e-300])),
+    # a large offset that the float differences cancel with rounding
+    st.builds(poly_values, st.lists(small_floats, min_size=1, max_size=4), lengths,
+              st.sampled_from([1e8, 1e15, 3.0e16])),
+    st.builds(lambda n, r: [r ** k for k in range(n)], lengths, st.floats(0.5, 2.0)),
+)
+windows = st.one_of(
+    exact_values.map(lambda v: OrbitSequence.from_reals(v, EXACT)),
+    float_values.map(lambda v: OrbitSequence.from_reals(v, FLOAT)),
+)
+
+
+class TestLazyTableMatchesEager:
+    @given(windows)
+    @settings(max_examples=150, deadline=None)
+    def test_degree_verdict(self, gamma):
+        got, want = detect_degree(gamma), ref_detect_degree(gamma)
+        assert (got.polynomial, got.degree, got.zero_sequence, float.hex(got.residual)) == \
+            (want.polynomial, want.degree, want.zero_sequence, float.hex(want.residual))
+
+    @given(windows, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_in_any_read_order(self, gamma, data):
+        depth = data.draw(st.integers(0, gamma.window_len - 1))
+        order = data.draw(st.permutations(range(depth + 1)))
+        table, ref = difference_table(gamma, depth), ref_difference_rows(gamma, depth)
+        for k in order:
+            assert [bits(s) for s in table.row(k)] == [bits(s) for s in ref[k]]
+        with pytest.raises(IndexError):
+            table.row(depth + 1)
+
+    @given(windows)
+    @settings(max_examples=150, deadline=None)
+    def test_newton_reconstruct(self, gamma):
+        try:
+            want = ref_newton_reconstruct(gamma)
+        except NotPolynomialError:
+            with pytest.raises(NotPolynomialError):
+                newton_reconstruct(gamma)
+            return
+        got = newton_reconstruct(gamma)
+        assert got.mode == want.mode
+        assert [bits(c) for c in got.coeffs] == [bits(c) for c in want.coeffs]
+
+
+class TestRowsAreMadeOnFirstRead:
+    def test_detect_degree_stops_at_the_first_vanishing_row(self, monkeypatch):
+        checked = []
+        check = diffcalc._check_binomial_form
+
+        def recording(vals, m, row, scale):
+            checked.append(m)
+            check(vals, m, row, scale)
+
+        monkeypatch.setattr(diffcalc, "_check_binomial_form", recording)
+        gamma = seq([3 * n + 1 for n in range(20)])
+        assert detect_degree(gamma).degree == 1
+        # row 0 is the window itself; rows 1 and 2 are made and checked
+        assert checked == [1, 2]
+        table = difference_table(gamma, 19)
+        table.row(4)
+        table.row(2)
+        table.row(4)
+        assert checked == [1, 2, 1, 2, 3, 4]

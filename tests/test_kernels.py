@@ -220,10 +220,11 @@ class TestBinomialFormCheck:
         gamma = OrbitSequence.from_reals([Fraction(n ** 3 - 2, 7 + n) for n in range(7)], EXACT)
         den, reals, _ = _int_form(gamma.values)
         rows = difference_rows(reals)
-        _check_binomial_form(rows, 0.0)
+        for m, row in enumerate(rows):
+            _check_binomial_form(reals, m, row, 0.0)
         rows[3][1] += 1          # one unit of 1/den
         with pytest.raises(InternalCheckError, match="row 3 entry 1"):
-            _check_binomial_form(rows, 0.0)
+            _check_binomial_form(reals, 3, rows[3], 0.0)
 
     def test_float_row_beyond_slack_raises(self):
         reals = [float(n * n) + 0.5 for n in range(7)]
@@ -232,10 +233,10 @@ class TestBinomialFormCheck:
         slack = 1e-12 * scale * math.comb(m, m // 2) * (m + 1)
         rows = difference_rows(reals)
         rows[m][0] += 0.5 * slack
-        _check_binomial_form(rows, scale)
+        _check_binomial_form(reals, m, rows[m], scale)
         rows[m][0] += 2 * slack
         with pytest.raises(InternalCheckError, match=f"row {m} entry 0"):
-            _check_binomial_form(rows, scale)
+            _check_binomial_form(reals, m, rows[m], scale)
 
 
 class TestDefectCrossCheck:

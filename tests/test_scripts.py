@@ -1,6 +1,7 @@
 """Smoke tests: the example scripts run end to end on the library API."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -9,11 +10,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("script,args", [
-    ("worked_example.py", []),
-    ("corpus_report.py", ["--per-kind", "2", "--count", "3"]),
-])
-def test_script_runs(script, args):
+def run_script(script, args):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
@@ -21,4 +18,17 @@ def test_script_runs(script, args):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stdout.strip()
+    return proc
+
+
+@pytest.mark.parametrize("script,args", [
+    ("worked_example.py", []),
+    ("corpus_report.py", ["--per-kind", "2", "--count", "3"]),
+])
+def test_script_runs(script, args):
+    assert run_script(script, args).stdout.strip()
+
+
+def test_report_hashes_prints_one_digest_per_cycle():
+    out = run_script("report_hashes.py", ["float-cli", "1", "0"]).stdout
+    assert re.fullmatch(r"float-cli seed 1 cycle 0 requests 37 sha256 [0-9a-f]{64}\n", out)

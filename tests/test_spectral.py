@@ -292,6 +292,16 @@ class TestCyclicSubspace:
         with pytest.raises(PreconditionError):
             cyclic_subspace(DenseOperator.identity(2, EXACT), vec_from_ints([0, 0]))
 
+    @pytest.mark.parametrize("big", [1e200, 1e100])
+    def test_float_threshold_overflow_raises(self, big):
+        # ||Th||^2 = big^2: at 1e200 it is inf, and an infinite threshold
+        # would call Th dependent (the right basis length is 2); at 1e100
+        # the threshold is finite but its square is not
+        T = DenseOperator([[Scalar.flt(big), Scalar.flt(0.0)],
+                           [Scalar.flt(0.0), Scalar.flt(1.0)]])
+        with pytest.raises(PreconditionError, match="float overflow"):
+            cyclic_subspace(T, (Scalar.flt(1.0), Scalar.flt(1.0)))
+
 
 class TestSpectrumCheck:
     def test_unitary(self):
