@@ -27,6 +27,19 @@ from .scalars import EXACT, FLOAT, Scalar
 DEFAULT_FLOAT_TOL = 1e-9
 
 
+def _float_threshold(tol, scale, k, what):
+    """tol * scale ** k; an infinite threshold would call every value zero,
+    so one beyond float range raises PreconditionError."""
+    try:
+        thr = tol * scale ** k
+    except OverflowError:
+        thr = math.inf
+    if not math.isfinite(thr):
+        raise PreconditionError(f"float overflow: the zero threshold of {what} "
+                                "leaves float range")
+    return thr
+
+
 def default_window_len(dim):
     """Window length for a dense operator of the given dimension.
 
@@ -139,7 +152,9 @@ def _check_binomial_form(vals, m, row, scale):
     that grows with the largest binomial coefficient, and scale is 0.0 for
     ints, which are compared exactly."""
     coeffs = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
-    slack = 1e-12 * scale * math.comb(m, m // 2) * (m + 1)
+    what = f"the binomial check of difference row {m}"
+    slack = 0 if not scale else _float_threshold(
+        _float_threshold(1e-12 * scale, math.comb(m, m // 2), 1, what), m + 1, 1, what)
     for n, entry in enumerate(row):
         # reduce, not sum(): sum() compensates float sums from Python 3.12 on
         acc = reduce(add, map(mul, coeffs, vals[n:n + m + 1]), 0)
@@ -167,10 +182,12 @@ def _detect_degree(gamma, tol):
     for k in range(gamma.window_len):
         # |x| is Scalar.is_zero's modulus of a real entry, math.hypot(x, 0.0);
         # the binomial factor compensates the cancellation amplification
-        # of k-fold differencing
+        # of k-fold differencing; ints are compared with 0, no float made
         largest = max(map(abs, table._plain_row(k)))
         residual = largest if gamma.mode == FLOAT else 0.0
-        if largest <= scale * math.comb(k, k // 2):
+        thr = 0 if gamma.mode == EXACT else _float_threshold(
+            scale, math.comb(k, k // 2), 1, f"difference row {k}")
+        if largest <= thr:
             return DegreeVerdict(polynomial=True, degree=k - 1 if k else None,
                                  zero_sequence=k == 0, residual=residual), table
     return DegreeVerdict(polynomial=False, degree=None, residual=residual), table

@@ -16,17 +16,11 @@ from itertools import islice
 from operator import add, mul
 from typing import Optional
 
-from .diffcalc import (
-    DEFAULT_FLOAT_TOL,
-    OrbitSequence,
-    default_window_len,
-    detect_degree,
-)
+from .diffcalc import OrbitSequence, default_window_len, detect_degree
 from .errors import InternalCheckError, PreconditionError, WindowTooShortError
 from .matrices import (
     DenseOperator,
     FiniteVector,
-    _parts,
     _scalar,
     basis_vector,
     float_max_abs,
@@ -74,30 +68,35 @@ def _grams(T):
         g = Tstar @ g @ T
 
 
-def _defect_from_grams(grams, m, mode):
-    """beta_m from the Gram list G_0..G_m (further entries are ignored)."""
-    matrix = _binomial_sum(grams[:m + 1], m, mode)
-    if mode == EXACT:
-        return DefectOperator(m=m, matrix=matrix)
-    scale = sum(math.comb(m, k) * max(grams[k].max_abs(), 1.0) for k in range(m + 1))
-    if not (math.isfinite(scale) and all(math.isfinite(x) for r in matrix.rows
-                                         for s in r for x in (s.re, s.im))):
-        raise PreconditionError(
-            f"float overflow: the Gram operators T*^k T^k for k <= {m} leave float range")
-    return DefectOperator(m=m, matrix=matrix, float_scale=scale)
-
-
-def _binomial_sum(grams, m, mode):
-    """sum_k (-1)^k C(m,k) G_k on the parts of the Gram entries over the lcm
-    of their denominators (1 in float mode), added from k = 0 up."""
-    forms = [_parts([s for r in g.rows for s in r], mode) for g in grams]
-    den = math.lcm(*(d for d, _, _ in forms))
-    coeffs = [(-1) ** k * math.comb(m, k) * (den // d) for k, (d, _, _) in enumerate(forms)]
-    entries = [_scalar(reduce(add, map(mul, coeffs, re)), reduce(add, map(mul, coeffs, im)),
-                       den, mode)
-               for re, im in zip(zip(*(f[1] for f in forms)), zip(*(f[2] for f in forms)))]
-    n = grams[0].dim
-    return DenseOperator([entries[i * n:(i + 1) * n] for i in range(n)])
+def _defects(T):
+    """beta_0, beta_1, ... as DefectOperators, without end, from one walk of
+    the Gram operators.  beta_m is sum_k (-1)^k C(m,k) G_k on the parts of
+    the Gram entries over the lcm of their denominators (1 in float mode),
+    added from k = 0 up; each G_k is taken apart, and in float mode
+    measured, once."""
+    mode, n = T.mode, T.dim
+    forms, sizes, den = [], [], 1
+    for m, g in enumerate(_grams(T)):
+        forms.append(g._row_parts())
+        den = math.lcm(den, forms[-1][0])
+        coeffs = [(-1) ** k * math.comb(m, k) * (den // d) for k, (d, _) in enumerate(forms)]
+        # entry (i, j) sums the (i, j) parts of G_0 .. G_m
+        matrix = DenseOperator([
+            [_scalar(reduce(add, map(mul, coeffs, re)), reduce(add, map(mul, coeffs, im)),
+                     den, mode)
+             for re, im in zip(zip(*(f[i][0] for _, f in forms)),
+                               zip(*(f[i][1] for _, f in forms)))]
+            for i in range(n)])
+        if mode == EXACT:
+            yield DefectOperator(m=m, matrix=matrix)
+            continue
+        sizes.append(max(g.max_abs(), 1.0))
+        scale = sum(math.comb(m, k) * size for k, size in enumerate(sizes))
+        if not (math.isfinite(scale) and all(math.isfinite(x) for r in matrix.rows
+                                             for s in r for x in (s.re, s.im))):
+            raise PreconditionError(
+                f"float overflow: the Gram operators T*^k T^k for k <= {m} leave float range")
+        yield DefectOperator(m=m, matrix=matrix, float_scale=scale)
 
 
 def defect(T, m):
@@ -109,7 +108,7 @@ def defect(T, m):
     """
     if m < 0:
         raise PreconditionError("defect order must be nonnegative")
-    d = _defect_from_grams(list(islice(_grams(T), m + 1)), m, T.mode)
+    d = next(islice(_defects(T), m, None))
     rec = _defect_by_recurrence(T, m)
     if not (d.matrix - rec).is_zero(1e-12 * d.float_scale):
         raise InternalCheckError(
@@ -146,12 +145,9 @@ def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
         m_max = default_m_max(T)
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
-    walk = _grams(T)
-    grams = [next(walk)]
     prev = None
-    for m in range(1, m_max + 1):
-        grams.append(next(walk))
-        d = _defect_from_grams(grams, m, T.mode)
+    for d in islice(_defects(T), 1, m_max + 1):
+        m = d.m
         if d.matrix.is_zero(d.threshold(tol)):
             witness = None
             if m >= 2:
@@ -301,15 +297,15 @@ class SurveyResult:
     consistent_with: Optional[int]        # m such that sampled orbits fit an m-isometry
 
 
-def local_isometry_survey(op, vectors, tol=DEFAULT_FLOAT_TOL,
-                          window_len=None, defect_tol=DEFAULT_DEFECT_TOL,
+def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFECT_TOL,
                           m_max=None):
     """Per-vector orbit degree verdicts plus a global order verdict.
 
     For a dense operator the global verdict is strict_order up to m_max;
     otherwise the max of (degree + 1) over the sampled vectors is reported
     as a lower bound.  Uniform polynomiality of the sampled orbits is
-    reported as 'consistent with m-isometry' for m = max degree + 1.
+    reported as 'consistent with m-isometry' for m = max degree + 1.  The
+    per-vector degree tests use DEFAULT_FLOAT_TOL.
     """
     vectors = list(vectors)
     if not vectors:
@@ -319,7 +315,7 @@ def local_isometry_survey(op, vectors, tol=DEFAULT_FLOAT_TOL,
         global_verdict = strict_order(op, m_max=m_max, tol=defect_tol)
     verdicts = []
     for h in vectors:
-        verdicts.append(detect_degree(orbit_sequence(op, h, window_len), tol))
+        verdicts.append(detect_degree(orbit_sequence(op, h, window_len)))
     lower = 0
     all_poly = True
     for v in verdicts:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from operator import add, mul, sub
 
 from .errors import DimensionMismatchError, ModeMismatchError
@@ -15,7 +15,7 @@ from .scalars import EXACT, FLOAT, Scalar, same_mode
 class DenseOperator:
     """Immutable square matrix with all entries in one arithmetic mode."""
 
-    __slots__ = ("dim", "mode", "rows")
+    __slots__ = ("dim", "mode", "rows", "_parts_cache")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -28,6 +28,7 @@ class DenseOperator:
         self.rows = rows
         self.dim = dim
         self.mode = modes.pop()
+        self._parts_cache = None
 
     # -- constructors -------------------------------------------------
 
@@ -57,8 +58,9 @@ class DenseOperator:
 
     def __matmul__(self, other):
         self._check(other)
-        da, a_rows = _row_parts(self.rows, self.mode)
-        db, b_cols = _row_parts(list(zip(*other.rows)), self.mode)
+        da, a_rows = self._row_parts()
+        db, b_rows = other._row_parts()
+        b_cols = list(zip(zip(*(re for re, _ in b_rows)), zip(*(im for _, im in b_rows))))
         return DenseOperator([[_dot(ar, ai, br, bi, da * db, self.mode)
                                for br, bi in b_cols] for ar, ai in a_rows])
 
@@ -95,17 +97,23 @@ class DenseOperator:
         return out
 
     def apply(self, vec):
-        return self._apply(vec, None)
-
-    def _apply(self, vec, row_parts):
-        """T vec; row_parts, when given, is _row_parts(self.rows, self.mode)."""
         if len(vec) != self.dim:
             raise DimensionMismatchError("vector length does not match operator")
         if same_mode(*vec) != self.mode:
             raise ModeMismatchError("vector mode does not match operator mode")
-        da, a_rows = row_parts or _row_parts(self.rows, self.mode)
+        da, a_rows = self._row_parts()
         dv, v_re, v_im = _parts(vec, self.mode)
         return tuple(_dot(ar, ai, v_re, v_im, da * dv, self.mode) for ar, ai in a_rows)
+
+    def _row_parts(self):
+        """(den, [(re, im) per row]) of the entries, _parts of them all; made
+        on first use and kept, since the operator never changes."""
+        if self._parts_cache is None:
+            n = self.dim
+            den, re, im = _parts([s for r in self.rows for s in r], self.mode)
+            self._parts_cache = den, [(re[i * n:(i + 1) * n], im[i * n:(i + 1) * n])
+                                      for i in range(n)]
+        return self._parts_cache
 
     # -- queries ------------------------------------------------------
 
@@ -155,13 +163,6 @@ def _parts(scalars, mode):
     return 1, [s.re for s in scalars], [s.im for s in scalars]
 
 
-def _row_parts(rows, mode):
-    """(den, [(re, im) per row]) for a square grid of scalars of one mode."""
-    n = len(rows)
-    den, re, im = _parts([s for r in rows for s in r], mode)
-    return den, [(re[i * n:(i + 1) * n], im[i * n:(i + 1) * n]) for i in range(n)]
-
-
 def _scalar(re, im, den, mode):
     """The Scalar (re + i im) / den; den is 1 in float mode."""
     if mode == EXACT:
@@ -181,15 +182,11 @@ def _dot(a_re, a_im, b_re, b_im, den, mode):
 def orbit(op, h):
     """The orbit h, Th, T^2 h, ... of h under op, without end.
 
-    A DenseOperator is taken apart into its parts once per walk; each step
-    keeps apply()'s checks, so a vector of the other mode, or a mixed one,
-    raises ModeMismatchError.  Any other operator steps with its apply()."""
-    step = op.apply
-    if isinstance(op, DenseOperator):
-        step = partial(op._apply, row_parts=_row_parts(op.rows, op.mode))
+    Each step is op.apply(), with its checks: a vector of the other mode,
+    or a mixed one, raises ModeMismatchError."""
     while True:
         yield h
-        h = step(h)
+        h = op.apply(h)
 
 
 def direct_sum(*ops):

@@ -167,22 +167,21 @@ def localization_shift(T, h, prefix_len=None):
     )
 
 
-def shift_is_m_isometry(W, m, basis_count=3, tol=DEFAULT_FLOAT_TOL,
-                        window_len=None):
-    """True iff Delta^m annihilates the orbit of e_j for every j < basis_count.
+def shift_is_m_isometry(W, m, tol=DEFAULT_FLOAT_TOL, window_len=None):
+    """True iff Delta^m annihilates the orbit of e_j for j = 0, 1, 2.
 
     The orthogonal-basis reduction makes this equivalent to the definition
-    restricted to vectors supported on 0..basis_count-1.  m = 0 is allowed
+    restricted to vectors supported on 0..2.  m = 0 is allowed
     as the degenerate query (only the zero orbit passes it)."""
-    if m < 0 or basis_count < 1:
-        raise PreconditionError("need m >= 0 and basis_count >= 1")
+    if m < 0:
+        raise PreconditionError("need m >= 0")
     if window_len is None:
         window_len = 2 * m + 6
-    if window_len + basis_count - 1 > W.prefix_len:
-        window_len = W.prefix_len - basis_count + 1
+    if window_len + 2 > W.prefix_len:
+        window_len = W.prefix_len - 2
     if window_len < m + 2:
         raise PreconditionError("shift prefix too short for the requested order")
-    for j in range(basis_count):
+    for j in range(3):
         gamma = W.basis_orbit(j, window_len)
         verdict = detect_degree(gamma, tol)
         if not verdict.polynomial:

@@ -15,6 +15,7 @@ from misolab import (
     NotPolynomialError,
     OrbitSequence,
     Polynomial,
+    PreconditionError,
     Scalar,
     WindowTooShortError,
     detect_degree,
@@ -74,6 +75,13 @@ class TestDetectDegree:
         vals = [float(n * n) + 1e-12 * n for n in range(8)]
         v = detect_degree(OrbitSequence.from_reals(vals, FLOAT), tol=1e-9)
         assert v.polynomial and v.degree == 2
+
+    def test_infinite_float_threshold_raises(self):
+        # tol * max|gamma| is inf: every row would count as vanishing, and
+        # the geometric window would be called the zero sequence
+        gamma = OrbitSequence.from_reals([1e10 * 2.0 ** n for n in range(6)], FLOAT)
+        with pytest.raises(PreconditionError, match="float overflow"):
+            detect_degree(gamma, tol=1e300)
 
 
 class TestNewtonReconstruct:

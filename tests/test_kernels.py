@@ -15,15 +15,17 @@ from misolab import (
     JordanSpec,
     ModeMismatchError,
     OrbitSequence,
+    PreconditionError,
     Scalar,
     defect,
     jordan_matrix,
     orbit,
+    strict_order,
     vec_inner,
 )
-from misolab import isometry
+from misolab import isometry, matrices
 from misolab.diffcalc import _check_binomial_form
-from misolab.isometry import _binomial_sum, _defect_from_grams
+from misolab.isometry import _defects, _grams
 from misolab.matrices import _int_form
 from misolab.scalars import EXACT, FLOAT
 
@@ -106,13 +108,13 @@ class TestExactKernels:
         assert vec_inner(u, v) == ref_inner(u, v)
         assert vec_inner(u, u) == ref_inner(u, u)
 
-    @given(st.integers(0, 4).flatmap(
-        lambda m: dims.flatmap(lambda n: st.lists(operators(n), min_size=m + 1,
-                                                  max_size=m + 1))))
+    @given(st.integers(0, 4), dims.flatmap(operators))
     @settings(max_examples=25, deadline=None)
-    def test_defect_from_grams(self, grams):
-        m = len(grams) - 1
-        assert _defect_from_grams(grams, m, EXACT).matrix.rows == ref_defect_from_grams(grams, m)
+    def test_defect_walk(self, m, T):
+        grams = list(islice(_grams(T), m + 1))
+        for k, d in enumerate(islice(_defects(T), m + 1)):
+            assert d.m == k
+            assert d.matrix.rows == ref_defect_from_grams(grams, k)
 
     def test_int_form(self):
         den, re, im = _int_form([Scalar.exact(Fraction(1, 6), Fraction(-3, 4)),
@@ -139,7 +141,7 @@ float_parts = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 float_scalars = st.builds(Scalar.flt, float_parts, float_parts)
-BOUNDED = st.floats(-1e300, 1e300)
+BOUNDED = st.floats(-1e30, 1e30)
 
 
 def float_vectors(n, scalars=float_scalars):
@@ -176,20 +178,20 @@ class TestFloatKernels:
         assert bits([vec_inner(u, v)]) == bits([ref_inner(u, v)])
         assert bits([vec_inner(u, u)]) == bits([ref_inner(u, u)])
 
-    # parts below 1e300 in size, so that no binomial sum of them overflows
-    @given(st.integers(0, 4).flatmap(
-        lambda m: dims.flatmap(lambda n: st.lists(
-            float_operators(n, st.builds(Scalar.flt, BOUNDED, BOUNDED)),
-            min_size=m + 1, max_size=m + 1))))
+    # parts below 1e30 in size, so that no Gram operator up to T*^4 T^4 overflows
+    @given(st.integers(0, 4),
+           dims.flatmap(lambda n: float_operators(n, st.builds(Scalar.flt, BOUNDED, BOUNDED))))
     @settings(max_examples=40, deadline=None)
-    def test_binomial_sum(self, grams):
+    def test_defect_walk(self, m, T):
         # equal to the float loop the kernel replaced; only the sign of a
-        # zero may differ, since that loop started from +0.0
-        m = len(grams) - 1
-        ref = ref_defect_from_grams(grams, m, FLOAT)
-        for got in (_binomial_sum(grams, m, FLOAT), _defect_from_grams(grams, m, FLOAT).matrix):
-            for row, ref_row in zip(got.rows, ref):
+        # zero may differ, since that loop started from +0.0.  The scale is
+        # sum_j C(k,j) max(|G_j|, 1), summed by sum() from j = 0 up.
+        grams = list(islice(_grams(T), m + 1))
+        for k, d in enumerate(islice(_defects(T), m + 1)):
+            for row, ref_row in zip(d.matrix.rows, ref_defect_from_grams(grams, k, FLOAT)):
                 assert [(s.re, s.im) for s in row] == [(r.re, r.im) for r in ref_row]
+            scale = sum(math.comb(k, j) * max(grams[j].max_abs(), 1.0) for j in range(k + 1))
+            assert d.float_scale.hex() == scale.hex()
 
     def test_mode_mismatch_raises(self):
         exact_op = DenseOperator.from_ints([[1, 0], [0, 1]])
@@ -200,6 +202,23 @@ class TestFloatKernels:
             exact_op.apply((Scalar.flt(1.0), Scalar.flt(0.0)))
         with pytest.raises(ModeMismatchError):
             next(islice(orbit(float_op, (Scalar.exact(1), Scalar.exact(0))), 1, None))
+
+
+def test_strict_order_takes_each_operator_apart_once(monkeypatch):
+    """No operator's entries go through _parts twice: operators keep their
+    parts, and the defect walk takes each Gram operator apart once."""
+    converted = []   # kept alive, so that no id is reused by a later entry
+    real = matrices._parts
+
+    def counting(scalars, mode):
+        converted.append(scalars)
+        return real(scalars, mode)
+
+    monkeypatch.setattr(matrices, "_parts", counting)
+    T = jordan_matrix(JordanSpec(z=Scalar.one(EXACT), size=4))
+    assert strict_order(T).describe() == "strict-order(7)"
+    operators = [tuple(sorted(map(id, s))) for s in converted if len(s) == 16]
+    assert operators and len(set(operators)) == len(operators)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +244,23 @@ class TestBinomialFormCheck:
         rows[3][1] += 1          # one unit of 1/den
         with pytest.raises(InternalCheckError, match="row 3 entry 1"):
             _check_binomial_form(reals, 3, rows[3], 0.0)
+
+    # C(1040, 520) is beyond float range, so a slack made from it as a
+    # float ends in OverflowError; exact rows need no slack at all
+    def test_long_exact_row_is_compared_without_float(self):
+        gamma = OrbitSequence.from_reals([Fraction(n % 2, 3) for n in range(1042)], EXACT)
+        den, reals, _ = _int_form(gamma.values)
+        assert den == 3
+        row = difference_rows(reals)[1040]
+        _check_binomial_form(reals, 1040, row, 0.0)
+        row[0] += 1          # one unit of 1/den
+        with pytest.raises(InternalCheckError, match="row 1040 entry 0"):
+            _check_binomial_form(reals, 1040, row, 0.0)
+
+    def test_long_float_row_slack_overflow_raises(self):
+        reals = [1.0] * 1042
+        with pytest.raises(PreconditionError, match="float overflow"):
+            _check_binomial_form(reals, 1040, [0.0, 0.0], 1.0)
 
     def test_float_row_beyond_slack_raises(self):
         reals = [float(n * n) + 0.5 for n in range(7)]

@@ -32,3 +32,13 @@ def test_script_runs(script, args):
 def test_report_hashes_prints_one_digest_per_cycle():
     out = run_script("report_hashes.py", ["float-cli", "1", "0"]).stdout
     assert re.fullmatch(r"float-cli seed 1 cycle 0 requests 37 sha256 [0-9a-f]{64}\n", out)
+
+
+def test_exact_cli_cycle_digest_is_pinned():
+    """Cycle 0 of exact-cli at seed 1 (51 requests) gives the same bytes as
+    before: every exact report, message and exit code.  A change to the
+    benchmark's request mix (perfbench/workloads.py) changes the requests,
+    so the change that makes it updates this digest."""
+    out = run_script("report_hashes.py", ["exact-cli", "1", "0"]).stdout
+    assert out == ("exact-cli seed 1 cycle 0 requests 51 sha256 "
+                   "4a2e8d81d38c001d47a8cb7e9f27d41f04cab33758cf0e0f12c87606d5fd9a51\n")
