@@ -59,16 +59,21 @@ def run_request(req, workdir):
     return rc, out.getvalue(), err.getvalue(), report
 
 
-def cycle_hash(workload, seed, cycle, workdir):
-    """(number of requests, SHA-256 hex digest) of one cycle."""
+def requests_hash(reqs, workdir):
+    """SHA-256 hex digest of the requests' outputs (run_request), in order."""
     h = hashlib.sha256()
-    reqs = workloads.cycle_requests(workload, seed, cycle)
     for req in reqs:
         rc, out, err, report = run_request(req, workdir)
         for part in (str(rc), out, err):
             h.update(part.replace(workdir, "{dir}").encode() + b"\0")
         h.update(report.replace(workdir.encode(), b"{dir}") + b"\0")
-    return len(reqs), h.hexdigest()
+    return h.hexdigest()
+
+
+def cycle_hash(workload, seed, cycle, workdir):
+    """(number of requests, SHA-256 hex digest) of one cycle."""
+    reqs = workloads.cycle_requests(workload, seed, cycle)
+    return len(reqs), requests_hash(reqs, workdir)
 
 
 def main(argv=None):

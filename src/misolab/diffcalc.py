@@ -20,7 +20,7 @@ from .errors import (
     PreconditionError,
     WindowTooShortError,
 )
-from .matrices import _parts, _scalar
+from .matrices import _int_form, _scalar
 from .polynomials import Polynomial, falling_factorial_poly
 from .scalars import EXACT, FLOAT, Scalar
 
@@ -101,7 +101,10 @@ class DifferenceTable:
                 f"depth {depth} too large for window of {gamma.window_len} samples"
             )
         self._gamma, self.depth = gamma, depth
-        self._den, reals, _ = _parts(gamma.values, gamma.mode)
+        if gamma.mode == EXACT:
+            self._den, reals, _ = _int_form(gamma.values)
+        else:
+            self._den, reals = 1, [v.re for v in gamma.values]
         self._plain = [reals]
         # the binomial check's slack scale; 0.0 for ints, which compare exactly
         self._scale = max(1.0, gamma.max_abs()) if gamma.mode == FLOAT else 0.0
@@ -150,7 +153,9 @@ def _check_binomial_form(vals, m, row, scale):
 
     The entries are ints or floats; float entries may differ by a slack
     that grows with the largest binomial coefficient, and scale is 0.0 for
-    ints, which are compared exactly."""
+    ints, which are compared exactly.  A float entry or binomial sum beyond
+    float range makes the two disagree; that is an overflow, not a failed
+    check, and raises PreconditionError."""
     coeffs = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
     what = f"the binomial check of difference row {m}"
     slack = 0 if not scale else _float_threshold(
@@ -159,6 +164,9 @@ def _check_binomial_form(vals, m, row, scale):
         # reduce, not sum(): sum() compensates float sums from Python 3.12 on
         acc = reduce(add, map(mul, coeffs, vals[n:n + m + 1]), 0)
         if not abs(acc - entry) <= slack:
+            if scale and not (math.isfinite(acc) and math.isfinite(entry)):
+                raise PreconditionError(f"float overflow: difference row {m} or {what} "
+                                        "leaves float range")
             raise InternalCheckError(
                 f"difference table row {m} entry {n} disagrees with binomial form"
             )

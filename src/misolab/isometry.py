@@ -73,11 +73,14 @@ def _defects(T):
     the Gram operators.  beta_m is sum_k (-1)^k C(m,k) G_k on the parts of
     the Gram entries over the lcm of their denominators (1 in float mode),
     added from k = 0 up; each G_k is taken apart, and in float mode
-    measured, once."""
+    measured, once.  Float sums stay on the real and imaginary parts, not
+    the complex rows of the float kernels: before Python 3.14, int * complex
+    goes through complex(int), which can flip the sign of a zero."""
     mode, n = T.mode, T.dim
     forms, sizes, den = [], [], 1
     for m, g in enumerate(_grams(T)):
-        forms.append(g._row_parts())
+        forms.append(g._row_parts() if mode == EXACT else
+                     (1, [([s.re for s in r], [s.im for s in r]) for r in g.rows]))
         den = math.lcm(den, forms[-1][0])
         coeffs = [(-1) ** k * math.comb(m, k) * (den // d) for k, (d, _) in enumerate(forms)]
         # entry (i, j) sums the (i, j) parts of G_0 .. G_m

@@ -60,9 +60,11 @@ class DenseOperator:
         self._check(other)
         da, a_rows = self._row_parts()
         db, b_rows = other._row_parts()
-        b_cols = list(zip(zip(*(re for re, _ in b_rows)), zip(*(im for _, im in b_rows))))
-        return DenseOperator([[_dot(ar, ai, br, bi, da * db, self.mode)
-                               for br, bi in b_cols] for ar, ai in a_rows])
+        if self.mode == EXACT:
+            b_cols = list(zip(zip(*(re for re, _ in b_rows)), zip(*(im for _, im in b_rows))))
+        else:
+            b_cols = list(zip(*b_rows))
+        return DenseOperator([[_dot(a, b, da * db, self.mode) for b in b_cols] for a in a_rows])
 
     def __add__(self, other):
         self._check(other)
@@ -102,17 +104,19 @@ class DenseOperator:
         if same_mode(*vec) != self.mode:
             raise ModeMismatchError("vector mode does not match operator mode")
         da, a_rows = self._row_parts()
-        dv, v_re, v_im = _parts(vec, self.mode)
-        return tuple(_dot(ar, ai, v_re, v_im, da * dv, self.mode) for ar, ai in a_rows)
+        dv, v = _parts(vec, self.mode)
+        return tuple(_dot(a, v, da * dv, self.mode) for a in a_rows)
 
     def _row_parts(self):
-        """(den, [(re, im) per row]) of the entries, _parts of them all; made
-        on first use and kept, since the operator never changes."""
+        """(den, [form of each row]) from _parts of all the entries; made on
+        first use and kept, since the operator never changes."""
         if self._parts_cache is None:
             n = self.dim
-            den, re, im = _parts([s for r in self.rows for s in r], self.mode)
-            self._parts_cache = den, [(re[i * n:(i + 1) * n], im[i * n:(i + 1) * n])
-                                      for i in range(n)]
+            den, form = _parts([s for r in self.rows for s in r], self.mode)
+            cuts = [slice(i * n, (i + 1) * n) for i in range(n)]
+            # exact rows are (re, im) pairs of int lists, float rows complex lists
+            self._parts_cache = den, ([(form[0][c], form[1][c]) for c in cuts]
+                                      if self.mode == EXACT else [form[c] for c in cuts])
         return self._parts_cache
 
     # -- queries ------------------------------------------------------
@@ -139,10 +143,16 @@ class DenseOperator:
 
 
 # ---------------------------------------------------------------------------
-# Kernels, one per operation for both modes.  The loops run on the parts of
-# the scalars (_parts) and each output entry becomes a Scalar again.  Exact
-# results are the canonical fractions the Scalar loops give; float sums keep
-# the Scalar loop's order, so they round as it does, bit for bit.
+# Kernels, one per operation for both modes.  The loops run on the kernel
+# form of the scalars (_parts) and each output entry becomes a Scalar again.
+# Exact mode runs on Gaussian integers over one common denominator, so its
+# results are the canonical fractions the Scalar loops give.  Float mode runs
+# on Python complex: CPython's complex product is (ac - bd, ad + bc) and its
+# sum adds the parts, which are the Scalar formulas, and the terms are added
+# from left to right, never with sum(), so the results round as the Scalar
+# loop does, bit for bit.  TestFloatKernels checks this on each platform: a
+# CPython build whose complex product contracts to a fused multiply-add
+# fails it.
 # ---------------------------------------------------------------------------
 
 def _int_form(scalars):
@@ -155,12 +165,15 @@ def _int_form(scalars):
 
 
 def _parts(scalars, mode):
-    """(den, re, im) of scalars of the given mode: _int_form in exact mode,
-    the float parts over 1 in float mode.  The mode is never inferred, since
-    float.as_integer_ratio would turn a float list exact without a word."""
+    """(den, form) of scalars of the given mode: in exact mode the form is
+    the (re_nums, im_nums) pair of _int_form over its den, in float mode the
+    list of the scalars as Python complex, over 1.  The mode is never
+    inferred, since float.as_integer_ratio would turn a float list exact
+    without a word."""
     if mode == EXACT:
-        return _int_form(scalars)
-    return 1, [s.re for s in scalars], [s.im for s in scalars]
+        den, re, im = _int_form(scalars)
+        return den, (re, im)
+    return 1, [complex(s.re, s.im) for s in scalars]
 
 
 def _scalar(re, im, den, mode):
@@ -170,13 +183,17 @@ def _scalar(re, im, den, mode):
     return Scalar(FLOAT, re, im)
 
 
-def _dot(a_re, a_im, b_re, b_im, den, mode):
-    """sum_k a_k b_k over den, one complex term at a time from left to right.
-    sum() is not used: from Python 3.12 on it compensates float sums, which
-    rounds them differently."""
-    return _scalar(reduce(add, map(sub, map(mul, a_re, b_re), map(mul, a_im, b_im))),
-                   reduce(add, map(add, map(mul, a_re, b_im), map(mul, a_im, b_re))),
-                   den, mode)
+def _dot(a, b, den, mode):
+    """sum_k a_k b_k over den for two _parts forms, one complex term at a
+    time from left to right.  sum() is not used: from Python 3.12 on it
+    compensates float sums, which rounds them differently."""
+    if mode == EXACT:
+        (a_re, a_im), (b_re, b_im) = a, b
+        return _scalar(reduce(add, map(sub, map(mul, a_re, b_re), map(mul, a_im, b_im))),
+                       reduce(add, map(add, map(mul, a_re, b_im), map(mul, a_im, b_re))),
+                       den, EXACT)
+    z = reduce(add, map(mul, a, b))
+    return Scalar(FLOAT, z.real, z.imag)
 
 
 def orbit(op, h):
@@ -248,9 +265,10 @@ def vec_inner(u, v):
     if len(u) != len(v):
         raise DimensionMismatchError("vector length mismatch")
     mode = same_mode(*u, *v)
-    du, u_re, u_im = _parts(u, mode)
-    dv, v_re, v_im = (du, u_re, u_im) if v is u else _parts(v, mode)
-    return _dot(u_re, u_im, v_re, [-x for x in v_im], du * dv, mode)
+    du, uf = _parts(u, mode)
+    dv, vf = (du, uf) if v is u else _parts(v, mode)
+    conj = (vf[0], [-x for x in vf[1]]) if mode == EXACT else [z.conjugate() for z in vf]
+    return _dot(uf, conj, du * dv, mode)
 
 
 def vec_norm_sq(u):

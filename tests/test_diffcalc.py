@@ -83,6 +83,17 @@ class TestDetectDegree:
         with pytest.raises(PreconditionError, match="float overflow"):
             detect_degree(gamma, tol=1e300)
 
+    # finite windows whose second differences (the first) or binomial sums
+    # (the other two) leave float range: an overflow, not a failed check
+    @pytest.mark.parametrize("window", [
+        [1e308 * (n % 2) for n in range(6)],
+        [1e308, 1.1e308] * 3,
+        [1.7e308, 1.6e308] * 3,
+    ])
+    def test_float_difference_row_overflow_raises(self, window):
+        with pytest.raises(PreconditionError, match="float overflow: difference row 2"):
+            detect_degree(OrbitSequence.from_reals(window, FLOAT))
+
 
 class TestNewtonReconstruct:
     def test_squares(self):

@@ -205,20 +205,26 @@ class TestFloatKernels:
 
 
 def test_strict_order_takes_each_operator_apart_once(monkeypatch):
-    """No operator's entries go through _parts twice: operators keep their
-    parts, and the defect walk takes each Gram operator apart once."""
+    """No operator's entries go through _parts twice, in either mode:
+    operators keep their parts (Gaussian integers, or Python complex in
+    float mode), and the defect walk takes T, T* and each Gram operator
+    apart once."""
     converted = []   # kept alive, so that no id is reused by a later entry
     real = matrices._parts
 
     def counting(scalars, mode):
-        converted.append(scalars)
+        converted.append((mode, scalars))
         return real(scalars, mode)
 
     monkeypatch.setattr(matrices, "_parts", counting)
-    T = jordan_matrix(JordanSpec(z=Scalar.one(EXACT), size=4))
-    assert strict_order(T).describe() == "strict-order(7)"
-    operators = [tuple(sorted(map(id, s))) for s in converted if len(s) == 16]
-    assert operators and len(set(operators)) == len(operators)
+    for mode in (EXACT, FLOAT):
+        T = jordan_matrix(JordanSpec(z=Scalar.one(mode), size=4))
+        assert strict_order(T).describe() == "strict-order(7)"
+        operators = [tuple(sorted(map(id, s))) for m, s in converted
+                     if m == mode and len(s) == 16]
+        # T, T*, the Gram operators G_k and the products T* G_k of the walk
+        assert len(set(operators)) >= 10
+        assert len(set(operators)) == len(operators)
 
 
 # ---------------------------------------------------------------------------
