@@ -33,6 +33,7 @@ from .isometry import (
 )
 from .matrices import (
     DenseOperator,
+    _scalar,
     basis_vector,
     float_max_abs,
     orbit,
@@ -114,49 +115,65 @@ def _max_column_vector(P):
 # Exact rational elimination
 # ---------------------------------------------------------------------------
 
-def exact_rref(rows):
-    """Reduced row echelon form over exact scalars; returns (rows, pivot cols)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def exact_rref(A):
+    """Reduced row echelon form of an exact DenseOperator: (its nonzero rows
+    as exact Scalars, pivot cols).  The common denominator of A's
+    Gaussian-integer form does not change the RREF, so the elimination runs
+    on the integer rows.
+
+    Fraction-free Gauss-Jordan: row_i <- p row_i - f row_r for the pivot p,
+    then row_i is divided by the gcd of its parts.  Each row stays a nonzero
+    multiple of the row that division-based elimination makes, and the RREF
+    is unique, so dividing each pivot row by its pivot at the end, one
+    fraction per entry as x conj(p) / |p|^2, gives that elimination's rows."""
+    rows = [_primitive(re, im) for re, im in A._row_parts()[1]]
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
+    for c in range(A.dim):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][0][c] or rows[i][1][c]),
+                         None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        b_re, b_im = rows[r]
+        pr, pi = b_re[c], b_im[c]
+        for i, (a_re, a_im) in enumerate(rows):
+            fr, fi = a_re[c], a_im[c]
+            if i == r or not (fr or fi):
+                continue
+            rows[i] = _primitive(
+                [pr * x - pi * y - fr * u + fi * v for x, y, u, v in zip(a_re, a_im, b_re, b_im)],
+                [pr * y + pi * x - fr * v - fi * u for x, y, u, v in zip(a_re, a_im, b_re, b_im)])
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    out = []
+    for (re, im), c in zip(rows, pivots):
+        pr, pi = re[c], im[c]
+        n2 = pr * pr + pi * pi
+        out.append([_scalar(x * pr + y * pi, y * pr - x * pi, n2, EXACT) for x, y in zip(re, im)])
+    return out, pivots
+
+
+def _primitive(re, im):
+    """The Gaussian-integer row (re, im) divided by the gcd of its parts."""
+    g = math.gcd(*re, *im)
+    if g > 1:
+        return [x // g for x in re], [y // g for y in im]
+    return re, im
 
 
 def exact_nullspace(A):
-    """Kernel basis of an exact DenseOperator (or raw row list)."""
-    rows = A.rows if isinstance(A, DenseOperator) else A
-    mode = rows[0][0].mode
-    ncols = len(rows[0])
-    red, pivots = exact_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Kernel basis of an exact DenseOperator."""
+    red, pivots = exact_rref(A)
+    zero, one = Scalar.zero(EXACT), Scalar.one(EXACT)
     basis = []
-    for fc in free:
-        v = [Scalar.zero(mode)] * ncols
-        v[fc] = Scalar.one(mode)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+    for fc in (c for c in range(A.dim) if c not in pivots):
+        v = [zero] * A.dim
+        v[fc] = one
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 
@@ -315,8 +332,10 @@ def _spaces_from_clusters(T, arr, clusters, tol):
     for members in clusters:
         mult = len(members)
         z = complex(np.mean(members))   # mean cancels the Jordan scatter
-        depth, basis = _kernel_chain(np.eye(dim), arr - z * np.eye(dim), dim,
-                                     lambda P: _float_nullspace(P, tol))
+        # a power that leaves float range is caught by _float_nullspace
+        with np.errstate(over="ignore", invalid="ignore"):
+            depth, basis = _kernel_chain(np.eye(dim), arr - z * np.eye(dim), dim,
+                                         lambda P: _float_nullspace(P, tol))
         if len(basis) != mult:
             return None, False
         spaces.append(GeneralizedEigenspace(

@@ -1,6 +1,9 @@
 """CLI contract: spec parsing, report determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -253,6 +256,21 @@ def test_float_gram_overflow_is_3(tmp_path, capsys):
     assert main(["perturb", a, n]) == 3
     err = capsys.readouterr().err
     assert "float overflow" in err and "disagree" not in err
+
+
+def test_float_kernel_chain_overflow_prints_one_line(tmp_path):
+    # (T - zI)^2 leaves float range; numpy's overflow warnings from the
+    # power reached stderr ahead of the error line.  A fresh interpreter
+    # shows warnings as a user sees them, which pytest's capture would hide.
+    path = write(tmp_path, "d.json", {"mode": "float",
+                                      "matrix": [[1e200, 1e200, 0], [0, 1e200, 1], [0, 0, 1]]})
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-m", "misolab.cli", "decompose", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: float overflow: a power of T - zI left float range\n"
 
 
 BIG = "1" + "0" * 310   # beyond float range

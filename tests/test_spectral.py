@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misolab import (
     DenseOperator,
@@ -26,6 +28,7 @@ from misolab import (
     vec_scale,
 )
 from misolab.scalars import EXACT, FLOAT
+from misolab.spectral import exact_nullspace, exact_rref
 from misolab.suites import operator_to_float
 
 ONE = Scalar.exact(1)
@@ -65,6 +68,116 @@ class TestNilpotency:
 
     def test_identity_is_not_nilpotent(self):
         assert nilpotency_index(DenseOperator.identity(2, EXACT)) is None
+
+
+# ---------------------------------------------------------------------------
+# Exact elimination against the division-based Gauss-Jordan loop on Scalars
+# ---------------------------------------------------------------------------
+
+def ref_exact_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan on exact Scalars, one
+    division per pivot row entry; returns (rows, pivot cols)."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def ref_nullspace(rows):
+    red, pivots = ref_exact_rref(rows)
+    ncols = len(rows[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Scalar.exact(0)] * ncols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def parts_of(rows):
+    return [[(s.re, s.im) for s in r] for r in rows]
+
+
+_part = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+    # large coprime denominators
+    st.builds(Fraction, st.integers(-10 ** 25, 10 ** 25),
+              st.sampled_from([2 ** 61 - 1, 10 ** 20 + 39, 3 ** 40, 7 ** 30])),
+)
+_entry = st.one_of(
+    st.just(Scalar.exact(0)),
+    st.builds(Scalar.exact, _part, _part),
+    st.builds(lambda y: Scalar.exact(0, y), _part),
+)
+
+
+@st.composite
+def gaussian_matrices(draw):
+    """m x n Gaussian-rational rows, 1 <= m, n <= 8: the zero matrix, all
+    entries purely imaginary, or general entries; then some rows replaced
+    by combinations of two others, so the rank drops on purpose."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["zero", "imaginary", "general"]))
+    if kind == "zero":
+        return [[Scalar.exact(0)] * n for _ in range(m)]
+    entry = st.builds(lambda y: Scalar.exact(0, y), _part) if kind == "imaginary" else _entry
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, m - 1))):
+        t, a, b = (draw(st.integers(0, m - 1)) for _ in range(3))
+        ca, cb = draw(_entry), draw(_entry)
+        rows[t] = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+class TestExactElimination:
+    @given(gaussian_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rref_and_nullspace_match_the_division_loop(self, rows):
+        # the square operator with zero rows or columns appended
+        dim = max(len(rows), len(rows[0]))
+        zero = Scalar.exact(0)
+        square = [list(r) + [zero] * (dim - len(r)) for r in rows]
+        square += [[zero] * dim for _ in range(dim - len(rows))]
+        A = DenseOperator(square)
+        ref_red, ref_pivots = ref_exact_rref(square)
+        red, pivots = exact_rref(A)
+        assert pivots == ref_pivots
+        assert parts_of(red) == parts_of(ref_red[:len(pivots)])
+
+        basis = exact_nullspace(A)
+        assert parts_of(basis) == parts_of(ref_nullspace(square))
+        assert len(basis) == dim - len(ref_pivots)
+        for v in basis:
+            for r in square:
+                acc = zero
+                for a, x in zip(r, v):
+                    acc = acc + a * x
+                assert acc == zero
+
+    def test_purely_imaginary_pivot(self):
+        # rows (i, 1) and (2i, 2): rank 1, kernel spanned by (i, 1)
+        A = DenseOperator([[I_, ONE], [Scalar.exact(0, 2), Scalar.exact(2)]])
+        assert exact_rref(A) == ([[ONE, -I_]], [0])
+        assert exact_nullspace(A) == [(I_, ONE)]
 
 
 class TestGeneralizedEigenspaces:
