@@ -22,7 +22,7 @@ from .errors import (
 )
 from .matrices import _int_form, _scalar
 from .polynomials import Polynomial, falling_factorial_poly
-from .scalars import EXACT, FLOAT, Scalar
+from .scalars import EXACT, FLOAT, Scalar, same_mode
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -59,16 +59,13 @@ class OrbitSequence:
         values = tuple(values)
         if len(values) < 2:
             raise WindowTooShortError("orbit window must hold at least 2 samples")
-        modes = {v.mode for v in values}
-        if len(modes) != 1:
-            raise WindowTooShortError("orbit samples must share one mode")
-        mode = modes.pop()
+        mode = same_mode(*values)
         for n, v in enumerate(values):
             if mode == FLOAT and not (math.isfinite(v.re) and math.isfinite(v.im)):
                 raise PreconditionError(
                     f"orbit sample {n} is not finite: float overflow at step n={n}")
             if not v.is_real():
-                raise ValueError("orbit samples must be real")
+                raise PreconditionError("orbit samples must be real")
         self.values = values
         self.mode = mode
 

@@ -21,6 +21,7 @@ from .errors import InternalCheckError, PreconditionError, WindowTooShortError
 from .matrices import (
     DenseOperator,
     FiniteVector,
+    _orbit_inners,
     _scalar,
     basis_vector,
     float_max_abs,
@@ -194,13 +195,17 @@ def _nonzero_form_witness(d, tol):
 def orbit_sequence(T, h, window_len=None):
     """gamma_{T,h}: the window of squared orbit norms ||T^n h||^2.
 
-    T is a DenseOperator, or any operator exposing apply() on the vectors
-    it is given; the default window is default_window_len(dim) for a dense
-    operator and 16 otherwise."""
+    T is a DenseOperator, whose window _orbit_inners steps on its kept
+    parts, or any operator exposing apply() on the vectors it is given,
+    walked by orbit(); the default window is default_window_len(dim) for a
+    dense operator and 16 otherwise."""
+    dense = isinstance(T, DenseOperator)
     if window_len is None:
-        window_len = default_window_len(T.dim) if isinstance(T, DenseOperator) else 16
+        window_len = default_window_len(T.dim) if dense else 16
     if window_len < 2:
         raise WindowTooShortError("orbit window must hold at least 2 samples")
+    if dense:
+        return OrbitSequence(_orbit_inners(T, h, h, window_len))
     return OrbitSequence(_generic_inner(v, v) for v in islice(orbit(T, h), window_len))
 
 

@@ -58,13 +58,15 @@ class DenseOperator:
 
     def __matmul__(self, other):
         self._check(other)
+        mode = self.mode
         da, a_rows = self._row_parts()
         db, b_rows = other._row_parts()
-        if self.mode == EXACT:
+        if mode == EXACT:
             b_cols = list(zip(zip(*(re for re, _ in b_rows)), zip(*(im for _, im in b_rows))))
         else:
             b_cols = list(zip(*b_rows))
-        return DenseOperator([[_dot(a, b, da * db, self.mode) for b in b_cols] for a in a_rows])
+        return DenseOperator([[_box(_dot(a, b, mode), da * db, mode) for b in b_cols]
+                              for a in a_rows])
 
     def __add__(self, other):
         self._check(other)
@@ -99,13 +101,17 @@ class DenseOperator:
         return out
 
     def apply(self, vec):
+        self._check_vec(vec)
+        mode = self.mode
+        da, a_rows = self._row_parts()
+        dv, v = _parts(vec, mode)
+        return tuple(_box(_dot(a, v, mode), da * dv, mode) for a in a_rows)
+
+    def _check_vec(self, vec):
         if len(vec) != self.dim:
             raise DimensionMismatchError("vector length does not match operator")
         if same_mode(*vec) != self.mode:
             raise ModeMismatchError("vector mode does not match operator mode")
-        da, a_rows = self._row_parts()
-        dv, v = _parts(vec, self.mode)
-        return tuple(_dot(a, v, da * dv, self.mode) for a in a_rows)
 
     def _row_parts(self):
         """(den, [form of each row]) from _parts of all the entries; made on
@@ -144,7 +150,8 @@ class DenseOperator:
 
 # ---------------------------------------------------------------------------
 # Kernels, one per operation for both modes.  The loops run on the kernel
-# form of the scalars (_parts) and each output entry becomes a Scalar again.
+# form of the scalars (_parts) and each output entry becomes a Scalar again
+# (_box); orbit windows step the form itself and box only their samples.
 # Exact mode runs on Gaussian integers over one common denominator, so its
 # results are the canonical fractions the Scalar loops give.  Float mode runs
 # on Python complex: CPython's complex product is (ac - bd, ad + bc) and its
@@ -183,17 +190,62 @@ def _scalar(re, im, den, mode):
     return Scalar(FLOAT, re, im)
 
 
-def _dot(a, b, den, mode):
-    """sum_k a_k b_k over den for two _parts forms, one complex term at a
-    time from left to right.  sum() is not used: from Python 3.12 on it
-    compensates float sums, which rounds them differently."""
+def _dot(a, b, mode):
+    """sum_k a_k b_k for two _parts forms, one complex term at a time from
+    left to right: an (re, im) pair of ints in exact mode, a complex in
+    float mode.  sum() is not used: from Python 3.12 on it compensates
+    float sums, which rounds them differently."""
     if mode == EXACT:
         (a_re, a_im), (b_re, b_im) = a, b
-        return _scalar(reduce(add, map(sub, map(mul, a_re, b_re), map(mul, a_im, b_im))),
-                       reduce(add, map(add, map(mul, a_re, b_im), map(mul, a_im, b_re))),
-                       den, EXACT)
-    z = reduce(add, map(mul, a, b))
+        return (reduce(add, map(sub, map(mul, a_re, b_re), map(mul, a_im, b_im))),
+                reduce(add, map(add, map(mul, a_re, b_im), map(mul, a_im, b_re))))
+    return reduce(add, map(mul, a, b))
+
+
+def _box(z, den, mode):
+    """The Scalar of the _dot value z over den."""
+    if mode == EXACT:
+        return _scalar(*z, den, EXACT)
     return Scalar(FLOAT, z.real, z.imag)
+
+
+def _conj(form, mode):
+    """The _parts form of the conjugate entries."""
+    if mode == EXACT:
+        return form[0], [-x for x in form[1]]
+    return [z.conjugate() for z in form]
+
+
+def _orbit_inners(op, u, v, count):
+    """<T^k u, T^k v> for k < count as Scalars, T the DenseOperator op.
+
+    u and v get apply's checks and are taken apart once; each step is
+    apply's dot on op's kept parts, and only the samples are boxed, so
+    every sample equals vec_inner on the orbit() vectors, float bits
+    included.  Exact vectors are kept over their least common denominator
+    (one gcd per step), so their integers do not grow like den^k."""
+    op._check_vec(u)
+    op._check_vec(v)
+    mode = op.mode
+    dt, rows = op._row_parts()
+
+    def step(d, f):
+        z = [_dot(a, f, mode) for a in rows]
+        if mode == FLOAT:
+            return 1, z
+        re, im = [x for x, _ in z], [y for _, y in z]
+        g = math.gcd(dt * d, *re, *im)
+        return dt * d // g, ([x // g for x in re], [y // g for y in im])
+
+    du, uf = _parts(u, mode)
+    dv, vf = (du, uf) if v is u else _parts(v, mode)
+    out = []
+    for k in range(count):
+        if k:
+            du, uf = step(du, uf)
+            dv, vf = (du, uf) if v is u else step(dv, vf)
+        out.append(_box(_dot(uf, _conj(vf, mode), mode), du * dv, mode))
+    return out
 
 
 def orbit(op, h):
@@ -267,8 +319,7 @@ def vec_inner(u, v):
     mode = same_mode(*u, *v)
     du, uf = _parts(u, mode)
     dv, vf = (du, uf) if v is u else _parts(v, mode)
-    conj = (vf[0], [-x for x in vf[1]]) if mode == EXACT else [z.conjugate() for z in vf]
-    return _dot(uf, conj, du * dv, mode)
+    return _box(_dot(uf, _conj(vf, mode), mode), du * dv, mode)
 
 
 def vec_norm_sq(u):

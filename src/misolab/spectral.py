@@ -33,6 +33,7 @@ from .isometry import (
 )
 from .matrices import (
     DenseOperator,
+    _orbit_inners,
     _scalar,
     basis_vector,
     float_max_abs,
@@ -464,8 +465,8 @@ def _strictness_criterion(A, N, m_a, nu, tol):
     for f0 in polarization_candidates([basis_vector(dim, j, mode) for j in range(dim)]):
         val = Scalar.zero(mode)
         scale = 0.0
-        for l, w in enumerate(islice(orbit(A, P.apply(f0)), m_a)):
-            t = vec_norm_sq(w)
+        w = P.apply(f0)
+        for l, t in enumerate(_orbit_inners(A, w, w, m_a)):
             c = (-1) ** l * math.comb(m_a - 1, l)
             val = val + t * c
             if mode == FLOAT:
@@ -584,8 +585,7 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
         eps_polys = tuple(poly(vec_add(vec_scale(e, h1), h2)) for e in eps_pair)
 
     # conclusions over the window
-    inners = [vec_inner(u, v)
-              for u, v in islice(zip(orbit(T, h1), orbit(T, h2)), window_len)]
+    inners = _orbit_inners(T, h1, h2, window_len)
     inner_thr = 0.0 if mode == EXACT else _float_threshold(
         tol * max(1.0, vec_max_abs(h1) * vec_max_abs(h2)), max(1.0, T.max_abs()), window_len,
         f"the inner products over {window_len} steps")

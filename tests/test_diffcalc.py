@@ -12,6 +12,7 @@ from misolab import (
     DegreeVerdict,
     DenseOperator,
     InternalCheckError,
+    ModeMismatchError,
     NotPolynomialError,
     OrbitSequence,
     Polynomial,
@@ -161,6 +162,16 @@ class TestOrbitSequenceInvariants:
     def test_rejects_complex_samples(self):
         with pytest.raises(ValueError):
             OrbitSequence([Scalar.exact(0, 1), Scalar.exact(1)])
+
+    # a library error, so that the CLI maps it to exit 3
+    def test_complex_sample_is_a_precondition_error(self):
+        for mode in (EXACT, FLOAT):
+            with pytest.raises(PreconditionError, match="must be real"):
+                OrbitSequence([Scalar.one(mode), Scalar.i_unit(mode)])
+
+    def test_mixed_modes_raise_mode_mismatch(self):
+        with pytest.raises(ModeMismatchError):
+            OrbitSequence([Scalar.exact(1), Scalar.flt(1.0), Scalar.exact(2)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from misolab import (
     DenseOperator,
+    DimensionMismatchError,
     InternalCheckError,
     JordanSpec,
     ModeMismatchError,
@@ -20,13 +21,14 @@ from misolab import (
     defect,
     jordan_matrix,
     orbit,
+    orbit_sequence,
     strict_order,
     vec_inner,
 )
 from misolab import isometry, matrices
 from misolab.diffcalc import _check_binomial_form
 from misolab.isometry import _defects, _grams
-from misolab.matrices import _int_form
+from misolab.matrices import _int_form, _orbit_inners
 from misolab.scalars import EXACT, FLOAT
 
 # ---------------------------------------------------------------------------
@@ -225,6 +227,88 @@ def test_strict_order_takes_each_operator_apart_once(monkeypatch):
         # T, T*, the Gram operators G_k and the products T* G_k of the walk
         assert len(set(operators)) >= 10
         assert len(set(operators)) == len(operators)
+
+
+def orbit_window(T, u, v, n):
+    """The reference window: vec_inner on the vectors of two orbit() walks."""
+    return [vec_inner(a, b) for a, b in islice(zip(orbit(T, u), orbit(T, v)), n)]
+
+
+windows = st.integers(1, 6)
+
+
+class TestOrbitWindows:
+    """_orbit_inners steps the orbits on the kernel form and boxes only the
+    samples; every sample equals the orbit() and vec_inner one."""
+
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.tuples(operators(n), vectors(n), vectors(n))), windows)
+    @settings(max_examples=30, deadline=None)
+    def test_exact(self, tuv, count):
+        T, u, v = tuv
+        assert _orbit_inners(T, u, v, count) == orbit_window(T, u, v, count)
+        assert _orbit_inners(T, u, u, count) == orbit_window(T, u, u, count)
+
+    @given(dims.flatmap(
+        lambda n: st.tuples(float_operators(n), float_vectors(n), float_vectors(n))), windows)
+    @settings(max_examples=60, deadline=None)
+    def test_float(self, tuv, count):
+        T, u, v = tuv
+        assert bits(_orbit_inners(T, u, v, count)) == bits(orbit_window(T, u, v, count))
+        assert bits(_orbit_inners(T, u, u, count)) == bits(orbit_window(T, u, u, count))
+
+    def test_exact_vectors_stay_over_their_least_denominator(self, monkeypatch):
+        # T swaps the coordinates and scales them by q and 1/q, so T^2 = I;
+        # without the per-step gcd the denominators would grow like q^k
+        q, r = 2 ** 61 - 1, 10 ** 20 + 39
+        T = DenseOperator([[Scalar.exact(0), Scalar.exact(Fraction(1, q))],
+                           [Scalar.exact(q), Scalar.exact(0)]])
+        u = (Scalar.exact(1), Scalar.exact(Fraction(1, r), Fraction(1, q)))
+        v = (Scalar.exact(Fraction(1, r)), Scalar.exact(r))
+        expected = [orbit_window(T, u, w, 30) for w in (u, v)]
+        dens = []
+        real = matrices._box
+
+        def recording(z, den, mode):
+            dens.append(den)
+            return real(z, den, mode)
+
+        monkeypatch.setattr(matrices, "_box", recording)
+        assert [_orbit_inners(T, u, w, 30) for w in (u, v)] == expected
+        assert len(dens) == 60 and max(dens) <= (q * q * r) ** 2
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_bad_vectors_raise(self, mode):
+        other = FLOAT if mode == EXACT else EXACT
+        T = DenseOperator.from_ints([[1, 1], [0, 1]], mode)
+        good = (Scalar.one(mode), Scalar.zero(mode))
+        for bad, error in [((Scalar.one(other), Scalar.zero(other)), ModeMismatchError),
+                           ((Scalar.one(mode), Scalar.zero(other)), ModeMismatchError),
+                           ((Scalar.one(mode),) * 3, DimensionMismatchError)]:
+            for u, v in [(bad, good), (good, bad), (bad, bad)]:
+                with pytest.raises(error):
+                    _orbit_inners(T, u, v, 3)
+
+
+def test_orbit_windows_take_each_vector_apart_once(monkeypatch):
+    """orbit_sequence on a dense operator takes h apart once, and T at most
+    once (T keeps its parts), not once or twice per step."""
+    converted = []
+    real = matrices._parts
+
+    def counting(scalars, mode):
+        converted.append(scalars)
+        return real(scalars, mode)
+
+    monkeypatch.setattr(matrices, "_parts", counting)
+    for mode in (EXACT, FLOAT):
+        T = jordan_matrix(JordanSpec(z=Scalar.one(mode), size=4))
+        h = tuple(Scalar.from_int(j + 1, mode) for j in range(4))
+        converted.clear()
+        assert orbit_sequence(T, h, 20).window_len == 20
+        assert [s is h for s in converted].count(True) == 1
+        assert len([s for s in converted if len(s) == 16]) <= 1
+        assert len(converted) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,23 @@ def test_exact_cli_cycle_digest_is_pinned():
                    "4a2e8d81d38c001d47a8cb7e9f27d41f04cab33758cf0e0f12c87606d5fd9a51\n")
 
 
+def check_float_cycle_pin(tmp_path, command, count, specs_digest, output_digest):
+    """The `command` requests of float-cli cycle 0 at seed 1: first the
+    digest of their spec files, then that of their outputs."""
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        import report_hashes
+    finally:
+        sys.path.remove(os.path.join(ROOT, "scripts"))
+    reqs = [req for req in report_hashes.workloads.cycle_requests("float-cli", 1, 0)
+            if req.argv[0] == command]
+    assert len(reqs) == count
+    specs = hashlib.sha256(b"".join(json.dumps(req.files, sort_keys=True).encode() + b"\0"
+                                    for req in reqs))
+    assert specs.hexdigest() == specs_digest
+    assert report_hashes.requests_hash(reqs, str(tmp_path)) == output_digest
+
+
 def test_float_cli_order_digest_is_pinned(tmp_path):
     """The order requests of float-cli cycle 0 at seed 1 (16 of its 37) give
     the same bytes as before: exit codes, stdout, stderr and JSON reports,
@@ -56,17 +73,22 @@ def test_float_cli_order_digest_is_pinned(tmp_path):
     differently fails there, not on the output.  A change to the benchmark's
     request mix changes the requests, so the change that makes it updates
     both digests."""
-    sys.path.insert(0, os.path.join(ROOT, "scripts"))
-    try:
-        import report_hashes
-    finally:
-        sys.path.remove(os.path.join(ROOT, "scripts"))
-    reqs = [req for req in report_hashes.workloads.cycle_requests("float-cli", 1, 0)
-            if req.argv[0] == "order"]
-    assert len(reqs) == 16
-    specs = hashlib.sha256(b"".join(json.dumps(req.files, sort_keys=True).encode() + b"\0"
-                                    for req in reqs))
-    assert specs.hexdigest() == (
-        "71583d2c9284ce6081900991643cf0a229e3d2fe07a587f52352f38be2391a8d")
-    assert report_hashes.requests_hash(reqs, str(tmp_path)) == (
+    check_float_cycle_pin(
+        tmp_path, "order", 16,
+        "71583d2c9284ce6081900991643cf0a229e3d2fe07a587f52352f38be2391a8d",
         "0b6b12edab000065d79792f854143103f67c50807f29f964d6a8a5a554b5f5a3")
+
+
+@pytest.mark.parametrize("command,count,specs_digest,output_digest", [
+    ("ortho", 5, "8ac595838fe0e47b738ac8cb6bcd058433d3e287d5da7e2f84aad8d5bacb5bc3",
+     "e763e5aefb9ed2b568cb3963682da1c456cf28bcc04b828f215eb7138522009b"),
+    ("perturb", 3, "a2851916df5b5b311b12b5afa8c542b44019c0d9f252bb16e8b7b9e59e1e0f12",
+     "78b68629c0e8092794a45e837039324da7473e09f0df7f4406b00256c990585f"),
+])
+def test_float_cli_window_digests_are_pinned(tmp_path, command, count, specs_digest,
+                                             output_digest):
+    """The ortho and perturb requests of float-cli cycle 0 at seed 1 give the
+    same bytes as before.  Both read orbit windows (the ortho inner
+    products, the perturb strictness criterion) and make no LAPACK call; as
+    for order, the spec files are pinned first."""
+    check_float_cycle_pin(tmp_path, command, count, specs_digest, output_digest)
