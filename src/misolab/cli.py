@@ -82,11 +82,12 @@ def _parse_eps_flag(text, mode):
 
 
 def _tolerance(text):
-    """--tol value: NaN, infinite or negative tolerances would make float
-    zero tests confidently wrong."""
+    """--tol value: NaN, infinite, negative or >= 1 tolerances would make
+    float zero tests confidently wrong (at tol >= 1 every one passes)."""
     tol = float(text)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    if not (math.isfinite(tol) and 0 <= tol < 1):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number >= 0 and < 1, got {text!r}")
     return tol
 
 

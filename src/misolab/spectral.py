@@ -17,8 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffcalc import (DEFAULT_FLOAT_TOL, _float_threshold, default_window_len, detect_degree,
-                       difference_table)
+from .diffcalc import DEFAULT_FLOAT_TOL, _float_threshold, default_window_len, detect_degree
 from .errors import (
     EigenHintError,
     InternalCheckError,
@@ -27,6 +26,7 @@ from .errors import (
 )
 from .isometry import (
     DEFAULT_DEFECT_TOL,
+    _defects,
     is_m_isometry,
     orbit_sequence,
     strict_order,
@@ -455,23 +455,18 @@ def perturbation_analysis(A, N, tol=DEFAULT_DEFECT_TOL):
 
 
 def _strictness_criterion(A, N, m_a, nu, tol):
-    """Search for f0 with sum_l (-1)^l C(m_a-1, l) ||A^l N^(nu-1) f0||^2 != 0.
-
-    The map f -> that sum is the quadratic form of a Hermitian operator, so
-    vanishing on the basis plus polarization combinations means it vanishes
-    identically."""
+    """Search for f0 with <beta_{m_a-1}(A) w, w> != 0, w = N^(nu-1) f0,
+    against beta's float threshold scaled by ||w||^2.  The map f0 -> that
+    value is the quadratic form of a Hermitian operator, so vanishing on the
+    basis plus polarization combinations means it vanishes identically."""
     dim, mode = A.dim, A.mode
+    d = next(islice(_defects(A), m_a - 1, None))
     P = N.power(nu - 1)
     for f0 in polarization_candidates([basis_vector(dim, j, mode) for j in range(dim)]):
-        val = Scalar.zero(mode)
-        scale = 0.0
         w = P.apply(f0)
-        for l, t in enumerate(_orbit_inners(A, w, w, m_a)):
-            c = (-1) ** l * math.comb(m_a - 1, l)
-            val = val + t * c
-            if mode == FLOAT:
-                scale += math.comb(m_a - 1, l) * abs(t.re)
-        if not val.is_zero(tol * max(1.0, scale)):
+        val = vec_inner(d.matrix.apply(w), w)
+        thr = 0.0 if mode == EXACT else tol * max(1.0, d.float_scale * vec_norm_sq(w).re)
+        if not val.is_zero(thr):
             return True, f0
     return False, None
 
@@ -638,7 +633,8 @@ def jordan_pair_equivalences(T, h1, h2, z1, z2, tol=DEFAULT_FLOAT_TOL,
     Jordan blocks at finite scale and check that they agree.
 
     Condition (iv) is sampled on 16 random pairs rather than all of them;
-    sufficiency at test scale follows from polarization."""
+    sufficiency at test scale follows from polarization.  Condition (v)
+    reads <beta_m u, v> on the pairs of the two cyclic bases."""
     mode = T.mode
     window_len, opposite, poly = _pair_preconditions(T, h1, h2, z1, z2, tol, window_len)
     rng = random.Random(seed)
@@ -706,41 +702,18 @@ def _random_combo(basis, rng, mode):
 
 
 def _restricted_strict_order(T, spanning, tol):
-    """Smallest m making T restricted to span(spanning) an m-isometry, else None.
+    """Smallest m <= 2 len(spanning) + 1 making T an m-isometry on the
+    T-invariant span of spanning, else None.
 
-    Exact mode tests the quadratic-form identity on a spanning set plus
-    polarization combinations (the raw cyclic basis is not orthonormal, so
-    the defect matrix route is unavailable); float mode builds the
-    restriction matrix in an orthonormalized basis."""
-    if T.mode == FLOAT:
-        R = _restriction_matrix(T, spanning, tol)
-        verdict = strict_order(R, tol=max(tol, DEFAULT_DEFECT_TOL))
-        return verdict.m if verdict.strict else None
-    # the form F_m(v, v) = sum_k (-1)^k C(m,k) ||T^k v||^2 is
-    # (-1)^m (Delta^m gamma_v)(0), row m of v's difference table at 0
-    m_max = 2 * len(spanning) + 1
-    tables = [difference_table(orbit_sequence(T, v, m_max + 1), m_max)
-              for v in polarization_candidates(spanning)]
-    for m in range(1, m_max + 1):
-        if not any(t._plain_row(m)[0] for t in tables):
-            return m
+    That is the first m with <beta_m(T) u, v> = 0 for all u, v in spanning:
+    a Hermitian form vanishes on a span iff it does on all spanning pairs."""
+    scale = 0.0 if T.mode == EXACT else max(1.0, max(vec_max_abs(v) for v in spanning) ** 2)
+    for d in islice(_defects(T), 1, 2 * len(spanning) + 2):
+        thr = d.threshold(tol) * scale
+        images = [d.matrix.apply(u) for u in spanning]
+        if all(vec_inner(b, v).is_zero(thr) for b in images for v in spanning):
+            return d.m
     return None
-
-
-def _restriction_matrix(T, spanning, tol):
-    """Matrix of T on the invariant span of the given vectors, in an
-    orthonormalized basis (float mode)."""
-    cols = []
-    for v in spanning:
-        w = np.array([s.as_complex() for s in v])
-        for q in cols:
-            w = w - np.vdot(q, w) * q
-        nw = np.linalg.norm(w)
-        if nw > tol * max(1.0, np.linalg.norm([s.as_complex() for s in v])):
-            cols.append(w / nw)
-    Q = np.column_stack(cols)
-    arr = to_numpy(T)
-    return from_numpy(Q.conj().T @ arr @ Q)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diffcalc import OrbitSequence, detect_degree, difference_table, newton_reconstruct
 from .errors import MisolabError
-from .isometry import defect, orbit_sequence, strict_order
+from .isometry import DEFAULT_DEFECT_TOL, defect, orbit_sequence, strict_order
 from .matrices import (
     DenseOperator,
     direct_sum,
@@ -41,7 +41,6 @@ from .spectral import (
     to_numpy,
 )
 
-FLOAT_VERDICT_TOL = 1e-8
 FLOAT_RESIDUAL_BOUND = 1e-6
 
 UNIMODULAR_EXACT = (
@@ -456,7 +455,7 @@ def suite_density(seed=0):
 def suite_float_robustness(seed=0):
     rec = _Recorder("float-robustness")
     np_rng = np.random.default_rng(seed)
-    tol = FLOAT_VERDICT_TOL
+    tol = DEFAULT_DEFECT_TOL
 
     # Jordan order law after unitary conjugation
     for z in UNIMODULAR_EXACT:

@@ -230,9 +230,10 @@ class TestSpecRejection:
 
 
 @pytest.mark.parametrize("command", ["order", "decompose"])
-@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "1", "1e300"])
 def test_tol_that_breaks_zero_tests_is_2(tmp_path, capsys, command, tol):
-    # with --tol inf the float Jordan block J(1, 2) passed as strict-order(1)
+    # with --tol inf, or any tol >= 1, the float Jordan block J(1, 2)
+    # passed as strict-order(1)
     path = write(tmp_path, "j.json", {"mode": "float", "matrix": [[1, 1], [0, 1]]})
     with pytest.raises(SystemExit) as exc:
         main([command, path, f"--tol={tol}"])

@@ -1,7 +1,10 @@
 """Jordan structure, decomposition, perturbation and orthogonality tests."""
 
+import math
 from fractions import Fraction
+from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,23 +16,31 @@ from misolab import (
     PreconditionError,
     Scalar,
     algebraic_decompose,
+    basis_vector,
     cyclic_subspace,
+    difference_table,
     direct_sum,
     generalized_eigenspaces,
     is_m_isometry,
     jordan_matrix,
     jordan_pair_equivalences,
     nilpotency_index,
+    orbit,
+    orbit_sequence,
     ortho_test_generalized,
     perturbation_analysis,
     strict_order,
     unimodular_spectrum_check,
     vec_from_ints,
+    vec_norm_sq,
     vec_scale,
 )
+from misolab.matrices import polarization_candidates
 from misolab.scalars import EXACT, FLOAT
-from misolab.spectral import exact_nullspace, exact_rref
-from misolab.suites import operator_to_float
+from misolab.spectral import (_restricted_strict_order, _strictness_criterion, exact_nullspace,
+                              exact_rref)
+from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
+                            perturbation_corpus, random_unitary)
 
 ONE = Scalar.exact(1)
 I_ = Scalar.exact(0, 1)
@@ -362,30 +373,134 @@ class TestPairPreconditions:
             self.run(test_fn, mode, T, 1, -1, h2=(1, 1))
 
 
+# (T, h1, h2, z1, z2, every condition holds, restricted order)
+JORDAN_PAIR_CASES = {
+    "orthogonal-pair": (
+        direct_sum(jordan_matrix(JordanSpec(ONE, 2)),
+                   jordan_matrix(JordanSpec(Scalar.exact(-1), 2))),
+        vec_from_ints([0, 1, 0, 0]), vec_from_ints([0, 0, 0, 1]),
+        ONE, Scalar.exact(-1), True, 3),
+    "worked-example": (EXAMPLE, (ONE, Scalar.exact(0)), (I_, ONE), I_, -I_, False, None),
+    # diag(1, -1) conjugated by the shear I + E01
+    "sheared-coupling": (
+        DenseOperator.from_ints([[1, -2], [0, -1]]),
+        vec_from_ints([1, 0]), vec_from_ints([1, 1]),
+        ONE, Scalar.exact(-1), False, None),
+}
+
+
+def float_copy(T, vectors, scalars, seed=0):
+    """u T u* for a seeded random unitary u, with u h for each vector h and
+    each scalar in float."""
+    u = random_unitary(T.dim, np.random.default_rng(seed))
+    moved = [tuple(Scalar.flt(x.real, x.imag)
+                   for x in u @ np.array([s.as_complex() for s in h])) for h in vectors]
+    return (conjugate_by_unitary(operator_to_float(T), u), moved,
+            [Scalar.flt(float(z.re), float(z.im)) for z in scalars])
+
+
 class TestJordanPairEquivalences:
+    def check(self, case, mode):
+        T, h1, h2, z1, z2, holds, order = JORDAN_PAIR_CASES[case]
+        if mode == FLOAT:
+            T, (h1, h2), (z1, z2) = float_copy(T, (h1, h2), (z1, z2))
+        rep = jordan_pair_equivalences(T, h1, h2, z1, z2)
+        assert rep.all_agree and rep.conditions() == (holds,) * 5
+        assert rep.restricted_order == order
+
     def test_orthogonal_pair_all_true(self):
-        T = direct_sum(jordan_matrix(JordanSpec(ONE, 2)),
-                       jordan_matrix(JordanSpec(Scalar.exact(-1), 2)))
-        h1 = vec_from_ints([0, 1, 0, 0])
-        h2 = vec_from_ints([0, 0, 0, 1])
-        rep = jordan_pair_equivalences(T, h1, h2, ONE, Scalar.exact(-1))
-        assert rep.all_agree and all(rep.conditions())
-        assert rep.restricted_order == 3
+        self.check("orthogonal-pair", EXACT)
 
     def test_worked_example_all_false(self):
-        rep = jordan_pair_equivalences(
-            EXAMPLE, (ONE, Scalar.exact(0)), (I_, ONE), I_, -I_
-        )
-        assert rep.all_agree and not any(rep.conditions())
-        assert rep.restricted_order is None
+        self.check("worked-example", EXACT)
 
     def test_sheared_coupling_all_false(self):
-        # conjugate diag(1, -1) by the shear I + E01
-        T = DenseOperator.from_ints([[1, -2], [0, -1]])
-        h1 = vec_from_ints([1, 0])
-        h2 = vec_from_ints([1, 1])
-        rep = jordan_pair_equivalences(T, h1, h2, ONE, Scalar.exact(-1))
-        assert rep.all_agree and not any(rep.conditions())
+        self.check("sheared-coupling", EXACT)
+
+    @pytest.mark.parametrize("case", list(JORDAN_PAIR_CASES))
+    def test_float_conjugated_copy(self, case):
+        self.check(case, FLOAT)
+
+
+# ---------------------------------------------------------------------------
+# Local defect tests against their orbit-walk and difference-table forms
+# ---------------------------------------------------------------------------
+
+def ref_strictness_criterion(A, N, m_a, nu):
+    """The first polarization candidate f0 with
+    sum_l (-1)^l C(m_a-1, l) ||A^l N^(nu-1) f0||^2 != 0, from an orbit walk
+    per candidate (exact mode); (strict, witness)."""
+    P = N.power(nu - 1)
+    for f0 in polarization_candidates([basis_vector(A.dim, j, EXACT) for j in range(A.dim)]):
+        val = Scalar.exact(0)
+        for l, v in enumerate(islice(orbit(A, P.apply(f0)), m_a)):
+            val = val + vec_norm_sq(v) * ((-1) ** l * math.comb(m_a - 1, l))
+        if not val.is_zero():
+            return True, f0
+    return False, None
+
+
+def ref_restricted_strict_order(T, spanning):
+    """The first m <= 2 len(spanning) + 1 at which row m of the difference
+    table of ||T^n v||^2 starts at 0 for every polarization candidate v of
+    the spanning set (exact mode), else None."""
+    m_max = 2 * len(spanning) + 1
+    tables = [difference_table(orbit_sequence(T, v, m_max + 1), m_max)
+              for v in polarization_candidates(spanning)]
+    return next((m for m in range(1, m_max + 1)
+                 if all(t.row(m)[0].is_zero() for t in tables)), None)
+
+
+_gaussian_int = st.builds(Scalar.exact, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def jordan_pair_spans(draw):
+    """(T, spanning): J(z1, k1) (+) J(z2, k2), z1 != z2 unimodular, with the
+    cyclic subspaces of a random vector in each block, optionally conjugated
+    by a shear I + c E_ij that couples the blocks."""
+    z1, z2 = draw(st.lists(st.sampled_from(UNIMODULAR_EXACT), min_size=2, max_size=2,
+                           unique=True))
+    k1, k2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    T = direct_sum(jordan_matrix(JordanSpec(z1, k1)), jordan_matrix(JordanSpec(z2, k2)))
+    dim, zero = k1 + k2, Scalar.exact(0)
+    h1 = tuple(draw(st.lists(_gaussian_int, min_size=k1, max_size=k1)
+                    .filter(lambda v: any(not x.is_zero() for x in v)))) + (zero,) * k2
+    h2 = (zero,) * k1 + tuple(draw(st.lists(_gaussian_int, min_size=k2, max_size=k2)
+                                   .filter(lambda v: any(not x.is_zero() for x in v))))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, k1 - 1)), draw(st.integers(k1, dim - 1))
+        c = Scalar.exact(draw(st.sampled_from([-2, -1, 1, 2])))
+        E = DenseOperator([[c if (r, col) == (i, j) else zero for col in range(dim)]
+                           for r in range(dim)])
+        ident = DenseOperator.identity(dim, EXACT)
+        T = (ident + E) @ T @ (ident - E)
+        h1, h2 = (ident + E).apply(h1), (ident + E).apply(h2)
+    return T, cyclic_subspace(T, h1) + cyclic_subspace(T, h2)
+
+
+class TestLocalDefectTests:
+    """The defect-form criteria give the orbit-walk and difference-table
+    answers in exact mode."""
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=12, deadline=None)
+    def test_strictness_criterion_matches_the_orbit_walk(self, seed):
+        # the identity behind the criterion holds at every order, not only
+        # at the base's strict order m_a
+        for inst in perturbation_corpus(seed, count=3):
+            A, N = inst.base, inst.nilpotent
+            m_a, nu = strict_order(A).m, nilpotency_index(N).index
+            for m in range(1, m_a + 2):
+                assert (_strictness_criterion(A, N, m, nu, 0.0)
+                        == ref_strictness_criterion(A, N, m, nu))
+
+    @given(jordan_pair_spans())
+    @settings(max_examples=40, deadline=None)
+    def test_restricted_order_matches_the_difference_tables(self, case):
+        T, spanning = case
+        assert (_restricted_strict_order(T, spanning, 0.0)
+                == ref_restricted_strict_order(T, spanning))
 
 
 class TestCyclicSubspace:
