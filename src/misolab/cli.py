@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse error, 3 domain precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -330,7 +331,10 @@ def _cmd_verify(args):
 # Argument parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """Built once per process; main looks each _cmd_ function up per call,
+    so one rebound later (by a tracer or a test) is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="misolab",
         description="Analyze m-isometric operators: strict orders, "
@@ -349,18 +353,15 @@ def _build_parser():
     p.add_argument("--mmax", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
     common(p)
-    p.set_defaults(fn=_cmd_order)
 
     p = sub.add_parser("decompose", help="algebraic block decomposition")
     p.add_argument("file")
     common(p)
-    p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("shift", help="weighted-shift order query")
     p.add_argument("file")
     p.add_argument("--m", type=int, required=True)
     common(p)
-    p.set_defaults(fn=_cmd_shift)
 
     p = sub.add_parser("ortho", help="generalized-eigenvector orthogonality test")
     p.add_argument("file")
@@ -371,13 +372,11 @@ def _build_parser():
     p.add_argument("--eps", default=None, help="epsilon pair, e.g. 1,i or -1,-i")
     p.add_argument("--window", type=int, default=None)
     common(p)
-    p.set_defaults(fn=_cmd_ortho)
 
     p = sub.add_parser("perturb", help="nilpotent perturbation analysis")
     p.add_argument("file_a", help="base operator spec")
     p.add_argument("file_n", help="nilpotent perturbation spec")
     common(p)
-    p.set_defaults(fn=_cmd_perturb)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True,
@@ -385,15 +384,13 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0,
                    help="suite seed (overridden by MISOLAB_SEED)")
     p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_verify)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,10 +9,11 @@ alternating sum.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import islice
+from functools import partial, reduce
+from itertools import chain, islice, repeat
 from operator import add, mul
 from typing import Optional
 
@@ -22,11 +23,10 @@ from .matrices import (
     DenseOperator,
     FiniteVector,
     _orbit_inners,
-    _scalar,
+    _polarization_vector,
     basis_vector,
-    float_max_abs,
     orbit,
-    polarization_candidates,
+    polarization_pairs,
     vec_add,
     vec_inner,
     vec_scale,
@@ -73,34 +73,31 @@ def _defects(T):
     """beta_0, beta_1, ... as DefectOperators, without end, from one walk of
     the Gram operators.  beta_m is sum_k (-1)^k C(m,k) G_k on the parts of
     the Gram entries over the lcm of their denominators (1 in float mode),
-    added from k = 0 up; each G_k is taken apart, and in float mode
-    measured, once.  Float sums stay on the real and imaginary parts, not
-    the complex rows of the float kernels: before Python 3.14, int * complex
-    goes through complex(int), which can flip the sign of a zero."""
+    added from k = 0 up, and is made from those parts; each G_k is split,
+    and in float mode measured, once.  Float sums stay on the real and
+    imaginary parts: before Python 3.14, int * complex goes through
+    complex(int), which can flip the sign of a zero."""
     mode, n = T.mode, T.dim
     forms, sizes, den = [], [], 1
     for m, g in enumerate(_grams(T)):
-        forms.append(g._row_parts() if mode == EXACT else
-                     (1, [([s.re for s in r], [s.im for s in r]) for r in g.rows]))
-        den = math.lcm(den, forms[-1][0])
+        d, rows = g._row_parts()
+        forms.append((d, rows if mode == EXACT else
+                      [([z.real for z in r], [z.imag for z in r]) for r in rows]))
+        den = math.lcm(den, d)
         coeffs = [(-1) ** k * math.comb(m, k) * (den // d) for k, (d, _) in enumerate(forms)]
-        # entry (i, j) sums the (i, j) parts of G_0 .. G_m
-        matrix = DenseOperator([
-            [_scalar(reduce(add, map(mul, coeffs, re)), reduce(add, map(mul, coeffs, im)),
-                     den, mode)
-             for re, im in zip(zip(*(f[i][0] for _, f in forms)),
-                               zip(*(f[i][1] for _, f in forms)))]
-            for i in range(n)])
+        # part p (real, imaginary) of entry (i, j) sums the (i, j) parts of G_0 .. G_m
+        beta = [[[reduce(add, map(mul, coeffs, col)) for col in zip(*(f[i][p] for _, f in forms))]
+                 for p in (0, 1)] for i in range(n)]
         if mode == EXACT:
-            yield DefectOperator(m=m, matrix=matrix)
+            yield DefectOperator(m=m, matrix=DenseOperator._from_parts(EXACT, den, beta))
             continue
         sizes.append(max(g.max_abs(), 1.0))
         scale = sum(math.comb(m, k) * size for k, size in enumerate(sizes))
-        if not (math.isfinite(scale) and all(math.isfinite(x) for r in matrix.rows
-                                             for s in r for x in (s.re, s.im))):
+        if not (math.isfinite(scale) and all(map(math.isfinite, chain(*chain(*beta))))):
             raise PreconditionError(
                 f"float overflow: the Gram operators T*^k T^k for k <= {m} leave float range")
-        yield DefectOperator(m=m, matrix=matrix, float_scale=scale)
+        yield DefectOperator(m=m, float_scale=scale, matrix=DenseOperator._from_parts(
+            FLOAT, 1, [list(map(complex, re, im)) for re, im in beta]))
 
 
 def defect(T, m):
@@ -145,12 +142,18 @@ def default_m_max(T):
 def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
     """Smallest m <= m_max with beta_m(T) = 0, with a nonzero witness for
     beta_{m-1}; NotWithinBound otherwise."""
+    return _strict_order(T, m_max, tol)[0]
+
+
+def _strict_order(T, m_max, tol):
+    """(strict_order's verdict, beta_{m-1}), or beta_{m_max} if not strict."""
     if m_max is None:
         m_max = default_m_max(T)
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
-    prev = None
-    for d in islice(_defects(T), 1, m_max + 1):
+    walk = _defects(T)
+    prev = next(walk)
+    for d in islice(walk, m_max):
         m = d.m
         if d.matrix.is_zero(d.threshold(tol)):
             witness = None
@@ -161,35 +164,60 @@ def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
                         f"beta_{m - 1} reported nonzero but no witness found"
                     )
             return OrderVerdict(strict=True, m=m, witness=witness,
-                                residual=_residual(d.matrix))
+                                residual=_residual(d.matrix)), prev
         prev = d
-    return OrderVerdict(strict=False, m=m_max, residual=_residual(prev.matrix))
+    return OrderVerdict(strict=False, m=m_max, residual=_residual(prev.matrix)), prev
 
 
 def _residual(beta):
-    return float_max_abs((s for r in beta.rows for s in r), beta.mode)
+    return 0.0 if beta.mode == EXACT else beta.max_abs()
 
 
 def _nonzero_form_witness(d, tol):
-    """A vector h with <beta h, h> != 0 for a nonzero Hermitian beta.
-
-    Searches the diagonal first; a Hermitian matrix with vanishing diagonal
-    quadratic form on all e_j and on e_i + e_j, e_i + i e_j is zero, so the
-    polarization pairs complete the search.
-    """
+    """A vector h with <beta h, h> != 0 for a nonzero Hermitian beta: the first
+    best of e_a, e_a + e_b and e_a + i e_b (polarization_pairs), on all of
+    which only a zero Hermitian form vanishes.  The values are read from
+    beta's entries, and only the winner is built."""
     beta = d.matrix
     dim, mode = beta.dim, beta.mode
+    rows = beta._row_parts()[1]
+    value = (partial(_exact_form_value, rows) if mode == EXACT else
+             partial(_float_form_value, rows, list(zip(*rows))))
     # quadratic-form values can sit a factor ~2 below the largest entry,
     # hence the slack on the acceptance threshold
-    thr = d.threshold(tol) * 0.25 if mode == FLOAT else 0.0
-    best, best_val = None, thr
-    for h in polarization_candidates([basis_vector(dim, j, mode) for j in range(dim)]):
-        form = vec_inner(beta.apply(h), h)
-        # the form is real; exact mode ranks the exact value, never a float
-        val = form.modulus() if mode == FLOAT else abs(form.re)
-        if val > best_val:
-            best, best_val = h, val
-    return best
+    best, best_val = None, d.threshold(tol) * 0.25 if mode == FLOAT else 0
+    for c in polarization_pairs(dim):
+        if (val := value(*c)) > best_val:
+            best, best_val = c, val
+    if best is None:
+        return None
+    return _polarization_vector({j: basis_vector(dim, j, mode) for j in best[:2] if j is not None},
+                                *best)
+
+
+def _exact_form_value(rows, a, b, phase):
+    """|Re <beta h, h>| * den for h = e_a, e_a + e_b or e_a + i e_b (phase 1),
+    from beta's (re, im) rows over den, with no float."""
+    re_a, im_a = rows[a]
+    if b is None:
+        return abs(re_a[a])
+    re_b, im_b = rows[b]
+    return abs(re_a[a] + re_b[b] + (re_a[b] + re_b[a] if phase == 0 else im_b[a] - im_a[b]))
+
+
+def _float_form_value(rows, cols, a, b, phase):
+    """|<beta h, h>| for the same h, rounded as apply and vec_inner round it:
+    beta h is column a plus c = 1 or i times column b; its entries a and b
+    times conj(1) and conj(c) make the form, and any other entry meets a
+    zero of h, which gives nan if it left float range."""
+    if b is None:
+        return math.hypot(rows[a][a].real, rows[a][a].imag)
+    c = 1j if phase else 1 + 0j
+    y = list(map(add, cols[a], map(mul, cols[b], repeat(c))))
+    if not all(map(cmath.isfinite, y[:a] + y[a + 1:b] + y[b + 1:])):
+        return math.nan
+    z = y[a] * complex(1, -0.0) + y[b] * c.conjugate()
+    return math.hypot(z.real, z.imag)
 
 
 def orbit_sequence(T, h, window_len=None):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import partialmethod, reduce
 from operator import add, mul, sub
 
 from .errors import DimensionMismatchError, ModeMismatchError
@@ -15,7 +15,7 @@ from .scalars import EXACT, FLOAT, Scalar, same_mode
 class DenseOperator:
     """Immutable square matrix with all entries in one arithmetic mode."""
 
-    __slots__ = ("dim", "mode", "rows", "_parts_cache")
+    __slots__ = ("dim", "mode", "_rows", "_parts_cache")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -25,10 +25,26 @@ class DenseOperator:
         modes = {s.mode for r in rows for s in r}
         if len(modes) != 1:
             raise ModeMismatchError("all matrix entries must share one mode")
-        self.rows = rows
+        self._rows = rows
         self.dim = dim
         self.mode = modes.pop()
         self._parts_cache = None
+
+    @staticmethod
+    def _from_parts(mode, den, form):
+        """The operator of _row_parts() (den, form), den any common one; it
+        boxes its rows on first read.  Kernels (@, +, -, adjoint) make these."""
+        op = object.__new__(DenseOperator)
+        op.dim, op.mode, op._rows, op._parts_cache = len(form), mode, None, (den, form)
+        return op
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            (den, form), mode = self._parts_cache, self.mode
+            self._rows = tuple(tuple(_box(z, den, mode) for z in (zip(*r) if mode == EXACT else r))
+                               for r in form)
+        return self._rows
 
     # -- constructors -------------------------------------------------
 
@@ -59,26 +75,26 @@ class DenseOperator:
     def __matmul__(self, other):
         self._check(other)
         mode = self.mode
-        da, a_rows = self._row_parts()
-        db, b_rows = other._row_parts()
-        if mode == EXACT:
-            b_cols = list(zip(zip(*(re for re, _ in b_rows)), zip(*(im for _, im in b_rows))))
-        else:
-            b_cols = list(zip(*b_rows))
-        return DenseOperator([[_box(_dot(a, b, mode), da * db, mode) for b in b_cols]
-                              for a in a_rows])
+        (da, a_rows), (db, b_rows) = self._row_parts(), other._row_parts()
+        b_cols = _columns(b_rows, mode)
+        return DenseOperator._from_parts(mode, *_reduced(
+            [[_dot(a, b, mode) for b in b_cols] for a in a_rows], da * db, mode))
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other on the parts, op being add or sub."""
         self._check(other)
-        return DenseOperator(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        (da, a_rows), (db, b_rows) = self._row_parts(), other._row_parts()
+        if self.mode == FLOAT:
+            return DenseOperator._from_parts(FLOAT, 1, [list(map(op, a, b))
+                                                        for a, b in zip(a_rows, b_rows)])
+        den = math.lcm(da, db)
+        ka, kb = den // da, den // db
+        return DenseOperator._from_parts(EXACT, *_reduced(
+            [[(op(x * ka, u * kb), op(y * ka, v * kb)) for (x, y), (u, v) in zip(zip(*a), zip(*b))]
+             for a, b in zip(a_rows, b_rows)], den, EXACT))
 
-    def __sub__(self, other):
-        self._check(other)
-        return DenseOperator(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+    __add__ = partialmethod(_combine, op=add)
+    __sub__ = partialmethod(_combine, op=sub)
 
     def __neg__(self):
         return DenseOperator([[-a for a in r] for r in self.rows])
@@ -88,9 +104,9 @@ class DenseOperator:
 
     def adjoint(self):
         """Conjugate transpose."""
-        return DenseOperator(
-            [[self.rows[j][i].conj() for j in range(self.dim)] for i in range(self.dim)]
-        )
+        den, rows = self._row_parts()
+        return DenseOperator._from_parts(self.mode, den, [_conj(c, self.mode)
+                                                          for c in _columns(rows, self.mode)])
 
     def power(self, k):
         if k < 0:
@@ -130,11 +146,18 @@ class DenseOperator:
     def entry(self, i, j):
         return self.rows[i][j]
 
+    # as Scalar.modulus: math.hypot, not abs(complex), which rounds differently;
+    # int / int is float(Fraction), whatever den is
     def max_abs(self):
-        return max(s.modulus() for r in self.rows for s in r)
+        den, rows = self._row_parts()
+        if self.mode == EXACT:
+            return max(math.hypot(x / den, y / den) for re, im in rows for x, y in zip(re, im))
+        return max(math.hypot(z.real, z.imag) for r in rows for z in r)
 
     def is_zero(self, tol=0.0):
-        return all(s.is_zero(tol) for r in self.rows for s in r)
+        if self.mode == EXACT:
+            return not any(any(part) for r in self._row_parts()[1] for part in r)
+        return all(math.hypot(z.real, z.imag) <= tol for r in self._row_parts()[1] for z in r)
 
     def __eq__(self, other):
         if not isinstance(other, DenseOperator):
@@ -150,8 +173,8 @@ class DenseOperator:
 
 # ---------------------------------------------------------------------------
 # Kernels, one per operation for both modes.  The loops run on the kernel
-# form of the scalars (_parts) and each output entry becomes a Scalar again
-# (_box); orbit windows step the form itself and box only their samples.
+# form of the scalars (_parts); operator results keep it (rows box on first
+# read), apply and vec_inner box each entry, and orbit windows box samples.
 # Exact mode runs on Gaussian integers over one common denominator, so its
 # results are the canonical fractions the Scalar loops give.  Float mode runs
 # on Python complex: CPython's complex product is (ac - bd, ad + bc) and its
@@ -209,6 +232,24 @@ def _box(z, den, mode):
     return Scalar(FLOAT, z.real, z.imag)
 
 
+def _columns(rows, mode):
+    """The columns of _parts rows, in the same form."""
+    if mode == EXACT:
+        return list(zip(zip(*(re for re, _ in rows)), zip(*(im for _, im in rows))))
+    return list(zip(*rows))
+
+
+def _reduced(rows, den, mode):
+    """(den, form) of rows of _dot values over den: exact rows are split into
+    (re, im) lists and divided by one gcd of den and all their parts."""
+    if mode == EXACT:
+        rows = [([x for x, _ in r], [y for _, y in r]) for r in rows]
+        g = math.gcd(den, *(x for r in rows for part in r for x in part))
+        if g > 1:
+            den, rows = den // g, [([x // g for x in re], [y // g for y in im]) for re, im in rows]
+    return den, rows
+
+
 def _conj(form, mode):
     """The _parts form of the conjugate entries."""
     if mode == EXACT:
@@ -230,12 +271,8 @@ def _orbit_inners(op, u, v, count):
     dt, rows = op._row_parts()
 
     def step(d, f):
-        z = [_dot(a, f, mode) for a in rows]
-        if mode == FLOAT:
-            return 1, z
-        re, im = [x for x, _ in z], [y for _, y in z]
-        g = math.gcd(dt * d, *re, *im)
-        return dt * d // g, ([x // g for x in re], [y // g for y in im])
+        d, (f,) = _reduced([[_dot(a, f, mode) for a in rows]], dt * d, mode)
+        return d, f
 
     du, uf = _parts(u, mode)
     dv, vf = (du, uf) if v is u else _parts(v, mode)
@@ -330,18 +367,25 @@ def vec_is_zero(u, tol=0.0):
     return all(a.is_zero(tol) for a in u)
 
 
-def polarization_candidates(vectors):
-    """The vectors v_j, then v_a + v_b and v_a + i v_b for each a < b.
+def polarization_pairs(n):
+    """The candidates v_j, then v_a + v_b and v_a + i v_b for a < b, of n
+    vectors as triples (j, None, 0), (a, b, 0) and (a, b, 1).  A Hermitian
+    form vanishing on all of them vanishes on the span.  The order is fixed:
+    searches report the first best candidate."""
+    yield from ((j, None, 0) for j in range(n))
+    yield from ((a, b, p) for a in range(n) for b in range(a + 1, n) for p in (0, 1))
 
-    A Hermitian quadratic form vanishing on all of them vanishes on their
-    span.  The order is fixed: searches report the first best candidate."""
-    out = list(vectors)
-    i_unit = Scalar.i_unit(out[0][0].mode)
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            out.append(vec_add(vectors[a], vectors[b]))
-            out.append(vec_add(vectors[a], vec_scale(i_unit, vectors[b])))
-    return out
+
+def _polarization_vector(vectors, a, b, phase):
+    """The candidate (a, b, phase) of polarization_pairs."""
+    if b is None:
+        return vectors[a]
+    return vec_add(vectors[a], vectors[b] if phase == 0 else
+                   vec_scale(Scalar.i_unit(vectors[b][0].mode), vectors[b]))
+
+
+def polarization_candidates(vectors):
+    return [_polarization_vector(vectors, *c) for c in polarization_pairs(len(vectors))]
 
 
 def vec_max_abs(u):

@@ -27,9 +27,9 @@ from .errors import (
 from .isometry import (
     DEFAULT_DEFECT_TOL,
     _defects,
+    _strict_order,
     is_m_isometry,
     orbit_sequence,
-    strict_order,
 )
 from .matrices import (
     DenseOperator,
@@ -439,7 +439,7 @@ def perturbation_analysis(A, N, tol=DEFAULT_DEFECT_TOL):
     ninfo = nilpotency_index(N, tol)
     if ninfo is None:
         raise PreconditionError("perturbation is not nilpotent")
-    order_a = strict_order(A, tol=tol)
+    order_a, beta = _strict_order(A, None, tol)
     if not order_a.strict:
         raise PreconditionError(
             f"base operator is not an m-isometry within m <= {order_a.m}"
@@ -447,20 +447,19 @@ def perturbation_analysis(A, N, tol=DEFAULT_DEFECT_TOL):
     m_a, nu = order_a.m, ninfo.index
     m_bound = m_a + 2 * (nu - 1)
     bound_verified = is_m_isometry(A + N, m_bound, tol)
-    strict, witness = _strictness_criterion(A, N, m_a, nu, tol)
+    strict, witness = _strictness_criterion(beta, N, nu, tol)
     return PerturbationResult(
         m_a=m_a, nu=nu, m_bound=m_bound,
         bound_verified=bound_verified, strict=strict, witness=witness,
     )
 
 
-def _strictness_criterion(A, N, m_a, nu, tol):
-    """Search for f0 with <beta_{m_a-1}(A) w, w> != 0, w = N^(nu-1) f0,
-    against beta's float threshold scaled by ||w||^2.  The map f0 -> that
-    value is the quadratic form of a Hermitian operator, so vanishing on the
-    basis plus polarization combinations means it vanishes identically."""
-    dim, mode = A.dim, A.mode
-    d = next(islice(_defects(A), m_a - 1, None))
+def _strictness_criterion(d, N, nu, tol):
+    """Search for f0 with <beta w, w> != 0, w = N^(nu-1) f0, for the defect d
+    of beta = beta_{m_a-1}(A), against d's float threshold scaled by ||w||^2.
+    The map f0 -> that value is the quadratic form of a Hermitian operator,
+    so vanishing on the polarization candidates means it vanishes."""
+    dim, mode = N.dim, N.mode
     P = N.power(nu - 1)
     for f0 in polarization_candidates([basis_vector(dim, j, mode) for j in range(dim)]):
         w = P.apply(f0)

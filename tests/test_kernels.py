@@ -4,9 +4,10 @@ cross-checks that guard them."""
 import math
 from fractions import Fraction
 from itertools import islice
+from operator import add, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misolab import (
@@ -27,8 +28,8 @@ from misolab import (
 )
 from misolab import isometry, matrices
 from misolab.diffcalc import _check_binomial_form
-from misolab.isometry import _defects, _grams
-from misolab.matrices import _int_form, _orbit_inners
+from misolab.isometry import DefectOperator, _defects, _grams, _nonzero_form_witness
+from misolab.matrices import _int_form, _orbit_inners, basis_vector, polarization_candidates
 from misolab.scalars import EXACT, FLOAT
 
 # ---------------------------------------------------------------------------
@@ -61,10 +62,35 @@ def ref_inner(u, v):
 
 
 def ref_defect_from_grams(grams, m, mode=EXACT):
-    acc = DenseOperator.zeros(grams[0].dim, mode)
+    n = grams[0].dim
+    acc = [[Scalar.zero(mode)] * n for _ in range(n)]
     for k in range(m + 1):
-        acc = acc + grams[k].scale(Scalar.from_int((-1) ** k * math.comb(m, k), mode))
-    return acc.rows
+        c = Scalar.from_int((-1) ** k * math.comb(m, k), mode)
+        acc = [[x + c * g for x, g in zip(ra, rg)] for ra, rg in zip(acc, grams[k].rows)]
+    return tuple(map(tuple, acc))
+
+
+def ref_combine(a, b, op):
+    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+
+
+def ref_adjoint(a):
+    return [[a.rows[j][i].conj() for j in range(a.dim)] for i in range(a.dim)]
+
+
+def ref_nonzero_form_witness(d, tol):
+    """The witness search as a vector loop: one apply and one vec_inner per
+    polarization candidate."""
+    beta = d.matrix
+    dim, mode = beta.dim, beta.mode
+    thr = d.threshold(tol) * 0.25 if mode == FLOAT else 0.0
+    best, best_val = None, thr
+    for h in polarization_candidates([basis_vector(dim, j, mode) for j in range(dim)]):
+        form = vec_inner(beta.apply(h), h)
+        val = form.modulus() if mode == FLOAT else abs(form.re)
+        if val > best_val:
+            best, best_val = h, val
+    return best
 
 
 # Large, coprime and mixed denominators, plus exact zeros.
@@ -88,6 +114,20 @@ def operators(n):
 
 
 dims = st.integers(1, 4)
+# few values, so that candidates tie and "first best" decides
+tied_parts = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2)])
+
+
+def square(n, hermitian, entries):
+    """n x n rows of the entries; Hermitian (the upper triangle mirrored,
+    the diagonal real) if asked."""
+    rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+    if hermitian:
+        for i in range(n):
+            rows[i][i] = Scalar(rows[i][i].mode, rows[i][i].re, rows[i][i].re * 0)
+            for j in range(i):
+                rows[i][j] = rows[j][i].conj()
+    return rows
 
 
 class TestExactKernels:
@@ -118,6 +158,39 @@ class TestExactKernels:
             assert d.m == k
             assert d.matrix.rows == ref_defect_from_grams(grams, k)
 
+    @given(dims.flatmap(lambda n: st.tuples(operators(n), operators(n), operators(n))))
+    @settings(max_examples=30, deadline=None)
+    def test_operators_made_from_parts(self, abc):
+        # a @ b holds only its parts; each operation on it equals the Scalar loop
+        a, b, c = abc
+        ref = DenseOperator(ref_matmul(a, b))
+        assert a @ b == ref and hash(a @ b) == hash(ref)
+        for op in (add, sub):
+            assert list(map(list, op(a @ b, c).rows)) == ref_combine(ref, c, op)
+            assert list(map(list, op(c, a @ b).rows)) == ref_combine(c, ref, op)
+        assert list(map(list, (a @ b).adjoint().rows)) == ref_adjoint(ref)
+        assert (a @ b).is_zero() == all(s.is_zero() for r in ref.rows for s in r)
+        assert (a @ b - a @ b).is_zero()
+        assert (a @ b).max_abs() == max(s.modulus() for r in ref.rows for s in r)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.booleans(),
+        st.lists(st.tuples(tied_parts, tied_parts), min_size=n * n, max_size=n * n))),
+        st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_witness_reads_the_entries(self, case, k):
+        n, hermitian, entries = case
+        beta = DefectOperator(m=1, matrix=DenseOperator(
+            square(n, hermitian, [Scalar.exact(x, y) for x, y in entries])))
+        assert _nonzero_form_witness(beta, 0.0) == ref_nonzero_form_witness(beta, 0.0)
+        # beta over a denominator k times its least one, as _defects makes it
+        den, rows = beta.matrix._row_parts()
+        scaled = DenseOperator._from_parts(EXACT, den * k, [([x * k for x in re], [y * k for y in im])
+                                                            for re, im in rows])
+        assert scaled == beta.matrix
+        assert (_nonzero_form_witness(DefectOperator(m=1, matrix=scaled), 0.0)
+                == ref_nonzero_form_witness(beta, 0.0))
+
     def test_int_form(self):
         den, re, im = _int_form([Scalar.exact(Fraction(1, 6), Fraction(-3, 4)),
                                  Scalar.exact(0, 5)])
@@ -143,6 +216,11 @@ float_parts = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 float_scalars = st.builds(Scalar.flt, float_parts, float_parts)
+tied_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e300, 9e307, -9e307, 1.7e308,
+                     -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 BOUNDED = st.floats(-1e30, 1e30)
 
 
@@ -195,6 +273,68 @@ class TestFloatKernels:
             scale = sum(math.comb(k, j) * max(grams[j].max_abs(), 1.0) for j in range(k + 1))
             assert d.float_scale.hex() == scale.hex()
 
+    @given(dims.flatmap(lambda n: st.tuples(float_operators(n), float_operators(n),
+                                             float_operators(n))),
+           st.one_of(st.just(0.0), st.floats(0.0, 1e300)))
+    @settings(max_examples=60, deadline=None)
+    def test_operators_made_from_parts(self, abc, tol):
+        # a @ b holds only its parts; each operation on it equals the Scalar loop
+        a, b, c = abc
+        ref = DenseOperator(ref_matmul(a, b))
+        assert list(map(bits, (a @ b).rows)) == list(map(bits, ref.rows))
+        assert (a @ b == ref) == (DenseOperator(ref_matmul(a, b)) == ref)
+        if a @ b == ref:
+            assert hash(a @ b) == hash(ref)
+        for op in (add, sub):
+            assert list(map(bits, op(a @ b, c).rows)) == list(map(bits, ref_combine(ref, c, op)))
+            assert list(map(bits, op(c, a @ b).rows)) == list(map(bits, ref_combine(c, ref, op)))
+        assert list(map(bits, (a @ b).adjoint().rows)) == list(map(bits, ref_adjoint(ref)))
+        assert (a @ b).is_zero(tol) == all(s.is_zero(tol) for r in ref.rows for s in r)
+        assert (a @ b).max_abs().hex() == max(s.modulus() for r in ref.rows for s in r).hex()
+
+    # tied values, and values near the top of float range, where a sum of
+    # two entries overflows to inf in both paths
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.booleans(),
+        st.lists(st.tuples(tied_floats, tied_floats), min_size=n * n, max_size=n * n))),
+        st.sampled_from([0.0, 1e-8, 1.0]), st.floats(1.0, 1e308))
+    # an entry of beta h outside a and b overflows, so the vector loop's
+    # value is nan: Hermitian, on e_0 + e_2
+    @example((3, True, [(-1.7e308, -1.0), (1.7e308, -1.7e308), (0.5, -1.7e308),
+                        (9e307, -1.7e308), (-9e307, -1.7e308), (-1.7e308, -9e307),
+                        (-1.7e308, -1.7e308), (0.5, -9e307), (-1.0, 9e307)]), 0.0, 1.0)
+    # entry a of beta h overflows, and its product with conj(1) = 1 - 0i
+    # makes the other part nan
+    @example((2, False, [(0.5, 9e307), (9e307, 0.0), (-9e307, -1.7e308), (-9e307, -9e307)]),
+             0.0, 1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_witness_reads_the_entries(self, case, tol, scale):
+        n, hermitian, entries = case
+        beta = DefectOperator(m=1, matrix=DenseOperator(
+            square(n, hermitian, [Scalar.flt(x, y) for x, y in entries])), float_scale=scale)
+        got, ref = _nonzero_form_witness(beta, tol), ref_nonzero_form_witness(beta, tol)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert bits(got) == bits(ref)
+
+    def test_modulus_is_hypot(self, monkeypatch):
+        # abs(complex) and math.hypot (Scalar.modulus) differ in about one
+        # case in 5,000 on some builds; on this entry abs gives
+        # 0x1.61ed3c6c1e630p+4, math.hypot 0x1.61ed3c6c1e62fp+4
+        z = Scalar.flt(float.fromhex("0x1.4f6ca3fb9bd5ap+4"),
+                       float.fromhex("-0x1.c3beba815dfd2p+2"))
+        h = math.hypot(z.re, z.im)
+        G = DenseOperator([[z]])
+        assert G.max_abs() == h
+        # the Gram operator G_1 = G: beta_1's scale is max(|G_0|, 1) + |G_1|
+        identity = DenseOperator.identity(1, FLOAT)
+        monkeypatch.setattr(isometry, "_grams", lambda T: iter([identity, G]))
+        assert list(islice(_defects(identity), 2))[1].float_scale == 1.0 + h
+        # a one-entry beta whose threshold is its own modulus: not above it
+        beta = DefectOperator(m=1, matrix=G, float_scale=4 * h)
+        assert _nonzero_form_witness(beta, 1.0) is None
+        assert _nonzero_form_witness(beta, 0.5) == (Scalar.flt(1.0),)
+
     def test_mode_mismatch_raises(self):
         exact_op = DenseOperator.from_ints([[1, 0], [0, 1]])
         float_op = DenseOperator.from_ints([[1, 0], [0, 1]], FLOAT)
@@ -207,26 +347,38 @@ class TestFloatKernels:
 
 
 def test_strict_order_takes_each_operator_apart_once(monkeypatch):
-    """No operator's entries go through _parts twice, in either mode:
-    operators keep their parts (Gaussian integers, or Python complex in
-    float mode), and the defect walk takes T, T* and each Gram operator
-    apart once."""
-    converted = []   # kept alive, so that no id is reused by a later entry
-    real = matrices._parts
+    """strict_order takes apart only the operators its walk starts from, T
+    and the identity (built from Scalars), each once, in either mode: T*,
+    the Gram operators, the products T* G_k and every beta_m are made from
+    parts, so no product or beta entry becomes a Scalar."""
+    converted, boxed = [], []
+    real_parts, real_scalar, real_box = matrices._parts, matrices._scalar, matrices._box
 
     def counting(scalars, mode):
-        converted.append((mode, scalars))
-        return real(scalars, mode)
+        converted.append(scalars)
+        return real_parts(scalars, mode)
+
+    def scalar(*args):
+        boxed.append(args)
+        return real_scalar(*args)
+
+    def box(*args):
+        boxed.append(args)
+        return real_box(*args)
 
     monkeypatch.setattr(matrices, "_parts", counting)
+    monkeypatch.setattr(matrices, "_scalar", scalar)
+    monkeypatch.setattr(matrices, "_box", box)
     for mode in (EXACT, FLOAT):
         T = jordan_matrix(JordanSpec(z=Scalar.one(mode), size=4))
+        identity = DenseOperator.identity(4, mode)
+        converted.clear()
         assert strict_order(T).describe() == "strict-order(7)"
-        operators = [tuple(sorted(map(id, s))) for m, s in converted
-                     if m == mode and len(s) == 16]
-        # T, T*, the Gram operators G_k and the products T* G_k of the walk
-        assert len(set(operators)) >= 10
-        assert len(set(operators)) == len(operators)
+        assert boxed == []
+        entries = [[s for r in op.rows for s in r] for op in (T, identity)]
+        assert len(converted) == 2
+        assert [s is t for s, t in zip(converted[0], entries[0])] == [True] * 16
+        assert converted[1] == entries[1]
 
 
 def orbit_window(T, u, v, n):

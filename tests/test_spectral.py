@@ -35,6 +35,7 @@ from misolab import (
     vec_norm_sq,
     vec_scale,
 )
+from misolab.isometry import _defects
 from misolab.matrices import polarization_candidates
 from misolab.scalars import EXACT, FLOAT
 from misolab.spectral import (_restricted_strict_order, _strictness_criterion, exact_nullspace,
@@ -491,8 +492,8 @@ class TestLocalDefectTests:
         for inst in perturbation_corpus(seed, count=3):
             A, N = inst.base, inst.nilpotent
             m_a, nu = strict_order(A).m, nilpotency_index(N).index
-            for m in range(1, m_a + 2):
-                assert (_strictness_criterion(A, N, m, nu, 0.0)
+            for m, d in enumerate(islice(_defects(A), m_a + 1), 1):
+                assert (_strictness_criterion(d, N, nu, 0.0)
                         == ref_strictness_criterion(A, N, m, nu))
 
     @given(jordan_pair_spans())
