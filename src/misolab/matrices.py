@@ -33,7 +33,7 @@ class DenseOperator:
     @staticmethod
     def _from_parts(mode, den, form):
         """The operator of _row_parts() (den, form), den any common one; it
-        boxes its rows on first read.  Kernels (@, +, -, adjoint) make these."""
+        boxes its rows on first read.  Kernels (@, +, -, adjoint, scale) make these."""
         op = object.__new__(DenseOperator)
         op.dim, op.mode, op._rows, op._parts_cache = len(form), mode, None, (den, form)
         return op
@@ -97,10 +97,22 @@ class DenseOperator:
     __sub__ = partialmethod(_combine, op=sub)
 
     def __neg__(self):
-        return DenseOperator([[-a for a in r] for r in self.rows])
+        den, rows = self._row_parts()
+        return DenseOperator._from_parts(self.mode, den, [
+            [-z for z in r] if self.mode == FLOAT else ([-x for x in r[0]], [-y for y in r[1]])
+            for r in rows])
 
     def scale(self, c):
-        return DenseOperator([[c * a for a in r] for r in self.rows])
+        """c times the operator, c as Scalar arithmetic takes it; in float
+        mode each entry is c * z, the Scalar product, bit for bit."""
+        mode = self.mode
+        den, rows = self._row_parts()
+        dc, w = _scalar_parts(c, mode)
+        if mode == FLOAT:
+            return DenseOperator._from_parts(FLOAT, 1, [[w[0] * z for z in r] for r in rows])
+        (p,), (q,) = w
+        return DenseOperator._from_parts(EXACT, *_reduced(
+            [[(x * p - y * q, x * q + y * p) for x, y in zip(*r)] for r in rows], den * dc, EXACT))
 
     def adjoint(self):
         """Conjugate transpose."""
@@ -204,6 +216,15 @@ def _parts(scalars, mode):
         den, re, im = _int_form(scalars)
         return den, (re, im)
     return 1, [complex(s.re, s.im) for s in scalars]
+
+
+def _scalar_parts(c, mode):
+    """_parts of the one scalar c: a Scalar of the mode, or an int (a
+    Fraction in exact mode, a float in float mode) taken into it."""
+    s = Scalar.zero(mode)._coerce(c)
+    if s is None:
+        raise TypeError(f"not a {mode} scalar: {c!r}")
+    return _parts([s], mode)
 
 
 def _scalar(re, im, den, mode):

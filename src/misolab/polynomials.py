@@ -7,11 +7,12 @@ The degree of the zero polynomial is a distinguished sentinel (None), not
 from __future__ import annotations
 
 from .errors import ModeMismatchError
-from .scalars import EXACT, Scalar
+from .matrices import _parts, _scalar, _scalar_parts
+from .scalars import EXACT, FLOAT, Scalar
 
 
 class Polynomial:
-    __slots__ = ("coeffs", "mode")
+    __slots__ = ("coeffs", "mode", "_parts_cache")
 
     def __init__(self, coeffs, mode=None):
         coeffs = list(coeffs)
@@ -28,6 +29,7 @@ class Polynomial:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
         self.mode = mode
+        self._parts_cache = None
 
     @staticmethod
     def zero(mode):
@@ -49,13 +51,25 @@ class Polynomial:
         return self.coeffs[k] if k < len(self.coeffs) else Scalar.zero(self.mode)
 
     def __call__(self, x):
-        """Evaluate at a Scalar (or int, coerced to this polynomial's mode)."""
-        if isinstance(x, int):
-            x = Scalar.from_int(x, self.mode)
-        acc = Scalar.zero(self.mode)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Evaluate at a Scalar (or int, coerced to this polynomial's mode) by
+        Horner on the coefficients' kernel form (matrices._parts), taken once:
+        on Gaussian integers, (re + i im) / (den e^k) the sum after k steps for
+        x over e, or on complex, which rounds as the Scalar loop does."""
+        if self._parts_cache is None:
+            self._parts_cache = _parts(self.coeffs, self.mode)
+        den, form = self._parts_cache
+        e, w = _scalar_parts(x, self.mode)
+        if self.mode == FLOAT:
+            acc = 0j
+            for c in reversed(form):
+                acc = acc * w[0] + c
+            return Scalar(FLOAT, acc.real, acc.imag)
+        (p,), (q,) = w
+        re, im, ek = 0, 0, 1
+        for a, b in zip(reversed(form[0]), reversed(form[1])):
+            ek *= e
+            re, im = re * p - im * q + a * ek, re * q + im * p + b * ek
+        return _scalar(re, im, den * ek, EXACT)
 
     def __add__(self, other):
         self._check(other)

@@ -105,19 +105,28 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.mode == EXACT:
+            # (x + iy)/bd over (u + iv)/fh is (x + iy)(u - iv) fh / ((u^2 + v^2) bd):
+            # one Gaussian-integer quotient, then one Fraction per part
+            (a, b), (c, d) = self.re.as_integer_ratio(), self.im.as_integer_ratio()
+            (e, f), (g, h) = o.re.as_integer_ratio(), o.im.as_integer_ratio()
+            x, y, u, v = a * d, c * b, e * h, g * f
+            k, den = f * h, (u * u + v * v) * b * d
+            if den == 0:
+                raise ZeroDivisionError("division by zero scalar")
+            return Scalar(EXACT, Fraction((x * u + y * v) * k, den),
+                          Fraction((y * u - x * v) * k, den))
         d = o.re * o.re + o.im * o.im
-        if d == 0:
-            if self.mode == FLOAT and not o.is_zero(0.0):
-                # |o|^2 underflowed: divide by o scaled to about 1 first
-                s = max(abs(o.re), abs(o.im))
+        if d == 0 or d == math.inf:
+            s = max(abs(o.re), abs(o.im))
+            if 0 < s < math.inf:
+                # |o|^2 under- or overflowed: divide by o scaled to about 1 first
                 return (Scalar(FLOAT, self.re / s, self.im / s)
                         / Scalar(FLOAT, o.re / s, o.im / s))
-            raise ZeroDivisionError("division by zero scalar")
-        return Scalar(
-            self.mode,
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+            if d == 0:
+                raise ZeroDivisionError("division by zero scalar")
+        return Scalar(FLOAT, (self.re * o.re + self.im * o.im) / d,
+                      (self.im * o.re - self.re * o.im) / d)
 
     def __neg__(self):
         return Scalar(self.mode, -self.re, -self.im)

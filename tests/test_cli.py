@@ -99,6 +99,16 @@ class TestCommands:
         assert main(["shift", path, "--m", "2"]) == 0
         assert "is_m_isometry: True" in capsys.readouterr().out
 
+    def test_float_shift_with_huge_coefficients(self, tmp_path, capsys):
+        # p(n) = 1e300 (1 + n + n^2): |p(n)|^2 overflows, while each weight
+        # p(n+1)/p(n) is at most 3
+        path = write(tmp_path, "s.json", {"mode": "float", "shift": {
+            "polynomial": [1e300, 1e300, 1e300], "prefix": 32}})
+        assert main(["shift", path, "--m", "3"]) == 0
+        assert "is_m_isometry: True" in capsys.readouterr().out
+        assert main(["shift", path, "--m", "2"]) == 0
+        assert "is_m_isometry: False" in capsys.readouterr().out
+
     def test_ortho(self, tmp_path, capsys):
         path = write(tmp_path, "e.json", EXAMPLE_DOC)
         code = main(["ortho", path, "--h1", "1,0", "--h2", "0+1i,1",

@@ -17,6 +17,7 @@ from misolab import (
     JordanSpec,
     ModeMismatchError,
     OrbitSequence,
+    Polynomial,
     PreconditionError,
     Scalar,
     defect,
@@ -26,7 +27,7 @@ from misolab import (
     strict_order,
     vec_inner,
 )
-from misolab import isometry, matrices
+from misolab import isometry, matrices, polynomials
 from misolab.diffcalc import _check_binomial_form
 from misolab.isometry import DefectOperator, _defects, _grams, _nonzero_form_witness
 from misolab.matrices import _int_form, _orbit_inners, basis_vector, polarization_candidates
@@ -461,6 +462,175 @@ def test_orbit_windows_take_each_vector_apart_once(monkeypatch):
         assert [s is h for s in converted].count(True) == 1
         assert len([s for s in converted if len(s) == 16]) <= 1
         assert len(converted) <= 2
+
+
+# ---------------------------------------------------------------------------
+# Polynomial evaluation, scalar multiples, negation and exact division run on
+# the kernel form too; the Scalar loops they replaced are the references.
+# ---------------------------------------------------------------------------
+
+
+def ref_poly_eval(p, x):
+    """Horner on Scalars."""
+    if isinstance(x, int):
+        x = Scalar.from_int(x, p.mode)
+    acc = Scalar.zero(p.mode)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def ref_scale(a, c):
+    return [[c * x for x in r] for r in a.rows]
+
+
+def ref_neg(a):
+    return [[-x for x in r] for r in a.rows]
+
+
+def ref_div(s, o):
+    """The quotient by |o|^2 first, then both parts over it."""
+    d = o.re * o.re + o.im * o.im
+    if d == 0:
+        if s.mode == FLOAT and not o.is_zero(0.0):
+            k = max(abs(o.re), abs(o.im))
+            return ref_div(Scalar(FLOAT, s.re / k, s.im / k), Scalar(FLOAT, o.re / k, o.im / k))
+        raise ZeroDivisionError("division by zero scalar")
+    return Scalar(s.mode, (s.re * o.re + s.im * o.im) / d, (s.im * o.re - s.re * o.im) / d)
+
+
+def fractions(s):
+    return type(s.re) is Fraction and type(s.im) is Fraction
+
+
+def exact_polynomials(coeffs=gaussian):
+    return st.lists(coeffs, max_size=6).map(lambda cs: Polynomial(cs, mode=EXACT))
+
+
+def float_polynomials(coeffs=float_scalars):
+    return st.lists(coeffs, max_size=6).map(lambda cs: Polynomial(cs, mode=FLOAT))
+
+
+imaginary = st.builds(lambda y: Scalar.exact(0, y), parts)
+exact_arguments = st.one_of(st.integers(-10 ** 6, 10 ** 6), parts, gaussian, imaginary)
+non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+class TestExactScalarKernels:
+    @given(exact_polynomials(st.one_of(gaussian, imaginary)), exact_arguments)
+    @example(Polynomial([], mode=EXACT), Fraction(3, 2 ** 61 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_polynomial_eval(self, p, x):
+        got = p(x)
+        assert got == ref_poly_eval(p, x) and fractions(got)
+        assert p(x) == got  # the kept parts give the same value again
+
+    @given(dims.flatmap(lambda n: st.tuples(operators(n), st.one_of(gaussian, imaginary,
+                                                                    st.integers(-5, 5)))))
+    @settings(max_examples=40, deadline=None)
+    def test_scale_and_negation(self, ac):
+        a, c = ac
+        for op in (a, a @ a):
+            assert list(map(list, op.scale(c).rows)) == ref_scale(op, c)
+            assert list(map(list, (-op).rows)) == ref_neg(op)
+            assert all(fractions(x) for r in (-op).scale(c).rows for x in r)
+
+    @given(st.one_of(gaussian, imaginary), st.one_of(gaussian, imaginary))
+    @settings(max_examples=150, deadline=None)
+    def test_division(self, s, o):
+        if o.is_zero():
+            with pytest.raises(ZeroDivisionError, match="^division by zero scalar$"):
+                s / o
+        else:
+            assert s / o == ref_div(s, o) and fractions(s / o)
+
+
+class TestFloatScalarKernels:
+    @given(float_polynomials(), st.one_of(float_scalars, st.integers(-40, 40)))
+    @example(Polynomial([Scalar.flt(-0.0, 0.0)], mode=FLOAT), Scalar.flt(-0.0, -0.0))
+    @example(Polynomial([Scalar.flt(1e200), Scalar.flt(1e200, -1e200)], mode=FLOAT), 10 ** 200)
+    @settings(max_examples=150, deadline=None)
+    def test_polynomial_eval(self, p, x):
+        assert bits([p(x)]) == bits([ref_poly_eval(p, x)])
+
+    @given(dims.flatmap(lambda n: st.tuples(float_operators(n),
+                                             st.one_of(float_scalars, st.integers(-5, 5)))))
+    @settings(max_examples=60, deadline=None)
+    def test_scale_and_negation(self, ac):
+        a, c = ac
+        for op in (a, a @ a):
+            assert list(map(bits, op.scale(c).rows)) == list(map(bits, ref_scale(op, c)))
+            assert list(map(bits, (-op).rows)) == list(map(bits, ref_neg(op)))
+
+    @given(float_scalars, st.one_of(float_scalars, st.builds(
+        Scalar.flt, st.one_of(float_parts, non_finite), st.one_of(float_parts, non_finite))))
+    @example(Scalar.flt(-0.0, 0.0), Scalar.flt(1.0, -0.0))
+    @example(Scalar.flt(1e308, 1e308), Scalar.flt(5e-324))
+    @settings(max_examples=200, deadline=None)
+    def test_division(self, s, o):
+        d = o.re * o.re + o.im * o.im
+        if o.is_zero(0.0):
+            with pytest.raises(ZeroDivisionError):
+                s / o
+        elif d == math.inf and math.isfinite(o.re) and math.isfinite(o.im):
+            # |o|^2 overflows: o is scaled to about 1 first, which keeps the
+            # quotient accurate where the plain formula gives 0 or nan;
+            # compared with the exact quotient, rounded once
+            exact = (Scalar.exact(Fraction(s.re), Fraction(s.im))
+                     / Scalar.exact(Fraction(o.re), Fraction(o.im)))
+            want = complex(float(exact.re), float(exact.im))
+            assert abs((s / o).as_complex() - want) <= 1e-15 * abs(want) + 2e-323
+        else:
+            assert bits([s / o]) == bits([ref_div(s, o)])
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_scalar_kernels_refuse_the_other_mode(mode):
+    other = FLOAT if mode == EXACT else EXACT
+    p = Polynomial.from_ints([1, 2, 3], mode)
+    with pytest.raises(ModeMismatchError):
+        p(Scalar.one(other))
+    with pytest.raises(ModeMismatchError):
+        DenseOperator.identity(2, mode).scale(Scalar.one(other))
+    with pytest.raises(ModeMismatchError):
+        Scalar.one(mode) / Scalar.one(other)
+
+
+def test_scalar_kernels_box_only_their_results(monkeypatch):
+    """A polynomial takes its coefficients apart once, however often it is
+    evaluated, and its Horner loop makes no Scalar product or sum; zI and
+    T - zI are made from parts, boxing nothing."""
+    converted = []
+    real_parts = matrices._parts
+
+    def counting(scalars, mode):
+        converted.append(list(scalars))
+        return real_parts(scalars, mode)
+
+    def refused(*args):
+        raise AssertionError("Scalar arithmetic in a kernel")
+
+    monkeypatch.setattr(polynomials, "_parts", counting)
+    for attr in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Scalar, attr, refused)
+    for mode in (EXACT, FLOAT):
+        p = Polynomial.from_ints([1, 2, 3], mode)
+        converted.clear()
+        values = [p(n) for n in range(20)] + [p(Scalar.i_unit(mode))]
+        assert converted == [list(p.coeffs)]
+        assert values[3] == Scalar.from_int(34, mode)
+        assert values[-1] == Scalar(mode, *((-2, 2) if mode == EXACT else (-2.0, 2.0)))
+    monkeypatch.undo()
+    monkeypatch.setattr(matrices, "_scalar", refused)
+    monkeypatch.setattr(matrices, "_box", refused)
+    T = jordan_matrix(JordanSpec(z=Scalar.exact(Fraction(3, 5), Fraction(4, 5)), size=3))
+    z = Scalar.exact(Fraction(3, 5), Fraction(4, 5))
+    zI = DenseOperator.identity(3, EXACT).scale(z)
+    N = T - zI
+    assert N._row_parts() == (1, [([0, 1, 0], [0, 0, 0]), ([0, 0, 1], [0, 0, 0]),
+                                  ([0, 0, 0], [0, 0, 0])])
+    assert zI._row_parts() == (5, [([3 * (i == j) for j in range(3)],
+                                    [4 * (i == j) for j in range(3)]) for i in range(3)])
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,14 @@ class TestScalar:
         with pytest.raises(ZeroDivisionError):
             Scalar.flt(1.0) / Scalar.flt(0.0)
 
+    def test_float_division_by_huge_divisor(self):
+        # |d|^2 overflows to inf for |d| > 1.4e154; d itself is finite
+        assert Scalar.flt(3e300) / Scalar.flt(1e300) == Scalar.flt(3.0)
+        q = Scalar.flt(6e300, 8e300) / Scalar.flt(3e300, -4e300)
+        assert abs(q.as_complex() - (6 + 8j) / (3 - 4j)) < 1e-15
+        # an infinite divisor keeps the plain formula's nan
+        assert math.isnan((Scalar.flt(1.0) / Scalar.flt(math.inf)).re)
+
     def test_mode_mixing_raises(self):
         with pytest.raises(ModeMismatchError):
             Scalar.exact(1) + Scalar.flt(1.0)
