@@ -14,13 +14,15 @@ from functools import reduce
 from operator import add, mul
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     InternalCheckError,
     NotPolynomialError,
     PreconditionError,
     WindowTooShortError,
 )
-from .matrices import _int_form, _scalar
+from .matrices import _fweighted_sum, _int_form, _scalar
 from .polynomials import Polynomial, falling_factorial_poly
 from .scalars import EXACT, FLOAT, Scalar, same_mode
 
@@ -100,8 +102,10 @@ class DifferenceTable:
         self._gamma, self.depth = gamma, depth
         if gamma.mode == EXACT:
             self._den, reals, _ = _int_form(gamma.values)
+            self._vals = reals
         else:
             self._den, reals = 1, [v.re for v in gamma.values]
+            self._vals = np.array(reals)     # row 0 for the binomial check
         self._plain = [reals]
         # the binomial check's slack scale; 0.0 for ints, which compare exactly
         self._scale = max(1.0, gamma.max_abs()) if gamma.mode == FLOAT else 0.0
@@ -120,7 +124,7 @@ class DifferenceTable:
         rows = self._plain
         while len(rows) <= k:
             row = [b - a for a, b in zip(rows[-1], rows[-1][1:])]
-            _check_binomial_form(rows[0], len(rows), row, self._scale)
+            _check_binomial_form(self._vals, len(rows), row, self._scale)
             rows.append(row)
         return rows[k]
 
@@ -150,16 +154,27 @@ def _check_binomial_form(vals, m, row, scale):
 
     The entries are ints or floats; float entries may differ by a slack
     that grows with the largest binomial coefficient, and scale is 0.0 for
-    ints, which are compared exactly.  A float entry or binomial sum beyond
-    float range makes the two disagree; that is an overflow, not a failed
-    check, and raises PreconditionError."""
+    ints, which are compared exactly.  Float sums run on float64 arrays
+    through matrices._fweighted_sum, from k = 0 up.  A float entry or
+    binomial sum beyond float range makes the two disagree; that is an
+    overflow, not a failed check, and raises PreconditionError."""
     coeffs = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
     what = f"the binomial check of difference row {m}"
-    slack = 0 if not scale else _float_threshold(
-        _float_threshold(1e-12 * scale, math.comb(m, m // 2), 1, what), m + 1, 1, what)
-    for n, entry in enumerate(row):
-        # reduce, not sum(): sum() compensates float sums from Python 3.12 on
-        acc = reduce(add, map(mul, coeffs, vals[n:n + m + 1]), 0)
+    if not scale:
+        slack, sums = 0, [reduce(add, map(mul, coeffs, vals[n:n + m + 1]), 0)
+                          for n in range(len(row))]
+    else:
+        slack = _float_threshold(_float_threshold(1e-12 * scale, math.comb(m, m // 2), 1, what),
+                                 m + 1, 1, what)
+        vals, row = np.asarray(vals, dtype=float), np.asarray(row, dtype=float)
+        # row n of windows is vals[n:n + m + 1], a view of vals
+        windows = np.ndarray((len(row), m + 1), float, vals, 0, vals.strides * 2)
+        sums = _fweighted_sum(coeffs, windows, 1)
+        with np.errstate(all="ignore"):
+            if (abs(sums - row) <= slack).all():
+                return
+        sums, row = sums.tolist(), row.tolist()
+    for n, (acc, entry) in enumerate(zip(sums, row)):
         if not abs(acc - entry) <= slack:
             if scale and not (math.isfinite(acc) and math.isfinite(entry)):
                 raise PreconditionError(f"float overflow: difference row {m} or {what} "

@@ -13,16 +13,26 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import add, mul
 from typing import Optional
 
+import numpy as np
+
 from .diffcalc import OrbitSequence, default_window_len, detect_degree
-from .errors import InternalCheckError, PreconditionError, WindowTooShortError
+from .errors import (
+    DimensionMismatchError,
+    InternalCheckError,
+    ModeMismatchError,
+    PreconditionError,
+    WindowTooShortError,
+)
 from .matrices import (
     DenseOperator,
     FiniteVector,
+    _fweighted_sum,
     _orbit_inners,
+    _orbit_windows,
     _polarization_vector,
     basis_vector,
     orbit,
@@ -72,32 +82,31 @@ def _grams(T):
 def _defects(T):
     """beta_0, beta_1, ... as DefectOperators, without end, from one walk of
     the Gram operators.  beta_m is sum_k (-1)^k C(m,k) G_k on the parts of
-    the Gram entries over the lcm of their denominators (1 in float mode),
-    added from k = 0 up, and is made from those parts; each G_k is split,
-    and in float mode measured, once.  Float sums stay on the real and
-    imaginary parts: before Python 3.14, int * complex goes through
-    complex(int), which can flip the sign of a zero."""
-    mode, n = T.mode, T.dim
+    the Gram entries, added from k = 0 up, and is made from those parts: in
+    exact mode over the lcm of their denominators, in float mode on the
+    float64 arrays by _fweighted_sum.  Each G_k is split, and in float mode
+    measured, once."""
+    mode = T.mode
     forms, sizes, den = [], [], 1
     for m, g in enumerate(_grams(T)):
         d, rows = g._row_parts()
-        forms.append((d, rows if mode == EXACT else
-                      [([z.real for z in r], [z.imag for z in r]) for r in rows]))
+        forms.append((d, rows))
         den = math.lcm(den, d)
         coeffs = [(-1) ** k * math.comb(m, k) * (den // d) for k, (d, _) in enumerate(forms)]
-        # part p (real, imaginary) of entry (i, j) sums the (i, j) parts of G_0 .. G_m
-        beta = [[[reduce(add, map(mul, coeffs, col)) for col in zip(*(f[i][p] for _, f in forms))]
-                 for p in (0, 1)] for i in range(n)]
         if mode == EXACT:
+            # part p (real, imaginary) of entry (i, j) sums the (i, j) parts of G_0 .. G_m
+            beta = [[[reduce(add, map(mul, coeffs, col)) for col in zip(*(f[i][p] for _, f in forms))]
+                     for p in (0, 1)] for i in range(T.dim)]
             yield DefectOperator(m=m, matrix=DenseOperator._from_parts(EXACT, den, beta))
             continue
         sizes.append(max(g.max_abs(), 1.0))
         scale = sum(math.comb(m, k) * size for k, size in enumerate(sizes))
-        if not (math.isfinite(scale) and all(map(math.isfinite, chain(*chain(*beta))))):
+        beta = _fweighted_sum(coeffs, np.stack([f for _, f in forms]), 0)
+        if not (math.isfinite(scale) and np.isfinite(beta).all()):
             raise PreconditionError(
                 f"float overflow: the Gram operators T*^k T^k for k <= {m} leave float range")
-        yield DefectOperator(m=m, float_scale=scale, matrix=DenseOperator._from_parts(
-            FLOAT, 1, [list(map(complex, re, im)) for re, im in beta]))
+        yield DefectOperator(m=m, float_scale=scale,
+                             matrix=DenseOperator._from_parts(FLOAT, 1, beta))
 
 
 def defect(T, m):
@@ -181,6 +190,9 @@ def _nonzero_form_witness(d, tol):
     beta = d.matrix
     dim, mode = beta.dim, beta.mode
     rows = beta._row_parts()[1]
+    if mode == FLOAT:
+        # read one value at a time, on Python complex
+        rows = [list(map(complex, re, im)) for re, im in zip(rows[0].tolist(), rows[1].tolist())]
     value = (partial(_exact_form_value, rows) if mode == EXACT else
              partial(_float_form_value, rows, list(zip(*rows))))
     # quadratic-form values can sit a factor ~2 below the largest entry,
@@ -325,6 +337,24 @@ def _vec_mode(v):
     return v[0].mode
 
 
+def _survey_windows(op, vectors, window_len):
+    """orbit_sequence's sample windows of the vectors on the dense operator
+    op, from one _orbit_windows walk.  The walk stops before the first
+    vector apply refuses, and takes none if the window is too short; the
+    survey's loop hands those to orbit_sequence, which raises its error
+    where the vector-by-vector loop did."""
+    if window_len is None:
+        window_len = default_window_len(op.dim)
+    walked = []
+    for h in vectors if window_len >= 2 else ():
+        try:
+            op._check_vec(h)
+        except (DimensionMismatchError, ModeMismatchError):
+            break
+        walked.append((h, h))
+    return _orbit_windows(op, walked, window_len)
+
+
 @dataclass(frozen=True)
 class SurveyResult:
     per_vector: tuple                     # DegreeVerdict per surveyed vector
@@ -346,12 +376,14 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
     vectors = list(vectors)
     if not vectors:
         raise PreconditionError("survey needs at least one vector")
-    global_verdict = None
+    global_verdict, windows = None, []
     if isinstance(op, DenseOperator):
         global_verdict = strict_order(op, m_max=m_max, tol=defect_tol)
+        windows = _survey_windows(op, vectors, window_len)
     verdicts = []
-    for h in vectors:
-        verdicts.append(detect_degree(orbit_sequence(op, h, window_len)))
+    for j, h in enumerate(vectors):
+        gamma = OrbitSequence(windows[j]) if j < len(windows) else orbit_sequence(op, h, window_len)
+        verdicts.append(detect_degree(gamma))
     lower = 0
     all_poly = True
     for v in verdicts:

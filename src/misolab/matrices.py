@@ -8,6 +8,8 @@ from fractions import Fraction
 from functools import partialmethod, reduce
 from operator import add, mul, sub
 
+import numpy as np
+
 from .errors import DimensionMismatchError, ModeMismatchError
 from .scalars import EXACT, FLOAT, Scalar, same_mode
 
@@ -35,15 +37,17 @@ class DenseOperator:
         """The operator of _row_parts() (den, form), den any common one; it
         boxes its rows on first read.  Kernels (@, +, -, adjoint, scale) make these."""
         op = object.__new__(DenseOperator)
-        op.dim, op.mode, op._rows, op._parts_cache = len(form), mode, None, (den, form)
+        op.dim = form.shape[1] if mode == FLOAT else len(form)
+        op.mode, op._rows, op._parts_cache = mode, None, (den, form)
         return op
 
     @property
     def rows(self):
         if self._rows is None:
             (den, form), mode = self._parts_cache, self.mode
-            self._rows = tuple(tuple(_box(z, den, mode) for z in (zip(*r) if mode == EXACT else r))
-                               for r in form)
+            if mode == FLOAT:
+                form = list(zip(form[0].tolist(), form[1].tolist()))
+            self._rows = tuple(tuple(_box(z, den, mode) for z in zip(*r)) for r in form)
         return self._rows
 
     # -- constructors -------------------------------------------------
@@ -74,51 +78,55 @@ class DenseOperator:
 
     def __matmul__(self, other):
         self._check(other)
-        mode = self.mode
         (da, a_rows), (db, b_rows) = self._row_parts(), other._row_parts()
-        b_cols = _columns(b_rows, mode)
-        return DenseOperator._from_parts(mode, *_reduced(
-            [[_dot(a, b, mode) for b in b_cols] for a in a_rows], da * db, mode))
+        if self.mode == FLOAT:
+            return DenseOperator._from_parts(FLOAT, 1, _fmatmul(a_rows, b_rows))
+        b_cols = _columns(b_rows)
+        return DenseOperator._from_parts(EXACT, *_reduced(
+            [[_dot(a, b) for b in b_cols] for a in a_rows], da * db))
 
     def _combine(self, other, op):
         """self op other on the parts, op being add or sub."""
         self._check(other)
         (da, a_rows), (db, b_rows) = self._row_parts(), other._row_parts()
         if self.mode == FLOAT:
-            return DenseOperator._from_parts(FLOAT, 1, [list(map(op, a, b))
-                                                        for a, b in zip(a_rows, b_rows)])
+            with np.errstate(all="ignore"):
+                return DenseOperator._from_parts(FLOAT, 1, op(a_rows, b_rows))
         den = math.lcm(da, db)
         ka, kb = den // da, den // db
         return DenseOperator._from_parts(EXACT, *_reduced(
             [[(op(x * ka, u * kb), op(y * ka, v * kb)) for (x, y), (u, v) in zip(zip(*a), zip(*b))]
-             for a, b in zip(a_rows, b_rows)], den, EXACT))
+             for a, b in zip(a_rows, b_rows)], den))
 
     __add__ = partialmethod(_combine, op=add)
     __sub__ = partialmethod(_combine, op=sub)
 
     def __neg__(self):
         den, rows = self._row_parts()
-        return DenseOperator._from_parts(self.mode, den, [
-            [-z for z in r] if self.mode == FLOAT else ([-x for x in r[0]], [-y for y in r[1]])
-            for r in rows])
+        if self.mode == FLOAT:
+            return DenseOperator._from_parts(FLOAT, 1, -rows)
+        return DenseOperator._from_parts(EXACT, den, [([-x for x in re], [-y for y in im])
+                                                      for re, im in rows])
 
     def scale(self, c):
         """c times the operator, c as Scalar arithmetic takes it; in float
         mode each entry is c * z, the Scalar product, bit for bit."""
         mode = self.mode
         den, rows = self._row_parts()
-        dc, w = _scalar_parts(c, mode)
+        dc, (p, q) = _scalar_parts(c, mode)
         if mode == FLOAT:
-            return DenseOperator._from_parts(FLOAT, 1, [[w[0] * z for z in r] for r in rows])
-        (p,), (q,) = w
+            with np.errstate(all="ignore"):
+                return DenseOperator._from_parts(FLOAT, 1, _fmul(np.array([p, q])[:, None, None],
+                                                                 rows))
         return DenseOperator._from_parts(EXACT, *_reduced(
-            [[(x * p - y * q, x * q + y * p) for x, y in zip(*r)] for r in rows], den * dc, EXACT))
+            [[(x * p - y * q, x * q + y * p) for x, y in zip(*r)] for r in rows], den * dc))
 
     def adjoint(self):
         """Conjugate transpose."""
         den, rows = self._row_parts()
-        return DenseOperator._from_parts(self.mode, den, [_conj(c, self.mode)
-                                                          for c in _columns(rows, self.mode)])
+        if self.mode == FLOAT:
+            return DenseOperator._from_parts(FLOAT, 1, _conj(rows.transpose(0, 2, 1), FLOAT))
+        return DenseOperator._from_parts(EXACT, den, [_conj(c, EXACT) for c in _columns(rows)])
 
     def power(self, k):
         if k < 0:
@@ -133,7 +141,9 @@ class DenseOperator:
         mode = self.mode
         da, a_rows = self._row_parts()
         dv, v = _parts(vec, mode)
-        return tuple(_box(_dot(a, v, mode), da * dv, mode) for a in a_rows)
+        if mode == FLOAT:
+            return tuple(_box(z, 1, FLOAT) for z in zip(*_tolists(_fdot(a_rows, v[:, None], 1))))
+        return tuple(_box(_dot(a, v), da * dv, EXACT) for a in a_rows)
 
     def _check_vec(self, vec):
         if len(vec) != self.dim:
@@ -147,10 +157,11 @@ class DenseOperator:
         if self._parts_cache is None:
             n = self.dim
             den, form = _parts([s for r in self.rows for s in r], self.mode)
+            # exact rows are (re, im) pairs of int lists; float parts are one
+            # 2 x n x n array, the real parts over the imaginary ones
             cuts = [slice(i * n, (i + 1) * n) for i in range(n)]
-            # exact rows are (re, im) pairs of int lists, float rows complex lists
             self._parts_cache = den, ([(form[0][c], form[1][c]) for c in cuts]
-                                      if self.mode == EXACT else [form[c] for c in cuts])
+                                      if self.mode == EXACT else form.reshape(2, n, n))
         return self._parts_cache
 
     # -- queries ------------------------------------------------------
@@ -164,12 +175,13 @@ class DenseOperator:
         den, rows = self._row_parts()
         if self.mode == EXACT:
             return max(math.hypot(x / den, y / den) for re, im in rows for x, y in zip(re, im))
-        return max(math.hypot(z.real, z.imag) for r in rows for z in r)
+        return max(map(math.hypot, *_tolists(rows)))
 
     def is_zero(self, tol=0.0):
+        rows = self._row_parts()[1]
         if self.mode == EXACT:
-            return not any(any(part) for r in self._row_parts()[1] for part in r)
-        return all(math.hypot(z.real, z.imag) <= tol for r in self._row_parts()[1] for z in r)
+            return not any(any(part) for r in rows for part in r)
+        return all(h <= tol for h in map(math.hypot, *_tolists(rows)))
 
     def __eq__(self, other):
         if not isinstance(other, DenseOperator):
@@ -184,17 +196,22 @@ class DenseOperator:
 
 
 # ---------------------------------------------------------------------------
-# Kernels, one per operation for both modes.  The loops run on the kernel
-# form of the scalars (_parts); operator results keep it (rows box on first
-# read), apply and vec_inner box each entry, and orbit windows box samples.
+# Kernels, one per operation for both modes.  They run on the kernel form of
+# the scalars (_parts); operator results keep it (rows box on first read),
+# apply and vec_inner box each entry, and orbit windows box samples.
 # Exact mode runs on Gaussian integers over one common denominator, so its
 # results are the canonical fractions the Scalar loops give.  Float mode runs
-# on Python complex: CPython's complex product is (ac - bd, ad + bc) and its
-# sum adds the parts, which are the Scalar formulas, and the terms are added
-# from left to right, never with sum(), so the results round as the Scalar
-# loop does, bit for bit.  TestFloatKernels checks this on each platform: a
-# CPython build whose complex product contracts to a fused multiply-add
-# fails it.
+# on float64 arrays, the real parts stacked over the imaginary ones, with
+# whole-array elementwise ufuncs in the order of the Scalar loop: each
+# product is (ac - bd, ad + bc), a multiply or subtract at a time (_fmul),
+# and each sum adds its terms from left to right (_fsum).  A ufunc
+# rounds each element as the Python float operation does, so the results
+# are the Scalar loop's, bit for bit.  numpy's reductions (np.sum, np.dot,
+# @, einsum) add in an order numpy picks, pairwise from 8 terms on, or in
+# BLAS with fused multiply-adds, so no float kernel uses them; moduli stay
+# math.hypot.  The float kernels run under np.errstate(all="ignore"): inf
+# and nan come out as from Python floats, with no RuntimeWarning.
+# TestFloatKernels checks the bits with sums of up to 16 terms.
 # ---------------------------------------------------------------------------
 
 def _int_form(scalars):
@@ -207,24 +224,35 @@ def _int_form(scalars):
 
 
 def _parts(scalars, mode):
-    """(den, form) of scalars of the given mode: in exact mode the form is
-    the (re_nums, im_nums) pair of _int_form over its den, in float mode the
-    list of the scalars as Python complex, over 1.  The mode is never
-    inferred, since float.as_integer_ratio would turn a float list exact
-    without a word."""
+    """(den, form) of scalars of the given mode: in exact mode the (re, im)
+    int lists of _int_form over its den, in float mode the 2 x len float64
+    array of the real parts over the imaginary ones, over 1.  The mode is
+    never inferred, since float.as_integer_ratio would turn a float list
+    exact without a word."""
     if mode == EXACT:
         den, re, im = _int_form(scalars)
         return den, (re, im)
-    return 1, [complex(s.re, s.im) for s in scalars]
+    return 1, np.array([[s.re for s in scalars], [s.im for s in scalars]], dtype=float)
 
 
 def _scalar_parts(c, mode):
-    """_parts of the one scalar c: a Scalar of the mode, or an int (a
-    Fraction in exact mode, a float in float mode) taken into it."""
-    s = Scalar.zero(mode)._coerce(c)
-    if s is None:
-        raise TypeError(f"not a {mode} scalar: {c!r}")
-    return _parts([s], mode)
+    """(den, (re, im)) of the one scalar c: ints over den in exact mode,
+    floats over 1 in float mode.  c is a Scalar of the mode, or an int (a
+    Fraction in exact mode, a float in float mode) taken as Scalar
+    arithmetic takes it, but without making a Scalar of it."""
+    if isinstance(c, Scalar):
+        if c.mode != mode:
+            raise ModeMismatchError(f"cannot mix {mode} and {c.mode} scalars")
+        if mode == FLOAT:
+            return 1, (c.re, c.im)
+        den, (re,), (im,) = _int_form([c])
+        return den, (re, im)
+    if mode == EXACT and isinstance(c, (int, Fraction)):
+        num, den = c.as_integer_ratio()
+        return den, (num, 0)
+    if mode == FLOAT and isinstance(c, (int, float)):
+        return 1, (float(c), 0.0)
+    raise TypeError(f"not a {mode} scalar: {c!r}")
 
 
 def _scalar(re, im, den, mode):
@@ -234,40 +262,31 @@ def _scalar(re, im, den, mode):
     return Scalar(FLOAT, re, im)
 
 
-def _dot(a, b, mode):
-    """sum_k a_k b_k for two _parts forms, one complex term at a time from
-    left to right: an (re, im) pair of ints in exact mode, a complex in
-    float mode.  sum() is not used: from Python 3.12 on it compensates
-    float sums, which rounds them differently."""
-    if mode == EXACT:
-        (a_re, a_im), (b_re, b_im) = a, b
-        return (reduce(add, map(sub, map(mul, a_re, b_re), map(mul, a_im, b_im))),
-                reduce(add, map(add, map(mul, a_re, b_im), map(mul, a_im, b_re))))
-    return reduce(add, map(mul, a, b))
-
-
 def _box(z, den, mode):
-    """The Scalar of the _dot value z over den."""
-    if mode == EXACT:
-        return _scalar(*z, den, EXACT)
-    return Scalar(FLOAT, z.real, z.imag)
+    """The Scalar of the kernel value z = (re, im) over den."""
+    return _scalar(*z, den, mode)
 
 
-def _columns(rows, mode):
-    """The columns of _parts rows, in the same form."""
-    if mode == EXACT:
-        return list(zip(zip(*(re for re, _ in rows)), zip(*(im for _, im in rows))))
-    return list(zip(*rows))
+def _dot(a, b):
+    """sum_k a_k b_k for two exact _parts forms, one Gaussian-integer term at
+    a time, as an (re, im) pair of ints."""
+    (a_re, a_im), (b_re, b_im) = a, b
+    return (reduce(add, map(sub, map(mul, a_re, b_re), map(mul, a_im, b_im))),
+            reduce(add, map(add, map(mul, a_re, b_im), map(mul, a_im, b_re))))
 
 
-def _reduced(rows, den, mode):
-    """(den, form) of rows of _dot values over den: exact rows are split into
-    (re, im) lists and divided by one gcd of den and all their parts."""
-    if mode == EXACT:
-        rows = [([x for x, _ in r], [y for _, y in r]) for r in rows]
-        g = math.gcd(den, *(x for r in rows for part in r for x in part))
-        if g > 1:
-            den, rows = den // g, [([x // g for x in re], [y // g for y in im]) for re, im in rows]
+def _columns(rows):
+    """The columns of exact _parts rows, in the same form."""
+    return list(zip(zip(*(re for re, _ in rows)), zip(*(im for _, im in rows))))
+
+
+def _reduced(rows, den):
+    """(den, form) of exact rows of _dot values over den: the rows are split
+    into (re, im) lists and divided by one gcd of den and all their parts."""
+    rows = [([x for x, _ in r], [y for _, y in r]) for r in rows]
+    g = math.gcd(den, *(x for r in rows for part in r for x in part))
+    if g > 1:
+        den, rows = den // g, [([x // g for x in re], [y // g for y in im]) for re, im in rows]
     return den, rows
 
 
@@ -275,34 +294,106 @@ def _conj(form, mode):
     """The _parts form of the conjugate entries."""
     if mode == EXACT:
         return form[0], [-x for x in form[1]]
-    return [z.conjugate() for z in form]
+    return np.stack((form[0], -form[1]))
+
+
+def _tolists(form):
+    """The entries of a float form as two flat lists of Python floats, the
+    real and the imaginary parts."""
+    return form[0].ravel().tolist(), form[1].ravel().tolist()
+
+
+_quiet = np.errstate(all="ignore")
+
+
+def _fsum(terms, axis):
+    """The terms along axis added from left to right, one IEEE sum at a
+    time: np.add.accumulate is a running sum, and its last entry is the sum
+    of the Scalar loop.  Callers hold np.errstate(all="ignore")."""
+    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
+
+
+def _fmul(a, b):
+    """The entrywise products of two float forms that broadcast, stacked
+    (re, im) as _parts makes them: (ac - bd, ad + bc) as the Scalar product
+    makes it, from the four products of one multiply.  Callers hold
+    np.errstate(all="ignore")."""
+    p = a[:, None] * b[None]
+    out = np.empty(p.shape[1:])
+    np.subtract(p[0, 0], p[1, 1], out=out[0])
+    np.add(p[0, 1], p[1, 0], out=out[1])
+    return out
+
+
+@_quiet
+def _fdot(a, b, axis):
+    """sum_k a_k b_k over one axis of the entries of two float forms that
+    broadcast: the _fmul products added by _fsum, the bits of the Scalar
+    loop."""
+    return _fsum(_fmul(a, b), axis + 1)
+
+
+@_quiet
+def _fweighted_sum(weights, terms, axis):
+    """sum_k weights[k] terms[k] along axis of a float array: each int weight
+    is taken to float as int * float takes it, and the products are added by
+    _fsum, from k = 0 up."""
+    w = np.array([float(c) for c in weights])
+    return _fsum(w.reshape((-1,) + (1,) * (terms.ndim - axis - 1)) * terms, axis)
+
+
+def _fmatmul(a, b):
+    """The float form of the product of n x n parts a and n x p parts b."""
+    return _fdot(a[:, :, :, None], b[:, None], 1)
 
 
 def _orbit_inners(op, u, v, count):
-    """<T^k u, T^k v> for k < count as Scalars, T the DenseOperator op.
+    """<T^k u, T^k v> for k < count as Scalars, T the DenseOperator op."""
+    return _orbit_windows(op, [(u, v)], count)[0]
 
-    u and v get apply's checks and are taken apart once; each step is
-    apply's dot on op's kept parts, and only the samples are boxed, so
-    every sample equals vec_inner on the orbit() vectors, float bits
-    included.  Exact vectors are kept over their least common denominator
-    (one gcd per step), so their integers do not grow like den^k."""
-    op._check_vec(u)
-    op._check_vec(v)
-    mode = op.mode
+
+def _orbit_windows(op, pairs, count):
+    """_orbit_inners of each (u, v) of pairs, from the kept parts of op.
+
+    Each vector gets apply's checks and is taken apart once, and only the
+    samples are boxed, so every sample equals vec_inner on the orbit()
+    vectors, float bits included.  Float mode walks all the distinct
+    vectors at once, as the columns of one n x p form: each step is one
+    T V, and each sample a column inner product.  Exact vectors are walked
+    one by one, each kept over its least common denominator (one gcd per
+    step), so their integers do not grow like den^k."""
+    for u, v in pairs:
+        op._check_vec(u)
+        op._check_vec(v)
     dt, rows = op._row_parts()
+    if op.mode == EXACT or not pairs:     # no vectors, no float walk
+        return [_exact_orbit_inners(rows, dt, u, v, count) for u, v in pairs]
+    cols = {id(w): w for pair in pairs for w in pair}
+    where = {key: j for j, key in enumerate(cols)}
+    steps = [np.stack([_parts(w, FLOAT)[1] for w in cols.values()], axis=2)]
+    while len(steps) < count:
+        steps.append(_fmatmul(rows, steps[-1]))
+    walk = np.stack(steps, axis=1)          # 2 x count x n x p
+    iu, iv = ([where[id(pair[j])] for pair in pairs] for j in (0, 1))
+    re, im = _fdot(walk[..., iu], _conj(walk[..., iv], FLOAT), 1)
+    return [[_box(z, 1, FLOAT) for z in zip(r, i)][:count]
+            for r, i in zip(re.T.tolist(), im.T.tolist())]
 
+
+def _exact_orbit_inners(rows, dt, u, v, count):
+    """_orbit_inners on exact rows over dt."""
     def step(d, f):
-        d, (f,) = _reduced([[_dot(a, f, mode) for a in rows]], dt * d, mode)
+        d, (f,) = _reduced([[_dot(a, f) for a in rows]], dt * d)
         return d, f
 
-    du, uf = _parts(u, mode)
-    dv, vf = (du, uf) if v is u else _parts(v, mode)
+    du, uf = _parts(u, EXACT)
+    dv, vf = (du, uf) if v is u else _parts(v, EXACT)
     out = []
     for k in range(count):
         if k:
             du, uf = step(du, uf)
             dv, vf = (du, uf) if v is u else step(dv, vf)
-        out.append(_box(_dot(uf, _conj(vf, mode), mode), du * dv, mode))
+        out.append(_box(_dot(uf, _conj(vf, EXACT)), du * dv, EXACT))
     return out
 
 
@@ -377,7 +468,9 @@ def vec_inner(u, v):
     mode = same_mode(*u, *v)
     du, uf = _parts(u, mode)
     dv, vf = (du, uf) if v is u else _parts(v, mode)
-    return _box(_dot(uf, _conj(vf, mode), mode), du * dv, mode)
+    if mode == FLOAT:
+        return _box(map(float, _fdot(uf, _conj(vf, FLOAT), 0)), 1, FLOAT)
+    return _box(_dot(uf, _conj(vf, EXACT)), du * dv, EXACT)
 
 
 def vec_norm_sq(u):

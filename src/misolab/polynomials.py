@@ -54,17 +54,19 @@ class Polynomial:
         """Evaluate at a Scalar (or int, coerced to this polynomial's mode) by
         Horner on the coefficients' kernel form (matrices._parts), taken once:
         on Gaussian integers, (re + i im) / (den e^k) the sum after k steps for
-        x over e, or on complex, which rounds as the Scalar loop does."""
+        x over e, or on complex, one value at a time, which rounds as the
+        Scalar loop does."""
         if self._parts_cache is None:
-            self._parts_cache = _parts(self.coeffs, self.mode)
+            den, form = _parts(self.coeffs, self.mode)
+            self._parts_cache = den, (form if self.mode == EXACT else
+                                      list(map(complex, *(part.tolist() for part in form))))
         den, form = self._parts_cache
-        e, w = _scalar_parts(x, self.mode)
+        e, (p, q) = _scalar_parts(x, self.mode)
         if self.mode == FLOAT:
-            acc = 0j
+            acc, w = 0j, complex(p, q)
             for c in reversed(form):
-                acc = acc * w[0] + c
+                acc = acc * w + c
             return Scalar(FLOAT, acc.real, acc.imag)
-        (p,), (q,) = w
         re, im, ek = 0, 0, 1
         for a, b in zip(reversed(form[0]), reversed(form[1])):
             ek *= e

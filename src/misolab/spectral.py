@@ -186,7 +186,10 @@ def exact_nullspace(A):
 def to_numpy(T):
     if T.mode != FLOAT:
         raise ModeMismatchError("numpy bridge requires float mode")
-    return np.array([[s.as_complex() for s in r] for r in T.rows], dtype=complex)
+    re, im = T._row_parts()[1]
+    arr = np.empty(re.shape, dtype=complex)
+    arr.real, arr.imag = re, im
+    return arr
 
 
 def from_numpy(arr):
@@ -308,10 +311,13 @@ def _single_linkage(eigs, radius):
             a = parent[a]
         return a
 
-    for i in range(len(eigs)):
-        for j in range(i + 1, len(eigs)):
-            if abs(eigs[i] - eigs[j]) <= radius:
-                parent[find(i)] = find(j)
+    # eigenvalues near the top of float range have an inf distance, not a
+    # RuntimeWarning
+    with np.errstate(all="ignore"):
+        for i in range(len(eigs)):
+            for j in range(i + 1, len(eigs)):
+                if abs(eigs[i] - eigs[j]) <= radius:
+                    parent[find(i)] = find(j)
     clusters = {}
     for i in order:
         clusters.setdefault(find(i), []).append(eigs[i])
@@ -320,9 +326,10 @@ def _single_linkage(eigs, radius):
 
 def _inter_cluster_gaps(clusters):
     gaps = []
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            gaps.append(min(abs(a - b) for a in clusters[i] for b in clusters[j]))
+    with np.errstate(all="ignore"):
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                gaps.append(min(abs(a - b) for a in clusters[i] for b in clusters[j]))
     return gaps
 
 

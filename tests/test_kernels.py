@@ -3,8 +3,9 @@ cross-checks that guard them."""
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
-from operator import add, sub
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,13 +16,16 @@ from misolab import (
     DimensionMismatchError,
     InternalCheckError,
     JordanSpec,
+    MisolabError,
     ModeMismatchError,
     OrbitSequence,
     Polynomial,
     PreconditionError,
     Scalar,
     defect,
+    detect_degree,
     jordan_matrix,
+    local_isometry_survey,
     orbit,
     orbit_sequence,
     strict_order,
@@ -29,7 +33,13 @@ from misolab import (
 )
 from misolab import isometry, matrices, polynomials
 from misolab.diffcalc import _check_binomial_form
-from misolab.isometry import DefectOperator, _defects, _grams, _nonzero_form_witness
+from misolab.isometry import (
+    DefectOperator,
+    _defects,
+    _grams,
+    _nonzero_form_witness,
+    _survey_windows,
+)
 from misolab.matrices import _int_form, _orbit_inners, basis_vector, polarization_candidates
 from misolab.scalars import EXACT, FLOAT
 
@@ -238,6 +248,14 @@ def bits(scalars):
     return [(s.re.hex(), s.im.hex()) for s in scalars]
 
 
+# 9 to 16 terms per sum: numpy's pairwise sum (np.sum, add.reduce) departs
+# from left to right only from 8 terms on, and BLAS (@, np.dot) fuses
+# multiply-adds.  The parts are bounded, so that long sums cancel and round
+# without overflowing.
+long_dims = st.integers(9, 16)
+unit_scalars = st.builds(Scalar.flt, st.floats(-1, 1), st.floats(-1, 1))
+
+
 class TestFloatKernels:
     @given(dims.flatmap(lambda n: st.tuples(float_operators(n), float_operators(n))))
     @settings(max_examples=60, deadline=None)
@@ -259,14 +277,32 @@ class TestFloatKernels:
         assert bits([vec_inner(u, v)]) == bits([ref_inner(u, v)])
         assert bits([vec_inner(u, u)]) == bits([ref_inner(u, u)])
 
-    # parts below 1e30 in size, so that no Gram operator up to T*^4 T^4 overflows
-    @given(st.integers(0, 4),
-           dims.flatmap(lambda n: float_operators(n, st.builds(Scalar.flt, BOUNDED, BOUNDED))))
-    @settings(max_examples=40, deadline=None)
-    def test_defect_walk(self, m, T):
+    @given(long_dims.flatmap(lambda n: st.tuples(
+        float_operators(n, unit_scalars), float_operators(n, unit_scalars),
+        float_vectors(n, unit_scalars), float_vectors(n, unit_scalars))))
+    @settings(max_examples=15, deadline=None)
+    def test_long_sums(self, abuv):
+        a, b, u, v = abuv
+        for row, ref in zip((a @ b).rows, ref_matmul(a, b)):
+            assert bits(row) == bits(ref)
+        assert bits(a.apply(u)) == bits(ref_apply(a, u))
+        assert bits([vec_inner(u, v)]) == bits([ref_inner(u, v)])
+
+    # parts below 1e30 in size, so that no Gram operator up to T*^4 T^4
+    # overflows; the long walks, beta_8 .. beta_15 with 9 to 16 terms, on
+    # parts of size at most 1
+    @given(st.one_of(
+        st.tuples(st.integers(0, 4),
+                  dims.flatmap(lambda n: float_operators(n, st.builds(Scalar.flt, BOUNDED,
+                                                                       BOUNDED)))),
+        st.tuples(st.integers(8, 15), st.integers(1, 3).flatmap(
+            lambda n: float_operators(n, unit_scalars)))))
+    @settings(max_examples=50, deadline=None)
+    def test_defect_walk(self, case):
         # equal to the float loop the kernel replaced; only the sign of a
         # zero may differ, since that loop started from +0.0.  The scale is
         # sum_j C(k,j) max(|G_j|, 1), summed by sum() from j = 0 up.
+        m, T = case
         grams = list(islice(_grams(T), m + 1))
         for k, d in enumerate(islice(_defects(T), m + 1)):
             for row, ref_row in zip(d.matrix.rows, ref_defect_from_grams(grams, k, FLOAT)):
@@ -410,6 +446,15 @@ class TestOrbitWindows:
         assert bits(_orbit_inners(T, u, v, count)) == bits(orbit_window(T, u, v, count))
         assert bits(_orbit_inners(T, u, u, count)) == bits(orbit_window(T, u, u, count))
 
+    @given(long_dims.flatmap(
+        lambda n: st.tuples(float_operators(n, unit_scalars), float_vectors(n, unit_scalars),
+                            float_vectors(n, unit_scalars))), st.integers(2, 6))
+    @settings(max_examples=15, deadline=None)
+    def test_float_long(self, tuv, count):
+        T, u, v = tuv
+        assert bits(_orbit_inners(T, u, v, count)) == bits(orbit_window(T, u, v, count))
+        assert bits(_orbit_inners(T, u, u, count)) == bits(orbit_window(T, u, u, count))
+
     def test_exact_vectors_stay_over_their_least_denominator(self, monkeypatch):
         # T swaps the coordinates and scales them by q and 1/q, so T^2 = I;
         # without the per-step gcd the denominators would grow like q^k
@@ -462,6 +507,106 @@ def test_orbit_windows_take_each_vector_apart_once(monkeypatch):
         assert [s is h for s in converted].count(True) == 1
         assert len([s for s in converted if len(s) == 16]) <= 1
         assert len(converted) <= 2
+
+
+def ref_norm_window(T, h, n):
+    """||T^k h||^2 for k < n by the Scalar loops."""
+    out = []
+    for _ in range(n):
+        out.append(ref_inner(h, h))
+        h = ref_apply(T, h)
+    return out
+
+
+def ref_survey(T, vectors, window_len=None):
+    """The survey's verdicts as the vector-by-vector loop gives them: the
+    global strict order, then one orbit_sequence and one detect_degree per
+    vector, in order."""
+    return (strict_order(T), [detect_degree(orbit_sequence(T, h, window_len)) for h in vectors])
+
+
+def outcome(f):
+    """f()'s value, or the type and message of the MisolabError it raises."""
+    try:
+        return f()
+    except MisolabError as exc:
+        return type(exc), str(exc)
+
+
+def survey(T, vectors, window_len=None):
+    res = local_isometry_survey(T, vectors, window_len=window_len)
+    return res.global_verdict, list(res.per_vector)
+
+
+class TestSurveyWindows:
+    """local_isometry_survey walks all its vectors at once; each window is
+    orbit_sequence's, and the verdicts and errors are the per-vector loop's."""
+
+    # on diag(1e30, 1) the orbit of e_0 overflows at n = 6 (1e360), inside
+    # the window of 12, while strict_order's Gram walk stops at G_5 = 1e300
+    BIG = DenseOperator([[Scalar.flt(1e30), Scalar.flt(0.0)], [Scalar.flt(0.0), Scalar.flt(1.0)]])
+    E0, E1 = basis_vector(2, 0, FLOAT), basis_vector(2, 1, FLOAT)
+    BOTH = (Scalar.flt(1.0), Scalar.flt(1.0))
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        float_operators(n, unit_scalars), st.lists(float_vectors(n, unit_scalars), min_size=1,
+                                                    max_size=4))), st.integers(2, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_float_windows_and_verdicts(self, case, window_len):
+        T, vectors = case
+        got = _survey_windows(T, vectors, window_len)
+        assert [bits(w) for w in got] == [bits(ref_norm_window(T, h, window_len))
+                                          for h in vectors]
+        assert outcome(lambda: survey(T, vectors, window_len)) == outcome(
+            lambda: ref_survey(T, vectors, window_len))
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        operators(n), st.lists(vectors(n), min_size=1, max_size=3))), st.integers(2, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_windows(self, case, window_len):
+        T, vecs = case
+        assert _survey_windows(T, vecs, window_len) == [
+            list(orbit_sequence(T, h, window_len).values) for h in vecs]
+
+    def test_one_orbit_overflows(self):
+        vectors = [self.E1, self.E0, self.BOTH]
+        windows = _survey_windows(self.BIG, vectors, None)
+        assert [bits(w) for w in windows] == [bits(ref_norm_window(self.BIG, h, 12))
+                                              for h in vectors]
+        assert math.isfinite(windows[1][5].re) and windows[1][6].re == math.inf
+        assert all(math.isfinite(s.re) for s in windows[0])
+
+    @pytest.mark.parametrize("order", [(1, 0), (0, 1), (1, 0, 2), (1, 2, 0), (2, 0), (0, 3),
+                                       (3, 0), (1, 4), (4, 1), (1,)])
+    @pytest.mark.parametrize("window_len", [None, 1, 5])
+    def test_errors_come_from_the_same_vector(self, order, window_len):
+        other = (Scalar.flt(1.0),) * 3
+        mixed = (Scalar.flt(1.0), Scalar.exact(0))
+        vectors = [[self.E0, self.E1, self.BOTH, other, mixed][j] for j in order]
+        got = outcome(lambda: survey(self.BIG, vectors, window_len))
+        assert got == outcome(lambda: ref_survey(self.BIG, vectors, window_len))
+        if order[0] == 0 and window_len is None:
+            assert got == (PreconditionError,
+                           "orbit sample 6 is not finite: float overflow at step n=6")
+
+    def test_one_step_walks_every_vector(self, monkeypatch):
+        # the window of 4 * 4 + 4 samples takes 19 steps, each one product
+        # of T with the 3 vectors as columns
+        steps = []
+        real = matrices._fmatmul
+
+        def counting(a, b):
+            steps.append(b.shape)
+            return real(a, b)
+
+        T = jordan_matrix(JordanSpec(z=Scalar.one(FLOAT), size=4))
+        vectors = [basis_vector(4, j, FLOAT) for j in range(3)]
+        monkeypatch.setattr(matrices, "_fmatmul", counting)
+        windows = _survey_windows(T, vectors, None)
+        assert steps == [(2, 4, 3)] * 19
+        assert [bits(w) for w in windows] == [bits(ref_norm_window(T, h, 20)) for h in vectors]
+        assert [v.describe() for v in local_isometry_survey(T, vectors).per_vector] == [
+            f"polynomial(degree={2 * j})" for j in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +755,17 @@ def test_scalar_kernels_box_only_their_results(monkeypatch):
     def refused(*args):
         raise AssertionError("Scalar arithmetic in a kernel")
 
+    made = []
+    real_init, real_new = Scalar.__init__, Fraction.__new__
+
+    def counted_init(self, *args):
+        made.append("Scalar")
+        real_init(self, *args)
+
+    def counted_new(cls, *args, **kwargs):
+        made.append("Fraction")
+        return real_new(cls, *args, **kwargs)
+
     monkeypatch.setattr(polynomials, "_parts", counting)
     for attr in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(Scalar, attr, refused)
@@ -620,6 +776,16 @@ def test_scalar_kernels_box_only_their_results(monkeypatch):
         assert converted == [list(p.coeffs)]
         assert values[3] == Scalar.from_int(34, mode)
         assert values[-1] == Scalar(mode, *((-2, 2) if mode == EXACT else (-2.0, 2.0)))
+        # an int argument goes straight to its parts: the value is the only
+        # Scalar made, and its two parts the only Fractions
+        made.clear()
+        monkeypatch.setattr(Scalar, "__init__", counted_init)
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        value = p(7)
+        monkeypatch.setattr(Scalar, "__init__", real_init)
+        monkeypatch.setattr(Fraction, "__new__", real_new)
+        assert made == (["Fraction", "Fraction", "Scalar"] if mode == EXACT else ["Scalar"])
+        assert value == Scalar.from_int(162, mode)
     monkeypatch.undo()
     monkeypatch.setattr(matrices, "_scalar", refused)
     monkeypatch.setattr(matrices, "_box", refused)
@@ -685,6 +851,26 @@ class TestBinomialFormCheck:
         rows[m][0] += 2 * slack
         with pytest.raises(InternalCheckError, match=f"row {m} entry 0"):
             _check_binomial_form(reals, m, rows[m], scale)
+
+
+    # 9 to 16 terms, and rows from m = 57 on, where C(m, k) passes 2^53 and
+    # float(C(m, k)) must round as int * float rounds it.  A scale of
+    # 5e-324 makes the slack 0.0, so the check passes only on the bits of
+    # the left-to-right Scalar loop.
+    @given(st.one_of(st.integers(9, 16), st.integers(57, 64)).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.floats(-1e3, 1e3), min_size=m + 1,
+                                                 max_size=m + 8))), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_float_sums_run_left_to_right(self, case, data):
+        m, reals = case
+        coeffs = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
+        sums = [reduce(add, map(mul, coeffs, reals[n:n + m + 1]))
+                for n in range(len(reals) - m)]
+        _check_binomial_form(reals, m, sums, 5e-324)
+        n = data.draw(st.integers(0, len(sums) - 1))
+        sums[n] = math.nextafter(sums[n], data.draw(st.sampled_from([math.inf, -math.inf])))
+        with pytest.raises(InternalCheckError, match=f"row {m} entry {n} disagrees"):
+            _check_binomial_form(reals, m, sums, 5e-324)
 
 
 class TestDefectCrossCheck:
