@@ -95,7 +95,8 @@ def _defects(T):
         coeffs = [(-1) ** k * math.comb(m, k) * (den // d) for k, (d, _) in enumerate(forms)]
         if mode == EXACT:
             # part p (real, imaginary) of entry (i, j) sums the (i, j) parts of G_0 .. G_m
-            beta = [[[reduce(add, map(mul, coeffs, col)) for col in zip(*(f[i][p] for _, f in forms))]
+            beta = [[[reduce(add, map(mul, coeffs, col)) if any(col) else 0
+                      for col in zip(*(f[i][p] for _, f in forms))]
                      for p in (0, 1)] for i in range(T.dim)]
             yield DefectOperator(m=m, matrix=DenseOperator._from_parts(EXACT, den, beta))
             continue

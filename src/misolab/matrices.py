@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partialmethod, reduce
+from itertools import chain
 from operator import add, mul, sub
 
 import numpy as np
@@ -81,9 +82,8 @@ class DenseOperator:
         (da, a_rows), (db, b_rows) = self._row_parts(), other._row_parts()
         if self.mode == FLOAT:
             return DenseOperator._from_parts(FLOAT, 1, _fmatmul(a_rows, b_rows))
-        b_cols = _columns(b_rows)
         return DenseOperator._from_parts(EXACT, *_reduced(
-            [[_dot(a, b) for b in b_cols] for a in a_rows], da * db))
+            _scatter(a_rows, _nonzeros(b_rows)), da * db))
 
     def _combine(self, other, op):
         """self op other on the parts, op being add or sub."""
@@ -95,7 +95,7 @@ class DenseOperator:
         den = math.lcm(da, db)
         ka, kb = den // da, den // db
         return DenseOperator._from_parts(EXACT, *_reduced(
-            [[(op(x * ka, u * kb), op(y * ka, v * kb)) for (x, y), (u, v) in zip(zip(*a), zip(*b))]
+            [tuple([op(x * ka, u * kb) for x, u in zip(pa, pb)] for pa, pb in zip(a, b))
              for a, b in zip(a_rows, b_rows)], den))
 
     __add__ = partialmethod(_combine, op=add)
@@ -119,7 +119,8 @@ class DenseOperator:
                 return DenseOperator._from_parts(FLOAT, 1, _fmul(np.array([p, q])[:, None, None],
                                                                  rows))
         return DenseOperator._from_parts(EXACT, *_reduced(
-            [[(x * p - y * q, x * q + y * p) for x, y in zip(*r)] for r in rows], den * dc))
+            [([x * p - y * q for x, y in zip(*r)], [x * q + y * p for x, y in zip(*r)])
+             for r in rows], den * dc))
 
     def adjoint(self):
         """Conjugate transpose."""
@@ -143,7 +144,8 @@ class DenseOperator:
         dv, v = _parts(vec, mode)
         if mode == FLOAT:
             return tuple(_box(z, 1, FLOAT) for z in zip(*_tolists(_fdot(a_rows, v[:, None], 1))))
-        return tuple(_box(_dot(a, v), da * dv, EXACT) for a in a_rows)
+        (re, im), = _scatter([v], _nonzeros(_columns(a_rows)))
+        return tuple(_box(z, da * dv, EXACT) for z in zip(re, im))
 
     def _check_vec(self, vec):
         if len(vec) != self.dim:
@@ -200,7 +202,10 @@ class DenseOperator:
 # the scalars (_parts); operator results keep it (rows box on first read),
 # apply and vec_inner box each entry, and orbit windows box samples.
 # Exact mode runs on Gaussian integers over one common denominator, so its
-# results are the canonical fractions the Scalar loops give.  Float mode runs
+# results are the canonical fractions the Scalar loops give; its products (@,
+# apply, orbit steps) add only nonzero terms (_scatter), as integer sums do not
+# depend on order.  Float products stay dense: there a zero term can change the
+# bits (-0.0 + 0.0 is 0.0, inf * 0 is nan).  Float mode runs
 # on float64 arrays, the real parts stacked over the imaginary ones, with
 # whole-array elementwise ufuncs in the order of the Scalar loop: each
 # product is (ac - bd, ad + bc), a multiply or subtract at a time (_fmul),
@@ -280,11 +285,29 @@ def _columns(rows):
     return list(zip(zip(*(re for re, _ in rows)), zip(*(im for _, im in rows))))
 
 
+def _nonzeros(rows):
+    """The nonzero entries of each exact _parts row, as (j, re, im) triples."""
+    return [[(j, x, y) for j, (x, y) in enumerate(zip(*r)) if x or y] for r in rows]
+
+
+def _scatter(a_rows, b_nonzeros):
+    """The exact (re, im) rows of a b, b square, by Gustavson's row scatter: each nonzero
+    a_ik of the rows of a times the _nonzeros of row k of b is added into row i."""
+    out, n = [], len(b_nonzeros)
+    for a_re, a_im in a_rows:
+        re, im = [0] * n, [0] * n
+        for x, y, row in zip(a_re, a_im, b_nonzeros):
+            if x or y:
+                for j, u, v in row:
+                    re[j] += x * u - y * v
+                    im[j] += x * v + y * u
+        out.append((re, im))
+    return out
+
+
 def _reduced(rows, den):
-    """(den, form) of exact rows of _dot values over den: the rows are split
-    into (re, im) lists and divided by one gcd of den and all their parts."""
-    rows = [([x for x, _ in r], [y for _, y in r]) for r in rows]
-    g = math.gcd(den, *(x for r in rows for part in r for x in part))
+    """(den, form) of exact (re, im) rows over den, divided by one gcd of den and all parts."""
+    g = math.gcd(den, *chain.from_iterable(chain.from_iterable(rows)))
     if g > 1:
         den, rows = den // g, [([x // g for x in re], [y // g for y in im]) for re, im in rows]
     return den, rows
@@ -360,8 +383,8 @@ def _orbit_windows(op, pairs, count):
     vectors, float bits included.  Float mode walks all the distinct
     vectors at once, as the columns of one n x p form: each step is one
     T V, and each sample a column inner product.  Exact vectors are walked
-    one by one, each kept over its least common denominator (one gcd per
-    step), so their integers do not grow like den^k."""
+    one by one, scattered against T's nonzero columns and kept over their
+    least common denominators (one gcd a step), not growing like den^k."""
     for u, v in pairs:
         op._check_vec(u)
         op._check_vec(v)
@@ -381,18 +404,14 @@ def _orbit_windows(op, pairs, count):
 
 
 def _exact_orbit_inners(rows, dt, u, v, count):
-    """_orbit_inners on exact rows over dt."""
-    def step(d, f):
-        d, (f,) = _reduced([[_dot(a, f) for a in rows]], dt * d)
-        return d, f
-
-    du, uf = _parts(u, EXACT)
-    dv, vf = (du, uf) if v is u else _parts(v, EXACT)
+    """_orbit_inners on exact rows over dt: walks of u and v (one if v is u) as (den, [form])."""
+    cols = _nonzeros(_columns(rows))
+    walks = [(d, [f]) for d, f in (_parts(w, EXACT) for w in ((u,) if v is u else (u, v)))]
     out = []
     for k in range(count):
         if k:
-            du, uf = step(du, uf)
-            dv, vf = (du, uf) if v is u else step(dv, vf)
+            walks = [_reduced(_scatter(f, cols), dt * d) for d, f in walks]
+        (du, (uf,)), (dv, (vf,)) = walks[0], walks[-1]
         out.append(_box(_dot(uf, _conj(vf, EXACT)), du * dv, EXACT))
     return out
 

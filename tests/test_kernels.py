@@ -24,11 +24,13 @@ from misolab import (
     Scalar,
     defect,
     detect_degree,
+    direct_sum,
     jordan_matrix,
     local_isometry_survey,
     orbit,
     orbit_sequence,
     strict_order,
+    vec_add,
     vec_inner,
 )
 from misolab import isometry, matrices, polynomials
@@ -607,6 +609,175 @@ class TestSurveyWindows:
         assert [bits(w) for w in windows] == [bits(ref_norm_window(T, h, 20)) for h in vectors]
         assert [v.describe() for v in local_isometry_survey(T, vectors).per_vector] == [
             f"polynomial(degree={2 * j})" for j in range(3)]
+
+
+# ---------------------------------------------------------------------------
+# The exact products visit only nonzero entries, so operators with many zeros
+# are checked against the Scalar loops as well: the shapes of Jordan-block
+# sums, which is what m-isometries on C^d are up to a change of basis.
+# ---------------------------------------------------------------------------
+
+unimodular = st.sampled_from([Scalar.exact(1), Scalar.exact(-1), Scalar.exact(0, 1),
+                              Scalar.exact(Fraction(3, 5), Fraction(4, 5)),
+                              Scalar.exact(Fraction(-5, 13), Fraction(12, 13))])
+nonzero_gaussian = gaussian.filter(lambda s: not s.is_zero())
+sparse_dims = st.integers(1, 12)
+
+
+def shear(n, a, b, c):
+    """I + c E_ab."""
+    one, zero = Scalar.exact(1), Scalar.exact(0)
+    return DenseOperator([[c if (i, j) == (a, b) else one if i == j else zero for j in range(n)]
+                          for i in range(n)])
+
+
+@st.composite
+def sparse_operators(draw, n):
+    """An exact n x n operator: a Jordan-block sum at Gaussian-rational
+    eigenvalues (unimodular, or with the large coprime denominators of
+    gaussian), that sum conjugated by a shear I + c E_ab, or with one row or
+    one column set to zero, a single nonzero entry, or zero."""
+    shape = draw(st.sampled_from(["jordan", "sheared", "zero row", "zero column", "single",
+                                  "zero"]))
+    zero, index = Scalar.exact(0), st.integers(0, n - 1)
+    rows = [[zero] * n for _ in range(n)]
+    if shape == "single":
+        rows[draw(index)][draw(index)] = draw(nonzero_gaussian)
+    start = 0
+    while shape not in ("single", "zero") and start < n:
+        end = start + draw(st.integers(1, n - start))
+        z = draw(st.one_of(unimodular, gaussian))
+        for i in range(start, end):
+            rows[i][i] = z
+            if i + 1 < end:
+                rows[i][i + 1] = Scalar.exact(1)
+        start = end
+    if shape == "zero row":
+        rows[draw(index)] = [zero] * n
+    if shape == "zero column":
+        j = draw(index)
+        for r in rows:
+            r[j] = zero
+    T = DenseOperator(rows)
+    if shape == "sheared" and n > 1:
+        a, b = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        c = draw(nonzero_gaussian)
+        T = DenseOperator(ref_matmul(DenseOperator(ref_matmul(shear(n, a, b, c), T)),
+                                     shear(n, a, b, -c)))
+    return T
+
+
+def sparse_vectors(n):
+    return st.one_of(vectors(n), st.builds(lambda j: basis_vector(n, j, EXACT),
+                                           st.integers(0, n - 1)))
+
+
+class TestSparseKernels:
+    """The exact kernels on sparse operators against the Scalar loops: equal
+    values with Fraction parts, and for products the kernel form of the
+    reference, over its least common denominator."""
+
+    @given(sparse_dims.flatmap(lambda n: st.tuples(sparse_operators(n), sparse_operators(n))))
+    @settings(max_examples=40, deadline=None)
+    def test_matmul(self, ab):
+        a, b = ab
+        # the last two make a Gram step T* G T
+        for x, y in ((a, b), (b, a), (a.adjoint(), b), (a.adjoint() @ b, a)):
+            got, ref = x @ y, DenseOperator(ref_matmul(x, y))
+            assert got.rows == ref.rows and all(fractions(s) for r in got.rows for s in r)
+            assert got._row_parts() == ref._row_parts()
+
+    @given(sparse_dims.flatmap(lambda n: st.tuples(sparse_operators(n), sparse_vectors(n))))
+    @settings(max_examples=40, deadline=None)
+    def test_apply(self, av):
+        a, v = av
+        got = a.apply(v)
+        assert got == ref_apply(a, v) and all(map(fractions, got))
+
+    @given(sparse_dims.flatmap(lambda n: st.tuples(sparse_operators(n), sparse_vectors(n),
+                                                    sparse_vectors(n))), windows)
+    @settings(max_examples=30, deadline=None)
+    def test_orbit_inners(self, tuv, count):
+        T, u, v = tuv
+        for w in (u, v):
+            got = _orbit_inners(T, u, w, count)
+            assert got == orbit_window(T, u, w, count) and all(map(fractions, got))
+
+    @given(sparse_dims.flatmap(lambda n: st.tuples(
+        sparse_operators(n), st.lists(sparse_vectors(n), min_size=1, max_size=3))),
+        st.integers(2, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_survey_windows(self, case, window_len):
+        T, vecs = case
+        got = _survey_windows(T, vecs, window_len)
+        assert got == [ref_norm_window(T, h, window_len) for h in vecs]
+        assert all(fractions(s) for w in got for s in w)
+
+
+def nonzero_pairs(a_rows, b_rows):
+    """The number of pairs of nonzero entries a_ik, b_kj: the terms of the
+    product a b that are not zero."""
+    return sum(sum(not t.is_zero() for t in b_rows[k])
+               for r in a_rows for k, s in enumerate(r) if not s.is_zero())
+
+
+def test_exact_products_visit_only_nonzero_pairs():
+    """On a Jordan sum of blocks 4 + 4 + 4, a Gram step T* G T and an orbit
+    step make four integer products per pair of nonzero entries, not per
+    term of the dense sums (4 n^3 and 4 n^2).  T's parts are an int type
+    that counts its products and keeps its type through sums, differences,
+    negation and quotients, so products of results are counted too."""
+    mults = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            mults.append(None)
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Counted(int(self) + int(other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return Counted(int(self) - int(other))
+
+        def __rsub__(self, other):
+            return Counted(int(other) - int(self))
+
+        def __neg__(self):
+            return Counted(-int(self))
+
+        def __floordiv__(self, other):
+            return Counted(int(self) // int(other))
+
+    T = direct_sum(*(jordan_matrix(JordanSpec(z=z, size=4)) for z in (
+        Scalar.exact(1), Scalar.exact(0, 1), Scalar.exact(Fraction(3, 5), Fraction(4, 5)))))
+    den, rows = T._row_parts()
+    counted = DenseOperator._from_parts(EXACT, den, [tuple(list(map(Counted, part)) for part in r)
+                                                     for r in rows])
+    G = next(islice(_grams(T), 2, None))
+    star_g = T.adjoint() @ G
+    pairs = nonzero_pairs(T.adjoint().rows, G.rows) + nonzero_pairs(star_g.rows, T.rows)
+    assert pairs <= 2 * 2 * 4 * 12
+    mults.clear()
+    gram = counted.adjoint() @ G @ counted
+    assert 0 < len(mults) <= 4 * pairs
+    assert gram == star_g @ T == DenseOperator(ref_matmul(DenseOperator(ref_matmul(T.adjoint(), G)), T))
+
+    u = vec_add(basis_vector(12, 0, EXACT), basis_vector(12, 5, EXACT))
+    step = nonzero_pairs(T.rows, [[x] for x in u])
+    ref = ref_apply(T, u), orbit_window(T, u, u, 2)
+    mults.clear()
+    got = counted.apply(u)
+    assert 0 < len(mults) <= 4 * step
+    mults.clear()
+    # one step, and the sample <Tu, Tu>, an inner product of n terms
+    window = _orbit_inners(counted, u, u, 2)
+    assert 0 < len(mults) <= 4 * (step + 12)
+    assert (got, window) == ref
 
 
 # ---------------------------------------------------------------------------
