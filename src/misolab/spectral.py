@@ -339,9 +339,9 @@ def _spaces_from_clusters(T, arr, clusters, tol):
     total = 0
     for members in clusters:
         mult = len(members)
-        z = complex(np.mean(members))   # mean cancels the Jordan scatter
-        # a power that leaves float range is caught by _float_nullspace
+        # a mean or a power that leaves float range is caught by _float_nullspace
         with np.errstate(over="ignore", invalid="ignore"):
+            z = complex(np.mean(members))   # mean cancels the Jordan scatter
             depth, basis = _kernel_chain(np.eye(dim), arr - z * np.eye(dim), dim,
                                          lambda P: _float_nullspace(P, tol))
         if len(basis) != mult:

@@ -163,6 +163,9 @@ def requests(draw):
 # the inner-product threshold max(1, |T|)^window overflowed: OverflowError
 @example(request=("ortho", [{"mode": "float", "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 1e10]]}],
                   ["--h1=1,0,0", "--h2=0,1,0", "--z1=1", "--z2=-1", "--window=40"]))
+# an eigenvalue cluster of -6.9e307 and inf: its mean raised a RuntimeWarning
+@example(request=("decompose", [{"mode": "float", "matrix": [
+    [0.0, 1.1110354586872598e+308], [1.1110354586872595e+308, 1.1110354586872595e+308]]}], []))
 def test_flag_values_end_in_documented_exit_codes(tmp_path_factory, request):
     command, docs, flags = request
     workdir = tmp_path_factory.mktemp("flags")

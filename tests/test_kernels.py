@@ -613,8 +613,8 @@ class TestSurveyWindows:
 
 # ---------------------------------------------------------------------------
 # The exact products visit only nonzero entries, so operators with many zeros
-# are checked against the Scalar loops as well: the shapes of Jordan-block
-# sums, which is what m-isometries on C^d are up to a change of basis.
+# are checked against the Scalar loops as well: Jordan-block sums, the Jordan
+# forms of m-isometries on C^d, and shapes near them.
 # ---------------------------------------------------------------------------
 
 unimodular = st.sampled_from([Scalar.exact(1), Scalar.exact(-1), Scalar.exact(0, 1),
