@@ -1,9 +1,10 @@
 """Forward-difference calculus on orbit sequences.
 
 Everything here works on a finite window of a sequence.  Degree verdicts
-are therefore window-relative: in float mode the library never claims
-polynomiality for all n from finite data; in exact mode callers turn the
-finite verdict into a certificate through the defect operator.
+are therefore window-relative, and certify nothing beyond the window in
+either mode.  The certified orbit degrees of an exact m-isometry are read
+from its defect operators instead (isometry.local_isometry_survey); on a
+window of at least m + 1 samples they equal the verdicts made here.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffcalc import OrbitSequence, default_window_len, detect_degree
+from .diffcalc import DegreeVerdict, OrbitSequence, default_window_len, detect_degree
 from .errors import (
     DimensionMismatchError,
     InternalCheckError,
@@ -30,10 +30,15 @@ from .errors import (
 from .matrices import (
     DenseOperator,
     FiniteVector,
+    _conj,
+    _dot,
     _fweighted_sum,
+    _nonzeros,
     _orbit_inners,
     _orbit_windows,
+    _parts,
     _polarization_vector,
+    _scatter,
     basis_vector,
     orbit,
     polarization_pairs,
@@ -156,27 +161,28 @@ def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
 
 
 def _strict_order(T, m_max, tol):
-    """(strict_order's verdict, beta_{m-1}), or beta_{m_max} if not strict."""
+    """(strict_order's verdict, [beta_0, ..., beta_{m-1}]), or the defects up
+    to beta_{m_max} if not strict."""
     if m_max is None:
         m_max = default_m_max(T)
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
     walk = _defects(T)
-    prev = next(walk)
+    walked = [next(walk)]
     for d in islice(walk, m_max):
         m = d.m
         if d.matrix.is_zero(d.threshold(tol)):
             witness = None
             if m >= 2:
-                witness = _nonzero_form_witness(prev, tol)
+                witness = _nonzero_form_witness(walked[-1], tol)
                 if witness is None:
                     raise InternalCheckError(
                         f"beta_{m - 1} reported nonzero but no witness found"
                     )
             return OrderVerdict(strict=True, m=m, witness=witness,
-                                residual=_residual(d.matrix)), prev
-        prev = d
-    return OrderVerdict(strict=False, m=m_max, residual=_residual(prev.matrix)), prev
+                                residual=_residual(d.matrix)), walked
+        walked.append(d)
+    return OrderVerdict(strict=False, m=m_max, residual=_residual(walked[-1].matrix)), walked
 
 
 def _residual(beta):
@@ -371,20 +377,36 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
     For a dense operator the global verdict is strict_order up to m_max;
     otherwise the max of (degree + 1) over the sampled vectors is reported
     as a lower bound.  Uniform polynomiality of the sampled orbits is
-    reported as 'consistent with m-isometry' for m = max degree + 1.  The
-    per-vector degree tests use DEFAULT_FLOAT_TOL.
+    reported as 'consistent with m-isometry' for m = max degree + 1.
+
+    The degrees are certificates when op is exact and dense, of strict
+    order m, every vector passes apply's checks and the window (window_len,
+    or default_window_len) holds W >= max(3, m + 1) samples.  By Newton's
+    formula ||T^n h||^2 = sum_{j<m} C(n,j) (-1)^j <beta_j h, h> is then the
+    polynomial of degree D = max{j : <beta_j h, h> != 0} (zero if there is
+    none), which is read from the walked beta_j, and no orbit is walked.
+    detect_degree says the same on W >= D + 2 samples: Delta^(D+1) vanishes,
+    Delta^D is a nonzero constant, and Delta^k for k < D is a nonzero
+    polynomial of degree D - k at W - k > D - k points.  Otherwise each
+    degree is detect_degree's verdict on the orbit window, which certifies
+    nothing beyond it.
     """
     vectors = list(vectors)
     if not vectors:
         raise PreconditionError("survey needs at least one vector")
-    global_verdict, windows = None, []
+    global_verdict, verdicts, windows = None, None, []
     if isinstance(op, DenseOperator):
-        global_verdict = strict_order(op, m_max=m_max, tol=defect_tol)
-        windows = _survey_windows(op, vectors, window_len)
-    verdicts = []
-    for j, h in enumerate(vectors):
-        gamma = OrbitSequence(windows[j]) if j < len(windows) else orbit_sequence(op, h, window_len)
-        verdicts.append(detect_degree(gamma))
+        if op.mode == EXACT:
+            global_verdict, betas = _strict_order(op, m_max, defect_tol)
+            verdicts = _beta_degrees(op, vectors, window_len, global_verdict, betas)
+        else:   # float mode has no zero test for <beta_j h, h> yet
+            global_verdict = strict_order(op, m_max=m_max, tol=defect_tol)
+        if verdicts is None:
+            windows = _survey_windows(op, vectors, window_len)
+    if verdicts is None:
+        verdicts = [detect_degree(OrbitSequence(windows[j]) if j < len(windows)
+                                  else orbit_sequence(op, h, window_len))
+                    for j, h in enumerate(vectors)]
     lower = 0
     all_poly = True
     for v in verdicts:
@@ -402,3 +424,22 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
         consistent_with=consistent,
     )
 
+
+def _beta_degrees(op, vectors, window_len, verdict, betas):
+    """The survey's degrees read from beta_0 .. beta_{m-1} of an exact op, or
+    None where they are no certificates (see local_isometry_survey)."""
+    if window_len is None:
+        window_len = default_window_len(op.dim)
+    if not verdict.strict or window_len < max(3, verdict.m + 1):
+        return None
+    try:
+        for h in vectors:
+            op._check_vec(h)
+    except (DimensionMismatchError, ModeMismatchError):
+        return None
+    # <beta h, h> = (h* beta) h on beta's nonzero entries, real as beta is Hermitian
+    forms = [_nonzeros(b.matrix._row_parts()[1]) for b in betas]
+    degrees = [max((j for j, beta in enumerate(forms)
+                    if _dot(_scatter([_conj(u, EXACT)], beta)[0], u)[0]), default=None)
+               for u in (_parts(h, EXACT)[1] for h in vectors)]
+    return [DegreeVerdict(polynomial=True, degree=d, zero_sequence=d is None) for d in degrees]

@@ -118,15 +118,21 @@ def _max_column_vector(P):
 
 def exact_rref(A):
     """Reduced row echelon form of an exact DenseOperator: (its nonzero rows
-    as exact Scalars, pivot cols).  The common denominator of A's
-    Gaussian-integer form does not change the RREF, so the elimination runs
-    on the integer rows.
+    as exact Scalars, pivot cols)."""
+    rows, pivots = _exact_elimination(A)
+    return [[_rref_entry(row, c, j) for j in range(A.dim)] for row, c in zip(rows, pivots)], pivots
+
+
+def _exact_elimination(A):
+    """(the Gaussian-integer rows of exact_rref, pivot cols).  The common
+    denominator of A's Gaussian-integer form does not change the RREF, so
+    the elimination runs on the integer rows.
 
     Fraction-free Gauss-Jordan: row_i <- p row_i - f row_r for the pivot p,
     then row_i is divided by the gcd of its parts.  Each row stays a nonzero
     multiple of the row that division-based elimination makes, and the RREF
-    is unique, so dividing each pivot row by its pivot at the end, one
-    fraction per entry as x conj(p) / |p|^2, gives that elimination's rows."""
+    is unique, so dividing each pivot row by its pivot (_rref_entry) gives
+    that elimination's rows."""
     rows = [_primitive(re, im) for re, im in A._row_parts()[1]]
     pivots = []
     r = 0
@@ -149,12 +155,14 @@ def exact_rref(A):
         r += 1
         if r == len(rows):
             break
-    out = []
-    for (re, im), c in zip(rows, pivots):
-        pr, pi = re[c], im[c]
-        n2 = pr * pr + pi * pi
-        out.append([_scalar(x * pr + y * pi, y * pr - x * pi, n2, EXACT) for x, y in zip(re, im)])
-    return out, pivots
+    return rows[:r], pivots
+
+
+def _rref_entry(row, c, j, sign=1):
+    """sign times entry x of an integer row over its pivot p at c: x conj(p) / |p|^2."""
+    re, im = row
+    pr, pi, x, y = re[c], im[c], sign * re[j], sign * im[j]
+    return _scalar(x * pr + y * pi, y * pr - x * pi, pr * pr + pi * pi, EXACT)
 
 
 def _primitive(re, im):
@@ -166,15 +174,16 @@ def _primitive(re, im):
 
 
 def exact_nullspace(A):
-    """Kernel basis of an exact DenseOperator."""
-    red, pivots = exact_rref(A)
+    """Kernel basis of an exact DenseOperator, read from the integer rows
+    of the elimination: only the returned entries are made Scalars."""
+    rows, pivots = _exact_elimination(A)
     zero, one = Scalar.zero(EXACT), Scalar.one(EXACT)
     basis = []
     for fc in (c for c in range(A.dim) if c not in pivots):
         v = [zero] * A.dim
         v[fc] = one
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = _rref_entry(row, pc, fc, -1)
         basis.append(tuple(v))
     return basis
 
@@ -446,7 +455,7 @@ def perturbation_analysis(A, N, tol=DEFAULT_DEFECT_TOL):
     ninfo = nilpotency_index(N, tol)
     if ninfo is None:
         raise PreconditionError("perturbation is not nilpotent")
-    order_a, beta = _strict_order(A, None, tol)
+    order_a, betas = _strict_order(A, None, tol)
     if not order_a.strict:
         raise PreconditionError(
             f"base operator is not an m-isometry within m <= {order_a.m}"
@@ -454,7 +463,7 @@ def perturbation_analysis(A, N, tol=DEFAULT_DEFECT_TOL):
     m_a, nu = order_a.m, ninfo.index
     m_bound = m_a + 2 * (nu - 1)
     bound_verified = is_m_isometry(A + N, m_bound, tol)
-    strict, witness = _strictness_criterion(beta, N, nu, tol)
+    strict, witness = _strictness_criterion(betas[-1], N, nu, tol)
     return PerturbationResult(
         m_a=m_a, nu=nu, m_bound=m_bound,
         bound_verified=bound_verified, strict=strict, witness=witness,

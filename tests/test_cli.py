@@ -82,6 +82,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "strict-order" in out and "m: 3" in out
 
+    def test_order_window_lengths(self, tmp_path):
+        # J_2(1) has strict order 3: from 4 samples on the degrees are read
+        # from beta, and on 3 the window of e_1 is too short for degree 2
+        path = write(tmp_path, "j.json", {"mode": "exact", "matrix": [["1", "1"], ["0", "1"]]})
+        degrees = {}
+        for window in ("2", "3", "4", "14"):
+            out = tmp_path / f"w{window}.json"
+            code = main(["order", path, f"--window={window}", f"--output={out}"])
+            degrees[window] = code, code == 0 and json.loads(out.read_text())["basis_orbit_degrees"]
+        assert degrees == {
+            "2": (3, False),
+            "3": (0, ["polynomial(degree=0)", "not-polynomial-within-window"]),
+            "4": (0, ["polynomial(degree=0)", "polynomial(degree=2)"]),
+            "14": (0, ["polynomial(degree=0)", "polynomial(degree=2)"])}
+
     def test_order_not_within_bound(self, tmp_path, capsys):
         path = write(tmp_path, "e.json", EXAMPLE_DOC)
         assert main(["order", path, "--mmax", "9"]) == 0

@@ -152,6 +152,14 @@ def requests(draw):
                   ["--window=-3"]))
 @example(request=("ortho", [{"mode": "exact", "matrix": [["1", "0"], ["0", "-1"]]}],
                   ["--h1=1,0", "--h2=0,1", "--z1=1", "--z2=-1", "--window=-1"]))
+# exact order on a strict operator: 2 samples are too short (exit 3), 3 are
+# fewer than m + 1 = 4 and walk the orbits, 4 read the degrees from beta
+@example(request=("order", [{"mode": "exact", "matrix": [["1", "1"], ["0", "1"]]}],
+                  ["--window=2"]))
+@example(request=("order", [{"mode": "exact", "matrix": [["1", "1"], ["0", "1"]]}],
+                  ["--window=3"]))
+@example(request=("order", [{"mode": "exact", "matrix": [["1", "1"], ["0", "1"]]}],
+                  ["--window=4"]))
 # shifts took m_max < 1 and reported not-within-bound with that m
 @example(request=("order", [{"mode": "exact", "shift": {"polynomial": ["1", "1"]}}],
                   ["--mmax=0"]))

@@ -34,7 +34,7 @@ from misolab import (
     vec_inner,
 )
 from misolab import isometry, matrices, polynomials
-from misolab.diffcalc import _check_binomial_form
+from misolab.diffcalc import _check_binomial_form, default_window_len
 from misolab.isometry import (
     DefectOperator,
     _defects,
@@ -44,6 +44,7 @@ from misolab.isometry import (
 )
 from misolab.matrices import _int_form, _orbit_inners, basis_vector, polarization_candidates
 from misolab.scalars import EXACT, FLOAT
+from misolab.suites import UNIMODULAR_EXACT
 
 # ---------------------------------------------------------------------------
 # Reference Scalar loops: the kernels must reproduce them entry by entry,
@@ -569,6 +570,8 @@ class TestSurveyWindows:
         T, vecs = case
         assert _survey_windows(T, vecs, window_len) == [
             list(orbit_sequence(T, h, window_len).values) for h in vecs]
+        assert outcome(lambda: survey(T, vecs, window_len)) == outcome(
+            lambda: ref_survey(T, vecs, window_len))
 
     def test_one_orbit_overflows(self):
         vectors = [self.E1, self.E0, self.BOTH]
@@ -609,6 +612,72 @@ class TestSurveyWindows:
         assert [bits(w) for w in windows] == [bits(ref_norm_window(T, h, 20)) for h in vectors]
         assert [v.describe() for v in local_isometry_survey(T, vectors).per_vector] == [
             f"polynomial(degree={2 * j})" for j in range(3)]
+
+    def test_strict_exact_survey_walks_no_orbit(self, monkeypatch):
+        # on a strict exact operator the degrees are read from beta_0 .. beta_{m-1}
+        def walk(*args):
+            raise AssertionError("an orbit window was walked")
+
+        monkeypatch.setattr(matrices, "_exact_orbit_inners", walk)
+        T = direct_sum(*(jordan_matrix(JordanSpec(z=z, size=k)) for z, k in (
+            (Scalar.exact(1), 4), (Scalar.exact(0, 1), 3),
+            (Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 1))))
+        vectors = [basis_vector(8, j, EXACT) for j in range(8)] + [(Scalar.exact(0),) * 8]
+        res = local_isometry_survey(T, vectors)
+        assert res.global_verdict.describe() == "strict-order(7)"
+        assert [v.describe() for v in res.per_vector] == [
+            f"polynomial(degree={2 * j})" for j in (0, 1, 2, 3, 0, 1, 2, 0)] + ["zero-sequence"]
+        # a sheared diag(1, -1) is not an m-isometry: its orbits are walked
+        sheared = DenseOperator.from_ints([[1, -2], [0, -1]])
+        with pytest.raises(AssertionError, match="walked"):
+            local_isometry_survey(sheared, [basis_vector(2, 0, EXACT)])
+
+
+superdiagonal = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)])
+
+
+@st.composite
+def strict_exact_operators(draw):
+    """A Jordan sum over suites.UNIMODULAR_EXACT with superdiagonal weights
+    1, 2 or 1/2, sometimes with one more upper-triangular coupling between
+    two equal diagonal entries: a unitary diagonal plus a commuting
+    nilpotent, which is a strict m-isometry."""
+    n = draw(st.integers(1, 6))
+    diag, weights, start = [], {}, 0
+    while start < n:
+        size = draw(st.integers(1, n - start))
+        diag += [draw(st.sampled_from(UNIMODULAR_EXACT))] * size
+        weights.update({(i, i + 1): draw(superdiagonal) for i in range(start, start + size - 1)})
+        start += size
+    pairs = [(a, b) for b in range(n) for a in range(b - 1) if diag[a] == diag[b]]
+    if pairs and draw(st.booleans()):
+        weights[draw(st.sampled_from(pairs))] = draw(superdiagonal)
+    return DenseOperator([[diag[i] if i == j else Scalar.exact(weights.get((i, j), 0))
+                           for j in range(n)] for i in range(n)])
+
+
+def gaussian_integer_vectors(n):
+    small = st.integers(-3, 3)
+    return st.one_of(st.just((Scalar.exact(0),) * n),
+                     st.lists(st.builds(Scalar.exact, small, small), min_size=n,
+                              max_size=n).map(tuple))
+
+
+@given(strict_exact_operators().flatmap(lambda T: st.tuples(
+    st.just(T), st.lists(gaussian_integer_vectors(T.dim), min_size=1, max_size=3))))
+@settings(max_examples=30, deadline=None)
+def test_beta_degrees_are_the_window_verdicts(case):
+    """The degrees read from beta are detect_degree's verdicts on the
+    default window, on m + 1 samples (the shortest the read takes) and on
+    three times the default window; on m samples the orbits are walked."""
+    T, vecs = case
+    verdict = strict_order(T)
+    assert verdict.strict
+    default = default_window_len(T.dim)
+    for window_len in (None, verdict.m, verdict.m + 1, 3 * default):
+        got = outcome(lambda: survey(T, vecs, window_len))
+        assert got == outcome(lambda: (verdict, [
+            detect_degree(orbit_sequence(T, h, window_len or default)) for h in vecs]))
 
 
 # ---------------------------------------------------------------------------
