@@ -25,22 +25,9 @@ from .errors import (
 )
 from .matrices import _fweighted_sum, _int_form, _scalar
 from .polynomials import Polynomial, falling_factorial_poly
-from .scalars import EXACT, FLOAT, Scalar, same_mode
+from .scalars import EXACT, FLOAT, Scalar, same_mode, zero_threshold
 
 DEFAULT_FLOAT_TOL = 1e-9
-
-
-def _float_threshold(tol, scale, k, what):
-    """tol * scale ** k; an infinite threshold would call every value zero,
-    so one beyond float range raises PreconditionError."""
-    try:
-        thr = tol * scale ** k
-    except OverflowError:
-        thr = math.inf
-    if not math.isfinite(thr):
-        raise PreconditionError(f"float overflow: the zero threshold of {what} "
-                                "leaves float range")
-    return thr
 
 
 def default_window_len(dim):
@@ -165,8 +152,8 @@ def _check_binomial_form(vals, m, row, scale):
         slack, sums = 0, [reduce(add, map(mul, coeffs, vals[n:n + m + 1]), 0)
                           for n in range(len(row))]
     else:
-        slack = _float_threshold(_float_threshold(1e-12 * scale, math.comb(m, m // 2), 1, what),
-                                 m + 1, 1, what)
+        slack = zero_threshold(FLOAT, 1e-12 * scale, lambda: math.comb(m, m // 2), what)
+        slack = zero_threshold(FLOAT, slack, lambda: m + 1, what)
         vals, row = np.asarray(vals, dtype=float), np.asarray(row, dtype=float)
         # row n of windows is vals[n:n + m + 1], a view of vals
         windows = np.ndarray((len(row), m + 1), float, vals, 0, vals.strides * 2)
@@ -199,15 +186,14 @@ def _detect_degree(gamma, tol):
     if gamma.window_len < 3:
         raise WindowTooShortError("degree detection needs at least 3 samples")
     table = difference_table(gamma, gamma.window_len - 1)
-    scale = tol * max(1.0, gamma.max_abs()) if gamma.mode == FLOAT else 0.0
+    scale = zero_threshold(gamma.mode, tol, lambda: max(1.0, gamma.max_abs()), "the window")
     for k in range(gamma.window_len):
         # |x| is Scalar.is_zero's modulus of a real entry, math.hypot(x, 0.0);
         # the binomial factor compensates the cancellation amplification
         # of k-fold differencing; ints are compared with 0, no float made
         largest = max(map(abs, table._plain_row(k)))
         residual = largest if gamma.mode == FLOAT else 0.0
-        thr = 0 if gamma.mode == EXACT else _float_threshold(
-            scale, math.comb(k, k // 2), 1, f"difference row {k}")
+        thr = zero_threshold(gamma.mode, scale, lambda: math.comb(k, k // 2), f"difference row {k}")
         if largest <= thr:
             return DegreeVerdict(polynomial=True, degree=k - 1 if k else None,
                                  zero_sequence=k == 0, residual=residual), table

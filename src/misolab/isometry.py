@@ -2,9 +2,9 @@
 
 The defect of order m is the alternating binomial sum
 beta_m(T) = sum_k (-1)^k C(m,k) T*^k T^k; its vanishing defines
-m-isometricity.  Float-mode zero tests scale the tolerance by the actual
-magnitude of the summed terms, which bounds the cancellation error of the
-alternating sum.
+m-isometricity.  Float-mode zero tests take scalars.zero_threshold of the
+actual magnitude of the summed terms, which bounds the cancellation error
+of the alternating sum.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .matrices import (
     vec_inner,
     vec_scale,
 )
-from .scalars import EXACT, FLOAT, Scalar, falling_factorial
+from .scalars import EXACT, FLOAT, Scalar, falling_factorial, zero_threshold
 
 DEFAULT_DEFECT_TOL = 1e-8
 
@@ -58,7 +58,7 @@ class DefectOperator:
     float_scale: float = 1.0   # magnitude of the summed terms (float mode only)
 
     def threshold(self, tol):
-        return tol * self.float_scale
+        return zero_threshold(self.matrix.mode, tol, lambda: self.float_scale, f"beta_{self.m}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def defect(T, m):
         raise PreconditionError("defect order must be nonnegative")
     d = next(islice(_defects(T), m, None))
     rec = _defect_by_recurrence(T, m)
-    if not (d.matrix - rec).is_zero(1e-12 * d.float_scale):
+    if not (d.matrix - rec).is_zero(d.threshold(1e-12)):
         raise InternalCheckError(
             f"defect recurrence and binomial sum disagree at m={m}"
         )
@@ -204,7 +204,7 @@ def _nonzero_form_witness(d, tol):
              partial(_float_form_value, rows, list(zip(*rows))))
     # quadratic-form values can sit a factor ~2 below the largest entry,
     # hence the slack on the acceptance threshold
-    best, best_val = None, d.threshold(tol) * 0.25 if mode == FLOAT else 0
+    best, best_val = None, d.threshold(tol) * 0.25
     for c in polarization_pairs(dim):
         if (val := value(*c)) > best_val:
             best, best_val = c, val
@@ -273,7 +273,8 @@ def newton_expansion_check(T, m, n_max, tol=DEFAULT_DEFECT_TOL):
             c = falling_factorial(n, k) * (-1) ** k
             coeff = Scalar.from_int(c, T.mode) / Scalar.from_int(math.factorial(k), T.mode)
             rhs = rhs + betas[k].matrix.scale(coeff)
-        if not (lhs - rhs).is_zero(tol * scale * max(1.0, float(n) ** m)):
+        thr = zero_threshold(T.mode, tol, lambda: scale * max(1.0, float(n) ** m), f"T*^{n} T^{n}")
+        if not (lhs - rhs).is_zero(thr):
             ok = False
         Tn = Tn @ T
     return ok

@@ -3,7 +3,7 @@
 Exact mode stores a pair of arbitrary-precision rationals (Gaussian
 rationals), so sums, products, conjugates and divisions carry no rounding
 and zero tests are decidable.  Float mode stores a pair of 64-bit binary
-floats; every zero test downstream takes an explicit tolerance.  Mixing
+floats, and every float zero test downstream uses zero_threshold.  Mixing
 the two modes in one expression raises, it is never a silent promotion.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ModeMismatchError
+from .errors import ModeMismatchError, PreconditionError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -180,6 +180,22 @@ def same_mode(*scalars):
     if len(modes) != 1:
         raise ModeMismatchError(f"mixed scalar modes: {sorted(modes)}")
     return modes.pop()
+
+
+def zero_threshold(mode, tol, magnitude, what):
+    """0 in exact mode, which decides zeros exactly and never calls magnitude;
+    in float mode tol * magnitude(), the size of the terms whose sum is tested.
+    A threshold beyond float range would call every value zero: it raises."""
+    if mode == EXACT:
+        return 0
+    try:
+        thr = tol * magnitude()
+    except OverflowError:
+        thr = math.inf
+    if not math.isfinite(thr):
+        raise PreconditionError(f"float overflow: the zero threshold of {what} "
+                                "leaves float range")
+    return thr
 
 
 def falling_factorial(n, k):

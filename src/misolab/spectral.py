@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffcalc import DEFAULT_FLOAT_TOL, _float_threshold, default_window_len, detect_degree
+from .diffcalc import DEFAULT_FLOAT_TOL, default_window_len, detect_degree
 from .errors import (
     EigenHintError,
     InternalCheckError,
@@ -33,7 +33,7 @@ from .isometry import (
 )
 from .matrices import (
     DenseOperator,
-    _orbit_inners,
+    _orbit_windows,
     _scalar,
     basis_vector,
     float_max_abs,
@@ -47,7 +47,7 @@ from .matrices import (
     vec_scale,
     vec_sub,
 )
-from .scalars import EXACT, FLOAT, Scalar
+from .scalars import EXACT, FLOAT, Scalar, zero_threshold
 
 CLUSTER_TOL = 1e-6
 # single-linkage radius escalation factor used when a cluster's kernel
@@ -90,13 +90,12 @@ class NilpotentInfo:
 
 def nilpotency_index(N, tol=DEFAULT_DEFECT_TOL):
     """NilpotentInfo for a nilpotent matrix, or None when N^dim != 0."""
-    scale = max(1.0, N.max_abs()) if N.mode == FLOAT else 1.0
     power = DenseOperator.identity(N.dim, N.mode)
     prev = power
     for k in range(1, N.dim + 1):
         prev = power
         power = power @ N
-        if power.is_zero(_float_threshold(tol, scale, k, f"N^{k}")):
+        if power.is_zero(zero_threshold(N.mode, tol, lambda: max(1.0, N.max_abs()) ** k, f"N^{k}")):
             witness = _max_column_vector(prev)
             return NilpotentInfo(index=k, witness=witness)
     return None
@@ -214,7 +213,8 @@ def _float_nullspace(arr, tol):
     the tolerance, scaled by the largest |entry|."""
     if not np.isfinite(arr).all():
         raise PreconditionError("float overflow: a power of T - zI left float range")
-    thr = max(tol, 1e-10) * max(1.0, float(np.abs(arr).max()))
+    thr = zero_threshold(FLOAT, max(tol, 1e-10), lambda: max(1.0, float(np.abs(arr).max())),
+                         "the kernel")
     _, s, vh = np.linalg.svd(arr)
     # trailing rows of vh span the kernel
     return [_vec_from_numpy(vh[i].conj()) for i in range(len(s)) if s[i] <= thr]
@@ -449,8 +449,8 @@ def perturbation_analysis(A, N, tol=DEFAULT_DEFECT_TOL):
     if A.dim != N.dim or A.mode != N.mode:
         raise PreconditionError("operands must share dimension and mode")
     comm = A @ N - N @ A
-    comm_thr = 0.0 if A.mode == EXACT else tol * max(1.0, A.max_abs() * N.max_abs())
-    if not comm.is_zero(comm_thr):
+    if not comm.is_zero(zero_threshold(A.mode, tol, lambda: max(1.0, A.max_abs() * N.max_abs()),
+                                       "the commutator AN - NA")):
         raise PreconditionError("operators do not commute")
     ninfo = nilpotency_index(N, tol)
     if ninfo is None:
@@ -479,9 +479,8 @@ def _strictness_criterion(d, N, nu, tol):
     P = N.power(nu - 1)
     for f0 in polarization_candidates([basis_vector(dim, j, mode) for j in range(dim)]):
         w = P.apply(f0)
-        val = vec_inner(d.matrix.apply(w), w)
-        thr = 0.0 if mode == EXACT else tol * max(1.0, d.float_scale * vec_norm_sq(w).re)
-        if not val.is_zero(thr):
+        if not vec_inner(d.matrix.apply(w), w).is_zero(zero_threshold(
+                mode, tol, lambda: max(1.0, d.float_scale * vec_norm_sq(w).re), "<beta w, w>")):
             return True, f0
     return False, None
 
@@ -501,10 +500,8 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
         for q in ortho:
             coeff = vec_inner(w, q) / vec_norm_sq(q)
             w = vec_sub(w, vec_scale(coeff, q))
-        thr = 0.0
-        if T.mode == FLOAT:
-            thr = _float_threshold(tol, max(1.0, vec_norm_sq(v).re), 1, "the cyclic subspace")
-            thr = max(thr, _float_threshold(1.0, thr, 2, "the cyclic subspace"))
+        thr = zero_threshold(T.mode, tol, lambda: max(1.0, vec_norm_sq(v).re), "the cyclic basis")
+        thr = max(thr, zero_threshold(T.mode, thr, lambda: thr, "the cyclic basis"))
         if vec_norm_sq(w).is_zero(thr):
             break
         basis.append(v)
@@ -515,9 +512,8 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
 def _membership_check(T, h, z, tol):
     """h must lie in the generalized eigenspace of z: (T - zI)^dim h = 0."""
     M = (T - DenseOperator.identity(T.dim, T.mode).scale(z)).power(T.dim)
-    img = M.apply(h)
-    thr = 0.0 if T.mode == EXACT else tol * max(1.0, M.max_abs()) * max(1.0, vec_max_abs(h))
-    if not vec_is_zero(img, thr):
+    if not vec_is_zero(M.apply(h), zero_threshold(T.mode, tol, lambda: max(1.0, M.max_abs())
+                                                  * max(1.0, vec_max_abs(h)), "(T - zI)^dim h")):
         raise PreconditionError(
             "vector is not in the claimed generalized eigenspace"
         )
@@ -581,7 +577,11 @@ class OrthoTestResult:
 def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
                            tol=DEFAULT_FLOAT_TOL, eps_pair=None):
     """Finite-window check of the orthogonality criteria for generalized
-    eigenvectors at distinct unimodular eigenvalues."""
+    eigenvectors at distinct unimodular eigenvalues.
+
+    In float mode sample n, <T^n h1, T^n h2>, is zero within tol (n + 1)
+    ||T^n h1|| ||T^n h2||, with the norms from the same walk: the sample
+    carries the rounding of n + 1 steps, each relative to the orbit norms."""
     mode = T.mode
     window_len, opposite, poly = _pair_preconditions(T, h1, h2, z1, z2, tol, window_len)
     if eps_pair is None:
@@ -594,13 +594,13 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
     if opposite:
         eps_polys = tuple(poly(vec_add(vec_scale(e, h1), h2)) for e in eps_pair)
 
-    # conclusions over the window
-    inners = _orbit_inners(T, h1, h2, window_len)
-    inner_thr = 0.0 if mode == EXACT else _float_threshold(
-        tol * max(1.0, vec_max_abs(h1) * vec_max_abs(h2)), max(1.0, T.max_abs()), window_len,
-        f"the inner products over {window_len} steps")
-    re_ok = all(Scalar(mode, ip.re, 0).is_zero(inner_thr) for ip in inners)   # Re <u, v>
-    full_ok = all(ip.is_zero(inner_thr) for ip in inners)
+    inners, *norms = _orbit_windows(T, [(h1, h2)] + [(h, h) for h in (h1, h2) if mode == FLOAT],
+                                    window_len)
+    thrs = [zero_threshold(mode, tol, lambda: (n + 1) * math.sqrt(norms[0][n].re)
+                           * math.sqrt(norms[1][n].re), f"inner product {n}")
+            for n in range(window_len)]
+    re_ok = all(abs(ip.re) <= thr for ip, thr in zip(inners, thrs))
+    full_ok = all(ip.is_zero(thr) for ip, thr in zip(inners, thrs))
     diagnostics = {}
     if mode == FLOAT:
         diagnostics = {"max_re_inner": max(abs(ip.re) for ip in inners),
@@ -655,12 +655,9 @@ def jordan_pair_equivalences(T, h1, h2, z1, z2, tol=DEFAULT_FLOAT_TOL,
     rng = random.Random(seed)
     c1 = cyclic_subspace(T, h1, tol)
     c2 = cyclic_subspace(T, h2, tol)
-    inner_thr = 0.0 if mode == EXACT else tol * max(
-        1.0, max(vec_max_abs(v) for v in c1) * max(vec_max_abs(v) for v in c2))
-
-    cond_i = all(
-        vec_inner(u, v).is_zero(inner_thr) for u in c1 for v in c2
-    )
+    cond_i = all(vec_inner(u, v).is_zero(zero_threshold(
+        mode, tol, lambda: math.sqrt(vec_norm_sq(u).re) * math.sqrt(vec_norm_sq(v).re), "<u, v>"))
+        for u in c1 for v in c2)
 
     if opposite:
         eps_pair = _default_eps_pair(mode)
@@ -722,9 +719,9 @@ def _restricted_strict_order(T, spanning, tol):
 
     That is the first m with <beta_m(T) u, v> = 0 for all u, v in spanning:
     a Hermitian form vanishes on a span iff it does on all spanning pairs."""
-    scale = 0.0 if T.mode == EXACT else max(1.0, max(vec_max_abs(v) for v in spanning) ** 2)
     for d in islice(_defects(T), 1, 2 * len(spanning) + 2):
-        thr = d.threshold(tol) * scale
+        thr = zero_threshold(T.mode, d.threshold(tol), lambda: max(
+            1.0, max(vec_max_abs(v) for v in spanning) ** 2), f"<beta_{d.m} u, v>")
         images = [d.matrix.apply(u) for u in spanning]
         if all(vec_inner(b, v).is_zero(thr) for b in images for v in spanning):
             return d.m

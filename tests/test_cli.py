@@ -284,6 +284,31 @@ def test_float_gram_overflow_is_3(tmp_path, capsys):
     assert "float overflow" in err and "disagree" not in err
 
 
+def test_float_commutator_threshold_overflow_is_3(tmp_path, capsys):
+    # AN - NA = diag(0, 1e160, -1e160) against tol |A| |N| = 1e312: an
+    # infinite threshold passed the commutator test, and the error then
+    # named N^2
+    a = write(tmp_path, "a.json", {"mode": "float",
+                                   "matrix": [[1e160, 0, 0], [0, 1, 1], [0, 0, 1]]})
+    n = write(tmp_path, "n.json", {"mode": "float",
+                                   "matrix": [[0, 0, 0], [0, 0, 0], [0, 1e160, 0]]})
+    assert main(["perturb", a, n]) == 3
+    err = capsys.readouterr().err
+    assert "float overflow: the zero threshold of the commutator" in err
+
+
+def test_float_ortho_threshold_follows_the_orbits(tmp_path):
+    # the orbits of e0 and e1 keep norm 1 next to the eigenvalue 1e10; a
+    # threshold of max(1, |T|)^40 = 1e400 left float range and exited 3
+    path = write(tmp_path, "d.json", {"mode": "float",
+                                      "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 1e10]]})
+    out = tmp_path / "r.json"
+    assert main(["ortho", path, "--h1=1,0,0", "--h2=0,1,0", "--z1=1", "--z2=-1",
+                 "--window=40", f"--output={out}"]) == 0
+    report = json.loads(out.read_text())["orthogonality"]
+    assert report["mixed_inner_vanishes"] and report["agrees_with_theory"]
+
+
 def test_float_kernel_chain_overflow_prints_one_line(tmp_path):
     # (T - zI)^2 leaves float range; numpy's overflow warnings from the
     # power reached stderr ahead of the error line.  A fresh interpreter

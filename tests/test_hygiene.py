@@ -28,3 +28,27 @@ def unused_imports(path):
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+def tol_arithmetic(path):
+    """Lines on which a module applies arithmetic to a name `tol`."""
+    def is_tol(node):
+        return isinstance(node, ast.Name) and node.id == "tol"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and (is_tol(node.left) or is_tol(node.right))
+                  or isinstance(node, ast.UnaryOp) and is_tol(node.operand)
+                  or isinstance(node, ast.AugAssign) and (is_tol(node.target)
+                                                          or is_tol(node.value)))
+
+
+# every float zero threshold is scalars.zero_threshold's tol * magnitude(),
+# so that no call site grows a formula of its own
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "scalars.py"),
+                         ids=lambda p: p.name)
+def test_only_zero_threshold_scales_tol(path):
+    assert tol_arithmetic(path) == []
+
+
+def test_tol_arithmetic_is_seen_in_zero_threshold():
+    assert tol_arithmetic(SRC / "scalars.py")

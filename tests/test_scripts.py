@@ -81,7 +81,7 @@ def test_float_cli_order_digest_is_pinned(tmp_path):
 
 @pytest.mark.parametrize("command,count,specs_digest,output_digest", [
     ("ortho", 5, "8ac595838fe0e47b738ac8cb6bcd058433d3e287d5da7e2f84aad8d5bacb5bc3",
-     "e763e5aefb9ed2b568cb3963682da1c456cf28bcc04b828f215eb7138522009b"),
+     "44dd1dcc7b722a3ea9191b4bf4a91fca28d8f718ac4e5d84590f8d60333693dd"),
     ("perturb", 3, "a2851916df5b5b311b12b5afa8c542b44019c0d9f252bb16e8b7b9e59e1e0f12",
      "78b68629c0e8092794a45e837039324da7473e09f0df7f4406b00256c990585f"),
 ])

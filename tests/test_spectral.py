@@ -1,6 +1,7 @@
 """Jordan structure, decomposition, perturbation and orthogonality tests."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -39,7 +40,7 @@ from misolab.isometry import _defects
 from misolab.matrices import polarization_candidates
 from misolab.scalars import EXACT, FLOAT
 from misolab.spectral import (_restricted_strict_order, _strictness_criterion, exact_nullspace,
-                              exact_rref)
+                              exact_rref, from_numpy, to_numpy)
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
                             perturbation_corpus, random_unitary)
 
@@ -421,6 +422,51 @@ class TestJordanPairEquivalences:
     @pytest.mark.parametrize("case", list(JORDAN_PAIR_CASES))
     def test_float_conjugated_copy(self, case):
         self.check(case, FLOAT)
+
+
+def ortho_pair(seed, similar):
+    """A seeded float ortho case (T, h1, h2, z1, z2): Jordan blocks of sizes
+    1-5 at two or three distinct UNIMODULAR_EXACT values, with h1 and h2 of
+    small integer coordinates in the first and the second block.  The blocks
+    are moved by a random unitary, which keeps h1 and h2 orthogonal, or by
+    the similarity S = I + 0.3 G (G complex Gaussian), which does not."""
+    rng, np_rng = random.Random(seed), np.random.default_rng(seed)
+    zs = rng.sample(UNIMODULAR_EXACT, rng.randint(2, 3))
+    sizes = [rng.randint(1, 5) for _ in zs]
+    J = to_numpy(operator_to_float(direct_sum(*(jordan_matrix(JordanSpec(z, k))
+                                                for z, k in zip(zs, sizes)))))
+    xs = []
+    for lo, k in ((0, sizes[0]), (sizes[0], sizes[1])):
+        x = np.zeros(len(J), complex)
+        while not x.any():
+            x[lo:lo + k] = [complex(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(k)]
+        xs.append(x)
+    if similar:
+        S = np.eye(len(J)) + 0.3 * (np_rng.standard_normal(J.shape)
+                                    + 1j * np_rng.standard_normal(J.shape))
+        T = S @ J @ np.linalg.inv(S)
+    else:
+        S = random_unitary(len(J), np_rng)
+        T = S @ J @ S.conj().T
+    h1, h2 = (tuple(Scalar.flt(v.real, v.imag) for v in S @ x) for x in xs)
+    return (from_numpy(T), h1, h2, *(Scalar.flt(float(z.re), float(z.im)) for z in zs[:2]))
+
+
+class TestOrthoOrbitRelativeThreshold:
+    """Float ortho tests sample n against tol (n + 1) ||T^n h1|| ||T^n h2||.
+    A threshold of tol max(1, |h1| |h2|) max(1, |T|)^window, blind to how the
+    orbits grow, got about half of these pairs wrong, both ways."""
+
+    def test_orthogonal_pairs_vanish(self):
+        wrong = [seed for seed in range(40)
+                 if not ((res := ortho_test_generalized(*ortho_pair(seed, False)))
+                         .mixed_inner_vanishes and res.agrees_with_theory)]
+        assert wrong == []
+
+    def test_similar_pairs_do_not_vanish(self):
+        wrong = [seed for seed in range(40)
+                 if ortho_test_generalized(*ortho_pair(seed, True)).mixed_inner_vanishes]
+        assert wrong == []
 
 
 # ---------------------------------------------------------------------------
