@@ -2,9 +2,10 @@
 
 Everything here works on a finite window of a sequence.  Degree verdicts
 are therefore window-relative, and certify nothing beyond the window in
-either mode.  The certified orbit degrees of an exact m-isometry are read
-from its defect operators instead (isometry.local_isometry_survey); on a
-window of at least m + 1 samples they equal the verdicts made here.
+either mode.  The orbit degrees of an m-isometry are read from its defect
+operators instead (isometry.local_isometry_survey): in exact mode they are
+certificates, and on a window of at least m + 1 samples they equal the
+verdicts made here; in float mode they are zero tests on <beta_j h, h>.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import islice, repeat
 from operator import add, mul
@@ -32,6 +32,7 @@ from .matrices import (
     FiniteVector,
     _conj,
     _dot,
+    _fdot,
     _fweighted_sum,
     _nonzeros,
     _orbit_inners,
@@ -67,6 +68,8 @@ class OrderVerdict:
     m: int                            # the order, or the exhausted bound
     witness: Optional[tuple] = None   # h with <beta_{m-1} h, h> != 0, for m >= 2
     residual: float = 0.0             # max |beta_m| entry (float diagnostics)
+    # the walked beta_0 .. beta_{m-1} (.. beta_{m_max} if not strict)
+    defects: tuple = field(default=(), compare=False, repr=False)
 
     def describe(self):
         if self.strict:
@@ -156,13 +159,8 @@ def default_m_max(T):
 
 def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
     """Smallest m <= m_max with beta_m(T) = 0, with a nonzero witness for
-    beta_{m-1}; NotWithinBound otherwise."""
-    return _strict_order(T, m_max, tol)[0]
-
-
-def _strict_order(T, m_max, tol):
-    """(strict_order's verdict, [beta_0, ..., beta_{m-1}]), or the defects up
-    to beta_{m_max} if not strict."""
+    beta_{m-1}; NotWithinBound otherwise.  The verdict keeps the defects it
+    walked, beta_0 .. beta_{m-1}, or beta_0 .. beta_{m_max} if not strict."""
     if m_max is None:
         m_max = default_m_max(T)
     if m_max < 1:
@@ -180,9 +178,10 @@ def _strict_order(T, m_max, tol):
                         f"beta_{m - 1} reported nonzero but no witness found"
                     )
             return OrderVerdict(strict=True, m=m, witness=witness,
-                                residual=_residual(d.matrix)), walked
+                                residual=_residual(d.matrix), defects=tuple(walked))
         walked.append(d)
-    return OrderVerdict(strict=False, m=m_max, residual=_residual(walked[-1].matrix)), walked
+    return OrderVerdict(strict=False, m=m_max, residual=_residual(walked[-1].matrix),
+                        defects=tuple(walked))
 
 
 def _residual(beta):
@@ -380,28 +379,28 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
     as a lower bound.  Uniform polynomiality of the sampled orbits is
     reported as 'consistent with m-isometry' for m = max degree + 1.
 
-    The degrees are certificates when op is exact and dense, of strict
-    order m, every vector passes apply's checks and the window (window_len,
-    or default_window_len) holds W >= max(3, m + 1) samples.  By Newton's
-    formula ||T^n h||^2 = sum_{j<m} C(n,j) (-1)^j <beta_j h, h> is then the
-    polynomial of degree D = max{j : <beta_j h, h> != 0} (zero if there is
-    none), which is read from the walked beta_j, and no orbit is walked.
-    detect_degree says the same on W >= D + 2 samples: Delta^(D+1) vanishes,
-    Delta^D is a nonzero constant, and Delta^k for k < D is a nonzero
-    polynomial of degree D - k at W - k > D - k points.  Otherwise each
-    degree is detect_degree's verdict on the orbit window, which certifies
-    nothing beyond it.
+    When op is dense, of strict order m, every vector passes apply's checks
+    and the window (window_len, or default_window_len) holds W >= max(3,
+    m + 1) samples, the degrees are read from the beta_j strict_order
+    walked, and no orbit is walked.  By Newton's formula ||T^n h||^2 =
+    sum_{j<m} C(n,j) (-1)^j <beta_j h, h> is then the polynomial of degree
+    D = max{j : <beta_j h, h> != 0} (zero if there is none).  In exact mode
+    D is a certificate, and detect_degree says the same on W >= D + 2
+    samples: Delta^(D+1) vanishes, Delta^D is a nonzero constant, and
+    Delta^k for k < D is a nonzero polynomial of degree D - k at W - k >
+    D - k points.  In float mode each <beta_j h, h> is a zero-test decision
+    against zero_threshold(defect_tol, beta_j's float_scale * ||h||^2), and
+    a value or threshold beyond float range raises, as an overflowing orbit
+    sample does.  Otherwise each degree is detect_degree's verdict on the
+    orbit window, which certifies nothing beyond it.
     """
     vectors = list(vectors)
     if not vectors:
         raise PreconditionError("survey needs at least one vector")
     global_verdict, verdicts, windows = None, None, []
     if isinstance(op, DenseOperator):
-        if op.mode == EXACT:
-            global_verdict, betas = _strict_order(op, m_max, defect_tol)
-            verdicts = _beta_degrees(op, vectors, window_len, global_verdict, betas)
-        else:   # float mode has no zero test for <beta_j h, h> yet
-            global_verdict = strict_order(op, m_max=m_max, tol=defect_tol)
+        global_verdict = strict_order(op, m_max=m_max, tol=defect_tol)
+        verdicts = _beta_degrees(op, vectors, window_len, global_verdict, defect_tol)
         if verdicts is None:
             windows = _survey_windows(op, vectors, window_len)
     if verdicts is None:
@@ -426,9 +425,10 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
     )
 
 
-def _beta_degrees(op, vectors, window_len, verdict, betas):
-    """The survey's degrees read from beta_0 .. beta_{m-1} of an exact op, or
-    None where they are no certificates (see local_isometry_survey)."""
+def _beta_degrees(op, vectors, window_len, verdict, tol):
+    """The survey's degrees read from the defects beta_0 .. beta_{m-1} of
+    verdict, or None where the survey walks its windows instead (see
+    local_isometry_survey)."""
     if window_len is None:
         window_len = default_window_len(op.dim)
     if not verdict.strict or window_len < max(3, verdict.m + 1):
@@ -438,9 +438,36 @@ def _beta_degrees(op, vectors, window_len, verdict, betas):
             op._check_vec(h)
     except (DimensionMismatchError, ModeMismatchError):
         return None
-    # <beta h, h> = (h* beta) h on beta's nonzero entries, real as beta is Hermitian
-    forms = [_nonzeros(b.matrix._row_parts()[1]) for b in betas]
-    degrees = [max((j for j, beta in enumerate(forms)
-                    if _dot(_scatter([_conj(u, EXACT)], beta)[0], u)[0]), default=None)
-               for u in (_parts(h, EXACT)[1] for h in vectors)]
+    mode, betas = op.mode, verdict.defects
+    if mode == EXACT:
+        # <beta h, h> = (h* beta) h on beta's nonzero entries, real as beta is Hermitian
+        forms = [_nonzeros(b.matrix._row_parts()[1]) for b in betas]
+        values = [[abs(_dot(_scatter([_conj(u, EXACT)], beta)[0], u)[0]) for beta in forms]
+                  for u in (_parts(h, EXACT)[1] for h in vectors)]
+        norms = repeat(None)     # exact zero tests take no magnitude
+    else:
+        values, norms = _float_forms(betas, vectors)
+    degrees = [next((j for j in reversed(range(len(betas))) if vals[j] > zero_threshold(
+                    mode, tol, lambda: betas[j].float_scale * norm, f"<beta_{j} h, h>")), None)
+               for vals, norm in zip(values, norms)]
     return [DegreeVerdict(polynomial=True, degree=d, zero_sequence=d is None) for d in degrees]
+
+
+def _float_forms(betas, vectors):
+    """|<beta_j h, h>| for each float vector h and each beta_j, and ||h||^2,
+    as vec_inner(beta_j.apply(h), h) and vec_inner(h, h) round them: the
+    ordered float kernels, one vector at a time against all the beta_j.
+    A value beyond float range raises the float-overflow error."""
+    stacked = np.stack([b.matrix._row_parts()[1] for b in betas], axis=1)    # 2 x m x n x n
+    values, norms = [], []
+    for h in vectors:
+        v = _parts(h, FLOAT)[1]
+        v_conj = _conj(v, FLOAT)
+        forms = _fdot(_fdot(stacked, v[:, None, None], 2), v_conj[:, None], 1)    # 2 x m
+        norm = float(_fdot(v, v_conj, 0)[0])
+        if not (np.isfinite(forms).all() and math.isfinite(norm)):
+            raise PreconditionError("float overflow: a form <beta_j h, h> of the survey "
+                                    "leaves float range")
+        values.append(list(map(math.hypot, *forms.tolist())))
+        norms.append(norm)
+    return values, norms

@@ -27,9 +27,9 @@ from .errors import (
 from .isometry import (
     DEFAULT_DEFECT_TOL,
     _defects,
-    _strict_order,
     is_m_isometry,
     orbit_sequence,
+    strict_order,
 )
 from .matrices import (
     DenseOperator,
@@ -455,7 +455,7 @@ def perturbation_analysis(A, N, tol=DEFAULT_DEFECT_TOL):
     ninfo = nilpotency_index(N, tol)
     if ninfo is None:
         raise PreconditionError("perturbation is not nilpotent")
-    order_a, betas = _strict_order(A, None, tol)
+    order_a = strict_order(A, tol=tol)
     if not order_a.strict:
         raise PreconditionError(
             f"base operator is not an m-isometry within m <= {order_a.m}"
@@ -463,7 +463,7 @@ def perturbation_analysis(A, N, tol=DEFAULT_DEFECT_TOL):
     m_a, nu = order_a.m, ninfo.index
     m_bound = m_a + 2 * (nu - 1)
     bound_verified = is_m_isometry(A + N, m_bound, tol)
-    strict, witness = _strictness_criterion(betas[-1], N, nu, tol)
+    strict, witness = _strictness_criterion(order_a.defects[-1], N, nu, tol)
     return PerturbationResult(
         m_a=m_a, nu=nu, m_bound=m_bound,
         bound_verified=bound_verified, strict=strict, witness=witness,

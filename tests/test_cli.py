@@ -274,6 +274,18 @@ def test_float_orbit_overflow_is_3(tmp_path, capsys):
     assert "overflow" in err and "n=6" in err
 
 
+def test_float_strict_degrees_need_no_orbit_window(tmp_path, capsys):
+    # ||T^n e_1||^2 = 1 + n^2 c^2 leaves float range at n = 11 of the window
+    # of 12, while beta_0 .. beta_2 of this strict-order(3) block stay in it:
+    # the degrees are read from them
+    path = write(tmp_path, "j.json", {"mode": "float", "matrix": [[1, 1.265e153], [0, 1]]})
+    out = tmp_path / "r.json"
+    assert main(["order", path, f"--output={out}"]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdict"]["kind"] == "strict-order" and report["verdict"]["m"] == 3
+    assert report["basis_orbit_degrees"] == ["polynomial(degree=0)", "polynomial(degree=2)"]
+
+
 def test_float_gram_overflow_is_3(tmp_path, capsys):
     # T*^2 T^2 = diag(1e400, 1) leaves float range; this ended in the
     # internal-check message "defect recurrence and binomial sum disagree"

@@ -7,11 +7,13 @@ from functools import reduce
 from itertools import islice
 from operator import add, mul, sub
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misolab import (
+    DegreeVerdict,
     DenseOperator,
     DimensionMismatchError,
     InternalCheckError,
@@ -43,8 +45,9 @@ from misolab.isometry import (
     _survey_windows,
 )
 from misolab.matrices import _int_form, _orbit_inners, basis_vector, polarization_candidates
-from misolab.scalars import EXACT, FLOAT
-from misolab.suites import UNIMODULAR_EXACT
+from misolab.scalars import EXACT, FLOAT, zero_threshold
+from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
+                            random_unitary)
 
 # ---------------------------------------------------------------------------
 # Reference Scalar loops: the kernels must reproduce them entry by entry,
@@ -528,6 +531,28 @@ def ref_survey(T, vectors, window_len=None):
     return (strict_order(T), [detect_degree(orbit_sequence(T, h, window_len)) for h in vectors])
 
 
+def ref_beta_survey(T, vectors, window_len=None, tol=isometry.DEFAULT_DEFECT_TOL):
+    """The float survey's verdicts where it reads the degrees from beta
+    (a strict order m, a window of at least max(3, m + 1) samples): per
+    vector the largest j < m with |<beta_j h, h>| above zero_threshold of
+    beta_j's float_scale * ||h||^2, the forms made by the Scalar loops.
+    None where the survey walks its windows."""
+    verdict = strict_order(T)
+    if not verdict.strict or (window_len or default_window_len(T.dim)) < max(3, verdict.m + 1):
+        return None
+    forms = [(ref_inner(h, h).re, [ref_inner(ref_apply(b.matrix, h), h).modulus()
+                                   for b in verdict.defects]) for h in vectors]
+    if not all(math.isfinite(x) for norm, values in forms for x in [norm, *values]):
+        raise PreconditionError("float overflow: a form <beta_j h, h> of the survey "
+                                "leaves float range")
+    degrees = [next((j for j, b in reversed(list(enumerate(verdict.defects)))
+                     if values[j] > zero_threshold(FLOAT, tol, lambda: b.float_scale * norm,
+                                                   f"<beta_{j} h, h>")), None)
+               for norm, values in forms]
+    return verdict, [DegreeVerdict(polynomial=True, degree=d, zero_sequence=d is None)
+                     for d in degrees]
+
+
 def outcome(f):
     """f()'s value, or the type and message of the MisolabError it raises."""
     try:
@@ -550,18 +575,25 @@ class TestSurveyWindows:
     BIG = DenseOperator([[Scalar.flt(1e30), Scalar.flt(0.0)], [Scalar.flt(0.0), Scalar.flt(1.0)]])
     E0, E1 = basis_vector(2, 0, FLOAT), basis_vector(2, 1, FLOAT)
     BOTH = (Scalar.flt(1.0), Scalar.flt(1.0))
+    JORDAN_2 = DenseOperator.from_ints([[1, 1], [0, 1]], FLOAT)
 
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         float_operators(n, unit_scalars), st.lists(float_vectors(n, unit_scalars), min_size=1,
                                                     max_size=4))), st.integers(2, 20))
+    @example((JORDAN_2, [E0, (Scalar.flt(0.5), Scalar.flt(-0.25, 0.125)), (Scalar.flt(0.0),) * 2]),
+             12)
+    @example((JORDAN_2, [E0, E1]), 3)
     @settings(max_examples=40, deadline=None)
     def test_float_windows_and_verdicts(self, case, window_len):
         T, vectors = case
         got = _survey_windows(T, vectors, window_len)
         assert [bits(w) for w in got] == [bits(ref_norm_window(T, h, window_len))
                                           for h in vectors]
-        assert outcome(lambda: survey(T, vectors, window_len)) == outcome(
-            lambda: ref_survey(T, vectors, window_len))
+        # a strict operator's degrees are read from beta, the others' walked
+        ref = outcome(lambda: ref_beta_survey(T, vectors, window_len))
+        if ref is None:
+            ref = outcome(lambda: ref_survey(T, vectors, window_len))
+        assert outcome(lambda: survey(T, vectors, window_len)) == ref
 
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
         operators(n), st.lists(vectors(n), min_size=1, max_size=3))), st.integers(2, 8))
@@ -632,6 +664,40 @@ class TestSurveyWindows:
         with pytest.raises(AssertionError, match="walked"):
             local_isometry_survey(sheared, [basis_vector(2, 0, EXACT)])
 
+    def test_strict_float_survey_walks_no_orbit(self, monkeypatch):
+        # the float degrees are read from beta_0 .. beta_{m-1} too
+        def walk(*args):
+            raise AssertionError("an orbit window was walked")
+
+        monkeypatch.setattr(matrices, "_orbit_windows", walk)
+        monkeypatch.setattr(isometry, "_orbit_windows", walk)
+        T = operator_to_float(direct_sum(*(jordan_matrix(JordanSpec(z=z, size=k)) for z, k in (
+            (Scalar.exact(1), 4), (Scalar.exact(0, 1), 3),
+            (Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 1)))))
+        vectors = [basis_vector(8, j, FLOAT) for j in range(8)] + [(Scalar.flt(0.0),) * 8]
+        res = local_isometry_survey(T, vectors)
+        assert res.global_verdict.describe() == "strict-order(7)"
+        assert [v.describe() for v in res.per_vector] == [
+            f"polynomial(degree={2 * j})" for j in (0, 1, 2, 3, 0, 1, 2, 0)] + ["zero-sequence"]
+        sheared = DenseOperator.from_ints([[1, -2], [0, -1]], FLOAT)
+        with pytest.raises(AssertionError, match="walked"):
+            local_isometry_survey(sheared, [self.E0])
+
+    def test_float_forms_beyond_float_range_raise(self):
+        # on the identity <beta_0 h, h> = ||h||^2 = 1e400 is what the orbit
+        # window's first sample was; a nan form is never taken for zero
+        eye = DenseOperator.identity(2, FLOAT)
+        for h in [(Scalar.flt(1e200), Scalar.flt(0.0)), (Scalar.flt(math.nan), Scalar.flt(0.0))]:
+            with pytest.raises(PreconditionError, match="float overflow"):
+                local_isometry_survey(eye, [self.E1, h])
+        # on J = [[1, c], [0, 1]], c = 1e150, beta_2 = diag(0, 2c^2): for
+        # h = 1e5 e_1 the form 2e310 leaves float range, its threshold
+        # 1e-8 * 6e300 * 1e10 does not
+        J = DenseOperator([[Scalar.flt(1.0), Scalar.flt(1e150)], [Scalar.flt(0.0), Scalar.flt(1.0)]])
+        assert strict_order(J).describe() == "strict-order(3)"
+        with pytest.raises(PreconditionError, match="float overflow"):
+            local_isometry_survey(J, [(Scalar.flt(0.0), Scalar.flt(1e5))])
+
 
 superdiagonal = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)])
 
@@ -678,6 +744,29 @@ def test_beta_degrees_are_the_window_verdicts(case):
         got = outcome(lambda: survey(T, vecs, window_len))
         assert got == outcome(lambda: (verdict, [
             detect_degree(orbit_sequence(T, h, window_len or default)) for h in vecs]))
+
+
+# seeded unitary conjugations of Jordan sums (z index in UNIMODULAR_EXACT, size)
+THEORY_CASES = [([(2, 6)], 0), ([(4, 6), (3, 2)], 0), ([(1, 7), (2, 1)], 0), ([(2, 4), (1, 3)], 1)]
+
+
+def test_float_beta_degrees_follow_theory():
+    """After a random unitary every basis vector meets the largest Jordan
+    block, so its orbit degree is m - 1, which the float survey reads from
+    beta; detect_degree on the default window says less for some of them."""
+    window_degrees = []
+    for blocks, seed in THEORY_CASES:
+        T = direct_sum(*(jordan_matrix(JordanSpec(z=UNIMODULAR_EXACT[z], size=k))
+                         for z, k in blocks))
+        T = conjugate_by_unitary(operator_to_float(T), random_unitary(
+            T.dim, np.random.default_rng(seed)))
+        vectors = [basis_vector(T.dim, j, FLOAT) for j in range(T.dim)]
+        res = local_isometry_survey(T, vectors)
+        m = 2 * max(k for _, k in blocks) - 1
+        assert res.global_verdict.describe() == f"strict-order({m})"
+        assert [v.degree for v in res.per_vector] == [m - 1] * T.dim
+        window_degrees += [(detect_degree(orbit_sequence(T, h)).degree, m - 1) for h in vectors]
+    assert any(d is None or d < want for d, want in window_degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -46,14 +46,19 @@ def test_exact_cli_cycle_digest_is_pinned():
                    "4a2e8d81d38c001d47a8cb7e9f27d41f04cab33758cf0e0f12c87606d5fd9a51\n")
 
 
-def check_float_cycle_pin(tmp_path, command, count, specs_digest, output_digest):
-    """The `command` requests of float-cli cycle 0 at seed 1: first the
-    digest of their spec files, then that of their outputs."""
+def import_report_hashes():
     sys.path.insert(0, os.path.join(ROOT, "scripts"))
     try:
         import report_hashes
     finally:
         sys.path.remove(os.path.join(ROOT, "scripts"))
+    return report_hashes
+
+
+def check_float_cycle_pin(tmp_path, command, count, specs_digest, output_digest):
+    """The `command` requests of float-cli cycle 0 at seed 1: first the
+    digest of their spec files, then that of their outputs."""
+    report_hashes = import_report_hashes()
     reqs = [req for req in report_hashes.workloads.cycle_requests("float-cli", 1, 0)
             if req.argv[0] == command]
     assert len(reqs) == count
@@ -76,7 +81,7 @@ def test_float_cli_order_digest_is_pinned(tmp_path):
     check_float_cycle_pin(
         tmp_path, "order", 16,
         "71583d2c9284ce6081900991643cf0a229e3d2fe07a587f52352f38be2391a8d",
-        "0b6b12edab000065d79792f854143103f67c50807f29f964d6a8a5a554b5f5a3")
+        "de2852b31eef8d2ef21072a719f687be5db365804bc7268aca0650a658adf3c6")
 
 
 @pytest.mark.parametrize("command,count,specs_digest,output_digest", [
@@ -92,3 +97,31 @@ def test_float_cli_window_digests_are_pinned(tmp_path, command, count, specs_dig
     products, the perturb strictness criterion) and make no LAPACK call; as
     for order, the spec files are pinned first."""
     check_float_cycle_pin(tmp_path, command, count, specs_digest, output_digest)
+
+
+@pytest.mark.parametrize("command", ["order", "perturb"])
+def test_float_cli_reaches_strict_order(tmp_path, monkeypatch, command):
+    """The benchmark's traced float-cli run must record calls to the public
+    isometry.strict_order, which it wraps in every module that binds it.  The
+    float order and perturb requests of cycle 0 at seed 1 reach it through
+    every such binding wrapped the same way."""
+    from misolab import isometry
+
+    report_hashes = import_report_hashes()
+    original, calls = isometry.strict_order, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "misolab" or name.startswith("misolab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    reqs = [req for req in report_hashes.workloads.cycle_requests("float-cli", 1, 0)
+            if req.argv[0] == command]
+    assert reqs
+    for req in reqs:
+        report_hashes.run_request(req, str(tmp_path))
+    assert len(calls) > 0
