@@ -377,7 +377,8 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
     For a dense operator the global verdict is strict_order up to m_max;
     otherwise the max of (degree + 1) over the sampled vectors is reported
     as a lower bound.  Uniform polynomiality of the sampled orbits is
-    reported as 'consistent with m-isometry' for m = max degree + 1.
+    reported as 'consistent with m-isometry' for m = max degree + 1; on a
+    dense operator a degree above 2 dim - 2 is not consistent with any m.
 
     When op is dense, of strict order m, every vector passes apply's checks
     and the window (window_len, or default_window_len) holds W >= max(3,
@@ -407,6 +408,7 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
         verdicts = [detect_degree(OrbitSequence(windows[j]) if j < len(windows)
                                   else orbit_sequence(op, h, window_len))
                     for j, h in enumerate(vectors)]
+    cap = 2 * op.dim - 2 if isinstance(op, DenseOperator) else math.inf
     lower = 0
     all_poly = True
     for v in verdicts:
@@ -414,6 +416,7 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
             all_poly = False
         elif not v.zero_sequence:
             lower = max(lower, v.degree + 1)
+            all_poly = all_poly and v.degree <= cap
     consistent = lower if all_poly else None
     if consistent == 0:
         consistent = 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice, pairwise
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 from .diffcalc import DEFAULT_FLOAT_TOL, default_window_len, detect_degree
 from .errors import (
     EigenHintError,
-    InternalCheckError,
     ModeMismatchError,
     PreconditionError,
 )
@@ -33,7 +32,10 @@ from .isometry import (
 )
 from .matrices import (
     DenseOperator,
+    _conj,
+    _fdot,
     _orbit_windows,
+    _parts,
     _scalar,
     basis_vector,
     float_max_abs,
@@ -204,20 +206,16 @@ def from_numpy(arr):
     return DenseOperator([[Scalar.flt(z.real, z.imag) for z in row] for row in arr])
 
 
-def _vec_from_numpy(col):
-    return tuple(Scalar.flt(z.real, z.imag) for z in col)
-
-
 def _float_nullspace(arr, tol):
-    """Kernel basis: right singular vectors whose singular value is within
-    the tolerance, scaled by the largest |entry|."""
+    """The conjugated kernel basis, unboxed: the rows of vh whose singular
+    value is within the tolerance, scaled by the largest |entry|."""
     if not np.isfinite(arr).all():
         raise PreconditionError("float overflow: a power of T - zI left float range")
     thr = zero_threshold(FLOAT, max(tol, 1e-10), lambda: max(1.0, float(np.abs(arr).max())),
                          "the kernel")
     _, s, vh = np.linalg.svd(arr)
     # trailing rows of vh span the kernel
-    return [_vec_from_numpy(vh[i].conj()) for i in range(len(s)) if s[i] <= thr]
+    return vh[s <= thr]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +271,8 @@ def _kernel_chain(ident, M, dim, nullspace):
     """Kernels of M, M^2, ... until their dimension stabilizes.
 
     Returns (depth, basis): the smallest k whose kernel has the final
-    dimension, and the kernel basis of M^k."""
+    dimension, and nullspace's basis of M^k (unboxed vh rows in float
+    mode, where a call runs it once per distinct cluster mean)."""
     power = ident
     kernels = []
     for _ in range(dim):
@@ -287,27 +286,33 @@ def _kernel_chain(ident, M, dim, nullspace):
 
 
 def _float_eigenspaces(T, tol):
+    """(spaces, warnings): numpy's eigenvalues clustered by single linkage
+    from radius CLUSTER_TOL * max(1, max |lambda|), tenfold per attempt for
+    at most _CLUSTER_MAX_ESCALATIONS, until each cluster mean z has a kernel
+    chain of T - zI as long as its cluster; a warning names the radius.  The
+    attempts share one dict of chains by the bits of z: the same z, the
+    same T - zI and SVDs.  If no attempt is consistent the tolerance cannot
+    separate the clusters, and a PreconditionError names the last radius."""
     arr = to_numpy(T)
     eigs = np.linalg.eigvals(arr)
     scale = max(1.0, float(np.abs(eigs).max()))
     warnings = []
+    chains = {}
     radius = CLUSTER_TOL * scale
     for attempt in range(_CLUSTER_MAX_ESCALATIONS):
+        if attempt:
+            radius *= _CLUSTER_ESCALATION
         clusters = _single_linkage(eigs, radius)
-        spaces, consistent = _spaces_from_clusters(T, arr, clusters, tol)
-        if consistent:
+        spaces = _spaces_from_clusters(arr, clusters, tol, chains)
+        if spaces is not None:
             if attempt > 0:
-                warnings.append(
-                    f"eigenvalue clustering escalated to radius {radius:.2e}"
-                )
-            gaps = _inter_cluster_gaps(clusters)
-            if any(radius < g <= 10 * radius for g in gaps):
-                warnings.append(
-                    "ambiguous eigenvalue clusters within 10x the cluster radius"
-                )
+                warnings.append(f"eigenvalue clustering escalated to radius {radius:.2e}")
+            if any(radius < g <= 10 * radius for g in _inter_cluster_gaps(clusters)):
+                warnings.append("ambiguous eigenvalue clusters within 10x the cluster radius")
             return spaces, warnings
-        radius *= _CLUSTER_ESCALATION
-    raise InternalCheckError("eigenvalue clustering never became consistent")
+    raise PreconditionError(
+        f"eigenvalue clustering never became consistent up to radius {radius:.2e}: the "
+        "tolerance cannot separate the generalized eigenspaces")
 
 
 def _single_linkage(eigs, radius):
@@ -342,28 +347,29 @@ def _inter_cluster_gaps(clusters):
     return gaps
 
 
-def _spaces_from_clusters(T, arr, clusters, tol):
-    dim = T.dim
-    spaces = []
-    total = 0
+def _spaces_from_clusters(arr, clusters, tol, chains):
+    """The GeneralizedEigenspace of each cluster, or None if a kernel is not
+    as large as its cluster.  chains keeps each mean's _kernel_chain; only
+    the returned bases are boxed."""
+    dim = len(arr)
+    found = []
     for members in clusters:
-        mult = len(members)
         # a mean or a power that leaves float range is caught by _float_nullspace
         with np.errstate(over="ignore", invalid="ignore"):
             z = complex(np.mean(members))   # mean cancels the Jordan scatter
-            depth, basis = _kernel_chain(np.eye(dim), arr - z * np.eye(dim), dim,
-                                         lambda P: _float_nullspace(P, tol))
-        if len(basis) != mult:
-            return None, False
-        spaces.append(GeneralizedEigenspace(
-            eigenvalue=Scalar.flt(z.real, z.imag),
-            basis=tuple(basis),
-            chain_depth=depth,
-        ))
-        total += mult
-    if total != dim:
-        return None, False
-    return spaces, True
+            key = np.complex128(z).tobytes()     # bits: 0.0 and -0.0 differ
+            if key not in chains:
+                chains[key] = _kernel_chain(np.eye(dim), arr - z * np.eye(dim), dim,
+                                            lambda P: _float_nullspace(P, tol))
+        depth, basis = chains[key]
+        if len(basis) != len(members):
+            return None
+        found.append((z, depth, basis))
+    return [GeneralizedEigenspace(eigenvalue=Scalar.flt(z.real, z.imag),
+                                  basis=tuple(tuple(Scalar.flt(x.real, x.imag) for x in v.conj())
+                                              for v in basis),
+                                  chain_depth=depth)
+            for z, depth, basis in found]
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +406,7 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
         if not on_circle:
             failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue)} is not unimodular")
             break
-    cross = [vec_inner(u, v)
-             for i, bi in enumerate(spaces) for bj in spaces[i + 1:]
-             for u in bi.basis for v in bj.basis]
+    cross = _cross_gram([sp.basis for sp in spaces], T.mode)
     gram = float_max_abs(cross, T.mode)
     if not all(ip.is_zero(tol) for ip in cross):
         failures.append("generalized eigenspaces are not pairwise orthogonal")
@@ -418,6 +422,20 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
         predicted_strict_order=predicted,
         warnings=tuple(warnings),
     )
+
+
+def _cross_gram(bases, mode):
+    """<u, v> for u in bases[i], v in bases[j], i < j, in that order; in float
+    mode from one ordered _fdot over the stacked vectors, vec_inner's bits."""
+    vecs = [u for b in bases for u in b]
+    spans = [range(lo, hi) for lo, hi in pairwise(accumulate(map(len, bases), initial=0))]
+    pairs = [(a, b) for i, rows in enumerate(spans) for cols in spans[i + 1:]
+             for a in rows for b in cols]
+    if mode == EXACT:
+        return [vec_inner(vecs[a], vecs[b]) for a, b in pairs]
+    form = np.stack([_parts(u, FLOAT)[1] for u in vecs], axis=1)        # 2 x N x n
+    re, im = _fdot(form[:, :, None], _conj(form, FLOAT)[:, None], 2).tolist()
+    return [Scalar.flt(re[a][b], im[a][b]) for a, b in pairs]
 
 
 def _fmt_scalar(s):
@@ -578,6 +596,15 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
                            tol=DEFAULT_FLOAT_TOL, eps_pair=None):
     """Finite-window check of the orthogonality criteria for generalized
     eigenvectors at distinct unimodular eigenvalues.
+
+    On C^d the default window of 4d + 4 samples decides orbit polynomiality
+    for every n.  With (T - z_i)^nu_i h_i = 0, nu_1 + nu_2 <= d, T^n h_i is
+    z_i^n times a vector polynomial of degree < nu_i, so ||T^n (h1 + h2)||^2
+    = p(n) + 2 Re(mu^n q(n)), mu = z1 conj(z2) != 1, deg p <= 2d - 2 and
+    deg q <= d - 2 (and so for eps h1 + h2).  For a claimed degree D <= 2d - 2
+    the row Delta^(D+1) obeys a linear recurrence of order at most (2d - 2 -
+    D) + 2(d - 1) = 4d - 4 - D, with roots 1, mu and conj mu, and the window
+    leaves 4d + 3 - D samples in that row: if they vanish, it does.
 
     In float mode sample n, <T^n h1, T^n h2>, is zero within tol (n + 1)
     ||T^n h1|| ||T^n h2||, with the norms from the same walk: the sample

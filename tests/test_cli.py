@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from misolab import parse_operator_spec, serialize_operator_spec
 from misolab.cli import main
 from misolab.errors import SpecFileError
 from misolab.specio import format_rational, parse_rational
-from misolab.suites import SUITES, SuiteResult
+from misolab.suites import SUITES, SuiteResult, random_unitary
 
 EXAMPLE_DOC = {
     "mode": "exact",
@@ -334,6 +335,21 @@ def test_float_kernel_chain_overflow_prints_one_line(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 3
     assert proc.stderr == "error: float overflow: a power of T - zI left float range\n"
+
+
+def test_inseparable_float_clusters_are_3(tmp_path, capsys):
+    # a unitary conjugation of J_8(1) + (1.05): in (T - zI)^8 the 1.05
+    # direction is 0.05^8 ~ 4e-11, below the kernel tolerance, so no
+    # clustering radius up to max |lambda| gives consistent eigenspaces
+    T = np.diag([1.0] * 8 + [1.05]) + np.diag([1.0] * 7 + [0.0], 1)
+    u = random_unitary(9, np.random.default_rng(0))
+    A = u @ T @ u.conj().T
+    path = write(tmp_path, "d.json", {"mode": "float", "matrix": [
+        [[z.real, z.imag] for z in row] for row in A.tolist()]})
+    assert main(["decompose", path]) == 3
+    assert capsys.readouterr().err == (
+        "error: eigenvalue clustering never became consistent up to radius 1.05e+00: the "
+        "tolerance cannot separate the generalized eigenspaces\n")
 
 
 BIG = "1" + "0" * 310   # beyond float range

@@ -11,9 +11,11 @@ from misolab import (
     FiniteVector,
     PreconditionError,
     Scalar,
+    basis_vector,
     defect,
     defect_form,
     detect_degree,
+    direct_sum,
     is_m_isometry,
     JordanSpec,
     ModeMismatchError,
@@ -31,6 +33,7 @@ from misolab import (
     vec_norm_sq,
 )
 from misolab.scalars import EXACT, FLOAT
+from misolab.suites import operator_to_float
 
 J12 = DenseOperator.from_ints([[1, 1], [0, 1]])
 EXAMPLE = DenseOperator([
@@ -220,6 +223,23 @@ class TestSurvey:
         assert [v.describe() for v in res.per_vector] == ["polynomial(degree=2)"] * 3
         assert res.global_verdict is None
         assert res.order_lower_bound == 3 and res.consistent_with == 3
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_consistent_with_never_exceeds_the_dense_bound(self, mode):
+        # J_2(1+i) + J_4(3/5+4/5 i) on C^6: the orbits of e_0 and e_1 grow like
+        # 2^n, and in float mode the 28-sample window still passes degree 16,
+        # above the 2 * 6 - 2 of any m-isometry; consistent_with said 17 while
+        # the global verdict was not-within-bound(13)
+        T = direct_sum(jordan_matrix(JordanSpec(Scalar.exact(1, 1), 2)),
+                       jordan_matrix(JordanSpec(Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 4)))
+        if mode == FLOAT:
+            T = operator_to_float(T)
+        res = local_isometry_survey(T, [basis_vector(6, j, mode) for j in range(6)])
+        assert not res.global_verdict.strict and res.global_verdict.m == 13
+        assert res.consistent_with is None
+        if mode == FLOAT:
+            # per_vector stays the window's verdict
+            assert res.per_vector[0].describe() == "polynomial(degree=16)"
 
 
 class TestOrbitWalk:

@@ -1,7 +1,9 @@
 """Jordan structure, decomposition, perturbation and orthogonality tests."""
 
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -29,21 +31,25 @@ from misolab import (
     orbit,
     orbit_sequence,
     ortho_test_generalized,
+    parse_operator_spec,
     perturbation_analysis,
     strict_order,
     unimodular_spectrum_check,
     vec_from_ints,
+    vec_inner,
     vec_norm_sq,
     vec_scale,
 )
 from misolab.isometry import _defects
 from misolab.matrices import polarization_candidates
 from misolab.scalars import EXACT, FLOAT
-from misolab.spectral import (_restricted_strict_order, _strictness_criterion, exact_nullspace,
+from misolab.spectral import (CLUSTER_TOL, _inter_cluster_gaps, _restricted_strict_order,
+                              _single_linkage, _strictness_criterion, exact_nullspace,
                               exact_rref, from_numpy, to_numpy)
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
                             perturbation_corpus, random_unitary)
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ONE = Scalar.exact(1)
 I_ = Scalar.exact(0, 1)
 EXAMPLE = DenseOperator([
@@ -231,6 +237,141 @@ class TestGeneralizedEigenspaces:
         assert sorted(sp.dimension for sp in spaces) == [1, 2]
 
 
+def ref_float_decompose(T, tol=1e-8):
+    """algebraic_decompose in float mode without shared work: each clustering
+    attempt walks every kernel chain from scratch, every kernel of every
+    power is boxed, and the cross-Gram is vec_inner per pair."""
+    arr, n = to_numpy(T), T.dim
+    eigs = np.linalg.eigvals(arr)
+    radius = CLUSTER_TOL * max(1.0, float(np.abs(eigs).max()))
+    for attempt in range(7):
+        if attempt:
+            radius *= 10.0
+        clusters = _single_linkage(eigs, radius)
+        spaces = []
+        for members in clusters:
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = complex(np.mean(members))
+                M, power, kernels = arr - z * np.eye(n), np.eye(n), []
+                for _ in range(n):
+                    power = power @ M
+                    if not np.isfinite(power).all():
+                        raise PreconditionError("float overflow")
+                    _, sv, vh = np.linalg.svd(power)
+                    thr = max(tol, 1e-10) * max(1.0, float(np.abs(power).max()))
+                    kernels.append([tuple(Scalar.flt(x.real, x.imag) for x in vh[i].conj())
+                                    for i in range(n) if sv[i] <= thr])
+                    if len(kernels) >= 2 and len(kernels[-1]) == len(kernels[-2]):
+                        break
+            depth = next(k + 1 for k, ker in enumerate(kernels) if len(ker) == len(kernels[-1]))
+            if len(kernels[depth - 1]) != len(members):
+                break
+            spaces.append((Scalar.flt(z.real, z.imag), tuple(kernels[depth - 1]), depth))
+        else:
+            warnings = [f"eigenvalue clustering escalated to radius {radius:.2e}"] if attempt else []
+            if any(radius < g <= 10 * radius for g in _inter_cluster_gaps(clusters)):
+                warnings.append("ambiguous eigenvalue clusters within 10x the cluster radius")
+            failures = [f"eigenvalue {z.re:g}{z.im:+g}i is not unimodular"
+                        for z, _, _ in spaces if abs(z.modulus() - 1.0) > tol][:1]
+            cross = [vec_inner(u, v) for i, (_, bi, _) in enumerate(spaces)
+                     for _, bj, _ in spaces[i + 1:] for u in bi for v in bj]
+            if not all(ip.is_zero(tol) for ip in cross):
+                failures.append("generalized eigenspaces are not pairwise orthogonal")
+            return (spaces, max((ip.modulus() for ip in cross), default=0.0), failures,
+                    warnings)
+    raise PreconditionError("never consistent")
+
+
+def float_bits(x):
+    """x with every float (Scalar parts included) as its hex string."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, Scalar):
+        return (x.re.hex(), x.im.hex())
+    if isinstance(x, (list, tuple)):
+        return tuple(float_bits(y) for y in x)
+    return x
+
+
+def escalating_case(sizes, seed):
+    """A seeded unitary conjugation of the Jordan blocks (z, k) of sizes."""
+    T = operator_to_float(direct_sum(*(jordan_matrix(JordanSpec(z, k)) for z, k in sizes)))
+    return conjugate_by_unitary(T, random_unitary(T.dim, np.random.default_rng(seed)))
+
+
+ESCALATING = [
+    pytest.param([(ONE, 8)], 1, id="J8(1)"),
+    pytest.param([(ONE, 8), (Scalar.exact(-1), 1)], 2, id="J8(1)+J1(-1)"),
+    pytest.param([(I_, 6), (Scalar.exact(-1), 3)], 3, id="J6(i)+J3(-1)"),
+    pytest.param([(ONE, 7), (I_, 2), (-I_, 1)], 4, id="J7(1)+J2(i)+J1(-i)"),
+    pytest.param([(ONE, 8), (Scalar.exact(Fraction(21, 20)), 1)], 5, id="J8(1)+J1(1.05)"),
+]
+
+
+class TestFloatClustering:
+    def test_conjugated_jordan_block_escalates(self):
+        dec = algebraic_decompose(escalating_case([(ONE, 8)], 1))
+        assert [(b.dimension, b.chain_depth) for b in dec.blocks] == [(8, 8)]
+        assert dec.certified and dec.predicted_strict_order == 15
+        assert any(w.startswith("eigenvalue clustering escalated to radius") for w in dec.warnings)
+
+    @pytest.mark.parametrize("sizes,seed", ESCALATING)
+    def test_same_bits_as_the_reference(self, sizes, seed):
+        T = escalating_case(sizes, seed)
+        try:
+            ref = ref_float_decompose(T)
+        except PreconditionError:
+            with pytest.raises(PreconditionError, match="never became consistent"):
+                algebraic_decompose(T)
+            return
+        dec = algebraic_decompose(T)
+        assert float_bits([(b.eigenvalue, b.basis, b.chain_depth) for b in dec.blocks]) == \
+            float_bits(ref[0])
+        assert float_bits((dec.pairwise_gram, list(dec.failures), list(dec.warnings))) == \
+            float_bits(ref[1:])
+
+    def test_benchmark_decompose_requests_match_the_reference(self):
+        sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(os.path.join(ROOT, "perfbench"))
+        reqs = [r for r in workloads.cycle_requests("float-cli", 1, 0) if r.argv[0] == "decompose"]
+        assert len(reqs) == 9
+        for req in reqs:
+            T = parse_operator_spec(next(iter(req.files.values()))).operator
+            dec, ref = algebraic_decompose(T), ref_float_decompose(T)
+            assert float_bits([(b.eigenvalue, b.basis, b.chain_depth) for b in dec.blocks]) == \
+                float_bits(ref[0])
+            assert float_bits((dec.pairwise_gram, list(dec.failures), list(dec.warnings))) == \
+                float_bits(ref[1:])
+
+    def test_each_cluster_mean_walks_its_chain_once(self, monkeypatch):
+        # the -1 cluster has the same mean at every radius, so each attempt
+        # walked its chain again; now no SVD input repeats within a call
+        T = escalating_case([(ONE, 8), (Scalar.exact(-1), 1)], 2)
+        svd, inputs = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            inputs.append(a.tobytes())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        dec = algebraic_decompose(T)
+        assert dec.warnings and dec.warnings[0].startswith("eigenvalue clustering escalated")
+        assert len(inputs) == len(set(inputs))
+
+    @pytest.mark.parametrize("big", ["1.05", "1.01"])
+    def test_inseparable_clusters_are_a_precondition(self, big):
+        # in (T - zI)^8 the direction at big is (big - 1)^8 <= 4e-11, below
+        # tol * max|entry|: no radius separates the two clusters
+        T = escalating_case([(ONE, 8 if big == "1.05" else 6),
+                             (Scalar.exact(Fraction(big)), 1)], 0)
+        with pytest.raises(PreconditionError,
+                           match=r"never became consistent up to radius 1\.\d\de\+00"):
+            algebraic_decompose(T)
+
+
 class TestAlgebraicDecompose:
     def test_orthogonal_block_sum_certified(self):
         T = direct_sum(jordan_matrix(JordanSpec(ONE, 2)),
@@ -345,6 +486,52 @@ class TestOrthoTest:
         with pytest.raises(PreconditionError):
             ortho_test_generalized(EXAMPLE, h1, h2, I_, -I_,
                                    eps_pair=(Scalar.exact(2), I_))
+
+
+def sheared_ortho_pair(seed):
+    """A seeded exact ortho case (T, h1, h2, z1, z2): T = S J S^-1 for Jordan
+    blocks J at distinct `UNIMODULAR_EXACT` values and S a product of two
+    shears I + c E_ab (sometimes the identity), h1 and h2 moved by S from
+    Gaussian-integer vectors on the first two blocks."""
+    rng = random.Random(seed)
+    zs = rng.sample(UNIMODULAR_EXACT, 3)
+    sizes = [rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 1)]
+    J = direct_sum(*(jordan_matrix(JordanSpec(z, k)) for z, k in zip(zs, sizes) if k))
+    n = J.dim
+    shears = []
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(range(n), 2)
+        shears.append((a, b, Scalar.exact(rng.randint(-2, 2), rng.randint(-1, 1))))
+
+    def shear(a, b, c):
+        return DenseOperator([[ONE if i == j else (c if (i, j) == (a, b) else Scalar.exact(0))
+                               for j in range(n)] for i in range(n)])
+
+    S = S_inv = DenseOperator.identity(n, EXACT)
+    for a, b, c in shears:
+        S, S_inv = S @ shear(a, b, c), shear(a, b, -c) @ S_inv
+    hs = []
+    for lo, k in ((0, sizes[0]), (sizes[0], sizes[1])):
+        ints = [rng.randint(-2, 2) if lo <= j < lo + k else 0 for j in range(n)]
+        ints[lo + k - 1] = rng.choice([-1, 1, 2])
+        hs.append(S.apply(vec_from_ints(ints)))
+    return (S @ J @ S_inv, *hs, *zs[:2])
+
+
+class TestOrthoWindowCertifies:
+    """The ortho window of 4 dim + 4 samples decides polynomiality for
+    good: the orbit verdicts equal those on a window three times longer."""
+
+    def test_default_window_equals_a_long_window(self):
+        seen = set()
+        for seed in range(16):
+            T, h1, h2, z1, z2 = sheared_ortho_pair(seed)
+            short = ortho_test_generalized(T, h1, h2, z1, z2)
+            long = ortho_test_generalized(T, h1, h2, z1, z2, window_len=3 * (4 * T.dim + 4))
+            assert short.orbit_polynomial == long.orbit_polynomial
+            assert short.eps_orbits_polynomial == long.eps_orbits_polynomial
+            seen.add(short.orbit_polynomial)
+        assert seen == {True, False}
 
 
 @pytest.mark.parametrize("test_fn", [ortho_test_generalized, jordan_pair_equivalences])
