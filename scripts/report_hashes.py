@@ -9,12 +9,10 @@ the cycle's order, so that two versions of the program can be compared
 for byte-identical output, float mode included.  The temporary directory's
 path is replaced by `{dir}` before hashing.
 
-Run:  python3 scripts/report_hashes.py WORKLOAD SEEDS CYCLES [--command NAME]
+Run:  python3 scripts/report_hashes.py WORKLOAD SEEDS CYCLES
       e.g. python3 scripts/report_hashes.py exact-cli 1-3 0-1
-           python3 scripts/report_hashes.py float-cli 1 0-3 --command decompose
 SEEDS and CYCLES are an index, a range `a-b` or a comma-separated list
-of either.  --command hashes only the requests of one CLI command (order,
-decompose, ortho, ...), and the line names it.
+of either.
 """
 
 import argparse
@@ -72,11 +70,9 @@ def requests_hash(reqs, workdir):
     return h.hexdigest()
 
 
-def cycle_hash(workload, seed, cycle, workdir, command=None):
-    """(number of requests, SHA-256 hex digest) of one cycle, or of its
-    requests of one command."""
-    reqs = [req for req in workloads.cycle_requests(workload, seed, cycle)
-            if command in (None, req.argv[0])]
+def cycle_hash(workload, seed, cycle, workdir):
+    """(number of requests, SHA-256 hex digest) of one cycle."""
+    reqs = workloads.cycle_requests(workload, seed, cycle)
     return len(reqs), requests_hash(reqs, workdir)
 
 
@@ -85,15 +81,13 @@ def main(argv=None):
     p.add_argument("workload", choices=workloads.WORKLOADS)
     p.add_argument("seeds", type=indexes)
     p.add_argument("cycles", type=indexes)
-    p.add_argument("--command", default=None, help="hash only this command's requests")
     args = p.parse_args(argv)
-    which = f" {args.command}" if args.command else ""
     with tempfile.TemporaryDirectory() as workdir:
         for seed in args.seeds:
             for cycle in args.cycles:
-                n, digest = cycle_hash(args.workload, seed, cycle, workdir, args.command)
-                print(f"{args.workload} seed {seed} cycle {cycle}{which} requests {n} "
-                      f"sha256 {digest}", flush=True)
+                n, digest = cycle_hash(args.workload, seed, cycle, workdir)
+                print(f"{args.workload} seed {seed} cycle {cycle} requests {n} sha256 {digest}",
+                      flush=True)
     return 0
 
 

@@ -377,8 +377,9 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
     For a dense operator the global verdict is strict_order up to m_max;
     otherwise the max of (degree + 1) over the sampled vectors is reported
     as a lower bound.  Uniform polynomiality of the sampled orbits is
-    reported as 'consistent with m-isometry' for m = max degree + 1; on a
-    dense operator a degree above 2 dim - 2 is not consistent with any m.
+    reported as 'consistent with m-isometry' for m = max degree + 1.  On a
+    dense operator a degree above 2 dim - 2 fits no m-isometry, so it
+    counts for neither the lower bound nor the consistent m.
 
     When op is dense, of strict order m, every vector passes apply's checks
     and the window (window_len, or default_window_len) holds W >= max(3,
@@ -412,11 +413,10 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
     lower = 0
     all_poly = True
     for v in verdicts:
-        if not v.polynomial:
+        if not v.polynomial or (not v.zero_sequence and v.degree > cap):
             all_poly = False
         elif not v.zero_sequence:
             lower = max(lower, v.degree + 1)
-            all_poly = all_poly and v.degree <= cap
     consistent = lower if all_poly else None
     if consistent == 0:
         consistent = 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, islice, pairwise
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -406,7 +406,7 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
         if not on_circle:
             failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue)} is not unimodular")
             break
-    cross = _cross_gram([sp.basis for sp in spaces], T.mode)
+    cross = _cross_gram(spaces, T.mode)
     gram = float_max_abs(cross, T.mode)
     if not all(ip.is_zero(tol) for ip in cross):
         failures.append("generalized eigenspaces are not pairwise orthogonal")
@@ -424,18 +424,17 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
     )
 
 
-def _cross_gram(bases, mode):
-    """<u, v> for u in bases[i], v in bases[j], i < j, in that order; in float
-    mode from one ordered _fdot over the stacked vectors, vec_inner's bits."""
-    vecs = [u for b in bases for u in b]
-    spans = [range(lo, hi) for lo, hi in pairwise(accumulate(map(len, bases), initial=0))]
-    pairs = [(a, b) for i, rows in enumerate(spans) for cols in spans[i + 1:]
-             for a in rows for b in cols]
-    if mode == EXACT:
-        return [vec_inner(vecs[a], vecs[b]) for a, b in pairs]
-    form = np.stack([_parts(u, FLOAT)[1] for u in vecs], axis=1)        # 2 x N x n
-    re, im = _fdot(form[:, :, None], _conj(form, FLOAT)[:, None], 2).tolist()
-    return [Scalar.flt(re[a][b], im[a][b]) for a, b in pairs]
+def _cross_gram(spaces, mode):
+    """<u, v> for u in spaces[i].basis, v in spaces[j].basis, i < j, in that
+    order; in float mode from one ordered _fdot over the stacked pairs,
+    vec_inner's bits."""
+    pairs = [(u, v) for i, si in enumerate(spaces) for sj in spaces[i + 1:]
+             for u in si.basis for v in sj.basis]
+    if mode == EXACT or not pairs:
+        return [vec_inner(u, v) for u, v in pairs]
+    us, vs = (np.stack([_parts(w, FLOAT)[1] for w in ws], axis=1) for ws in zip(*pairs))
+    re, im = _fdot(us, _conj(vs, FLOAT), 1).tolist()      # 2 x P
+    return [Scalar.flt(r, i) for r, i in zip(re, im)]
 
 
 def _fmt_scalar(s):

@@ -228,15 +228,17 @@ class TestSurvey:
     def test_consistent_with_never_exceeds_the_dense_bound(self, mode):
         # J_2(1+i) + J_4(3/5+4/5 i) on C^6: the orbits of e_0 and e_1 grow like
         # 2^n, and in float mode the 28-sample window still passes degree 16,
-        # above the 2 * 6 - 2 of any m-isometry; consistent_with said 17 while
-        # the global verdict was not-within-bound(13)
+        # above the 2 * 6 - 2 of any m-isometry; consistent_with and
+        # order_lower_bound said 17 while the global verdict was
+        # not-within-bound(13)
         T = direct_sum(jordan_matrix(JordanSpec(Scalar.exact(1, 1), 2)),
                        jordan_matrix(JordanSpec(Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 4)))
         if mode == FLOAT:
             T = operator_to_float(T)
         res = local_isometry_survey(T, [basis_vector(6, j, mode) for j in range(6)])
         assert not res.global_verdict.strict and res.global_verdict.m == 13
-        assert res.consistent_with is None
+        # e_2 .. e_5 give degrees 0, 2, 4, 6; degree 16 counts for neither field
+        assert res.order_lower_bound == 7 and res.consistent_with is None
         if mode == FLOAT:
             # per_vector stays the window's verdict
             assert res.per_vector[0].describe() == "polynomial(degree=16)"

@@ -36,12 +36,6 @@ def test_report_hashes_prints_one_digest_per_cycle():
     assert re.fullmatch(r"float-cli seed 1 cycle 0 requests 37 sha256 [0-9a-f]{64}\n", out)
 
 
-def test_report_hashes_command_hashes_one_command():
-    out = run_script("report_hashes.py", ["float-cli", "1", "0", "--command", "decompose"]).stdout
-    assert re.fullmatch(r"float-cli seed 1 cycle 0 decompose requests 9 sha256 [0-9a-f]{64}\n",
-                        out)
-
-
 def test_exact_cli_cycle_digest_is_pinned():
     """Cycle 0 of exact-cli at seed 1 (51 requests) gives the same bytes as
     before: every exact report, message and exit code.  A change to the
