@@ -1,10 +1,10 @@
 """Defect operators, m-isometry predicates and strict-order detection.
 
-The defect of order m is the alternating binomial sum
-beta_m(T) = sum_k (-1)^k C(m,k) T*^k T^k; its vanishing defines
-m-isometricity.  Float-mode zero tests take scalars.zero_threshold of the
-actual magnitude of the summed terms, which bounds the cancellation error
-of the alternating sum.
+The defect of order m, beta_m(T) = sum_k (-1)^k C(m,k) T*^k T^k, vanishes
+exactly on m-isometries.  It is walked by the recurrence beta_{m+1} =
+beta_m - T* beta_m T, which does not cancel as that binomial sum does, and
+defect() cross-checks the two.  Float zero tests take zero_threshold of
+the walk's running scale.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from operator import add, mul
 from typing import Optional
 
@@ -33,7 +33,6 @@ from .matrices import (
     _conj,
     _dot,
     _fdot,
-    _fweighted_sum,
     _nonzeros,
     _orbit_inners,
     _orbit_windows,
@@ -56,7 +55,7 @@ DEFAULT_DEFECT_TOL = 1e-8
 class DefectOperator:
     m: int
     matrix: DenseOperator
-    float_scale: float = 1.0   # magnitude of the summed terms (float mode only)
+    float_scale: float = 1.0   # the walk's running scale (float mode only)
 
     def threshold(self, tol):
         return zero_threshold(self.matrix.mode, tol, lambda: self.float_scale, f"beta_{self.m}")
@@ -88,60 +87,47 @@ def _grams(T):
 
 
 def _defects(T):
-    """beta_0, beta_1, ... as DefectOperators, without end, from one walk of
-    the Gram operators.  beta_m is sum_k (-1)^k C(m,k) G_k on the parts of
-    the Gram entries, added from k = 0 up, and is made from those parts: in
-    exact mode over the lcm of their denominators, in float mode on the
-    float64 arrays by _fweighted_sum.  Each G_k is split, and in float mode
-    measured, once."""
-    mode = T.mode
-    forms, sizes, den = [], [], 1
-    for m, g in enumerate(_grams(T)):
-        d, rows = g._row_parts()
-        forms.append((d, rows))
-        den = math.lcm(den, d)
-        coeffs = [(-1) ** k * math.comb(m, k) * (den // d) for k, (d, _) in enumerate(forms)]
-        if mode == EXACT:
-            # part p (real, imaginary) of entry (i, j) sums the (i, j) parts of G_0 .. G_m
-            beta = [[[reduce(add, map(mul, coeffs, col)) if any(col) else 0
-                      for col in zip(*(f[i][p] for _, f in forms))]
-                     for p in (0, 1)] for i in range(T.dim)]
-            yield DefectOperator(m=m, matrix=DenseOperator._from_parts(EXACT, den, beta))
-            continue
-        sizes.append(max(g.max_abs(), 1.0))
-        scale = sum(math.comb(m, k) * size for k, size in enumerate(sizes))
-        beta = _fweighted_sum(coeffs, np.stack([f for _, f in forms]), 0)
-        if not (math.isfinite(scale) and np.isfinite(beta).all()):
-            raise PreconditionError(
-                f"float overflow: the Gram operators T*^k T^k for k <= {m} leave float range")
-        yield DefectOperator(m=m, float_scale=scale,
-                             matrix=DenseOperator._from_parts(FLOAT, 1, beta))
+    """beta_0 = I, beta_1, ... as DefectOperators, without end, by the
+    recurrence beta_{m+1} = beta_m - T* beta_m T on the kernels.  A float
+    beta_m's scale is the running maximum of |beta_j| + |T* beta_j T| over
+    j < m (1 for beta_0): past the true order both terms are rounding
+    noise, and the last step's alone would compare noise with noise."""
+    Tstar = T.adjoint()
+    beta, scale = DenseOperator.identity(T.dim, T.mode), 1.0
+    for m in count():
+        yield DefectOperator(m=m, matrix=beta, float_scale=scale)
+        step = Tstar @ beta @ T
+        if T.mode == FLOAT:
+            scale = max(scale, beta.max_abs() + step.max_abs())
+        beta = beta - step
+        _check_finite(beta, scale, f"the defects beta_k for k <= {m + 1}")
+
+
+def _check_finite(op, scale, what):
+    """Raise the float-overflow error if a float op or its scale left float range."""
+    if op.mode == FLOAT and not (math.isfinite(scale) and np.isfinite(op._row_parts()[1]).all()):
+        raise PreconditionError(f"float overflow: {what} leave float range")
 
 
 def defect(T, m):
-    """beta_m(T), computed by the definitional binomial sum.
+    """beta_m(T), from the recurrence walk of _defects.
 
-    The recurrence beta_{m+1} = beta_m - T* beta_m T is an implementation
-    device used elsewhere for speed; here the two routes are computed
-    side by side and must agree.
+    The definitional binomial sum sum_k (-1)^k C(m,k) T*^k T^k is computed
+    beside it as a cross-check: the two must agree, exactly in exact mode
+    and within 1e-12 of the binomial sum's own scale,
+    sum_k C(m,k) max(|T*^k T^k|, 1), in float mode.
     """
     if m < 0:
         raise PreconditionError("defect order must be nonnegative")
     d = next(islice(_defects(T), m, None))
-    rec = _defect_by_recurrence(T, m)
-    if not (d.matrix - rec).is_zero(d.threshold(1e-12)):
-        raise InternalCheckError(
-            f"defect recurrence and binomial sum disagree at m={m}"
-        )
+    grams = list(islice(_grams(T), m + 1))
+    binomial = reduce(add, (g.scale((-1) ** k * math.comb(m, k)) for k, g in enumerate(grams)))
+    scale = (sum(math.comb(m, k) * max(g.max_abs(), 1.0) for k, g in enumerate(grams))
+             if T.mode == FLOAT else 1.0)
+    _check_finite(binomial, scale, f"the Gram operators T*^k T^k for k <= {m}")
+    if not (d.matrix - binomial).is_zero(zero_threshold(T.mode, 1e-12, lambda: scale, f"beta_{m}")):
+        raise InternalCheckError(f"defect recurrence and binomial sum disagree at m={m}")
     return d
-
-
-def _defect_by_recurrence(T, m):
-    beta = DenseOperator.identity(T.dim, T.mode)
-    Tstar = T.adjoint()
-    for _ in range(m):
-        beta = beta - Tstar @ beta @ T
-    return beta
 
 
 def is_m_isometry(T, m, tol=DEFAULT_DEFECT_TOL):
@@ -193,24 +179,26 @@ def _nonzero_form_witness(d, tol):
     best of e_a, e_a + e_b and e_a + i e_b (polarization_pairs), on all of
     which only a zero Hermitian form vanishes.  The values are read from
     beta's entries, and only the winner is built."""
-    beta = d.matrix
-    dim, mode = beta.dim, beta.mode
-    rows = beta._row_parts()[1]
-    if mode == FLOAT:
-        # read one value at a time, on Python complex
-        rows = [list(map(complex, re, im)) for re, im in zip(rows[0].tolist(), rows[1].tolist())]
-    value = (partial(_exact_form_value, rows) if mode == EXACT else
-             partial(_float_form_value, rows, list(zip(*rows))))
+    value = _form_values(d.matrix)
     # quadratic-form values can sit a factor ~2 below the largest entry,
     # hence the slack on the acceptance threshold
     best, best_val = None, d.threshold(tol) * 0.25
-    for c in polarization_pairs(dim):
+    for c in polarization_pairs(d.matrix.dim):
         if (val := value(*c)) > best_val:
             best, best_val = c, val
-    if best is None:
-        return None
-    return _polarization_vector({j: basis_vector(dim, j, mode) for j in best[:2] if j is not None},
-                                *best)
+    return None if best is None else _polarization_vector(
+        partial(basis_vector, d.matrix.dim, mode=d.matrix.mode), *best)
+
+
+def _form_values(beta):
+    """value(a, b, phase) of the candidate h of polarization_pairs, read from
+    four entries of the Hermitian beta: _exact_form_value on its kept
+    parts, or _float_form_value on Python complex, one value at a time."""
+    rows = beta._row_parts()[1]
+    if beta.mode == EXACT:
+        return partial(_exact_form_value, rows)
+    rows = [list(map(complex, re, im)) for re, im in zip(rows[0].tolist(), rows[1].tolist())]
+    return partial(_float_form_value, rows, list(zip(*rows)))
 
 
 def _exact_form_value(rows, a, b, phase):

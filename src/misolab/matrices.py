@@ -509,16 +509,12 @@ def polarization_pairs(n):
     yield from ((a, b, p) for a in range(n) for b in range(a + 1, n) for p in (0, 1))
 
 
-def _polarization_vector(vectors, a, b, phase):
-    """The candidate (a, b, phase) of polarization_pairs."""
+def _polarization_vector(vector, a, b, phase):
+    """The candidate (a, b, phase) of polarization_pairs, v_j being vector(j)."""
     if b is None:
-        return vectors[a]
-    return vec_add(vectors[a], vectors[b] if phase == 0 else
-                   vec_scale(Scalar.i_unit(vectors[b][0].mode), vectors[b]))
-
-
-def polarization_candidates(vectors):
-    return [_polarization_vector(vectors, *c) for c in polarization_pairs(len(vectors))]
+        return vector(a)
+    u, v = vector(a), vector(b)
+    return vec_add(u, v if phase == 0 else vec_scale(Scalar.i_unit(v[0].mode), v))
 
 
 def vec_max_abs(u):

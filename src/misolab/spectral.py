@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .errors import (
 from .isometry import (
     DEFAULT_DEFECT_TOL,
     _defects,
+    _form_values,
     is_m_isometry,
     orbit_sequence,
     strict_order,
@@ -36,11 +38,12 @@ from .matrices import (
     _fdot,
     _orbit_windows,
     _parts,
+    _polarization_vector,
     _scalar,
     basis_vector,
     float_max_abs,
     orbit,
-    polarization_candidates,
+    polarization_pairs,
     vec_add,
     vec_inner,
     vec_is_zero,
@@ -316,35 +319,34 @@ def _float_eigenspaces(T, tol):
 
 
 def _single_linkage(eigs, radius):
-    order = sorted(range(len(eigs)), key=lambda i: (eigs[i].real, eigs[i].imag))
-    parent = list(range(len(eigs)))
+    """The clusters of eigs under links of length <= radius, in (real, imag)
+    order, inside and among them.  One np.abs tests all pairs (hypot, as
+    abs(np.complex128)); an overflowing distance is inf, with no warning."""
+    n = len(eigs)
+    with np.errstate(all="ignore"):
+        close = (np.abs(eigs[:, None] - eigs[None, :]) <= radius).tolist()
+    parent = list(range(n))
 
     def find(a):
         while parent[a] != a:
-            parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    # eigenvalues near the top of float range have an inf distance, not a
-    # RuntimeWarning
-    with np.errstate(all="ignore"):
-        for i in range(len(eigs)):
-            for j in range(i + 1, len(eigs)):
-                if abs(eigs[i] - eigs[j]) <= radius:
-                    parent[find(i)] = find(j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if close[i][j]:
+                parent[find(i)] = find(j)
+    re, im = eigs.real.tolist(), eigs.imag.tolist()
     clusters = {}
-    for i in order:
+    for i in sorted(range(n), key=lambda i: (re[i], im[i])):
         clusters.setdefault(find(i), []).append(eigs[i])
     return list(clusters.values())
 
 
 def _inter_cluster_gaps(clusters):
-    gaps = []
     with np.errstate(all="ignore"):
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                gaps.append(min(abs(a - b) for a in clusters[i] for b in clusters[j]))
-    return gaps
+        return [min(abs(a - b) for a in ci for b in cj)
+                for i, ci in enumerate(clusters) for cj in clusters[i + 1:]]
 
 
 def _spaces_from_clusters(arr, clusters, tol, chains):
@@ -488,17 +490,22 @@ def perturbation_analysis(A, N, tol=DEFAULT_DEFECT_TOL):
 
 
 def _strictness_criterion(d, N, nu, tol):
-    """Search for f0 with <beta w, w> != 0, w = N^(nu-1) f0, for the defect d
-    of beta = beta_{m_a-1}(A), against d's float threshold scaled by ||w||^2.
-    The map f0 -> that value is the quadratic form of a Hermitian operator,
-    so vanishing on the polarization candidates means it vanishes."""
-    dim, mode = N.dim, N.mode
-    P = N.power(nu - 1)
-    for f0 in polarization_candidates([basis_vector(dim, j, mode) for j in range(dim)]):
-        w = P.apply(f0)
-        if not vec_inner(d.matrix.apply(w), w).is_zero(zero_threshold(
-                mode, tol, lambda: max(1.0, d.float_scale * vec_norm_sq(w).re), "<beta w, w>")):
-            return True, f0
+    """The first polarization candidate f0 with <beta P f0, P f0> != 0, P =
+    N^(nu-1), for the defect d of beta = beta_{m_a-1}(A), against d's float
+    threshold scaled by ||P f0||^2.  The value is <(P* beta P) f0, f0>, a
+    Hermitian form, which vanishes iff it does on every candidate; it and
+    ||P f0||^2 = <(P* P) f0, f0> are read from four entries each, and only
+    the returned f0 is built.  A nan value or norm is a float overflow."""
+    dim, mode, P = N.dim, N.mode, N.power(nu - 1)
+    form, norm = _form_values(P.adjoint() @ d.matrix @ P), _form_values(P.adjoint() @ P)
+    for c in polarization_pairs(dim):
+        value = form(*c)
+        if value != value:    # nan; an exact value is an int, maybe beyond float range
+            raise PreconditionError("float overflow: the form <beta w, w> leaves float range")
+        # max(nan, 1.0) is nan, which zero_threshold refuses
+        if value > zero_threshold(mode, tol, lambda: max(d.float_scale * norm(*c), 1.0),
+                                  "<beta w, w>"):
+            return True, _polarization_vector(partial(basis_vector, dim, mode=mode), *c)
     return False, None
 
 

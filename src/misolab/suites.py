@@ -378,10 +378,11 @@ def suite_shift_factory(seed=0):
                   f"generator {ints}: not flagged as a {d + 1}-isometry")
         rec.check(not shift_is_m_isometry(W, d),
                   f"generator {ints}: wrongly flagged at order {d}")
+        values = [p(n) for n in range(32)]
         for j in range(7):
             orbit_j = W.basis_orbit(j, 25 - j).values
             for n in range(25 - j):
-                rec.check(orbit_j[n] == p(n + j) / p(j),
+                rec.check(orbit_j[n] == values[n + j] / values[j],
                           f"generator {ints}: orbit norm mismatch at j={j}, n={n}")
     return rec.result()
 
@@ -457,18 +458,7 @@ def suite_float_robustness(seed=0):
     np_rng = np.random.default_rng(seed)
     tol = DEFAULT_DEFECT_TOL
 
-    # Jordan order law after unitary conjugation
-    for z in UNIMODULAR_EXACT:
-        for k in range(1, 6):
-            T = conjugate_by_unitary(
-                operator_to_float(jordan_matrix(JordanSpec(z, k))),
-                random_unitary(k, np_rng),
-            )
-            v = strict_order(T, tol=tol)
-            rec.check(v.strict and v.m == 2 * k - 1,
-                      f"float block z={z!r} size {k}: got {v.describe()}")
-            rec.check(v.residual <= FLOAT_RESIDUAL_BOUND,
-                      f"float block z={z!r} size {k}: residual {v.residual:.2e}")
+    _float_jordan_checks(rec, np_rng, range(1, 6), tol)
 
     # the non-orthogonal two-chain worked example after unitary conjugation
     i_f = Scalar.flt(0.0, 1.0)
@@ -536,7 +526,26 @@ def suite_float_robustness(seed=0):
         else:
             rec.check(not dec.certified, f"{tag}: wrongly certified")
             rec.check(not order.strict, f"{tag}: unexpected {order.describe()}")
+
+    # sizes 6-16 draw from a stream of their own, so that no check above moves
+    _float_jordan_checks(rec, np.random.default_rng([seed, 1]), range(6, 17), tol)
     return rec.result()
+
+
+def _float_jordan_checks(rec, np_rng, sizes, tol):
+    """The Jordan order law after unitary conjugation, and the residual up to
+    size 11: from size 12 on the input's own rounding reaches the bound (the
+    exact defects of the float input of a size-12 conjugation reach 5.7e-7)."""
+    for z in UNIMODULAR_EXACT:
+        for k in sizes:
+            T = conjugate_by_unitary(operator_to_float(jordan_matrix(JordanSpec(z, k))),
+                                     random_unitary(k, np_rng))
+            v = strict_order(T, tol=tol)
+            rec.check(v.strict and v.m == 2 * k - 1,
+                      f"float block z={z!r} size {k}: got {v.describe()}")
+            if k <= 11:
+                rec.check(v.residual <= FLOAT_RESIDUAL_BOUND,
+                          f"float block z={z!r} size {k}: residual {v.residual:.2e}")
 
 
 SUITES = {

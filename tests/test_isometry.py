@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from misolab import (
@@ -33,7 +34,8 @@ from misolab import (
     vec_norm_sq,
 )
 from misolab.scalars import EXACT, FLOAT
-from misolab.suites import operator_to_float
+from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
+                            random_unitary)
 
 J12 = DenseOperator.from_ints([[1, 1], [0, 1]])
 EXAMPLE = DenseOperator([
@@ -242,6 +244,22 @@ class TestSurvey:
         if mode == FLOAT:
             # per_vector stays the window's verdict
             assert res.per_vector[0].describe() == "polynomial(degree=16)"
+
+    def test_float_basis_degrees_of_conjugated_jordan_blocks(self):
+        # every basis vector of a unitary conjugation of J_k(z) has an orbit
+        # norm of degree 2k - 2.  Read from defects made by the binomial sum,
+        # 192 of these 1,650 degrees were wrong, at sizes 6, 8, 9 and 10
+        wrong = []
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            for z in UNIMODULAR_EXACT:
+                for k in range(1, 11):
+                    T = conjugate_by_unitary(operator_to_float(jordan_matrix(JordanSpec(z, k))),
+                                             random_unitary(k, rng))
+                    res = local_isometry_survey(T, [basis_vector(k, j, FLOAT) for j in range(k)])
+                    wrong += [(seed, z, k, j) for j, v in enumerate(res.per_vector)
+                              if v.describe() != f"polynomial(degree={2 * k - 2})"]
+        assert wrong == []
 
 
 class TestOrbitWalk:

@@ -44,7 +44,8 @@ from misolab.isometry import (
     _nonzero_form_witness,
     _survey_windows,
 )
-from misolab.matrices import _int_form, _orbit_inners, basis_vector, polarization_candidates
+from misolab.matrices import (_int_form, _orbit_inners, _polarization_vector, basis_vector,
+                              polarization_pairs)
 from misolab.scalars import EXACT, FLOAT, zero_threshold
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
                             random_unitary)
@@ -78,11 +79,11 @@ def ref_inner(u, v):
     return acc
 
 
-def ref_defect_from_grams(grams, m, mode=EXACT):
+def ref_defect_from_grams(grams, m):
     n = grams[0].dim
-    acc = [[Scalar.zero(mode)] * n for _ in range(n)]
+    acc = [[Scalar.zero(EXACT)] * n for _ in range(n)]
     for k in range(m + 1):
-        c = Scalar.from_int((-1) ** k * math.comb(m, k), mode)
+        c = Scalar.from_int((-1) ** k * math.comb(m, k), EXACT)
         acc = [[x + c * g for x, g in zip(ra, rg)] for ra, rg in zip(acc, grams[k].rows)]
     return tuple(map(tuple, acc))
 
@@ -93,6 +94,26 @@ def ref_combine(a, b, op):
 
 def ref_adjoint(a):
     return [[a.rows[j][i].conj() for j in range(a.dim)] for i in range(a.dim)]
+
+
+def ref_defect_walk(T, m):
+    """(rows, scale) of beta_0 .. beta_m by the recurrence beta_{k+1} = beta_k
+    - T* beta_k T as Scalar loops, with the float scale: the running maximum
+    of |beta_k| + |T* beta_k T|, each the largest Scalar.modulus, from 1."""
+    Tstar = DenseOperator(ref_adjoint(T))
+    beta, scale, out = DenseOperator.identity(T.dim, T.mode), 1.0, []
+    for _ in range(m + 1):
+        out.append((beta.rows, scale))
+        step = DenseOperator(ref_matmul(DenseOperator(ref_matmul(Tstar, beta)), T))
+        scale = max(scale, max(s.modulus() for r in beta.rows for s in r)
+                    + max(s.modulus() for r in step.rows for s in r))
+        beta = DenseOperator(ref_combine(beta, step, sub))
+    return out
+
+
+def polarization_candidates(vectors):
+    """The candidates of polarization_pairs made from the vectors."""
+    return [_polarization_vector(vectors.__getitem__, *c) for c in polarization_pairs(len(vectors))]
 
 
 def ref_nonzero_form_witness(d, tol):
@@ -294,9 +315,8 @@ class TestFloatKernels:
         assert bits(a.apply(u)) == bits(ref_apply(a, u))
         assert bits([vec_inner(u, v)]) == bits([ref_inner(u, v)])
 
-    # parts below 1e30 in size, so that no Gram operator up to T*^4 T^4
-    # overflows; the long walks, beta_8 .. beta_15 with 9 to 16 terms, on
-    # parts of size at most 1
+    # parts below 1e30 in size, so that no defect up to beta_4 overflows;
+    # the long walks, beta_8 .. beta_15, on parts of size at most 1
     @given(st.one_of(
         st.tuples(st.integers(0, 4),
                   dims.flatmap(lambda n: float_operators(n, st.builds(Scalar.flt, BOUNDED,
@@ -305,15 +325,10 @@ class TestFloatKernels:
             lambda n: float_operators(n, unit_scalars)))))
     @settings(max_examples=50, deadline=None)
     def test_defect_walk(self, case):
-        # equal to the float loop the kernel replaced; only the sign of a
-        # zero may differ, since that loop started from +0.0.  The scale is
-        # sum_j C(k,j) max(|G_j|, 1), summed by sum() from j = 0 up.
+        # the bits and the scale of the Scalar loop of the recurrence
         m, T = case
-        grams = list(islice(_grams(T), m + 1))
-        for k, d in enumerate(islice(_defects(T), m + 1)):
-            for row, ref_row in zip(d.matrix.rows, ref_defect_from_grams(grams, k, FLOAT)):
-                assert [(s.re, s.im) for s in row] == [(r.re, r.im) for r in ref_row]
-            scale = sum(math.comb(k, j) * max(grams[j].max_abs(), 1.0) for j in range(k + 1))
+        for d, (rows, scale) in zip(islice(_defects(T), m + 1), ref_defect_walk(T, m)):
+            assert list(map(bits, d.matrix.rows)) == list(map(bits, rows))
             assert d.float_scale.hex() == scale.hex()
 
     @given(dims.flatmap(lambda n: st.tuples(float_operators(n), float_operators(n),
@@ -369,10 +384,10 @@ class TestFloatKernels:
         h = math.hypot(z.re, z.im)
         G = DenseOperator([[z]])
         assert G.max_abs() == h
-        # the Gram operator G_1 = G: beta_1's scale is max(|G_0|, 1) + |G_1|
-        identity = DenseOperator.identity(1, FLOAT)
-        monkeypatch.setattr(isometry, "_grams", lambda T: iter([identity, G]))
-        assert list(islice(_defects(identity), 2))[1].float_scale == 1.0 + h
+        # beta_0 = G and T = 0: beta_1 = G - T* G T = G, whose scale is |G| + 0
+        zero = DenseOperator([[Scalar.flt(0.0)]])
+        monkeypatch.setattr(DenseOperator, "identity", staticmethod(lambda dim, mode: G))
+        assert list(islice(_defects(zero), 2))[1].float_scale == h
         # a one-entry beta whose threshold is its own modulus: not above it
         beta = DefectOperator(m=1, matrix=G, float_scale=4 * h)
         assert _nonzero_form_witness(beta, 1.0) is None
@@ -1206,15 +1221,19 @@ class TestDefectCrossCheck:
     @pytest.mark.parametrize("mode,bump", [(EXACT, Scalar.exact(Fraction(1, 10 ** 30))),
                                            (FLOAT, Scalar.flt(1e-6))])
     def test_perturbed_recurrence_raises(self, monkeypatch, mode, bump):
+        # the recurrence walk against a binomial sum whose T*^4 T^4 is bumped
         T = jordan_matrix(JordanSpec(z=Scalar.one(mode), size=3))
         assert defect(T, 4).m == 4
-        real = isometry._defect_by_recurrence
+        real = isometry._grams
 
-        def perturbed(T, m):
-            rows = [list(r) for r in real(T, m).rows]
-            rows[0][-1] = rows[0][-1] + bump
-            return DenseOperator(rows)
+        def perturbed(T):
+            for k, g in enumerate(real(T)):
+                if k == 4:
+                    rows = [list(r) for r in g.rows]
+                    rows[0][-1] = rows[0][-1] + bump
+                    g = DenseOperator(rows)
+                yield g
 
-        monkeypatch.setattr(isometry, "_defect_by_recurrence", perturbed)
+        monkeypatch.setattr(isometry, "_grams", perturbed)
         with pytest.raises(InternalCheckError, match="m=4"):
             defect(T, 4)

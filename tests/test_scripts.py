@@ -81,7 +81,7 @@ def test_float_cli_order_digest_is_pinned(tmp_path):
     check_float_cycle_pin(
         tmp_path, "order", 16,
         "71583d2c9284ce6081900991643cf0a229e3d2fe07a587f52352f38be2391a8d",
-        "de2852b31eef8d2ef21072a719f687be5db365804bc7268aca0650a658adf3c6")
+        "94bb133379e14eddb6f58add1f1cc18eca2dac164f3a994c849ee22f7283f4fe")
 
 
 @pytest.mark.parametrize("command,count,specs_digest,output_digest", [
@@ -99,29 +99,31 @@ def test_float_cli_window_digests_are_pinned(tmp_path, command, count, specs_dig
     check_float_cycle_pin(tmp_path, command, count, specs_digest, output_digest)
 
 
-@pytest.mark.parametrize("command", ["order", "perturb"])
-def test_float_cli_reaches_strict_order(tmp_path, monkeypatch, command):
-    """The benchmark's traced float-cli run must record calls to the public
-    isometry.strict_order, which it wraps in every module that binds it.  The
-    float order and perturb requests of cycle 0 at seed 1 reach it through
-    every such binding wrapped the same way."""
-    from misolab import isometry
+@pytest.mark.parametrize("workload", ["exact-cli", "float-cli"])
+def test_traced_cycle_reaches_every_expected_call(tmp_path, workload):
+    """The benchmark's traced run fails when a name it expects
+    (perfbench/worker.py EXPECTED_CALLS) records no call: a wrapped public
+    function or method, a suite, or a Scalar operation of the mode.  The
+    traced cycle at seed 1, under the same tracer and Scalar counter, must
+    reach every one of them."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import layertrace
+        import worker
+        import workloads
+    finally:
+        sys.path.remove(os.path.join(ROOT, "perfbench"))
+    from misolab.cli import main as cli_main
 
-    report_hashes = import_report_hashes()
-    original, calls = isometry.strict_order, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "misolab" or name.startswith("misolab."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    reqs = [req for req in report_hashes.workloads.cycle_requests("float-cli", 1, 0)
-            if req.argv[0] == command]
-    assert reqs
-    for req in reqs:
-        report_hashes.run_request(req, str(tmp_path))
-    assert len(calls) > 0
+    tracer, counter = layertrace.Tracer(), layertrace.ScalarCounter()
+    tracer.install()
+    counter.install()
+    try:
+        for req in workloads.cycle_requests(workload, 1, 0, traced=True):
+            worker.run_request(cli_main, req, str(tmp_path))
+    finally:
+        counter.uninstall()
+        tracer.uninstall()
+    reached = {name: calls for name, (calls, _, _) in tracer.summary().items()}
+    reached.update({key.removesuffix(".calls"): n for key, n in counter.counts.items()})
+    assert [name for name in worker.EXPECTED_CALLS[workload] if not reached.get(name)] == []

@@ -41,7 +41,7 @@ from misolab import (
     vec_scale,
 )
 from misolab.isometry import _defects
-from misolab.matrices import polarization_candidates
+from misolab.matrices import _polarization_vector, polarization_pairs
 from misolab.scalars import EXACT, FLOAT
 from misolab.spectral import (CLUSTER_TOL, _inter_cluster_gaps, _restricted_strict_order,
                               _single_linkage, _strictness_criterion, exact_nullspace,
@@ -308,7 +308,43 @@ ESCALATING = [
 ]
 
 
+def ref_single_linkage(eigs, radius):
+    """Single linkage by the pair loop on numpy complex scalars: pairs i < j
+    joined where abs(eigs[i] - eigs[j]) <= radius, clusters listed in the
+    (real, imag) order of their first member."""
+    parent = list(range(len(eigs)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    with np.errstate(all="ignore"):
+        for i in range(len(eigs)):
+            for j in range(i + 1, len(eigs)):
+                if abs(eigs[i] - eigs[j]) <= radius:
+                    parent[find(i)] = find(j)
+    clusters = {}
+    for i in sorted(range(len(eigs)), key=lambda i: (eigs[i].real, eigs[i].imag)):
+        clusters.setdefault(find(i), []).append(eigs[i])
+    return list(clusters.values())
+
+
+# a few values, so that distances tie with the radius, the top of float
+# range, where a distance is inf, and nan
+cluster_parts = st.one_of(st.sampled_from([0.0, -0.0, 1e-6, 1.0, -1.0, 1.7e308, -1.7e308,
+                                           math.nan]), st.floats(-2, 2))
+
+
 class TestFloatClustering:
+    @given(st.lists(st.builds(complex, cluster_parts, cluster_parts), min_size=1, max_size=12),
+           st.sampled_from([0.0, 1e-6, 1e-5, 1.0, 2.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_single_linkage_matches_the_pair_loop(self, values, radius):
+        eigs = np.array(values, dtype=complex)
+        got, ref = _single_linkage(eigs, radius), ref_single_linkage(eigs, radius)
+        assert [[z.tobytes() for z in c] for c in got] == [[z.tobytes() for z in c] for c in ref]
+
     def test_conjugated_jordan_block_escalates(self):
         dec = algebraic_decompose(escalating_case([(ONE, 8)], 1))
         assert [(b.dimension, b.chain_depth) for b in dec.blocks] == [(8, 8)]
@@ -659,6 +695,11 @@ class TestOrthoOrbitRelativeThreshold:
 # ---------------------------------------------------------------------------
 # Local defect tests against their orbit-walk and difference-table forms
 # ---------------------------------------------------------------------------
+
+def polarization_candidates(vectors):
+    """The candidates of polarization_pairs made from the vectors."""
+    return [_polarization_vector(vectors.__getitem__, *c) for c in polarization_pairs(len(vectors))]
+
 
 def ref_strictness_criterion(A, N, m_a, nu):
     """The first polarization candidate f0 with
