@@ -116,9 +116,9 @@ def test_traced_cycle_reaches_every_expected_call(tmp_path, workload):
     from misolab.cli import main as cli_main
 
     tracer, counter = layertrace.Tracer(), layertrace.ScalarCounter()
-    tracer.install()
-    counter.install()
     try:
+        tracer.install()
+        counter.install()
         for req in workloads.cycle_requests(workload, 1, 0, traced=True):
             worker.run_request(cli_main, req, str(tmp_path))
     finally:
