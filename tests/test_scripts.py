@@ -99,6 +99,34 @@ def test_float_cli_window_digests_are_pinned(tmp_path, command, count, specs_dig
     check_float_cycle_pin(tmp_path, command, count, specs_digest, output_digest)
 
 
+@pytest.mark.parametrize("command", ["order", "perturb"])
+def test_float_cli_reaches_strict_order(tmp_path, monkeypatch, command):
+    """The benchmark's traced float-cli run must record calls to the public
+    isometry.strict_order, which it wraps in every module that binds it.  The
+    float order and perturb requests of cycle 0 at seed 1 reach it through
+    every such binding wrapped the same way."""
+    from misolab import isometry
+
+    report_hashes = import_report_hashes()
+    original, calls = isometry.strict_order, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "misolab" or name.startswith("misolab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    reqs = [req for req in report_hashes.workloads.cycle_requests("float-cli", 1, 0)
+            if req.argv[0] == command]
+    assert reqs
+    for req in reqs:
+        report_hashes.run_request(req, str(tmp_path))
+    assert len(calls) > 0
+
+
 @pytest.mark.parametrize("workload", ["exact-cli", "float-cli"])
 def test_traced_cycle_reaches_every_expected_call(tmp_path, workload):
     """The benchmark's traced run fails when a name it expects
