@@ -148,16 +148,15 @@ def _verdict_dict(v, mode):
 
 def _cmd_order(args):
     spec = load_spec_file(args.file)
-    tol = args.tol if args.tol is not None else DEFAULT_DEFECT_TOL
     if isinstance(spec.operator, WeightedShiftOperator):
         W = spec.operator
         mmax = args.mmax if args.mmax is not None else 8
         if mmax < 1:
             raise PreconditionError("m_max must be at least 1")
-        report = _base_report("order", spec, {"mmax": mmax, "tol": tol})
+        report = _base_report("order", spec, {"mmax": mmax, "tol": args.tol})
         found = None
         for m in range(1, mmax + 1):
-            if shift_is_m_isometry(W, m, tol=max(tol, DEFAULT_FLOAT_TOL)):
+            if shift_is_m_isometry(W, m, tol=max(args.tol, DEFAULT_FLOAT_TOL)):
                 found = m
                 break
         report["verdict"] = (
@@ -170,10 +169,10 @@ def _cmd_order(args):
     T = spec.operator
     mmax = args.mmax if args.mmax is not None else default_m_max(T)
     window = args.window if args.window is not None else default_window_len(T.dim)
-    report = _base_report("order", spec, {"mmax": mmax, "tol": tol, "window": window})
+    report = _base_report("order", spec, {"mmax": mmax, "tol": args.tol, "window": window})
     survey = local_isometry_survey(
         T, [basis_vector(T.dim, j, T.mode) for j in range(T.dim)],
-        window_len=window, defect_tol=tol, m_max=mmax,
+        window_len=window, defect_tol=args.tol, m_max=mmax,
     )
     report["verdict"] = _verdict_dict(survey.global_verdict, T.mode)
     report["basis_orbit_degrees"] = [v.describe() for v in survey.per_vector]
@@ -186,9 +185,8 @@ def _cmd_decompose(args):
     if not isinstance(spec.operator, DenseOperator):
         raise PreconditionError("decompose needs a dense operator spec")
     T = spec.operator
-    tol = args.tol if args.tol is not None else DEFAULT_DEFECT_TOL
-    report = _base_report("decompose", spec, {"tol": tol})
-    dec = algebraic_decompose(T, eigen_hints=spec.eigen_hints, tol=tol)
+    report = _base_report("decompose", spec, {"tol": args.tol})
+    dec = algebraic_decompose(T, eigen_hints=spec.eigen_hints, tol=args.tol)
     report["warnings"] = list(dec.warnings)
     report["decomposition"] = {
         "certified": dec.certified,
@@ -217,12 +215,11 @@ def _cmd_shift(args):
     p = Polynomial([parse_entry(c, spec.mode) for c in body["polynomial"]],
                    mode=spec.mode)
     certified = newton_coefficients_nonnegative(p)
-    tol = args.tol if args.tol is not None else DEFAULT_FLOAT_TOL
-    report = _base_report("shift", spec, {"m": args.m, "tol": tol})
+    report = _base_report("shift", spec, {"m": args.m, "tol": args.tol})
     report["shift"] = {
         "generator_degree": p.degree,
         "m": args.m,
-        "is_m_isometry": shift_is_m_isometry(spec.operator, args.m, tol=tol),
+        "is_m_isometry": shift_is_m_isometry(spec.operator, args.m, tol=args.tol),
         "positivity_certified": certified,
     }
     if not certified:
@@ -244,11 +241,10 @@ def _cmd_ortho(args):
     z1 = _parse_scalar_flag(args.z1, mode)
     z2 = _parse_scalar_flag(args.z2, mode)
     eps = _parse_eps_flag(args.eps, mode) if args.eps else None
-    tol = args.tol if args.tol is not None else DEFAULT_FLOAT_TOL
     window = args.window if args.window is not None else default_window_len(T.dim)
-    report = _base_report("ortho", spec, {"tol": tol, "window": window})
+    report = _base_report("ortho", spec, {"tol": args.tol, "window": window})
     res = ortho_test_generalized(T, h1, h2, z1, z2,
-                                 window_len=window, tol=tol, eps_pair=eps)
+                                 window_len=window, tol=args.tol, eps_pair=eps)
     report["orthogonality"] = {
         "case": res.case,
         "orbit_polynomial": res.orbit_polynomial,
@@ -271,9 +267,8 @@ def _cmd_perturb(args):
     if not isinstance(spec_a.operator, DenseOperator) \
             or not isinstance(spec_n.operator, DenseOperator):
         raise PreconditionError("perturb needs two dense operator specs")
-    tol = args.tol if args.tol is not None else DEFAULT_DEFECT_TOL
-    report = _base_report("perturb", spec_a, {"tol": tol})
-    res = perturbation_analysis(spec_a.operator, spec_n.operator, tol=tol)
+    report = _base_report("perturb", spec_a, {"tol": args.tol})
+    res = perturbation_analysis(spec_a.operator, spec_n.operator, tol=args.tol)
     report["perturbation"] = {
         "base_order": res.m_a,
         "nilpotency_index": res.nu,
@@ -343,8 +338,8 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=_tolerance, default=None,
+    def common(p, tol):
+        p.add_argument("--tol", type=_tolerance, default=tol,
                        help="float-mode zero tolerance")
         p.add_argument("--output", default=None, help="write the JSON report here")
 
@@ -352,16 +347,16 @@ def _build_parser():
     p.add_argument("file", help="operator spec file (JSON)")
     p.add_argument("--mmax", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
-    common(p)
+    common(p, DEFAULT_DEFECT_TOL)
 
     p = sub.add_parser("decompose", help="algebraic block decomposition")
     p.add_argument("file")
-    common(p)
+    common(p, DEFAULT_DEFECT_TOL)
 
     p = sub.add_parser("shift", help="weighted-shift order query")
     p.add_argument("file")
     p.add_argument("--m", type=int, required=True)
-    common(p)
+    common(p, DEFAULT_FLOAT_TOL)
 
     p = sub.add_parser("ortho", help="generalized-eigenvector orthogonality test")
     p.add_argument("file")
@@ -371,12 +366,12 @@ def _build_parser():
     p.add_argument("--z2", required=True)
     p.add_argument("--eps", default=None, help="epsilon pair, e.g. 1,i or -1,-i")
     p.add_argument("--window", type=int, default=None)
-    common(p)
+    common(p, DEFAULT_FLOAT_TOL)
 
     p = sub.add_parser("perturb", help="nilpotent perturbation analysis")
     p.add_argument("file_a", help="base operator spec")
     p.add_argument("file_n", help="nilpotent perturbation spec")
-    common(p)
+    common(p, DEFAULT_DEFECT_TOL)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True,

@@ -9,12 +9,11 @@ the walk's running scale.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import count, islice, repeat
-from operator import add, mul
+from itertools import count, islice
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -30,15 +29,11 @@ from .errors import (
 from .matrices import (
     DenseOperator,
     FiniteVector,
-    _conj,
-    _dot,
-    _fdot,
-    _nonzeros,
+    _forms,
     _orbit_inners,
     _orbit_windows,
-    _parts,
+    _polarization_values,
     _polarization_vector,
-    _scatter,
     basis_vector,
     orbit,
     polarization_pairs,
@@ -177,53 +172,17 @@ def _residual(beta):
 def _nonzero_form_witness(d, tol):
     """A vector h with <beta h, h> != 0 for a nonzero Hermitian beta: the first
     best of e_a, e_a + e_b and e_a + i e_b (polarization_pairs), on all of
-    which only a zero Hermitian form vanishes.  The values are read from
-    beta's entries, and only the winner is built."""
-    value = _form_values(d.matrix)
+    which only a zero Hermitian form vanishes.  The values come from
+    matrices._polarization_values (four entries each in exact mode, the
+    vector loop's bits in float mode), and only the winner is built."""
     # quadratic-form values can sit a factor ~2 below the largest entry,
     # hence the slack on the acceptance threshold
     best, best_val = None, d.threshold(tol) * 0.25
-    for c in polarization_pairs(d.matrix.dim):
-        if (val := value(*c)) > best_val:
+    for c, val in zip(polarization_pairs(d.matrix.dim), _polarization_values(d.matrix)):
+        if val > best_val:
             best, best_val = c, val
     return None if best is None else _polarization_vector(
         partial(basis_vector, d.matrix.dim, mode=d.matrix.mode), *best)
-
-
-def _form_values(beta):
-    """value(a, b, phase) of the candidate h of polarization_pairs, read from
-    four entries of the Hermitian beta: _exact_form_value on its kept
-    parts, or _float_form_value on Python complex, one value at a time."""
-    rows = beta._row_parts()[1]
-    if beta.mode == EXACT:
-        return partial(_exact_form_value, rows)
-    rows = [list(map(complex, re, im)) for re, im in zip(rows[0].tolist(), rows[1].tolist())]
-    return partial(_float_form_value, rows, list(zip(*rows)))
-
-
-def _exact_form_value(rows, a, b, phase):
-    """|Re <beta h, h>| * den for h = e_a, e_a + e_b or e_a + i e_b (phase 1),
-    from beta's (re, im) rows over den, with no float."""
-    re_a, im_a = rows[a]
-    if b is None:
-        return abs(re_a[a])
-    re_b, im_b = rows[b]
-    return abs(re_a[a] + re_b[b] + (re_a[b] + re_b[a] if phase == 0 else im_b[a] - im_a[b]))
-
-
-def _float_form_value(rows, cols, a, b, phase):
-    """|<beta h, h>| for the same h, rounded as apply and vec_inner round it:
-    beta h is column a plus c = 1 or i times column b; its entries a and b
-    times conj(1) and conj(c) make the form, and any other entry meets a
-    zero of h, which gives nan if it left float range."""
-    if b is None:
-        return math.hypot(rows[a][a].real, rows[a][a].imag)
-    c = 1j if phase else 1 + 0j
-    y = list(map(add, cols[a], map(mul, cols[b], repeat(c))))
-    if not all(map(cmath.isfinite, y[:a] + y[a + 1:b] + y[b + 1:])):
-        return math.nan
-    z = y[a] * complex(1, -0.0) + y[b] * c.conjugate()
-    return math.hypot(z.real, z.imag)
 
 
 def orbit_sequence(T, h, window_len=None):
@@ -246,10 +205,11 @@ def orbit_sequence(T, h, window_len=None):
 def newton_expansion_check(T, m, n_max, tol=DEFAULT_DEFECT_TOL):
     """Verify T*^n T^n = sum_{k<m} (n)_k (-1)^k / k! beta_k(T) for n <= n_max.
 
-    Precondition: T is an m-isometry (checked)."""
+    Precondition: T is an m-isometry (checked).  The beta_k come from one
+    walk: for n < m the identity is defect()'s binomial cross-check of beta_n."""
     if not is_m_isometry(T, m, tol):
         raise PreconditionError(f"operator is not an {m}-isometry")
-    betas = [defect(T, k) for k in range(m)]
+    betas = list(islice(_defects(T), m))
     scale = sum(b.float_scale for b in betas)
     ok = True
     Tn = DenseOperator.identity(T.dim, T.mode)
@@ -419,7 +379,9 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
 def _beta_degrees(op, vectors, window_len, verdict, tol):
     """The survey's degrees read from the defects beta_0 .. beta_{m-1} of
     verdict, or None where the survey walks its windows instead (see
-    local_isometry_survey)."""
+    local_isometry_survey).  Each <beta_j h, h> is matrices._forms' value of
+    vec_inner(beta_j.apply(h), h), and ||h||^2 that of beta_0 = I; a float
+    form beyond float range raises the float-overflow error."""
     if window_len is None:
         window_len = default_window_len(op.dim)
     if not verdict.strict or window_len < max(3, verdict.m + 1):
@@ -429,36 +391,17 @@ def _beta_degrees(op, vectors, window_len, verdict, tol):
             op._check_vec(h)
     except (DimensionMismatchError, ModeMismatchError):
         return None
-    mode, betas = op.mode, verdict.defects
-    if mode == EXACT:
-        # <beta h, h> = (h* beta) h on beta's nonzero entries, real as beta is Hermitian
-        forms = [_nonzeros(b.matrix._row_parts()[1]) for b in betas]
-        values = [[abs(_dot(_scatter([_conj(u, EXACT)], beta)[0], u)[0]) for beta in forms]
-                  for u in (_parts(h, EXACT)[1] for h in vectors)]
-        norms = repeat(None)     # exact zero tests take no magnitude
-    else:
-        values, norms = _float_forms(betas, vectors)
-    degrees = [next((j for j in reversed(range(len(betas))) if vals[j] > zero_threshold(
-                    mode, tol, lambda: betas[j].float_scale * norm, f"<beta_{j} h, h>")), None)
-               for vals, norm in zip(values, norms)]
+    mode, betas, degrees = op.mode, verdict.defects, []
+    for forms in _forms([b.matrix for b in betas], vectors):
+        # an exact form is real, as beta_j is Hermitian, and its zero test takes
+        # no magnitude; in float mode ||h||^2 is the form of beta_0 = I
+        if mode == EXACT:
+            values, norm = [abs(re) for ((_, re, _),) in forms], None
+        else:
+            values, norm = [math.hypot(re, im) for ((_, re, im),) in forms], forms[0][0][1]
+            if not all(map(math.isfinite, values)):
+                raise PreconditionError("float overflow: a form <beta_j h, h> of the survey "
+                                        "leaves float range")
+        degrees.append(next((j for j in reversed(range(len(betas))) if values[j] > zero_threshold(
+            mode, tol, lambda: betas[j].float_scale * norm, f"<beta_{j} h, h>")), None))
     return [DegreeVerdict(polynomial=True, degree=d, zero_sequence=d is None) for d in degrees]
-
-
-def _float_forms(betas, vectors):
-    """|<beta_j h, h>| for each float vector h and each beta_j, and ||h||^2,
-    as vec_inner(beta_j.apply(h), h) and vec_inner(h, h) round them: the
-    ordered float kernels, one vector at a time against all the beta_j.
-    A value beyond float range raises the float-overflow error."""
-    stacked = np.stack([b.matrix._row_parts()[1] for b in betas], axis=1)    # 2 x m x n x n
-    values, norms = [], []
-    for h in vectors:
-        v = _parts(h, FLOAT)[1]
-        v_conj = _conj(v, FLOAT)
-        forms = _fdot(_fdot(stacked, v[:, None, None], 2), v_conj[:, None], 1)    # 2 x m
-        norm = float(_fdot(v, v_conj, 0)[0])
-        if not (np.isfinite(forms).all() and math.isfinite(norm)):
-            raise PreconditionError("float overflow: a form <beta_j h, h> of the survey "
-                                    "leaves float range")
-        values.append(list(map(math.hypot, *forms.tolist())))
-        norms.append(norm)
-    return values, norms

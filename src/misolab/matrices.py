@@ -172,12 +172,12 @@ class DenseOperator:
         return self.rows[i][j]
 
     # as Scalar.modulus: math.hypot, not abs(complex), which rounds differently;
-    # int / int is float(Fraction), whatever den is
+    # int / int is float(Fraction), whatever den is; a float nan anywhere is nan
     def max_abs(self):
         den, rows = self._row_parts()
         if self.mode == EXACT:
             return max(math.hypot(x / den, y / den) for re, im in rows for x, y in zip(re, im))
-        return max(map(math.hypot, *_tolists(rows)))
+        return _largest(list(map(math.hypot, *_tolists(rows))))
 
     def is_zero(self, tol=0.0):
         rows = self._row_parts()[1]
@@ -200,7 +200,8 @@ class DenseOperator:
 # ---------------------------------------------------------------------------
 # Kernels, one per operation for both modes.  They run on the kernel form of
 # the scalars (_parts); operator results keep it (rows box on first read),
-# apply and vec_inner box each entry, and orbit windows box samples.
+# apply and vec_inner box each entry, orbit windows box samples, and the form
+# readers (_polarization_values, _forms) box nothing.
 # Exact mode runs on Gaussian integers over one common denominator, so its
 # results are the canonical fractions the Scalar loops give; its products (@,
 # apply, orbit steps) add only nonzero terms (_scatter), as integer sums do not
@@ -517,8 +518,73 @@ def _polarization_vector(vector, a, b, phase):
     return vec_add(u, v if phase == 0 else vec_scale(Scalar.i_unit(v[0].mode), v))
 
 
+def _polarization_values(B):
+    """|<B h, h>| for each candidate h of polarization_pairs on the basis
+    vectors, in that order, B Hermitian.  Exact mode reads |Re <B h, h>|
+    times B's den from four entries of B, with no float.  Float mode runs
+    apply's and vec_inner's kernels on batches of candidates, so each value
+    has the bits of the vector loop, nan included."""
+    n, (_, rows) = B.dim, B._row_parts()
+    if B.mode == EXACT:
+        for a, b, phase in polarization_pairs(n):
+            (re_a, im_a), (re_b, im_b) = rows[a], rows[a if b is None else b]
+            yield abs(re_a[a] if b is None else re_a[a] + re_b[b] + (
+                re_a[b] + re_b[a] if phase == 0 else im_b[a] - im_a[b]))
+        return
+    # candidate k is e_a[k] + (1 or i) e_b[k] (e_a[k] if b[k] = a[k]), a column of U;
+    # 256 // n at a time (all up to n = 6) keep the kernels' temporaries near 8n KiB
+    iu, step = np.triu_indices(n, 1), max(1, 256 // n)
+    a, b = (np.concatenate((np.arange(n), i.repeat(2))) for i in iu)
+    phase = np.concatenate((np.zeros(n, int), np.tile([0, 1], len(iu[0]))))
+    for ac, bc, pc in zip(*(np.split(x, range(step, n * n, step)) for x in (a, b, phase))):
+        U, k = np.zeros((2, n, len(ac))), np.arange(len(ac))
+        U[0, ac, k] = U[pc, bc, k] = 1.0
+        yield from map(math.hypot, *_fdot(_fmatmul(rows, U), _conj(U, FLOAT), 0).tolist())
+
+
+def _forms(ops, us, vs=None):
+    """<B u, v> = vec_inner(B.apply(u), v) as (den, re, im), the parts over
+    den, for u in us, B in ops and v in vs (v = u alone if vs is None): per
+    u, a list per B of a list per v.  The vectors must pass apply's checks.  The
+    ops and vs are taken apart once, each u in turn, and run through apply's
+    and vec_inner's kernels (float mode: all B at once, their bits)."""
+    if ops[0].mode == FLOAT:
+        stacked = np.stack([B._row_parts()[1] for B in ops], axis=1)       # 2 x m x n x n
+        ws = None if vs is None else _conj(np.stack([_parts(v, FLOAT)[1] for v in vs], 1), FLOAT)
+        for u in us:
+            uf = _parts(u, FLOAT)[1]
+            w = _conj(uf[:, None], FLOAT) if vs is None else ws             # 2 x q x n
+            images = _fdot(stacked, uf[:, None, None], 2)                   # 2 x m x n
+            re, im = _fdot(images[:, :, None], w[:, None], 2).tolist()      # 2 x m x q
+            yield [[(1, *z) for z in zip(*zj)] for zj in zip(re, im)]
+        return
+    cols = [(den, _nonzeros(_columns(rows))) for den, rows in (B._row_parts() for B in ops)]
+    ws = None if vs is None else [(d, _conj(f, EXACT)) for d, f in (_parts(v, EXACT) for v in vs)]
+    for u in us:
+        du, uf = _parts(u, EXACT)
+        against = [(du, _conj(uf, EXACT))] if vs is None else ws
+        images = [(den * du, _scatter([uf], c)[0]) for den, c in cols]
+        yield [[(den * dw, *_dot(image, w)) for dw, w in against] for den, image in images]
+
+
+def _vec_inners(pairs, mode):
+    """vec_inner(u, v) for each (u, v) of pairs; in float mode one ordered
+    _fdot over the stacked pairs, vec_inner's bits."""
+    if mode == EXACT or not pairs:
+        return [vec_inner(u, v) for u, v in pairs]
+    us, vs = (np.stack([_parts(w, FLOAT)[1] for w in ws], axis=1) for ws in zip(*pairs))
+    re, im = _fdot(us, _conj(vs, FLOAT), 1).tolist()      # 2 x P
+    return [Scalar.flt(r, i) for r, i in zip(re, im)]
+
+
+def _largest(moduli):
+    """The largest of a list of float moduli, nan if any is (Python's max keeps
+    a nan only if it comes first); the sum of moduli >= 0 is nan only then."""
+    return math.nan if math.isnan(sum(moduli)) else max(moduli)
+
+
 def vec_max_abs(u):
-    return max(a.modulus() for a in u)
+    return _largest([a.modulus() for a in u])
 
 
 def float_max_abs(values, mode):
@@ -526,7 +592,8 @@ def float_max_abs(values, mode):
     decides zeros exactly and converts no entry to float."""
     if mode == EXACT:
         return 0.0
-    return max((v.modulus() for v in values), default=0.0)
+    moduli = [v.modulus() for v in values]
+    return _largest(moduli) if moduli else 0.0
 
 
 class FiniteVector:

@@ -27,19 +27,18 @@ from .errors import (
 from .isometry import (
     DEFAULT_DEFECT_TOL,
     _defects,
-    _form_values,
     is_m_isometry,
     orbit_sequence,
     strict_order,
 )
 from .matrices import (
     DenseOperator,
-    _conj,
-    _fdot,
+    _forms,
     _orbit_windows,
-    _parts,
+    _polarization_values,
     _polarization_vector,
     _scalar,
+    _vec_inners,
     basis_vector,
     float_max_abs,
     orbit,
@@ -408,7 +407,9 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
         if not on_circle:
             failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue)} is not unimodular")
             break
-    cross = _cross_gram(spaces, T.mode)
+    # <u, v> for u in spaces[i].basis, v in spaces[j].basis, i < j, in that order
+    cross = _vec_inners([(u, v) for i, si in enumerate(spaces) for sj in spaces[i + 1:]
+                         for u in si.basis for v in sj.basis], T.mode)
     gram = float_max_abs(cross, T.mode)
     if not all(ip.is_zero(tol) for ip in cross):
         failures.append("generalized eigenspaces are not pairwise orthogonal")
@@ -424,19 +425,6 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
         predicted_strict_order=predicted,
         warnings=tuple(warnings),
     )
-
-
-def _cross_gram(spaces, mode):
-    """<u, v> for u in spaces[i].basis, v in spaces[j].basis, i < j, in that
-    order; in float mode from one ordered _fdot over the stacked pairs,
-    vec_inner's bits."""
-    pairs = [(u, v) for i, si in enumerate(spaces) for sj in spaces[i + 1:]
-             for u in si.basis for v in sj.basis]
-    if mode == EXACT or not pairs:
-        return [vec_inner(u, v) for u, v in pairs]
-    us, vs = (np.stack([_parts(w, FLOAT)[1] for w in ws], axis=1) for ws in zip(*pairs))
-    re, im = _fdot(us, _conj(vs, FLOAT), 1).tolist()      # 2 x P
-    return [Scalar.flt(r, i) for r, i in zip(re, im)]
 
 
 def _fmt_scalar(s):
@@ -494,16 +482,16 @@ def _strictness_criterion(d, N, nu, tol):
     N^(nu-1), for the defect d of beta = beta_{m_a-1}(A), against d's float
     threshold scaled by ||P f0||^2.  The value is <(P* beta P) f0, f0>, a
     Hermitian form, which vanishes iff it does on every candidate; it and
-    ||P f0||^2 = <(P* P) f0, f0> are read from four entries each, and only
-    the returned f0 is built.  A nan value or norm is a float overflow."""
+    ||P f0||^2 = <(P* P) f0, f0> come from matrices._polarization_values,
+    and only the returned f0 is built.  A nan value or norm is a float overflow."""
     dim, mode, P = N.dim, N.mode, N.power(nu - 1)
-    form, norm = _form_values(P.adjoint() @ d.matrix @ P), _form_values(P.adjoint() @ P)
-    for c in polarization_pairs(dim):
-        value = form(*c)
+    for c, value, norm in zip(polarization_pairs(dim),
+                              _polarization_values(P.adjoint() @ d.matrix @ P),
+                              _polarization_values(P.adjoint() @ P)):
         if value != value:    # nan; an exact value is an int, maybe beyond float range
             raise PreconditionError("float overflow: the form <beta w, w> leaves float range")
         # max(nan, 1.0) is nan, which zero_threshold refuses
-        if value > zero_threshold(mode, tol, lambda: max(d.float_scale * norm(*c), 1.0),
+        if value > zero_threshold(mode, tol, lambda: max(d.float_scale * norm, 1.0),
                                   "<beta w, w>"):
             return True, _polarization_vector(partial(basis_vector, dim, mode=mode), *c)
     return False, None
@@ -751,12 +739,13 @@ def _restricted_strict_order(T, spanning, tol):
     T-invariant span of spanning, else None.
 
     That is the first m with <beta_m(T) u, v> = 0 for all u, v in spanning:
-    a Hermitian form vanishes on a span iff it does on all spanning pairs."""
+    a Hermitian form vanishes on a span iff it does on all spanning pairs.
+    The forms are matrices._forms' values of vec_inner(beta_m.apply(u), v)."""
     for d in islice(_defects(T), 1, 2 * len(spanning) + 2):
         thr = zero_threshold(T.mode, d.threshold(tol), lambda: max(
             1.0, max(vec_max_abs(v) for v in spanning) ** 2), f"<beta_{d.m} u, v>")
-        images = [d.matrix.apply(u) for u in spanning]
-        if all(vec_inner(b, v).is_zero(thr) for b in images for v in spanning):
+        if all(not (re or im) if T.mode == EXACT else math.hypot(re, im) <= thr
+               for (row,) in _forms([d.matrix], spanning, spanning) for _, re, im in row):
             return d.m
     return None
 

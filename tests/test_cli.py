@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from misolab import parse_operator_spec, serialize_operator_spec
-from misolab.cli import main
+from misolab.cli import _build_parser, main
+from misolab.diffcalc import DEFAULT_FLOAT_TOL
 from misolab.errors import SpecFileError
+from misolab.isometry import DEFAULT_DEFECT_TOL
 from misolab.specio import format_rational, parse_rational
 from misolab.suites import SUITES, SuiteResult, random_unitary
 
@@ -385,3 +387,17 @@ class TestExactEntriesBeyondFloatRange:
         assert main(["perturb", a, n]) == 0
         out = capsys.readouterr().out
         assert "order_bound: 3" in out and "strict_at_bound: True" in out
+
+
+@pytest.mark.parametrize("argv, tol", [
+    (["order", "t.json"], DEFAULT_DEFECT_TOL),
+    (["decompose", "t.json"], DEFAULT_DEFECT_TOL),
+    (["perturb", "a.json", "n.json"], DEFAULT_DEFECT_TOL),
+    (["shift", "s.json", "--m", "2"], DEFAULT_FLOAT_TOL),
+    (["ortho", "t.json", "--h1", "1,0", "--h2", "0,1", "--z1", "1", "--z2", "-1"],
+     DEFAULT_FLOAT_TOL),
+    (["ortho", "t.json", "--h1", "1,0", "--h2", "0,1", "--z1", "1", "--z2", "-1",
+      "--tol", "1e-3"], 1e-3),
+])
+def test_each_command_parser_holds_its_tol_default(argv, tol):
+    assert _build_parser().parse_args(argv).tol == tol

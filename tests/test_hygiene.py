@@ -52,3 +52,20 @@ def test_only_zero_threshold_scales_tol(path):
 
 def test_tol_arithmetic_is_seen_in_zero_threshold():
     assert tol_arithmetic(SRC / "scalars.py")
+
+
+KERNELS = {"_conj", "_dot", "_fdot", "_fmatmul", "_fmul", "_fsum", "_nonzeros", "_parts",
+           "_scatter", "_tolists"}
+
+
+def imported_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+# every form <B u, v> is read by matrices, so no layer above it re-implements
+# the kernels' arithmetic
+@pytest.mark.parametrize("name", ["isometry.py", "spectral.py"])
+def test_forms_are_read_in_matrices(name):
+    assert imported_names(SRC / name) & KERNELS == set()

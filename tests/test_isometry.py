@@ -33,6 +33,7 @@ from misolab import (
     vec_inner,
     vec_norm_sq,
 )
+from misolab import isometry
 from misolab.scalars import EXACT, FLOAT
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
                             random_unitary)
@@ -143,6 +144,26 @@ class TestNewtonExpansion:
     def test_precondition(self):
         with pytest.raises(PreconditionError):
             newton_expansion_check(EXAMPLE, 2, 4)
+
+    def test_walks_the_defects_once(self, monkeypatch):
+        # is_m_isometry's defect() walks the recurrence and the Gram operators
+        # once each; the beta_k for k < m come from one more recurrence walk
+        walks = {"_defects": 0, "_grams": 0}
+
+        def counted(name):
+            real = getattr(isometry, name)
+
+            def walk(T):
+                walks[name] += 1
+                return real(T)
+            return walk
+
+        for name in walks:
+            monkeypatch.setattr(isometry, name, counted(name))
+        T = direct_sum(jordan_matrix(JordanSpec(Scalar.exact(1), 4)),
+                       jordan_matrix(JordanSpec(Scalar.exact(-1), 4)))
+        assert newton_expansion_check(T, 7, 10)
+        assert walks["_defects"] <= 2 and walks["_grams"] <= 1
 
 
 class TestDefectForm:

@@ -44,8 +44,9 @@ from misolab.isometry import (
     _nonzero_form_witness,
     _survey_windows,
 )
-from misolab.matrices import (_int_form, _orbit_inners, _polarization_vector, basis_vector,
-                              polarization_pairs)
+from misolab.matrices import (_box, _forms, _int_form, _orbit_inners, _polarization_values,
+                              _polarization_vector, basis_vector, float_max_abs,
+                              polarization_pairs, vec_max_abs)
 from misolab.scalars import EXACT, FLOAT, zero_threshold
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
                             random_unitary)
@@ -109,6 +110,11 @@ def ref_defect_walk(T, m):
                     + max(s.modulus() for r in step.rows for s in r))
         beta = DenseOperator(ref_combine(beta, step, sub))
     return out
+
+
+def ref_largest(moduli):
+    """The largest modulus, nan if any is nan, wherever it sits."""
+    return math.nan if any(map(math.isnan, moduli)) else max(moduli)
 
 
 def polarization_candidates(vectors):
@@ -283,6 +289,19 @@ long_dims = st.integers(9, 16)
 unit_scalars = st.builds(Scalar.flt, st.floats(-1, 1), st.floats(-1, 1))
 
 
+# (n, hermitian, entries) of float operators B whose forms <B h, h> overflow
+OVERFLOWING_FORMS = [
+    # an entry of B h outside a and b overflows, so the vector loop's value
+    # is nan: Hermitian, on e_0 + e_2
+    (3, True, [(-1.7e308, -1.0), (1.7e308, -1.7e308), (0.5, -1.7e308), (9e307, -1.7e308),
+               (-9e307, -1.7e308), (-1.7e308, -9e307), (-1.7e308, -1.7e308), (0.5, -9e307),
+               (-1.0, 9e307)]),
+    # entry a of B h overflows, and its product with conj(1) = 1 - 0i makes
+    # the other part nan
+    (2, False, [(0.5, 9e307), (9e307, 0.0), (-9e307, -1.7e308), (-9e307, -9e307)]),
+]
+
+
 class TestFloatKernels:
     @given(dims.flatmap(lambda n: st.tuples(float_operators(n), float_operators(n))))
     @settings(max_examples=60, deadline=None)
@@ -348,7 +367,8 @@ class TestFloatKernels:
             assert list(map(bits, op(c, a @ b).rows)) == list(map(bits, ref_combine(c, ref, op)))
         assert list(map(bits, (a @ b).adjoint().rows)) == list(map(bits, ref_adjoint(ref)))
         assert (a @ b).is_zero(tol) == all(s.is_zero(tol) for r in ref.rows for s in r)
-        assert (a @ b).max_abs().hex() == max(s.modulus() for r in ref.rows for s in r).hex()
+        moduli = [s.modulus() for r in ref.rows for s in r]
+        assert (a @ b).max_abs().hex() == ref_largest(moduli).hex()
 
     # tied values, and values near the top of float range, where a sum of
     # two entries overflows to inf in both paths
@@ -356,15 +376,8 @@ class TestFloatKernels:
         st.just(n), st.booleans(),
         st.lists(st.tuples(tied_floats, tied_floats), min_size=n * n, max_size=n * n))),
         st.sampled_from([0.0, 1e-8, 1.0]), st.floats(1.0, 1e308))
-    # an entry of beta h outside a and b overflows, so the vector loop's
-    # value is nan: Hermitian, on e_0 + e_2
-    @example((3, True, [(-1.7e308, -1.0), (1.7e308, -1.7e308), (0.5, -1.7e308),
-                        (9e307, -1.7e308), (-9e307, -1.7e308), (-1.7e308, -9e307),
-                        (-1.7e308, -1.7e308), (0.5, -9e307), (-1.0, 9e307)]), 0.0, 1.0)
-    # entry a of beta h overflows, and its product with conj(1) = 1 - 0i
-    # makes the other part nan
-    @example((2, False, [(0.5, 9e307), (9e307, 0.0), (-9e307, -1.7e308), (-9e307, -9e307)]),
-             0.0, 1.0)
+    @example(OVERFLOWING_FORMS[0], 0.0, 1.0)
+    @example(OVERFLOWING_FORMS[1], 0.0, 1.0)
     @settings(max_examples=150, deadline=None)
     def test_witness_reads_the_entries(self, case, tol, scale):
         n, hermitian, entries = case
@@ -402,6 +415,92 @@ class TestFloatKernels:
             exact_op.apply((Scalar.flt(1.0), Scalar.flt(0.0)))
         with pytest.raises(ModeMismatchError):
             next(islice(orbit(float_op, (Scalar.exact(1), Scalar.exact(0))), 1, None))
+
+
+# ---------------------------------------------------------------------------
+# The form readers of matrices against the vector loop: each <B u, v> is
+# vec_inner(B.apply(u), v), the same value in exact mode and the same bits in
+# float mode.
+# ---------------------------------------------------------------------------
+
+def float_operator(n, hermitian, entries):
+    return DenseOperator(square(n, hermitian, [Scalar.flt(x, y) for x, y in entries]))
+
+
+def basis_candidates(n, mode):
+    return polarization_candidates([basis_vector(n, j, mode) for j in range(n)])
+
+
+def overflowing_form_case(n, hermitian, entries, pairs):
+    """(ops, us, vs) on an OVERFLOWING_FORMS operator and its adjoint: the
+    polarization candidates, against themselves alone or (pairs) all of them."""
+    B, cands = float_operator(n, hermitian, entries), basis_candidates(n, FLOAT)
+    return [B, B.adjoint()], cands, cands if pairs else None
+
+
+@st.composite
+def form_cases(draw):
+    """(ops, us, vs): one to three operators and vectors of one mode, vs
+    None (v = u) or one to three vectors."""
+    n = draw(dims)
+    ops, vecs = ((operators(n), vectors(n)) if draw(st.booleans())
+                 else (float_operators(n), float_vectors(n)))
+    us = draw(st.lists(vecs, min_size=1, max_size=3))
+    return (draw(st.lists(ops, min_size=1, max_size=3)), us,
+            draw(st.none() | st.lists(vecs, min_size=1, max_size=3)))
+
+
+def hermitian_operators(mode):
+    part, scalar = (tied_parts, Scalar.exact) if mode == EXACT else (tied_floats, Scalar.flt)
+    return st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(part, part), min_size=n * n, max_size=n * n).map(
+        lambda entries: DenseOperator(square(n, True, [scalar(x, y) for x, y in entries]))))
+
+
+class TestFormReaders:
+    @given(form_cases())
+    @example(overflowing_form_case(*OVERFLOWING_FORMS[0], pairs=False))
+    @example(overflowing_form_case(*OVERFLOWING_FORMS[1], pairs=False))
+    @example(overflowing_form_case(*OVERFLOWING_FORMS[0], pairs=True))
+    @example(overflowing_form_case(*OVERFLOWING_FORMS[1], pairs=True))
+    @settings(max_examples=80, deadline=None)
+    def test_forms_are_the_vector_loop(self, case):
+        ops, us, vs = case
+        got = list(_forms(ops, us, vs))
+        assert len(got) == len(us)
+        for u, per_op in zip(us, got):
+            assert len(per_op) == len(ops)
+            for B, row in zip(ops, per_op):
+                values = [_box((re, im), den, B.mode) for den, re, im in row]
+                ref = [vec_inner(B.apply(u), v) for v in ([u] if vs is None else vs)]
+                if B.mode == FLOAT:
+                    values, ref = bits(values), bits(ref)
+                assert values == ref
+
+    @given(st.one_of(hermitian_operators(EXACT), hermitian_operators(FLOAT)))
+    @example(float_operator(*OVERFLOWING_FORMS[0]))
+    @example(float_operator(*OVERFLOWING_FORMS[1]))
+    @settings(max_examples=80, deadline=None)
+    def test_polarization_values_are_the_vector_loop(self, B):
+        # exact: |Re <B h, h>| times B's den; float: |<B h, h>|, nan included
+        den = B._row_parts()[0]
+        values = list(_polarization_values(B))
+        cands = basis_candidates(B.dim, B.mode)
+        assert len(values) == len(cands)
+        for h, value in zip(cands, values):
+            form = vec_inner(B.apply(h), h)
+            if B.mode == EXACT:
+                assert Fraction(value, den) == abs(form.re)
+            else:
+                assert value.hex() == form.modulus().hex()
+
+
+@pytest.mark.parametrize("row", [(1.0, math.nan), (math.nan, 1.0)])
+def test_a_nan_modulus_is_seen_wherever_it_sits(row):
+    v = tuple(Scalar.flt(x) for x in row)
+    assert math.isnan(DenseOperator([v, (Scalar.flt(0.0),) * 2]).max_abs())
+    assert math.isnan(vec_max_abs(v))
+    assert math.isnan(float_max_abs(v, FLOAT))
 
 
 def test_strict_order_takes_each_operator_apart_once(monkeypatch):
