@@ -65,6 +65,8 @@ def _parse_scalar_flag(text, mode):
         z = complex(text.replace("i", "j"))
     except ValueError as exc:
         raise SpecFileError(f"bad float scalar {text!r}") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise SpecFileError(f"float scalar {text!r} is not finite")
     return Scalar.flt(z.real, z.imag)
 
 
@@ -100,12 +102,16 @@ def _vector_out(v):
 # Report emission
 # ---------------------------------------------------------------------------
 
+def _write_json(report, output_path):
+    """The report as indented JSON, in one write."""
+    with open(output_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
+
+
 def _emit(report, output_path):
     _print_human(report)
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(report, output_path)
 
 
 def _print_human(report, prefix=""):
@@ -316,9 +322,7 @@ def _cmd_verify(args):
         })
         failed = failed or not res.passed
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(report, args.output)
     return EXIT_SUITE if failed else EXIT_OK
 
 

@@ -16,15 +16,13 @@ from functools import reduce
 from operator import add, mul
 from typing import Optional
 
-import numpy as np
-
 from .errors import (
     InternalCheckError,
     NotPolynomialError,
     PreconditionError,
     WindowTooShortError,
 )
-from .matrices import _fweighted_sum, _int_form, _scalar
+from .matrices import _fweighted_sum, _int_form, _scalar, np
 from .polynomials import Polynomial, falling_factorial_poly
 from .scalars import EXACT, FLOAT, Scalar, same_mode, zero_threshold
 

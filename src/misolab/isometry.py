@@ -16,8 +16,6 @@ from itertools import count, islice
 from operator import add
 from typing import Optional
 
-import numpy as np
-
 from .diffcalc import DegreeVerdict, OrbitSequence, default_window_len, detect_degree
 from .errors import (
     DimensionMismatchError,
@@ -35,6 +33,7 @@ from .matrices import (
     _polarization_values,
     _polarization_vector,
     basis_vector,
+    np,
     orbit,
     polarization_pairs,
     vec_add,

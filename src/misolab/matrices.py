@@ -3,16 +3,37 @@ sequence vectors over dual-mode scalars."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 from functools import partialmethod, reduce
 from itertools import chain
 from operator import add, mul, sub
 
-import numpy as np
-
 from .errors import DimensionMismatchError, ModeMismatchError
 from .scalars import EXACT, FLOAT, Scalar, same_mode
+
+
+def _lazy_numpy():
+    """numpy, or a module that imports numpy on its first attribute read:
+    only float code reads one, so a process that runs exact code alone never
+    pays numpy's import.  An imported numpy is used as it is; a missing one
+    fails here, as `import numpy` would."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# every module takes numpy from here, so that none imports it at start-up
+np = _lazy_numpy()
 
 
 class DenseOperator:
@@ -327,9 +348,6 @@ def _tolists(form):
     return form[0].ravel().tolist(), form[1].ravel().tolist()
 
 
-_quiet = np.errstate(all="ignore")
-
-
 def _fsum(terms, axis):
     """The terms along axis added from left to right, one IEEE sum at a
     time: np.add.accumulate is a running sum, and its last entry is the sum
@@ -349,21 +367,21 @@ def _fmul(a, b):
     return out
 
 
-@_quiet
 def _fdot(a, b, axis):
     """sum_k a_k b_k over one axis of the entries of two float forms that
     broadcast: the _fmul products added by _fsum, the bits of the Scalar
     loop."""
-    return _fsum(_fmul(a, b), axis + 1)
+    with np.errstate(all="ignore"):
+        return _fsum(_fmul(a, b), axis + 1)
 
 
-@_quiet
 def _fweighted_sum(weights, terms, axis):
     """sum_k weights[k] terms[k] along axis of a float array: each int weight
     is taken to float as int * float takes it, and the products are added by
     _fsum, from k = 0 up."""
     w = np.array([float(c) for c in weights])
-    return _fsum(w.reshape((-1,) + (1,) * (terms.ndim - axis - 1)) * terms, axis)
+    with np.errstate(all="ignore"):
+        return _fsum(w.reshape((-1,) + (1,) * (terms.ndim - axis - 1)) * terms, axis)
 
 
 def _fmatmul(a, b):

@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import SpecFileError
@@ -57,25 +58,34 @@ def _frac_str(f):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _is_int(value):
+    """A JSON integer: Python's bool is an int, but true and false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
 def parse_entry(entry, mode):
     """One scalar entry: rational string, [re, im] pair, or bare number."""
     if isinstance(entry, str):
         if mode != EXACT:
             raise SpecFileError("string rational entries require exact mode")
         return parse_rational(entry)
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         entry = [entry, 0]
     if not (isinstance(entry, list) and len(entry) == 2):
         raise SpecFileError(f"bad scalar entry {entry!r}")
     re_part, im_part = entry
     if mode == EXACT:
-        if not (isinstance(re_part, int) and isinstance(im_part, int)):
+        if not (_is_int(re_part) and _is_int(im_part)):
             raise SpecFileError(
                 "exact-mode numeric entries must be integers; use the "
                 "rational string grammar for fractions"
             )
         return Scalar.exact(re_part, im_part)
-    if not all(isinstance(x, (int, float)) for x in (re_part, im_part)):
+    if not (_is_number(re_part) and _is_number(im_part)):
         raise SpecFileError(f"bad float entry {entry!r}")
     try:
         re_part, im_part = float(re_part), float(im_part)
@@ -99,7 +109,14 @@ class OperatorSpec:
     kind: str                   # "matrix" | "jordan_blocks" | "shift"
     operator: object            # DenseOperator or WeightedShiftOperator
     eigen_hints: Optional[tuple]
-    document: dict              # canonical JSON document
+    source: dict = field(repr=False, compare=False)     # the JSON document parsed
+
+    @cached_property
+    def document(self):
+        """The canonical JSON document, made on first read: most commands
+        never read it."""
+        return serialize_parsed(self.mode, self.kind, self.source, self.operator,
+                                self.eigen_hints)
 
 
 def parse_operator_spec(doc):
@@ -135,7 +152,7 @@ def parse_operator_spec(doc):
                 raise SpecFileError(
                     f'jordan block {b!r} must be an object with "z" and "size"')
             size = b.get("size")
-            if not isinstance(size, int) or size < 1:
+            if not _is_int(size) or size < 1:
                 raise SpecFileError("jordan block size must be a positive integer")
             z = parse_entry(b["z"], mode)
             mats.append(jordan_matrix(JordanSpec(z=z, size=size)))
@@ -152,16 +169,13 @@ def parse_operator_spec(doc):
         if not coeffs:
             raise SpecFileError("shift polynomial must be nonzero")
         prefix = body.get("prefix", 32)
-        if not isinstance(prefix, int) or prefix < 2:
+        if not _is_int(prefix) or prefix < 2:
             raise SpecFileError("shift prefix must be an integer >= 2")
         p = Polynomial([parse_entry(c, mode) for c in coeffs], mode=mode)
         if p.is_zero():
             raise SpecFileError("shift polynomial must be nonzero")
         op = shift_from_polynomial(p, prefix)
-    return OperatorSpec(
-        mode=mode, kind=kind, operator=op, eigen_hints=hints,
-        document=serialize_parsed(mode, kind, doc, op, hints),
-    )
+    return OperatorSpec(mode=mode, kind=kind, operator=op, eigen_hints=hints, source=doc)
 
 
 def _json_list(value, what):

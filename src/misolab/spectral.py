@@ -16,8 +16,6 @@ from functools import partial
 from itertools import islice
 from typing import Optional
 
-import numpy as np
-
 from .diffcalc import DEFAULT_FLOAT_TOL, default_window_len, detect_degree
 from .errors import (
     EigenHintError,
@@ -41,6 +39,7 @@ from .matrices import (
     _vec_inners,
     basis_vector,
     float_max_abs,
+    np,
     orbit,
     polarization_pairs,
     vec_add,
@@ -535,7 +534,7 @@ def _unimodular_check(z, mode, tol):
     if mode == EXACT:
         if z.abs2() != Scalar.exact(1):
             raise PreconditionError("eigenvalue is not unimodular")
-    elif abs(z.modulus() - 1.0) > max(tol, 1e-8):
+    elif not abs(z.modulus() - 1.0) <= max(tol, 1e-8):
         raise PreconditionError("eigenvalue is not unimodular")
 
 

@@ -15,14 +15,13 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-import numpy as np
-
 from .diffcalc import OrbitSequence, detect_degree, difference_table, newton_reconstruct
 from .errors import MisolabError
 from .isometry import DEFAULT_DEFECT_TOL, defect, orbit_sequence, strict_order
 from .matrices import (
     DenseOperator,
     direct_sum,
+    np,
     orbit,
     vec_add,
     vec_inner,

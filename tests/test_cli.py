@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -27,6 +28,15 @@ def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def fresh_interpreter_env(**extra):
+    """The environment of a fresh interpreter that imports misolab from this
+    checkout's src."""
+    env = dict(os.environ, **extra)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
 
 
 class TestRationalGrammar:
@@ -66,6 +76,12 @@ class TestSpecRoundTrip:
                                            [[0.0, 0.0], [0.0, -1.0]]]}
         spec = parse_operator_spec(doc)
         assert spec.mode == "float"
+
+    def test_document_is_made_on_first_read(self):
+        spec = parse_operator_spec(EXAMPLE_DOC)
+        assert "document" not in vars(spec)
+        assert spec.document == EXAMPLE_DOC
+        assert spec.document is spec.document
 
     def test_exactly_one_operator_key(self):
         with pytest.raises(SpecFileError):
@@ -249,6 +265,21 @@ class TestSpecRejection:
                      id="shift-not-object"),
         pytest.param('{"mode": "exact", "shift": {"polynomial": 5}}', '"polynomial" must be',
                      id="shift-polynomial-not-list"),
+        # Python reads JSON true and false as the ints 1 and 0
+        pytest.param('{"mode": "exact", "matrix": [[true]]}', "bad scalar entry True",
+                     id="exact-bool"),
+        pytest.param('{"mode": "exact", "matrix": [[[1, false]]]}', "must be integers",
+                     id="exact-bool-pair"),
+        pytest.param('{"mode": "float", "matrix": [[false]]}', "bad scalar entry False",
+                     id="float-bool"),
+        pytest.param('{"mode": "float", "matrix": [[[true, 0.5]]]}', "bad float entry",
+                     id="float-bool-pair"),
+        pytest.param('{"mode": "exact", "jordan_blocks": [{"z": "1", "size": true}]}',
+                     "size must be a positive integer", id="jordan-size-bool"),
+        pytest.param('{"mode": "exact", "jordan_blocks": [{"z": true, "size": 2}]}',
+                     "bad scalar entry True", id="jordan-z-bool"),
+        pytest.param('{"mode": "float", "shift": {"polynomial": [true]}}',
+                     "bad scalar entry True", id="shift-coefficient-bool"),
     ])
     def test_parse_error_is_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
@@ -267,6 +298,20 @@ def test_tol_that_breaks_zero_tests_is_2(tmp_path, capsys, command, tol):
         main([command, path, f"--tol={tol}"])
     assert exc.value.code == 2
     assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--z1", "nan"), ("--z2", "-1e999"), ("--h1", "nan,0"), ("--h2", "0+1e999i,1"),
+    ("--eps", "nan,i"),
+])
+def test_non_finite_float_flag_is_2(tmp_path, capsys, flag, value):
+    # --z1=nan passed the unimodularity check and exited 3, with "vector is
+    # not in the claimed generalized eigenspace"; 1e999 reads as inf
+    path = write(tmp_path, "f.json", {"mode": "float", "matrix": [[[0, 1], [2, 0]],
+                                                                  [[0, 0], [0, -1]]]})
+    flags = {"--h1": "1,0", "--h2": "0+1i,1", "--z1": "i", "--z2": "-i", flag: value}
+    assert main(["ortho", path, *(f"{k}={v}" for k, v in flags.items())]) == 2
+    assert f"float scalar {value.split(',')[0]!r} is not finite" in capsys.readouterr().err
 
 
 def test_float_orbit_overflow_is_3(tmp_path, capsys):
@@ -330,11 +375,9 @@ def test_float_kernel_chain_overflow_prints_one_line(tmp_path):
     # shows warnings as a user sees them, which pytest's capture would hide.
     path = write(tmp_path, "d.json", {"mode": "float",
                                       "matrix": [[1e200, 1e200, 0], [0, 1e200, 1], [0, 0, 1]]})
-    env = dict(os.environ, PYTHONWARNINGS="default")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run([sys.executable, "-m", "misolab.cli", "decompose", path],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=fresh_interpreter_env(PYTHONWARNINGS="default"))
     assert proc.returncode == 3
     assert proc.stderr == "error: float overflow: a power of T - zI left float range\n"
 
@@ -401,3 +444,36 @@ class TestExactEntriesBeyondFloatRange:
 ])
 def test_each_command_parser_holds_its_tol_default(argv, tol):
     assert _build_parser().parse_args(argv).tol == tol
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    # tier-1 imports numpy before misolab, so only a fresh interpreter shows
+    # that exact mode runs without it; a float order then loads it
+    for name, doc in {"t.json": EXAMPLE_DOC,
+                      "a.json": {"mode": "exact", "matrix": [["1", "0"], ["0", "1"]]},
+                      "n.json": {"mode": "exact", "matrix": [["0", "1"], ["0", "0"]]},
+                      "s.json": {"mode": "exact", "shift": {"polynomial": ["1", "1"]}},
+                      "f.json": {"mode": "float", "matrix": [[1, 1], [0, 1]]}}.items():
+        write(tmp_path, name, doc)
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from misolab.cli import main
+
+        def numpy_loaded():
+            return any(name.startswith("numpy.") for name in sys.modules)
+
+        loaded = [numpy_loaded()]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in (
+                ["order", "t.json"], ["decompose", "t.json"],
+                ["ortho", "t.json", "--h1=1,0", "--h2=0+1i,1", "--z1=i", "--z2=-i"],
+                ["perturb", "a.json", "n.json"], ["shift", "s.json", "--m=2"],
+                ["verify", "--suite=jordan-orders"], ["verify", "--suite=shift-factory"])]
+            loaded.append(numpy_loaded())
+            codes.append(main(["order", "f.json"]))
+        print(json.dumps({"codes": codes, "loaded": loaded + [numpy_loaded()]}))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env=fresh_interpreter_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * 8, "loaded": [False, False, True]}

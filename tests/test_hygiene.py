@@ -69,3 +69,65 @@ def imported_names(path):
 @pytest.mark.parametrize("name", ["isometry.py", "spectral.py"])
 def test_forms_are_read_in_matrices(name):
     assert imported_names(SRC / name) & KERNELS == set()
+
+
+def numpy_imports(path):
+    """Lines on which a module imports numpy: an import statement, or the
+    name "numpy" handed to the import system."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Import)
+                  and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "numpy"
+                  or isinstance(node, ast.Constant) and node.value == "numpy")
+
+
+# matrices makes numpy load on first use; an import anywhere else would load
+# it at start-up in every exact-mode process
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "matrices.py"),
+                         ids=lambda p: p.name)
+def test_only_matrices_imports_numpy(path):
+    assert numpy_imports(path) == []
+
+
+def test_numpy_import_is_seen_in_matrices():
+    assert numpy_imports(SRC / "matrices.py")
+
+
+def import_time_np_reads(source):
+    """Lines on which a module reads an attribute of np while it is imported:
+    anywhere but in a function body, whose decorators and default values do
+    run at import."""
+    lines = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            run_now = getattr(node, "decorator_list", []) + args.defaults + args.kw_defaults
+            for child in filter(None, run_now):
+                visit(child)
+            return
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "np"):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_np_attribute_is_read_at_import(path):
+    assert import_time_np_reads(path.read_text()) == []
+
+
+def test_import_time_np_reads_are_seen():
+    source = ("_quiet = np.errstate(all='ignore')\n"
+              "@np.errstate(all='ignore')\n"
+              "def f(x=np.float64(0)):\n"
+              "    return np.abs(x)\n"
+              "class C:\n"
+              "    eps = np.finfo(float).eps\n")
+    assert import_time_np_reads(source) == [1, 2, 3, 6]

@@ -516,6 +516,14 @@ class TestOrthoTest:
         assert not res.orbit_polynomial and not res.mixed_inner_vanishes
         assert res.agrees_with_theory
 
+    def test_nan_eigenvalue_is_not_unimodular(self):
+        # abs(nan - 1) > tol is false: a nan z passed the check
+        h1 = (Scalar.flt(1.0), Scalar.flt(0.0))
+        h2 = (Scalar.flt(0.0, 1.0), Scalar.flt(1.0))
+        with pytest.raises(PreconditionError, match="not unimodular"):
+            ortho_test_generalized(operator_to_float(EXAMPLE), h1, h2,
+                                   Scalar.flt(math.nan), Scalar.flt(0.0, -1.0))
+
     def test_eps_pair_validation(self):
         h1 = (ONE, Scalar.exact(0))
         h2 = (I_, ONE)
