@@ -293,6 +293,27 @@ def float_bits(x):
     return x
 
 
+def assert_matches_reference(dec, ref):
+    """dec is ref_float_decompose's decomposition: the blocks bit for bit
+    (numpy's eigenvalues and SVDs), the same failures and warnings, and the
+    largest cross inner product within the rounding bound of the kernels,
+    which add in any order.  A complex sum of n products is within sqrt(2)
+    gamma_(n+2) sum_k |u_k| |v_k| of the exact one, gamma_n = n u / (1 - n
+    u) and u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1 and 3.6), plus 2^-1070 a term for underflow,
+    and both computations are."""
+    spaces, gram, failures, warnings = ref
+    assert float_bits([(b.eigenvalue, b.basis, b.chain_depth) for b in dec.blocks]) == \
+        float_bits(spaces)
+    assert (list(dec.failures), list(dec.warnings)) == (failures, warnings)
+    u = 2.0 ** -53
+    slacks = [2 * (math.sqrt(2) * (n + 2) * u / (1 - (n + 2) * u)
+                   * sum(a.modulus() * b.modulus() for a, b in zip(x, y)) + n * 2.0 ** -1070)
+              for i, (_, bi, _) in enumerate(spaces) for _, bj, _ in spaces[i + 1:]
+              for x in bi for y in bj for n in [len(x)]]
+    assert abs(dec.pairwise_gram - gram) <= max(slacks, default=0.0)
+
+
 def escalating_case(sizes, seed):
     """A seeded unitary conjugation of the Jordan blocks (z, k) of sizes."""
     T = operator_to_float(direct_sum(*(jordan_matrix(JordanSpec(z, k)) for z, k in sizes)))
@@ -360,11 +381,7 @@ class TestFloatClustering:
             with pytest.raises(PreconditionError, match="never became consistent"):
                 algebraic_decompose(T)
             return
-        dec = algebraic_decompose(T)
-        assert float_bits([(b.eigenvalue, b.basis, b.chain_depth) for b in dec.blocks]) == \
-            float_bits(ref[0])
-        assert float_bits((dec.pairwise_gram, list(dec.failures), list(dec.warnings))) == \
-            float_bits(ref[1:])
+        assert_matches_reference(algebraic_decompose(T), ref)
 
     def test_benchmark_decompose_requests_match_the_reference(self):
         sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -376,11 +393,7 @@ class TestFloatClustering:
         assert len(reqs) == 9
         for req in reqs:
             T = parse_operator_spec(next(iter(req.files.values()))).operator
-            dec, ref = algebraic_decompose(T), ref_float_decompose(T)
-            assert float_bits([(b.eigenvalue, b.basis, b.chain_depth) for b in dec.blocks]) == \
-                float_bits(ref[0])
-            assert float_bits((dec.pairwise_gram, list(dec.failures), list(dec.warnings))) == \
-                float_bits(ref[1:])
+            assert_matches_reference(algebraic_decompose(T), ref_float_decompose(T))
 
     def test_each_cluster_mean_walks_its_chain_once(self, monkeypatch):
         # the -1 cluster has the same mean at every radius, so each attempt
