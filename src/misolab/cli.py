@@ -62,7 +62,8 @@ def _parse_scalar_flag(text, mode):
     if mode == EXACT:
         return parse_rational(text)
     try:
-        z = complex(text.replace("i", "j"))
+        # only a trailing i is the imaginary unit: inf and infinity keep theirs
+        z = complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError as exc:
         raise SpecFileError(f"bad float scalar {text!r}") from exc
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     WindowTooShortError,
 )
-from .matrices import _fweighted_sum, _int_form, _scalar, np
+from .matrices import _int_form, _scalar, np
 from .polynomials import Polynomial, falling_factorial_poly
 from .scalars import EXACT, FLOAT, Scalar, same_mode, zero_threshold
 
@@ -141,8 +141,8 @@ def _check_binomial_form(vals, m, row, scale):
 
     The entries are ints or floats; float entries may differ by a slack
     that grows with the largest binomial coefficient, and scale is 0.0 for
-    ints, which are compared exactly.  Float sums run on float64 arrays
-    through matrices._fweighted_sum, from k = 0 up.  A float entry or
+    ints, which are compared exactly.  Float sums are one numpy product of
+    the windows vals[n:n + m + 1] with the coefficients.  A float entry or
     binomial sum beyond float range makes the two disagree; that is an
     overflow, not a failed check, and raises PreconditionError."""
     coeffs = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
@@ -156,8 +156,8 @@ def _check_binomial_form(vals, m, row, scale):
         vals, row = np.asarray(vals, dtype=float), np.asarray(row, dtype=float)
         # row n of windows is vals[n:n + m + 1], a view of vals
         windows = np.ndarray((len(row), m + 1), float, vals, 0, vals.strides * 2)
-        sums = _fweighted_sum(coeffs, windows, 1)
         with np.errstate(all="ignore"):
+            sums = windows @ np.array(coeffs, dtype=float)
             if (abs(sums - row) <= slack).all():
                 return
         sums, row = sums.tolist(), row.tolist()

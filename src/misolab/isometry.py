@@ -172,8 +172,8 @@ def _nonzero_form_witness(d, tol):
     """A vector h with <beta h, h> != 0 for a nonzero Hermitian beta: the first
     best of e_a, e_a + e_b and e_a + i e_b (polarization_pairs), on all of
     which only a zero Hermitian form vanishes.  The values come from
-    matrices._polarization_values (four entries each in exact mode, the
-    vector loop's bits in float mode), and only the winner is built."""
+    matrices._polarization_values, four entries of beta each, and only the
+    winner is built."""
     # quadratic-form values can sit a factor ~2 below the largest entry,
     # hence the slack on the acceptance threshold
     best, best_val = None, d.threshold(tol) * 0.25

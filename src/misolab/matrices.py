@@ -11,7 +11,7 @@ from functools import partialmethod, reduce
 from itertools import chain
 from operator import add, mul, sub
 
-from .errors import DimensionMismatchError, ModeMismatchError
+from .errors import DimensionMismatchError, ModeMismatchError, PreconditionError
 from .scalars import EXACT, FLOAT, Scalar, same_mode
 
 
@@ -59,7 +59,7 @@ class DenseOperator:
         """The operator of _row_parts() (den, form), den any common one; it
         boxes its rows on first read.  Kernels (@, +, -, adjoint, scale) make these."""
         op = object.__new__(DenseOperator)
-        op.dim = form.shape[1] if mode == FLOAT else len(form)
+        op.dim = len(form)
         op.mode, op._rows, op._parts_cache = mode, None, (den, form)
         return op
 
@@ -68,8 +68,10 @@ class DenseOperator:
         if self._rows is None:
             (den, form), mode = self._parts_cache, self.mode
             if mode == FLOAT:
-                form = list(zip(form[0].tolist(), form[1].tolist()))
-            self._rows = tuple(tuple(_box(z, den, mode) for z in zip(*r)) for r in form)
+                rows = map(_fbox, form.tolist())
+            else:
+                rows = ((_box(z, den, mode) for z in zip(*r)) for r in form)
+            self._rows = tuple(map(tuple, rows))
         return self._rows
 
     # -- constructors -------------------------------------------------
@@ -102,7 +104,8 @@ class DenseOperator:
         self._check(other)
         (da, a_rows), (db, b_rows) = self._row_parts(), other._row_parts()
         if self.mode == FLOAT:
-            return DenseOperator._from_parts(FLOAT, 1, _fmatmul(a_rows, b_rows))
+            with np.errstate(all="ignore"):
+                return DenseOperator._from_parts(FLOAT, 1, a_rows @ b_rows)
         return DenseOperator._from_parts(EXACT, *_reduced(
             _scatter(a_rows, _nonzeros(b_rows)), da * db))
 
@@ -136,9 +139,9 @@ class DenseOperator:
         den, rows = self._row_parts()
         dc, (p, q) = _scalar_parts(c, mode)
         if mode == FLOAT:
+            x, y = rows.real, rows.imag
             with np.errstate(all="ignore"):
-                return DenseOperator._from_parts(FLOAT, 1, _fmul(np.array([p, q])[:, None, None],
-                                                                 rows))
+                return DenseOperator._from_parts(FLOAT, 1, _complex(x * p - y * q, x * q + y * p))
         return DenseOperator._from_parts(EXACT, *_reduced(
             [([x * p - y * q for x, y in zip(*r)], [x * q + y * p for x, y in zip(*r)])
              for r in rows], den * dc))
@@ -147,8 +150,8 @@ class DenseOperator:
         """Conjugate transpose."""
         den, rows = self._row_parts()
         if self.mode == FLOAT:
-            return DenseOperator._from_parts(FLOAT, 1, _conj(rows.transpose(0, 2, 1), FLOAT))
-        return DenseOperator._from_parts(EXACT, den, [_conj(c, EXACT) for c in _columns(rows)])
+            return DenseOperator._from_parts(FLOAT, 1, rows.T.conj())
+        return DenseOperator._from_parts(EXACT, den, [_conj(c) for c in _columns(rows)])
 
     def power(self, k):
         if k < 0:
@@ -164,7 +167,8 @@ class DenseOperator:
         da, a_rows = self._row_parts()
         dv, v = _parts(vec, mode)
         if mode == FLOAT:
-            return tuple(_box(z, 1, FLOAT) for z in zip(*_tolists(_fdot(a_rows, v[:, None], 1))))
+            with np.errstate(all="ignore"):
+                return tuple(_fbox((a_rows @ v).tolist()))
         (re, im), = _scatter([v], _nonzeros(_columns(a_rows)))
         return tuple(_box(z, da * dv, EXACT) for z in zip(re, im))
 
@@ -181,10 +185,10 @@ class DenseOperator:
             n = self.dim
             den, form = _parts([s for r in self.rows for s in r], self.mode)
             # exact rows are (re, im) pairs of int lists; float parts are one
-            # 2 x n x n array, the real parts over the imaginary ones
+            # n x n complex array
             cuts = [slice(i * n, (i + 1) * n) for i in range(n)]
             self._parts_cache = den, ([(form[0][c], form[1][c]) for c in cuts]
-                                      if self.mode == EXACT else form.reshape(2, n, n))
+                                      if self.mode == EXACT else form.reshape(n, n))
         return self._parts_cache
 
     # -- queries ------------------------------------------------------
@@ -192,19 +196,19 @@ class DenseOperator:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    # as Scalar.modulus: math.hypot, not abs(complex), which rounds differently;
-    # int / int is float(Fraction), whatever den is; a float nan anywhere is nan
+    # int / int is float(Fraction), whatever den is; np.max keeps a float nan
+    # wherever it sits
     def max_abs(self):
         den, rows = self._row_parts()
         if self.mode == EXACT:
             return max(math.hypot(x / den, y / den) for re, im in rows for x, y in zip(re, im))
-        return _largest(list(map(math.hypot, *_tolists(rows))))
+        return float(np.abs(rows).max())
 
     def is_zero(self, tol=0.0):
         rows = self._row_parts()[1]
         if self.mode == EXACT:
             return not any(any(part) for r in rows for part in r)
-        return all(h <= tol for h in map(math.hypot, *_tolists(rows)))
+        return bool((np.abs(rows) <= tol).all())
 
     def __eq__(self, other):
         if not isinstance(other, DenseOperator):
@@ -226,19 +230,16 @@ class DenseOperator:
 # Exact mode runs on Gaussian integers over one common denominator, so its
 # results are the canonical fractions the Scalar loops give; its products (@,
 # apply, orbit steps) add only nonzero terms (_scatter), as integer sums do not
-# depend on order.  Float products stay dense: there a zero term can change the
-# bits (-0.0 + 0.0 is 0.0, inf * 0 is nan).  Float mode runs
-# on float64 arrays, the real parts stacked over the imaginary ones, with
-# whole-array elementwise ufuncs in the order of the Scalar loop: each
-# product is (ac - bd, ad + bc), a multiply or subtract at a time (_fmul),
-# and each sum adds its terms from left to right (_fsum).  A ufunc
-# rounds each element as the Python float operation does, so the results
-# are the Scalar loop's, bit for bit.  numpy's reductions (np.sum, np.dot,
-# @, einsum) add in an order numpy picks, pairwise from 8 terms on, or in
-# BLAS with fused multiply-adds, so no float kernel uses them; moduli stay
-# math.hypot.  The float kernels run under np.errstate(all="ignore"): inf
-# and nan come out as from Python floats, with no RuntimeWarning.
-# TestFloatKernels checks the bits with sums of up to 16 terms.
+# depend on order.  Float mode runs on complex128 arrays with plain numpy
+# operations: +, - and negation are the Scalar loop's bits, and so is scale,
+# made from real products as the Scalar product makes them; products and
+# inner products (@, np.vdot, sums) add in whatever order numpy or BLAS
+# picks, fused multiply-adds included, so each sum of n products is within
+# gamma_(n+2) sum |x_k y_k| of the exact one, gamma_n = n u / (1 - n u) for
+# u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 3.1
+# and 3.6), and its last bits may differ across numpy and BLAS builds.
+# Moduli are np.abs.  The float kernels run under np.errstate(all="ignore"):
+# inf and nan come out as from Python floats, with no RuntimeWarning.
 # ---------------------------------------------------------------------------
 
 def _int_form(scalars):
@@ -252,14 +253,13 @@ def _int_form(scalars):
 
 def _parts(scalars, mode):
     """(den, form) of scalars of the given mode: in exact mode the (re, im)
-    int lists of _int_form over its den, in float mode the 2 x len float64
-    array of the real parts over the imaginary ones, over 1.  The mode is
-    never inferred, since float.as_integer_ratio would turn a float list
-    exact without a word."""
+    int lists of _int_form over its den, in float mode the complex128 array
+    of the scalars, over 1.  The mode is never inferred, since
+    float.as_integer_ratio would turn a float list exact without a word."""
     if mode == EXACT:
         den, re, im = _int_form(scalars)
         return den, (re, im)
-    return 1, np.array([[s.re for s in scalars], [s.im for s in scalars]], dtype=float)
+    return 1, np.array([complex(s.re, s.im) for s in scalars], dtype=complex)
 
 
 def _scalar_parts(c, mode):
@@ -292,6 +292,25 @@ def _scalar(re, im, den, mode):
 def _box(z, den, mode):
     """The Scalar of the kernel value z = (re, im) over den."""
     return _scalar(*z, den, mode)
+
+
+def _fbox(values):
+    """The Scalars of a list of Python complex, float kernel values."""
+    return [_box((z.real, z.imag), 1, FLOAT) for z in values]
+
+
+def _complex(re, im):
+    """The complex128 array re + i im, made without a complex product, which
+    would turn an inf part times 0 into nan."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _norms_sq(w, axis):
+    """sum_k |w_k|^2 along axis of a complex array, as a complex array whose
+    imaginary parts are exactly 0.0: <w, w>, which orbit windows need real."""
+    return _complex((np.square(w.real) + np.square(w.imag)).sum(axis), 0.0)
 
 
 def _dot(a, b):
@@ -335,58 +354,9 @@ def _reduced(rows, den):
     return den, rows
 
 
-def _conj(form, mode):
-    """The _parts form of the conjugate entries."""
-    if mode == EXACT:
-        return form[0], [-x for x in form[1]]
-    return np.stack((form[0], -form[1]))
-
-
-def _tolists(form):
-    """The entries of a float form as two flat lists of Python floats, the
-    real and the imaginary parts."""
-    return form[0].ravel().tolist(), form[1].ravel().tolist()
-
-
-def _fsum(terms, axis):
-    """The terms along axis added from left to right, one IEEE sum at a
-    time: np.add.accumulate is a running sum, and its last entry is the sum
-    of the Scalar loop.  Callers hold np.errstate(all="ignore")."""
-    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
-
-
-def _fmul(a, b):
-    """The entrywise products of two float forms that broadcast, stacked
-    (re, im) as _parts makes them: (ac - bd, ad + bc) as the Scalar product
-    makes it, from the four products of one multiply.  Callers hold
-    np.errstate(all="ignore")."""
-    p = a[:, None] * b[None]
-    out = np.empty(p.shape[1:])
-    np.subtract(p[0, 0], p[1, 1], out=out[0])
-    np.add(p[0, 1], p[1, 0], out=out[1])
-    return out
-
-
-def _fdot(a, b, axis):
-    """sum_k a_k b_k over one axis of the entries of two float forms that
-    broadcast: the _fmul products added by _fsum, the bits of the Scalar
-    loop."""
-    with np.errstate(all="ignore"):
-        return _fsum(_fmul(a, b), axis + 1)
-
-
-def _fweighted_sum(weights, terms, axis):
-    """sum_k weights[k] terms[k] along axis of a float array: each int weight
-    is taken to float as int * float takes it, and the products are added by
-    _fsum, from k = 0 up."""
-    w = np.array([float(c) for c in weights])
-    with np.errstate(all="ignore"):
-        return _fsum(w.reshape((-1,) + (1,) * (terms.ndim - axis - 1)) * terms, axis)
-
-
-def _fmatmul(a, b):
-    """The float form of the product of n x n parts a and n x p parts b."""
-    return _fdot(a[:, :, :, None], b[:, None], 1)
+def _conj(form):
+    """The exact _parts form of the conjugate entries."""
+    return form[0], [-x for x in form[1]]
 
 
 def _orbit_inners(op, u, v, count):
@@ -398,12 +368,13 @@ def _orbit_windows(op, pairs, count):
     """_orbit_inners of each (u, v) of pairs, from the kept parts of op.
 
     Each vector gets apply's checks and is taken apart once, and only the
-    samples are boxed, so every sample equals vec_inner on the orbit()
-    vectors, float bits included.  Float mode walks all the distinct
-    vectors at once, as the columns of one n x p form: each step is one
-    T V, and each sample a column inner product.  Exact vectors are walked
-    one by one, scattered against T's nonzero columns and kept over their
-    least common denominators (one gcd a step), not growing like den^k."""
+    samples are boxed: exact samples equal vec_inner on the orbit() vectors.
+    Float mode walks all the distinct vectors at once, as the columns of
+    one n x p array: each step is one T @ V, and each sample a conjugated
+    column dot, or sum |w_k|^2 where v is u, a sample with imaginary part
+    exactly 0.0.  Exact vectors are walked one by one, scattered against
+    T's nonzero columns and kept over their least common denominators (one
+    gcd a step), not growing like den^k."""
     for u, v in pairs:
         op._check_vec(u)
         op._check_vec(v)
@@ -412,14 +383,16 @@ def _orbit_windows(op, pairs, count):
         return [_exact_orbit_inners(rows, dt, u, v, count) for u, v in pairs]
     cols = {id(w): w for pair in pairs for w in pair}
     where = {key: j for j, key in enumerate(cols)}
-    steps = [np.stack([_parts(w, FLOAT)[1] for w in cols.values()], axis=2)]
-    while len(steps) < count:
-        steps.append(_fmatmul(rows, steps[-1]))
-    walk = np.stack(steps, axis=1)          # 2 x count x n x p
-    iu, iv = ([where[id(pair[j])] for pair in pairs] for j in (0, 1))
-    re, im = _fdot(walk[..., iu], _conj(walk[..., iv], FLOAT), 1)
-    return [[_box(z, 1, FLOAT) for z in zip(r, i)][:count]
-            for r, i in zip(re.T.tolist(), im.T.tolist())]
+    steps = [np.stack([_parts(w, FLOAT)[1] for w in cols.values()], axis=1)]
+    with np.errstate(all="ignore"):
+        while len(steps) < count:
+            steps.append(rows @ steps[-1])
+        walk = np.stack(steps)              # count x n x p
+        iu, iv = ([where[id(pair[j])] for pair in pairs] for j in (0, 1))
+        samples = (walk[..., iu] * walk[..., iv].conj()).sum(axis=1)      # count x pairs
+        same = [j for j, (u, v) in enumerate(pairs) if u is v]
+        samples[:, same] = _norms_sq(walk[..., [iu[j] for j in same]], 1)
+    return [_fbox(window[:count]) for window in samples.T.tolist()]
 
 
 def _exact_orbit_inners(rows, dt, u, v, count):
@@ -431,7 +404,7 @@ def _exact_orbit_inners(rows, dt, u, v, count):
         if k:
             walks = [_reduced(_scatter(f, cols), dt * d) for d, f in walks]
         (du, (uf,)), (dv, (vf,)) = walks[0], walks[-1]
-        out.append(_box(_dot(uf, _conj(vf, EXACT)), du * dv, EXACT))
+        out.append(_box(_dot(uf, _conj(vf)), du * dv, EXACT))
     return out
 
 
@@ -507,8 +480,10 @@ def vec_inner(u, v):
     du, uf = _parts(u, mode)
     dv, vf = (du, uf) if v is u else _parts(v, mode)
     if mode == FLOAT:
-        return _box(map(float, _fdot(uf, _conj(vf, FLOAT), 0)), 1, FLOAT)
-    return _box(_dot(uf, _conj(vf, EXACT)), du * dv, EXACT)
+        with np.errstate(all="ignore"):
+            z = complex(_norms_sq(uf, 0) if v is u else np.vdot(vf, uf))
+        return _box((z.real, z.imag), 1, FLOAT)
+    return _box(_dot(uf, _conj(vf)), du * dv, EXACT)
 
 
 def vec_norm_sq(u):
@@ -538,10 +513,11 @@ def _polarization_vector(vector, a, b, phase):
 
 def _polarization_values(B):
     """|<B h, h>| for each candidate h of polarization_pairs on the basis
-    vectors, in that order, B Hermitian.  Exact mode reads |Re <B h, h>|
-    times B's den from four entries of B, with no float.  Float mode runs
-    apply's and vec_inner's kernels on batches of candidates, so each value
-    has the bits of the vector loop, nan included."""
+    vectors, in that order, B Hermitian, each read from four entries of B:
+    B_aa, or B_aa + B_bb + B_ab + B_ba for e_a + e_b and B_aa + B_bb +
+    i (B_ab - B_ba) for e_a + i e_b.  Exact mode reads |Re <B h, h>| times
+    B's den, with no float; float mode reads the modulus, and raises the
+    float-overflow error if any value leaves float range."""
     n, (_, rows) = B.dim, B._row_parts()
     if B.mode == EXACT:
         for a, b, phase in polarization_pairs(n):
@@ -549,50 +525,55 @@ def _polarization_values(B):
             yield abs(re_a[a] if b is None else re_a[a] + re_b[b] + (
                 re_a[b] + re_b[a] if phase == 0 else im_b[a] - im_a[b]))
         return
-    # candidate k is e_a[k] + (1 or i) e_b[k] (e_a[k] if b[k] = a[k]), a column of U;
-    # 256 // n at a time (all up to n = 6) keep the kernels' temporaries near 8n KiB
-    iu, step = np.triu_indices(n, 1), max(1, 256 // n)
-    a, b = (np.concatenate((np.arange(n), i.repeat(2))) for i in iu)
-    phase = np.concatenate((np.zeros(n, int), np.tile([0, 1], len(iu[0]))))
-    for ac, bc, pc in zip(*(np.split(x, range(step, n * n, step)) for x in (a, b, phase))):
-        U, k = np.zeros((2, n, len(ac))), np.arange(len(ac))
-        U[0, ac, k] = U[pc, bc, k] = 1.0
-        yield from map(math.hypot, *_fdot(_fmatmul(rows, U), _conj(U, FLOAT), 0).tolist())
+    a, b = np.triu_indices(n, 1)
+    diag = rows.diagonal()
+    with np.errstate(all="ignore"):
+        both, ab, ba = diag[a] + diag[b], rows[a, b], rows[b, a]
+        diff = ab - ba
+        pairs = np.stack((both + (ab + ba), both + _complex(-diff.imag, diff.real)), axis=1)
+        values = np.abs(np.concatenate((diag, pairs.ravel())))
+    if not np.isfinite(values).all():
+        raise PreconditionError("float overflow: a form <B h, h> of the polarization "
+                                "candidates leaves float range")
+    yield from values.tolist()
 
 
 def _forms(ops, us, vs=None):
     """<B u, v> = vec_inner(B.apply(u), v) as (den, re, im), the parts over
     den, for u in us, B in ops and v in vs (v = u alone if vs is None): per
-    u, a list per B of a list per v.  The vectors must pass apply's checks.  The
-    ops and vs are taken apart once, each u in turn, and run through apply's
-    and vec_inner's kernels (float mode: all B at once, their bits)."""
+    u, a list per B of a list per v.  The vectors must pass apply's checks.
+    Float mode makes all the images B u with one batched @, and conjugated
+    dots of them with the vs; exact mode takes the ops and vs apart once
+    and runs each u through apply's and vec_inner's kernels."""
     if ops[0].mode == FLOAT:
-        stacked = np.stack([B._row_parts()[1] for B in ops], axis=1)       # 2 x m x n x n
-        ws = None if vs is None else _conj(np.stack([_parts(v, FLOAT)[1] for v in vs], 1), FLOAT)
-        for u in us:
-            uf = _parts(u, FLOAT)[1]
-            w = _conj(uf[:, None], FLOAT) if vs is None else ws             # 2 x q x n
-            images = _fdot(stacked, uf[:, None, None], 2)                   # 2 x m x n
-            re, im = _fdot(images[:, :, None], w[:, None], 2).tolist()      # 2 x m x q
-            yield [[(1, *z) for z in zip(*zj)] for zj in zip(re, im)]
+        U = np.stack([_parts(u, FLOAT)[1] for u in us], axis=1)              # n x q
+        with np.errstate(all="ignore"):
+            images = np.stack([B._row_parts()[1] for B in ops]) @ U         # m x n x q
+            if vs is None:
+                forms = (images * U.conj()).sum(axis=1)[..., None]          # m x q x 1
+            else:
+                W = np.stack([_parts(v, FLOAT)[1] for v in vs], axis=1)     # n x r
+                forms = np.swapaxes(W.conj().T @ images, 1, 2)              # m x q x r
+        for per_u in forms.transpose(1, 0, 2).tolist():
+            yield [[(1, z.real, z.imag) for z in row] for row in per_u]
         return
     cols = [(den, _nonzeros(_columns(rows))) for den, rows in (B._row_parts() for B in ops)]
-    ws = None if vs is None else [(d, _conj(f, EXACT)) for d, f in (_parts(v, EXACT) for v in vs)]
+    ws = None if vs is None else [(d, _conj(f)) for d, f in (_parts(v, EXACT) for v in vs)]
     for u in us:
         du, uf = _parts(u, EXACT)
-        against = [(du, _conj(uf, EXACT))] if vs is None else ws
+        against = [(du, _conj(uf))] if vs is None else ws
         images = [(den * du, _scatter([uf], c)[0]) for den, c in cols]
         yield [[(den * dw, *_dot(image, w)) for dw, w in against] for den, image in images]
 
 
 def _vec_inners(pairs, mode):
-    """vec_inner(u, v) for each (u, v) of pairs; in float mode one ordered
-    _fdot over the stacked pairs, vec_inner's bits."""
+    """vec_inner(u, v) for each (u, v) of pairs; in float mode one
+    conjugated dot over the stacked pairs."""
     if mode == EXACT or not pairs:
         return [vec_inner(u, v) for u, v in pairs]
-    us, vs = (np.stack([_parts(w, FLOAT)[1] for w in ws], axis=1) for ws in zip(*pairs))
-    re, im = _fdot(us, _conj(vs, FLOAT), 1).tolist()      # 2 x P
-    return [Scalar.flt(r, i) for r, i in zip(re, im)]
+    us, vs = (np.stack([_parts(w, FLOAT)[1] for w in ws]) for ws in zip(*pairs))
+    with np.errstate(all="ignore"):
+        return _fbox((us * vs.conj()).sum(axis=1).tolist())
 
 
 def _largest(moduli):

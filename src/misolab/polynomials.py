@@ -58,8 +58,7 @@ class Polynomial:
         Scalar loop does."""
         if self._parts_cache is None:
             den, form = _parts(self.coeffs, self.mode)
-            self._parts_cache = den, (form if self.mode == EXACT else
-                                      list(map(complex, *(part.tolist() for part in form))))
+            self._parts_cache = den, (form if self.mode == EXACT else form.tolist())
         den, form = self._parts_cache
         e, (p, q) = _scalar_parts(x, self.mode)
         if self.mode == FLOAT:

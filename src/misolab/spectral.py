@@ -197,10 +197,7 @@ def exact_nullspace(A):
 def to_numpy(T):
     if T.mode != FLOAT:
         raise ModeMismatchError("numpy bridge requires float mode")
-    re, im = T._row_parts()[1]
-    arr = np.empty(re.shape, dtype=complex)
-    arr.real, arr.imag = re, im
-    return arr
+    return T._row_parts()[1].copy()
 
 
 def from_numpy(arr):
@@ -482,14 +479,12 @@ def _strictness_criterion(d, N, nu, tol):
     threshold scaled by ||P f0||^2.  The value is <(P* beta P) f0, f0>, a
     Hermitian form, which vanishes iff it does on every candidate; it and
     ||P f0||^2 = <(P* P) f0, f0> come from matrices._polarization_values,
-    and only the returned f0 is built.  A nan value or norm is a float overflow."""
+    and only the returned f0 is built; a float value or norm beyond float
+    range raises the float-overflow error there."""
     dim, mode, P = N.dim, N.mode, N.power(nu - 1)
     for c, value, norm in zip(polarization_pairs(dim),
                               _polarization_values(P.adjoint() @ d.matrix @ P),
                               _polarization_values(P.adjoint() @ P)):
-        if value != value:    # nan; an exact value is an int, maybe beyond float range
-            raise PreconditionError("float overflow: the form <beta w, w> leaves float range")
-        # max(nan, 1.0) is nan, which zero_threshold refuses
         if value > zero_threshold(mode, tol, lambda: max(d.float_scale * norm, 1.0),
                                   "<beta w, w>"):
             return True, _polarization_vector(partial(basis_vector, dim, mode=mode), *c)

@@ -302,7 +302,8 @@ def test_tol_that_breaks_zero_tests_is_2(tmp_path, capsys, command, tol):
 
 @pytest.mark.parametrize("flag, value", [
     ("--z1", "nan"), ("--z2", "-1e999"), ("--h1", "nan,0"), ("--h2", "0+1e999i,1"),
-    ("--eps", "nan,i"),
+    ("--eps", "nan,i"), ("--z2", "-inf"), ("--z1", "inf"), ("--h1", "infinity,0"),
+    ("--h2", "0+infi,1"),
 ])
 def test_non_finite_float_flag_is_2(tmp_path, capsys, flag, value):
     # --z1=nan passed the unimodularity check and exited 3, with "vector is

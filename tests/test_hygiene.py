@@ -54,8 +54,8 @@ def test_tol_arithmetic_is_seen_in_zero_threshold():
     assert tol_arithmetic(SRC / "scalars.py")
 
 
-KERNELS = {"_conj", "_dot", "_fdot", "_fmatmul", "_fmul", "_fsum", "_nonzeros", "_parts",
-           "_scatter", "_tolists"}
+KERNELS = {"_complex", "_conj", "_dot", "_fbox", "_nonzeros", "_norms_sq", "_parts",
+           "_scatter"}
 
 
 def imported_names(path):

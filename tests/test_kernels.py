@@ -39,6 +39,7 @@ from misolab import isometry, matrices, polynomials
 from misolab.diffcalc import _check_binomial_form, default_window_len
 from misolab.isometry import (
     DefectOperator,
+    _beta_degrees,
     _defects,
     _grams,
     _nonzero_form_witness,
@@ -48,6 +49,7 @@ from misolab.matrices import (_box, _forms, _int_form, _orbit_inners, _polarizat
                               _polarization_vector, basis_vector, float_max_abs,
                               polarization_pairs, vec_max_abs)
 from misolab.scalars import EXACT, FLOAT, zero_threshold
+from misolab.spectral import _strictness_criterion
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
                             random_unitary)
 
@@ -649,6 +651,44 @@ class TestFormReaders:
             else:
                 slack = form_slack(B, h, h)
                 assert slack == math.inf or abs(value - form.modulus()) <= slack
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_FORMS)
+def test_overflowing_forms_end_in_the_overflow_error(case):
+    """Where the vector loop's <B h, h> is nan, a sum having left float
+    range, the readers end in the float-overflow error: the witness search
+    and perturb's strictness criterion, which read four entries of B per
+    candidate, and the survey's degrees, which read _forms."""
+    B = float_operator(*case)
+    cands = basis_candidates(B.dim, FLOAT)
+    overflowing = [h for h in cands if math.isnan(ref_form(B, h).modulus())]
+    assert overflowing
+    d = DefectOperator(m=1, matrix=B, float_scale=1.0)
+    with pytest.raises(PreconditionError, match="float overflow"):
+        _nonzero_form_witness(d, 0.0)
+    with pytest.raises(PreconditionError, match="float overflow"):
+        _strictness_criterion(d, DenseOperator.identity(B.dim, FLOAT), 1, 0.0)
+    verdict = isometry.OrderVerdict(strict=True, m=2, defects=(
+        DefectOperator(m=0, matrix=DenseOperator.identity(B.dim, FLOAT)), d))
+    for h in overflowing:
+        with pytest.raises(PreconditionError, match="float overflow"):
+            _beta_degrees(B, [h], None, verdict, 0.0)
+
+
+@given(dims.flatmap(lambda n: st.tuples(
+    st.one_of(float_operators(n), float_operators(n, unit_scalars)),
+    st.lists(float_vectors(n), min_size=1, max_size=3))), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_float_orbit_norms_are_real(case, count):
+    """||T^k h||^2 from the float kernels has imaginary part 0.0 exactly,
+    overflow or not: it is a sum of |w_j|^2, not of the complex products
+    w_j conj(w_j), whose imaginary parts a fused multiply-add leaves
+    nonzero, and an orbit window must be real."""
+    T, vectors = case
+    norms = [vec_inner(h, h) for h in vectors] + [
+        s for w in [_orbit_inners(T, h, h, count) for h in vectors]
+        + _survey_windows(T, vectors, count) for s in w]
+    assert {s.im.hex() for s in norms} == {"0x0.0p+0"}
 
 
 @pytest.mark.parametrize("row", [(1.0, math.nan), (math.nan, 1.0)])
