@@ -6,8 +6,11 @@ Every request of a cycle of the benchmark's request mix
 in a temporary directory.  For each seed and cycle the script prints one
 SHA-256 over the requests' exit codes, stdout, stderr and JSON reports, in
 the cycle's order, so that two versions of the program can be compared
-for byte-identical output, float mode included.  The temporary directory's
-path is replaced by `{dir}` before hashing.
+for byte-identical output.  Exact reports are byte-identical everywhere;
+float reports meet a rounding bound, not fixed bits, so their digests
+compare two versions only on one numpy and BLAS build, and may differ
+where a rounding residue does.  The temporary directory's path is
+replaced by `{dir}` before hashing.
 
 Run:  python3 scripts/report_hashes.py WORKLOAD SEEDS CYCLES
       e.g. python3 scripts/report_hashes.py exact-cli 1-3 0-1
