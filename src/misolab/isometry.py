@@ -28,7 +28,6 @@ from .matrices import (
     DenseOperator,
     FiniteVector,
     _forms,
-    _orbit_inners,
     _orbit_windows,
     _polarization_values,
     _polarization_vector,
@@ -187,8 +186,8 @@ def _nonzero_form_witness(d, tol):
 def orbit_sequence(T, h, window_len=None):
     """gamma_{T,h}: the window of squared orbit norms ||T^n h||^2.
 
-    T is a DenseOperator, whose window _orbit_inners steps on its kept
-    parts, or any operator exposing apply() on the vectors it is given,
+    T is a DenseOperator, whose window matrices._orbit_windows steps on its
+    kept parts, or any operator exposing apply() on the vectors it is given,
     walked by orbit(); the default window is default_window_len(dim) for a
     dense operator and 16 otherwise."""
     dense = isinstance(T, DenseOperator)
@@ -197,7 +196,7 @@ def orbit_sequence(T, h, window_len=None):
     if window_len < 2:
         raise WindowTooShortError("orbit window must hold at least 2 samples")
     if dense:
-        return OrbitSequence(_orbit_inners(T, h, h, window_len))
+        return OrbitSequence(_orbit_windows(T, [(h, h)], window_len)[0])
     return OrbitSequence(_generic_inner(v, v) for v in islice(orbit(T, h), window_len))
 
 
@@ -291,24 +290,6 @@ def _vec_mode(v):
     return v[0].mode
 
 
-def _survey_windows(op, vectors, window_len):
-    """orbit_sequence's sample windows of the vectors on the dense operator
-    op, from one _orbit_windows walk.  The walk stops before the first
-    vector apply refuses, and takes none if the window is too short; the
-    survey's loop hands those to orbit_sequence, which raises its error
-    where the vector-by-vector loop did."""
-    if window_len is None:
-        window_len = default_window_len(op.dim)
-    walked = []
-    for h in vectors if window_len >= 2 else ():
-        try:
-            op._check_vec(h)
-        except (DimensionMismatchError, ModeMismatchError):
-            break
-        walked.append((h, h))
-    return _orbit_windows(op, walked, window_len)
-
-
 @dataclass(frozen=True)
 class SurveyResult:
     per_vector: tuple                     # DegreeVerdict per surveyed vector
@@ -340,22 +321,19 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
     D - k points.  In float mode each <beta_j h, h> is a zero-test decision
     against zero_threshold(defect_tol, beta_j's float_scale * ||h||^2), and
     a value or threshold beyond float range raises, as an overflowing orbit
-    sample does.  Otherwise each degree is detect_degree's verdict on the
-    orbit window, which certifies nothing beyond it.
+    sample does.  Otherwise each degree is detect_degree's verdict on
+    orbit_sequence's window of that vector, which certifies nothing beyond
+    it, and the first vector that fails raises its own error.
     """
     vectors = list(vectors)
     if not vectors:
         raise PreconditionError("survey needs at least one vector")
-    global_verdict, verdicts, windows = None, None, []
+    global_verdict, verdicts = None, None
     if isinstance(op, DenseOperator):
         global_verdict = strict_order(op, m_max=m_max, tol=defect_tol)
         verdicts = _beta_degrees(op, vectors, window_len, global_verdict, defect_tol)
-        if verdicts is None:
-            windows = _survey_windows(op, vectors, window_len)
     if verdicts is None:
-        verdicts = [detect_degree(OrbitSequence(windows[j]) if j < len(windows)
-                                  else orbit_sequence(op, h, window_len))
-                    for j, h in enumerate(vectors)]
+        verdicts = [detect_degree(orbit_sequence(op, h, window_len)) for h in vectors]
     cap = 2 * op.dim - 2 if isinstance(op, DenseOperator) else math.inf
     lower = 0
     all_poly = True

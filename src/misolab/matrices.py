@@ -359,13 +359,9 @@ def _conj(form):
     return form[0], [-x for x in form[1]]
 
 
-def _orbit_inners(op, u, v, count):
-    """<T^k u, T^k v> for k < count as Scalars, T the DenseOperator op."""
-    return _orbit_windows(op, [(u, v)], count)[0]
-
-
 def _orbit_windows(op, pairs, count):
-    """_orbit_inners of each (u, v) of pairs, from the kept parts of op.
+    """<T^k u, T^k v> for k < count as Scalars, for each (u, v) of pairs, T
+    the DenseOperator op, from its kept parts.
 
     Each vector gets apply's checks and is taken apart once, and only the
     samples are boxed: exact samples equal vec_inner on the orbit() vectors.
@@ -379,7 +375,7 @@ def _orbit_windows(op, pairs, count):
         op._check_vec(u)
         op._check_vec(v)
     dt, rows = op._row_parts()
-    if op.mode == EXACT or not pairs:     # no vectors, no float walk
+    if op.mode == EXACT:
         return [_exact_orbit_inners(rows, dt, u, v, count) for u, v in pairs]
     cols = {id(w): w for pair in pairs for w in pair}
     where = {key: j for j, key in enumerate(cols)}
@@ -396,7 +392,8 @@ def _orbit_windows(op, pairs, count):
 
 
 def _exact_orbit_inners(rows, dt, u, v, count):
-    """_orbit_inners on exact rows over dt: walks of u and v (one if v is u) as (den, [form])."""
+    """<T^k u, T^k v> for k < count, T the exact rows over dt: walks of u and
+    v (one if v is u) as (den, [form])."""
     cols = _nonzeros(_columns(rows))
     walks = [(d, [f]) for d, f in (_parts(w, EXACT) for w in ((u,) if v is u else (u, v)))]
     out = []
@@ -564,16 +561,6 @@ def _forms(ops, us, vs=None):
         against = [(du, _conj(uf))] if vs is None else ws
         images = [(den * du, _scatter([uf], c)[0]) for den, c in cols]
         yield [[(den * dw, *_dot(image, w)) for dw, w in against] for den, image in images]
-
-
-def _vec_inners(pairs, mode):
-    """vec_inner(u, v) for each (u, v) of pairs; in float mode one
-    conjugated dot over the stacked pairs."""
-    if mode == EXACT or not pairs:
-        return [vec_inner(u, v) for u, v in pairs]
-    us, vs = (np.stack([_parts(w, FLOAT)[1] for w in ws]) for ws in zip(*pairs))
-    with np.errstate(all="ignore"):
-        return _fbox((us * vs.conj()).sum(axis=1).tolist())
 
 
 def _largest(moduli):

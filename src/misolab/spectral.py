@@ -36,7 +36,6 @@ from .matrices import (
     _polarization_values,
     _polarization_vector,
     _scalar,
-    _vec_inners,
     basis_vector,
     float_max_abs,
     np,
@@ -404,8 +403,8 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
             failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue)} is not unimodular")
             break
     # <u, v> for u in spaces[i].basis, v in spaces[j].basis, i < j, in that order
-    cross = _vec_inners([(u, v) for i, si in enumerate(spaces) for sj in spaces[i + 1:]
-                         for u in si.basis for v in sj.basis], T.mode)
+    cross = [vec_inner(u, v) for i, si in enumerate(spaces) for sj in spaces[i + 1:]
+             for u in si.basis for v in sj.basis]
     gram = float_max_abs(cross, T.mode)
     if not all(ip.is_zero(tol) for ip in cross):
         failures.append("generalized eigenspaces are not pairwise orthogonal")
@@ -496,7 +495,9 @@ def _strictness_criterion(d, N, nu, tol):
 # ---------------------------------------------------------------------------
 
 def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
-    """Basis h, Th, ..., T^(d-1)h up to the first linear dependence."""
+    """Basis h, Th, ..., T^(d-1)h up to the first linear dependence.  A float
+    T^j h is dependent when its part orthogonal to the basis has squared norm
+    within tol times the largest ||T^i h||^2, i <= j, whatever the scale of h."""
     if vec_is_zero(h, 0.0):
         raise PreconditionError("cyclic subspace of the zero vector")
     basis = []
@@ -506,8 +507,8 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
         for q in ortho:
             coeff = vec_inner(w, q) / vec_norm_sq(q)
             w = vec_sub(w, vec_scale(coeff, q))
-        thr = zero_threshold(T.mode, tol, lambda: max(1.0, vec_norm_sq(v).re), "the cyclic basis")
-        thr = max(thr, zero_threshold(T.mode, thr, lambda: thr, "the cyclic basis"))
+        thr = zero_threshold(T.mode, tol, lambda: max(vec_norm_sq(u).re for u in (*basis, v)),
+                             "the cyclic basis")
         if vec_norm_sq(w).is_zero(thr):
             break
         basis.append(v)

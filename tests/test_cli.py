@@ -200,6 +200,31 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
+    def test_ortho_flag_errors_are_2(self, tmp_path, capsys):
+        exact = write(tmp_path, "e.json", EXAMPLE_DOC)
+        flt = write(tmp_path, "f.json", {"mode": "float", "matrix": [
+            [[0.0, 1.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]})
+        pair = ["--h1", "1,0", "--h2", "0+1i,1", "--z2=-i"]
+        assert main(["ortho", exact, *pair, "--z1", "i", "--eps", "1"]) == 2
+        assert "--eps wants two comma-separated values" in capsys.readouterr().err
+        assert main(["ortho", flt, *pair, "--z1", "abc"]) == 2
+        assert "abc" in capsys.readouterr().err
+
+    def test_ortho_on_a_shift_is_3(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", {"mode": "exact", "shift": {"polynomial": ["1", "1"]}})
+        assert main(["ortho", path, "--h1", "1,0", "--h2", "0,1", "--z1", "1", "--z2=-1"]) == 3
+        assert "ortho needs a dense operator spec" in capsys.readouterr().err
+
+    def test_shift_positive_only_on_the_prefix_is_0(self, tmp_path, capsys):
+        # p(n) = 3 - 2n + n^2 is positive, but Delta p(0) = -1, so its
+        # Newton coefficients certify nothing beyond the checked prefix
+        path = write(tmp_path, "s.json",
+                     {"mode": "exact", "shift": {"polynomial": ["3", "-2", "1"]}})
+        assert main(["shift", path, "--m", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "is_m_isometry: True" in out
+        assert "generator positivity verified only on the prefix" in out
+
     def test_mmax_zero_is_3(self, tmp_path, capsys):
         path = write(tmp_path, "e.json", EXAMPLE_DOC)
         assert main(["order", path, "--mmax", "0"]) == 3

@@ -131,3 +131,37 @@ def test_import_time_np_reads_are_seen():
               "class C:\n"
               "    eps = np.finfo(float).eps\n")
     assert import_time_np_reads(source) == [1, 2, 3, 6]
+
+
+def unread_private_functions(sources):
+    """(module, name) for each private function defined in the modules
+    sources maps by name, that no code outside its own body reads by name, as
+    a Name or as an attribute: a helper kept only for tests to call.  The
+    cli's `_cmd_*` handlers are exempt, as main looks them up by name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    unread = []
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.startswith("_") and not fn.name.endswith("__")
+                    and not fn.name.startswith("_cmd_")):
+                inside = {id(node) for node in ast.walk(fn)}
+                if not any(name == fn.name and id(node) not in inside for node, name in reads):
+                    unread.append((module, fn.name))
+    return sorted(unread)
+
+
+def test_every_private_function_is_read():
+    assert unread_private_functions({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_unread_private_functions_are_seen():
+    sources = {"a.py": "def _used():\n    return _used()\n"
+                       "def _read():\n    pass\n"
+                       "class C:\n    def _method(self):\n        pass\n"
+                       "def _cmd_x():\n    pass\n",
+               "b.py": "from a import _read\nf = _read\n"}
+    assert unread_private_functions(sources) == [("a.py", "_method"), ("a.py", "_used")]

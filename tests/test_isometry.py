@@ -215,6 +215,19 @@ class TestPolarization:
         b = polarization_reconstruct(quad, h, vec_from_ints([5, -2]))
         assert a == b == quad(h)
 
+    def test_defect_forms_on_finite_vectors(self):
+        # the generator (n + 1)^2 gives squared weights ((n + 2)/(n + 1))^2,
+        # rational squares, so exact apply runs on finitely supported vectors
+        W = shift_from_polynomial(Polynomial.from_ints([1, 2, 1]))
+        h = FiniteVector({0: Scalar.exact(1), 1: Scalar.exact(2)}, mode=EXACT)
+        h0 = FiniteVector.basis(3, EXACT)
+        values = []
+        for k in range(1, 5):
+            form = defect_form(W, k)
+            values.append(polarization_reconstruct(lambda v: form(v, v), h, h0))
+            assert values[-1] == form(h, h)
+        assert values == [Scalar.exact(x) for x in (-8, 4, 0, 0)]
+
     def test_zero_form(self):
         quad = lambda v: Scalar.exact(0)
         assert polarization_reconstruct(

@@ -43,9 +43,8 @@ from misolab.isometry import (
     _defects,
     _grams,
     _nonzero_form_witness,
-    _survey_windows,
 )
-from misolab.matrices import (_box, _forms, _int_form, _orbit_inners, _polarization_values,
+from misolab.matrices import (_box, _forms, _int_form, _orbit_windows, _polarization_values,
                               _polarization_vector, basis_vector, float_max_abs,
                               polarization_pairs, vec_max_abs)
 from misolab.scalars import EXACT, FLOAT, zero_threshold
@@ -686,8 +685,8 @@ def test_float_orbit_norms_are_real(case, count):
     nonzero, and an orbit window must be real."""
     T, vectors = case
     norms = [vec_inner(h, h) for h in vectors] + [
-        s for w in [_orbit_inners(T, h, h, count) for h in vectors]
-        + _survey_windows(T, vectors, count) for s in w]
+        s for w in [kernel_window(T, h, h, count) for h in vectors]
+        + _orbit_windows(T, [(h, h) for h in vectors], count) for s in w]
     assert {s.im.hex() for s in norms} == {"0x0.0p+0"}
 
 
@@ -732,6 +731,11 @@ def test_strict_order_takes_each_operator_apart_once(monkeypatch):
         assert len(converted) == 2
         assert [s is t for s, t in zip(converted[0], entries[0])] == [True] * 16
         assert converted[1] == entries[1]
+
+
+def kernel_window(T, u, v, n):
+    """<T^k u, T^k v> for k < n from the kernels' walk of the one pair (u, v)."""
+    return _orbit_windows(T, [(u, v)], n)[0]
 
 
 def orbit_window(T, u, v, n):
@@ -781,7 +785,7 @@ windows = st.integers(1, 6)
 
 
 class TestOrbitWindows:
-    """_orbit_inners steps the orbits on the kernel form and boxes only the
+    """_orbit_windows steps the orbits on the kernel form and boxes only the
     samples; every sample is the orbit() and vec_inner one, exactly in
     exact mode and within orbit_slacks of the Scalar loops in float mode."""
 
@@ -790,8 +794,8 @@ class TestOrbitWindows:
     @settings(max_examples=30, deadline=None)
     def test_exact(self, tuv, count):
         T, u, v = tuv
-        assert _orbit_inners(T, u, v, count) == orbit_window(T, u, v, count)
-        assert _orbit_inners(T, u, u, count) == orbit_window(T, u, u, count)
+        assert kernel_window(T, u, v, count) == orbit_window(T, u, v, count)
+        assert kernel_window(T, u, u, count) == orbit_window(T, u, u, count)
 
     @given(dims.flatmap(
         lambda n: st.tuples(float_operators(n), float_vectors(n), float_vectors(n))), windows)
@@ -799,7 +803,7 @@ class TestOrbitWindows:
     def test_float(self, tuv, count):
         T, u, v = tuv
         for w in (v, u):
-            assert_window(_orbit_inners(T, u, w, count), ref_orbit_window(T, u, w, count),
+            assert_window(kernel_window(T, u, w, count), ref_orbit_window(T, u, w, count),
                           orbit_slacks(T, u, w, count))
 
     @given(long_dims.flatmap(
@@ -809,7 +813,7 @@ class TestOrbitWindows:
     def test_float_long(self, tuv, count):
         T, u, v = tuv
         for w in (v, u):
-            assert_window(_orbit_inners(T, u, w, count), ref_orbit_window(T, u, w, count),
+            assert_window(kernel_window(T, u, w, count), ref_orbit_window(T, u, w, count),
                           orbit_slacks(T, u, w, count))
 
     def test_exact_vectors_stay_over_their_least_denominator(self, monkeypatch):
@@ -829,7 +833,7 @@ class TestOrbitWindows:
             return real(z, den, mode)
 
         monkeypatch.setattr(matrices, "_box", recording)
-        assert [_orbit_inners(T, u, w, 30) for w in (u, v)] == expected
+        assert [kernel_window(T, u, w, 30) for w in (u, v)] == expected
         assert len(dens) == 60 and max(dens) <= (q * q * r) ** 2
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -842,7 +846,7 @@ class TestOrbitWindows:
                            ((Scalar.one(mode),) * 3, DimensionMismatchError)]:
             for u, v in [(bad, good), (good, bad), (bad, bad)]:
                 with pytest.raises(error):
-                    _orbit_inners(T, u, v, 3)
+                    kernel_window(T, u, v, 3)
 
 
 def test_orbit_windows_take_each_vector_apart_once(monkeypatch):
@@ -937,8 +941,9 @@ def assert_same_survey(got, ref, windows):
 
 
 class TestSurveyWindows:
-    """local_isometry_survey walks all its vectors at once; each window is
-    orbit_sequence's, and the verdicts and errors are the per-vector loop's."""
+    """local_isometry_survey walks each vector's window with orbit_sequence
+    where it reads no degree from beta; each window is within orbit_slacks of
+    the Scalar loops, and the verdicts and errors are the per-vector loop's."""
 
     # on diag(1e30, 1) the orbit of e_0 overflows at n = 6 (1e360), inside
     # the window of 12, while strict_order's Gram walk stops at G_5 = 1e300
@@ -956,7 +961,7 @@ class TestSurveyWindows:
     @settings(max_examples=40, deadline=None)
     def test_float_windows_and_verdicts(self, case, window_len):
         T, vectors = case
-        got = _survey_windows(T, vectors, window_len)
+        got = [orbit_sequence(T, h, window_len).values for h in vectors]
         windows = [(ref_norm_window(T, h, window_len), orbit_slacks(T, h, h, window_len))
                    for h in vectors]
         assert len(got) == len(windows)
@@ -973,19 +978,24 @@ class TestSurveyWindows:
     @settings(max_examples=25, deadline=None)
     def test_exact_windows(self, case, window_len):
         T, vecs = case
-        assert _survey_windows(T, vecs, window_len) == [
-            list(orbit_sequence(T, h, window_len).values) for h in vecs]
+        assert [list(orbit_sequence(T, h, window_len).values) for h in vecs] == [
+            ref_norm_window(T, h, window_len) for h in vecs]
         assert outcome(lambda: survey(T, vecs, window_len)) == outcome(
             lambda: ref_survey(T, vecs, window_len))
 
     def test_one_orbit_overflows(self):
+        # the walk of e_0 holds 1e300 at n = 5 and inf at n = 6, where
+        # orbit_sequence raises; the window of e_1 is walked in full
         vectors = [self.E1, self.E0, self.BOTH]
-        windows = _survey_windows(self.BIG, vectors, None)
-        assert len(windows) == len(vectors)
-        for w, h in zip(windows, vectors):
+        walks = [kernel_window(self.BIG, h, h, 12) for h in vectors]
+        for w, h in zip(walks, vectors):
             assert_window(w, ref_norm_window(self.BIG, h, 12), orbit_slacks(self.BIG, h, h, 12))
-        assert math.isfinite(windows[1][5].re) and windows[1][6].re == math.inf
-        assert all(math.isfinite(s.re) for s in windows[0])
+        assert math.isfinite(walks[1][5].re) and walks[1][6].re == math.inf
+        window = orbit_sequence(self.BIG, self.E1).values
+        assert len(window) == 12 and all(math.isfinite(s.re) for s in window)
+        for h in (self.E0, self.BOTH):
+            with pytest.raises(PreconditionError, match="orbit sample 6 is not finite"):
+                orbit_sequence(self.BIG, h)
 
     @pytest.mark.parametrize("order", [(1, 0), (0, 1), (1, 0, 2), (1, 2, 0), (2, 0), (0, 3),
                                        (3, 0), (1, 4), (4, 1), (1,)])
@@ -1000,25 +1010,29 @@ class TestSurveyWindows:
             assert got == (PreconditionError,
                            "orbit sample 6 is not finite: float overflow at step n=6")
 
-    def test_one_step_walks_every_vector(self, monkeypatch):
-        # the windows of 4 * 4 + 4 samples come from one walk of the 3
-        # vectors together, each step one product of T with all of them
+    @pytest.mark.parametrize("T", [
+        DenseOperator.from_ints([[1, -2], [0, -1]]),
+        operator_to_float(direct_sum(jordan_matrix(JordanSpec(z=Scalar.exact(1), size=2)),
+                                     DenseOperator.from_ints([[2]])))], ids=[EXACT, FLOAT])
+    def test_non_strict_survey_walks_each_vector_once(self, monkeypatch, T):
+        # an operator of no strict order: each degree is the verdict on one
+        # orbit_sequence window of its own vector, asked for once
+        vectors = [basis_vector(T.dim, j, T.mode) for j in range(T.dim)] + [
+            (Scalar.one(T.mode),) * T.dim]
+        ref = ref_survey(T, vectors)
         calls = []
-        real = isometry._orbit_windows
+        real = isometry.orbit_sequence
 
-        def counting(op, pairs, count):
-            calls.append((len(pairs), count))
-            return real(op, pairs, count)
+        def counting(op, h, window_len=None):
+            calls.append(h)
+            return real(op, h, window_len)
 
-        T = jordan_matrix(JordanSpec(z=Scalar.one(FLOAT), size=4))
-        vectors = [basis_vector(4, j, FLOAT) for j in range(3)]
-        monkeypatch.setattr(isometry, "_orbit_windows", counting)
-        windows = _survey_windows(T, vectors, None)
-        assert calls == [(3, 20)]
-        for w, h in zip(windows, vectors):
-            assert_window(w, ref_norm_window(T, h, 20), orbit_slacks(T, h, h, 20))
-        assert [v.describe() for v in local_isometry_survey(T, vectors).per_vector] == [
-            f"polynomial(degree={2 * j})" for j in range(3)]
+        monkeypatch.setattr(isometry, "orbit_sequence", counting)
+        res = local_isometry_survey(T, vectors)
+        assert not res.global_verdict.strict
+        assert [id(h) for h in calls] == [id(v) for v in vectors]
+        assert [(v.polynomial, v.degree, v.zero_sequence) for v in res.per_vector] == [
+            (v.polynomial, v.degree, v.zero_sequence) for v in ref[1]]
 
     def test_strict_exact_survey_walks_no_orbit(self, monkeypatch):
         # on a strict exact operator the degrees are read from beta_0 .. beta_{m-1}
@@ -1233,7 +1247,7 @@ class TestSparseKernels:
     def test_orbit_inners(self, tuv, count):
         T, u, v = tuv
         for w in (u, v):
-            got = _orbit_inners(T, u, w, count)
+            got = kernel_window(T, u, w, count)
             assert got == orbit_window(T, u, w, count) and all(map(fractions, got))
 
     @given(sparse_dims.flatmap(lambda n: st.tuples(
@@ -1242,7 +1256,7 @@ class TestSparseKernels:
     @settings(max_examples=25, deadline=None)
     def test_survey_windows(self, case, window_len):
         T, vecs = case
-        got = _survey_windows(T, vecs, window_len)
+        got = [list(orbit_sequence(T, h, window_len).values) for h in vecs]
         assert got == [ref_norm_window(T, h, window_len) for h in vecs]
         assert all(fractions(s) for w in got for s in w)
 
@@ -1308,7 +1322,7 @@ def test_exact_products_visit_only_nonzero_pairs():
     assert 0 < len(mults) <= 4 * step
     mults.clear()
     # one step, and the sample <Tu, Tu>, an inner product of n terms
-    window = _orbit_inners(counted, u, u, 2)
+    window = kernel_window(counted, u, u, 2)
     assert 0 < len(mults) <= 4 * (step + 12)
     assert (got, window) == ref
 

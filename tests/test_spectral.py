@@ -620,6 +620,9 @@ class TestPairPreconditions:
 
 
 # (T, h1, h2, z1, z2, every condition holds, restricted order)
+GENERIC_PAIR = direct_sum(jordan_matrix(JordanSpec(ONE, 2)), jordan_matrix(JordanSpec(I_, 2)))
+IDENTITY_4 = DenseOperator.identity(4, EXACT)
+SHEAR_02 = DenseOperator.from_ints([[int((r, c) == (0, 2)) for c in range(4)] for r in range(4)])
 JORDAN_PAIR_CASES = {
     "orthogonal-pair": (
         direct_sum(jordan_matrix(JordanSpec(ONE, 2)),
@@ -632,6 +635,14 @@ JORDAN_PAIR_CASES = {
         DenseOperator.from_ints([[1, -2], [0, -1]]),
         vec_from_ints([1, 0]), vec_from_ints([1, 1]),
         ONE, Scalar.exact(-1), False, None),
+    # z1 = 1, z2 = i are not opposite: the generic case of each condition
+    "generic-pair": (GENERIC_PAIR, vec_from_ints([0, 1, 0, 0]), vec_from_ints([0, 0, 0, 1]),
+                     ONE, I_, True, 3),
+    # the same pair conjugated by the shear S = I + E02, which maps e_1 and
+    # e_3 to themselves
+    "sheared-generic-pair": (
+        (SHEAR_02 + IDENTITY_4) @ GENERIC_PAIR @ (IDENTITY_4 - SHEAR_02),
+        vec_from_ints([0, 1, 0, 0]), vec_from_ints([0, 0, 0, 1]), ONE, I_, False, None),
 }
 
 
@@ -662,6 +673,12 @@ class TestJordanPairEquivalences:
 
     def test_sheared_coupling_all_false(self):
         self.check("sheared-coupling", EXACT)
+
+    def test_generic_pair_all_true(self):
+        self.check("generic-pair", EXACT)
+
+    def test_sheared_generic_pair_all_false(self):
+        self.check("sheared-generic-pair", EXACT)
 
     @pytest.mark.parametrize("case", list(JORDAN_PAIR_CASES))
     def test_float_conjugated_copy(self, case):
@@ -816,15 +833,34 @@ class TestCyclicSubspace:
         with pytest.raises(PreconditionError):
             cyclic_subspace(DenseOperator.identity(2, EXACT), vec_from_ints([0, 0]))
 
-    @pytest.mark.parametrize("big", [1e200, 1e100])
+    @pytest.mark.parametrize("big", [1e200])
     def test_float_threshold_overflow_raises(self, big):
-        # ||Th||^2 = big^2: at 1e200 it is inf, and an infinite threshold
-        # would call Th dependent (the right basis length is 2); at 1e100
-        # the threshold is finite but its square is not
+        # ||Th||^2 = big^2 is inf, and an infinite threshold would call Th
+        # dependent (the right basis length is 2)
         T = DenseOperator([[Scalar.flt(big), Scalar.flt(0.0)],
                            [Scalar.flt(0.0), Scalar.flt(1.0)]])
         with pytest.raises(PreconditionError, match="float overflow"):
             cyclic_subspace(T, (Scalar.flt(1.0), Scalar.flt(1.0)))
+
+    def test_float_large_entry_is_independent(self):
+        # ||Th||^2 = 1e200 + 1 and its threshold 1e192 are finite, and Th
+        # has a part of squared norm 5e199 orthogonal to h
+        T = DenseOperator([[Scalar.flt(1e100), Scalar.flt(0.0)],
+                           [Scalar.flt(0.0), Scalar.flt(1.0)]])
+        assert len(cyclic_subspace(T, (Scalar.flt(1.0), Scalar.flt(1.0)))) == 2
+
+    def test_float_basis_does_not_depend_on_the_scale_of_h(self):
+        # the threshold scales with the largest ||T^j h||^2, so s h has the
+        # basis of h at every scale s
+        rng = np.random.default_rng(3)
+        u = random_unitary(4, rng)
+        block = conjugate_by_unitary(operator_to_float(jordan_matrix(JordanSpec(I_, 4))), u)
+        cases = [(DenseOperator.from_ints([[1, 0], [0, -1]], FLOAT), np.array([1, 2e-4]), 2),
+                 (block, u @ np.array([0, 0, 0, 1]), 4)]
+        for T, h, length in cases:
+            for s in (1e-5, 1e-3, 1.0, 1e3, 1e5):
+                v = tuple(Scalar.flt(z.real, z.imag) for z in (s * h).astype(complex))
+                assert len(cyclic_subspace(T, v)) == length
 
 
 class TestSpectrumCheck:
