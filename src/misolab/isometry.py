@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import count, islice
+from itertools import islice
 from operator import add
 from typing import Optional
 
@@ -27,6 +27,7 @@ from .errors import (
 from .matrices import (
     DenseOperator,
     FiniteVector,
+    _defect_walk,
     _forms,
     _orbit_windows,
     _polarization_values,
@@ -80,20 +81,12 @@ def _grams(T):
 
 
 def _defects(T):
-    """beta_0 = I, beta_1, ... as DefectOperators, without end, by the
-    recurrence beta_{m+1} = beta_m - T* beta_m T on the kernels.  A float
-    beta_m's scale is the running maximum of |beta_j| + |T* beta_j T| over
-    j < m (1 for beta_0): past the true order both terms are rounding
-    noise, and the last step's alone would compare noise with noise."""
-    Tstar = T.adjoint()
-    beta, scale = DenseOperator.identity(T.dim, T.mode), 1.0
-    for m in count():
+    """beta_0 = I, beta_1, ... as DefectOperators, without end, from the
+    recurrence walk of matrices._defect_walk, each checked finite."""
+    for m, (beta, scale) in enumerate(_defect_walk(T)):
+        if m:
+            _check_finite(beta, scale, f"the defects beta_k for k <= {m}")
         yield DefectOperator(m=m, matrix=beta, float_scale=scale)
-        step = Tstar @ beta @ T
-        if T.mode == FLOAT:
-            scale = max(scale, beta.max_abs() + step.max_abs())
-        beta = beta - step
-        _check_finite(beta, scale, f"the defects beta_k for k <= {m + 1}")
 
 
 def _check_finite(op, scale, what):

@@ -405,6 +405,42 @@ def _exact_orbit_inners(rows, dt, u, v, count):
     return out
 
 
+def _defect_walk(T):
+    """(beta_m, scale), m = 0, 1, ...: beta_0 = I, beta_{m+1} = beta_m - T*
+    beta_m T, T taken apart once.  The float scale is the running maximum of
+    |beta_j| + |T* beta_j T|, j < m, from 1 (past the true order both are
+    rounding noise, and the last step's alone would compare noise with
+    noise).  An exact step scatters beta against T's nonzero rows (C = beta
+    T) and subtracts the rows of C, combined by T*'s nonzeros, from beta
+    dt^2, reduced once; a float step is `@`'s a_star @ beta @ a."""
+    mode, (dt, a) = T.mode, T._row_parts()
+    beta = DenseOperator.identity(T.dim, mode)
+    den, b = beta._row_parts()
+    if mode == FLOAT:
+        a_star, scale = a.T.conj(), 1.0
+        while True:
+            yield beta, scale
+            with np.errstate(all="ignore"):
+                step = a_star @ b @ a
+                scale = max(scale, float(np.abs(b).max()) + float(np.abs(step).max()))
+                b = b - step
+            beta = DenseOperator._from_parts(FLOAT, 1, b)
+    rows, d2 = _nonzeros(a), dt * dt
+    star = [[(k, x, -y) for k, x, y in col] for col in _nonzeros(_columns(a))]
+    while True:
+        yield beta, 1.0
+        c, out = _nonzeros(_scatter(b, rows)), []
+        for (re, im), nz in zip(b, star):
+            re, im = [x * d2 for x in re], [y * d2 for y in im]
+            for k, x, y in nz:
+                for j, u, v in c[k]:
+                    re[j] -= x * u - y * v
+                    im[j] -= x * v + y * u
+            out.append((re, im))
+        den, b = _reduced(out, den * d2)
+        beta = DenseOperator._from_parts(EXACT, den, b)
+
+
 def orbit(op, h):
     """The orbit h, Th, T^2 h, ... of h under op, without end.
 

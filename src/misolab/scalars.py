@@ -93,11 +93,14 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(
-            self.mode,
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if self.mode == EXACT:
+            # (x + iy)/bd times (u + iv)/fh: one Gaussian-integer product, then
+            # one Fraction per part
+            (a, b), (c, d) = self.re.as_integer_ratio(), self.im.as_integer_ratio()
+            (e, f), (g, h) = o.re.as_integer_ratio(), o.im.as_integer_ratio()
+            x, y, u, v, den = a * d, c * b, e * h, g * f, b * d * f * h
+            return Scalar(EXACT, Fraction(x * u - y * v, den), Fraction(x * v + y * u, den))
+        return Scalar(FLOAT, self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 

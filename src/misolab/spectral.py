@@ -497,33 +497,42 @@ def _strictness_criterion(d, N, nu, tol):
 def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
     """Basis h, Th, ..., T^(d-1)h up to the first linear dependence.  A float
     T^j h is dependent when its part orthogonal to the basis has squared norm
-    within tol times the largest ||T^i h||^2, i <= j, whatever the scale of h."""
+    within tol times the largest ||T^i h||^2, i <= j, whatever the scale of h:
+    the tests run on the orbit of h over its largest entry, which does not
+    underflow, and the basis holds the orbit of h."""
     if vec_is_zero(h, 0.0):
         raise PreconditionError("cyclic subspace of the zero vector")
-    basis = []
-    ortho = []   # orthogonalized copies used only for the dependence test
-    for v in islice(orbit(T, h), T.dim):
-        w = v
+    probe = h if T.mode == EXACT else tuple(a / Scalar.flt(vec_max_abs(h)) for a in h)
+    basis, probes, ortho = [], [], []   # ortho: orthogonalized probes, for the test only
+    for v, p in islice(zip(orbit(T, h), orbit(T, probe)), T.dim):
+        w = p
         for q in ortho:
             coeff = vec_inner(w, q) / vec_norm_sq(q)
             w = vec_sub(w, vec_scale(coeff, q))
-        thr = zero_threshold(T.mode, tol, lambda: max(vec_norm_sq(u).re for u in (*basis, v)),
+        thr = zero_threshold(T.mode, tol, lambda: max(vec_norm_sq(u).re for u in (*probes, p)),
                              "the cyclic basis")
         if vec_norm_sq(w).is_zero(thr):
             break
         basis.append(v)
+        probes.append(p)
         ortho.append(w)
     return basis
 
 
 def _membership_check(T, h, z, tol):
-    """h must lie in the generalized eigenspace of z: (T - zI)^dim h = 0."""
-    M = (T - DenseOperator.identity(T.dim, T.mode).scale(z)).power(T.dim)
-    if not vec_is_zero(M.apply(h), zero_threshold(T.mode, tol, lambda: max(1.0, M.max_abs())
-                                                  * max(1.0, vec_max_abs(h)), "(T - zI)^dim h")):
-        raise PreconditionError(
-            "vector is not in the claimed generalized eigenspace"
-        )
+    """h must lie in the generalized eigenspace of z: (T - zI)^dim h = 0, in
+    exact mode by at most dim steps T - zI up to the first zero vector."""
+    M = T - DenseOperator.identity(T.dim, T.mode).scale(z)
+    if T.mode == EXACT:
+        # from Mh on, so that apply checks h first
+        inside = any(map(vec_is_zero, islice(orbit(M, h), 1, T.dim + 1)))
+    else:
+        M = M.power(T.dim)
+        inside = vec_is_zero(M.apply(h), zero_threshold(
+            T.mode, tol, lambda: max(1.0, M.max_abs()) * max(1.0, vec_max_abs(h)),
+            "(T - zI)^dim h"))
+    if not inside:
+        raise PreconditionError("vector is not in the claimed generalized eigenspace")
 
 
 def _unimodular_check(z, mode, tol):
@@ -583,21 +592,31 @@ class OrthoTestResult:
 
 def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
                            tol=DEFAULT_FLOAT_TOL, eps_pair=None):
-    """Finite-window check of the orthogonality criteria for generalized
-    eigenvectors at distinct unimodular eigenvalues.
+    """Check of the orthogonality criteria for generalized eigenvectors at
+    distinct unimodular eigenvalues.
 
-    On C^d the default window of 4d + 4 samples decides orbit polynomiality
-    for every n.  With (T - z_i)^nu_i h_i = 0, nu_1 + nu_2 <= d, T^n h_i is
-    z_i^n times a vector polynomial of degree < nu_i, so ||T^n (h1 + h2)||^2
-    = p(n) + 2 Re(mu^n q(n)), mu = z1 conj(z2) != 1, deg p <= 2d - 2 and
-    deg q <= d - 2 (and so for eps h1 + h2).  For a claimed degree D <= 2d - 2
+    If T has strict order m (strict_order at tol) and the window holds W >=
+    max(3, m + 1) samples, <T^n h1, T^n h2> = sum_{k<m} C(n,k) (-1)^k
+    <beta_k h1, h2> for every n, so the samples (their real parts) all
+    vanish iff the m forms <beta_k h1, h2> (their real parts) do, and every
+    orbit norm is polynomial of degree m - 1 <= 2d - 2: the verdict is read
+    from the forms, a certificate in exact mode.  A float form is zero
+    within tol beta_k.float_scale ||h1|| ||h2||, and the diagnostics are
+    the largest |Re| and modulus of the forms.
+
+    Otherwise (no strict order, a shorter window, a float walk beyond float
+    range) the W samples are walked; the default 4d + 4 decide for every n.
+    With (T - z_i)^nu_i h_i = 0, nu_1 + nu_2 <= d, T^n h_i is z_i^n times
+    a vector polynomial of degree < nu_i, so ||T^n (h1 + h2)||^2 = p(n) +
+    2 Re(mu^n q(n)), mu = z1 conj(z2) != 1, deg p <= 2d - 2 and deg q <=
+    d - 2 (and so for eps h1 + h2).  For a claimed degree D <= 2d - 2
     the row Delta^(D+1) obeys a linear recurrence of order at most (2d - 2 -
     D) + 2(d - 1) = 4d - 4 - D, with roots 1, mu and conj mu, and the window
     leaves 4d + 3 - D samples in that row: if they vanish, it does.
-
     In float mode sample n, <T^n h1, T^n h2>, is zero within tol (n + 1)
     ||T^n h1|| ||T^n h2||, with the norms from the same walk: the sample
-    carries the rounding of n + 1 steps, each relative to the orbit norms."""
+    carries the rounding of n + 1 steps, each relative to the orbit norms,
+    and the diagnostics are the largest |Re| and modulus of the samples."""
     mode = T.mode
     window_len, opposite, poly = _pair_preconditions(T, h1, h2, z1, z2, tol, window_len)
     if eps_pair is None:
@@ -605,16 +624,19 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
     else:
         _validate_eps_pair(eps_pair, mode)
 
-    main_poly = poly(vec_add(h1, h2))
-    eps_polys = None
-    if opposite:
-        eps_polys = tuple(poly(vec_add(vec_scale(e, h1), h2)) for e in eps_pair)
-
-    inners, *norms = _orbit_windows(T, [(h1, h2)] + [(h, h) for h in (h1, h2) if mode == FLOAT],
-                                    window_len)
-    thrs = [zero_threshold(mode, tol, lambda: (n + 1) * math.sqrt(norms[0][n].re)
-                           * math.sqrt(norms[1][n].re), f"inner product {n}")
-            for n in range(window_len)]
+    certified = _defect_forms(T, h1, h2, window_len, tol)
+    if certified is not None:
+        inners, thrs = certified
+        main_poly, eps_polys = True, (True,) * len(eps_pair) if opposite else None
+    else:
+        main_poly = poly(vec_add(h1, h2))
+        eps_polys = (tuple(poly(vec_add(vec_scale(e, h1), h2)) for e in eps_pair)
+                     if opposite else None)
+        inners, *norms = _orbit_windows(
+            T, [(h1, h2)] + [(h, h) for h in (h1, h2) if mode == FLOAT], window_len)
+        thrs = [zero_threshold(mode, tol, lambda: (n + 1) * math.sqrt(norms[0][n].re)
+                               * math.sqrt(norms[1][n].re), f"inner product {n}")
+                for n in range(window_len)]
     re_ok = all(abs(ip.re) <= thr for ip, thr in zip(inners, thrs))
     full_ok = all(ip.is_zero(thr) for ip, thr in zip(inners, thrs))
     diagnostics = {}
@@ -636,6 +658,28 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
         agrees_with_theory=agree,
         diagnostics=diagnostics,
     )
+
+
+def _defect_forms(T, h1, h2, window_len, tol):
+    """The Scalars <beta_k h1, h2>, k < m, and their zero thresholds, or None
+    where ortho_test_generalized walks the window; a float form beyond
+    float range raises the float-overflow error."""
+    try:
+        verdict = strict_order(T, tol=tol)
+    except PreconditionError:
+        return None
+    if not verdict.strict or window_len < max(3, verdict.m + 1):
+        return None
+    betas, mode = verdict.defects, T.mode
+    (forms,) = _forms([b.matrix for b in betas], [h1], [h2])
+    inners = [_scalar(re, im, den, mode) for ((den, re, im),) in forms]
+    if mode == EXACT:
+        return inners, [0] * len(betas)
+    if not all(math.isfinite(ip.modulus()) for ip in inners):
+        raise PreconditionError("float overflow: a form <beta_k h1, h2> leaves float range")
+    norm = math.sqrt(vec_norm_sq(h1).re) * math.sqrt(vec_norm_sq(h2).re)
+    return inners, [zero_threshold(mode, tol, lambda: b.float_scale * norm,
+                                   f"<beta_{b.m} h1, h2>") for b in betas]
 
 
 # ---------------------------------------------------------------------------

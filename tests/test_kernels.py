@@ -44,9 +44,9 @@ from misolab.isometry import (
     _grams,
     _nonzero_form_witness,
 )
-from misolab.matrices import (_box, _forms, _int_form, _orbit_windows, _polarization_values,
-                              _polarization_vector, basis_vector, float_max_abs,
-                              polarization_pairs, vec_max_abs)
+from misolab.matrices import (_box, _defect_walk, _forms, _int_form, _orbit_windows,
+                              _polarization_values, _polarization_vector, basis_vector,
+                              float_max_abs, polarization_pairs, vec_max_abs)
 from misolab.scalars import EXACT, FLOAT, zero_threshold
 from misolab.spectral import _strictness_criterion
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
@@ -1261,6 +1261,56 @@ class TestSparseKernels:
         assert all(fractions(s) for w in got for s in w)
 
 
+def binomial_defects(T, m):
+    """beta_0 .. beta_m as defect() cross-checks them: the binomial sums
+    sum_k (-1)^k C(j,k) T*^k T^k of the Gram operators."""
+    grams = list(islice(_grams(T), m + 1))
+    return [reduce(add, (g.scale((-1) ** k * math.comb(j, k))
+                         for k, g in enumerate(grams[:j + 1]))) for j in range(m + 1)]
+
+
+def operator_defect_walk(T, m):
+    """(beta_k, scale) for k <= m by the float arithmetic of DenseOperator's
+    @, - and max_abs, as the walk ran before it had a kernel of its own."""
+    Tstar = T.adjoint()
+    beta, scale, out = DenseOperator.identity(T.dim, FLOAT), 1.0, []
+    with np.errstate(all="ignore"):
+        for _ in range(m + 1):
+            out.append((beta, scale))
+            step = Tstar @ beta @ T
+            scale = max(scale, beta.max_abs() + step.max_abs())
+            beta = beta - step
+    return out
+
+
+J4_3_4 = direct_sum(jordan_matrix(JordanSpec(Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 3)),
+                    jordan_matrix(JordanSpec(Scalar.exact(Fraction(1, 2), Fraction(-1, 3)), 1)))
+
+
+class TestDefectWalk:
+    """matrices._defect_walk, the one kernel of the recurrence beta_{m+1} =
+    beta_m - T* beta_m T: exactly the binomial sum of defect()'s cross-check
+    in exact mode, over its least common denominator, and in float mode the
+    bits of the operator arithmetic it replaced."""
+
+    @given(st.one_of(dims.flatmap(operators), sparse_dims.filter(lambda n: n <= 6)
+                     .flatmap(sparse_operators)), st.integers(0, 5))
+    @example(J4_3_4, 6)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_walk_is_the_binomial_sum(self, T, m):
+        walk = list(islice(_defect_walk(T), m + 1))
+        for (beta, scale), ref in zip(walk, binomial_defects(T, m)):
+            assert beta.rows == ref.rows and beta._row_parts() == ref._row_parts()
+            assert scale == 1.0
+
+    @given(st.integers(0, 12), dims.flatmap(float_operators))
+    @settings(max_examples=60, deadline=None)
+    def test_float_walk_is_the_operator_arithmetic(self, m, T):
+        for (beta, scale), (ref, ref_scale) in zip(islice(_defect_walk(T), m + 1),
+                                                   operator_defect_walk(T, m)):
+            assert beta._row_parts()[1].tobytes() == ref._row_parts()[1].tobytes()
+            assert scale.hex() == ref_scale.hex()
+
 def nonzero_pairs(a_rows, b_rows):
     """The number of pairs of nonzero entries a_ik, b_kj: the terms of the
     product a b that are not zero."""
@@ -1397,6 +1447,15 @@ class TestExactScalarKernels:
             assert list(map(list, op.scale(c).rows)) == ref_scale(op, c)
             assert list(map(list, (-op).rows)) == ref_neg(op)
             assert all(fractions(x) for r in (-op).scale(c).rows for x in r)
+
+    @given(st.one_of(gaussian, imaginary), st.one_of(gaussian, imaginary, st.integers(-5, 5)))
+    @settings(max_examples=150, deadline=None)
+    def test_product(self, s, o):
+        # the Fraction loop's canonical parts, from either side
+        x, y = (o, Fraction(0)) if isinstance(o, int) else (o.re, o.im)
+        ref = Scalar(EXACT, s.re * x - s.im * y, s.re * y + s.im * x)
+        for got in (s * o, o * s):
+            assert got == ref and fractions(got)
 
     @given(st.one_of(gaussian, imaginary), st.one_of(gaussian, imaginary))
     @settings(max_examples=150, deadline=None)

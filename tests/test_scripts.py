@@ -152,6 +152,22 @@ def test_float_cli_window_digests_are_pinned(tmp_path, command, count, specs_dig
     check_float_cycle_pin(tmp_path, command, count, specs_digest, output_digest, residues)
 
 
+@pytest.mark.parametrize("seed,cycle", [(2, 1), (2, 3), (3, 3)])
+def test_float_ortho_of_a_large_block_agrees_with_theory(tmp_path, seed, cycle):
+    """The float ortho/jordan/12 requests whose window walk disagreed with
+    theory: a block of size 10-11 beside a size-1 block, whose rounding
+    leaked across faster than the threshold grew.  Their operators have a
+    strict order, so the verdict is read from the defect forms, and the
+    benchmark's oracle finds no fault in it."""
+    report_hashes = import_report_hashes()
+    reqs = [req for req in report_hashes.workloads.cycle_requests("float-cli", seed, cycle)
+            if req.slot == "ortho/jordan/12"]
+    assert reqs
+    for req in reqs:
+        rc, _, _, report = report_hashes.run_request(req, str(tmp_path))
+        assert report_hashes.workloads.check(req, rc, json.loads(report)) is None
+
+
 @pytest.mark.parametrize("command", ["order", "perturb"])
 def test_float_cli_reaches_strict_order(tmp_path, monkeypatch, command):
     """The benchmark's traced float-cli run must record calls to the public

@@ -40,6 +40,7 @@ from misolab import (
     vec_norm_sq,
     vec_scale,
 )
+from misolab import spectral
 from misolab.isometry import _defects
 from misolab.matrices import _polarization_vector, polarization_pairs
 from misolab.scalars import EXACT, FLOAT
@@ -591,6 +592,75 @@ class TestOrthoWindowCertifies:
         assert seen == {True, False}
 
 
+def rotation(n, a, b):
+    """The exact unitary that turns coordinates a and b by (3/5, 4/5)."""
+    c, s = Scalar.exact(Fraction(3, 5)), Scalar.exact(Fraction(4, 5))
+    entries = {(a, a): c, (a, b): -s, (b, a): s, (b, b): c}
+    return DenseOperator([[entries.get((i, j), ONE if i == j else Scalar.exact(0))
+                           for j in range(n)] for i in range(n)])
+
+
+def certified_ortho_case(seed):
+    """A seeded exact ortho case (T, h1, h2, z1, z2) of strict order m: an
+    orthogonal sum of Jordan blocks of sizes 1-4 at two or three distinct
+    UNIMODULAR_EXACT values, h1 and h2 Gaussian-integer vectors of the first
+    two blocks' generalized eigenspaces, all turned by an exact rotation
+    (so den > 1).  Even seeds pair z with -z."""
+    rng = random.Random(seed)
+    if seed % 2 == 0:
+        z = rng.choice([ONE, I_])
+        zs = [z, -z] + rng.sample([w for w in UNIMODULAR_EXACT if w not in (z, -z)], 1)
+    else:
+        zs = rng.sample(UNIMODULAR_EXACT, rng.randint(2, 3))
+    sizes = [rng.randint(1, 4) for _ in zs]
+    J = direct_sum(*(jordan_matrix(JordanSpec(z, k)) for z, k in zip(zs, sizes)))
+    R = rotation(J.dim, *rng.sample(range(J.dim), 2))
+    hs = []
+    for lo, k in ((0, sizes[0]), (sizes[0], sizes[1])):
+        ints = [complex(rng.randint(-2, 2), rng.randint(-2, 2)) if lo <= j < lo + k else 0
+                for j in range(J.dim)]
+        ints[lo + k - 1] = 1
+        hs.append(R.apply(tuple(Scalar.exact(int(x.real), int(x.imag)) for x in ints)))
+    return (R @ J @ R.adjoint(), *hs, *zs[:2])
+
+
+class TestOrthoFromDefects:
+    """Below a strict order m the ortho verdict is read from the forms
+    <beta_k h1, h2>, k < m, with no orbit walk: on exact certified cases it
+    is the window walk's verdict."""
+
+    def test_defect_forms_give_the_window_verdict(self, monkeypatch):
+        cases = [certified_ortho_case(seed) for seed in range(12)]
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_defect_forms", lambda *args: None)
+            windowed = [ortho_test_generalized(*case) for case in cases]
+
+        def no_walk(*args):
+            raise AssertionError("an orbit was walked")
+
+        monkeypatch.setattr(spectral, "orbit_sequence", no_walk)
+        monkeypatch.setattr(spectral, "_orbit_windows", no_walk)
+        got = [ortho_test_generalized(*case) for case in cases]
+        assert got == windowed
+        assert {res.case for res in got} == {"opposite", "generic"}
+        assert all(res.mixed_inner_vanishes and res.agrees_with_theory for res in got)
+
+    def test_short_window_walks_the_orbits(self, monkeypatch):
+        # J_3(1) + J_1(-1) has strict order 5: a window of 5 < m + 1 samples
+        # is walked, and too short to show the degree 4 orbit of h1 + h2 as
+        # polynomial; one of 6 is not walked
+        T = direct_sum(jordan_matrix(JordanSpec(ONE, 3)), jordan_matrix(JordanSpec(-ONE, 1)))
+        h1, h2 = vec_from_ints([1, 1, 1, 0]), vec_from_ints([0, 0, 0, 1])
+        walked, real = [], spectral.orbit_sequence
+        monkeypatch.setattr(spectral, "orbit_sequence",
+                            lambda *args: walked.append(args[2]) or real(*args))
+        assert not ortho_test_generalized(T, h1, h2, ONE, -ONE, window_len=5).orbit_polynomial
+        assert walked and set(walked) == {5}
+        walked.clear()
+        assert ortho_test_generalized(T, h1, h2, ONE, -ONE, window_len=6).orbit_polynomial
+        assert walked == []
+
+
 @pytest.mark.parametrize("test_fn", [ortho_test_generalized, jordan_pair_equivalences])
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 class TestPairPreconditions:
@@ -848,6 +918,14 @@ class TestCyclicSubspace:
         T = DenseOperator([[Scalar.flt(1e100), Scalar.flt(0.0)],
                            [Scalar.flt(0.0), Scalar.flt(1.0)]])
         assert len(cyclic_subspace(T, (Scalar.flt(1.0), Scalar.flt(1.0)))) == 2
+
+    @pytest.mark.parametrize("s", [1e-170, 1e-200])
+    def test_float_underflowing_norms_keep_the_basis(self, s):
+        # every ||T^j h||^2 underflows to 0.0; the tests run on h over its
+        # largest entry, and the basis is the orbit of h itself
+        T = DenseOperator.from_ints([[1, 0], [0, -1]], FLOAT)
+        h = (Scalar.flt(s), Scalar.flt(s))
+        assert cyclic_subspace(T, h) == [h, T.apply(h)]
 
     def test_float_basis_does_not_depend_on_the_scale_of_h(self):
         # the threshold scales with the largest ||T^j h||^2, so s h has the
