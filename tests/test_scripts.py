@@ -114,11 +114,12 @@ ORDER_RESIDUES = [x for x in (
     81.92147137129956, 7.620249989939433e-07, 122.68585596507904, 196.48978343208196)
     for _ in range(2)]
 # the max_re_inner and max_abs_inner of the ortho reports, in the stdout
-# and then in the JSON report
+# and then in the JSON report: of the forms <beta_k h1, h2> on the three
+# certified Jordan sums, of the orbit window on the two sheared operators
 ORTHO_RESIDUES = [x for pair in (
-    (2.8974463930353522e-06, 2.7477971723511082e-05), (507.9999999988495, 510.0784253414004),
-    (5.684341886080802e-14, 9.23876344241552e-14), (8.000000000000002, 8.944271909999228),
-    (8.348877145181177e-13, 8.595162812532858e-13)) for x in pair * 2]
+    (2.5579538487363607e-13, 4.160165522166735e-13), (507.9999999988495, 510.0784253414004),
+    (9.556950026766031e-16, 9.823482369425432e-16), (8.000000000000002, 8.944271909999228),
+    (1.4143097798955346e-13, 1.4266038867303845e-13)) for x in pair * 2]
 
 
 def test_float_cli_order_digest_is_pinned(tmp_path):
