@@ -498,13 +498,14 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
     """Basis h, Th, ..., T^(d-1)h up to the first linear dependence.  A float
     T^j h is dependent when its part orthogonal to the basis has squared norm
     within tol times the largest ||T^i h||^2, i <= j, whatever the scale of h:
-    the tests run on the orbit of h over its largest entry, which does not
-    underflow, and the basis holds the orbit of h."""
+    the tests run on T^j h over the largest entry of h, whose squared norms
+    do not underflow."""
     if vec_is_zero(h, 0.0):
         raise PreconditionError("cyclic subspace of the zero vector")
-    probe = h if T.mode == EXACT else tuple(a / Scalar.flt(vec_max_abs(h)) for a in h)
+    top = Scalar.flt(vec_max_abs(h)) if T.mode == FLOAT else None
     basis, probes, ortho = [], [], []   # ortho: orthogonalized probes, for the test only
-    for v, p in islice(zip(orbit(T, h), orbit(T, probe)), T.dim):
+    for v in islice(orbit(T, h), T.dim):
+        p = v if top is None else tuple(a / top for a in v)
         w = p
         for q in ortho:
             coeff = vec_inner(w, q) / vec_norm_sq(q)
