@@ -354,6 +354,97 @@ def _reduced(rows, den):
     return den, rows
 
 
+def _primitive(re, im):
+    """The Gaussian-integer row (re, im) divided by the gcd of its parts."""
+    g = math.gcd(*re, *im)
+    if g > 1:
+        return [x // g for x in re], [y // g for y in im]
+    return re, im
+
+
+def _echelon(rows):
+    """(echelon rows, pivot cols) of exact (re, im) rows: the nonzero rows
+    of their reduced row echelon form (RREF), each times the least integer
+    that clears its denominators, up to sign.  Any common denominator of
+    the rows, or any Gaussian-integer factor of a row, leaves them unchanged,
+    so a walk of eliminations (_row_space_walk) does not grow its rows.
+
+    Fraction-free Gauss-Jordan: the pivot row is made to have a real pivot p
+    (times the conjugate of its pivot), row_i <- p row_i - f row_r, and
+    each row is divided by the gcd of its parts.  Each row stays a nonzero
+    multiple of the row that division-based elimination makes, and the RREF
+    is unique, so dividing each pivot row by its pivot gives that
+    elimination's rows.  A pivot stays real in later steps, so each row is
+    a real integer times its RREF row, and the gcd leaves the least one."""
+    rows = [_primitive(re, im) for re, im in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0][0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][0][c] or rows[i][1][c]),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        b_re, b_im = rows[r]
+        pr, pi = b_re[c], b_im[c]
+        if pi:
+            # times conj(p): a real pivot, so that no Gaussian factor of p
+            # builds up in the other rows, out of reach of the integer gcd
+            b_re, b_im = rows[r] = _primitive([x * pr + y * pi for x, y in zip(b_re, b_im)],
+                                              [y * pr - x * pi for x, y in zip(b_re, b_im)])
+            pr = b_re[c]
+        for i, (a_re, a_im) in enumerate(rows):
+            fr, fi = a_re[c], a_im[c]
+            if i == r or not (fr or fi):
+                continue
+            rows[i] = _primitive(
+                [pr * x - fr * u + fi * v for x, u, v in zip(a_re, b_re, b_im)],
+                [pr * y - fr * v - fi * u for y, u, v in zip(a_im, b_re, b_im)])
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _shifted(T, z):
+    """T - zI of an exact T, made from T's parts and z's: z a Scalar, int or
+    Fraction as `scale` takes it (a float Scalar raises ModeMismatchError)."""
+    dt, rows = T._row_parts()
+    dz, (p, q) = _scalar_parts(z, EXACT)
+    den = math.lcm(dt, dz)
+    kt, kz = den // dt, den // dz
+    out = []
+    for i, (re, im) in enumerate(rows):
+        re, im = [x * kt for x in re], [y * kt for y in im]
+        re[i] -= p * kz
+        im[i] -= q * kz
+        out.append((re, im))
+    return DenseOperator._from_parts(EXACT, *_reduced(out, den))
+
+
+def _row_space_walk(M):
+    """(depth, R) for an exact M: depth the smallest k >= 1 with ker M^k =
+    ker M^(k+1), and R the operator whose rows are the _echelon rows of M^depth,
+    padded with zero rows, so that R and M^depth have one kernel.
+
+    No power of M is formed: R_0 = I and R_(k+1) = _echelon(R_k M), since
+    the row space of M^(k+1) is that of R_k M.  The walk reads only the
+    ranks and stops where the rank stops falling; the RREF of a row space
+    is unique, so the kernel of R is read with the pivots of M^depth's."""
+    n, (_, rows) = M.dim, M._row_parts()
+    nonzeros, depth = _nonzeros(rows), 0
+    basis = [([int(i == j) for j in range(n)], [0] * n) for i in range(n)]
+    while basis:
+        step = _echelon(_scatter(basis, nonzeros))[0]
+        if len(step) == len(basis):
+            break
+        basis, depth = step, depth + 1
+    zero = [0] * n
+    return max(depth, 1), DenseOperator._from_parts(
+        EXACT, 1, basis + [(zero, zero)] * (n - len(basis)))
+
+
 def _conj(form):
     """The exact _parts form of the conjugate entries."""
     return form[0], [-x for x in form[1]]

@@ -31,11 +31,15 @@ from .isometry import (
 )
 from .matrices import (
     DenseOperator,
+    _echelon,
     _forms,
     _orbit_windows,
     _polarization_values,
     _polarization_vector,
+    _row_space_walk,
     _scalar,
+    _scalar_parts,
+    _shifted,
     basis_vector,
     float_max_abs,
     np,
@@ -119,44 +123,9 @@ def _max_column_vector(P):
 
 def exact_rref(A):
     """Reduced row echelon form of an exact DenseOperator: (its nonzero rows
-    as exact Scalars, pivot cols)."""
-    rows, pivots = _exact_elimination(A)
+    as exact Scalars, pivot cols), from matrices._echelon's integer rows."""
+    rows, pivots = _echelon(A._row_parts()[1])
     return [[_rref_entry(row, c, j) for j in range(A.dim)] for row, c in zip(rows, pivots)], pivots
-
-
-def _exact_elimination(A):
-    """(the Gaussian-integer rows of exact_rref, pivot cols).  The common
-    denominator of A's Gaussian-integer form does not change the RREF, so
-    the elimination runs on the integer rows.
-
-    Fraction-free Gauss-Jordan: row_i <- p row_i - f row_r for the pivot p,
-    then row_i is divided by the gcd of its parts.  Each row stays a nonzero
-    multiple of the row that division-based elimination makes, and the RREF
-    is unique, so dividing each pivot row by its pivot (_rref_entry) gives
-    that elimination's rows."""
-    rows = [_primitive(re, im) for re, im in A._row_parts()[1]]
-    pivots = []
-    r = 0
-    for c in range(A.dim):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][0][c] or rows[i][1][c]),
-                         None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        b_re, b_im = rows[r]
-        pr, pi = b_re[c], b_im[c]
-        for i, (a_re, a_im) in enumerate(rows):
-            fr, fi = a_re[c], a_im[c]
-            if i == r or not (fr or fi):
-                continue
-            rows[i] = _primitive(
-                [pr * x - pi * y - fr * u + fi * v for x, y, u, v in zip(a_re, a_im, b_re, b_im)],
-                [pr * y + pi * x - fr * v - fi * u for x, y, u, v in zip(a_re, a_im, b_re, b_im)])
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
 
 
 def _rref_entry(row, c, j, sign=1):
@@ -166,18 +135,12 @@ def _rref_entry(row, c, j, sign=1):
     return _scalar(x * pr + y * pi, y * pr - x * pi, pr * pr + pi * pi, EXACT)
 
 
-def _primitive(re, im):
-    """The Gaussian-integer row (re, im) divided by the gcd of its parts."""
-    g = math.gcd(*re, *im)
-    if g > 1:
-        return [x // g for x in re], [y // g for y in im]
-    return re, im
-
-
 def exact_nullspace(A):
-    """Kernel basis of an exact DenseOperator, read from the integer rows
-    of the elimination: only the returned entries are made Scalars."""
-    rows, pivots = _exact_elimination(A)
+    """Kernel basis of an exact DenseOperator, read from the integer rows of
+    matrices._echelon: only the returned entries are made Scalars.  The
+    generalized eigenspaces call it once per hint, on the rows that
+    matrices._row_space_walk ends with."""
+    rows, pivots = _echelon(A._row_parts()[1])
     zero, one = Scalar.zero(EXACT), Scalar.one(EXACT)
     basis = []
     for fc in (c for c in range(A.dim) if c not in pivots):
@@ -238,20 +201,26 @@ def generalized_eigenspaces(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
 
 
 def _exact_eigenspaces(T, hints):
+    """The spaces of the hints that are eigenvalues, each hint (a Scalar, int
+    or Fraction) made an exact Scalar once.  Each kernel chain is one
+    matrices._row_space_walk of T - zI, and only its last kernel is boxed,
+    by one exact_nullspace call."""
     if not hints:
         raise EigenHintError(
             "exact mode requires eigen_hints (candidate eigenvalues)"
         )
     seen = []
     for z in hints:
+        den, (re, im) = _scalar_parts(z, EXACT)
+        z = _scalar(re, im, den, EXACT)
         if any(z == w for w in seen):
             raise EigenHintError("duplicate eigenvalue hint")
         seen.append(z)
     spaces = []
     total = 0
-    ident = DenseOperator.identity(T.dim, T.mode)
-    for z in hints:
-        depth, basis = _kernel_chain(ident, T - ident.scale(z), T.dim, exact_nullspace)
+    for z in seen:
+        depth, rows = _row_space_walk(_shifted(T, z))
+        basis = exact_nullspace(rows)
         if not basis:
             continue  # hint is not an eigenvalue; contributes nothing
         spaces.append(GeneralizedEigenspace(
@@ -264,17 +233,20 @@ def _exact_eigenspaces(T, hints):
     return spaces
 
 
-def _kernel_chain(ident, M, dim, nullspace):
-    """Kernels of M, M^2, ... until their dimension stabilizes.
+def _kernel_chain(M, tol):
+    """Float kernels of M, M^2, ... (M a complex array) until their
+    dimension stabilizes.
 
     Returns (depth, basis): the smallest k whose kernel has the final
-    dimension, and nullspace's basis of M^k (unboxed vh rows in float
-    mode, where a call runs it once per distinct cluster mean)."""
-    power = ident
+    dimension, and _float_nullspace's unboxed vh rows of M^k.  A call runs
+    it once per distinct cluster mean; exact chains are matrices'
+    _row_space_walk."""
+    dim = len(M)
+    power = np.eye(dim)
     kernels = []
     for _ in range(dim):
         power = power @ M
-        kernels.append(nullspace(power))
+        kernels.append(_float_nullspace(power, tol))
         if len(kernels) >= 2 and len(kernels[-1]) == len(kernels[-2]):
             break
     final = len(kernels[-1])
@@ -355,8 +327,7 @@ def _spaces_from_clusters(arr, clusters, tol, chains):
             z = complex(np.mean(members))   # mean cancels the Jordan scatter
             key = np.complex128(z).tobytes()     # bits: 0.0 and -0.0 differ
             if key not in chains:
-                chains[key] = _kernel_chain(np.eye(dim), arr - z * np.eye(dim), dim,
-                                            lambda P: _float_nullspace(P, tol))
+                chains[key] = _kernel_chain(arr - z * np.eye(dim), tol)
         depth, basis = chains[key]
         if len(basis) != len(members):
             return None
@@ -402,11 +373,14 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
         if not on_circle:
             failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue)} is not unimodular")
             break
-    # <u, v> for u in spaces[i].basis, v in spaces[j].basis, i < j, in that order
-    cross = [vec_inner(u, v) for i, si in enumerate(spaces) for sj in spaces[i + 1:]
-             for u in si.basis for v in sj.basis]
-    gram = float_max_abs(cross, T.mode)
-    if not all(ip.is_zero(tol) for ip in cross):
+    if T.mode == EXACT:
+        orthogonal, gram = _exact_blocks_orthogonal(spaces, T.dim), 0.0
+    else:
+        # <u, v> for u in spaces[i].basis, v in spaces[j].basis, i < j
+        cross = [vec_inner(u, v) for i, si in enumerate(spaces) for sj in spaces[i + 1:]
+                 for u in si.basis for v in sj.basis]
+        orthogonal, gram = all(ip.is_zero(tol) for ip in cross), float_max_abs(cross, FLOAT)
+    if not orthogonal:
         failures.append("generalized eigenspaces are not pairwise orthogonal")
     certified = not failures
     predicted = None
@@ -420,6 +394,21 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
         predicted_strict_order=predicted,
         warnings=tuple(warnings),
     )
+
+
+def _exact_blocks_orthogonal(spaces, dim):
+    """Whether <u, v> = 0 for u, v in the bases of distinct exact spaces, by
+    one matrices._forms call on the identity, which takes each vector apart
+    at most once as a u and once as a v: u from every space but the last, v
+    from every space but the first, and only forms with u's space before
+    v's are read."""
+    us = [(i, u) for i, sp in enumerate(spaces[:-1]) for u in sp.basis]
+    vs = [(j, v) for j, sp in enumerate(spaces[1:], 1) for v in sp.basis]
+    if not us:
+        return True
+    forms = _forms([DenseOperator.identity(dim, EXACT)], [u for _, u in us], [v for _, v in vs])
+    return not any(re or im for (i, _), (row,) in zip(us, forms)
+                   for (j, _), (_, re, im) in zip(vs, row) if i < j)
 
 
 def _fmt_scalar(s):
@@ -522,13 +511,13 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
 
 def _membership_check(T, h, z, tol):
     """h must lie in the generalized eigenspace of z: (T - zI)^dim h = 0, in
-    exact mode by at most dim steps T - zI up to the first zero vector."""
-    M = T - DenseOperator.identity(T.dim, T.mode).scale(z)
+    exact mode by at most dim `orbit` steps of matrices._shifted's T - zI,
+    up to the first zero vector; in float mode from (T - zI)^dim."""
     if T.mode == EXACT:
         # from Mh on, so that apply checks h first
-        inside = any(map(vec_is_zero, islice(orbit(M, h), 1, T.dim + 1)))
+        inside = any(map(vec_is_zero, islice(orbit(_shifted(T, z), h), 1, T.dim + 1)))
     else:
-        M = M.power(T.dim)
+        M = (T - DenseOperator.identity(T.dim, T.mode).scale(z)).power(T.dim)
         inside = vec_is_zero(M.apply(h), zero_threshold(
             T.mode, tol, lambda: max(1.0, M.max_abs()) * max(1.0, vec_max_abs(h)),
             "(T - zI)^dim h"))

@@ -16,6 +16,7 @@ from misolab import (
     DenseOperator,
     EigenHintError,
     JordanSpec,
+    ModeMismatchError,
     PreconditionError,
     Scalar,
     algebraic_decompose,
@@ -42,7 +43,8 @@ from misolab import (
 )
 from misolab import spectral
 from misolab.isometry import _defects
-from misolab.matrices import _polarization_vector, polarization_pairs
+from misolab.matrices import (_echelon, _polarization_vector, _row_space_walk, _shifted,
+                              polarization_pairs)
 from misolab.scalars import EXACT, FLOAT
 from misolab.spectral import (CLUSTER_TOL, _inter_cluster_gaps, _restricted_strict_order,
                               _single_linkage, _strictness_criterion, exact_nullspace,
@@ -193,11 +195,142 @@ class TestExactElimination:
                     acc = acc + a * x
                 assert acc == zero
 
+    @given(gaussian_matrices(), st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+                                         .filter(any), min_size=8, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_echelon_rows_are_the_least_integer_multiples(self, rows, factors):
+        # rows scaled by Gaussian integers come out as their RREF rows times
+        # the lcm of each row's denominators, up to sign
+        dim = max(len(rows), len(rows[0]))
+        zero = Scalar.exact(0)
+        A = DenseOperator([list(r) + [zero] * (dim - len(r)) for r in rows]
+                          + [[zero] * dim for _ in range(dim - len(rows))])
+        scaled = [([a * x - b * y for x, y in zip(re, im)], [a * y + b * x for x, y in zip(re, im)])
+                  for (re, im), (a, b) in zip(A._row_parts()[1], factors)]
+        red, pivots = exact_rref(A)
+        got, got_pivots = _echelon(scaled)
+        assert got_pivots == pivots and len(got) == len(red)
+        for row, ref in zip(got, red):
+            lcm = math.lcm(*(part.denominator for x in ref for part in (x.re, x.im)))
+            want = [int(x.re * lcm) for x in ref], [int(x.im * lcm) for x in ref]
+            assert row in (want, tuple([-x for x in part] for part in want))
+
     def test_purely_imaginary_pivot(self):
         # rows (i, 1) and (2i, 2): rank 1, kernel spanned by (i, 1)
         A = DenseOperator([[I_, ONE], [Scalar.exact(0, 2), Scalar.exact(2)]])
         assert exact_rref(A) == ([[ONE, -I_]], [0])
         assert exact_nullspace(A) == [(I_, ONE)]
+
+
+# ---------------------------------------------------------------------------
+# Kernel chains of exact T - zI: the row-space walk against the powers
+# ---------------------------------------------------------------------------
+
+def ref_kernel_chain(M):
+    """(depth, basis): exact_nullspace of M, M^2, ... by `@` until the kernel
+    dimension stabilizes, depth the first power with the final dimension."""
+    power, kernels = DenseOperator.identity(M.dim, EXACT), []
+    for _ in range(M.dim):
+        power = power @ M
+        kernels.append(exact_nullspace(power))
+        if len(kernels) >= 2 and len(kernels[-1]) == len(kernels[-2]):
+            break
+    depth = next(k + 1 for k, ker in enumerate(kernels) if len(ker) == len(kernels[-1]))
+    return depth, kernels[depth - 1]
+
+
+def unit_triangular(n, rng, upper):
+    """(I + N, (I + N)^-1) for a seeded strictly triangular N with Gaussian-rational
+    entries: the inverse is sum_k (-N)^k."""
+    def entry():
+        return Scalar.exact(*(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                              for _ in range(2)))
+    zero, ident = Scalar.exact(0), DenseOperator.identity(n, EXACT)
+    N = DenseOperator([[entry() if (j > i if upper else j < i) else zero for j in range(n)]
+                       for i in range(n)])
+    inverse = term = ident
+    for _ in range(n - 1):
+        term = term @ -N
+        inverse = inverse + term
+    return ident + N, inverse
+
+
+def dense_similar(blocks, seed):
+    """S J S^-1, J the direct sum of the Jordan blocks (z, k) of blocks and S =
+    L U from seeded unit triangular factors, so that every entry is dense."""
+    J = direct_sum(*(jordan_matrix(JordanSpec(z, k)) for z, k in blocks))
+    rng = random.Random(seed)
+    (L, L_inv), (U, U_inv) = (unit_triangular(J.dim, rng, upper) for upper in (False, True))
+    S, S_inv = L @ U, U_inv @ L_inv
+    assert S @ S_inv == DenseOperator.identity(J.dim, EXACT)
+    return S @ J @ S_inv
+
+
+Z35 = Scalar.exact(Fraction(3, 5), Fraction(4, 5))
+# (T, hints): hints hold eigenvalues and values that are not
+WALK_CASES = {
+    "dense-three-eigenvalues": (dense_similar([(Z35, 3), (-ONE, 2), (I_, 1)], 1),
+                                (Z35, -ONE, I_, ONE, Scalar.exact(Fraction(1, 2), 2))),
+    "dense-two-blocks-at-one-z": (dense_similar([(ONE, 2), (ONE, 1), (-I_, 2)], 2),
+                                  (ONE, -I_, I_)),
+    "dense-two-equal-blocks": (dense_similar([(I_, 2), (I_, 2), (ONE, 1)], 3),
+                               (I_, ONE, Scalar.exact(0))),
+    "zero": (DenseOperator.zeros(3, EXACT), (Scalar.exact(0), ONE)),
+    "identity": (DenseOperator.identity(3, EXACT), (ONE, Scalar.exact(0), -I_)),
+    "nilpotent-J5(0)": (jordan_matrix(JordanSpec(Scalar.exact(0), 5)), (Scalar.exact(0), ONE)),
+    "one-by-one": (DenseOperator([[Z35]]), (Z35, ONE)),
+}
+
+
+class TestRowSpaceWalk:
+    @pytest.mark.parametrize("case", sorted(WALK_CASES))
+    def test_walk_is_the_powers_chain(self, case):
+        T, hints = WALK_CASES[case]
+        if case.startswith("dense"):
+            den, rows = T._row_parts()
+            assert den > 1 and all(all(re) and all(im) for re, im in rows)
+        for z in hints:
+            M = _shifted(T, z)
+            assert M == T - DenseOperator.identity(T.dim, EXACT).scale(z)
+            depth, R = _row_space_walk(M)
+            assert (depth, exact_nullspace(R)) == ref_kernel_chain(M)
+
+    @pytest.mark.parametrize("case,z,depth,dim", [
+        ("dense-three-eigenvalues", Z35, 3, 3), ("dense-three-eigenvalues", ONE, 1, 0),
+        ("dense-two-blocks-at-one-z", ONE, 2, 3), ("dense-two-equal-blocks", I_, 2, 4),
+        ("zero", Scalar.exact(0), 1, 3), ("identity", ONE, 1, 3),
+        ("identity", Scalar.exact(0), 1, 0), ("nilpotent-J5(0)", Scalar.exact(0), 5, 5)])
+    def test_depth_and_dimension(self, case, z, depth, dim):
+        got_depth, R = _row_space_walk(_shifted(WALK_CASES[case][0], z))
+        assert (got_depth, len(exact_nullspace(R))) == (depth, dim)
+
+    @pytest.mark.parametrize("case", sorted(WALK_CASES))
+    def test_spaces_are_the_powers_chain(self, case):
+        T, hints = WALK_CASES[case]
+        ident = DenseOperator.identity(T.dim, EXACT)
+        ref = [(z, *ref_kernel_chain(T - ident.scale(z))) for z in hints]
+        spaces = generalized_eigenspaces(T, eigen_hints=hints)
+        assert [(sp.eigenvalue, sp.chain_depth, list(sp.basis)) for sp in spaces] == \
+            [(z, depth, basis) for z, depth, basis in ref if basis]
+
+    def test_chain_boxes_only_the_final_basis(self, monkeypatch):
+        T, hints = WALK_CASES["dense-three-eigenvalues"]
+        nullspaces, products = [], []
+        nullspace, matmul = spectral.exact_nullspace, DenseOperator.__matmul__
+
+        def counted_nullspace(A):
+            nullspaces.append(A)
+            return nullspace(A)
+
+        def counted_matmul(a, b):
+            products.append((a, b))
+            return matmul(a, b)
+
+        monkeypatch.setattr(spectral, "exact_nullspace", counted_nullspace)
+        monkeypatch.setattr(DenseOperator, "__matmul__", counted_matmul)
+        dec = algebraic_decompose(T, eigen_hints=hints)
+        assert [sp.dimension for sp in dec.blocks] == [3, 2, 1]
+        assert len(nullspaces) == len(hints) and products == []
 
 
 class TestGeneralizedEigenspaces:
@@ -229,6 +362,26 @@ class TestGeneralizedEigenspaces:
     def test_exact_mode_requires_hints(self):
         with pytest.raises(EigenHintError):
             generalized_eigenspaces(EXAMPLE)
+
+    @pytest.mark.parametrize("hints", [[1, -1], [Fraction(1), Fraction(-1)],
+                                       [1, Fraction(-1)]])
+    def test_int_and_fraction_hints_are_exact_scalars(self, hints):
+        T = direct_sum(jordan_matrix(JordanSpec(ONE, 2)),
+                       jordan_matrix(JordanSpec(Scalar.exact(-1), 1)))
+        dec = algebraic_decompose(T, eigen_hints=hints)
+        assert dec == algebraic_decompose(T, eigen_hints=[ONE, Scalar.exact(-1)])
+        assert all(isinstance(b.eigenvalue, Scalar) and b.eigenvalue.mode == EXACT
+                   for b in dec.blocks)
+        assert dec.certified and dec.predicted_strict_order == 3
+        assert unimodular_spectrum_check(T, eigen_hints=hints).all_on_circle
+
+    def test_equal_int_and_scalar_hints_are_duplicates(self):
+        with pytest.raises(EigenHintError, match="duplicate"):
+            generalized_eigenspaces(EXAMPLE, eigen_hints=[I_, -I_, Fraction(1), ONE])
+
+    def test_float_hint_on_exact_operator_raises(self):
+        with pytest.raises(ModeMismatchError):
+            generalized_eigenspaces(EXAMPLE, eigen_hints=[Scalar.flt(0.0, 1.0), -I_])
 
     def test_float_mode_clusters_spectrum(self):
         T = operator_to_float(direct_sum(
@@ -441,6 +594,17 @@ class TestAlgebraicDecompose:
         dec = algebraic_decompose(T, eigen_hints=(Scalar.exact(2),))
         assert not dec.certified
         assert any("unimodular" in f for f in dec.failures)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    def test_coupled_pair_is_seen_in_any_position(self, order):
+        # 1 + EXAMPLE: the blocks at i and -i are not orthogonal, 1's are
+        T = direct_sum(DenseOperator.from_ints([[1]]), EXAMPLE)
+        hints = [(ONE, I_, -I_)[k] for k in order]
+        dec = algebraic_decompose(T, eigen_hints=hints)
+        assert dec.failures == ("generalized eigenspaces are not pairwise orthogonal",)
+        cross = [vec_inner(u, v) for i, a in enumerate(dec.blocks) for b in dec.blocks[i + 1:]
+                 for u in a.basis for v in b.basis]
+        assert sum(not ip.is_zero() for ip in cross) == 1
 
     def test_certified_orders_are_odd(self):
         T = direct_sum(jordan_matrix(JordanSpec(I_, 3)),
