@@ -289,11 +289,16 @@ class TestRowSpaceWalk:
         if case.startswith("dense"):
             den, rows = T._row_parts()
             assert den > 1 and all(all(re) and all(im) for re, im in rows)
+        ref = []
         for z in hints:
             M = _shifted(T, z)
             assert M == T - DenseOperator.identity(T.dim, EXACT).scale(z)
             depth, R = _row_space_walk(M)
-            assert (depth, exact_nullspace(R)) == ref_kernel_chain(M)
+            ref.append((z, *ref_kernel_chain(M)))
+            assert (z, depth, exact_nullspace(R)) == ref[-1]
+        spaces = generalized_eigenspaces(T, eigen_hints=hints)
+        assert [(sp.eigenvalue, sp.chain_depth, list(sp.basis)) for sp in spaces] == \
+            [(z, depth, basis) for z, depth, basis in ref if basis]
 
     @pytest.mark.parametrize("case,z,depth,dim", [
         ("dense-three-eigenvalues", Z35, 3, 3), ("dense-three-eigenvalues", ONE, 1, 0),
@@ -303,15 +308,6 @@ class TestRowSpaceWalk:
     def test_depth_and_dimension(self, case, z, depth, dim):
         got_depth, R = _row_space_walk(_shifted(WALK_CASES[case][0], z))
         assert (got_depth, len(exact_nullspace(R))) == (depth, dim)
-
-    @pytest.mark.parametrize("case", sorted(WALK_CASES))
-    def test_spaces_are_the_powers_chain(self, case):
-        T, hints = WALK_CASES[case]
-        ident = DenseOperator.identity(T.dim, EXACT)
-        ref = [(z, *ref_kernel_chain(T - ident.scale(z))) for z in hints]
-        spaces = generalized_eigenspaces(T, eigen_hints=hints)
-        assert [(sp.eigenvalue, sp.chain_depth, list(sp.basis)) for sp in spaces] == \
-            [(z, depth, basis) for z, depth, basis in ref if basis]
 
     def test_chain_boxes_only_the_final_basis(self, monkeypatch):
         T, hints = WALK_CASES["dense-three-eigenvalues"]
@@ -597,7 +593,8 @@ class TestAlgebraicDecompose:
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
     def test_coupled_pair_is_seen_in_any_position(self, order):
-        # 1 + EXAMPLE: the blocks at i and -i are not orthogonal, 1's are
+        # 1 + EXAMPLE: the blocks at i and -i are not orthogonal, and the block
+        # at 1 is orthogonal to both
         T = direct_sum(DenseOperator.from_ints([[1]]), EXAMPLE)
         hints = [(ONE, I_, -I_)[k] for k in order]
         dec = algebraic_decompose(T, eigen_hints=hints)
