@@ -24,7 +24,7 @@ from .errors import (
 )
 from .matrices import _int_form, _scalar, np
 from .polynomials import Polynomial, falling_factorial_poly
-from .scalars import EXACT, FLOAT, Scalar, same_mode, zero_threshold
+from .scalars import EXACT, FLOAT, Scalar, negligible, same_mode, zero_threshold
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -187,13 +187,13 @@ def _detect_degree(gamma, tol):
     table = difference_table(gamma, gamma.window_len - 1)
     scale = zero_threshold(gamma.mode, tol, lambda: max(1.0, gamma.max_abs()), "the window")
     for k in range(gamma.window_len):
-        # |x| is Scalar.is_zero's modulus of a real entry, math.hypot(x, 0.0);
-        # the binomial factor compensates the cancellation amplification
-        # of k-fold differencing; ints are compared with 0, no float made
+        # |x| is the modulus of a real entry, math.hypot(x, 0.0); the binomial
+        # factor compensates the cancellation amplification of k-fold
+        # differencing; ints are compared with 0, no float made
         largest = max(map(abs, table._plain_row(k)))
         residual = largest if gamma.mode == FLOAT else 0.0
-        thr = zero_threshold(gamma.mode, scale, lambda: math.comb(k, k // 2), f"difference row {k}")
-        if largest <= thr:
+        if negligible(largest, gamma.mode, scale, lambda: math.comb(k, k // 2),
+                      f"difference row {k}"):
             return DegreeVerdict(polynomial=True, degree=k - 1 if k else None,
                                  zero_sequence=k == 0, residual=residual), table
     return DegreeVerdict(polynomial=False, degree=None, residual=residual), table

@@ -3,8 +3,9 @@
 The defect of order m, beta_m(T) = sum_k (-1)^k C(m,k) T*^k T^k, vanishes
 exactly on m-isometries.  It is walked by the recurrence beta_{m+1} =
 beta_m - T* beta_m T, which does not cancel as that binomial sum does, and
-defect() cross-checks the two.  Float zero tests take zero_threshold of
-the walk's running scale.
+defect() cross-checks the two.  Every zero test is scalars.negligible's:
+exact in exact mode, and in float mode relative to the walk's running
+scale.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .matrices import (
     vec_inner,
     vec_scale,
 )
-from .scalars import EXACT, FLOAT, Scalar, falling_factorial, zero_threshold
+from .scalars import EXACT, FLOAT, Scalar, falling_factorial, negligible, zero_threshold
 
 DEFAULT_DEFECT_TOL = 1e-8
 
@@ -111,7 +112,7 @@ def defect(T, m):
     scale = (sum(math.comb(m, k) * max(g.max_abs(), 1.0) for k, g in enumerate(grams))
              if T.mode == FLOAT else 1.0)
     _check_finite(binomial, scale, f"the Gram operators T*^k T^k for k <= {m}")
-    if not (d.matrix - binomial).is_zero(zero_threshold(T.mode, 1e-12, lambda: scale, f"beta_{m}")):
+    if not negligible(d.matrix - binomial, T.mode, 1e-12, lambda: scale, f"beta_{m}"):
         raise InternalCheckError(f"defect recurrence and binomial sum disagree at m={m}")
     return d
 
@@ -121,7 +122,7 @@ def is_m_isometry(T, m, tol=DEFAULT_DEFECT_TOL):
     if m < 1:
         raise PreconditionError("m-isometry requires m >= 1")
     d = defect(T, m)
-    return d.matrix.is_zero(d.threshold(tol))
+    return negligible(d.matrix, T.mode, tol, lambda: d.float_scale, f"beta_{m}")
 
 
 def default_m_max(T):
@@ -141,7 +142,7 @@ def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
     walked = [next(walk)]
     for d in islice(walk, m_max):
         m = d.m
-        if d.matrix.is_zero(d.threshold(tol)):
+        if negligible(d.matrix, T.mode, tol, lambda: d.float_scale, f"beta_{m}"):
             witness = None
             if m >= 2:
                 witness = _nonzero_form_witness(walked[-1], tol)
@@ -211,8 +212,8 @@ def newton_expansion_check(T, m, n_max, tol=DEFAULT_DEFECT_TOL):
             c = falling_factorial(n, k) * (-1) ** k
             coeff = Scalar.from_int(c, T.mode) / Scalar.from_int(math.factorial(k), T.mode)
             rhs = rhs + betas[k].matrix.scale(coeff)
-        thr = zero_threshold(T.mode, tol, lambda: scale * max(1.0, float(n) ** m), f"T*^{n} T^{n}")
-        if not (lhs - rhs).is_zero(thr):
+        if not negligible(lhs - rhs, T.mode, tol, lambda: scale * max(1.0, float(n) ** m),
+                          f"T*^{n} T^{n}"):
             ok = False
         Tn = Tn @ T
     return ok
@@ -311,10 +312,10 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
     D is a certificate, and detect_degree says the same on W >= D + 2
     samples: Delta^(D+1) vanishes, Delta^D is a nonzero constant, and
     Delta^k for k < D is a nonzero polynomial of degree D - k at W - k >
-    D - k points.  In float mode each <beta_j h, h> is a zero-test decision
-    against zero_threshold(defect_tol, beta_j's float_scale * ||h||^2), and
-    a value or threshold beyond float range raises, as an overflowing orbit
-    sample does.  Otherwise each degree is detect_degree's verdict on
+    D - k points.  In float mode each <beta_j h, h> is negligible within
+    defect_tol of beta_j's float_scale * ||h||^2 or not, and a value or
+    threshold beyond float range raises, as an overflowing orbit sample
+    does.  Otherwise each degree is detect_degree's verdict on
     orbit_sequence's window of that vector, which certifies nothing beyond
     it, and the first vector that fails raises its own error.
     """
@@ -372,6 +373,6 @@ def _beta_degrees(op, vectors, window_len, verdict, tol):
             if not all(map(math.isfinite, values)):
                 raise PreconditionError("float overflow: a form <beta_j h, h> of the survey "
                                         "leaves float range")
-        degrees.append(next((j for j in reversed(range(len(betas))) if values[j] > zero_threshold(
-            mode, tol, lambda: betas[j].float_scale * norm, f"<beta_{j} h, h>")), None))
+        degrees.append(next((j for j in reversed(range(len(betas))) if not negligible(
+            values[j], mode, tol, lambda: betas[j].float_scale * norm, f"<beta_{j} h, h>")), None))
     return [DegreeVerdict(polynomial=True, degree=d, zero_sequence=d is None) for d in degrees]

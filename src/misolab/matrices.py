@@ -12,7 +12,7 @@ from itertools import chain
 from operator import add, mul, sub
 
 from .errors import DimensionMismatchError, ModeMismatchError, PreconditionError
-from .scalars import EXACT, FLOAT, Scalar, same_mode
+from .scalars import EXACT, FLOAT, Scalar, negligible, same_mode
 
 
 def _lazy_numpy():
@@ -204,11 +204,12 @@ class DenseOperator:
             return max(math.hypot(x / den, y / den) for re, im in rows for x, y in zip(re, im))
         return float(np.abs(rows).max())
 
-    def is_zero(self, tol=0.0):
+    def is_zero(self):
+        """Exactly zero, in either mode; a tolerance is scalars.negligible's."""
         rows = self._row_parts()[1]
         if self.mode == EXACT:
             return not any(any(part) for r in rows for part in r)
-        return bool((np.abs(rows) <= tol).all())
+        return not rows.any()
 
     def __eq__(self, other):
         if not isinstance(other, DenseOperator):
@@ -614,8 +615,8 @@ def vec_norm_sq(u):
     return vec_inner(u, u)
 
 
-def vec_is_zero(u, tol=0.0):
-    return all(a.is_zero(tol) for a in u)
+def vec_is_zero(u):
+    return all(a.is_zero() for a in u)
 
 
 def polarization_pairs(n):
@@ -729,7 +730,7 @@ class FiniteVector:
                 mode = val.mode
             elif val.mode != mode:
                 raise ModeMismatchError("FiniteVector entries mode mismatch")
-            if not (val.mode == FLOAT and val.is_zero(0.0)):
+            if not val.is_zero():
                 items[idx] = val
         if mode is None:
             raise ValueError("cannot infer mode of an empty FiniteVector; pass mode=")
@@ -747,13 +748,10 @@ class FiniteVector:
         return not self.entries
 
     def cleanup(self, tol):
-        """Drop float entries with modulus <= tol (no-op in exact mode)."""
-        if self.mode == EXACT:
-            return self
-        return FiniteVector(
-            {i: v for i, v in self.entries.items() if v.modulus() > tol},
-            mode=self.mode,
-        )
+        """Drop the float entries negligible within tol, modulus <= tol (in
+        exact mode no kept entry is zero)."""
+        return FiniteVector({i: v for i, v in self.entries.items() if not negligible(
+            v, self.mode, tol, lambda: 1.0, "a FiniteVector entry")}, mode=self.mode)
 
     def add(self, other):
         if self.mode != other.mode:

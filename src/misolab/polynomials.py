@@ -25,7 +25,7 @@ class Polynomial:
             raise ValueError("cannot infer mode of the zero polynomial; pass mode=")
         # canonical form: trailing coefficient nonzero (exact zeros stripped;
         # float coefficients are kept as given unless exactly 0.0)
-        while coeffs and coeffs[-1].is_zero(0.0):
+        while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.coeffs = tuple(coeffs)
         self.mode = mode

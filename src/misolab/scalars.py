@@ -3,7 +3,8 @@
 Exact mode stores a pair of arbitrary-precision rationals (Gaussian
 rationals), so sums, products, conjugates and divisions carry no rounding
 and zero tests are decidable.  Float mode stores a pair of 64-bit binary
-floats, and every float zero test downstream uses zero_threshold.  Mixing
+floats.  Every zero decision downstream, in either mode, is negligible's:
+exact values are tested == 0, float sizes against zero_threshold.  Mixing
 the two modes in one expression raises, it is never a silent promotion.
 """
 
@@ -148,10 +149,9 @@ class Scalar:
 
     # -- predicates ---------------------------------------------------
 
-    def is_zero(self, tol=0.0):
-        if self.mode == EXACT:
-            return self.re == 0 and self.im == 0
-        return self.modulus() <= tol
+    def is_zero(self):
+        """Exactly zero, in either mode; a tolerance is negligible's."""
+        return self.re == 0 and self.im == 0
 
     def is_real(self):
         return self.im == 0
@@ -199,6 +199,21 @@ def zero_threshold(mode, tol, magnitude, what):
         raise PreconditionError(f"float overflow: the zero threshold of {what} "
                                 "leaves float range")
     return thr
+
+
+def negligible(value, mode, tol, magnitude, what):
+    """Whether value, a size (int, Fraction, float), Scalar or operator, is
+    zero: the one zero decision of every test.  Exact mode tests a size == 0
+    and the rest by is_zero(), making no float and never calling magnitude.
+    Float mode tests size <= zero_threshold(FLOAT, tol, magnitude, what), the
+    size of a Scalar its modulus() and of an operator its max_abs(); a nan
+    is never zero."""
+    if mode == EXACT:
+        return value == 0 if isinstance(value, (int, Fraction)) else value.is_zero()
+    thr = zero_threshold(FLOAT, tol, magnitude, what)
+    if not isinstance(value, (int, float)):
+        value = value.modulus() if isinstance(value, Scalar) else value.max_abs()
+    return bool(value <= thr)
 
 
 def falling_factorial(n, k):

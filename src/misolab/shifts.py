@@ -156,7 +156,7 @@ def localization_shift(T, h, prefix_len=None):
         prefix_len = default_window_len(T.dim) + 4
     norms = orbit_sequence(T, h, prefix_len + 1).values
     for n, ns in enumerate(norms):
-        if ns.is_zero(0.0):
+        if ns.is_zero():
             if n == 0:
                 raise PreconditionError("localization shift needs a nonzero vector")
             raise PreconditionError(

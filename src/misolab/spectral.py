@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
+from fractions import Fraction
+from functools import cache, partial, reduce
 from itertools import islice
 from typing import Optional
 
@@ -53,7 +54,7 @@ from .matrices import (
     vec_scale,
     vec_sub,
 )
-from .scalars import EXACT, FLOAT, Scalar, zero_threshold
+from .scalars import EXACT, FLOAT, Scalar, negligible
 
 CLUSTER_TOL = 1e-6
 # single-linkage radius escalation factor used when a cluster's kernel
@@ -97,13 +98,10 @@ class NilpotentInfo:
 def nilpotency_index(N, tol=DEFAULT_DEFECT_TOL):
     """NilpotentInfo for a nilpotent matrix, or None when N^dim != 0."""
     power = DenseOperator.identity(N.dim, N.mode)
-    prev = power
     for k in range(1, N.dim + 1):
-        prev = power
-        power = power @ N
-        if power.is_zero(zero_threshold(N.mode, tol, lambda: max(1.0, N.max_abs()) ** k, f"N^{k}")):
-            witness = _max_column_vector(prev)
-            return NilpotentInfo(index=k, witness=witness)
+        prev, power = power, power @ N
+        if negligible(power, N.mode, tol, lambda: max(1.0, N.max_abs()) ** k, f"N^{k}"):
+            return NilpotentInfo(index=k, witness=_max_column_vector(prev))
     return None
 
 
@@ -168,14 +166,14 @@ def from_numpy(arr):
 
 def _float_nullspace(arr, tol):
     """The conjugated kernel basis, unboxed: the rows of vh whose singular
-    value is within the tolerance, scaled by the largest |entry|."""
+    value is negligible within the tolerance, scaled by the largest |entry|."""
     if not np.isfinite(arr).all():
         raise PreconditionError("float overflow: a power of T - zI left float range")
-    thr = zero_threshold(FLOAT, max(tol, 1e-10), lambda: max(1.0, float(np.abs(arr).max())),
-                         "the kernel")
+    top = max(1.0, float(np.abs(arr).max()))
     _, s, vh = np.linalg.svd(arr)
     # trailing rows of vh span the kernel
-    return vh[s <= thr]
+    return vh[[negligible(x, FLOAT, max(tol, 1e-10), lambda: top, "the kernel")
+               for x in s.tolist()]]
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +239,11 @@ def _kernel_chain(M, tol):
     dimension, and _float_nullspace's unboxed vh rows of M^k.  A call runs
     it once per distinct cluster mean; exact chains are matrices'
     _row_space_walk."""
-    dim = len(M)
-    power = np.eye(dim)
-    kernels = []
-    for _ in range(dim):
+    power, kernels = M, [_float_nullspace(M, tol)]
+    for _ in range(len(M) - 1):
         power = power @ M
         kernels.append(_float_nullspace(power, tol))
-        if len(kernels) >= 2 and len(kernels[-1]) == len(kernels[-2]):
+        if len(kernels[-1]) == len(kernels[-2]):
             break
     final = len(kernels[-1])
     depth = next(k + 1 for k, ker in enumerate(kernels) if len(ker) == final)
@@ -365,12 +361,7 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
         spaces, warnings = _float_eigenspaces(T, tol)
     failures = []
     for sp in spaces:
-        a2 = sp.eigenvalue.abs2()
-        if T.mode == EXACT:
-            on_circle = a2 == Scalar.exact(1)
-        else:
-            on_circle = abs(sp.eigenvalue.modulus() - 1.0) <= tol
-        if not on_circle:
+        if not _on_circle(sp.eigenvalue, T.mode, tol):
             failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue)} is not unimodular")
             break
     if T.mode == EXACT:
@@ -379,7 +370,8 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
         # <u, v> for u in spaces[i].basis, v in spaces[j].basis, i < j
         cross = [vec_inner(u, v) for i, si in enumerate(spaces) for sj in spaces[i + 1:]
                  for u in si.basis for v in sj.basis]
-        orthogonal, gram = all(ip.is_zero(tol) for ip in cross), float_max_abs(cross, FLOAT)
+        orthogonal = all(negligible(ip, FLOAT, tol, lambda: 1.0, "<u, v>") for ip in cross)
+        gram = float_max_abs(cross, FLOAT)
     if not orthogonal:
         failures.append("generalized eigenspaces are not pairwise orthogonal")
     certified = not failures
@@ -440,8 +432,8 @@ def perturbation_analysis(A, N, tol=DEFAULT_DEFECT_TOL):
     if A.dim != N.dim or A.mode != N.mode:
         raise PreconditionError("operands must share dimension and mode")
     comm = A @ N - N @ A
-    if not comm.is_zero(zero_threshold(A.mode, tol, lambda: max(1.0, A.max_abs() * N.max_abs()),
-                                       "the commutator AN - NA")):
+    if not negligible(comm, A.mode, tol, lambda: max(1.0, A.max_abs() * N.max_abs()),
+                      "the commutator AN - NA"):
         raise PreconditionError("operators do not commute")
     ninfo = nilpotency_index(N, tol)
     if ninfo is None:
@@ -473,8 +465,8 @@ def _strictness_criterion(d, N, nu, tol):
     for c, value, norm in zip(polarization_pairs(dim),
                               _polarization_values(P.adjoint() @ d.matrix @ P),
                               _polarization_values(P.adjoint() @ P)):
-        if value > zero_threshold(mode, tol, lambda: max(d.float_scale * norm, 1.0),
-                                  "<beta w, w>"):
+        if not negligible(value, mode, tol, lambda: max(d.float_scale * norm, 1.0),
+                          "<beta w, w>"):
             return True, _polarization_vector(partial(basis_vector, dim, mode=mode), *c)
     return False, None
 
@@ -489,7 +481,7 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
     within tol times the largest ||T^i h||^2, i <= j, whatever the scale of h:
     the tests run on T^j h over the largest entry of h, whose squared norms
     do not underflow."""
-    if vec_is_zero(h, 0.0):
+    if vec_is_zero(h):
         raise PreconditionError("cyclic subspace of the zero vector")
     top = Scalar.flt(vec_max_abs(h)) if T.mode == FLOAT else None
     basis, probes, ortho = [], [], []   # ortho: orthogonalized probes, for the test only
@@ -499,9 +491,8 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
         for q in ortho:
             coeff = vec_inner(w, q) / vec_norm_sq(q)
             w = vec_sub(w, vec_scale(coeff, q))
-        thr = zero_threshold(T.mode, tol, lambda: max(vec_norm_sq(u).re for u in (*probes, p)),
-                             "the cyclic basis")
-        if vec_norm_sq(w).is_zero(thr):
+        if negligible(vec_norm_sq(w), T.mode, tol,
+                      lambda: max(vec_norm_sq(u).re for u in (*probes, p)), "the cyclic basis"):
             break
         basis.append(v)
         probes.append(p)
@@ -518,28 +509,29 @@ def _membership_check(T, h, z, tol):
         inside = any(map(vec_is_zero, islice(orbit(_shifted(T, z), h), 1, T.dim + 1)))
     else:
         M = (T - DenseOperator.identity(T.dim, T.mode).scale(z)).power(T.dim)
-        inside = vec_is_zero(M.apply(h), zero_threshold(
-            T.mode, tol, lambda: max(1.0, M.max_abs()) * max(1.0, vec_max_abs(h)),
-            "(T - zI)^dim h"))
+        inside = negligible(vec_max_abs(M.apply(h)), FLOAT, tol,
+                            lambda: max(1.0, M.max_abs()) * max(1.0, vec_max_abs(h)),
+                            "(T - zI)^dim h")
     if not inside:
         raise PreconditionError("vector is not in the claimed generalized eigenspace")
 
 
-def _unimodular_check(z, mode, tol):
+def _on_circle(z, mode, tol):
+    """|z| = 1 for a Scalar or numpy complex z: exactly in exact mode, where
+    a float z is off the circle, and within tol in float mode."""
     if mode == EXACT:
-        if z.abs2() != Scalar.exact(1):
-            raise PreconditionError("eigenvalue is not unimodular")
-    elif not abs(z.modulus() - 1.0) <= max(tol, 1e-8):
-        raise PreconditionError("eigenvalue is not unimodular")
+        return z.mode == EXACT and negligible(z.abs2().re - 1, EXACT, tol, None, "|z|^2 - 1")
+    size = abs((z.modulus() if isinstance(z, Scalar) else abs(z)) - 1.0)
+    return negligible(size, FLOAT, tol, lambda: 1.0, "|z| - 1")
 
 
 def _pair_preconditions(T, h1, h2, z1, z2, tol, window_len):
     """Checks shared by the orthogonality tests: z1 != z2 unimodular, h1 and
     h2 in their generalized eigenspaces.  Returns the window length, whether
     z1 = -z2, and the orbit-polynomiality test over that window."""
-    _unimodular_check(z1, T.mode, tol)
-    _unimodular_check(z2, T.mode, tol)
-    if (z1 - z2).is_zero(tol):
+    if not all(_on_circle(z, T.mode, max(tol, 1e-8)) for z in (z1, z2)):
+        raise PreconditionError("eigenvalue is not unimodular")
+    if negligible(z1 - z2, z1.mode, tol, lambda: 1.0, "z1 - z2"):
         raise PreconditionError("eigenvalues must be distinct")
     _membership_check(T, h1, z1, tol)
     _membership_check(T, h2, z2, tol)
@@ -553,7 +545,7 @@ def _pair_preconditions(T, h1, h2, z1, z2, tol, window_len):
         return verdict.polynomial and (verdict.zero_sequence
                                        or verdict.degree <= 2 * T.dim - 2)
 
-    return window_len, (z1 + z2).is_zero(tol), poly
+    return window_len, negligible(z1 + z2, z1.mode, tol, lambda: 1.0, "z1 + z2"), poly
 
 
 def _default_eps_pair(mode):
@@ -590,9 +582,9 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
     <beta_k h1, h2> for every n, so the samples (their real parts) all
     vanish iff the m forms <beta_k h1, h2> (their real parts) do, and every
     orbit norm is polynomial of degree m - 1 <= 2d - 2: the verdict is read
-    from the forms, a certificate in exact mode.  A float form is zero
-    within tol beta_k.float_scale ||h1|| ||h2||, and the diagnostics are
-    the largest |Re| and modulus of the forms.
+    from the forms, a certificate in exact mode.  A float form is
+    negligible within tol beta_k.float_scale ||h1|| ||h2||, and the
+    diagnostics are the largest |Re| and modulus of the forms.
 
     Otherwise (no strict order, a shorter window, a float walk beyond float
     range) the W samples are walked; the default 4d + 4 decide for every n.
@@ -603,8 +595,8 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
     the row Delta^(D+1) obeys a linear recurrence of order at most (2d - 2 -
     D) + 2(d - 1) = 4d - 4 - D, with roots 1, mu and conj mu, and the window
     leaves 4d + 3 - D samples in that row: if they vanish, it does.
-    In float mode sample n, <T^n h1, T^n h2>, is zero within tol (n + 1)
-    ||T^n h1|| ||T^n h2||, with the norms from the same walk: the sample
+    In float mode sample n, <T^n h1, T^n h2>, is negligible within tol (n +
+    1) ||T^n h1|| ||T^n h2||, with the norms from the same walk: the sample
     carries the rounding of n + 1 steps, each relative to the orbit norms,
     and the diagnostics are the largest |Re| and modulus of the samples."""
     mode = T.mode
@@ -616,7 +608,7 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
 
     certified = _defect_forms(T, h1, h2, window_len, tol)
     if certified is not None:
-        inners, thrs = certified
+        inners, zeros = certified
         main_poly, eps_polys = True, (True,) * len(eps_pair) if opposite else None
     else:
         main_poly = poly(vec_add(h1, h2))
@@ -624,11 +616,13 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
                      if opposite else None)
         inners, *norms = _orbit_windows(
             T, [(h1, h2)] + [(h, h) for h in (h1, h2) if mode == FLOAT], window_len)
-        thrs = [zero_threshold(mode, tol, lambda: (n + 1) * math.sqrt(norms[0][n].re)
-                               * math.sqrt(norms[1][n].re), f"inner product {n}")
-                for n in range(window_len)]
-    re_ok = all(abs(ip.re) <= thr for ip, thr in zip(inners, thrs))
-    full_ok = all(ip.is_zero(thr) for ip, thr in zip(inners, thrs))
+        zeros = [partial(negligible, mode=mode, tol=tol, what=f"inner product {n}",
+                         magnitude=lambda n=n: (n + 1) * math.sqrt(norms[0][n].re)
+                         * math.sqrt(norms[1][n].re))
+                 for n in range(window_len)]
+    # lists: every threshold is made, and one beyond float range raises
+    re_ok = all([zero(abs(ip.re)) for ip, zero in zip(inners, zeros)])
+    full_ok = all([zero(ip) for ip, zero in zip(inners, zeros)])
     diagnostics = {}
     if mode == FLOAT:
         diagnostics = {"max_re_inner": max(abs(ip.re) for ip in inners),
@@ -651,9 +645,10 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
 
 
 def _defect_forms(T, h1, h2, window_len, tol):
-    """The Scalars <beta_k h1, h2>, k < m, and their zero thresholds, or None
-    where ortho_test_generalized walks the window; a float form beyond
-    float range raises the float-overflow error."""
+    """The Scalars <beta_k h1, h2>, k < m, each with its zero test (negligible
+    bound to all but the value), or None where ortho_test_generalized walks
+    the window; a float form beyond float range raises the float-overflow
+    error."""
     try:
         verdict = strict_order(T, tol=tol)
     except PreconditionError:
@@ -663,13 +658,11 @@ def _defect_forms(T, h1, h2, window_len, tol):
     betas, mode = verdict.defects, T.mode
     (forms,) = _forms([b.matrix for b in betas], [h1], [h2])
     inners = [_scalar(re, im, den, mode) for ((den, re, im),) in forms]
-    if mode == EXACT:
-        return inners, [0] * len(betas)
-    if not all(math.isfinite(ip.modulus()) for ip in inners):
+    if mode == FLOAT and not all(math.isfinite(ip.modulus()) for ip in inners):
         raise PreconditionError("float overflow: a form <beta_k h1, h2> leaves float range")
-    norm = math.sqrt(vec_norm_sq(h1).re) * math.sqrt(vec_norm_sq(h2).re)
-    return inners, [zero_threshold(mode, tol, lambda: b.float_scale * norm,
-                                   f"<beta_{b.m} h1, h2>") for b in betas]
+    norm = cache(lambda: math.sqrt(vec_norm_sq(h1).re) * math.sqrt(vec_norm_sq(h2).re))
+    return inners, [partial(negligible, mode=mode, tol=tol, what=f"<beta_{b.m} h1, h2>",
+                            magnitude=lambda b=b: b.float_scale * norm()) for b in betas]
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +698,8 @@ def jordan_pair_equivalences(T, h1, h2, z1, z2, tol=DEFAULT_FLOAT_TOL,
     rng = random.Random(seed)
     c1 = cyclic_subspace(T, h1, tol)
     c2 = cyclic_subspace(T, h2, tol)
-    cond_i = all(vec_inner(u, v).is_zero(zero_threshold(
-        mode, tol, lambda: math.sqrt(vec_norm_sq(u).re) * math.sqrt(vec_norm_sq(v).re), "<u, v>"))
-        for u in c1 for v in c2)
+    cond_i = all(negligible(vec_inner(u, v), mode, tol, lambda: math.sqrt(vec_norm_sq(u).re)
+                            * math.sqrt(vec_norm_sq(v).re), "<u, v>") for u in c1 for v in c2)
 
     if opposite:
         eps_pair = _default_eps_pair(mode)
@@ -744,23 +736,15 @@ def jordan_pair_equivalences(T, h1, h2, z1, z2, tol=DEFAULT_FLOAT_TOL,
 
 
 def _random_combo(basis, rng, mode):
-    from fractions import Fraction
-
-    out = None
-    nonzero = False
-    for b in basis:
+    """A combination of basis with random coefficients, not all zero."""
+    while True:
         if mode == EXACT:
-            c = Scalar.exact(Fraction(rng.randint(-3, 3), rng.choice([1, 2])),
-                             Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
+            cs = [Scalar.exact(Fraction(rng.randint(-3, 3), rng.choice([1, 2])),
+                               Fraction(rng.randint(-3, 3), rng.choice([1, 2]))) for _ in basis]
         else:
-            c = Scalar.flt(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if not c.is_zero(0.0):
-            nonzero = True
-        term = vec_scale(c, b)
-        out = term if out is None else vec_add(out, term)
-    if not nonzero:
-        return _random_combo(basis, rng, mode)
-    return out
+            cs = [Scalar.flt(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in basis]
+        if not all(c.is_zero() for c in cs):
+            return reduce(vec_add, map(vec_scale, cs, basis))
 
 
 def _restricted_strict_order(T, spanning, tol):
@@ -770,10 +754,12 @@ def _restricted_strict_order(T, spanning, tol):
     That is the first m with <beta_m(T) u, v> = 0 for all u, v in spanning:
     a Hermitian form vanishes on a span iff it does on all spanning pairs.
     The forms are matrices._forms' values of vec_inner(beta_m.apply(u), v)."""
+    # an exact form's parts are integers, zero iff their sum of moduli is
+    size = math.hypot if T.mode == FLOAT else lambda re, im: abs(re) + abs(im)
+    top = cache(lambda: max(1.0, max(vec_max_abs(v) for v in spanning) ** 2))
     for d in islice(_defects(T), 1, 2 * len(spanning) + 2):
-        thr = zero_threshold(T.mode, d.threshold(tol), lambda: max(
-            1.0, max(vec_max_abs(v) for v in spanning) ** 2), f"<beta_{d.m} u, v>")
-        if all(not (re or im) if T.mode == EXACT else math.hypot(re, im) <= thr
+        thr, what = d.threshold(tol), f"<beta_{d.m} u, v>"
+        if all(negligible(size(re, im), T.mode, thr, top, what)
                for (row,) in _forms([d.matrix], spanning, spanning) for _, re, im in row):
             return d.m
     return None
@@ -793,12 +779,10 @@ class SpectrumCheck:
 def unimodular_spectrum_check(T, tol=DEFAULT_DEFECT_TOL, eigen_hints=None):
     """Necessary-condition filter: eigenvalue moduli vs. the unit circle."""
     if T.mode == EXACT:
-        spaces = _exact_eigenspaces(T, eigen_hints)
-        spectrum = tuple(sp.eigenvalue for sp in spaces)
-        on_circle = all(sp.eigenvalue.abs2() == Scalar.exact(1) for sp in spaces)
+        eigs = spectrum = tuple(sp.eigenvalue for sp in _exact_eigenspaces(T, eigen_hints))
     else:
         eigs = np.linalg.eigvals(to_numpy(T))
         spectrum = tuple(Scalar.flt(z.real, z.imag) for z in eigs)
-        on_circle = all(abs(abs(z) - 1.0) <= tol for z in eigs)
+    on_circle = all(_on_circle(z, T.mode, tol) for z in eigs)
     moduli = tuple(s.modulus() for s in spectrum)
     return SpectrumCheck(all_on_circle=on_circle, spectrum=spectrum, moduli=moduli)

@@ -211,7 +211,7 @@ def ref_detect_degree(gamma, tol=diffcalc.DEFAULT_FLOAT_TOL):
 
     def row_is_zero(depth):
         thr = scale * math.comb(depth, depth // 2)
-        return all(v.is_zero(thr) for v in rows[depth])
+        return all(v.is_zero() if v.mode == EXACT else v.modulus() <= thr for v in rows[depth])
 
     if row_is_zero(0):
         return DegreeVerdict(polynomial=True, degree=None, zero_sequence=True,

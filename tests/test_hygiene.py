@@ -54,6 +54,74 @@ def test_tol_arithmetic_is_seen_in_zero_threshold():
     assert tol_arithmetic(SRC / "scalars.py")
 
 
+def zero_decisions(source, exempt=()):
+    """Lines on which a module decides a zero by itself: an is_zero call with
+    an argument, a vec_is_zero call with a second one, or a comparison with a
+    name tol or thr as an operand.  The bodies of the functions named in
+    exempt are not read."""
+    def named(node, *names):
+        return (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names)
+
+    lines = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            return
+        if isinstance(node, ast.Call):
+            count = len(node.args) + len(node.keywords)
+            if (named(node.func, "is_zero") and count
+                    or named(node.func, "vec_is_zero") and count > 1):
+                lines.append(node.lineno)
+        if isinstance(node, ast.Compare) and any(named(x, "tol", "thr")
+                                                 for x in (node.left, *node.comparators)):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
+# every zero decision is scalars.negligible's, so that no call site compares
+# against a tolerance of its own; the cli only validates the --tol it reads
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "scalars.py"),
+                         ids=lambda p: p.name)
+def test_only_negligible_decides_zeros(path):
+    assert zero_decisions(path.read_text(), exempt={"_tolerance"}) == []
+
+
+def test_zero_decisions_are_seen():
+    source = ("def f(x, u, tol, thr):\n"
+              "    a = x.is_zero(tol) or x.is_zero()\n"
+              "    b = vec_is_zero(u, 0.0) or vec_is_zero(u)\n"
+              "    c = abs(x) <= thr or 0 < tol < 1 or x.re > tol\n"
+              "    return negligible(x, mode, tol, lambda: 1.0, 'x')\n"
+              "def _tolerance(tol):\n"
+              "    return 0 <= tol < 1\n")
+    assert zero_decisions(source, exempt={"_tolerance"}) == [2, 3, 4, 4, 4]
+    assert zero_decisions(source) == [2, 3, 4, 4, 4, 7]
+
+
+def zero_threshold_readers(sources):
+    """(module, function) for each function that reads the name
+    zero_threshold, in the modules sources maps by name; a function around
+    a reader reads it too."""
+    return sorted({(module, fn.name) for module, source in sources.items()
+                   for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)
+                   and any(isinstance(n, ast.Name) and n.id == "zero_threshold"
+                           for n in ast.walk(fn))})
+
+
+# a threshold that is not one zero decision: the window scale, the binomial
+# cross-check's slack, and beta_m's threshold for the witness search and the
+# restricted order's forms
+def test_zero_threshold_is_read_where_it_is_not_one_decision():
+    assert zero_threshold_readers({p.name: p.read_text() for p in SRC.glob("*.py")}) == [
+        ("diffcalc.py", "_check_binomial_form"), ("diffcalc.py", "_detect_degree"),
+        ("isometry.py", "threshold"), ("scalars.py", "negligible")]
+
+
 KERNELS = {"_complex", "_conj", "_dot", "_fbox", "_nonzeros", "_norms_sq", "_parts",
            "_scatter"}
 

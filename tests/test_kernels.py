@@ -47,7 +47,7 @@ from misolab.isometry import (
 from misolab.matrices import (_box, _defect_walk, _forms, _int_form, _orbit_windows,
                               _polarization_values, _polarization_vector, basis_vector,
                               float_max_abs, polarization_pairs, vec_max_abs)
-from misolab.scalars import EXACT, FLOAT, zero_threshold
+from misolab.scalars import EXACT, FLOAT, negligible, zero_threshold
 from misolab.spectral import _strictness_criterion
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
                             random_unitary)
@@ -495,7 +495,7 @@ class TestFloatKernels:
         # the kernels' moduli are within two ulps of Scalar.modulus
         hs = [s.modulus() for r in ab.rows for s in r]
         if all(not abs(h - tol) <= 4 * U * h for h in hs):
-            assert ab.is_zero(tol) == all(h <= tol for h in hs)
+            assert negligible(ab, FLOAT, tol, lambda: 1.0, "ab") == all(h <= tol for h in hs)
         largest, ref = ab.max_abs(), ref_largest(hs)
         assert math.isnan(largest) == math.isnan(ref)
         assert math.isnan(ref) or largest == ref or abs(largest - ref) <= 4 * U * ref
@@ -1405,7 +1405,7 @@ def ref_div(s, o):
     """The quotient by |o|^2 first, then both parts over it."""
     d = o.re * o.re + o.im * o.im
     if d == 0:
-        if s.mode == FLOAT and not o.is_zero(0.0):
+        if s.mode == FLOAT and not o.is_zero():
             k = max(abs(o.re), abs(o.im))
             return ref_div(Scalar(FLOAT, s.re / k, s.im / k), Scalar(FLOAT, o.re / k, o.im / k))
         raise ZeroDivisionError("division by zero scalar")
@@ -1491,7 +1491,7 @@ class TestFloatScalarKernels:
     @settings(max_examples=200, deadline=None)
     def test_division(self, s, o):
         d = o.re * o.re + o.im * o.im
-        if o.is_zero(0.0):
+        if o.is_zero():
             with pytest.raises(ZeroDivisionError):
                 s / o
         elif d == math.inf and math.isfinite(o.re) and math.isfinite(o.im):

@@ -12,6 +12,7 @@ from misolab import (
     FiniteVector,
     ModeMismatchError,
     Polynomial,
+    PreconditionError,
     Scalar,
     falling_factorial,
     vec_add,
@@ -20,7 +21,7 @@ from misolab import (
     vec_norm_sq,
     vec_scale,
 )
-from misolab.scalars import EXACT, FLOAT
+from misolab.scalars import EXACT, FLOAT, negligible
 
 exact_scalars = st.builds(
     lambda a, b, c, d: Scalar.exact(Fraction(a, c), Fraction(b, d)),
@@ -66,14 +67,71 @@ class TestScalar:
 
     def test_zero_tests(self):
         assert Scalar.exact(0, 0).is_zero()
-        assert not Scalar.exact(Fraction(1, 10**9)).is_zero(1.0)  # exact ignores tol
-        assert Scalar.flt(1e-12).is_zero(1e-9)
-        assert not Scalar.flt(1e-6).is_zero(1e-9)
+        # exact ignores tol
+        assert not negligible(Scalar.exact(Fraction(1, 10**9)), EXACT, 1.0, lambda: 1.0, "x")
+        assert negligible(Scalar.flt(1e-12), FLOAT, 1e-9, lambda: 1.0, "x")
+        assert not negligible(Scalar.flt(1e-6), FLOAT, 1e-9, lambda: 1.0, "x")
+        # is_zero is the exact test in both modes
+        assert Scalar.flt(0.0, -0.0).is_zero() and not Scalar.flt(5e-324).is_zero()
 
     @given(exact_scalars, exact_scalars)
     @settings(max_examples=40)
     def test_multiplication_commutes_exactly(self, a, b):
         assert a * b == b * a
+
+
+def no_magnitude():
+    raise AssertionError("exact mode called magnitude")
+
+
+float_sizes = st.floats(0.0, 1e300)
+
+
+class TestNegligible:
+    def test_exact_mode_calls_no_magnitude(self):
+        zero_op, one_op = DenseOperator.zeros(2, EXACT), DenseOperator.identity(2, EXACT)
+        for value, zero in [(0, True), (Fraction(0), True), (3, False), (Scalar.exact(0), True),
+                            (Scalar.exact(0, 1), False), (zero_op, True), (one_op, False)]:
+            assert negligible(value, EXACT, 0.5, no_magnitude, "x") is zero
+
+    def test_exact_sizes_never_go_through_float(self):
+        # float() of the first is 0.0, of the second an OverflowError
+        assert not negligible(Fraction(1, 10**400), EXACT, 1e-9, no_magnitude, "x")
+        assert not negligible(Fraction(10**400), EXACT, 1e-9, no_magnitude, "x")
+        assert not negligible(Scalar.exact(0, Fraction(1, 10**400)), EXACT, 1e-9, no_magnitude, "x")
+
+    def test_a_size_at_the_threshold_is_zero(self):
+        assert negligible(0.5, FLOAT, 0.25, lambda: 2.0, "x")
+        assert not negligible(math.nextafter(0.5, 1.0), FLOAT, 0.25, lambda: 2.0, "x")
+        assert negligible(0.0, FLOAT, 0.0, lambda: 1.0, "x")
+
+    def test_nan_is_never_zero(self):
+        nan_op = DenseOperator([[Scalar.flt(math.nan), Scalar.flt(0.0)],
+                                [Scalar.flt(0.0), Scalar.flt(0.0)]])
+        for value in (math.nan, Scalar.flt(0.0, math.nan), nan_op):
+            assert not negligible(value, FLOAT, 0.5, lambda: 1e300, "x")
+
+    @pytest.mark.parametrize("magnitude", [lambda: math.inf, lambda: 1e300 * 1e300,
+                                           lambda: 10**400, lambda: math.nan])
+    def test_threshold_beyond_float_range_raises(self, magnitude):
+        with pytest.raises(PreconditionError,
+                           match="float overflow: the zero threshold of beta_7 leaves float range"):
+            negligible(0.0, FLOAT, 1e-8, magnitude, "beta_7")
+
+    @given(st.lists(st.tuples(float_sizes, float_sizes), min_size=4, max_size=4),
+           st.floats(0.0, 1.0), float_sizes)
+    @settings(max_examples=100, deadline=None)
+    def test_scalars_and_operators_decide_by_their_size(self, parts, tol, magnitude):
+        entries = [Scalar.flt(re, im) for re, im in parts]
+        op = DenseOperator([entries[:2], entries[2:]])
+        thr = tol * magnitude
+        for s in entries:
+            decision = negligible(s, FLOAT, tol, lambda: magnitude, "x")
+            assert decision == negligible(s.modulus(), FLOAT, tol, lambda: magnitude, "x")
+            assert decision == (s.modulus() <= thr)
+        decision = negligible(op, FLOAT, tol, lambda: magnitude, "x")
+        assert decision == negligible(op.max_abs(), FLOAT, tol, lambda: magnitude, "x")
+        assert decision == (op.max_abs() <= thr)
 
 
 class TestFallingFactorial:

@@ -425,7 +425,7 @@ def ref_float_decompose(T, tol=1e-8):
                         for z, _, _ in spaces if abs(z.modulus() - 1.0) > tol][:1]
             cross = [vec_inner(u, v) for i, (_, bi, _) in enumerate(spaces)
                      for _, bj, _ in spaces[i + 1:] for u in bi for v in bj]
-            if not all(ip.is_zero(tol) for ip in cross):
+            if not all(ip.modulus() <= tol for ip in cross):
                 failures.append("generalized eigenspaces are not pairwise orthogonal")
             return (spaces, max((ip.modulus() for ip in cross), default=0.0), failures,
                     warnings)
