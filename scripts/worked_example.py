@@ -76,7 +76,7 @@ def main():
     print(f"  agrees with theory   : {res.agrees_with_theory}")
 
     banner("Five pairwise equivalences, all simultaneously false")
-    rep = jordan_pair_equivalences(T, h1, h2, I_, -I_, seed=0)
+    rep = jordan_pair_equivalences(T, h1, h2, I_, -I_)
     names = ("cross_gram_zero", "translate_orbits_polynomial",
              "one_sided_polynomial", "sampled_pairs_polynomial",
              "restriction_is_isometry")
@@ -99,7 +99,7 @@ def main():
           f"{dec.predicted_strict_order}, measured order {v.m}")
     h1 = vec_from_ints([0, 1, 0])
     h2 = vec_from_ints([0, 0, 1])
-    rep = jordan_pair_equivalences(S, h1, h2, I_, -I_, seed=0)
+    rep = jordan_pair_equivalences(S, h1, h2, I_, -I_)
     print(f"  equivalences on a cyclic pair: all true = {all(rep.conditions())}, "
           f"restricted order {rep.restricted_order}")
 

@@ -49,15 +49,15 @@ EXIT_SUITE = 4
 # Flag-value parsing
 # ---------------------------------------------------------------------------
 
-_EPS_ALIASES = {
+_UNIT_ALIASES = {
     "1": (1, 0), "-1": (-1, 0), "i": (0, 1), "-i": (0, -1), "+i": (0, 1),
 }
 
 
 def _parse_scalar_flag(text, mode):
     text = text.strip()
-    if text in _EPS_ALIASES:
-        re_, im_ = _EPS_ALIASES[text]
+    if text in _UNIT_ALIASES:
+        re_, im_ = _UNIT_ALIASES[text]
         return Scalar.exact(re_, im_) if mode == EXACT else Scalar.flt(re_, im_)
     if mode == EXACT:
         return parse_rational(text)
@@ -75,13 +75,6 @@ def _parse_vector_flag(text, mode, dim):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != dim:
         raise SpecFileError(f"vector {text!r} has {len(parts)} entries, operator needs {dim}")
-    return tuple(_parse_scalar_flag(p, mode) for p in parts)
-
-
-def _parse_eps_flag(text, mode):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise SpecFileError("--eps wants two comma-separated values, e.g. 1,i")
     return tuple(_parse_scalar_flag(p, mode) for p in parts)
 
 
@@ -247,11 +240,9 @@ def _cmd_ortho(args):
     h2 = _parse_vector_flag(args.h2, mode, T.dim)
     z1 = _parse_scalar_flag(args.z1, mode)
     z2 = _parse_scalar_flag(args.z2, mode)
-    eps = _parse_eps_flag(args.eps, mode) if args.eps else None
     window = args.window if args.window is not None else default_window_len(T.dim)
     report = _base_report("ortho", spec, {"tol": args.tol, "window": window})
-    res = ortho_test_generalized(T, h1, h2, z1, z2,
-                                 window_len=window, tol=args.tol, eps_pair=eps)
+    res = ortho_test_generalized(T, h1, h2, z1, z2, window_len=window, tol=args.tol)
     report["orthogonality"] = {
         "case": res.case,
         "orbit_polynomial": res.orbit_polynomial,
@@ -369,7 +360,6 @@ def _build_parser():
     p.add_argument("--h2", required=True)
     p.add_argument("--z1", required=True)
     p.add_argument("--z2", required=True)
-    p.add_argument("--eps", default=None, help="epsilon pair, e.g. 1,i or -1,-i")
     p.add_argument("--window", type=int, default=None)
     common(p, DEFAULT_FLOAT_TOL)
 

@@ -156,8 +156,8 @@ class DenseOperator:
     def power(self, k):
         if k < 0:
             raise ValueError("negative operator power")
-        out = DenseOperator.identity(self.dim, self.mode)
-        for _ in range(k):
+        out = self if k else DenseOperator.identity(self.dim, self.mode)
+        for _ in range(k - 1):
             out = out @ self
         return out
 

@@ -10,11 +10,10 @@ of scope); float mode computes the spectrum numerically and clusters it.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, partial, reduce
-from itertools import islice
+from functools import cache, partial
+from itertools import accumulate, islice, repeat
+from operator import matmul
 from typing import Optional
 
 from .diffcalc import DEFAULT_FLOAT_TOL, default_window_len, detect_degree
@@ -97,11 +96,11 @@ class NilpotentInfo:
 
 def nilpotency_index(N, tol=DEFAULT_DEFECT_TOL):
     """NilpotentInfo for a nilpotent matrix, or None when N^dim != 0."""
-    power = DenseOperator.identity(N.dim, N.mode)
-    for k in range(1, N.dim + 1):
-        prev, power = power, power @ N
+    prev = DenseOperator.identity(N.dim, N.mode)
+    for k, power in enumerate(accumulate(repeat(N, N.dim), matmul), 1):
         if negligible(power, N.mode, tol, lambda: max(1.0, N.max_abs()) ** k, f"N^{k}"):
             return NilpotentInfo(index=k, witness=_max_column_vector(prev))
+        prev = power
     return None
 
 
@@ -484,19 +483,20 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
     if vec_is_zero(h):
         raise PreconditionError("cyclic subspace of the zero vector")
     top = Scalar.flt(vec_max_abs(h)) if T.mode == FLOAT else None
-    basis, probes, ortho = [], [], []   # ortho: orthogonalized probes, for the test only
+    basis, ortho, largest = [], [], 0.0   # ortho: (orthogonalized probe, its squared norm)
     for v in islice(orbit(T, h), T.dim):
         p = v if top is None else tuple(a / top for a in v)
         w = p
-        for q in ortho:
-            coeff = vec_inner(w, q) / vec_norm_sq(q)
-            w = vec_sub(w, vec_scale(coeff, q))
-        if negligible(vec_norm_sq(w), T.mode, tol,
-                      lambda: max(vec_norm_sq(u).re for u in (*probes, p)), "the cyclic basis"):
+        for q, q_sq in ortho:
+            w = vec_sub(w, vec_scale(vec_inner(w, q) / q_sq, q))
+        if top is not None:   # float: the running maximum of the probes' squared norms
+            p_sq = vec_norm_sq(p).re
+            largest = max(largest, p_sq) if basis else p_sq
+        w_sq = vec_norm_sq(w)
+        if negligible(w_sq, T.mode, tol, lambda: largest, "the cyclic basis"):
             break
         basis.append(v)
-        probes.append(p)
-        ortho.append(w)
+        ortho.append((w, w_sq))
     return basis
 
 
@@ -548,23 +548,11 @@ def _pair_preconditions(T, h1, h2, z1, z2, tol, window_len):
     return window_len, negligible(z1 + z2, z1.mode, tol, lambda: 1.0, "z1 + z2"), poly
 
 
-def _default_eps_pair(mode):
-    return (Scalar.one(mode), Scalar.i_unit(mode))
-
-
-def _validate_eps_pair(pair, mode):
-    e1, e2 = pair
-    if e1 not in (Scalar.one(mode), -Scalar.one(mode)):
-        raise PreconditionError("first epsilon must be 1 or -1")
-    if e2 not in (Scalar.i_unit(mode), -Scalar.i_unit(mode)):
-        raise PreconditionError("second epsilon must be i or -i")
-
-
 @dataclass(frozen=True)
 class OrthoTestResult:
     case: str                       # "opposite" (z1 = -z2) or "generic"
     orbit_polynomial: bool          # ||T^n (h1+h2)||^2 polynomial in the window
-    eps_orbits_polynomial: Optional[tuple]
+    eps_orbits_polynomial: Optional[tuple]  # ||T^n (e h1 + h2)||^2 for e = 1, i (opposite case)
     re_inner_vanishes: bool
     mixed_inner_vanishes: bool
     re_only: bool
@@ -572,8 +560,7 @@ class OrthoTestResult:
     diagnostics: dict               # largest inner products (float mode; empty in exact)
 
 
-def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
-                           tol=DEFAULT_FLOAT_TOL, eps_pair=None):
+def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None, tol=DEFAULT_FLOAT_TOL):
     """Check of the orthogonality criteria for generalized eigenvectors at
     distinct unimodular eigenvalues.
 
@@ -591,28 +578,28 @@ def ortho_test_generalized(T, h1, h2, z1, z2, window_len=None,
     With (T - z_i)^nu_i h_i = 0, nu_1 + nu_2 <= d, T^n h_i is z_i^n times
     a vector polynomial of degree < nu_i, so ||T^n (h1 + h2)||^2 = p(n) +
     2 Re(mu^n q(n)), mu = z1 conj(z2) != 1, deg p <= 2d - 2 and deg q <=
-    d - 2 (and so for eps h1 + h2).  For a claimed degree D <= 2d - 2
+    d - 2 (and so for e h1 + h2).  For a claimed degree D <= 2d - 2
     the row Delta^(D+1) obeys a linear recurrence of order at most (2d - 2 -
     D) + 2(d - 1) = 4d - 4 - D, with roots 1, mu and conj mu, and the window
     leaves 4d + 3 - D samples in that row: if they vanish, it does.
     In float mode sample n, <T^n h1, T^n h2>, is negligible within tol (n +
     1) ||T^n h1|| ||T^n h2||, with the norms from the same walk: the sample
     carries the rounding of n + 1 steps, each relative to the orbit norms,
-    and the diagnostics are the largest |Re| and modulus of the samples."""
+    and the diagnostics are the largest |Re| and modulus of the samples.
+
+    In the opposite case the orbits of e h1 + h2 are tested for e = 1 and
+    e = i: the orbit norm is a Hermitian form, so the signs of e do not
+    change the verdict, and e = 1 is the orbit of h1 + h2."""
     mode = T.mode
     window_len, opposite, poly = _pair_preconditions(T, h1, h2, z1, z2, tol, window_len)
-    if eps_pair is None:
-        eps_pair = _default_eps_pair(mode)
-    else:
-        _validate_eps_pair(eps_pair, mode)
 
     certified = _defect_forms(T, h1, h2, window_len, tol)
     if certified is not None:
         inners, zeros = certified
-        main_poly, eps_polys = True, (True,) * len(eps_pair) if opposite else None
+        main_poly, eps_polys = True, (True, True) if opposite else None
     else:
         main_poly = poly(vec_add(h1, h2))
-        eps_polys = (tuple(poly(vec_add(vec_scale(e, h1), h2)) for e in eps_pair)
+        eps_polys = ((main_poly, poly(vec_add(vec_scale(Scalar.i_unit(mode), h1), h2)))
                      if opposite else None)
         inners, *norms = _orbit_windows(
             T, [(h1, h2)] + [(h, h) for h in (h1, h2) if mode == FLOAT], window_len)
@@ -674,7 +661,7 @@ class JordanPairReport:
     cross_gram_zero: bool            # (i)
     translate_orbits_polynomial: bool  # (ii)
     one_sided_polynomial: bool       # (iii)
-    sampled_pairs_polynomial: bool   # (iv)
+    sampled_pairs_polynomial: bool   # (iv): every pair, decided on the basis candidates
     restriction_is_isometry: bool    # (v)
     restricted_order: Optional[int]
     all_agree: bool
@@ -685,40 +672,34 @@ class JordanPairReport:
                 self.restriction_is_isometry)
 
 
-def jordan_pair_equivalences(T, h1, h2, z1, z2, tol=DEFAULT_FLOAT_TOL,
-                             seed=0, window_len=None):
+def jordan_pair_equivalences(T, h1, h2, z1, z2, tol=DEFAULT_FLOAT_TOL, window_len=None):
     """Evaluate the five equivalent orthogonality conditions for a pair of
     Jordan blocks at finite scale and check that they agree.
 
-    Condition (iv) is sampled on 16 random pairs rather than all of them;
-    sufficiency at test scale follows from polarization.  Condition (v)
-    reads <beta_m u, v> on the pairs of the two cyclic bases."""
+    Conditions (ii)-(iv) ask for a polynomial ||T^n (g1 + g2)||^2, g1 in
+    the cyclic span of h1 and g2 in that of h2.  On each span ||T^n g||^2
+    is polynomial at a unimodular z, so they turn on Re <T^n g1, T^n g2>,
+    real-linear in g1 and g2: the candidates u + v and i u + v, for u and v
+    in the two cyclic bases, decide it for every pair.  Each candidate is
+    walked once.  (ii) reads v = h2 (i u only in the opposite case), (iii)
+    v = h2 and (iv) every v; exact verdicts are certificates at window
+    scale.  Condition (v) reads <beta_m u, v> on the pairs of the two
+    cyclic bases."""
     mode = T.mode
     window_len, opposite, poly = _pair_preconditions(T, h1, h2, z1, z2, tol, window_len)
-    rng = random.Random(seed)
     c1 = cyclic_subspace(T, h1, tol)
     c2 = cyclic_subspace(T, h2, tol)
     cond_i = all(negligible(vec_inner(u, v), mode, tol, lambda: math.sqrt(vec_norm_sq(u).re)
                             * math.sqrt(vec_norm_sq(v).re), "<u, v>") for u in c1 for v in c2)
 
-    if opposite:
-        eps_pair = _default_eps_pair(mode)
-        cond_ii = all(
-            poly(vec_add(vec_scale(e, u), h2)) for e in eps_pair for u in c1
-        )
-    else:
-        cond_ii = all(poly(vec_add(u, h2)) for u in c1)
-
-    span_samples = list(c1) + [_random_combo(c1, rng, mode) for _ in range(4)]
-    cond_iii = all(poly(vec_add(g1, h2)) for g1 in span_samples)
-
-    cond_iv = True
-    for _ in range(16):
-        g1 = _random_combo(c1, rng, mode)
-        g2 = _random_combo(c2, rng, mode)
-        if not poly(vec_add(g1, g2)):
-            cond_iv = False
-            break
+    i_unit = Scalar.i_unit(mode)
+    # (j, e, k): the orbit of u_j + v_k (e = 0) or i u_j + v_k (e = 1); v_0 = h2
+    polys = {(j, e, k): poly(vec_add(g, v))
+             for j, u in enumerate(c1) for e, g in enumerate((u, vec_scale(i_unit, u)))
+             for k, v in enumerate(c2)}
+    cond_ii = all(polys[j, e, 0] for j in range(len(c1)) for e in ((0, 1) if opposite else (0,)))
+    cond_iii = all(polys[j, e, 0] for j in range(len(c1)) for e in (0, 1))
+    cond_iv = all(polys.values())
 
     order = _restricted_strict_order(T, c1 + c2, tol)
     cond_v = order is not None
@@ -733,18 +714,6 @@ def jordan_pair_equivalences(T, h1, h2, z1, z2, tol=DEFAULT_FLOAT_TOL,
         restricted_order=order,
         all_agree=len(set(conds)) == 1,
     )
-
-
-def _random_combo(basis, rng, mode):
-    """A combination of basis with random coefficients, not all zero."""
-    while True:
-        if mode == EXACT:
-            cs = [Scalar.exact(Fraction(rng.randint(-3, 3), rng.choice([1, 2])),
-                               Fraction(rng.randint(-3, 3), rng.choice([1, 2]))) for _ in basis]
-        else:
-            cs = [Scalar.flt(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in basis]
-        if not all(c.is_zero() for c in cs):
-            return reduce(vec_add, map(vec_scale, cs, basis))
 
 
 def _restricted_strict_order(T, spanning, tol):

@@ -483,7 +483,7 @@ def suite_float_robustness(seed=0):
     v9 = strict_order(T, m_max=9, tol=tol)
     rec.check((not v9.strict) and v9.m == 9,
               f"float example: got {v9.describe()}, want not-within-bound(9)")
-    report = jordan_pair_equivalences(T, h1, h2, i_f, -i_f, seed=seed)
+    report = jordan_pair_equivalences(T, h1, h2, i_f, -i_f)
     rec.check(report.all_agree and not any(report.conditions()),
               f"float example: equivalence conditions {report.conditions()}")
 

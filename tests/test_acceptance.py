@@ -62,7 +62,7 @@ def test_criterion_02_non_orthogonal_chain_example():
             ok = ok and vec_inner(p1[k], p2[l]) == -i_pow[k + l + 1]
     v = strict_order(T, m_max=9)
     ok = ok and (not v.strict) and v.m == 9
-    rep = jordan_pair_equivalences(T, h1, h2, I_, -I_, seed=SEED)
+    rep = jordan_pair_equivalences(T, h1, h2, I_, -I_)
     ok = ok and rep.all_agree and not any(rep.conditions())
     _report(2, ok,
             "constant orbit 3, inner products -i^(k+l+1), "

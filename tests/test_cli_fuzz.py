@@ -112,8 +112,6 @@ FLAG_INT = st.integers(-3, 40)
 SCALAR_TEXT = st.sampled_from(["1", "-1", "i", "-i", "+i", "0", "2", "1/2", "3/5+4/5i",
                                "-3/5-4/5i", "0+1i", "1e300", "x", ""])
 VECTOR_TEXT = st.lists(st.sampled_from(["0", "1"]) | SCALAR_TEXT, max_size=4).map(",".join)
-EPS_TEXT = (st.lists(SCALAR_TEXT, max_size=3).map(",".join)
-            | st.sampled_from(["1,i", "1,-i", "-1,i", "-1,-i"]))
 
 
 def flag(name, value):
@@ -141,7 +139,7 @@ def requests(draw):
         for name, values in (("h1", VECTOR_TEXT), ("h2", VECTOR_TEXT),
                              ("z1", SCALAR_TEXT), ("z2", SCALAR_TEXT)):
             flags += draw(values.flatmap(lambda v, name=name: flag(name, v)))
-        flags += draw(optional_flag("eps", EPS_TEXT)) + draw(optional_flag("window", FLAG_INT))
+        flags += draw(optional_flag("window", FLAG_INT))
     return command, docs, flags
 
 

@@ -139,16 +139,16 @@ def test_forms_are_read_in_matrices(name):
     assert imported_names(SRC / name) & KERNELS == set()
 
 
-def numpy_imports(path):
-    """Lines on which a module imports numpy: an import statement, or the
-    name "numpy" handed to the import system."""
+def module_imports(path, module):
+    """Lines on which a module imports the named module: an import
+    statement, or the name handed to the import system."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Import)
-                  and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+                  and any(alias.name.split(".")[0] == module for alias in node.names)
                   or isinstance(node, ast.ImportFrom) and node.level == 0
-                  and node.module.split(".")[0] == "numpy"
-                  or isinstance(node, ast.Constant) and node.value == "numpy")
+                  and node.module.split(".")[0] == module
+                  or isinstance(node, ast.Constant) and node.value == module)
 
 
 # matrices makes numpy load on first use; an import anywhere else would load
@@ -156,11 +156,23 @@ def numpy_imports(path):
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "matrices.py"),
                          ids=lambda p: p.name)
 def test_only_matrices_imports_numpy(path):
-    assert numpy_imports(path) == []
+    assert module_imports(path, "numpy") == []
 
 
 def test_numpy_import_is_seen_in_matrices():
-    assert numpy_imports(SRC / "matrices.py")
+    assert module_imports(SRC / "matrices.py", "numpy")
+
+
+# every verdict is decided on fixed candidates; only the seeded corpora of
+# the verification suites draw random numbers
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "suites.py"),
+                         ids=lambda p: p.name)
+def test_only_suites_imports_random(path):
+    assert module_imports(path, "random") == []
+
+
+def test_random_import_is_seen_in_suites():
+    assert module_imports(SRC / "suites.py", "random")
 
 
 def import_time_np_reads(source):
