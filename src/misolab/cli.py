@@ -211,7 +211,7 @@ def _cmd_shift(args):
     spec = load_spec_file(args.file)
     if not isinstance(spec.operator, WeightedShiftOperator):
         raise PreconditionError("shift command needs a shift spec")
-    body = spec.document["shift"]
+    body = spec.source["shift"]
     p = Polynomial([parse_entry(c, spec.mode) for c in body["polynomial"]],
                    mode=spec.mode)
     certified = newton_coefficients_nonnegative(p)

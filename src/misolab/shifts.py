@@ -167,7 +167,7 @@ def localization_shift(T, h, prefix_len=None):
     )
 
 
-def shift_is_m_isometry(W, m, tol=DEFAULT_FLOAT_TOL, window_len=None):
+def shift_is_m_isometry(W, m, tol=DEFAULT_FLOAT_TOL):
     """True iff Delta^m annihilates the orbit of e_j for j = 0, 1, 2.
 
     The orthogonal-basis reduction makes this equivalent to the definition
@@ -175,10 +175,7 @@ def shift_is_m_isometry(W, m, tol=DEFAULT_FLOAT_TOL, window_len=None):
     as the degenerate query (only the zero orbit passes it)."""
     if m < 0:
         raise PreconditionError("need m >= 0")
-    if window_len is None:
-        window_len = 2 * m + 6
-    if window_len + 2 > W.prefix_len:
-        window_len = W.prefix_len - 2
+    window_len = min(2 * m + 6, W.prefix_len - 2)
     if window_len < m + 2:
         raise PreconditionError("shift prefix too short for the requested order")
     for j in range(3):

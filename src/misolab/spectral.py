@@ -96,10 +96,19 @@ class NilpotentInfo:
 
 def nilpotency_index(N, tol=DEFAULT_DEFECT_TOL):
     """NilpotentInfo for a nilpotent matrix, or None when N^dim != 0."""
+    walk = _nilpotency_walk(N, tol)
+    if walk is None:
+        return None
+    return NilpotentInfo(index=walk[0], witness=_max_column_vector(walk[1]))
+
+
+def _nilpotency_walk(N, tol):
+    """(index, N^(index-1)) from the products N^2 = N N, N^3 = N^2 N, ...,
+    or None when N^dim != 0."""
     prev = DenseOperator.identity(N.dim, N.mode)
     for k, power in enumerate(accumulate(repeat(N, N.dim), matmul), 1):
         if negligible(power, N.mode, tol, lambda: max(1.0, N.max_abs()) ** k, f"N^{k}"):
-            return NilpotentInfo(index=k, witness=_max_column_vector(prev))
+            return k, prev
         prev = power
     return None
 
@@ -163,18 +172,6 @@ def from_numpy(arr):
     return DenseOperator([[Scalar.flt(z.real, z.imag) for z in row] for row in arr])
 
 
-def _float_nullspace(arr, tol):
-    """The conjugated kernel basis, unboxed: the rows of vh whose singular
-    value is negligible within the tolerance, scaled by the largest |entry|."""
-    if not np.isfinite(arr).all():
-        raise PreconditionError("float overflow: a power of T - zI left float range")
-    top = max(1.0, float(np.abs(arr).max()))
-    _, s, vh = np.linalg.svd(arr)
-    # trailing rows of vh span the kernel
-    return vh[[negligible(x, FLOAT, max(tol, 1e-10), lambda: top, "the kernel")
-               for x in s.tolist()]]
-
-
 # ---------------------------------------------------------------------------
 # Generalized eigenspaces
 # ---------------------------------------------------------------------------
@@ -231,22 +228,24 @@ def _exact_eigenspaces(T, hints):
 
 
 def _kernel_chain(M, tol):
-    """Float kernels of M, M^2, ... (M a complex array) until their
-    dimension stabilizes.
-
-    Returns (depth, basis): the smallest k whose kernel has the final
-    dimension, and _float_nullspace's unboxed vh rows of M^k.  A call runs
-    it once per distinct cluster mean; exact chains are matrices'
-    _row_space_walk."""
-    power, kernels = M, [_float_nullspace(M, tol)]
-    for _ in range(len(M) - 1):
-        power = power @ M
-        kernels.append(_float_nullspace(power, tol))
-        if len(kernels[-1]) == len(kernels[-2]):
+    """(depth, basis) for a complex array M: depth the smallest k >= 1 with
+    ker M^k = ker M^(k+1), and basis the unboxed rows of vh whose conjugates
+    span ker M^depth; a call runs it once per distinct cluster mean.  It is
+    matrices._row_space_walk in floats: R_(k+1) is the rows of vh, from one
+    SVD of R_k M, whose singular values are not negligible (scaled by the
+    largest |entry| of R_k M), and the other rows span ker M^(k+1)."""
+    rows, depth, basis = M, 0, M[:0]
+    while len(rows):
+        if not np.isfinite(rows).all():
+            raise PreconditionError("float overflow: the kernel walk of T - zI left float range")
+        top = max(1.0, float(np.abs(rows).max()))
+        _, s, vh = np.linalg.svd(rows)
+        live = np.array([not negligible(x, FLOAT, max(tol, 1e-10), lambda: top, "the kernel")
+                         for x in s.tolist()] + [False] * (len(vh) - len(s)))
+        if live.sum() == len(rows):
             break
-    final = len(kernels[-1])
-    depth = next(k + 1 for k, ker in enumerate(kernels) if len(ker) == final)
-    return depth, kernels[depth - 1]
+        rows, depth, basis = vh[live] @ M, depth + 1, vh[~live]
+    return max(depth, 1), basis
 
 
 def _float_eigenspaces(T, tol):
@@ -317,7 +316,7 @@ def _spaces_from_clusters(arr, clusters, tol, chains):
     dim = len(arr)
     found = []
     for members in clusters:
-        # a mean or a power that leaves float range is caught by _float_nullspace
+        # a mean or a walk step that leaves float range is caught by _kernel_chain
         with np.errstate(over="ignore", invalid="ignore"):
             z = complex(np.mean(members))   # mean cancels the Jordan scatter
             key = np.complex128(z).tobytes()     # bits: 0.0 and -0.0 differ
@@ -434,25 +433,25 @@ def perturbation_analysis(A, N, tol=DEFAULT_DEFECT_TOL):
     if not negligible(comm, A.mode, tol, lambda: max(1.0, A.max_abs() * N.max_abs()),
                       "the commutator AN - NA"):
         raise PreconditionError("operators do not commute")
-    ninfo = nilpotency_index(N, tol)
-    if ninfo is None:
+    walk = _nilpotency_walk(N, tol)
+    if walk is None:
         raise PreconditionError("perturbation is not nilpotent")
     order_a = strict_order(A, tol=tol)
     if not order_a.strict:
         raise PreconditionError(
             f"base operator is not an m-isometry within m <= {order_a.m}"
         )
-    m_a, nu = order_a.m, ninfo.index
+    m_a, (nu, P) = order_a.m, walk
     m_bound = m_a + 2 * (nu - 1)
     bound_verified = is_m_isometry(A + N, m_bound, tol)
-    strict, witness = _strictness_criterion(order_a.defects[-1], N, nu, tol)
+    strict, witness = _strictness_criterion(order_a.defects[-1], P, tol)
     return PerturbationResult(
         m_a=m_a, nu=nu, m_bound=m_bound,
         bound_verified=bound_verified, strict=strict, witness=witness,
     )
 
 
-def _strictness_criterion(d, N, nu, tol):
+def _strictness_criterion(d, P, tol):
     """The first polarization candidate f0 with <beta P f0, P f0> != 0, P =
     N^(nu-1), for the defect d of beta = beta_{m_a-1}(A), against d's float
     threshold scaled by ||P f0||^2.  The value is <(P* beta P) f0, f0>, a
@@ -460,7 +459,7 @@ def _strictness_criterion(d, N, nu, tol):
     ||P f0||^2 = <(P* P) f0, f0> come from matrices._polarization_values,
     and only the returned f0 is built; a float value or norm beyond float
     range raises the float-overflow error there."""
-    dim, mode, P = N.dim, N.mode, N.power(nu - 1)
+    dim, mode = P.dim, P.mode
     for c, value, norm in zip(polarization_pairs(dim),
                               _polarization_values(P.adjoint() @ d.matrix @ P),
                               _polarization_values(P.adjoint() @ P)):

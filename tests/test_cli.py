@@ -393,21 +393,34 @@ def test_float_ortho_threshold_follows_the_orbits(tmp_path):
 
 
 def test_float_kernel_chain_overflow_prints_one_line(tmp_path):
-    # (T - zI)^2 leaves float range; numpy's overflow warnings from the
-    # power reached stderr ahead of the error line.  A fresh interpreter
-    # shows warnings as a user sees them, which pytest's capture would hide.
+    # the eigenvalue 2e308 leaves float range, and with it T - zI; numpy's
+    # overflow warnings must not reach stderr ahead of the error line.  A
+    # fresh interpreter shows warnings as a user sees them, which pytest's
+    # capture would hide.
     path = write(tmp_path, "d.json", {"mode": "float",
-                                      "matrix": [[1e200, 1e200, 0], [0, 1e200, 1], [0, 0, 1]]})
+                                      "matrix": [[1e308, 1e308], [1e308, 1e308]]})
     proc = subprocess.run([sys.executable, "-m", "misolab.cli", "decompose", path],
                           capture_output=True, text=True, timeout=120,
                           env=fresh_interpreter_env(PYTHONWARNINGS="default"))
     assert proc.returncode == 3
-    assert proc.stderr == "error: float overflow: a power of T - zI left float range\n"
+    assert proc.stderr == "error: float overflow: the kernel walk of T - zI left float range\n"
+
+
+def test_float_kernel_chain_walks_past_huge_powers(tmp_path, capsys):
+    # (T - zI)^2 leaves float range, and deciding on its powers exited 3;
+    # the row walk never forms a power
+    path = write(tmp_path, "d.json", {"mode": "float",
+                                      "matrix": [[1e200, 1e200, 0], [0, 1e200, 1], [0, 0, 1]]})
+    out = tmp_path / "r.json"
+    assert main(["decompose", path, f"--output={out}"]) == 0
+    blocks = json.loads(out.read_text())["decomposition"]["blocks"]
+    assert [(b["eigenvalue"], b["dimension"], b["nilpotency_index"]) for b in blocks] == [
+        ([1.0, 0.0], 1, 1), ([1e200, 0.0], 2, 2)]
 
 
 def test_inseparable_float_clusters_are_3(tmp_path, capsys):
-    # a unitary conjugation of J_8(1) + (1.05): in (T - zI)^8 the 1.05
-    # direction is 0.05^8 ~ 4e-11, below the kernel tolerance, so no
+    # a unitary conjugation of J_8(1) + (1.05): T - 1.05 I has a singular
+    # value of about 0.05^8 ~ 4e-11, below the kernel tolerance, so no
     # clustering radius up to max |lambda| gives consistent eigenspaces
     T = np.diag([1.0] * 8 + [1.05]) + np.diag([1.0] * 7 + [0.0], 1)
     u = random_unitary(9, np.random.default_rng(0))

@@ -88,7 +88,8 @@ def dimension(doc):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=documents(), command=st.sampled_from(["order", "decompose"]))
-# float overflow in the kernel chain: LinAlgError from the SVD, now exit 3
+# float overflow in the kernel chain: LinAlgError from the SVD, then exit 3
+# on a power of T - zI; the row walk forms no power and exits 0
 @example(doc={"mode": "float", "jordan_blocks": [{"z": 0.0, "size": 2},
                                                  {"z": [0.0, -8.8e204], "size": 1}]},
          command="decompose")

@@ -666,7 +666,7 @@ def test_overflowing_forms_end_in_the_overflow_error(case):
     with pytest.raises(PreconditionError, match="float overflow"):
         _nonzero_form_witness(d, 0.0)
     with pytest.raises(PreconditionError, match="float overflow"):
-        _strictness_criterion(d, DenseOperator.identity(B.dim, FLOAT), 1, 0.0)
+        _strictness_criterion(d, DenseOperator.identity(B.dim, FLOAT), 0.0)
     verdict = isometry.OrderVerdict(strict=True, m=2, defects=(
         DefectOperator(m=0, matrix=DenseOperator.identity(B.dim, FLOAT)), d))
     for h in overflowing:

@@ -404,7 +404,10 @@ class TestGeneralizedEigenspaces:
 def ref_float_decompose(T, tol=1e-8):
     """algebraic_decompose in float mode without shared work: each clustering
     attempt walks every kernel chain from scratch, every kernel of every
-    power is boxed, and the cross-Gram is vec_inner per pair."""
+    step is boxed, and the cross-Gram is vec_inner per pair.  A chain walks
+    R_k M from R_0 M = M: the rows of vh above the threshold, the rank, are
+    the next R, the rows below it span ker M^(k+1), and the walk stops when
+    the rank stops falling."""
     arr, n = to_numpy(T), T.dim
     eigs = np.linalg.eigvals(arr)
     radius = CLUSTER_TOL * max(1.0, float(np.abs(eigs).max()))
@@ -416,21 +419,23 @@ def ref_float_decompose(T, tol=1e-8):
         for members in clusters:
             with np.errstate(over="ignore", invalid="ignore"):
                 z = complex(np.mean(members))
-                M, power, kernels = arr - z * np.eye(n), np.eye(n), []
-                for _ in range(n):
-                    power = power @ M
-                    if not np.isfinite(power).all():
+                M = arr - z * np.eye(n)
+                rows, kernels = M, [[]]
+                while len(rows):
+                    if not np.isfinite(rows).all():
                         raise PreconditionError("float overflow")
-                    _, sv, vh = np.linalg.svd(power)
-                    thr = max(tol, 1e-10) * max(1.0, float(np.abs(power).max()))
-                    kernels.append([tuple(Scalar.flt(x.real, x.imag) for x in vh[i].conj())
-                                    for i in range(n) if sv[i] <= thr])
-                    if len(kernels) >= 2 and len(kernels[-1]) == len(kernels[-2]):
+                    _, sv, vh = np.linalg.svd(rows)
+                    thr = max(tol, 1e-10) * max(1.0, float(np.abs(rows).max()))
+                    rank = sum(1 for x in sv if x > thr)
+                    if rank == len(rows):
                         break
-            depth = next(k + 1 for k, ker in enumerate(kernels) if len(ker) == len(kernels[-1]))
-            if len(kernels[depth - 1]) != len(members):
+                    kernels.append([tuple(Scalar.flt(x.real, x.imag) for x in vh[i].conj())
+                                    for i in range(rank, n)])
+                    rows = vh[:rank] @ M
+            depth = max(len(kernels) - 1, 1)
+            if len(kernels[-1]) != len(members):
                 break
-            spaces.append((Scalar.flt(z.real, z.imag), tuple(kernels[depth - 1]), depth))
+            spaces.append((Scalar.flt(z.real, z.imag), tuple(kernels[-1]), depth))
         else:
             warnings = [f"eigenvalue clustering escalated to radius {radius:.2e}"] if attempt else []
             if any(radius < g <= 10 * radius for g in _inter_cluster_gaps(clusters)):
@@ -547,6 +552,24 @@ class TestFloatClustering:
             return
         assert_matches_reference(algebraic_decompose(T), ref)
 
+    @pytest.mark.parametrize("sizes,seed", ESCALATING[:4])
+    def test_blocks_lie_in_the_conjugated_jordan_blocks(self, sizes, seed):
+        # whatever the algorithm: T = U J U*, so the block at z is U times
+        # the coordinate span of J's block at z
+        T = escalating_case(sizes, seed)
+        U = random_unitary(T.dim, np.random.default_rng(seed))
+        starts = np.cumsum([0] + [k for _, k in sizes])
+        dec = algebraic_decompose(T)
+        assert len(dec.blocks) == len(sizes)
+        for b in dec.blocks:
+            j = min(range(len(sizes)), key=lambda j: abs(
+                complex(b.eigenvalue.re, b.eigenvalue.im)
+                - complex(float(sizes[j][0].re), float(sizes[j][0].im))))
+            assert (b.dimension, b.chain_depth) == (sizes[j][1], sizes[j][1])
+            coords = U.conj().T @ np.array([[complex(x.re, x.im) for x in v] for v in b.basis]).T
+            outside = np.delete(coords, range(starts[j], starts[j + 1]), axis=0)
+            assert np.linalg.norm(outside, axis=0).max() <= 1e-12
+
     def test_benchmark_decompose_requests_match_the_reference(self):
         sys.path.insert(0, os.path.join(ROOT, "perfbench"))
         try:
@@ -576,8 +599,9 @@ class TestFloatClustering:
 
     @pytest.mark.parametrize("big", ["1.05", "1.01"])
     def test_inseparable_clusters_are_a_precondition(self, big):
-        # in (T - zI)^8 the direction at big is (big - 1)^8 <= 4e-11, below
-        # tol * max|entry|: no radius separates the two clusters
+        # T - big I has a singular value of about (big - 1)^k <= 4e-11 from
+        # the block at 1, below tol * max|entry|, so the kernel at big reads
+        # one dimension too many: no radius separates the two clusters
         T = escalating_case([(ONE, 8 if big == "1.05" else 6),
                              (Scalar.exact(Fraction(big)), 1)], 0)
         with pytest.raises(PreconditionError,
@@ -659,6 +683,16 @@ class TestPerturbation:
         A = DenseOperator.identity(2, EXACT)
         with pytest.raises(PreconditionError):
             perturbation_analysis(A, DenseOperator.identity(2, EXACT))
+
+    def test_strictness_reuses_the_nilpotency_walk(self, monkeypatch):
+        # N^(nu-1) comes from the walk that finds nu, not from N.power again
+        products, matmul = [], DenseOperator.__matmul__
+        monkeypatch.setattr(DenseOperator, "__matmul__",
+                            lambda a, b: products.append(None) or matmul(a, b))
+        res = perturbation_analysis(DenseOperator.identity(5, EXACT),
+                                    jordan_matrix(JordanSpec(Scalar.exact(0), 5)))
+        assert (res.nu, res.m_bound, res.strict) == (5, 9, True)
+        assert len(products) == 27
 
 
 class TestOrthoTest:
@@ -1057,7 +1091,7 @@ class TestLocalDefectTests:
             A, N = inst.base, inst.nilpotent
             m_a, nu = strict_order(A).m, nilpotency_index(N).index
             for m, d in enumerate(islice(_defects(A), m_a + 1), 1):
-                assert (_strictness_criterion(d, N, nu, 0.0)
+                assert (_strictness_criterion(d, N.power(nu - 1), 0.0)
                         == ref_strictness_criterion(A, N, m, nu))
 
     @given(jordan_pair_spans())
