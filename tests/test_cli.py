@@ -406,7 +406,7 @@ def test_float_kernel_chain_overflow_prints_one_line(tmp_path):
     assert proc.stderr == "error: float overflow: the kernel walk of T - zI left float range\n"
 
 
-def test_float_kernel_chain_walks_past_huge_powers(tmp_path, capsys):
+def test_float_kernel_chain_walks_past_huge_powers(tmp_path):
     # (T - zI)^2 leaves float range, and deciding on its powers exited 3;
     # the row walk never forms a power
     path = write(tmp_path, "d.json", {"mode": "float",
