@@ -11,8 +11,9 @@ verdicts made here; in float mode they are zero tests on <beta_j h, h>.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import add, mul
 from typing import Optional
 
@@ -77,8 +78,9 @@ class DifferenceTable:
 
     Row k is made from row k - 1 when a caller first reads it, and is
     cross-checked against the alternating binomial-sum form as it is made.
-    Rows are kept as plain real numbers: in exact mode integers over the
-    window's common denominator, in float mode the real parts of the samples.
+    Rows are kept as plain real numbers: in exact mode lists of integers
+    over the window's common denominator, in float mode float64 arrays of
+    the real parts, each difference the IEEE b - a of Python floats.
     """
 
     def __init__(self, gamma, depth):
@@ -89,10 +91,8 @@ class DifferenceTable:
         self._gamma, self.depth = gamma, depth
         if gamma.mode == EXACT:
             self._den, reals, _ = _int_form(gamma.values)
-            self._vals = reals
         else:
-            self._den, reals = 1, [v.re for v in gamma.values]
-            self._vals = np.array(reals)     # row 0 for the binomial check
+            self._den, reals = 1, np.array([v.re for v in gamma.values])
         self._plain = [reals]
         # the binomial check's slack scale; 0.0 for ints, which compare exactly
         self._scale = max(1.0, gamma.max_abs()) if gamma.mode == FLOAT else 0.0
@@ -102,17 +102,22 @@ class DifferenceTable:
         if k == 0:
             return self._gamma.values
         if self._gamma.mode == FLOAT:
-            return tuple(Scalar(FLOAT, x, 0.0) for x in self._plain_row(k))
+            return tuple(Scalar(FLOAT, x, 0.0) for x in self._plain_row(k).tolist())
         return tuple(_scalar(x, 0, self._den, EXACT) for x in self._plain_row(k))
 
     def _plain_row(self, k):
         if not 0 <= k <= self.depth:
             raise IndexError(f"difference row {k} outside 0..{self.depth}")
-        rows = self._plain
-        while len(rows) <= k:
-            row = [b - a for a, b in zip(rows[-1], rows[-1][1:])]
-            _check_binomial_form(self._vals, len(rows), row, self._scale)
-            rows.append(row)
+        rows, scale = self._plain, self._scale
+        # float rows and their checks overflow to inf and nan as Python floats
+        # do, with no RuntimeWarning; exact rows never load numpy
+        with np.errstate(all="ignore") if scale else nullcontext():
+            while len(rows) <= k:
+                prev = rows[-1]
+                row = (np.subtract(prev[1:], prev[:-1]) if scale
+                       else [b - a for a, b in zip(prev, prev[1:])])
+                _check_binomial_form(rows[0], len(rows), row, scale)
+                rows.append(row)
         return rows[k]
 
 
@@ -136,39 +141,46 @@ def difference_table(gamma, depth):
     return DifferenceTable(gamma, depth)
 
 
+def _binomial_coeffs(m):
+    """(-1)^(m-k) C(m, k) for k = 0..m, as ints."""
+    return [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
+
+
+@cache
+def _float_binomial_coeffs(m):
+    """_binomial_coeffs(m) as a float array, kept: a check reads it only for
+    m below about 1030, where its slack is within float range, so the arrays
+    kept take at most about 4 MB."""
+    return np.array(_binomial_coeffs(m), dtype=float)
+
+
 def _check_binomial_form(vals, m, row, scale):
     """row[n] = (Delta^m vals)_n must equal sum_k (-1)^(m-k) C(m,k) vals[n+k].
 
     The entries are ints or floats; float entries may differ by a slack
     that grows with the largest binomial coefficient, and scale is 0.0 for
-    ints, which are compared exactly.  Float sums are one numpy product of
-    the windows vals[n:n + m + 1] with the coefficients.  A float entry or
-    binomial sum beyond float range makes the two disagree; that is an
-    overflow, not a failed check, and raises PreconditionError."""
-    coeffs = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
+    ints, which are compared exactly.  Float sums are one np.correlate of
+    vals with the coefficients, run under the caller's np.errstate.  A float
+    entry or binomial sum beyond float range makes the two disagree; that is
+    an overflow, not a failed check, and raises PreconditionError."""
     what = f"the binomial check of difference row {m}"
     if not scale:
-        slack, sums = 0, [reduce(add, map(mul, coeffs, vals[n:n + m + 1]), 0)
-                          for n in range(len(row))]
+        coeffs = _binomial_coeffs(m)
+        sums = [reduce(add, map(mul, coeffs, vals[n:n + m + 1]), 0) for n in range(len(row))]
+        bad = None if sums == list(row) else next(
+            n for n, (acc, entry) in enumerate(zip(sums, row)) if acc != entry)
     else:
         slack = zero_threshold(FLOAT, 1e-12 * scale, lambda: math.comb(m, m // 2), what)
         slack = zero_threshold(FLOAT, slack, lambda: m + 1, what)
-        vals, row = np.asarray(vals, dtype=float), np.asarray(row, dtype=float)
-        # row n of windows is vals[n:n + m + 1], a view of vals
-        windows = np.ndarray((len(row), m + 1), float, vals, 0, vals.strides * 2)
-        with np.errstate(all="ignore"):
-            sums = windows @ np.array(coeffs, dtype=float)
-            if (abs(sums - row) <= slack).all():
-                return
-        sums, row = sums.tolist(), row.tolist()
-    for n, (acc, entry) in enumerate(zip(sums, row)):
-        if not abs(acc - entry) <= slack:
-            if scale and not (math.isfinite(acc) and math.isfinite(entry)):
-                raise PreconditionError(f"float overflow: difference row {m} or {what} "
-                                        "leaves float range")
-            raise InternalCheckError(
-                f"difference table row {m} entry {n} disagrees with binomial form"
-            )
+        sums = np.correlate(vals[:len(row) + m], _float_binomial_coeffs(m))
+        gaps = abs(sums - row)      # a nan gap is never within the slack
+        bad = None if gaps.max() <= slack else int((gaps <= slack).argmin())
+    if bad is None:
+        return
+    if scale and not (math.isfinite(sums[bad]) and math.isfinite(row[bad])):
+        raise PreconditionError(f"float overflow: difference row {m} or {what} "
+                                "leaves float range")
+    raise InternalCheckError(f"difference table row {m} entry {bad} disagrees with binomial form")
 
 
 def detect_degree(gamma, tol=DEFAULT_FLOAT_TOL):
@@ -185,13 +197,16 @@ def _detect_degree(gamma, tol):
     if gamma.window_len < 3:
         raise WindowTooShortError("degree detection needs at least 3 samples")
     table = difference_table(gamma, gamma.window_len - 1)
-    scale = zero_threshold(gamma.mode, tol, lambda: max(1.0, gamma.max_abs()), "the window")
+    # the window scale is the binomial check's, max(1, max |sample|)
+    scale = zero_threshold(gamma.mode, tol, lambda: table._scale, "the window")
     for k in range(gamma.window_len):
         # |x| is the modulus of a real entry, math.hypot(x, 0.0); the binomial
         # factor compensates the cancellation amplification of k-fold
         # differencing; ints are compared with 0, no float made
-        largest = max(map(abs, table._plain_row(k)))
-        residual = largest if gamma.mode == FLOAT else 0.0
+        if gamma.mode == FLOAT:
+            largest = residual = float(np.abs(table._plain_row(k)).max())
+        else:
+            largest, residual = max(map(abs, table._plain_row(k))), 0.0
         if negligible(largest, gamma.mode, scale, lambda: math.comb(k, k // 2),
                       f"difference row {k}"):
             return DegreeVerdict(polynomial=True, degree=k - 1 if k else None,

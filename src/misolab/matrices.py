@@ -42,10 +42,8 @@ class DenseOperator:
     __slots__ = ("dim", "mode", "_rows", "_parts_cache")
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = _square(tuple(tuple(r) for r in rows))
         dim = len(rows)
-        if dim == 0 or any(len(r) != dim for r in rows):
-            raise DimensionMismatchError("operator matrix must be square and nonempty")
         modes = {s.mode for r in rows for s in r}
         if len(modes) != 1:
             raise ModeMismatchError("all matrix entries must share one mode")
@@ -76,21 +74,23 @@ class DenseOperator:
 
     # -- constructors -------------------------------------------------
 
+    # the constructors make the kernel form (_from_parts), no Scalar
+
     @staticmethod
     def identity(dim, mode):
-        one, zero = Scalar.one(mode), Scalar.zero(mode)
-        return DenseOperator(
-            [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-        )
+        return DenseOperator.from_ints([[int(i == j) for j in range(dim)] for i in range(dim)],
+                                       mode)
 
     @staticmethod
     def zeros(dim, mode):
-        zero = Scalar.zero(mode)
-        return DenseOperator([[zero] * dim for _ in range(dim)])
+        return DenseOperator.from_ints([[0] * dim] * dim, mode)
 
     @staticmethod
     def from_ints(rows, mode=EXACT):
-        return DenseOperator([[Scalar.from_int(x, mode) for x in r] for r in rows])
+        rows = _square([list(r) for r in rows])
+        if mode == EXACT:
+            return DenseOperator._from_parts(EXACT, 1, [(r, [0] * len(r)) for r in rows])
+        return DenseOperator._from_parts(FLOAT, 1, np.array(rows, dtype=float).astype(complex))
 
     # -- algebra ------------------------------------------------------
 
@@ -186,9 +186,8 @@ class DenseOperator:
             den, form = _parts([s for r in self.rows for s in r], self.mode)
             # exact rows are (re, im) pairs of int lists; float parts are one
             # n x n complex array
-            cuts = [slice(i * n, (i + 1) * n) for i in range(n)]
-            self._parts_cache = den, ([(form[0][c], form[1][c]) for c in cuts]
-                                      if self.mode == EXACT else form.reshape(n, n))
+            self._parts_cache = den, (_rows_of(*form, n) if self.mode == EXACT
+                                      else form.reshape(n, n))
         return self._parts_cache
 
     # -- queries ------------------------------------------------------
@@ -246,10 +245,38 @@ class DenseOperator:
 def _int_form(scalars):
     """(den, re_nums, im_nums) with scalars[k] = (re_nums[k] + i im_nums[k]) / den,
     den the lcm of the denominators of all real and imaginary parts."""
-    re = [s.re.as_integer_ratio() for s in scalars]
-    im = [s.im.as_integer_ratio() for s in scalars]
+    return _over_lcm([s.re.as_integer_ratio() for s in scalars],
+                     [s.im.as_integer_ratio() for s in scalars])
+
+
+def _over_lcm(re, im):
+    """_int_form of the numbers re[k] + i im[k], given as (num, den) pairs in
+    lowest terms."""
     den = math.lcm(*{d for _, d in re}, *{d for _, d in im})
     return den, [n * (den // d) for n, d in re], [n * (den // d) for n, d in im]
+
+
+def _rows_of(re, im, n):
+    """The exact rows, (re, im) int list pairs, of n x n parts in row-major order."""
+    return [(re[i * n:(i + 1) * n], im[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def _entry_operator(parts, n, mode):
+    """The n x n operator of its entries' parts in row-major order, made in
+    the kernel form: in exact mode ((a, b), (c, d)) for a/b + i c/d, each
+    fraction in lowest terms, in float mode (re, im) floats, bit for bit."""
+    if mode == EXACT:
+        den, re, im = _over_lcm([z[0] for z in parts], [z[1] for z in parts])
+        return DenseOperator._from_parts(EXACT, den, _rows_of(re, im, n))
+    return DenseOperator._from_parts(
+        FLOAT, 1, np.array(parts, dtype=float).view(complex).reshape(n, n))
+
+
+def _square(rows):
+    """rows, checked to be a nonempty square grid."""
+    if not len(rows) or any(len(r) != len(rows) for r in rows):
+        raise DimensionMismatchError("operator matrix must be square and nonempty")
+    return rows
 
 
 def _parts(scalars, mode):
@@ -550,16 +577,19 @@ def direct_sum(*ops):
     mode = ops[0].mode
     if any(op.mode != mode for op in ops):
         raise ModeMismatchError("direct_sum mode mismatch")
-    dim = sum(op.dim for op in ops)
-    zero = Scalar.zero(mode)
-    rows = [[zero] * dim for _ in range(dim)]
-    off = 0
-    for op in ops:
-        for i in range(op.dim):
-            for j in range(op.dim):
-                rows[off + i][off + j] = op.rows[i][j]
-        off += op.dim
-    return DenseOperator(rows)
+    dim, parts = sum(op.dim for op in ops), [op._row_parts() for op in ops]
+    if mode == FLOAT:
+        form, off = np.zeros((dim, dim), dtype=complex), 0
+        for _, block in parts:
+            form[off:off + len(block), off:off + len(block)] = block
+            off += len(block)
+        return DenseOperator._from_parts(FLOAT, 1, form)
+    den, rows = math.lcm(*(d for d, _ in parts)), []
+    for d, block in parts:
+        k, left, right = den // d, [0] * len(rows), [0] * (dim - len(rows) - len(block))
+        rows += [(left + [x * k for x in re] + right, left + [y * k for y in im] + right)
+                 for re, im in block]
+    return DenseOperator._from_parts(EXACT, *_reduced(rows, den))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import SpecFileError
-from .matrices import DenseOperator, direct_sum
+from .matrices import _entry_operator, direct_sum
 from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, Scalar
 from .shifts import shift_from_polynomial
@@ -31,16 +31,37 @@ _RATIONAL_RE = re.compile(
 
 def parse_rational(text):
     """Parse the exact scalar grammar into an exact Scalar."""
+    return _boxed(_rational_parts(text), EXACT)
+
+
+def _rational_parts(text):
+    """The real and imaginary parts of the exact grammar, each a (num, den)
+    pair in lowest terms, read from the digits."""
     m = _RATIONAL_RE.match(text)
     if not m:
         raise SpecFileError(f"bad rational scalar {text!r}")
-    re_part = Fraction(m.group("re"))
-    im_part = Fraction(0)
-    if m.group("im") is not None:
-        im_part = Fraction(m.group("im"))
-        if m.group("sign") == "-":
-            im_part = -im_part
-    return Scalar.exact(re_part, im_part)
+    real = _ratio(m.group("re"), text)
+    if m.group("im") is None:
+        return real, (0, 1)
+    num, den = _ratio(m.group("im"), text)
+    return real, (-num if m.group("sign") == "-" else num, den)
+
+
+def _ratio(digits, text):
+    num, _, den = digits.partition("/")
+    num, den = int(num), int(den or 1)
+    if not den:
+        raise SpecFileError(f"zero denominator in rational scalar {text!r}")
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _boxed(parts, mode):
+    """The Scalar of an entry's parts (_entry_parts)."""
+    real, imag = parts
+    if mode == EXACT:
+        return Scalar(EXACT, Fraction(*real), Fraction(*imag))
+    return Scalar(FLOAT, real, imag)
 
 
 def format_rational(s):
@@ -64,18 +85,27 @@ def _is_int(value):
 
 
 def _is_number(value):
-    return _is_int(value) or isinstance(value, float)
+    return isinstance(value, float) or _is_int(value)
 
 
 def parse_entry(entry, mode):
     """One scalar entry: rational string, [re, im] pair, or bare number."""
-    if isinstance(entry, str):
+    return _boxed(_entry_parts(entry, mode), mode)
+
+
+def _entry_parts(entry, mode):
+    """The checked parts of one scalar entry: in exact mode _rational_parts,
+    in float mode two floats."""
+    if isinstance(entry, list):
+        if len(entry) != 2:
+            raise SpecFileError(f"bad scalar entry {entry!r}")
+    elif isinstance(entry, str):
         if mode != EXACT:
             raise SpecFileError("string rational entries require exact mode")
-        return parse_rational(entry)
-    if _is_number(entry):
+        return _rational_parts(entry)
+    elif _is_number(entry):
         entry = [entry, 0]
-    if not (isinstance(entry, list) and len(entry) == 2):
+    else:
         raise SpecFileError(f"bad scalar entry {entry!r}")
     re_part, im_part = entry
     if mode == EXACT:
@@ -84,7 +114,7 @@ def parse_entry(entry, mode):
                 "exact-mode numeric entries must be integers; use the "
                 "rational string grammar for fractions"
             )
-        return Scalar.exact(re_part, im_part)
+        return (re_part, 1), (im_part, 1)
     if not (_is_number(re_part) and _is_number(im_part)):
         raise SpecFileError(f"bad float entry {entry!r}")
     try:
@@ -93,7 +123,7 @@ def parse_entry(entry, mode):
         raise SpecFileError(f"float entry {entry!r} is beyond float range") from exc
     if not (math.isfinite(re_part) and math.isfinite(im_part)):
         raise SpecFileError(f"float entry {entry!r} is not finite")
-    return Scalar.flt(re_part, im_part)
+    return re_part, im_part
 
 
 def scalar_to_report(s):
@@ -140,7 +170,7 @@ def parse_operator_spec(doc):
                 for r in _json_list(doc["matrix"], '"matrix"')]
         if not rows or any(len(r) != len(rows) for r in rows):
             raise SpecFileError("matrix rows must form a nonempty square grid")
-        op = DenseOperator([[parse_entry(e, mode) for e in r] for r in rows])
+        op = _entry_operator([_entry_parts(e, mode) for r in rows for e in r], len(rows), mode)
     elif kind == "jordan_blocks":
         blocks = _json_list(doc["jordan_blocks"], '"jordan_blocks"')
         if not blocks:

@@ -40,6 +40,7 @@ from .matrices import (
     _scalar,
     _scalar_parts,
     _shifted,
+    _square,
     basis_vector,
     float_max_abs,
     np,
@@ -76,16 +77,18 @@ def jordan_matrix(spec):
     """Upper bidiagonal k x k matrix: z on the diagonal, 1 above it."""
     if spec.size < 1:
         raise PreconditionError("Jordan block size must be positive")
-    mode = spec.z.mode
-    zero, one = Scalar.zero(mode), Scalar.one(mode)
-    rows = []
-    for i in range(spec.size):
-        row = [zero] * spec.size
-        row[i] = spec.z
-        if i + 1 < spec.size:
-            row[i + 1] = one
-        rows.append(row)
-    return DenseOperator(rows)
+    k, mode = spec.size, spec.z.mode
+    den, (p, q) = _scalar_parts(spec.z, mode)
+    if mode == FLOAT:
+        form = np.eye(k, k, 1, dtype=complex)
+        np.fill_diagonal(form, complex(p, q))
+        return DenseOperator._from_parts(FLOAT, 1, form)
+    rows = [([0] * k, [0] * k) for _ in range(k)]
+    for i, (re, im) in enumerate(rows):
+        re[i], im[i] = p, q
+        if i + 1 < k:
+            re[i + 1] = den
+    return DenseOperator._from_parts(EXACT, den, rows)
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ def to_numpy(T):
 
 
 def from_numpy(arr):
-    return DenseOperator([[Scalar.flt(z.real, z.imag) for z in row] for row in arr])
+    return DenseOperator._from_parts(FLOAT, 1, _square(np.array(arr, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,31 @@ class TestSpecRejection:
         assert message in capsys.readouterr().err
 
 
+# the grammar's denominators are positive: a zero one ended in a
+# ZeroDivisionError traceback, exit 1, on every path that reads a rational
+@pytest.mark.parametrize("doc,flags", [
+    pytest.param({"mode": "exact", "matrix": [["1", "0"], ["0", "1/0"]]}, None,
+                 id="matrix-entry"),
+    pytest.param({"mode": "exact", "jordan_blocks": [{"z": "0+1/0i", "size": 2}]}, None,
+                 id="jordan-z"),
+    pytest.param({"mode": "exact", "shift": {"polynomial": ["1", "-3/0"]}}, None,
+                 id="shift-polynomial"),
+    pytest.param({**EXAMPLE_DOC, "eigen_hints": ["0+1i", "1/0"]}, None, id="eigen-hints"),
+    pytest.param(EXAMPLE_DOC, {"--z2": "0-1/0i"}, id="ortho-z"),
+    pytest.param(EXAMPLE_DOC, {"--h1": "1/0,0"}, id="ortho-h"),
+])
+def test_zero_denominator_is_2(tmp_path, capsys, doc, flags):
+    path = write(tmp_path, "z.json", doc)
+    argv = ["order", path]
+    if flags is not None:
+        flags = {"--h1": "1,0", "--h2": "0+1i,1", "--z1": "i", "--z2": "-i", **flags}
+        argv = ["ortho", path, *(f"{k}={v}" for k, v in flags.items())]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: zero denominator in rational scalar ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["order", "decompose"])
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "1", "1e300"])
 def test_tol_that_breaks_zero_tests_is_2(tmp_path, capsys, command, tol):

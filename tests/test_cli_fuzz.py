@@ -27,7 +27,8 @@ JSON = st.recursive(
 FLOAT = st.floats(allow_nan=False, allow_infinity=False) | SMALL_INT
 ENTRY = {
     "exact": st.sampled_from(["0", "1", "-1", "2", "0+1i", "0-1i", "1/2", "3/5+4/5i",
-                              "-3/5+4/5i", "1+1i", "10000000000"]) | SMALL_INT,
+                              "-3/5+4/5i", "1+1i", "10000000000", "1/0", "0+1/0i"])
+    | SMALL_INT,
     "float": FLOAT | st.lists(FLOAT, min_size=2, max_size=2),
 }
 

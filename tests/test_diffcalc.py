@@ -250,7 +250,8 @@ def poly_values(coeffs, length, offset=0):
     return [offset + sum(c * n ** j for j, c in enumerate(coeffs)) for n in range(length)]
 
 
-lengths = st.integers(3, 14)
+# short windows, and those of the survey on dims 6 and 12 (default_window_len)
+lengths = st.one_of(st.integers(3, 14), st.sampled_from([28, 52]))
 # Large, coprime and mixed denominators, plus exact zeros.
 fractions = st.one_of(
     st.just(Fraction(0)),
@@ -335,3 +336,26 @@ class TestRowsAreMadeOnFirstRead:
         table.row(2)
         table.row(4)
         assert checked == [1, 2, 1, 2, 3, 4]
+
+    def test_float_detect_degree_stops_at_the_first_vanishing_row(self, monkeypatch):
+        checked = []
+        check = diffcalc._check_binomial_form
+
+        def recording(vals, m, row, scale):
+            checked.append(m)
+            check(vals, m, row, scale)
+
+        monkeypatch.setattr(diffcalc, "_check_binomial_form", recording)
+        gamma = OrbitSequence.from_reals([0.5 * n ** 3 - n + 0.25 for n in range(28)], FLOAT)
+        assert detect_degree(gamma).degree == 3
+        assert checked == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("values,m", [([1e308, -1e308, 1e308], 1),
+                                      ([(-1) ** n * 1e301 for n in range(28)], 25)])
+def test_float_rows_beyond_float_range_raise(values, m):
+    gamma = OrbitSequence.from_reals(values, FLOAT)
+    with pytest.raises(PreconditionError) as exc:
+        detect_degree(gamma)
+    assert str(exc.value) == (f"float overflow: difference row {m} or the binomial check "
+                              f"of difference row {m} leaves float range")

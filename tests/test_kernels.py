@@ -1,6 +1,7 @@
 """The kernels against the Scalar loops in both modes, and the internal
 cross-checks that guard them."""
 
+import json
 import math
 from fractions import Fraction
 from functools import reduce
@@ -48,7 +49,8 @@ from misolab.matrices import (_box, _defect_walk, _forms, _int_form, _orbit_wind
                               _polarization_values, _polarization_vector, basis_vector,
                               float_max_abs, polarization_pairs, vec_max_abs)
 from misolab.scalars import EXACT, FLOAT, negligible, zero_threshold
-from misolab.spectral import _strictness_criterion
+from misolab.specio import load_spec_file, parse_entry, parse_operator_spec
+from misolab.spectral import _strictness_criterion, from_numpy
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
                             random_unitary)
 
@@ -698,11 +700,9 @@ def test_a_nan_modulus_is_seen_wherever_it_sits(row):
     assert math.isnan(float_max_abs(v, FLOAT))
 
 
-def test_strict_order_takes_each_operator_apart_once(monkeypatch):
-    """strict_order takes apart only the operators its walk starts from, T
-    and the identity (built from Scalars), each once, in either mode: T*,
-    the Gram operators, the products T* G_k and every beta_m are made from
-    parts, so no product or beta entry becomes a Scalar."""
+def record_kernel_reads(monkeypatch):
+    """(converted, boxed): the Scalar lists that matrices._parts takes apart,
+    and the arguments of each Scalar that matrices._scalar or _box makes."""
     converted, boxed = [], []
     real_parts, real_scalar, real_box = matrices._parts, matrices._scalar, matrices._box
 
@@ -721,16 +721,136 @@ def test_strict_order_takes_each_operator_apart_once(monkeypatch):
     monkeypatch.setattr(matrices, "_parts", counting)
     monkeypatch.setattr(matrices, "_scalar", scalar)
     monkeypatch.setattr(matrices, "_box", box)
+    return converted, boxed
+
+
+def test_strict_order_takes_each_operator_apart_once(monkeypatch):
+    """strict_order takes apart only a T built from Scalars, once, in either
+    mode: an operator of the kernel-form constructors (jordan_matrix here),
+    and the identity the walk starts from, are taken apart zero times; T*,
+    the Gram operators, the products T* G_k and every beta_m are made from
+    parts, so no product or beta entry becomes a Scalar."""
+    converted, boxed = record_kernel_reads(monkeypatch)
     for mode in (EXACT, FLOAT):
-        T = jordan_matrix(JordanSpec(z=Scalar.one(mode), size=4))
-        identity = DenseOperator.identity(4, mode)
-        converted.clear()
-        assert strict_order(T).describe() == "strict-order(7)"
-        assert boxed == []
-        entries = [[s for r in op.rows for s in r] for op in (T, identity)]
-        assert len(converted) == 2
-        assert [s is t for s, t in zip(converted[0], entries[0])] == [True] * 16
-        assert converted[1] == entries[1]
+        built = jordan_matrix(JordanSpec(z=Scalar.one(mode), size=4))
+        from_scalars = DenseOperator(built.rows)
+        for T, times in ((built, 0), (from_scalars, 1)):
+            converted.clear()
+            boxed.clear()
+            assert strict_order(T).describe() == "strict-order(7)"
+            assert boxed == []
+            assert len(converted) == times
+        entries = [s for r in from_scalars.rows for s in r]
+        assert [s is t for s, t in zip(converted[0], entries)] == [True] * 16
+
+
+def parts_bits(s):
+    """A Scalar's parts; float parts by float.hex, signed zeros included."""
+    return (s.re, s.im) if s.mode == EXACT else (s.re.hex(), s.im.hex())
+
+
+def assert_same_operator(got, want):
+    """got, made in the kernel form, and want, a DenseOperator of Scalars,
+    have the same Scalar rows and the same _row_parts(): den, and a form of
+    ints or complex128 of the same bits."""
+    assert (got.mode, got.dim) == (want.mode, want.dim)
+    assert [list(map(parts_bits, r)) for r in got.rows] == \
+        [list(map(parts_bits, r)) for r in want.rows]
+    (got_den, got_form), (want_den, want_form) = got._row_parts(), want._row_parts()
+    assert got_den == want_den
+    if got.mode == FLOAT:
+        assert got_form.dtype == want_form.dtype == complex
+        assert got_form.tobytes() == want_form.tobytes()
+    else:
+        assert {type(x) for re, im in got_form for x in (*re, *im)} == {int}
+        assert [(list(re), list(im)) for re, im in got_form] == \
+            [(list(re), list(im)) for re, im in want_form]
+
+
+def scalar_rows(ints, mode):
+    return DenseOperator([[Scalar.from_int(x, mode) for x in r] for r in ints])
+
+
+def scalar_jordan(z, k):
+    zero, one = Scalar.zero(z.mode), Scalar.one(z.mode)
+    return DenseOperator([[z if j == i else one if j == i + 1 else zero for j in range(k)]
+                          for i in range(k)])
+
+
+def scalar_direct_sum(*ops):
+    dim, mode = sum(op.dim for op in ops), ops[0].mode
+    rows, off = [[Scalar.zero(mode)] * dim for _ in range(dim)], 0
+    for op in ops:
+        for i, r in enumerate(op.rows):
+            rows[off + i][off:off + op.dim] = r
+        off += op.dim
+    return DenseOperator(rows)
+
+
+JORDAN_Z = {EXACT: [Scalar.exact(Fraction(3, 5), Fraction(-4, 5)), Scalar.exact(Fraction(2, 4)),
+                    Scalar.exact(0)],
+            FLOAT: [Scalar.flt(-0.0, -0.0), Scalar.flt(0.6, 0.8), Scalar.flt(1.0, -0.0)]}
+
+
+class TestKernelFormConstructors:
+    """The constructors make the kernel form the Scalar rows would give."""
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_identity_zeros_and_from_ints(self, mode):
+        for n in (1, 3):
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert_same_operator(DenseOperator.identity(n, mode), scalar_rows(eye, mode))
+            assert_same_operator(DenseOperator.zeros(n, mode), scalar_rows([[0] * n] * n, mode))
+        ints = [[2, -3, 0], [0, 10 ** 12, 1], [-1, 0, 7]]
+        assert_same_operator(DenseOperator.from_ints(ints, mode), scalar_rows(ints, mode))
+        with pytest.raises(DimensionMismatchError):
+            DenseOperator.from_ints([[1, 2]], mode)
+        with pytest.raises(DimensionMismatchError):
+            DenseOperator.identity(0, mode)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_jordan_matrix_and_direct_sum(self, mode):
+        blocks = [(jordan_matrix(JordanSpec(z, k)), scalar_jordan(z, k))
+                  for z, k in zip(JORDAN_Z[mode], (3, 1, 2))]
+        for got, want in blocks:
+            assert_same_operator(got, want)
+        # blocks of the kernel form, of Scalars, and, in exact mode, over a
+        # den that is not the least: 1/2 and i over 4
+        over_four = (DenseOperator._from_parts(EXACT, 4, [([2, 0], [0, 4]), ([0, 0], [0, 0])])
+                     if mode == EXACT else blocks[2][0])
+        mixed = [blocks[0][0], blocks[1][1], over_four]
+        assert_same_operator(direct_sum(*mixed),
+                             scalar_direct_sum(*(DenseOperator(b.rows) for b in mixed)))
+
+    def test_from_numpy(self):
+        arr = np.array([[1 + 2j, complex(-0.0, 0.0)], [complex(0.0, -0.0), -3.5]])
+        want = DenseOperator([[Scalar.flt(z.real, z.imag) for z in r] for r in arr])
+        assert_same_operator(from_numpy(arr), want)
+        assert_same_operator(from_numpy(arr.real), DenseOperator(
+            [[Scalar.flt(x) for x in r] for r in arr.real]))
+        with pytest.raises(DimensionMismatchError):
+            from_numpy(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("mode,matrix", [
+        (EXACT, [[3, [1, -2], "2/4"], ["-0", "-3/5+4/5i", "10/3-7/6i"], [[0, 0], "0-1/2i", 1]]),
+        (FLOAT, [[1, [1, 0], -0.0], [[0.0, -0.0], 2.5e-300, [-1e300, 3]], [0, [1.5, -2], 7]]),
+    ])
+    def test_matrix_specs(self, mode, matrix):
+        got = parse_operator_spec({"mode": mode, "matrix": matrix}).operator
+        want = DenseOperator([[parse_entry(e, mode) for e in r] for r in matrix])
+        assert_same_operator(got, want)
+
+    @pytest.mark.parametrize("mode,matrix", [
+        (EXACT, [["1", "1", 0], [0, "1", "1"], [0, 0, "1"]]),
+        (FLOAT, [[1, 1, 0], [0, 1, 1], [0, 0, [1, 0]]]),
+    ])
+    def test_a_loaded_spec_is_never_taken_apart(self, tmp_path, monkeypatch, mode, matrix):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"mode": mode, "matrix": matrix}))
+        converted, boxed = record_kernel_reads(monkeypatch)
+        T = load_spec_file(str(path)).operator
+        assert strict_order(T).describe() == "strict-order(5)"
+        assert (converted, boxed) == ([], [])
 
 
 def kernel_window(T, u, v, n):
