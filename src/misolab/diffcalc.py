@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import cache, reduce
 from operator import add, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     InternalCheckError,
@@ -121,8 +120,7 @@ class DifferenceTable:
         return rows[k]
 
 
-@dataclass(frozen=True)
-class DegreeVerdict:
+class DegreeVerdict(NamedTuple):
     polynomial: bool
     degree: Optional[int]     # None when not polynomial, or for the zero sequence
     zero_sequence: bool = False

@@ -11,11 +11,10 @@ scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import islice
 from operator import add
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diffcalc import DegreeVerdict, OrbitSequence, default_window_len, detect_degree
 from .errors import (
@@ -46,8 +45,7 @@ from .scalars import EXACT, FLOAT, Scalar, falling_factorial, negligible, zero_t
 DEFAULT_DEFECT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class DefectOperator:
+class DefectOperator(NamedTuple):
     m: int
     matrix: DenseOperator
     float_scale: float = 1.0   # the walk's running scale (float mode only)
@@ -56,14 +54,13 @@ class DefectOperator:
         return zero_threshold(self.matrix.mode, tol, lambda: self.float_scale, f"beta_{self.m}")
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
+class OrderVerdict(NamedTuple):
     strict: bool                      # True: StrictOrder(m); False: NotWithinBound(m_max)
     m: int                            # the order, or the exhausted bound
     witness: Optional[tuple] = None   # h with <beta_{m-1} h, h> != 0, for m >= 2
     residual: float = 0.0             # max |beta_m| entry (float diagnostics)
     # the walked beta_0 .. beta_{m-1} (.. beta_{m_max} if not strict)
-    defects: tuple = field(default=(), compare=False, repr=False)
+    defects: tuple = ()
 
     def describe(self):
         if self.strict:
@@ -284,8 +281,7 @@ def _vec_mode(v):
     return v[0].mode
 
 
-@dataclass(frozen=True)
-class SurveyResult:
+class SurveyResult(NamedTuple):
     per_vector: tuple                     # DegreeVerdict per surveyed vector
     global_verdict: Optional[OrderVerdict]
     order_lower_bound: int

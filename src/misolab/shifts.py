@@ -10,10 +10,10 @@ squared weight happens to be a rational square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 from .diffcalc import DEFAULT_FLOAT_TOL, OrbitSequence, default_window_len, detect_degree
 from .errors import PreconditionError
@@ -95,8 +95,7 @@ def _rational_sqrt(q):
     return None
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
+class ShiftSpec(NamedTuple):
     generator: Polynomial
     prefix_len: int
     positivity_certified: bool   # True when the Newton-basis sufficient condition holds

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+import sys
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from .errors import SpecFileError
 from .matrices import _entry_operator, direct_sum
@@ -25,7 +24,7 @@ from .shifts import shift_from_polynomial
 from .spectral import JordanSpec, jordan_matrix
 
 _RATIONAL_RE = re.compile(
-    r"^(?P<re>-?\d+(?:/\d+)?)(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)i)?$"
+    r"^(?P<re>-?[0-9]+(?:/[0-9]+)?)(?:(?P<sign>[+-])(?P<im>[0-9]+(?:/[0-9]+)?)i)?$"
 )
 
 
@@ -49,7 +48,12 @@ def _rational_parts(text):
 
 def _ratio(digits, text):
     num, _, den = digits.partition("/")
-    num, den = int(num), int(den or 1)
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:   # the grammar admits only ASCII digits: this is the length limit
+        raise SpecFileError(
+            f"rational scalar has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit for reading one") from exc
     if not den:
         raise SpecFileError(f"zero denominator in rational scalar {text!r}")
     g = math.gcd(num, den)
@@ -133,13 +137,16 @@ def scalar_to_report(s):
     return [float(s.re), float(s.im)]
 
 
-@dataclass(frozen=True)
 class OperatorSpec:
-    mode: str
-    kind: str                   # "matrix" | "jordan_blocks" | "shift"
-    operator: object            # DenseOperator or WeightedShiftOperator
-    eigen_hints: Optional[tuple]
-    source: dict = field(repr=False, compare=False)     # the JSON document parsed
+    """A parsed spec file.  A plain class, not a record: `document` is a
+    cached_property, which needs an instance dict."""
+
+    def __init__(self, mode, kind, operator, eigen_hints, source):
+        self.mode = mode
+        self.kind = kind                # "matrix" | "jordan_blocks" | "shift"
+        self.operator = operator        # DenseOperator or WeightedShiftOperator
+        self.eigen_hints = eigen_hints  # tuple of Scalars, or None
+        self.source = source            # the JSON document parsed
 
     @cached_property
     def document(self):
@@ -243,6 +250,6 @@ def load_spec_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON, bad UTF-8, too many digits
         raise SpecFileError(f"cannot read spec file {path}: {exc}") from exc
     return parse_operator_spec(doc)

@@ -10,11 +10,10 @@ of scope); float mode computes the spectrum numerically and clusters it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, islice, repeat
 from operator import matmul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diffcalc import DEFAULT_FLOAT_TOL, default_window_len, detect_degree
 from .errors import (
@@ -67,8 +66,7 @@ _CLUSTER_MAX_ESCALATIONS = 7
 # Jordan blocks and nilpotency
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JordanSpec:
+class JordanSpec(NamedTuple):
     z: Scalar
     size: int
 
@@ -91,8 +89,7 @@ def jordan_matrix(spec):
     return DenseOperator._from_parts(EXACT, den, rows)
 
 
-@dataclass(frozen=True)
-class NilpotentInfo:
+class NilpotentInfo(NamedTuple):
     index: int               # smallest k with N^k = 0
     witness: tuple           # f with N^(index-1) f != 0
 
@@ -179,8 +176,7 @@ def from_numpy(arr):
 # Generalized eigenspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneralizedEigenspace:
+class GeneralizedEigenspace(NamedTuple):
     eigenvalue: Scalar
     basis: tuple             # linearly independent (exact) / orthonormal (float)
     chain_depth: int         # smallest k with ker((T - zI)^k) stabilized
@@ -340,8 +336,7 @@ def _spaces_from_clusters(arr, clusters, tol, chains):
 # Algebraic decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlgebraicDecomposition:
+class AlgebraicDecomposition(NamedTuple):
     blocks: tuple                       # GeneralizedEigenspace per eigenvalue
     pairwise_gram: float                # largest cross |<u, v>| (float mode; 0.0 in exact)
     certified: bool
@@ -417,8 +412,7 @@ def _fmt_scalar(s):
 # Nilpotent perturbation analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PerturbationResult:
+class PerturbationResult(NamedTuple):
     m_a: int                 # strict order of the unperturbed operator
     nu: int                  # nilpotency index of the perturbation
     m_bound: int             # m_a + 2(nu - 1)
@@ -550,8 +544,7 @@ def _pair_preconditions(T, h1, h2, z1, z2, tol, window_len):
     return window_len, negligible(z1 + z2, z1.mode, tol, lambda: 1.0, "z1 + z2"), poly
 
 
-@dataclass(frozen=True)
-class OrthoTestResult:
+class OrthoTestResult(NamedTuple):
     case: str                       # "opposite" (z1 = -z2) or "generic"
     orbit_polynomial: bool          # ||T^n (h1+h2)||^2 polynomial in the window
     eps_orbits_polynomial: Optional[tuple]  # ||T^n (e h1 + h2)||^2 for e = 1, i (opposite case)
@@ -658,8 +651,7 @@ def _defect_forms(T, h1, h2, window_len, tol):
 # Jordan-pair equivalences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JordanPairReport:
+class JordanPairReport(NamedTuple):
     cross_gram_zero: bool            # (i)
     translate_orbits_polynomial: bool  # (ii)
     one_sided_polynomial: bool       # (iii)
@@ -740,8 +732,7 @@ def _restricted_strict_order(T, spanning, tol):
 # Spectrum diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectrumCheck:
+class SpectrumCheck(NamedTuple):
     all_on_circle: bool
     spectrum: tuple         # Scalars (float mode: cluster representatives)
     moduli: tuple

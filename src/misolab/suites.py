@@ -10,10 +10,9 @@ reproducible and diffable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diffcalc import OrbitSequence, detect_degree, difference_table, newton_reconstruct
 from .errors import MisolabError
@@ -68,8 +67,7 @@ SHIFT_GENERATORS = ((1,), (1, 1), (1, 2, 1), (1, 0, 1), (3, 2))
 # Suite bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     checks: int
@@ -125,8 +123,7 @@ def conjugate_by_unitary(T, u):
 # Corpora
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorpusInstance:
+class CorpusInstance(NamedTuple):
     kind: str                  # "certified" | "sheared" | "off-circle"
     operator: DenseOperator
     eigen_hints: tuple
@@ -202,8 +199,7 @@ def decomposition_corpus(seed=0, per_kind=20):
     return out
 
 
-@dataclass(frozen=True)
-class PerturbationInstance:
+class PerturbationInstance(NamedTuple):
     kind: str
     base: DenseOperator         # A, an m-isometry
     nilpotent: DenseOperator    # N, commuting with A

@@ -1,5 +1,6 @@
 """CLI contract: spec parsing, report determinism, exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from misolab import diffcalc, isometry, shifts, spectral, suites
 from misolab import parse_operator_spec, serialize_operator_spec
 from misolab.cli import _build_parser, main
 from misolab.diffcalc import DEFAULT_FLOAT_TOL
@@ -335,6 +337,33 @@ def test_zero_denominator_is_2(tmp_path, capsys, doc, flags):
     assert err.count("\n") == 1
 
 
+LONG = "1" * 5000   # past the interpreter's limit of 4300 digits for reading an int
+
+
+# each ended in a traceback, exit 1: the int-string limit raised ValueError in
+# the rational reader or inside json.load, bad UTF-8 raised UnicodeDecodeError,
+# and Arabic-Indic digits passed for the grammar's ASCII ones (exit 0)
+@pytest.mark.parametrize("text,z1", [
+    pytest.param('{"mode": "exact", "matrix": [["%s"]]}' % LONG, None, id="long-rational"),
+    pytest.param('{"mode": "exact", "matrix": [[%s]]}' % LONG, None, id="long-json-int"),
+    pytest.param(json.dumps(EXAMPLE_DOC), LONG, id="long-z1"),
+    pytest.param(b'{"mode": "exact", "matrix": [["1\xff"]]}', None, id="not-utf8"),
+    pytest.param('{"mode": "exact", "matrix": [["\u0661/\u0662"]]}', None,
+                 id="arabic-indic-entry"),
+    pytest.param(json.dumps(EXAMPLE_DOC), "\u0661", id="arabic-indic-z1"),
+])
+def test_unreadable_spec_is_2(tmp_path, capsys, text, z1):
+    path = tmp_path / "s.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    argv = ["order", str(path)]
+    if z1 is not None:
+        argv = ["ortho", str(path), "--h1=1,0", "--h2=0+1i,1", f"--z1={z1}", "--z2=-i"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert LONG[:100] not in err
+
+
 @pytest.mark.parametrize("command", ["order", "decompose"])
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "1", "1e300"])
 def test_tol_that_breaks_zero_tests_is_2(tmp_path, capsys, command, tol):
@@ -538,3 +567,30 @@ def test_exact_commands_never_load_numpy(tmp_path):
                           cwd=tmp_path, env=fresh_interpreter_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0] * 8, "loaded": [False, False, True]}
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the records are NamedTuples; dataclasses loaded inspect, ast and dis,
+    # which nothing else on the CLI's import path needs
+    script = ("import sys; before = set(sys.modules); import misolab.cli; "
+              "print(sorted(({'dataclasses', 'inspect', 'ast', 'dis'} - before) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=fresh_interpreter_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("record", [
+    diffcalc.DegreeVerdict, isometry.DefectOperator, isometry.OrderVerdict,
+    isometry.SurveyResult, shifts.ShiftSpec, spectral.JordanSpec, spectral.NilpotentInfo,
+    spectral.GeneralizedEigenspace, spectral.AlgebraicDecomposition,
+    spectral.PerturbationResult, spectral.OrthoTestResult, spectral.JordanPairReport,
+    spectral.SpectrumCheck, suites.SuiteResult, suites.CorpusInstance,
+    suites.PerturbationInstance,
+], ids=lambda record: record.__name__)
+def test_records_are_immutable(record):
+    fields = inspect.signature(record).parameters
+    built = record(*[None] * len(fields))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(built, name, 0)
