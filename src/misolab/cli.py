@@ -61,6 +61,9 @@ def _parse_scalar_flag(text, mode):
         return Scalar.exact(re_, im_) if mode == EXACT else Scalar.flt(re_, im_)
     if mode == EXACT:
         return parse_rational(text)
+    # complex() also reads non-ASCII digits and _ between digits
+    if not text.isascii() or "_" in text:
+        raise SpecFileError(f"bad float scalar {text!r}: ASCII digits only, without '_'")
     try:
         # only a trailing i is the imaginary unit: inf and infinity keep theirs
         z = complex(text[:-1] + "j" if text.endswith("i") else text)

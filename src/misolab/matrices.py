@@ -229,8 +229,9 @@ class DenseOperator:
 # readers (_polarization_values, _forms) box nothing.
 # Exact mode runs on Gaussian integers over one common denominator, so its
 # results are the canonical fractions the Scalar loops give; its products (@,
-# apply, orbit steps) add only nonzero terms (_scatter), as integer sums do not
-# depend on order.  Float mode runs on complex128 arrays with plain numpy
+# apply, orbit steps) add only nonzero terms (_scatter), and _forms only the
+# terms on the vectors' supports, as integer sums do not depend on order.
+# Float mode runs on complex128 arrays with plain numpy
 # operations: +, - and negation are the Scalar loop's bits, and so is scale,
 # made from real products as the Scalar product makes them; products and
 # inner products (@, np.vdot, sums) add in whatever order numpy or BLAS
@@ -698,8 +699,17 @@ def _forms(ops, us, vs=None):
     den, for u in us, B in ops and v in vs (v = u alone if vs is None): per
     u, a list per B of a list per v.  The vectors must pass apply's checks.
     Float mode makes all the images B u with one batched @, and conjugated
-    dots of them with the vs; exact mode takes the ops and vs apart once
-    and runs each u through apply's and vec_inner's kernels."""
+    dots of them with the vs.
+
+    Exact mode reads B's entries on the vectors' supports, supp u the
+    indices of u's nonzero entries:
+    <B u, v> = sum_{a in supp v} conj(v_a) sum_{b in supp u} B_ab u_b,
+    over den_B du dv, the dens of B's, u's and v's parts.  The entries
+    (B u)_a are made once per (u, B), on the union of the vs' supports.
+    Only zero terms are left out and integer sums do not depend on order,
+    so each triple has the integers of the full product B u dotted with v
+    (apply's and vec_inner's kernels); for a basis vector e_i the read
+    touches B_ii alone."""
     if ops[0].mode == FLOAT:
         U = np.stack([_parts(u, FLOAT)[1] for u in us], axis=1)              # n x q
         with np.errstate(all="ignore"):
@@ -712,13 +722,33 @@ def _forms(ops, us, vs=None):
         for per_u in forms.transpose(1, 0, 2).tolist():
             yield [[(1, z.real, z.imag) for z in row] for row in per_u]
         return
-    cols = [(den, _nonzeros(_columns(rows))) for den, rows in (B._row_parts() for B in ops)]
-    ws = None if vs is None else [(d, _conj(f)) for d, f in (_parts(v, EXACT) for v in vs)]
+    parts = [B._row_parts() for B in ops]
+    ws = None if vs is None else [(d, *_nonzeros([_conj(f)]))
+                                  for d, f in (_parts(v, EXACT) for v in vs)]
     for u in us:
         du, uf = _parts(u, EXACT)
-        against = [(du, _conj(uf))] if vs is None else ws
-        images = [(den * du, _scatter([uf], c)[0]) for den, c in cols]
-        yield [[(den * dw, *_dot(image, w)) for dw, w in against] for den, image in images]
+        (su,) = _nonzeros([uf])
+        against = [(du, [(b, x, -y) for b, x, y in su])] if vs is None else ws
+        read = {a for _, w in against for a, _, _ in w}
+        per_op = []
+        for den, rows in parts:
+            image = {}, {}
+            for a in read:
+                image[0][a], image[1][a] = _sparse_dot(rows[a], su)
+            per_op.append([(den * du * dw, *_sparse_dot(image, w)) for dw, w in against])
+        yield per_op
+
+
+def _sparse_dot(form, nonzeros):
+    """sum_k form_k (x + i y) over the (k, x, y) of nonzeros, form an exact
+    _parts form, as an (re, im) pair of ints."""
+    re, im = form
+    s = t = 0
+    for k, x, y in nonzeros:
+        p, q = re[k], im[k]
+        s += p * x - q * y
+        t += p * y + q * x
+    return s, t
 
 
 def _largest(moduli):

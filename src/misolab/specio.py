@@ -51,9 +51,7 @@ def _ratio(digits, text):
     try:
         num, den = int(num), int(den or 1)
     except ValueError as exc:   # the grammar admits only ASCII digits: this is the length limit
-        raise SpecFileError(
-            f"rational scalar has an integer of more than {sys.get_int_max_str_digits()} "
-            "digits, the interpreter's limit for reading one") from exc
+        raise _too_long("rational scalar") from exc
     if not den:
         raise SpecFileError(f"zero denominator in rational scalar {text!r}")
     g = math.gcd(num, den)
@@ -66,6 +64,20 @@ def _boxed(parts, mode):
     if mode == EXACT:
         return Scalar(EXACT, Fraction(*real), Fraction(*imag))
     return Scalar(FLOAT, real, imag)
+
+
+def _too_long(what):
+    """The error of an integer past the interpreter's limit for reading one."""
+    return SpecFileError(f"{what} has an integer of more than {sys.get_int_max_str_digits()} "
+                         "digits, the interpreter's limit for reading one")
+
+
+def _json_int(digits):
+    """A JSON integer, whose digits are ASCII: past the limit, _too_long."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise _too_long("spec file") from exc
 
 
 def format_rational(s):
@@ -249,7 +261,9 @@ def serialize_operator_spec(spec):
 def load_spec_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:   # ValueError: bad JSON, bad UTF-8, too many digits
+            doc = json.load(fh, parse_int=_json_int)
+    except SpecFileError:
+        raise
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON, bad UTF-8
         raise SpecFileError(f"cannot read spec file {path}: {exc}") from exc
     return parse_operator_spec(doc)

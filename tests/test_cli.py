@@ -362,6 +362,10 @@ def test_unreadable_spec_is_2(tmp_path, capsys, text, z1):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert LONG[:100] not in err
+    # the limit is named, not Python's advice for raising it
+    assert "set_int_max_str_digits" not in err
+    if LONG in str(text) or z1 == LONG:
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
 
 @pytest.mark.parametrize("command", ["order", "decompose"])
@@ -389,6 +393,19 @@ def test_non_finite_float_flag_is_2(tmp_path, capsys, flag, value):
     flags = {"--h1": "1,0", "--h2": "0+1i,1", "--z1": "i", "--z2": "-i", flag: value}
     assert main(["ortho", path, *(f"{k}={v}" for k, v in flags.items())]) == 2
     assert f"float scalar {value.split(',')[0]!r} is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--z1", "--h1"])
+@pytest.mark.parametrize("value", ["\u0661", "1_0"])
+def test_float_flag_outside_ascii_digits_is_2(tmp_path, capsys, flag, value):
+    # complex() read --z1=\u0661 as 1 and --h1=1_0,0 as (10, 0), both exit 0
+    path = write(tmp_path, "f.json", {"mode": "float", "matrix": [[[0, 1], [2, 0]],
+                                                                  [[0, 0], [0, -1]]]})
+    flags = {"--h1": "1,0", "--h2": "0+1i,1", "--z1": "i", "--z2": "-i",
+             flag: value + (",0" if flag == "--h1" else "")}
+    assert main(["ortho", path, *(f"{k}={v}" for k, v in flags.items())]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad float scalar {value!r}") and err.count("\n") == 1
 
 
 def test_float_orbit_overflow_is_3(tmp_path, capsys):

@@ -588,16 +588,61 @@ def overflowing_form_case(n, hermitian, entries, pairs):
     return [B, B.adjoint()], cands, cands if pairs else None
 
 
+def ref_scatter_forms(ops, us, vs=None):
+    """The exact (den, re, im) triples of _forms by the full product: each
+    u scattered through B's nonzero columns into all of B u (apply's
+    kernel), then dotted with each conjugated v (vec_inner's kernel)."""
+    cols = [(den, matrices._nonzeros(matrices._columns(rows)))
+            for den, rows in (B._row_parts() for B in ops)]
+    ws = None if vs is None else [(d, matrices._conj(f))
+                                  for d, f in (matrices._parts(v, EXACT) for v in vs)]
+    for u in us:
+        du, uf = matrices._parts(u, EXACT)
+        against = [(du, matrices._conj(uf))] if vs is None else ws
+        images = [(den * du, matrices._scatter([uf], c)[0]) for den, c in cols]
+        yield [[(den * dw, *matrices._dot(image, w)) for dw, w in against]
+               for den, image in images]
+
+
+# distinct primes, so that each part of a vector has its own denominator
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def support_vectors(n):
+    """Exact vectors of the supports the form read meets: any, zero, one
+    entry, a block of consecutive entries, and entries over distinct
+    denominators."""
+    zero = Scalar.exact(0)
+
+    def kept(vector, keep):
+        return tuple(x if keep(k) else zero for k, x in enumerate(vector))
+
+    return st.one_of(
+        vectors(n),
+        st.just((zero,) * n),
+        st.tuples(vectors(n), st.integers(0, n - 1)).map(
+            lambda t: kept(t[0], lambda k: k == t[1])),
+        st.tuples(vectors(n), st.integers(0, n - 1), st.integers(1, n)).map(
+            lambda t: kept(t[0], lambda k: t[1] <= k < t[1] + t[2])),
+        st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2 * n, max_size=2 * n).map(
+            lambda xs: tuple(Scalar.exact(Fraction(xs[2 * k], PRIMES[2 * k]),
+                                          Fraction(xs[2 * k + 1], PRIMES[2 * k + 1]))
+                             for k in range(n))))
+
+
 @st.composite
 def form_cases(draw):
     """(ops, us, vs): one to three operators and vectors of one mode, vs
-    None (v = u) or one to three vectors."""
+    None (v = u) or one to five vectors; exact vs may hold a u itself."""
     n = draw(dims)
-    ops, vecs = ((operators(n), vectors(n)) if draw(st.booleans())
+    exact = draw(st.booleans())
+    ops, vecs = ((operators(n), support_vectors(n)) if exact
                  else (float_operators(n), float_vectors(n)))
     us = draw(st.lists(vecs, min_size=1, max_size=3))
-    return (draw(st.lists(ops, min_size=1, max_size=3)), us,
-            draw(st.none() | st.lists(vecs, min_size=1, max_size=3)))
+    vs = draw(st.none() | st.lists(vecs, min_size=1, max_size=5))
+    if exact and vs is not None and draw(st.booleans()):
+        vs.insert(draw(st.integers(0, len(vs))), us[draw(st.integers(0, len(us) - 1))])
+    return draw(st.lists(ops, min_size=1, max_size=3)), us, vs
 
 
 def hermitian_operators(mode):
@@ -618,6 +663,8 @@ class TestFormReaders:
         ops, us, vs = case
         got = list(_forms(ops, us, vs))
         assert len(got) == len(us)
+        if ops[0].mode == EXACT:
+            assert got == list(ref_scatter_forms(ops, us, vs))
         for u, per_op in zip(us, got):
             assert len(per_op) == len(ops)
             for B, row in zip(ops, per_op):
@@ -988,6 +1035,27 @@ def test_orbit_windows_take_each_vector_apart_once(monkeypatch):
         assert [s is h for s in converted].count(True) == 1
         assert len([s for s in converted if len(s) == 16]) <= 1
         assert len(converted) <= 2
+
+
+def test_exact_forms_read_no_operator_apart(monkeypatch):
+    """Exact _forms reads B's entries on the vectors' supports: it calls
+    neither _columns nor _scatter, and _nonzeros only on a vector's form,
+    never on an operator's rows."""
+    calls = []
+    for name in ("_columns", "_nonzeros", "_scatter"):
+        def counting(*args, name=name, real=getattr(matrices, name)):
+            calls.append((name, args[0]))
+            return real(*args)
+        monkeypatch.setattr(matrices, name, counting)
+    T = jordan_matrix(JordanSpec(z=Scalar.exact(Fraction(3, 5), Fraction(4, 5)), size=4))
+    ops = [T, T.adjoint() @ T, DenseOperator.identity(4, EXACT)]
+    rows = [r for B in ops for r in B._row_parts()[1]]
+    us = [basis_vector(4, 2, EXACT), tuple(Scalar.exact(j + 1, -j) for j in range(4))]
+    for vs in (None, us, [us[1], basis_vector(4, 0, EXACT)]):
+        calls.clear()
+        assert len(list(_forms(ops, us, vs))) == 2
+        assert {name for name, _ in calls} == {"_nonzeros"}
+        assert all(len(arg) == 1 and not any(arg[0] is r for r in rows) for _, arg in calls)
 
 
 def ref_norm_window(T, h, n):

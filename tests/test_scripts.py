@@ -37,13 +37,17 @@ def test_report_hashes_prints_one_digest_per_cycle():
 
 
 def test_exact_cli_cycle_digest_is_pinned():
-    """Cycle 0 of exact-cli at seed 1 (51 requests) gives the same bytes as
-    before: every exact report, message and exit code.  A change to the
-    benchmark's request mix (perfbench/workloads.py) changes the requests,
-    so the change that makes it updates this digest."""
-    out = run_script("report_hashes.py", ["exact-cli", "1", "0"]).stdout
-    assert out == ("exact-cli seed 1 cycle 0 requests 51 sha256 "
-                   "4a2e8d81d38c001d47a8cb7e9f27d41f04cab33758cf0e0f12c87606d5fd9a51\n")
+    """Cycles 0 and 1 of exact-cli at seed 1 (51 requests each), the two
+    that every benchmark run sends, give the same bytes as before: every
+    exact report, message and exit code.  A change to the benchmark's
+    request mix (perfbench/workloads.py) changes the requests, so the
+    change that makes it updates these digests."""
+    out = run_script("report_hashes.py", ["exact-cli", "1", "0-1"]).stdout
+    assert out == (
+        "exact-cli seed 1 cycle 0 requests 51 sha256 "
+        "4a2e8d81d38c001d47a8cb7e9f27d41f04cab33758cf0e0f12c87606d5fd9a51\n"
+        "exact-cli seed 1 cycle 1 requests 51 sha256 "
+        "8254db0921a9fdd1e1f39b618199b3201dc48f1d4835d9b59b2fb94280326446\n")
 
 
 def import_report_hashes():
