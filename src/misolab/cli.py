@@ -296,7 +296,8 @@ def _cmd_verify(args):
         try:
             results = [run_suite(args.suite, seed)]
         except KeyError as exc:
-            raise SpecFileError(str(exc)) from exc
+            # str() of a KeyError is the repr of its message
+            raise SpecFileError(exc.args[0]) from exc
     report = {
         "command": "verify",
         "parameters": {"suite": args.suite, "seed": seed},

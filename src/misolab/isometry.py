@@ -30,12 +30,12 @@ from .matrices import (
     _defect_walk,
     _forms,
     _orbit_windows,
+    _polarization_pair,
     _polarization_values,
     _polarization_vector,
     basis_vector,
     np,
     orbit,
-    polarization_pairs,
     vec_add,
     vec_inner,
     vec_scale,
@@ -88,8 +88,11 @@ def _defects(T):
 
 
 def _check_finite(op, scale, what):
-    """Raise the float-overflow error if a float op or its scale left float range."""
-    if op.mode == FLOAT and not (math.isfinite(scale) and np.isfinite(op._row_parts()[1]).all()):
+    """Raise the float-overflow error if a float op or its scale left float
+    range: entry by entry only past a finite op.max_abs(), as an inf or nan
+    entry has an inf or nan modulus, but a finite one's may overflow."""
+    if op.mode == FLOAT and not (math.isfinite(scale) and (
+            math.isfinite(op.max_abs()) or np.isfinite(op._row_parts()[1]).all())):
         raise PreconditionError(f"float overflow: {what} leave float range")
 
 
@@ -162,16 +165,16 @@ def _nonzero_form_witness(d, tol):
     """A vector h with <beta h, h> != 0 for a nonzero Hermitian beta: the first
     best of e_a, e_a + e_b and e_a + i e_b (polarization_pairs), on all of
     which only a zero Hermitian form vanishes.  The values come from
-    matrices._polarization_values, four entries of beta each, and only the
-    winner is built."""
+    matrices._polarization_values, four entries of beta each; one max over
+    them finds the first largest, and only that candidate is built, from its
+    index (matrices._polarization_pair)."""
     # quadratic-form values can sit a factor ~2 below the largest entry,
     # hence the slack on the acceptance threshold
-    best, best_val = None, d.threshold(tol) * 0.25
-    for c, val in zip(polarization_pairs(d.matrix.dim), _polarization_values(d.matrix)):
-        if val > best_val:
-            best, best_val = c, val
-    return None if best is None else _polarization_vector(
-        partial(basis_vector, d.matrix.dim, mode=d.matrix.mode), *best)
+    threshold, values = d.threshold(tol) * 0.25, _polarization_values(d.matrix)
+    best, dim = max(values), d.matrix.dim
+    return None if best <= threshold else _polarization_vector(
+        partial(basis_vector, dim, mode=d.matrix.mode),
+        *_polarization_pair(dim, values.index(best)))
 
 
 def orbit_sequence(T, h, window_len=None):
@@ -346,9 +349,11 @@ def local_isometry_survey(op, vectors, window_len=None, defect_tol=DEFAULT_DEFEC
 def _beta_degrees(op, vectors, window_len, verdict, tol):
     """The survey's degrees read from the defects beta_0 .. beta_{m-1} of
     verdict, or None where the survey walks its windows instead (see
-    local_isometry_survey).  Each <beta_j h, h> is matrices._forms' value of
-    vec_inner(beta_j.apply(h), h), and ||h||^2 that of beta_0 = I; a float
-    form beyond float range raises the float-overflow error."""
+    local_isometry_survey).  <beta_j h, h> is matrices._forms' value of
+    vec_inner(beta_j.apply(h), h), and ||h||^2 that of beta_0 = I; for a
+    basis vector e_i it is read as (beta_j)_ii, from one stack of the float
+    diagonals or the exact rows, _forms' value as the defects are finite.  A
+    float form beyond float range raises the float-overflow error."""
     if window_len is None:
         window_len = default_window_len(op.dim)
     if not verdict.strict or window_len < max(3, verdict.m + 1):
@@ -359,16 +364,33 @@ def _beta_degrees(op, vectors, window_len, verdict, tol):
     except (DimensionMismatchError, ModeMismatchError):
         return None
     mode, betas, degrees = op.mode, verdict.defects, []
-    for forms in _forms([b.matrix for b in betas], vectors):
+    kernel, basis = [b.matrix._row_parts()[1] for b in betas], list(map(_basis_index, vectors))
+    others = _forms([b.matrix for b in betas], [h for h, i in zip(vectors, basis) if i is None])
+    if mode == FLOAT:
+        diagonals = np.stack([rows.diagonal() for rows in kernel], axis=1)       # n x m
+        diag_re, diag_im = diagonals.real.tolist(), diagonals.imag.tolist()
+    for i in basis:
+        if i is None:
+            _, re, im = zip(*[form for (form,) in next(others)])
+        elif mode == FLOAT:
+            re, im = diag_re[i], diag_im[i]
+        else:
+            re, im = [rows[i][0][i] for rows in kernel], None
         # an exact form is real, as beta_j is Hermitian, and its zero test takes
         # no magnitude; in float mode ||h||^2 is the form of beta_0 = I
         if mode == EXACT:
-            values, norm = [abs(re) for ((_, re, _),) in forms], None
+            values, norm = list(map(abs, re)), None
         else:
-            values, norm = [math.hypot(re, im) for ((_, re, im),) in forms], forms[0][0][1]
+            values, norm = list(map(math.hypot, re, im)), re[0]
             if not all(map(math.isfinite, values)):
                 raise PreconditionError("float overflow: a form <beta_j h, h> of the survey "
                                         "leaves float range")
         degrees.append(next((j for j in reversed(range(len(betas))) if not negligible(
             values[j], mode, tol, lambda: betas[j].float_scale * norm, f"<beta_{j} h, h>")), None))
     return [DegreeVerdict(polynomial=True, degree=d, zero_sequence=d is None) for d in degrees]
+
+
+def _basis_index(h):
+    """i if h is exactly the basis vector e_i, else None."""
+    support = [k for k, s in enumerate(h) if s.re or s.im]
+    return support[0] if len(support) == 1 and h[support[0]] == 1 else None

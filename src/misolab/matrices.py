@@ -39,7 +39,7 @@ np = _lazy_numpy()
 class DenseOperator:
     """Immutable square matrix with all entries in one arithmetic mode."""
 
-    __slots__ = ("dim", "mode", "_rows", "_parts_cache")
+    __slots__ = ("dim", "mode", "_rows", "_parts_cache", "_max_abs")
 
     def __init__(self, rows):
         rows = _square(tuple(tuple(r) for r in rows))
@@ -50,7 +50,7 @@ class DenseOperator:
         self._rows = rows
         self.dim = dim
         self.mode = modes.pop()
-        self._parts_cache = None
+        self._parts_cache = self._max_abs = None
 
     @staticmethod
     def _from_parts(mode, den, form):
@@ -58,7 +58,7 @@ class DenseOperator:
         boxes its rows on first read.  Kernels (@, +, -, adjoint, scale) make these."""
         op = object.__new__(DenseOperator)
         op.dim = len(form)
-        op.mode, op._rows, op._parts_cache = mode, None, (den, form)
+        op.mode, op._rows, op._parts_cache, op._max_abs = mode, None, (den, form), None
         return op
 
     @property
@@ -195,13 +195,20 @@ class DenseOperator:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    # int / int is float(Fraction), whatever den is; np.max keeps a float nan
-    # wherever it sits
     def max_abs(self):
-        den, rows = self._row_parts()
-        if self.mode == EXACT:
-            return max(math.hypot(x / den, y / den) for re, im in rows for x, y in zip(re, im))
-        return float(np.abs(rows).max())
+        """The largest entry modulus, nan if any is: one reduction, made on
+        first use and kept (a kept float form is made read-only)."""
+        if self._max_abs is None:
+            den, rows = self._row_parts()
+            if self.mode == EXACT:
+                # int / int is float(Fraction), whatever den is
+                self._max_abs = max(math.hypot(x / den, y / den)
+                                    for re, im in rows for x, y in zip(re, im))
+            else:
+                # np.max keeps a nan wherever it sits
+                self._max_abs = float(np.abs(rows).max())
+                rows.flags.writeable = False
+        return self._max_abs
 
     def is_zero(self):
         """Exactly zero, in either mode; a tolerance is scalars.negligible's."""
@@ -241,6 +248,9 @@ class DenseOperator:
 # and 3.6), and its last bits may differ across numpy and BLAS builds.
 # Moduli are np.abs.  The float kernels run under np.errstate(all="ignore"):
 # inf and nan come out as from Python floats, with no RuntimeWarning.
+# An operator keeps its max_abs, so a float defect step reduces |beta| once
+# for its scale, finiteness check, zero test and residual alike; no kernel
+# writes a form in place, and a float form with a kept max_abs is read-only.
 # ---------------------------------------------------------------------------
 
 def _int_form(scalars):
@@ -530,9 +540,10 @@ def _defect_walk(T):
     beta_m T, T taken apart once.  The float scale is the running maximum of
     |beta_j| + |T* beta_j T|, j < m, from 1 (past the true order both are
     rounding noise, and the last step's alone would compare noise with
-    noise).  An exact step scatters beta against T's nonzero rows (C = beta
-    T) and subtracts the rows of C, combined by T*'s nonzeros, from beta
-    dt^2, reduced once; a float step is `@`'s a_star @ beta @ a."""
+    noise); |beta_j| is the max_abs kept on beta_j.  An exact step scatters
+    beta against T's nonzero rows (C = beta T) and subtracts the rows of C,
+    combined by T*'s nonzeros, from beta dt^2, reduced once; a float step
+    is `@`'s a_star @ beta @ a."""
     mode, (dt, a) = T.mode, T._row_parts()
     beta = DenseOperator.identity(T.dim, mode)
     den, b = beta._row_parts()
@@ -542,7 +553,7 @@ def _defect_walk(T):
             yield beta, scale
             with np.errstate(all="ignore"):
                 step = a_star @ b @ a
-                scale = max(scale, float(np.abs(b).max()) + float(np.abs(step).max()))
+                scale = max(scale, beta.max_abs() + float(np.abs(step).max()))
                 b = b - step
             beta = DenseOperator._from_parts(FLOAT, 1, b)
     rows, d2 = _nonzeros(a), dt * dt
@@ -659,6 +670,16 @@ def polarization_pairs(n):
     yield from ((a, b, p) for a in range(n) for b in range(a + 1, n) for p in (0, 1))
 
 
+def _polarization_pair(n, k):
+    """The k-th triple of polarization_pairs(n), made from k alone."""
+    if k < n:
+        return k, None, 0
+    (k, phase), a = divmod(k - n, 2), 0
+    while k >= n - 1 - a:
+        k, a = k - (n - 1 - a), a + 1
+    return a, a + 1 + k, phase
+
+
 def _polarization_vector(vector, a, b, phase):
     """The candidate (a, b, phase) of polarization_pairs, v_j being vector(j)."""
     if b is None:
@@ -668,30 +689,29 @@ def _polarization_vector(vector, a, b, phase):
 
 
 def _polarization_values(B):
-    """|<B h, h>| for each candidate h of polarization_pairs on the basis
-    vectors, in that order, B Hermitian, each read from four entries of B:
-    B_aa, or B_aa + B_bb + B_ab + B_ba for e_a + e_b and B_aa + B_bb +
+    """The list of |<B h, h>| for the candidates h of polarization_pairs on
+    the basis vectors, in order, B Hermitian, each read from four entries of
+    B: B_aa, or B_aa + B_bb + B_ab + B_ba for e_a + e_b and B_aa + B_bb +
     i (B_ab - B_ba) for e_a + i e_b.  Exact mode reads |Re <B h, h>| times
     B's den, with no float; float mode reads the modulus, and raises the
     float-overflow error if any value leaves float range."""
     n, (_, rows) = B.dim, B._row_parts()
     if B.mode == EXACT:
-        for a, b, phase in polarization_pairs(n):
-            (re_a, im_a), (re_b, im_b) = rows[a], rows[a if b is None else b]
-            yield abs(re_a[a] if b is None else re_a[a] + re_b[b] + (
-                re_a[b] + re_b[a] if phase == 0 else im_b[a] - im_a[b]))
-        return
-    a, b = np.triu_indices(n, 1)
-    diag = rows.diagonal()
+        re, im = [r for r, _ in rows], [i for _, i in rows]
+        return [abs(re[a][a] if b is None else re[a][a] + re[b][b] + (
+            re[a][b] + re[b][a] if phase == 0 else im[b][a] - im[a][b]))
+            for a, b, phase in polarization_pairs(n)]
+    # upper[a, b] is a < b, and masks read in polarization_pairs' order
+    upper, diag = ~np.tri(n, dtype=bool), rows.diagonal()
     with np.errstate(all="ignore"):
-        both, ab, ba = diag[a] + diag[b], rows[a, b], rows[b, a]
+        both, ab, ba = (diag[:, None] + diag)[upper], rows[upper], rows.T[upper]
         diff = ab - ba
         pairs = np.stack((both + (ab + ba), both + _complex(-diff.imag, diff.real)), axis=1)
         values = np.abs(np.concatenate((diag, pairs.ravel())))
     if not np.isfinite(values).all():
         raise PreconditionError("float overflow: a form <B h, h> of the polarization "
                                 "candidates leaves float range")
-    yield from values.tolist()
+    return values.tolist()
 
 
 def _forms(ops, us, vs=None):

@@ -245,6 +245,12 @@ class TestExitCodes:
         assert main(["verify", "--suite", "nope"]) == 2
         capsys.readouterr()
 
+    def test_unknown_suite_message_is_plain(self, capsys):
+        # the message itself, not the repr that str() of a KeyError gives
+        assert main(["verify", "--suite", "nope"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown suite 'nope'; available: {', '.join(sorted(SUITES))}\n")
+
 
 class TestSeedHandling:
     def test_env_overrides_flag(self, capsys, monkeypatch, tmp_path):

@@ -35,6 +35,7 @@ from misolab import (
     strict_order,
     vec_add,
     vec_inner,
+    vec_scale,
 )
 from misolab import isometry, matrices, polynomials
 from misolab.diffcalc import _check_binomial_form, default_window_len
@@ -1498,6 +1499,225 @@ class TestDefectWalk:
                                                    operator_defect_walk(T, m)):
             assert beta._row_parts()[1].tobytes() == ref._row_parts()[1].tobytes()
             assert scale.hex() == ref_scale.hex()
+
+
+def fresh_max_abs(op):
+    """The largest entry modulus of a float operator, reduced afresh."""
+    return float(np.abs(op._row_parts()[1]).max())
+
+
+def ref_first_overflow(T, m_max):
+    """The first m <= m_max whose beta_m or walk scale leaves float range,
+    tested entry by entry as the finiteness check did before operators
+    kept max_abs; None if there is none.  The steps are the walk's own
+    array operations, so the bits are the kernel's."""
+    a = T._row_parts()[1]
+    b, scale = np.eye(T.dim, dtype=complex), 1.0
+    with np.errstate(all="ignore"):
+        for m in range(1, m_max + 1):
+            step = a.T.conj() @ b @ a
+            scale = max(scale, float(np.abs(b).max()) + float(np.abs(step).max()))
+            b = b - step
+            if not (math.isfinite(scale) and np.isfinite(b).all()):
+                return m
+    return None
+
+
+def overflow_outcome(m):
+    return PreconditionError, f"float overflow: the defects beta_k for k <= {m} leave float range"
+
+
+def flt_operator(rows):
+    return DenseOperator([[Scalar.flt(x) for x in r] for r in rows])
+
+
+class TestMaxAbsMemo:
+    """DenseOperator.max_abs is one reduction, kept on the operator: a float
+    defect step's scale, finiteness check, zero test and residual all read
+    it, and it is the fresh reduction of the kernel form, nan included; the
+    walk's overflow errors are those of the entry-by-entry check."""
+
+    @given(dims.flatmap(lambda n: st.one_of(float_operators(n), float_operators(n, unit_scalars))),
+           st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_walked_defects_keep_the_fresh_reduction(self, T, m_max):
+        walked, real = [], isometry._defect_walk
+
+        def recording(T):
+            for beta, scale in real(T):
+                walked.append(beta)
+                yield beta, scale
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(isometry, "_defect_walk", recording)
+            got = outcome(lambda: strict_order(T, m_max=m_max))
+        failed = type(got) is tuple
+        # the unchecked walk goes on past an overflow, to inf and nan entries
+        walked += [beta for beta, _ in islice(_defect_walk(T), m_max + 1)]
+        for beta in walked:
+            assert beta.max_abs().hex() == fresh_max_abs(beta).hex()
+        if not failed:
+            assert got.residual.hex() == fresh_max_abs(got.defects[-1].matrix if not got.strict
+                                                       else walked[got.m]).hex()
+        # the overflow error, if any, is the entry-by-entry check's, at its m
+        bad = ref_first_overflow(T, m_max)
+        if failed and got[1].startswith("float overflow: the defects"):
+            assert got == overflow_outcome(bad)
+        elif not failed:
+            assert bad is None or bad > got.m
+        for m in (1, m_max):
+            d = outcome(lambda: defect(T, m))
+            if bad is not None and bad <= m:
+                assert d == overflow_outcome(bad)
+            else:
+                assert d != overflow_outcome(m)
+
+    @pytest.mark.parametrize("rows,m", [
+        ([[1e200, 0.0], [0.0, 1.0]], 1),
+        # inf - inf: T* T holds inf + nan i, and beta_2 nan alone
+        ([[1e200, 1e200], [1e200, -1e200]], 1),
+        ([[1e40, 0.0], [0.0, 1.0]], 4),
+    ])
+    def test_overflowing_walks_raise_where_they_did(self, rows, m):
+        T = flt_operator(rows)
+        assert ref_first_overflow(T, 9) == m
+        assert outcome(lambda: strict_order(T)) == overflow_outcome(m)
+        assert outcome(lambda: defect(T, 9)) == overflow_outcome(m)
+        assert isinstance(outcome(lambda: defect(T, m - 1)), DefectOperator)
+
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 1)])
+    def test_a_nan_entry_fails_the_check_at_a_finite_scale(self, at):
+        rows = [[1.0, 0.0], [0.0, 1.0]]
+        rows[at[0]][at[1]] = math.nan
+        op = flt_operator(rows)
+        with pytest.raises(PreconditionError, match="float overflow: op leave float range"):
+            isometry._check_finite(op, 1.0, "op")
+        assert math.isnan(op.max_abs()) and math.isnan(fresh_max_abs(op))
+
+    def test_a_finite_entry_whose_modulus_overflows_passes_the_check(self):
+        op = DenseOperator([[Scalar.flt(1.5e308, 1.5e308), Scalar.flt(0.0)],
+                            [Scalar.flt(0.0), Scalar.flt(1.0)]])
+        isometry._check_finite(op, 1.0, "op")
+        assert op.max_abs() == math.inf
+
+    def test_a_kept_form_is_read_only(self):
+        op = flt_operator([[1.0, 2.0], [3.0, 4.0]])
+        assert op.max_abs() == 4.0
+        with pytest.raises(ValueError):
+            op._row_parts()[1][0, 0] = 9.0
+        assert op.max_abs() == fresh_max_abs(op) == 4.0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_polarization_pair_is_the_kth_candidate(n):
+    assert [matrices._polarization_pair(n, k) for k in range(n * n)] == list(
+        polarization_pairs(n))
+
+
+# (rows of a Hermitian beta, float_scale, tol, exact witness, float witness)
+# with ties among the largest polarization values, where the first candidate
+# wins, and with the float largest exactly at threshold / 4, where there is
+# no witness; exact mode's threshold is 0
+WITNESS_EDGES = [
+    ([[1, 0], [0, -1]], 1.0, 0.0, (0, None, 0), (0, None, 0)),
+    ([[1, 0], [0, 1]], 1.0, 0.0, (0, 1, 0), (0, 1, 0)),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], 1.0, 0.0, (0, 1, 0), (0, 1, 0)),
+    ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], 1.0, 0.0, (1, 2, 0), (1, 2, 0)),
+    ([[Fraction(1, 2), 0], [0, Fraction(-1, 2)]], 4.0, 0.5, (0, None, 0), None),
+    ([[Fraction(1, 2), 0], [0, Fraction(-1, 2)]], 4.0, 0.25, (0, None, 0), (0, None, 0)),
+    ([[0, 0], [0, 0]], 1.0, 0.0, None, None),
+]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("rows,scale,tol,exact_want,float_want", WITNESS_EDGES)
+def test_witness_ties_and_threshold(mode, rows, scale, tol, exact_want, float_want):
+    make = Scalar.exact if mode == EXACT else (lambda x: Scalar.flt(float(x)))
+    d = DefectOperator(m=1, matrix=DenseOperator([[make(x) for x in r] for r in rows]),
+                       float_scale=scale)
+    want = exact_want if mode == EXACT else float_want
+    got = _nonzero_form_witness(d, tol)
+    assert got == ref_nonzero_form_witness(d, tol)
+    assert got == (None if want is None else _polarization_vector(
+        lambda j: basis_vector(len(rows), j, mode), *want))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(tied_parts, tied_parts), min_size=n * n, max_size=n * n))),
+    st.sampled_from([0.0, 1.0, 2.0, 4.0, 8.0]))
+@settings(max_examples=80, deadline=None)
+def test_float_witness_reads_the_entries(case, tol):
+    """Hermitian float betas of few exact values, so that candidates tie and
+    values sit exactly at threshold / 4 = tol / 4: the first best candidate
+    above it, as the vector loop finds it."""
+    n, entries = case
+    beta = DenseOperator(square(n, True, [Scalar.flt(float(x), float(y)) for x, y in entries]))
+    d = DefectOperator(m=1, matrix=beta, float_scale=1.0)
+    assert _nonzero_form_witness(d, tol) == ref_nonzero_form_witness(d, tol)
+
+
+def ref_forms_degrees(op, vectors, verdict, tol):
+    """The survey's degrees with every form read through matrices._forms,
+    basis vectors included, as they were read before the diagonal read."""
+    betas, mode, out = verdict.defects, op.mode, []
+    for forms in _forms([b.matrix for b in betas], vectors):
+        if mode == EXACT:
+            values, norm = [abs(re) for ((_, re, _),) in forms], None
+        else:
+            values, norm = [math.hypot(re, im) for ((_, re, im),) in forms], forms[0][0][1]
+        out.append(next((j for j in reversed(range(len(betas))) if not negligible(
+            values[j], mode, tol, lambda: betas[j].float_scale * norm, "x")), None))
+    return out
+
+
+def basis_mix(n, mode, picks):
+    """Vectors made of basis vectors: e_i, 2 e_i, i e_i, -e_i and e_i + e_j,
+    for (kind, i, j) in picks."""
+    e = [basis_vector(n, k, mode) for k in range(n)]
+    one = Scalar.one(mode)
+    made = {"e": lambda i, j: e[i], "2e": lambda i, j: vec_scale(one + one, e[i]),
+            "ie": lambda i, j: vec_scale(Scalar.i_unit(mode), e[i]),
+            "-e": lambda i, j: vec_scale(-one, e[i]), "e+e": lambda i, j: vec_add(e[i], e[j])}
+    return [made[kind](i % n, j % n) for kind, i, j in picks]
+
+
+@given(strict_exact_operators(), st.sampled_from(["exact", "float", "conjugated"]),
+       st.lists(st.tuples(st.sampled_from(["e", "2e", "ie", "-e", "e+e"]), st.integers(0, 5),
+                          st.integers(0, 5)), min_size=1, max_size=8), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_beta_degrees_read_the_diagonal(T, kind, picks, seed):
+    """On strict operators, the degrees of basis vectors read from
+    diag(beta_j), mixed with vectors that go through _forms, are the degrees
+    of the read through _forms for every vector."""
+    if kind != "exact":
+        T = operator_to_float(T)
+    if kind == "conjugated":
+        T = conjugate_by_unitary(T, random_unitary(T.dim, np.random.default_rng(seed)))
+    vectors = basis_mix(T.dim, T.mode, picks)
+    verdict = strict_order(T)
+    if not verdict.strict:
+        return
+    got = _beta_degrees(T, vectors, 2 * T.dim + 2, verdict, isometry.DEFAULT_DEFECT_TOL)
+    assert [v.degree for v in got] == ref_forms_degrees(T, vectors, verdict,
+                                                        isometry.DEFAULT_DEFECT_TOL)
+    assert [v.zero_sequence for v in got] == [v.degree is None for v in got]
+
+
+def test_exact_basis_survey_takes_no_vector_apart(monkeypatch):
+    """An exact survey of basis vectors reads diag(beta_j) and calls _parts
+    on none of them; a vector that is not a basis vector is taken apart."""
+    T = direct_sum(jordan_matrix(JordanSpec(Scalar.exact(1), 3)),
+                   jordan_matrix(JordanSpec(Scalar.exact(0, 1), 2)))
+    vectors = [basis_vector(T.dim, j, EXACT) for j in range(T.dim)]
+    other = vec_scale(Scalar.exact(2), vectors[0])
+    converted, _ = record_kernel_reads(monkeypatch)
+    res = local_isometry_survey(T, vectors)
+    assert res.global_verdict.describe() == "strict-order(5)"
+    assert [v.degree for v in res.per_vector] == [0, 2, 4, 0, 2]
+    assert not [c for c in converted if any(list(c) == list(h) for h in vectors)]
+    local_isometry_survey(T, vectors + [other])
+    assert [c for c in converted if list(c) == list(other)]
+
 
 def nonzero_pairs(a_rows, b_rows):
     """The number of pairs of nonzero entries a_ik, b_kj: the terms of the
