@@ -6,18 +6,18 @@ human-readable form and, with --output PATH, to a JSON file.  Exact-mode
 reports render every scalar in the rational grammar, so they are
 byte-identical across runs.
 
-Exit codes: 0 success, 2 parse error, 3 domain precondition violation,
-4 verification-suite violation.
+Exit codes: 0 success, 2 parse error or a report path that cannot be
+written, 3 domain precondition violation, 4 verification-suite violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .diffcalc import DEFAULT_FLOAT_TOL, default_window_len
 from .errors import MisolabError, PreconditionError, SpecFileError
@@ -99,10 +99,91 @@ def _vector_out(v):
 # Report emission
 # ---------------------------------------------------------------------------
 
+_INFINITY = float("inf")
+
+
+def _json_scalar(value):
+    """The JSON text json.dumps gives a leaf: bool before int, a float
+    subclass such as np.float64 as a float, NaN and +-Infinity by name."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key):
+    """A dict key's JSON text: json.dumps takes str, int, float, bool and None
+    keys and writes each as a string."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_json_scalar(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_pieces(value, indent, out):
+    """Append to out the text of json.dumps(value, indent=2) for a value
+    nested at indent: json.dumps runs its pure-Python encoder whenever an
+    indent is set, and this writer does the same work with fewer calls."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json_pieces(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(f"{sep}{_json_key(key)}: ")
+            _json_pieces(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        out.append(_json_scalar(value))
+
+
+def _json_report(report):
+    """The report's file text: exactly json.dumps(report, indent=2) + "\\n",
+    two-space-indented ASCII JSON."""
+    out = []
+    _json_pieces(report, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def _write_json(report, output_path):
-    """The report as indented JSON, in one write."""
-    with open(output_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, indent=2) + "\n")
+    """The report as indented JSON, in one write.  A path that cannot be
+    written exits 2, after the human report."""
+    text = _json_report(report)
+    try:
+        with open(output_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpecFileError(f"cannot write report {output_path}: {exc}") from exc
 
 
 def _emit(report, output_path):
@@ -111,18 +192,25 @@ def _emit(report, output_path):
         _write_json(report, output_path)
 
 
-def _print_human(report, prefix=""):
+def _print_human(report):
+    """The human report, in one write."""
+    sys.stdout.write("".join(_human_lines(report, "", [])))
+
+
+def _human_lines(report, prefix, out):
+    """Append the human report's lines to out, and return out."""
     for key, value in report.items():
         if isinstance(value, dict):
-            print(f"{prefix}{key}:")
-            _print_human(value, prefix + "  ")
+            out.append(f"{prefix}{key}:\n")
+            _human_lines(value, prefix + "  ", out)
         elif isinstance(value, list) and value and isinstance(value[0], dict):
-            print(f"{prefix}{key}:")
+            out.append(f"{prefix}{key}:\n")
             for idx, item in enumerate(value):
-                print(f"{prefix}  [{idx}]")
-                _print_human(item, prefix + "    ")
+                out.append(f"{prefix}  [{idx}]\n")
+                _human_lines(item, prefix + "    ", out)
         else:
-            print(f"{prefix}{key}: {value}")
+            out.append(f"{prefix}{key}: {value}\n")
+    return out
 
 
 def _base_report(command, spec, params):
@@ -327,9 +415,10 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _build_parser():
-    """Built once per process; main looks each _cmd_ function up per call,
-    so one rebound later (by a tracer or a test) is the one that runs."""
+def _command_parsers():
+    """The top-level parser and each command's sub-parser by name, built once
+    per process; main looks each _cmd_ function up per call, so one rebound
+    later (by a tracer or a test) is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="misolab",
         description="Analyze m-isometric operators: strict orders, "
@@ -337,28 +426,30 @@ def _build_parser():
                     "nilpotent perturbations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def common(p, tol):
         p.add_argument("--tol", type=_tolerance, default=tol,
                        help="float-mode zero tolerance")
         p.add_argument("--output", default=None, help="write the JSON report here")
 
-    p = sub.add_parser("order", help="strict-order detection")
+    p = commands["order"] = sub.add_parser("order", help="strict-order detection")
     p.add_argument("file", help="operator spec file (JSON)")
     p.add_argument("--mmax", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
     common(p, DEFAULT_DEFECT_TOL)
 
-    p = sub.add_parser("decompose", help="algebraic block decomposition")
+    p = commands["decompose"] = sub.add_parser("decompose", help="algebraic block decomposition")
     p.add_argument("file")
     common(p, DEFAULT_DEFECT_TOL)
 
-    p = sub.add_parser("shift", help="weighted-shift order query")
+    p = commands["shift"] = sub.add_parser("shift", help="weighted-shift order query")
     p.add_argument("file")
     p.add_argument("--m", type=int, required=True)
     common(p, DEFAULT_FLOAT_TOL)
 
-    p = sub.add_parser("ortho", help="generalized-eigenvector orthogonality test")
+    p = commands["ortho"] = sub.add_parser(
+        "ortho", help="generalized-eigenvector orthogonality test")
     p.add_argument("file")
     p.add_argument("--h1", required=True, help="comma-separated vector entries")
     p.add_argument("--h2", required=True)
@@ -367,22 +458,45 @@ def _build_parser():
     p.add_argument("--window", type=int, default=None)
     common(p, DEFAULT_FLOAT_TOL)
 
-    p = sub.add_parser("perturb", help="nilpotent perturbation analysis")
+    p = commands["perturb"] = sub.add_parser("perturb", help="nilpotent perturbation analysis")
     p.add_argument("file_a", help="base operator spec")
     p.add_argument("file_n", help="nilpotent perturbation spec")
     common(p, DEFAULT_DEFECT_TOL)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    p = commands["verify"] = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True,
                    help=f"one of: all, {', '.join(sorted(SUITES))}")
     p.add_argument("--seed", type=int, default=0,
                    help="suite seed (overridden by MISOLAB_SEED)")
     p.add_argument("--output", default=None)
-    return parser
+    return parser, commands
+
+
+def _build_parser():
+    """The top-level parser, which reads any argv."""
+    return _command_parsers()[0]
+
+
+def _parse_args(argv):
+    """The namespace _build_parser().parse_args(argv) gives, with its errors.
+    When argv[0] names a command, that command's sub-parser reads the rest
+    directly: the top-level parser would hand it the same arguments, after
+    a pass of its own over them.  Arguments the sub-parser leaves go to the
+    top-level parser's error(), as in parse_args."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _command_parsers()[1].get(argv[0]) if argv else None
+    if command is None:
+        return _build_parser().parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return globals()[f"_cmd_{args.command}"](args)
     except SpecFileError as exc:

@@ -258,12 +258,21 @@ def serialize_operator_spec(spec):
     return dict(spec.document)
 
 
+# one decoder for every file: json.load with a keyword builds a new one per call
+_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
 def load_spec_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_int=_json_int)
+            text = fh.read()
+        if text.startswith("\ufeff"):   # json.loads' refusal, word for word
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except SpecFileError:
         raise
-    except (OSError, ValueError) as exc:   # ValueError: bad JSON, bad UTF-8
+    # ValueError: bad JSON, bad UTF-8; RecursionError: arrays or objects
+    # nested deeper than the scanner's recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpecFileError(f"cannot read spec file {path}: {exc}") from exc
     return parse_operator_spec(doc)

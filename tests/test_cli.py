@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,12 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from misolab import diffcalc, isometry, shifts, spectral, suites
 from misolab import parse_operator_spec, serialize_operator_spec
-from misolab.cli import _build_parser, main
+from misolab.cli import _build_parser, _json_report, _parse_args, main
 from misolab.diffcalc import DEFAULT_FLOAT_TOL
 from misolab.errors import SpecFileError
 from misolab.isometry import DEFAULT_DEFECT_TOL
@@ -357,6 +360,9 @@ LONG = "1" * 5000   # past the interpreter's limit of 4300 digits for reading an
     pytest.param('{"mode": "exact", "matrix": [["\u0661/\u0662"]]}', None,
                  id="arabic-indic-entry"),
     pytest.param(json.dumps(EXAMPLE_DOC), "\u0661", id="arabic-indic-z1"),
+    # a RecursionError out of the JSON scanner
+    pytest.param('{"mode": "exact", "matrix": %s}' % ("[" * 100000 + "]" * 100000), None,
+                 id="deeply-nested"),
 ])
 def test_unreadable_spec_is_2(tmp_path, capsys, text, z1):
     path = tmp_path / "s.json"
@@ -372,6 +378,32 @@ def test_unreadable_spec_is_2(tmp_path, capsys, text, z1):
     assert "set_int_max_str_digits" not in err
     if LONG in str(text) or z1 == LONG:
         assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+def test_spec_with_a_bom_is_refused_as_json_loads_refuses_it(tmp_path, capsys):
+    text = "\ufeff" + json.dumps(EXAMPLE_DOC)
+    path = tmp_path / "b.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as refusal:
+        json.loads(text)
+    assert main(["order", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read spec file {path}: {refusal.value}\n"
+
+
+# each ended in a FileNotFoundError or IsADirectoryError traceback, exit 1
+@pytest.mark.parametrize("argv, output, printed", [
+    pytest.param(["order", "{spec}"], "missing/dir/x.json", "strict-order", id="order-missing-dir"),
+    pytest.param(["order", "{spec}"], "", "strict-order", id="order-directory"),
+    pytest.param(["verify", "--suite", "jordan-orders"], "missing/dir/x.json",
+                 "pass  jordan-orders", id="verify-missing-dir"),
+])
+def test_unwritable_output_is_2(tmp_path, capsys, argv, output, printed):
+    spec = write(tmp_path, "j.json", {"mode": "exact", "jordan_blocks": [{"z": "1", "size": 2}]})
+    target = str(tmp_path / output)
+    assert main([a.format(spec=spec) for a in argv] + ["--output", target]) == 2
+    out, err = capsys.readouterr()
+    assert printed in out
+    assert err.startswith(f"error: cannot write report {target}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["order", "decompose"])
@@ -617,3 +649,77 @@ def test_records_are_immutable(record):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(built, name, 0)
+
+
+# the leaves json.dumps writes in a form of its own: quotes, control and
+# non-ASCII characters escaped, ints past 64 bits, signed zero, subnormal and
+# huge floats, NaN and the infinities, and a float subclass
+EDGE_LEAVES = ['"q"\\', "\x00\x1f\n\t", "\u00e9\u2028\U0001f600", 2 ** 64 + 1, -(2 ** 100),
+               -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, np.float64(0.1),
+               np.float64(math.nan), True, False, None, [], {}, ()]
+JSON_LEAF = (st.text() | st.integers() | st.integers(2 ** 63, 2 ** 200).map(lambda n: -n)
+             | st.floats() | st.floats().map(np.float64) | st.booleans() | st.none()
+             | st.sampled_from(EDGE_LEAVES))
+JSON_KEY = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_TREE = st.recursive(
+    JSON_LEAF,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_KEY, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(JSON_TREE)
+@example({"leaves": EDGE_LEAVES, "nested": ({"": [[], {}]}, [()]), 1: 2.5, None: 0,
+          math.inf: -0.0, True: "t"})
+def test_report_writer_is_json_dumps(tree):
+    assert _json_report(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, np.int64(3), np.bool_(True), object()],
+                         ids=["set", "np.int64", "np.bool_", "object"])
+def test_report_writer_refuses_what_json_dumps_refuses(value):
+    for tree in (value, [1, value], {"a": {"b": (2.0, value)}}, {(1, 2): 0}):
+        with pytest.raises(TypeError):
+            json.dumps(tree, indent=2)
+        with pytest.raises(TypeError):
+            _json_report(tree)
+
+
+def parse_outcome(parse, argv, capsys):
+    """The namespace parse(argv) gives, or its SystemExit code; and what it
+    printed."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, *capsys.readouterr()
+
+
+# _parse_args hands argv[1:] straight to a command's sub-parser: every
+# namespace, message and exit code stays the top-level parser's
+@pytest.mark.parametrize("argv", [
+    ["order", "t.json", "--mmax", "5", "--window=7", "--tol", "1e-3", "--output", "r.json"],
+    ["decompose", "t.json"],
+    ["shift", "s.json", "--m", "2", "--tol=0"],
+    ["ortho", "t.json", "--h1", "1,0", "--h2", "0,1", "--z1", "i", "--z2=-i", "--window", "9"],
+    ["perturb", "a.json", "n.json", "--output=r.json"],
+    ["verify", "--suite", "all", "--seed", "3", "--output", "r.json"],
+    ["verify", "--suite=jordan-orders"],
+    ["order", "--", "t.json"],
+    ["-h"],
+    ["order", "-h"],
+    ["order"],
+    ["perturb", "a.json"],
+    ["shift", "s.json"],
+    ["order", "t.json", "--bogus"],
+    ["order", "t.json", "--bogus", "x", "u.json"],
+    ["order", "t.json", "--out", "r.json"],
+    ["order", "t.json", "--tol", "nan"],
+    ["--tol", "1e-3", "order", "t.json"],
+    ["nope", "t.json"],
+    [],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_parse_args_is_the_top_level_parse(argv, capsys):
+    assert parse_outcome(_parse_args, argv, capsys) == parse_outcome(
+        _build_parser().parse_args, argv, capsys)

@@ -245,3 +245,31 @@ def test_unread_private_functions_are_seen():
                        "def _cmd_x():\n    pass\n",
                "b.py": "from a import _read\nf = _read\n"}
     assert unread_private_functions(sources) == [("a.py", "_method"), ("a.py", "_used")]
+
+
+def json_encoder_reads(source):
+    """Lines on which a module reads json.dump or json.dumps, as an attribute
+    of json or imported from it."""
+    tree = ast.parse(source)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                  and isinstance(node.value, ast.Name) and node.value.id == "json"
+                  or isinstance(node, ast.ImportFrom) and node.module == "json"
+                  and any(alias.name in ("dump", "dumps") for alias in node.names))
+
+
+# the cli's writer is the one report encoder, so every report keeps the one
+# format it writes
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_calls_json_dump(path):
+    assert json_encoder_reads(path.read_text()) == []
+
+
+def test_json_encoder_reads_are_seen():
+    source = ("import json\n"
+              "from json import dumps\n"
+              "from json.encoder import encode_basestring_ascii\n"
+              "json.dump({}, fh)\n"
+              "text = json.dumps([], indent=2)\n"
+              "doc = json.loads(text)\n")
+    assert json_encoder_reads(source) == [2, 4, 5]
