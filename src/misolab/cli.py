@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
+import reprlib
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -63,21 +63,23 @@ def _parse_scalar_flag(text, mode):
         return parse_rational(text)
     # complex() also reads non-ASCII digits and _ between digits
     if not text.isascii() or "_" in text:
-        raise SpecFileError(f"bad float scalar {text!r}: ASCII digits only, without '_'")
+        raise SpecFileError(
+            f"bad float scalar {reprlib.repr(text)}: ASCII digits only, without '_'")
     try:
         # only a trailing i is the imaginary unit: inf and infinity keep theirs
         z = complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError as exc:
-        raise SpecFileError(f"bad float scalar {text!r}") from exc
+        raise SpecFileError(f"bad float scalar {reprlib.repr(text)}") from exc
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise SpecFileError(f"float scalar {text!r} is not finite")
+        raise SpecFileError(f"float scalar {reprlib.repr(text)} is not finite")
     return Scalar.flt(z.real, z.imag)
 
 
 def _parse_vector_flag(text, mode, dim):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != dim:
-        raise SpecFileError(f"vector {text!r} has {len(parts)} entries, operator needs {dim}")
+        raise SpecFileError(
+            f"vector {reprlib.repr(text)} has {len(parts)} entries, operator needs {dim}")
     return tuple(_parse_scalar_flag(p, mode) for p in parts)
 
 
@@ -372,12 +374,6 @@ def _cmd_perturb(args):
 
 def _cmd_verify(args):
     seed = args.seed
-    env_seed = os.environ.get("MISOLAB_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise SpecFileError(f"MISOLAB_SEED must be an integer, got {env_seed!r}") from exc
     if args.suite == "all":
         results = run_all_suites(seed)
     else:
@@ -467,7 +463,7 @@ def _command_parsers():
     p.add_argument("--suite", required=True,
                    help=f"one of: all, {', '.join(sorted(SUITES))}")
     p.add_argument("--seed", type=int, default=0,
-                   help="suite seed (overridden by MISOLAB_SEED)")
+                   help="suite seed")
     p.add_argument("--output", default=None)
     return parser, commands
 

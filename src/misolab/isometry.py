@@ -181,9 +181,9 @@ def orbit_sequence(T, h, window_len=None):
     """gamma_{T,h}: the window of squared orbit norms ||T^n h||^2.
 
     T is a DenseOperator, whose window matrices._orbit_windows steps on its
-    kept parts, or any operator exposing apply() on the vectors it is given,
-    walked by orbit(); the default window is default_window_len(dim) for a
-    dense operator and 16 otherwise."""
+    kept parts, or a weighted shift, whose _orbit_inners reads the window
+    from its squared weights; the default window is default_window_len(dim)
+    for a dense operator and 16 otherwise."""
     dense = isinstance(T, DenseOperator)
     if window_len is None:
         window_len = default_window_len(T.dim) if dense else 16
@@ -191,7 +191,7 @@ def orbit_sequence(T, h, window_len=None):
         raise WindowTooShortError("orbit window must hold at least 2 samples")
     if dense:
         return OrbitSequence(_orbit_windows(T, [(h, h)], window_len)[0])
-    return OrbitSequence(_generic_inner(v, v) for v in islice(orbit(T, h), window_len))
+    return OrbitSequence(T._orbit_inners(h, h, window_len))
 
 
 def newton_expansion_check(T, m, n_max, tol=DEFAULT_DEFECT_TOL):
@@ -222,8 +222,10 @@ def newton_expansion_check(T, m, n_max, tol=DEFAULT_DEFECT_TOL):
 class DefectForm:
     """The sesquilinear defect form F_{T;k}(f,g) = sum_j (-1)^j C(k,j) <T^j f, T^j g>.
 
-    Uses only applications of T and inner products, so it is available on
-    finitely supported sequence spaces where no adjoint exists.
+    Uses only inner products of orbit vectors, so it is available on
+    finitely supported sequence spaces where no adjoint exists: a dense T is
+    walked by orbit(), and a weighted shift reads <W^j f, W^j g> from its
+    squared weights (_orbit_inners).
     """
 
     def __init__(self, op, k):
@@ -233,22 +235,20 @@ class DefectForm:
         self.k = k
 
     def __call__(self, f, g):
+        if isinstance(self.op, DenseOperator):
+            walks = zip(orbit(self.op, f), orbit(self.op, g))
+            inners = [vec_inner(u, v) for u, v in islice(walks, self.k + 1)]
+        else:
+            inners = self.op._orbit_inners(f, g, self.k + 1)
         acc = None
-        walks = zip(orbit(self.op, f), orbit(self.op, g))
-        for j, (u, v) in enumerate(islice(walks, self.k + 1)):
-            term = _generic_inner(u, v) * ((-1) ** j * math.comb(self.k, j))
+        for j, ip in enumerate(inners):
+            term = ip * ((-1) ** j * math.comb(self.k, j))
             acc = term if acc is None else acc + term
         return acc
 
 
 def defect_form(op, k):
     return DefectForm(op, k)
-
-
-def _generic_inner(u, v):
-    if isinstance(u, FiniteVector):
-        return u.inner(v)
-    return vec_inner(u, v)
 
 
 def _generic_add(u, v):

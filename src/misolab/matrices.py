@@ -781,15 +781,6 @@ def vec_max_abs(u):
     return _largest([a.modulus() for a in u])
 
 
-def float_max_abs(values, mode):
-    """Largest |value| for float diagnostics; 0.0 in exact mode, which
-    decides zeros exactly and converts no entry to float."""
-    if mode == EXACT:
-        return 0.0
-    moduli = [v.modulus() for v in values]
-    return _largest(moduli) if moduli else 0.0
-
-
 class FiniteVector:
     """Finitely supported sequence vector: sorted map index -> nonzero scalar.
 

@@ -1,10 +1,11 @@
 """Unilateral weighted shifts and their construction.
 
 Exact mode stores squared weights (rationals) and never takes square
-roots: every m-isometry test here uses only squared orbit norms, so no
-irrationals arise.  Applying the shift to a vector needs the weights
-themselves and is available in float mode, or in exact mode when each
-squared weight happens to be a rational square.
+roots: every m-isometry test here, and every orbit inner product
+<W^n f, W^n g>, uses only squared orbit norms, so no irrationals arise.
+Applying the shift to a vector needs the weights themselves and is
+available in float mode, or in exact mode when each squared weight
+happens to be a rational square.
 """
 
 from __future__ import annotations
@@ -66,11 +67,14 @@ class WeightedShiftOperator:
             )
         return Scalar.exact(root)
 
-    def apply(self, v):
+    def _check_vec(self, v):
         if not isinstance(v, FiniteVector):
             raise PreconditionError("weighted shifts act on FiniteVector")
         if v.mode != self.mode:
             raise PreconditionError("shift/vector mode mismatch")
+
+    def apply(self, v):
+        self._check_vec(v)
         return FiniteVector(
             {i + 1: self.weight(i) * c for i, c in v.entries.items()}, mode=self.mode
         )
@@ -83,6 +87,18 @@ class WeightedShiftOperator:
         """The window ||W^n e_j||^2, n < window_len: running products."""
         return OrbitSequence(accumulate(self._prefix(j, window_len - 1), mul,
                                         initial=Scalar.one(self.mode)))
+
+    def _orbit_inners(self, f, g, count):
+        """<W^n f, W^n g> for n < count, from the squared weights: the W^n e_i
+        have disjoint supports, so it is sum_i f_i conj(g_i) ||W^n e_i||^2
+        over the common support of f and g, each ||W^n e_i||^2 a running
+        product of basis_orbit.  f and g get apply's checks."""
+        self._check_vec(f)
+        self._check_vec(g)
+        terms = [(c * g.entries[i].conj(), self.basis_orbit(i, count).values)
+                 for i, c in f.entries.items() if i in g.entries]
+        return [sum((c * w[n] for c, w in terms), Scalar.zero(self.mode))
+                for n in range(count)]
 
 
 def _rational_sqrt(q):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -38,7 +39,7 @@ def _rational_parts(text):
     pair in lowest terms, read from the digits."""
     m = _RATIONAL_RE.match(text)
     if not m:
-        raise SpecFileError(f"bad rational scalar {text!r}")
+        raise SpecFileError(f"bad rational scalar {reprlib.repr(text)}")
     real = _ratio(m.group("re"), text)
     if m.group("im") is None:
         return real, (0, 1)
@@ -53,7 +54,7 @@ def _ratio(digits, text):
     except ValueError as exc:   # the grammar admits only ASCII digits: this is the length limit
         raise _too_long("rational scalar") from exc
     if not den:
-        raise SpecFileError(f"zero denominator in rational scalar {text!r}")
+        raise SpecFileError(f"zero denominator in rational scalar {reprlib.repr(text)}")
     g = math.gcd(num, den)
     return num // g, den // g
 
@@ -114,7 +115,7 @@ def _entry_parts(entry, mode):
     in float mode two floats."""
     if isinstance(entry, list):
         if len(entry) != 2:
-            raise SpecFileError(f"bad scalar entry {entry!r}")
+            raise SpecFileError(f"bad scalar entry {reprlib.repr(entry)}")
     elif isinstance(entry, str):
         if mode != EXACT:
             raise SpecFileError("string rational entries require exact mode")
@@ -122,7 +123,7 @@ def _entry_parts(entry, mode):
     elif _is_number(entry):
         entry = [entry, 0]
     else:
-        raise SpecFileError(f"bad scalar entry {entry!r}")
+        raise SpecFileError(f"bad scalar entry {reprlib.repr(entry)}")
     re_part, im_part = entry
     if mode == EXACT:
         if not (_is_int(re_part) and _is_int(im_part)):
@@ -132,13 +133,13 @@ def _entry_parts(entry, mode):
             )
         return (re_part, 1), (im_part, 1)
     if not (_is_number(re_part) and _is_number(im_part)):
-        raise SpecFileError(f"bad float entry {entry!r}")
+        raise SpecFileError(f"bad float entry {reprlib.repr(entry)}")
     try:
         re_part, im_part = float(re_part), float(im_part)
     except OverflowError as exc:
-        raise SpecFileError(f"float entry {entry!r} is beyond float range") from exc
+        raise SpecFileError(f"float entry {reprlib.repr(entry)} is beyond float range") from exc
     if not (math.isfinite(re_part) and math.isfinite(im_part)):
-        raise SpecFileError(f"float entry {entry!r} is not finite")
+        raise SpecFileError(f"float entry {reprlib.repr(entry)} is not finite")
     return re_part, im_part
 
 
@@ -199,7 +200,7 @@ def parse_operator_spec(doc):
         for b in blocks:
             if not isinstance(b, dict) or "z" not in b:
                 raise SpecFileError(
-                    f'jordan block {b!r} must be an object with "z" and "size"')
+                    f'jordan block {reprlib.repr(b)} must be an object with "z" and "size"')
             size = b.get("size")
             if not _is_int(size) or size < 1:
                 raise SpecFileError("jordan block size must be a positive integer")

@@ -32,6 +32,7 @@ from .matrices import (
     DenseOperator,
     _echelon,
     _forms,
+    _largest,
     _orbit_windows,
     _polarization_values,
     _polarization_vector,
@@ -41,7 +42,6 @@ from .matrices import (
     _shifted,
     _square,
     basis_vector,
-    float_max_abs,
     np,
     orbit,
     polarization_pairs,
@@ -360,15 +360,16 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
         if not _on_circle(sp.eigenvalue, T.mode, tol):
             failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue)} is not unimodular")
             break
-    if T.mode == EXACT:
-        orthogonal, gram = _exact_blocks_orthogonal(spaces, T.dim), 0.0
-    else:
-        # <u, v> for u in spaces[i].basis, v in spaces[j].basis, i < j
-        cross = [vec_inner(u, v) for i, si in enumerate(spaces) for sj in spaces[i + 1:]
-                 for u in si.basis for v in sj.basis]
-        orthogonal = all(negligible(ip, FLOAT, tol, lambda: 1.0, "<u, v>") for ip in cross)
-        gram = float_max_abs(cross, FLOAT)
-    if not orthogonal:
+    # |<u, v>| for u, v in the bases of spaces i < j, by one _forms read of I
+    # with u from every space but the last and v from every space but the first
+    us = [(i, u) for i, sp in enumerate(spaces[:-1]) for u in sp.basis]
+    vs = [(j, v) for j, sp in enumerate(spaces[1:], 1) for v in sp.basis]
+    forms = _forms([DenseOperator.identity(T.dim, T.mode)], [u for _, u in us],
+                   [v for _, v in vs]) if us else ()
+    size = _form_size(T.mode)
+    cross = [size(re, im) for (i, _), (row,) in zip(us, forms)
+             for (j, _), (_, re, im) in zip(vs, row) if i < j]
+    if not all(negligible(x, T.mode, tol, lambda: 1.0, "<u, v>") for x in cross):
         failures.append("generalized eigenspaces are not pairwise orthogonal")
     certified = not failures
     predicted = None
@@ -376,7 +377,7 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
         predicted = max(2 * sp.chain_depth - 1 for sp in spaces)
     return AlgebraicDecomposition(
         blocks=tuple(spaces),
-        pairwise_gram=gram,
+        pairwise_gram=_largest(cross) if cross and T.mode == FLOAT else 0.0,
         certified=certified,
         failures=tuple(failures),
         predicted_strict_order=predicted,
@@ -384,19 +385,10 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
     )
 
 
-def _exact_blocks_orthogonal(spaces, dim):
-    """Whether <u, v> = 0 for u, v in the bases of distinct exact spaces, by
-    one matrices._forms call on the identity, which takes each vector apart
-    at most once as a u and once as a v: u from every space but the last, v
-    from every space but the first, and only forms with u's space before
-    v's are read."""
-    us = [(i, u) for i, sp in enumerate(spaces[:-1]) for u in sp.basis]
-    vs = [(j, v) for j, sp in enumerate(spaces[1:], 1) for v in sp.basis]
-    if not us:
-        return True
-    forms = _forms([DenseOperator.identity(dim, EXACT)], [u for _, u in us], [v for _, v in vs])
-    return not any(re or im for (i, _), (row,) in zip(us, forms)
-                   for (j, _), (_, re, im) in zip(vs, row) if i < j)
+def _form_size(mode):
+    """The size of a _forms value from its parts: math.hypot, Scalar.modulus(), in float
+    mode; abs(re) + abs(im) of the ints in exact mode, zero iff they are, no float made."""
+    return math.hypot if mode == FLOAT else lambda re, im: abs(re) + abs(im)
 
 
 def _fmt_scalar(s):
@@ -513,12 +505,11 @@ def _membership_check(T, h, z, tol):
 
 
 def _on_circle(z, mode, tol):
-    """|z| = 1 for a Scalar or numpy complex z: exactly in exact mode, where
-    a float z is off the circle, and within tol in float mode."""
+    """|z| = 1 for a Scalar z: exactly in exact mode, where a float z is off
+    the circle, and within tol in float mode."""
     if mode == EXACT:
         return z.mode == EXACT and negligible(z.abs2().re - 1, EXACT, tol, None, "|z|^2 - 1")
-    size = abs((z.modulus() if isinstance(z, Scalar) else abs(z)) - 1.0)
-    return negligible(size, FLOAT, tol, lambda: 1.0, "|z| - 1")
+    return negligible(abs(z.modulus() - 1.0), FLOAT, tol, lambda: 1.0, "|z| - 1")
 
 
 def _pair_preconditions(T, h1, h2, z1, z2, tol, window_len):
@@ -717,8 +708,7 @@ def _restricted_strict_order(T, spanning, tol):
     That is the first m with <beta_m(T) u, v> = 0 for all u, v in spanning:
     a Hermitian form vanishes on a span iff it does on all spanning pairs.
     The forms are matrices._forms' values of vec_inner(beta_m.apply(u), v)."""
-    # an exact form's parts are integers, zero iff their sum of moduli is
-    size = math.hypot if T.mode == FLOAT else lambda re, im: abs(re) + abs(im)
+    size = _form_size(T.mode)
     top = cache(lambda: max(1.0, max(vec_max_abs(v) for v in spanning) ** 2))
     for d in islice(_defects(T), 1, 2 * len(spanning) + 2):
         thr, what = d.threshold(tol), f"<beta_{d.m} u, v>"
@@ -741,10 +731,9 @@ class SpectrumCheck(NamedTuple):
 def unimodular_spectrum_check(T, tol=DEFAULT_DEFECT_TOL, eigen_hints=None):
     """Necessary-condition filter: eigenvalue moduli vs. the unit circle."""
     if T.mode == EXACT:
-        eigs = spectrum = tuple(sp.eigenvalue for sp in _exact_eigenspaces(T, eigen_hints))
+        spectrum = tuple(sp.eigenvalue for sp in _exact_eigenspaces(T, eigen_hints))
     else:
-        eigs = np.linalg.eigvals(to_numpy(T))
-        spectrum = tuple(Scalar.flt(z.real, z.imag) for z in eigs)
-    on_circle = all(_on_circle(z, T.mode, tol) for z in eigs)
+        spectrum = tuple(Scalar.flt(z.real, z.imag) for z in np.linalg.eigvals(to_numpy(T)))
+    on_circle = all(_on_circle(z, T.mode, tol) for z in spectrum)
     moduli = tuple(s.modulus() for s in spectrum)
     return SpectrumCheck(all_on_circle=on_circle, spectrum=spectrum, moduli=moduli)

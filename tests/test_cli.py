@@ -255,19 +255,12 @@ class TestExitCodes:
             f"error: unknown suite 'nope'; available: {', '.join(sorted(SUITES))}\n")
 
 
-class TestSeedHandling:
-    def test_env_overrides_flag(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("MISOLAB_SEED", "99")
-        out = tmp_path / "rep.json"
-        assert main(["verify", "--suite", "shift-factory", "--seed", "1",
-                     "--output", str(out)]) == 0
-        capsys.readouterr()
-        assert json.loads(out.read_text())["parameters"]["seed"] == 99
-
-    def test_bad_env_seed_is_parse_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("MISOLAB_SEED", "seven")
-        assert main(["verify", "--suite", "shift-factory"]) == 2
-        capsys.readouterr()
+def test_seed_flag_reaches_the_report(capsys, tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--suite", "shift-factory", "--seed", "99",
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["parameters"]["seed"] == 99
 
 
 class TestSpecRejection:
@@ -319,6 +312,18 @@ class TestSpecRejection:
         path.write_text(text)
         assert main(["order", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"mode": "exact", "matrix": [[list(range(3000))]]}, id="exact-entry"),
+    pytest.param({"mode": "float", "matrix": [[[0.5] * 3000]]}, id="float-entry"),
+    pytest.param({"mode": "exact", "jordan_blocks": [list(range(3000))]}, id="jordan-block"),
+])
+def test_long_offending_value_is_shortened(tmp_path, capsys, doc):
+    # the message embedded the whole value: a stderr line of 15-17 KB
+    assert main(["order", write(tmp_path, "long.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 # the grammar's denominators are positive: a zero one ended in a

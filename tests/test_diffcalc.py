@@ -25,7 +25,7 @@ from misolab import (
     orbit_sequence,
 )
 from misolab import diffcalc
-from misolab.matrices import _int_form, _scalar, float_max_abs
+from misolab.matrices import _int_form, _scalar, vec_max_abs
 from misolab.polynomials import falling_factorial_poly
 from misolab.scalars import EXACT, FLOAT
 
@@ -205,6 +205,11 @@ def ref_difference_rows(gamma, depth):
     return (gamma.values, *(tuple(map(to_scalar, r)) for r in rows[1:]))
 
 
+def ref_residual(values, mode):
+    """The largest |value| in float mode, 0.0 in exact mode."""
+    return 0.0 if mode == EXACT else vec_max_abs(values)
+
+
 def ref_detect_degree(gamma, tol=diffcalc.DEFAULT_FLOAT_TOL):
     rows = ref_difference_rows(gamma, gamma.window_len - 1)
     scale = tol * max(1.0, gamma.max_abs()) if gamma.mode == FLOAT else 0.0
@@ -215,13 +220,13 @@ def ref_detect_degree(gamma, tol=diffcalc.DEFAULT_FLOAT_TOL):
 
     if row_is_zero(0):
         return DegreeVerdict(polynomial=True, degree=None, zero_sequence=True,
-                             residual=float_max_abs(gamma.values, gamma.mode))
+                             residual=ref_residual(gamma.values, gamma.mode))
     for d in range(gamma.window_len - 1):
         if row_is_zero(d + 1):
             return DegreeVerdict(polynomial=True, degree=d,
-                                 residual=float_max_abs(rows[d + 1], gamma.mode))
+                                 residual=ref_residual(rows[d + 1], gamma.mode))
     return DegreeVerdict(polynomial=False, degree=None,
-                         residual=float_max_abs(rows[-1], gamma.mode))
+                         residual=ref_residual(rows[-1], gamma.mode))
 
 
 def ref_newton_reconstruct(gamma, tol=diffcalc.DEFAULT_FLOAT_TOL):

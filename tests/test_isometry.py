@@ -305,6 +305,19 @@ class TestOrbitWalk:
             walked = orbit_sequence(W, FiniteVector.basis(j, EXACT), 12)
             assert walked.values == W.basis_orbit(j, 12).values
 
+    def test_irrational_shift_weights_are_never_rooted(self):
+        # the generator 1 + n has squared weights (n + 2)/(n + 1), whose
+        # square roots are irrational: ||W^n e_j||^2 = (n + j + 1)/(j + 1)
+        # is read from them, and each window walk raised on W.apply
+        W = shift_from_polynomial(Polynomial.from_ints([1, 1]), 32)
+        e = [FiniteVector.basis(j, EXACT) for j in range(3)]
+        assert orbit_sequence(W, e[0], 8).values == W.basis_orbit(0, 8).values
+        res = local_isometry_survey(W, e)
+        assert [v.describe() for v in res.per_vector] == ["polynomial(degree=1)"] * 3
+        assert res.consistent_with == 2
+        assert defect_form(W, 1)(e[0], e[0]) == -1
+        assert defect_form(W, 2)(e[0], e[0]) == 0
+
     def test_walk_matches_matrix_powers(self):
         h = (Scalar.exact(1, 2), Scalar.exact(Fraction(-1, 3)))
         walked = list(islice(orbit(EXAMPLE, h), 5))

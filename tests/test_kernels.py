@@ -48,7 +48,7 @@ from misolab.isometry import (
 )
 from misolab.matrices import (_box, _defect_walk, _forms, _int_form, _orbit_windows,
                               _polarization_values, _polarization_vector, basis_vector,
-                              float_max_abs, polarization_pairs, vec_max_abs)
+                              polarization_pairs, vec_max_abs)
 from misolab.scalars import EXACT, FLOAT, negligible, zero_threshold
 from misolab.specio import load_spec_file, parse_entry, parse_operator_spec
 from misolab.spectral import _strictness_criterion, from_numpy
@@ -745,7 +745,6 @@ def test_a_nan_modulus_is_seen_wherever_it_sits(row):
     v = tuple(Scalar.flt(x) for x in row)
     assert math.isnan(DenseOperator([v, (Scalar.flt(0.0),) * 2]).max_abs())
     assert math.isnan(vec_max_abs(v))
-    assert math.isnan(float_max_abs(v, FLOAT))
 
 
 def record_kernel_reads(monkeypatch):

@@ -60,15 +60,15 @@ def import_report_hashes():
 
 
 # A float on a line of one of these fields is a residue: the largest
-# |beta_m| entry of an order verdict, or the largest inner product of an
-# ortho test.  Where the verdict says it vanishes it is a sum of rounding
+# |beta_m| entry of an order verdict, the largest inner product of an
+# ortho test, or the largest cross form |<u, v>| of a decomposition.  Where the verdict says it vanishes it is a sum of rounding
 # errors, whose size, not whose value, the float kernels fix: it may change
 # by a factor of a few with the summation order of numpy and BLAS.  So a
 # residue is pinned within a relative RESIDUE_DIGITS of its value, or, below
 # NOISE (every residue above it here is 8 or more), within a factor of
 # NOISE_FACTOR.  Every other field, floats included (tol, witness entries),
 # is pinned byte for byte.
-RESIDUE = re.compile(r'((?:residual|max_re_inner|max_abs_inner)"?: )([-+.\w]+)')
+RESIDUE = re.compile(r'((?:residual|max_re_inner|max_abs_inner|pairwise_gram)"?: )([-+.\w]+)')
 RESIDUE_DIGITS, NOISE, NOISE_FACTOR = 1e-9, 1e-3, 100.0
 
 
@@ -155,6 +155,29 @@ def test_float_cli_window_digests_are_pinned(tmp_path, command, count, specs_dig
     strictness criterion) and make no LAPACK call; as for order, the spec
     files are pinned first."""
     check_float_cycle_pin(tmp_path, command, count, specs_digest, output_digest, residues)
+
+
+# the pairwise_gram of the decompose reports, in the stdout and then in
+# the JSON report: 0.0 for the one-block operator, 0.55 for the operator
+# whose blocks are not orthogonal
+DECOMPOSE_RESIDUES = [x for x in (
+    3.4612841490267523e-16, 0.0, 0.5476743731545144, 2.220717083251841e-16,
+    2.2678854137820732e-15, 3.908020529499657e-16, 6.877494940346309e-15,
+    1.1113866311395349e-14, 7.468261590855957e-16) for _ in range(2)]
+
+
+def test_float_cli_decompose_digest_is_pinned(tmp_path):
+    """The decompose requests of float-cli cycle 0 at seed 1 (9 of its 37)
+    give the same bytes as before: eigenvalues, blocks, failures, warnings,
+    exit codes, stdout and stderr, the pairwise_gram residues within
+    residue_matches of theirs.  Decompose calls numpy's eigvals and the SVD,
+    so beyond the spec files' digest the pin holds on one numpy and LAPACK
+    build: another build may round an eigenvalue or a basis differently."""
+    check_float_cycle_pin(
+        tmp_path, "decompose", 9,
+        "1045642ef2527e3fdcfe0b265b66dd264e0ac26f7f490a1d816fbc470d49b78d",
+        "27d03d6f297dbbee54fc5831e2aed780120288222904469182a37b8c85e58c66",
+        DECOMPOSE_RESIDUES)
 
 
 @pytest.mark.parametrize("seed,cycle", [(2, 1), (2, 3), (3, 3)])

@@ -623,6 +623,20 @@ class TestAlgebraicDecompose:
         assert not dec.certified
         assert any("orthogonal" in f for f in dec.failures)
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_exact_orthogonality_makes_no_float(self, monkeypatch, coupled):
+        # exact cross forms are sized by their integer parts: no hypot, no
+        # float largest, and pairwise_gram is 0.0 whatever the verdict
+        def no_float(*args):
+            raise AssertionError("a float size in exact mode")
+
+        monkeypatch.setattr(spectral, "_largest", no_float)
+        monkeypatch.setattr(math, "hypot", no_float)
+        T = EXAMPLE if coupled else direct_sum(jordan_matrix(JordanSpec(ONE, 2)),
+                                               jordan_matrix(JordanSpec(I_, 1)))
+        dec = algebraic_decompose(T, eigen_hints=EXAMPLE_HINTS if coupled else (ONE, I_))
+        assert dec.certified is not coupled and dec.pairwise_gram == 0.0
+
     def test_off_circle_refused(self):
         T = DenseOperator.from_ints([[2]])
         dec = algebraic_decompose(T, eigen_hints=(Scalar.exact(2),))
