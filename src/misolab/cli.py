@@ -86,11 +86,31 @@ def _parse_vector_flag(text, mode, dim):
 def _tolerance(text):
     """--tol value: NaN, infinite, negative or >= 1 tolerances would make
     float zero tests confidently wrong (at tol >= 1 every one passes)."""
-    tol = float(text)
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
     if not (math.isfinite(tol) and 0 <= tol < 1):
         raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite number >= 0 and < 1, got {text!r}")
+            f"tolerance must be a finite number >= 0 and < 1, got {reprlib.repr(text)}")
     return tol
+
+
+def _integer(text):
+    """An integer flag value, as int() reads it; its range is checked where
+    it is used."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
+
+
+def _seed(text):
+    """--seed value: an integer >= 0, as numpy's default_rng takes it."""
+    seed = _integer(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {reprlib.repr(text)}")
+    return seed
 
 
 def _vector_out(v):
@@ -431,8 +451,8 @@ def _command_parsers():
 
     p = commands["order"] = sub.add_parser("order", help="strict-order detection")
     p.add_argument("file", help="operator spec file (JSON)")
-    p.add_argument("--mmax", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--mmax", type=_integer, default=None)
+    p.add_argument("--window", type=_integer, default=None)
     common(p, DEFAULT_DEFECT_TOL)
 
     p = commands["decompose"] = sub.add_parser("decompose", help="algebraic block decomposition")
@@ -441,7 +461,7 @@ def _command_parsers():
 
     p = commands["shift"] = sub.add_parser("shift", help="weighted-shift order query")
     p.add_argument("file")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     common(p, DEFAULT_FLOAT_TOL)
 
     p = commands["ortho"] = sub.add_parser(
@@ -451,7 +471,7 @@ def _command_parsers():
     p.add_argument("--h2", required=True)
     p.add_argument("--z1", required=True)
     p.add_argument("--z2", required=True)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=_integer, default=None)
     common(p, DEFAULT_FLOAT_TOL)
 
     p = commands["perturb"] = sub.add_parser("perturb", help="nilpotent perturbation analysis")
@@ -462,8 +482,7 @@ def _command_parsers():
     p = commands["verify"] = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True,
                    help=f"one of: all, {', '.join(sorted(SUITES))}")
-    p.add_argument("--seed", type=int, default=0,
-                   help="suite seed")
+    p.add_argument("--seed", type=_seed, default=0, help="suite seed, >= 0")
     p.add_argument("--output", default=None)
     return parser, commands
 

@@ -29,16 +29,12 @@ from .matrices import (
     FiniteVector,
     _defect_walk,
     _forms,
-    _orbit_windows,
     _polarization_pair,
     _polarization_values,
     _polarization_vector,
     basis_vector,
     np,
-    orbit,
     vec_add,
-    vec_inner,
-    vec_scale,
 )
 from .scalars import EXACT, FLOAT, Scalar, falling_factorial, negligible, zero_threshold
 
@@ -178,19 +174,14 @@ def _nonzero_form_witness(d, tol):
 
 
 def orbit_sequence(T, h, window_len=None):
-    """gamma_{T,h}: the window of squared orbit norms ||T^n h||^2.
-
-    T is a DenseOperator, whose window matrices._orbit_windows steps on its
-    kept parts, or a weighted shift, whose _orbit_inners reads the window
-    from its squared weights; the default window is default_window_len(dim)
-    for a dense operator and 16 otherwise."""
-    dense = isinstance(T, DenseOperator)
+    """gamma_{T,h}: the window of squared orbit norms ||T^n h||^2, read by
+    T._orbit_inners: a DenseOperator steps it on its kept parts, a weighted
+    shift reads it from its squared weights.  The default window is
+    default_window_len(dim) for a dense operator and 16 otherwise."""
     if window_len is None:
-        window_len = default_window_len(T.dim) if dense else 16
+        window_len = default_window_len(T.dim) if isinstance(T, DenseOperator) else 16
     if window_len < 2:
         raise WindowTooShortError("orbit window must hold at least 2 samples")
-    if dense:
-        return OrbitSequence(_orbit_windows(T, [(h, h)], window_len)[0])
     return OrbitSequence(T._orbit_inners(h, h, window_len))
 
 
@@ -223,9 +214,10 @@ class DefectForm:
     """The sesquilinear defect form F_{T;k}(f,g) = sum_j (-1)^j C(k,j) <T^j f, T^j g>.
 
     Uses only inner products of orbit vectors, so it is available on
-    finitely supported sequence spaces where no adjoint exists: a dense T is
-    walked by orbit(), and a weighted shift reads <W^j f, W^j g> from its
-    squared weights (_orbit_inners).
+    finitely supported sequence spaces where no adjoint exists: the
+    operator's _orbit_inners reads <T^j f, T^j g>, with apply's checks on f
+    and g, from a dense operator's kept parts or a weighted shift's squared
+    weights.
     """
 
     def __init__(self, op, k):
@@ -235,53 +227,25 @@ class DefectForm:
         self.k = k
 
     def __call__(self, f, g):
-        if isinstance(self.op, DenseOperator):
-            walks = zip(orbit(self.op, f), orbit(self.op, g))
-            inners = [vec_inner(u, v) for u, v in islice(walks, self.k + 1)]
-        else:
-            inners = self.op._orbit_inners(f, g, self.k + 1)
-        acc = None
-        for j, ip in enumerate(inners):
-            term = ip * ((-1) ** j * math.comb(self.k, j))
-            acc = term if acc is None else acc + term
-        return acc
+        k = self.k
+        return reduce(add, (ip * ((-1) ** j * math.comb(k, j))
+                            for j, ip in enumerate(self.op._orbit_inners(f, g, k + 1))))
 
 
 def defect_form(op, k):
     return DefectForm(op, k)
 
 
-def _generic_add(u, v):
-    if isinstance(u, FiniteVector):
-        return u.add(v)
-    return vec_add(u, v)
-
-
-def _generic_scale(c, u):
-    if isinstance(u, FiniteVector):
-        return u.scale(c)
-    return vec_scale(c, u)
-
-
 def polarization_reconstruct(quad, h, h0):
-    """Recover phi(h, h) from the three samples phi(h0 + j h), j = 0, 1, 2.
+    """Recover phi(h, h) from the three samples phi(h0 + j h), j = 0, 1, 2,
+    as (phi(h0) - 2 phi(h0 + h) + phi(h0 + 2h)) / 2, with 2h read as h + h.
 
     quad maps a vector to the diagonal value phi(v, v) of a form additive
-    in each slot; the result is independent of h0 for such forms.
+    in each slot; the result is independent of h0 for such forms.  The
+    vectors are tuples or FiniteVectors.
     """
-    acc = None
-    for j in range(3):
-        c = (-1) ** j * math.comb(2, j)
-        v = _generic_add(h0, _generic_scale(Scalar.from_int(j, _vec_mode(h)), h))
-        term = quad(v) * c
-        acc = term if acc is None else acc + term
-    return acc / Scalar.from_int(2, _vec_mode(h))
-
-
-def _vec_mode(v):
-    if isinstance(v, FiniteVector):
-        return v.mode
-    return v[0].mode
+    plus = FiniteVector.add if isinstance(h, FiniteVector) else vec_add
+    return (quad(h0) - quad(plus(h0, h)) * 2 + quad(plus(h0, plus(h, h)))) / 2
 
 
 class SurveyResult(NamedTuple):

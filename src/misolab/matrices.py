@@ -178,6 +178,11 @@ class DenseOperator:
         if same_mode(*vec) != self.mode:
             raise ModeMismatchError("vector mode does not match operator mode")
 
+    def _orbit_inners(self, u, v, count):
+        """<T^k u, T^k v> for k < count, from _orbit_windows' walk, with its
+        checks; a weighted shift answers the same call."""
+        return _orbit_windows(self, [(u, v)], count)[0]
+
     def _row_parts(self):
         """(den, [form of each row]) from _parts of all the entries; made on
         first use and kept, since the operator never changes."""

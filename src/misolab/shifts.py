@@ -84,18 +84,20 @@ class WeightedShiftOperator:
         return math.prod(self._prefix(j, n), start=Scalar.one(self.mode))
 
     def basis_orbit(self, j, window_len):
-        """The window ||W^n e_j||^2, n < window_len: running products."""
-        return OrbitSequence(accumulate(self._prefix(j, window_len - 1), mul,
-                                        initial=Scalar.one(self.mode)))
+        """The window ||W^n e_j||^2, n < window_len."""
+        return OrbitSequence(self._norms_sq(j, window_len))
+
+    def _norms_sq(self, j, count):
+        """||W^n e_j||^2 for n < count: running products of the squared weights."""
+        return list(accumulate(self._prefix(j, count - 1), mul, initial=Scalar.one(self.mode)))
 
     def _orbit_inners(self, f, g, count):
         """<W^n f, W^n g> for n < count, from the squared weights: the W^n e_i
         have disjoint supports, so it is sum_i f_i conj(g_i) ||W^n e_i||^2
-        over the common support of f and g, each ||W^n e_i||^2 a running
-        product of basis_orbit.  f and g get apply's checks."""
+        over the common support of f and g.  f and g get apply's checks."""
         self._check_vec(f)
         self._check_vec(g)
-        terms = [(c * g.entries[i].conj(), self.basis_orbit(i, count).values)
+        terms = [(c * g.entries[i].conj(), self._norms_sq(i, count))
                  for i, c in f.entries.items() if i in g.entries]
         return [sum((c * w[n] for c, w in terms), Scalar.zero(self.mode))
                 for n in range(count)]

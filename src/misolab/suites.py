@@ -10,6 +10,7 @@ reproducible and diffable.
 from __future__ import annotations
 
 import random
+import reprlib
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Optional
@@ -557,7 +558,8 @@ SUITES = {
 
 def run_suite(name, seed=0):
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
+        raise KeyError(f"unknown suite {reprlib.repr(name)}; "
+                       f"available: {', '.join(sorted(SUITES))}")
     return SUITES[name](seed)
 
 

@@ -263,6 +263,49 @@ def test_seed_flag_reaches_the_report(capsys, tmp_path):
     assert json.loads(out.read_text())["parameters"]["seed"] == 99
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "float-robustness", "--seed", "-1"],
+    ["verify", "--suite", "all", "--seed=-1"],
+    ["verify", "--suite", "shift-factory", "--seed", "-7"],
+])
+def test_negative_seed_is_2(capsys, argv):
+    # numpy's default_rng refused it in the float-robustness suite: a
+    # ValueError traceback, exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"misolab verify: error: argument --seed: seed must be >= 0, got {argv[-1][-2:]!r}"]
+
+
+LONG = "x" * 3000
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(["order", "{spec}", "--tol", LONG], id="order-tol"),
+    pytest.param(["order", "{spec}", "--tol", "1" * 3000], id="order-tol-number"),
+    pytest.param(["order", "{spec}", "--mmax", LONG], id="order-mmax"),
+    pytest.param(["order", "{spec}", "--mmax", "9" * 5000], id="order-mmax-digits"),
+    pytest.param(["order", "{spec}", "--window", LONG], id="order-window"),
+    pytest.param(["shift", "{shift}", "--m", LONG], id="shift-m"),
+    pytest.param(["verify", "--suite", LONG], id="verify-suite"),
+    pytest.param(["verify", "--suite", "shift-factory", "--seed", LONG], id="verify-seed"),
+])
+def test_long_flag_value_is_shortened(tmp_path, capsys, flags):
+    # each was echoed whole: a stderr line of 3-5 KB
+    paths = {"spec": write(tmp_path, "e.json", EXAMPLE_DOC),
+             "shift": write(tmp_path, "s.json", {"mode": "exact",
+                                                 "shift": {"polynomial": ["1", "1"]}})}
+    try:
+        code = main([flag.format(**paths) if flag.startswith("{") else flag for flag in flags])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and all(len(line) < 200 for line in err.splitlines())
+
+
 class TestSpecRejection:
     """Malformed specs exit 2 with a message, never with a traceback."""
 

@@ -6,11 +6,13 @@ A document is a well-formed spec of dimension <= 3 in which up to two
 values, at any depth and the whole document included, are replaced by
 arbitrary JSON.  The flag test sends well-formed specs of dimension <= 3
 to every command but verify, with integer flags in [-3, 40], so that no
-request runs long."""
+request runs long; verify takes a fixed list of seed and suite values, of
+which only cheap suites and one float-robustness case run."""
 
 import copy
 import json
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -191,3 +193,25 @@ def test_flag_values_end_in_documented_exit_codes(tmp_path_factory, request):
     if command == "order" and code == 0:
         # an order, or the bound searched, is at least 1
         assert json.loads(out.read_text())["verdict"]["m"] >= 1
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--suite", "float-robustness", "--seed", "-1"], id="negative-float-robustness"),
+    pytest.param(["--suite", "all", "--seed=-1"], id="negative-all"),
+    pytest.param(["--suite", "shift-factory", "--seed=-3"], id="negative-shift-factory"),
+    pytest.param(["--suite", "jordan-orders", "--seed", str(2 ** 70)], id="huge-jordan-orders"),
+    pytest.param(["--suite", "float-robustness", "--seed", str(2 ** 70)],
+                 id="huge-float-robustness"),
+    pytest.param(["--suite", "density", "--seed", "1.5"], id="fractional"),
+    pytest.param(["--suite", "density", "--seed", "x"], id="non-integer"),
+    pytest.param(["--suite", "density", "--seed", ""], id="empty"),
+    pytest.param(["--suite", "nope"], id="unknown-suite"),
+    pytest.param(["--suite", "x" * 3000], id="long-suite"),
+])
+def test_verify_flags_end_in_documented_exit_codes(capsys, flags):
+    try:
+        code = main(["verify", *flags])
+    except SystemExit as exc:   # argparse rejects the flags
+        code = exc.code
+    assert code in (0, 2, 3, 4)
+    capsys.readouterr()

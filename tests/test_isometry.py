@@ -1,5 +1,6 @@
 """Defect operators, strict orders and local characterizations."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -9,6 +10,7 @@ import pytest
 
 from misolab import (
     DenseOperator,
+    DimensionMismatchError,
     FiniteVector,
     PreconditionError,
     Scalar,
@@ -29,9 +31,11 @@ from misolab import (
     polarization_reconstruct,
     shift_from_polynomial,
     strict_order,
+    vec_add,
     vec_from_ints,
     vec_inner,
     vec_norm_sq,
+    vec_scale,
 )
 from misolab import isometry
 from misolab.scalars import EXACT, FLOAT
@@ -200,6 +204,87 @@ class TestDefectForm:
         assert abs(float(f(e0, e0).re)) < 1e-12
 
 
+    def test_float_form_is_the_defect_form_within_rounding(self):
+        # the float form sums walked samples, the defect is the recurrence
+        # walk's beta_k: both are within rounding of sum_j C(k, j) <T^j f, T^j g>,
+        # whose error is at most a few eps times sum_j C(k, j) ||T^j||^2 ||f|| ||g||
+        rng = random.Random(17)
+        np_rng = np.random.default_rng(17)
+        ops = [conjugate_by_unitary(operator_to_float(jordan_matrix(JordanSpec(z, 3))),
+                                    random_unitary(3, np_rng)) for z in UNIMODULAR_EXACT[:3]]
+        ops.append(DenseOperator([[Scalar.flt(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                   for _ in range(3)] for _ in range(3)]))
+        for T in ops:
+            a = np.array([[s.as_complex() for s in r] for r in T.rows])
+            for _ in range(3):
+                f, g = (tuple(Scalar.flt(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                              for _ in range(3)) for _ in range(2))
+                size = math.sqrt(vec_norm_sq(f).re * vec_norm_sq(g).re)
+                for k in range(5):
+                    got = defect_form(T, k)(f, g)
+                    want = vec_inner(defect(T, k).matrix.apply(f), g)
+                    bound = 1e-12 * size * sum(
+                        math.comb(k, j) * np.linalg.norm(np.linalg.matrix_power(a, j), 2) ** 2
+                        for j in range(k + 1))
+                    assert abs(got.as_complex() - want.as_complex()) <= bound
+
+    def test_exact_form_is_the_defect_form_off_the_diagonal(self):
+        rng = random.Random(4)
+        for _ in range(4):
+            T = DenseOperator([[Scalar.exact(rng.randint(-2, 2), rng.randint(-2, 2))
+                                for _ in range(3)] for _ in range(3)])
+            f, g = (tuple(Scalar.exact(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                          for _ in range(3)) for _ in range(2))
+            for k in range(4):
+                assert defect_form(T, k)(f, g) == vec_inner(defect(T, k).matrix.apply(f), g)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_shift_form_of_order_zero_is_the_inner_product(self, mode):
+        # a window of one sample raised WindowTooShortError
+        W = shift_from_polynomial(Polynomial.from_ints([1, 1], mode=mode), 16)
+        f = FiniteVector({0: Scalar.from_int(2, mode), 3: Scalar.i_unit(mode)}, mode=mode)
+        g = FiniteVector({3: Scalar.from_int(5, mode), 7: Scalar.one(mode)}, mode=mode)
+        assert defect_form(W, 0)(f, g) == f.inner(g)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_every_order_checks_its_vectors(self, mode, k):
+        # at k = 0 no orbit step ran apply: 3-vectors, and vectors of the
+        # other mode, gave a value on a 2 x 2 operator
+        form = defect_form(DenseOperator.from_ints([[1, 1], [0, 1]], mode), k)
+        other = FLOAT if mode == EXACT else EXACT
+        with pytest.raises(DimensionMismatchError):
+            form(vec_from_ints([1, 2, 3], mode), vec_from_ints([0, 1, 1], mode))
+        with pytest.raises(DimensionMismatchError):
+            form(vec_from_ints([1, 2], mode), vec_from_ints([0, 1, 1], mode))
+        with pytest.raises(ModeMismatchError):
+            form(vec_from_ints([1, 2], other), vec_from_ints([0, 1], other))
+        with pytest.raises(ModeMismatchError):
+            form(vec_from_ints([1, 2], mode), vec_from_ints([0, 1], other))
+
+
+def ref_polarization_reconstruct(quad, h, h0):
+    """The three-sample loop sum_j (-1)^j C(2, j) quad(h0 + j h) / 2, each
+    j h a Scalar multiple, that polarization_reconstruct ran before it read
+    h0, h0 + h and h0 + (h + h); kept as the reference it must equal bit for
+    bit."""
+    finite = isinstance(h, FiniteVector)
+    mode = h.mode if finite else h[0].mode
+    acc = None
+    for j in range(3):
+        c = (-1) ** j * math.comb(2, j)
+        jh = h.scale(Scalar.from_int(j, mode)) if finite else vec_scale(
+            Scalar.from_int(j, mode), h)
+        term = quad(h0.add(jh) if finite else vec_add(h0, jh)) * c
+        acc = term if acc is None else acc + term
+    return acc / Scalar.from_int(2, mode)
+
+
+def bits(s):
+    """A Scalar's mode and parts, signed zeros told apart."""
+    return s.mode, repr(s.re), repr(s.im)
+
+
 class TestPolarization:
     def test_norm_form(self):
         quad = lambda v: vec_norm_sq(v)
@@ -227,6 +312,45 @@ class TestPolarization:
             values.append(polarization_reconstruct(lambda v: form(v, v), h, h0))
             assert values[-1] == form(h, h)
         assert values == [Scalar.exact(x) for x in (-8, 4, 0, 0)]
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_matches_the_three_sample_loop_on_tuples(self, mode):
+        rng = random.Random(23)
+
+        def entry():
+            if mode == EXACT:
+                return Scalar.exact(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            return Scalar.flt(*(rng.choice([0.0, rng.gauss(0, 1), rng.uniform(-1e3, 1e3)])
+                                for _ in range(2)))
+
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            B = DenseOperator([[entry() for _ in range(n)] for _ in range(n)])
+            h, h0 = (tuple(entry() for _ in range(n)) for _ in range(2))
+            quads = [lambda v: vec_inner(B.apply(v), v), vec_norm_sq,
+                     lambda v, form=defect_form(B, rng.randint(0, 3)): form(v, v)]
+            for quad in quads:
+                assert bits(polarization_reconstruct(quad, h, h0)) == bits(
+                    ref_polarization_reconstruct(quad, h, h0))
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_matches_the_three_sample_loop_on_finite_vectors(self, mode):
+        rng = random.Random(29)
+        W = shift_from_polynomial(Polynomial.from_ints([1, 2, 1], mode=mode), 24)
+
+        def vector():
+            return FiniteVector({i: Scalar.from_int(rng.randint(-4, 4), mode)
+                                 * Scalar.from_int(rng.randint(1, 3), mode)
+                                 / Scalar.from_int(rng.randint(1, 3), mode)
+                                 for i in rng.sample(range(8), rng.randint(1, 4))}, mode=mode)
+
+        for _ in range(40):
+            h, h0 = vector(), vector()
+            for quad in (lambda v: v.norm_sq(),
+                         lambda v, form=defect_form(W, rng.randint(0, 4)): form(v, v)):
+                assert bits(polarization_reconstruct(quad, h, h0)) == bits(
+                    ref_polarization_reconstruct(quad, h, h0))
 
     def test_zero_form(self):
         quad = lambda v: Scalar.exact(0)

@@ -1247,7 +1247,6 @@ class TestSurveyWindows:
             raise AssertionError("an orbit window was walked")
 
         monkeypatch.setattr(matrices, "_orbit_windows", walk)
-        monkeypatch.setattr(isometry, "_orbit_windows", walk)
         T = operator_to_float(direct_sum(*(jordan_matrix(JordanSpec(z=z, size=k)) for z, k in (
             (Scalar.exact(1), 4), (Scalar.exact(0, 1), 3),
             (Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 1)))))
