@@ -325,7 +325,7 @@ def _beta_degrees(op, vectors, window_len, verdict, tol):
     try:
         for h in vectors:
             op._check_vec(h)
-    except (DimensionMismatchError, ModeMismatchError):
+    except (DimensionMismatchError, ModeMismatchError, PreconditionError):
         return None
     mode, betas, degrees = op.mode, verdict.defects, []
     kernel, basis = [b.matrix._row_parts()[1] for b in betas], list(map(_basis_index, vectors))

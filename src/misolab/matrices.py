@@ -173,6 +173,8 @@ class DenseOperator:
         return tuple(_box(z, da * dv, EXACT) for z in zip(re, im))
 
     def _check_vec(self, vec):
+        if isinstance(vec, FiniteVector):
+            raise PreconditionError("dense operators act on tuples of Scalars")
         if len(vec) != self.dim:
             raise DimensionMismatchError("vector length does not match operator")
         if same_mode(*vec) != self.mode:

@@ -17,7 +17,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .diffcalc import DEFAULT_FLOAT_TOL, OrbitSequence, default_window_len, detect_degree
-from .errors import PreconditionError
+from .errors import ModeMismatchError, PreconditionError
 from .isometry import orbit_sequence
 from .matrices import FiniteVector
 from .polynomials import Polynomial
@@ -28,15 +28,14 @@ class WeightedShiftOperator:
     """W e_n = lambda_n e_{n+1}, with |lambda_n|^2 = weights_sq[n] on the
     verified prefix n < prefix_len."""
 
-    __slots__ = ("mode", "weights_sq", "description")
+    __slots__ = ("mode", "weights_sq")
 
-    def __init__(self, weights_sq, mode, description=""):
+    def __init__(self, weights_sq, mode):
         weights_sq = tuple(weights_sq)
         if len(weights_sq) < 2:
             raise PreconditionError("shift prefix must cover at least 2 weights")
         self.mode = mode
         self.weights_sq = weights_sq
-        self.description = description
 
     @property
     def prefix_len(self):
@@ -71,7 +70,7 @@ class WeightedShiftOperator:
         if not isinstance(v, FiniteVector):
             raise PreconditionError("weighted shifts act on FiniteVector")
         if v.mode != self.mode:
-            raise PreconditionError("shift/vector mode mismatch")
+            raise ModeMismatchError("shift/vector mode mismatch")
 
     def apply(self, v):
         self._check_vec(v)
@@ -149,10 +148,7 @@ def shift_from_polynomial(p, prefix_len=32):
     for n, val in enumerate(values):
         if not (val.is_real() and val.re > 0):
             raise PreconditionError(f"generator is not positive at n={n}")
-    return WeightedShiftOperator(
-        (b / a for a, b in zip(values, values[1:])), p.mode,
-        description=f"shift from generator of degree {p.degree}",
-    )
+    return WeightedShiftOperator((b / a for a, b in zip(values, values[1:])), p.mode)
 
 
 def build_shift_spec(p, prefix_len=32):
@@ -179,9 +175,7 @@ def localization_shift(T, h, prefix_len=None):
             raise PreconditionError(
                 f"orbit norm vanishes at n={n}; operator not injective on the orbit"
             )
-    return WeightedShiftOperator(
-        (b / a for a, b in zip(norms, norms[1:])), T.mode, description="localization shift"
-    )
+    return WeightedShiftOperator((b / a for a, b in zip(norms, norms[1:])), T.mode)
 
 
 def shift_is_m_isometry(W, m, tol=DEFAULT_FLOAT_TOL):

@@ -120,6 +120,11 @@ def conjugate_by_unitary(T, u):
     return from_numpy(u @ to_numpy(T) @ u.conj().T)
 
 
+def _conjugated(np_rng):
+    """The float lift U T U* of an exact T, one random_unitary draw per call."""
+    return lambda T: conjugate_by_unitary(operator_to_float(T), random_unitary(T.dim, np_rng))
+
+
 # ---------------------------------------------------------------------------
 # Corpora
 # ---------------------------------------------------------------------------
@@ -219,10 +224,8 @@ def _strict_upper_random(rng, dim):
 
 
 def _shift_power(dim, t):
-    """S^t for S the size-dim nilpotent Jordan block."""
-    one = Scalar.one(EXACT)
-    return _entry_matrix(dim, EXACT, {(i, i + t): one for i in range(dim - t)}) \
-        if t < dim else DenseOperator.zeros(dim, EXACT)
+    """S^t for S the size-dim nilpotent Jordan block (zero for t >= dim)."""
+    return _entry_matrix(dim, EXACT, {(i, i + t): Scalar.one(EXACT) for i in range(dim - t)})
 
 
 def perturbation_corpus(seed=0, count=30):
@@ -251,21 +254,14 @@ def perturbation_corpus(seed=0, count=30):
             out.append(PerturbationInstance(
                 "block-polynomial", direct_sum(*blocks), direct_sum(*nils)))
         else:
-            # two identical blocks coupled by N = [[0, S^t], [0, 0]]; S^t
-            # commutes with the block, so N commutes with J (+) J
+            # two identical blocks coupled by N = [[0, S^t], [0, 0]], S^(k+t) of
+            # size 2k; S^t commutes with the block, so N commutes with J (+) J
             z = rng.choice(UNIMODULAR_EXACT)
             k = rng.randint(2, 3)
             J = jordan_matrix(JordanSpec(z, k))
             A = direct_sum(J, J)
             t = rng.choice([0, 1])
-            M = _shift_power(k, t)
-            zero = DenseOperator.zeros(k, EXACT)
-            rows = []
-            for bi, brow in enumerate(((zero, M), (zero, zero))):
-                for ri in range(k):
-                    rows.append([brow[bj].rows[ri][ci]
-                                 for bj in range(2) for ci in range(k)])
-            out.append(PerturbationInstance("cross-coupled", A, DenseOperator(rows)))
+            out.append(PerturbationInstance("cross-coupled", A, _shift_power(2 * k, k + t)))
     return out
 
 
@@ -293,19 +289,79 @@ def density_operators():
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suites.  A law checked in both modes has one checker: exact on exact operators,
+# float on their lifts (_conjugated) or on float generators, at DEFAULT_DEFECT_TOL.
 # ---------------------------------------------------------------------------
+
+def _jordan_checks(rec, sizes, lift=None):
+    """Strict order 2k - 1 of J_k(z) at each unimodular z; lifted, also the residual
+    up to size 11: from size 12 on the input's own rounding reaches the bound (the
+    exact defects of the float input of a size-12 conjugation reach 5.7e-7)."""
+    prefix = "" if lift is None else "float "
+    for z in UNIMODULAR_EXACT:
+        for k in sizes:
+            T = jordan_matrix(JordanSpec(z, k))
+            v = strict_order(T if lift is None else lift(T))
+            tag = f"{prefix}block z={z!r} size {k}"
+            rec.check(v.strict and v.m == 2 * k - 1,
+                      f"{tag}: got {v.describe()}, want strict-order({2 * k - 1})")
+            if lift is not None and k <= 11:
+                rec.check(v.residual <= FLOAT_RESIDUAL_BOUND,
+                          f"{tag}: residual {v.residual:.2e}")
+
+
+def _shift_checks(rec, mode):
+    """The shift of each generator p in mode is a (deg p + 1)- and no (deg p)-isometry,
+    with orbit norms p(n + j) / p(j); in float within the bound times max(1, the norm)."""
+    prefix = "" if mode == EXACT else "float "
+    agree = Scalar.__eq__ if mode == EXACT else lambda got, want: abs(
+        float(got.re) - float(want.re)) <= FLOAT_RESIDUAL_BOUND * max(1.0, float(want.re))
+    for ints in SHIFT_GENERATORS:
+        p = Polynomial.from_ints(ints, mode=mode)
+        d = p.degree
+        W = shift_from_polynomial(p, prefix_len=32)
+        rec.check(shift_is_m_isometry(W, d + 1, tol=DEFAULT_DEFECT_TOL),
+                  f"{prefix}generator {ints}: not flagged as a {d + 1}-isometry")
+        rec.check(not shift_is_m_isometry(W, d, tol=DEFAULT_DEFECT_TOL),
+                  f"{prefix}generator {ints}: wrongly flagged at order {d}")
+        values = [p(n) for n in range(32)]
+        for j in range(7):
+            orbit_j = W.basis_orbit(j, 25 - j).values
+            for n in range(25 - j):
+                rec.check(agree(orbit_j[n], values[n + j] / values[j]),
+                          f"{prefix}generator {ints}: orbit norm mismatch at j={j}, n={n}")
+
+
+def _decomposition_checks(rec, seed, lift=None):
+    """A certified instance of decomposition_corpus(seed) is certified and of the strict
+    order max(2 nu - 1) it predicts, an odd one (exact) or within the residual bound
+    (lifted); any other is refused and not strict.  Float mode reads no hints."""
+    prefix = "" if lift is None else "float "
+    for idx, inst in enumerate(decomposition_corpus(seed)):
+        tag = f"{prefix}instance {idx} ({inst.kind})"
+        T = inst.operator if lift is None else lift(inst.operator)
+        dec = algebraic_decompose(T, eigen_hints=inst.eigen_hints)
+        order = strict_order(T)
+        if inst.kind == "certified":
+            rec.check(dec.certified, f"{tag}: refused: {dec.failures}")
+            rec.check(order.strict and order.m == inst.expected_order,
+                      f"{tag}: order {order.describe()}, want {inst.expected_order}")
+            rec.check(dec.certified and dec.predicted_strict_order == inst.expected_order,
+                      f"{tag}: predicted {dec.predicted_strict_order}")
+            if lift is None:
+                rec.check(dec.certified and dec.predicted_strict_order % 2 == 1,
+                          f"{tag}: predicted order is even")
+            else:
+                rec.check(order.residual <= FLOAT_RESIDUAL_BOUND,
+                          f"{tag}: residual {order.residual:.2e}")
+        else:
+            rec.check(not dec.certified, f"{tag}: wrongly certified")
+            rec.check(not order.strict, f"{tag}: unexpected {order.describe()}")
+
 
 def suite_jordan_orders(seed=0):
     rec = _Recorder("jordan-orders")
-    for z in UNIMODULAR_EXACT:
-        for k in range(1, 6):
-            T = jordan_matrix(JordanSpec(z, k))
-            v = strict_order(T)
-            rec.check(
-                v.strict and v.m == 2 * k - 1,
-                f"block z={z!r} size {k}: got {v.describe()}, want strict-order({2 * k - 1})",
-            )
+    _jordan_checks(rec, range(1, 6))
     return rec.result()
 
 
@@ -366,41 +422,13 @@ def suite_defect_consistency(seed=0):
 
 def suite_shift_factory(seed=0):
     rec = _Recorder("shift-factory")
-    for ints in SHIFT_GENERATORS:
-        p = Polynomial.from_ints(ints)
-        d = p.degree
-        W = shift_from_polynomial(p, prefix_len=32)
-        rec.check(shift_is_m_isometry(W, d + 1),
-                  f"generator {ints}: not flagged as a {d + 1}-isometry")
-        rec.check(not shift_is_m_isometry(W, d),
-                  f"generator {ints}: wrongly flagged at order {d}")
-        values = [p(n) for n in range(32)]
-        for j in range(7):
-            orbit_j = W.basis_orbit(j, 25 - j).values
-            for n in range(25 - j):
-                rec.check(orbit_j[n] == values[n + j] / values[j],
-                          f"generator {ints}: orbit norm mismatch at j={j}, n={n}")
+    _shift_checks(rec, EXACT)
     return rec.result()
 
 
 def suite_decomposition(seed=0):
     rec = _Recorder("decomposition")
-    for idx, inst in enumerate(decomposition_corpus(seed)):
-        tag = f"instance {idx} ({inst.kind})"
-        dec = algebraic_decompose(inst.operator, eigen_hints=inst.eigen_hints)
-        order = strict_order(inst.operator)
-        if inst.kind == "certified":
-            rec.check(dec.certified, f"{tag}: refused: {dec.failures}")
-            rec.check(order.strict and order.m == inst.expected_order,
-                      f"{tag}: order {order.describe()}, want {inst.expected_order}")
-            rec.check(dec.certified and dec.predicted_strict_order == inst.expected_order,
-                      f"{tag}: predicted {dec.predicted_strict_order}")
-            rec.check(dec.certified and dec.predicted_strict_order % 2 == 1,
-                      f"{tag}: predicted order is even")
-        else:
-            rec.check(not dec.certified, f"{tag}: wrongly certified")
-            rec.check(not order.strict,
-                      f"{tag}: unexpected {order.describe()}")
+    _decomposition_checks(rec, seed)
     return rec.result()
 
 
@@ -452,9 +480,9 @@ def suite_density(seed=0):
 def suite_float_robustness(seed=0):
     rec = _Recorder("float-robustness")
     np_rng = np.random.default_rng(seed)
-    tol = DEFAULT_DEFECT_TOL
+    lift = _conjugated(np_rng)
 
-    _float_jordan_checks(rec, np_rng, range(1, 6), tol)
+    _jordan_checks(rec, range(1, 6), lift)
 
     # the non-orthogonal two-chain worked example after unitary conjugation
     i_f = Scalar.flt(0.0, 1.0)
@@ -477,71 +505,18 @@ def suite_float_robustness(seed=0):
             want = -(1j ** (k + l + 1))
             rec.check(abs(got - want) <= FLOAT_RESIDUAL_BOUND,
                       f"float example: inner product at k={k}, l={l} off target")
-    v9 = strict_order(T, m_max=9, tol=tol)
+    v9 = strict_order(T, m_max=9)
     rec.check((not v9.strict) and v9.m == 9,
               f"float example: got {v9.describe()}, want not-within-bound(9)")
     report = jordan_pair_equivalences(T, h1, h2, i_f, -i_f)
     rec.check(report.all_agree and not any(report.conditions()),
               f"float example: equivalence conditions {report.conditions()}")
 
-    # shift factory in float coefficients
-    for ints in SHIFT_GENERATORS:
-        p = Polynomial.from_ints(ints, mode=FLOAT)
-        d = p.degree
-        W = shift_from_polynomial(p, prefix_len=32)
-        rec.check(shift_is_m_isometry(W, d + 1, tol=tol),
-                  f"float generator {ints}: not a {d + 1}-isometry")
-        rec.check(not shift_is_m_isometry(W, d, tol=tol),
-                  f"float generator {ints}: wrongly passed at order {d}")
-        for j in range(7):
-            orbit_j = W.basis_orbit(j, 25 - j).values
-            for n in range(25 - j):
-                got = float(orbit_j[n].re)
-                want = float((p(n + j) / p(j)).re)
-                rec.check(abs(got - want) <= FLOAT_RESIDUAL_BOUND * max(1.0, want),
-                          f"float generator {ints}: orbit norm off at j={j}, n={n}")
-
-    # decomposition corpus after unitary conjugation
-    for idx, inst in enumerate(decomposition_corpus(seed)):
-        tag = f"float instance {idx} ({inst.kind})"
-        T = conjugate_by_unitary(
-            operator_to_float(inst.operator),
-            random_unitary(inst.operator.dim, np_rng),
-        )
-        dec = algebraic_decompose(T, tol=tol)
-        order = strict_order(T, tol=tol)
-        if inst.kind == "certified":
-            rec.check(dec.certified, f"{tag}: refused: {dec.failures}")
-            rec.check(order.strict and order.m == inst.expected_order,
-                      f"{tag}: order {order.describe()}, want {inst.expected_order}")
-            rec.check(dec.certified
-                      and dec.predicted_strict_order == inst.expected_order,
-                      f"{tag}: predicted {dec.predicted_strict_order}")
-            rec.check(order.residual <= FLOAT_RESIDUAL_BOUND,
-                      f"{tag}: residual {order.residual:.2e}")
-        else:
-            rec.check(not dec.certified, f"{tag}: wrongly certified")
-            rec.check(not order.strict, f"{tag}: unexpected {order.describe()}")
-
+    _shift_checks(rec, FLOAT)
+    _decomposition_checks(rec, seed, lift)
     # sizes 6-16 draw from a stream of their own, so that no check above moves
-    _float_jordan_checks(rec, np.random.default_rng([seed, 1]), range(6, 17), tol)
+    _jordan_checks(rec, range(6, 17), _conjugated(np.random.default_rng([seed, 1])))
     return rec.result()
-
-
-def _float_jordan_checks(rec, np_rng, sizes, tol):
-    """The Jordan order law after unitary conjugation, and the residual up to
-    size 11: from size 12 on the input's own rounding reaches the bound (the
-    exact defects of the float input of a size-12 conjugation reach 5.7e-7)."""
-    for z in UNIMODULAR_EXACT:
-        for k in sizes:
-            T = conjugate_by_unitary(operator_to_float(jordan_matrix(JordanSpec(z, k))),
-                                     random_unitary(k, np_rng))
-            v = strict_order(T, tol=tol)
-            rec.check(v.strict and v.m == 2 * k - 1,
-                      f"float block z={z!r} size {k}: got {v.describe()}")
-            if k <= 11:
-                rec.check(v.residual <= FLOAT_RESIDUAL_BOUND,
-                          f"float block z={z!r} size {k}: residual {v.residual:.2e}")
 
 
 SUITES = {

@@ -19,6 +19,10 @@ from misolab.suites import run_suite
 
 SEED = 0
 I_ = Scalar.exact(0, 1)
+# each suite's check count at SEED, so that a check dropped or doubled shows
+CHECKS = {"jordan-orders": 25, "newton-roundtrip": 200, "defect-consistency": 3600,
+          "shift-factory": 780, "decomposition": 160, "perturbation": 90, "density": 10,
+          "float-robustness": 1147}
 
 
 def _report(criterion, passed, detail):
@@ -32,6 +36,7 @@ def _suite_criterion(criterion, suite_name, detail):
     extra = "" if res.passed else f"; first failure: {res.failures[0]}"
     _report(criterion, res.passed,
             f"{detail} ({res.checks} checks via suite {suite_name}{extra})")
+    assert res.checks == CHECKS[suite_name]
 
 
 def test_criterion_01_jordan_order_law():

@@ -247,6 +247,33 @@ def test_unread_private_functions_are_seen():
     assert unread_private_functions(sources) == [("a.py", "_method"), ("a.py", "_used")]
 
 
+def unread_slots(sources):
+    """(module, class, name) for each __slots__ entry of a class in the
+    modules sources maps by name, that no module reads as an attribute: a
+    field that is only ever written."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((module, cls.name, name) for module, tree in trees.items()
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for stmt in cls.body if isinstance(stmt, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+                  for name in ast.literal_eval(stmt.value) if name not in reads)
+
+
+def test_every_slot_is_read():
+    assert unread_slots({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_unread_slots_are_seen():
+    sources = {"a.py": "class C:\n    __slots__ = ('read', 'written', 'elsewhere')\n"
+                       "    def __init__(self):\n"
+                       "        self.read = self.written = self.elsewhere = 0\n"
+                       "    def f(self):\n        return self.read\n",
+               "b.py": "def g(c):\n    c.written = 1\n    return c.elsewhere\n"}
+    assert unread_slots(sources) == [("a.py", "C", "written")]
+
+
 def json_encoder_reads(source):
     """Lines on which a module reads json.dump or json.dumps, as an attribute
     of json or imported from it."""

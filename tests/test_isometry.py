@@ -263,6 +263,45 @@ class TestDefectForm:
             form(vec_from_ints([1, 2], mode), vec_from_ints([0, 1], other))
 
 
+class TestVectorKinds:
+    """A dense operator takes tuples and a weighted shift FiniteVectors, of
+    their own mode; any other vector raises a MisolabError."""
+
+    CALLS = {
+        "apply": lambda op, v: op.apply(v),
+        "orbit_sequence": lambda op, v: orbit_sequence(op, v, 4),
+        "defect_form": lambda op, v: defect_form(op, 1)(v, v),
+        "survey": lambda op, v: local_isometry_survey(op, [v]),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_dense_operator_refuses_a_finite_vector(self, call, mode):
+        # a bare TypeError, "object of type 'FiniteVector' has no len()"
+        with pytest.raises(PreconditionError):
+            self.CALLS[call](DenseOperator.from_ints([[1, 1], [0, 1]], mode),
+                             FiniteVector.basis(0, mode))
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_shift_refuses_the_other_mode_as_a_dense_operator_does(self, call, mode):
+        # a shift raised PreconditionError here
+        other = FLOAT if mode == EXACT else EXACT
+        W = shift_from_polynomial(Polynomial.from_ints([1, 1], mode=mode), 16)
+        with pytest.raises(ModeMismatchError):
+            self.CALLS[call](W, FiniteVector.basis(0, other))
+        with pytest.raises(ModeMismatchError):
+            self.CALLS[call](DenseOperator.from_ints([[1, 1], [0, 1]], mode),
+                             vec_from_ints([1, 0], other))
+
+    def test_survey_raises_the_first_failing_vectors_error(self):
+        T = DenseOperator.from_ints([[1, 1], [0, 1]])
+        with pytest.raises(DimensionMismatchError):
+            local_isometry_survey(T, [vec_from_ints([1, 0, 0]), FiniteVector.basis(0, EXACT)])
+        with pytest.raises(PreconditionError):
+            local_isometry_survey(T, [FiniteVector.basis(0, EXACT), vec_from_ints([1, 0, 0])])
+
+
 def ref_polarization_reconstruct(quad, h, h0):
     """The three-sample loop sum_j (-1)^j C(2, j) quad(h0 + j h) / 2, each
     j h a Scalar multiple, that polarization_reconstruct ran before it read

@@ -698,6 +698,20 @@ class TestPerturbation:
         with pytest.raises(PreconditionError):
             perturbation_analysis(A, DenseOperator.identity(2, EXACT))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cross_coupled_pairs_couple_the_two_blocks(self, seed):
+        # N = [[0, S^t], [0, 0]] on J_k(z) (+) J_k(z): ones at (i, k + i + t)
+        pairs = [inst for inst in perturbation_corpus(seed) if inst.kind == "cross-coupled"]
+        assert len(pairs) == 10
+        for inst in pairs:
+            A, N = inst.base, inst.nilpotent
+            k = A.dim // 2
+            support = {(i, j): s for i, row in enumerate(N.rows) for j, s in enumerate(row)
+                       if not s.is_zero()}
+            assert any(support == {(i, k + i + t): ONE for i in range(k - t)} for t in (0, 1))
+            assert A @ N == N @ A
+            assert nilpotency_index(N) is not None
+
     def test_strictness_reuses_the_nilpotency_walk(self, monkeypatch):
         # N^(nu-1) comes from the walk that finds nu, not from N.power again
         products, matmul = [], DenseOperator.__matmul__
