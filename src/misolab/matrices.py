@@ -12,7 +12,7 @@ from itertools import chain
 from operator import add, mul, sub
 
 from .errors import DimensionMismatchError, ModeMismatchError, PreconditionError
-from .scalars import EXACT, FLOAT, Scalar, negligible, same_mode
+from .scalars import EXACT, FLOAT, Scalar, _frac, negligible, same_mode
 
 
 def _lazy_numpy():
@@ -173,11 +173,15 @@ class DenseOperator:
         return tuple(_box(z, da * dv, EXACT) for z in zip(re, im))
 
     def _check_vec(self, vec):
-        if isinstance(vec, FiniteVector):
-            raise PreconditionError("dense operators act on tuples of Scalars")
-        if len(vec) != self.dim:
-            raise DimensionMismatchError("vector length does not match operator")
-        if same_mode(*vec) != self.mode:
+        try:  # a FiniteVector or None has no len, a plain number no mode
+            if len(vec) != self.dim:
+                raise DimensionMismatchError("vector length does not match operator")
+            mode = same_mode(*vec)
+        except ModeMismatchError:
+            raise
+        except (AttributeError, TypeError):
+            raise PreconditionError("dense operators act on tuples of Scalars") from None
+        if mode != self.mode:
             raise ModeMismatchError("vector mode does not match operator mode")
 
     def _orbit_inners(self, u, v, count):
@@ -331,7 +335,7 @@ def _scalar_parts(c, mode):
 def _scalar(re, im, den, mode):
     """The Scalar (re + i im) / den; den is 1 in float mode."""
     if mode == EXACT:
-        return Scalar(EXACT, Fraction(re, den), Fraction(im, den))
+        return Scalar(EXACT, _frac(re, den), _frac(im, den))
     return Scalar(FLOAT, re, im)
 
 
@@ -394,6 +398,8 @@ def _scatter(a_rows, b_nonzeros):
 
 def _reduced(rows, den):
     """(den, form) of exact (re, im) rows over den, divided by one gcd of den and all parts."""
+    if den == 1:
+        return den, rows
     g = math.gcd(den, *chain.from_iterable(chain.from_iterable(rows)))
     if g > 1:
         den, rows = den // g, [([x // g for x in re], [y // g for y in im]) for re, im in rows]
@@ -569,7 +575,7 @@ def _defect_walk(T):
         yield beta, 1.0
         c, out = _nonzeros(_scatter(b, rows)), []
         for (re, im), nz in zip(b, star):
-            re, im = [x * d2 for x in re], [y * d2 for y in im]
+            re, im = ([x * d2 for x in re], [y * d2 for y in im]) if d2 != 1 else (re[:], im[:])
             for k, x, y in nz:
                 for j, u, v in c[k]:
                     re[j] -= x * u - y * v

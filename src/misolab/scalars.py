@@ -18,6 +18,15 @@ from .errors import ModeMismatchError, PreconditionError
 EXACT = "exact"
 FLOAT = "float"
 
+_ZERO = Fraction(0)
+
+
+def _frac(num, den=1):
+    """Fraction(num, den), den nonzero; a zero num gives the shared (immutable) _ZERO."""
+    if not num:
+        return _ZERO
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
 
 class Scalar:
     __slots__ = ("mode", "re", "im")
@@ -31,7 +40,7 @@ class Scalar:
 
     @staticmethod
     def exact(re, im=0):
-        return Scalar(EXACT, Fraction(re), Fraction(im))
+        return Scalar(EXACT, _frac(re), _frac(im))
 
     @staticmethod
     def flt(re, im=0.0):
@@ -100,7 +109,7 @@ class Scalar:
             (a, b), (c, d) = self.re.as_integer_ratio(), self.im.as_integer_ratio()
             (e, f), (g, h) = o.re.as_integer_ratio(), o.im.as_integer_ratio()
             x, y, u, v, den = a * d, c * b, e * h, g * f, b * d * f * h
-            return Scalar(EXACT, Fraction(x * u - y * v, den), Fraction(x * v + y * u, den))
+            return Scalar(EXACT, _frac(x * u - y * v, den), _frac(x * v + y * u, den))
         return Scalar(FLOAT, self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
@@ -118,8 +127,8 @@ class Scalar:
             k, den = f * h, (u * u + v * v) * b * d
             if den == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            return Scalar(EXACT, Fraction((x * u + y * v) * k, den),
-                          Fraction((y * u - x * v) * k, den))
+            return Scalar(EXACT, _frac((x * u + y * v) * k, den),
+                          _frac((y * u - x * v) * k, den))
         d = o.re * o.re + o.im * o.im
         if d == 0 or d == math.inf:
             s = max(abs(o.re), abs(o.im))

@@ -21,7 +21,7 @@ from .errors import ModeMismatchError, PreconditionError
 from .isometry import orbit_sequence
 from .matrices import FiniteVector
 from .polynomials import Polynomial
-from .scalars import FLOAT, Scalar
+from .scalars import _ZERO, EXACT, FLOAT, Scalar, _frac
 
 
 class WeightedShiftOperator:
@@ -34,6 +34,8 @@ class WeightedShiftOperator:
         weights_sq = tuple(weights_sq)
         if len(weights_sq) < 2:
             raise PreconditionError("shift prefix must cover at least 2 weights")
+        if mode == EXACT and any(w.im for w in weights_sq):
+            raise PreconditionError("exact squared weights must be real")
         self.mode = mode
         self.weights_sq = weights_sq
 
@@ -87,8 +89,18 @@ class WeightedShiftOperator:
         return OrbitSequence(self._norms_sq(j, window_len))
 
     def _norms_sq(self, j, count):
-        """||W^n e_j||^2 for n < count: running products of the squared weights."""
-        return list(accumulate(self._prefix(j, count - 1), mul, initial=Scalar.one(self.mode)))
+        """||W^n e_j||^2 for n < count: running products of the squared weights,
+        exact ones of their ints, each reduced through the Fraction it boxes."""
+        weights, one = self._prefix(j, count - 1), Scalar.one(self.mode)
+        if self.mode == FLOAT:
+            return list(accumulate(weights, mul, initial=one))
+        out, num, den = [one], 1, 1
+        for w in weights:
+            a, b = w.re.as_integer_ratio()
+            q = _frac(num * a, den * b)
+            num, den = q.as_integer_ratio()
+            out.append(Scalar(EXACT, q, _ZERO))
+        return out
 
     def _orbit_inners(self, f, g, count):
         """<W^n f, W^n g> for n < count, from the squared weights: the W^n e_i

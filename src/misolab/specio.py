@@ -14,13 +14,12 @@ import math
 import re
 import reprlib
 import sys
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import SpecFileError
 from .matrices import _entry_operator, direct_sum
 from .polynomials import Polynomial
-from .scalars import EXACT, FLOAT, Scalar
+from .scalars import EXACT, FLOAT, Scalar, _frac
 from .shifts import shift_from_polynomial
 from .spectral import JordanSpec, jordan_matrix
 
@@ -63,7 +62,7 @@ def _boxed(parts, mode):
     """The Scalar of an entry's parts (_entry_parts)."""
     real, imag = parts
     if mode == EXACT:
-        return Scalar(EXACT, Fraction(*real), Fraction(*imag))
+        return Scalar(EXACT, _frac(*real), _frac(*imag))
     return Scalar(FLOAT, real, imag)
 
 

@@ -312,10 +312,16 @@ def _jordan_checks(rec, sizes, lift=None):
 
 def _shift_checks(rec, mode):
     """The shift of each generator p in mode is a (deg p + 1)- and no (deg p)-isometry,
-    with orbit norms p(n + j) / p(j); in float within the bound times max(1, the norm)."""
+    with orbit norms p(n + j) / p(j): exact, as got p(j) == p(n + j); in float
+    within the bound times max(1, the norm)."""
     prefix = "" if mode == EXACT else "float "
-    agree = Scalar.__eq__ if mode == EXACT else lambda got, want: abs(
-        float(got.re) - float(want.re)) <= FLOAT_RESIDUAL_BOUND * max(1.0, float(want.re))
+
+    def agree(got, pj, pnj):
+        if mode == EXACT:
+            return got * pj == pnj
+        want = float((pnj / pj).re)
+        return abs(float(got.re) - want) <= FLOAT_RESIDUAL_BOUND * max(1.0, want)
+
     for ints in SHIFT_GENERATORS:
         p = Polynomial.from_ints(ints, mode=mode)
         d = p.degree
@@ -328,7 +334,8 @@ def _shift_checks(rec, mode):
         for j in range(7):
             orbit_j = W.basis_orbit(j, 25 - j).values
             for n in range(25 - j):
-                rec.check(agree(orbit_j[n], values[n + j] / values[j]),
+                ok = agree(orbit_j[n], values[j], values[n + j])
+                rec.check(ok, None if ok else
                           f"{prefix}generator {ints}: orbit norm mismatch at j={j}, n={n}")
 
 

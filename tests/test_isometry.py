@@ -284,6 +284,16 @@ class TestVectorKinds:
 
     @pytest.mark.parametrize("call", CALLS)
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("bad", [[1, 2], (1.0, 2.0), (Scalar.exact(1), 2), None],
+                             ids=["int-list", "float-tuple", "scalar-and-int", "none"])
+    def test_dense_operator_refuses_entries_that_are_not_scalars(self, call, mode, bad):
+        # a bare AttributeError ('int' object has no attribute 'mode'), or for
+        # None a bare TypeError
+        with pytest.raises(PreconditionError):
+            self.CALLS[call](DenseOperator.from_ints([[1, 1], [0, 1]], mode), bad)
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_shift_refuses_the_other_mode_as_a_dense_operator_does(self, call, mode):
         # a shift raised PreconditionError here
         other = FLOAT if mode == EXACT else EXACT

@@ -36,6 +36,23 @@ def test_report_hashes_prints_one_digest_per_cycle():
     assert re.fullmatch(r"float-cli seed 1 cycle 0 requests 37 sha256 [0-9a-f]{64}\n", out)
 
 
+def test_slot_times_prints_each_group_the_total_and_the_rate():
+    lines = run_script("slot_times.py", ["exact-cli", "1", "0", "1"]).stdout.splitlines()
+    assert lines[0] == "exact-cli seed 1 cycles 0 reps 1"
+    group = re.compile(r"([a-z-]+/[\w-]+) +(\d+) +(\d+\.\d\d) ms +(\d+\.\d)%")
+    groups = [group.fullmatch(line) for line in lines[1:-1]]
+    assert all(groups), lines
+    names = [g[1] for g in groups]
+    assert len(set(names)) == len(names) and "verify/shift-factory" in names
+    times = [float(g[3]) for g in groups]
+    assert times == sorted(times, reverse=True)
+    total = re.fullmatch(r"total +51 +(\d+\.\d\d) ms (\d+\.\d) req/s", lines[-1])
+    assert total, lines[-1]
+    assert sum(int(g[2]) for g in groups) == 51
+    assert abs(sum(times) - float(total[1])) <= 0.01 * len(times)
+    assert abs(float(total[2]) - 51e3 / float(total[1])) <= 0.1 + 1e-3 * float(total[2])
+
+
 def test_exact_cli_cycle_digest_is_pinned():
     """Cycles 0 and 1 of exact-cli at seed 1 (51 requests each), the two
     that every benchmark run sends, give the same bytes as before: every

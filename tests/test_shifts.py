@@ -20,8 +20,11 @@ from misolab import (
     shift_is_m_isometry,
     strict_order,
     vec_from_ints,
+    WeightedShiftOperator,
 )
+from misolab import suites
 from misolab.scalars import EXACT, FLOAT
+from misolab.suites import SHIFT_GENERATORS
 
 
 class TestShiftFromPolynomial:
@@ -145,3 +148,67 @@ class TestShiftApplication:
         for ints in ((1,), (1, 1), (1, 2, 1), (1, 0, 1), (3, 2)):
             W = shift_from_polynomial(Polynomial.from_ints(ints), 24)
             assert all(not W.weight_sq(n).is_zero() for n in range(20))
+
+
+class TestShiftOrbitNorms:
+    @pytest.mark.parametrize("ints", SHIFT_GENERATORS)
+    def test_basis_orbit_is_the_product_of_squared_weights(self, ints):
+        W = shift_from_polynomial(Polynomial.from_ints(ints), 32)
+        for j in range(7):
+            orbit = W.basis_orbit(j, 25 - j).values
+            assert [orbit[n] for n in range(25 - j)] == [W.orbit_norm_sq(j, n)
+                                                         for n in range(25 - j)]
+
+    def test_localization_basis_orbit_is_the_product_of_squared_weights(self):
+        T = jordan_matrix(JordanSpec(Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 3))
+        W = localization_shift(T, vec_from_ints([1, 2, 3]))
+        assert any(W.weight_sq(n).re.denominator > 1 for n in range(W.prefix_len))
+        window = W.prefix_len - 6
+        for j in range(7):
+            orbit = W.basis_orbit(j, window).values
+            assert [orbit[n] for n in range(window)] == [W.orbit_norm_sq(j, n)
+                                                         for n in range(window)]
+
+    def test_exact_squared_weights_are_real(self):
+        with pytest.raises(PreconditionError):
+            WeightedShiftOperator([Scalar.exact(1), Scalar.exact(1, 1)], EXACT)
+
+
+class TestShiftSuiteFailures:
+    """The suite's shift law, on shifts one squared weight of which is wrong:
+    the generator (1, 2, 1)'s weight 3 is doubled, so the orbit norm of e_j
+    is wrong from n = 4 - j on, for j <= 3, and the shift is no 3-isometry."""
+
+    GENERATOR, WEIGHT = (1, 2, 1), 3
+
+    def one_wrong_weight(self, monkeypatch, mode):
+        built = suites.shift_from_polynomial
+
+        def shift(p, prefix_len):
+            W = built(p, prefix_len=prefix_len)
+            if p == Polynomial.from_ints(self.GENERATOR, mode=mode):
+                w = list(W.weights_sq)
+                w[self.WEIGHT] = w[self.WEIGHT] * 2
+                W = WeightedShiftOperator(w, mode)
+            return W
+
+        monkeypatch.setattr(suites, "shift_from_polynomial", shift)
+
+    def want_failures(self, prefix):
+        tag = f"{prefix}generator {self.GENERATOR}"
+        return [f"{tag}: not flagged as a 3-isometry"] + [
+            f"{tag}: orbit norm mismatch at j={j}, n={n}"
+            for j in range(self.WEIGHT + 1) for n in range(self.WEIGHT + 1 - j, 25 - j)]
+
+    def test_exact_suite_lists_every_wrong_orbit_norm(self, monkeypatch):
+        self.one_wrong_weight(monkeypatch, EXACT)
+        res = suites.suite_shift_factory()
+        assert res.checks == 780
+        assert list(res.failures) == self.want_failures("")
+
+    def test_float_checks_list_every_wrong_orbit_norm(self, monkeypatch):
+        self.one_wrong_weight(monkeypatch, FLOAT)
+        rec = suites._Recorder("shift-law")
+        suites._shift_checks(rec, FLOAT)
+        assert rec.checks == 780
+        assert rec.failures == self.want_failures("float ")
