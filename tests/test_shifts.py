@@ -155,9 +155,8 @@ class TestShiftOrbitNorms:
     def test_basis_orbit_is_the_product_of_squared_weights(self, ints):
         W = shift_from_polynomial(Polynomial.from_ints(ints), 32)
         for j in range(7):
-            orbit = W.basis_orbit(j, 25 - j).values
-            assert [orbit[n] for n in range(25 - j)] == [W.orbit_norm_sq(j, n)
-                                                         for n in range(25 - j)]
+            assert list(W.basis_orbit(j, 25 - j).values) == [W.orbit_norm_sq(j, n)
+                                                             for n in range(25 - j)]
 
     def test_localization_basis_orbit_is_the_product_of_squared_weights(self):
         T = jordan_matrix(JordanSpec(Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 3))
@@ -165,9 +164,8 @@ class TestShiftOrbitNorms:
         assert any(W.weight_sq(n).re.denominator > 1 for n in range(W.prefix_len))
         window = W.prefix_len - 6
         for j in range(7):
-            orbit = W.basis_orbit(j, window).values
-            assert [orbit[n] for n in range(window)] == [W.orbit_norm_sq(j, n)
-                                                         for n in range(window)]
+            assert list(W.basis_orbit(j, window).values) == [W.orbit_norm_sq(j, n)
+                                                             for n in range(window)]
 
     def test_exact_squared_weights_are_real(self):
         with pytest.raises(PreconditionError):
