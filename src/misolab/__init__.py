@@ -50,7 +50,6 @@ from .isometry import (
 )
 from .matrices import (
     DenseOperator,
-    FiniteVector,
     basis_vector,
     direct_sum,
     orbit,

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .matrices import (
     DenseOperator,
-    FiniteVector,
     _defect_walk,
     _forms,
     _polarization_pair,
@@ -241,11 +240,9 @@ def polarization_reconstruct(quad, h, h0):
     as (phi(h0) - 2 phi(h0 + h) + phi(h0 + 2h)) / 2, with 2h read as h + h.
 
     quad maps a vector to the diagonal value phi(v, v) of a form additive
-    in each slot; the result is independent of h0 for such forms.  The
-    vectors are tuples or FiniteVectors.
+    in each slot; the result is independent of h0 for such forms.
     """
-    plus = FiniteVector.add if isinstance(h, FiniteVector) else vec_add
-    return (quad(h0) - quad(plus(h0, h)) * 2 + quad(plus(h0, plus(h, h)))) / 2
+    return (quad(h0) - quad(vec_add(h0, h)) * 2 + quad(vec_add(h0, vec_add(h, h)))) / 2
 
 
 class SurveyResult(NamedTuple):

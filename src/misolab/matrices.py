@@ -1,5 +1,4 @@
-"""Dense square operators, plain dense vectors and finitely supported
-sequence vectors over dual-mode scalars."""
+"""Dense square operators and vectors, tuples of dual-mode scalars."""
 
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from itertools import chain
 from operator import add, mul, sub
 
 from .errors import DimensionMismatchError, ModeMismatchError, PreconditionError
-from .scalars import EXACT, FLOAT, Scalar, _frac, negligible, same_mode
+from .scalars import EXACT, FLOAT, Scalar, _frac, same_mode
 
 
 def _lazy_numpy():
@@ -173,16 +172,7 @@ class DenseOperator:
         return tuple(_box(z, da * dv, EXACT) for z in zip(re, im))
 
     def _check_vec(self, vec):
-        try:  # a FiniteVector or None has no len, a plain number no mode
-            if len(vec) != self.dim:
-                raise DimensionMismatchError("vector length does not match operator")
-            mode = same_mode(*vec)
-        except ModeMismatchError:
-            raise
-        except (AttributeError, TypeError):
-            raise PreconditionError("dense operators act on tuples of Scalars") from None
-        if mode != self.mode:
-            raise ModeMismatchError("vector mode does not match operator mode")
+        _check_vector(vec, self.mode, self.dim)
 
     def _orbit_inners(self, u, v, count):
         """<T^k u, T^k v> for k < count, from _orbit_windows' walk, with its
@@ -618,10 +608,27 @@ def direct_sum(*ops):
 
 
 # ---------------------------------------------------------------------------
-# Dense vectors are plain tuples of scalars; the helpers below keep inner
-# products and norms in one place.  inner() is conjugate-linear in the
+# Vectors are plain tuples of scalars, for dense operators and weighted
+# shifts alike; the helpers below keep inner products and norms in one place.  inner() is conjugate-linear in the
 # second argument.
 # ---------------------------------------------------------------------------
+
+def _check_vector(vec, mode, dim=None):
+    """Raise unless vec is a nonempty tuple of Scalars of mode, of length dim
+    if dim is given: the vector check of both operator kinds."""
+    try:  # None has no len, a plain number no mode
+        if dim is not None and len(vec) != dim:
+            raise DimensionMismatchError("vector length does not match operator")
+        if not len(vec):
+            raise PreconditionError("a vector needs at least one entry")
+        vec_mode = same_mode(*vec)
+    except ModeMismatchError:
+        raise
+    except (AttributeError, TypeError):
+        raise PreconditionError("operators act on tuples of Scalars") from None
+    if vec_mode != mode:
+        raise ModeMismatchError("vector mode does not match operator mode")
+
 
 def vec(entries):
     return tuple(entries)
@@ -792,80 +799,3 @@ def _largest(moduli):
 
 def vec_max_abs(u):
     return _largest([a.modulus() for a in u])
-
-
-class FiniteVector:
-    """Finitely supported sequence vector: sorted map index -> nonzero scalar.
-
-    Exact zeros are dropped on construction.  Float-mode near-zeros are only
-    dropped by an explicit cleanup() call, never implicitly.
-    """
-
-    __slots__ = ("entries", "mode")
-
-    def __init__(self, entries, mode=None):
-        items = {}
-        for idx, val in dict(entries).items():
-            if idx < 0:
-                raise ValueError("FiniteVector indices must be nonnegative")
-            if val.mode == EXACT and val.is_zero():
-                continue
-            if mode is None:
-                mode = val.mode
-            elif val.mode != mode:
-                raise ModeMismatchError("FiniteVector entries mode mismatch")
-            if not val.is_zero():
-                items[idx] = val
-        if mode is None:
-            raise ValueError("cannot infer mode of an empty FiniteVector; pass mode=")
-        self.entries = dict(sorted(items.items()))
-        self.mode = mode
-
-    @staticmethod
-    def basis(n, mode):
-        return FiniteVector({n: Scalar.one(mode)}, mode=mode)
-
-    def support(self):
-        return tuple(self.entries)
-
-    def is_zero(self):
-        return not self.entries
-
-    def cleanup(self, tol):
-        """Drop the float entries negligible within tol, modulus <= tol (in
-        exact mode no kept entry is zero)."""
-        return FiniteVector({i: v for i, v in self.entries.items() if not negligible(
-            v, self.mode, tol, lambda: 1.0, "a FiniteVector entry")}, mode=self.mode)
-
-    def add(self, other):
-        if self.mode != other.mode:
-            raise ModeMismatchError("FiniteVector mode mismatch")
-        out = dict(self.entries)
-        for i, v in other.entries.items():
-            out[i] = out[i] + v if i in out else v
-        return FiniteVector(out, mode=self.mode)
-
-    def scale(self, c):
-        return FiniteVector({i: c * v for i, v in self.entries.items()}, mode=self.mode)
-
-    def inner(self, other):
-        """<self, other>, conjugate-linear in other."""
-        if self.mode != other.mode:
-            raise ModeMismatchError("FiniteVector mode mismatch")
-        acc = Scalar.zero(self.mode)
-        for i, v in self.entries.items():
-            w = other.entries.get(i)
-            if w is not None:
-                acc = acc + v * w.conj()
-        return acc
-
-    def norm_sq(self):
-        return self.inner(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteVector):
-            return NotImplemented
-        return self.mode == other.mode and self.entries == other.entries
-
-    def __repr__(self):
-        return f"FiniteVector({self.entries!r})"

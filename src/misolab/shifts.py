@@ -3,9 +3,10 @@
 Exact mode stores squared weights (rationals) and never takes square
 roots: every m-isometry test here, and every orbit inner product
 <W^n f, W^n g>, uses only squared orbit norms, so no irrationals arise.
-Applying the shift to a vector needs the weights themselves and is
-available in float mode, or in exact mode when each squared weight
-happens to be a rational square.
+Applying the shift to a vector, a tuple of Scalars read as a finitely
+supported sequence that is zero past its end, needs the weights of its
+nonzero entries: it is available in float mode, or in exact mode when each
+of those squared weights happens to be a rational square.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 from .diffcalc import DEFAULT_FLOAT_TOL, OrbitSequence, default_window_len, detect_degree
 from .errors import ModeMismatchError, PreconditionError
 from .isometry import orbit_sequence
-from .matrices import FiniteVector
+from .matrices import _check_vector
 from .polynomials import Polynomial
 from .scalars import _ZERO, EXACT, FLOAT, Scalar, _frac
 
@@ -34,8 +35,10 @@ class WeightedShiftOperator:
         weights_sq = tuple(weights_sq)
         if len(weights_sq) < 2:
             raise PreconditionError("shift prefix must cover at least 2 weights")
-        if mode == EXACT and any(w.im for w in weights_sq):
-            raise PreconditionError("exact squared weights must be real")
+        if not all(isinstance(w, Scalar) and w.mode == mode for w in weights_sq):
+            raise ModeMismatchError(f"squared weights must be Scalars of mode {mode!r}")
+        if any(w.im or w.re < 0 for w in weights_sq):
+            raise PreconditionError("squared weights must be real and nonnegative")
         self.mode = mode
         self.weights_sq = weights_sq
 
@@ -69,16 +72,13 @@ class WeightedShiftOperator:
         return Scalar.exact(root)
 
     def _check_vec(self, v):
-        if not isinstance(v, FiniteVector):
-            raise PreconditionError("weighted shifts act on FiniteVector")
-        if v.mode != self.mode:
-            raise ModeMismatchError("shift/vector mode mismatch")
+        _check_vector(v, self.mode)
 
     def apply(self, v):
+        """W v, one entry longer than v; a zero entry reads no weight."""
         self._check_vec(v)
-        return FiniteVector(
-            {i + 1: self.weight(i) * c for i, c in v.entries.items()}, mode=self.mode
-        )
+        return (Scalar.zero(self.mode),
+                *(c if c.is_zero() else self.weight(i) * c for i, c in enumerate(v)))
 
     def orbit_norm_sq(self, j, n):
         """||W^n e_j||^2 as a telescoping product of squared weights."""
@@ -105,19 +105,18 @@ class WeightedShiftOperator:
     def _orbit_inners(self, f, g, count):
         """<W^n f, W^n g> for n < count, from the squared weights: the W^n e_i
         have disjoint supports, so it is sum_i f_i conj(g_i) ||W^n e_i||^2
-        over the common support of f and g.  f and g get apply's checks."""
+        over the indices i where both are nonzero, in order.  f and g get
+        apply's checks."""
         self._check_vec(f)
         self._check_vec(g)
-        terms = [(c * g.entries[i].conj(), self._norms_sq(i, count))
-                 for i, c in f.entries.items() if i in g.entries]
+        terms = [(c * d.conj(), self._norms_sq(i, count)) for i, (c, d) in enumerate(zip(f, g))
+                 if not (c.is_zero() or d.is_zero())]
         return [sum((c * w[n] for c, w in terms), Scalar.zero(self.mode))
                 for n in range(count)]
 
 
 def _rational_sqrt(q):
     q = Fraction(q)
-    if q < 0:
-        return None
     rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from misolab import (
     DenseOperator,
     DimensionMismatchError,
-    FiniteVector,
     PreconditionError,
     Scalar,
     basis_vector,
@@ -200,7 +199,7 @@ class TestDefectForm:
 
         W = shift_from_polynomial(Polynomial.from_ints([1, 1], mode=FLOAT), 16)
         f = defect_form(W, 2)
-        e0 = FiniteVector.basis(0, FLOAT)
+        e0 = basis_vector(1, 0, FLOAT)
         assert abs(float(f(e0, e0).re)) < 1e-12
 
 
@@ -242,9 +241,10 @@ class TestDefectForm:
     def test_shift_form_of_order_zero_is_the_inner_product(self, mode):
         # a window of one sample raised WindowTooShortError
         W = shift_from_polynomial(Polynomial.from_ints([1, 1], mode=mode), 16)
-        f = FiniteVector({0: Scalar.from_int(2, mode), 3: Scalar.i_unit(mode)}, mode=mode)
-        g = FiniteVector({3: Scalar.from_int(5, mode), 7: Scalar.one(mode)}, mode=mode)
-        assert defect_form(W, 0)(f, g) == f.inner(g)
+        zero = Scalar.zero(mode)
+        f = (Scalar.from_int(2, mode), zero, zero, Scalar.i_unit(mode)) + (zero,) * 4
+        g = (zero,) * 3 + (Scalar.from_int(5, mode),) + (zero,) * 3 + (Scalar.one(mode),)
+        assert defect_form(W, 0)(f, g) == vec_inner(f, g)
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     @pytest.mark.parametrize("k", [0, 1, 3])
@@ -264,8 +264,9 @@ class TestDefectForm:
 
 
 class TestVectorKinds:
-    """A dense operator takes tuples and a weighted shift FiniteVectors, of
-    their own mode; any other vector raises a MisolabError."""
+    """A dense operator and a weighted shift take tuples of Scalars of their
+    own mode, a dense operator's of its dim and a shift's nonempty; any other
+    vector raises a MisolabError."""
 
     CALLS = {
         "apply": lambda op, v: op.apply(v),
@@ -274,23 +275,25 @@ class TestVectorKinds:
         "survey": lambda op, v: local_isometry_survey(op, [v]),
     }
 
-    @pytest.mark.parametrize("call", CALLS)
-    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    def test_dense_operator_refuses_a_finite_vector(self, call, mode):
-        # a bare TypeError, "object of type 'FiniteVector' has no len()"
-        with pytest.raises(PreconditionError):
-            self.CALLS[call](DenseOperator.from_ints([[1, 1], [0, 1]], mode),
-                             FiniteVector.basis(0, mode))
+    OPS = {
+        "dense": lambda mode: DenseOperator.from_ints([[1, 1], [0, 1]], mode),
+        "shift": lambda mode: shift_from_polynomial(Polynomial.from_ints([1, 1], mode=mode), 16),
+    }
+    BAD = {"int-list": [1, 2], "float-tuple": (1.0, 2.0),
+           "scalar-and-int": (Scalar.exact(1), 2), "none": None, "empty": ()}
 
+    # a dense operator refuses the empty tuple by its length, as a
+    # DimensionMismatchError
     @pytest.mark.parametrize("call", CALLS)
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    @pytest.mark.parametrize("bad", [[1, 2], (1.0, 2.0), (Scalar.exact(1), 2), None],
-                             ids=["int-list", "float-tuple", "scalar-and-int", "none"])
-    def test_dense_operator_refuses_entries_that_are_not_scalars(self, call, mode, bad):
-        # a bare AttributeError ('int' object has no attribute 'mode'), or for
-        # None a bare TypeError
+    @pytest.mark.parametrize("kind, bad", [(kind, bad) for kind, bad in product(OPS, BAD)
+                                           if kind == "shift" or bad != "empty"])
+    def test_operators_refuse_entries_that_are_not_scalars(self, call, mode, kind, bad):
+        # a dense operator raised a bare AttributeError ('int' object has no
+        # attribute 'mode'), or for None a bare TypeError.  An empty tuple has
+        # no mode to compare
         with pytest.raises(PreconditionError):
-            self.CALLS[call](DenseOperator.from_ints([[1, 1], [0, 1]], mode), bad)
+            self.CALLS[call](self.OPS[kind](mode), self.BAD[bad])
 
     @pytest.mark.parametrize("call", CALLS)
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -299,7 +302,7 @@ class TestVectorKinds:
         other = FLOAT if mode == EXACT else EXACT
         W = shift_from_polynomial(Polynomial.from_ints([1, 1], mode=mode), 16)
         with pytest.raises(ModeMismatchError):
-            self.CALLS[call](W, FiniteVector.basis(0, other))
+            self.CALLS[call](W, basis_vector(1, 0, other))
         with pytest.raises(ModeMismatchError):
             self.CALLS[call](DenseOperator.from_ints([[1, 1], [0, 1]], mode),
                              vec_from_ints([1, 0], other))
@@ -307,9 +310,9 @@ class TestVectorKinds:
     def test_survey_raises_the_first_failing_vectors_error(self):
         T = DenseOperator.from_ints([[1, 1], [0, 1]])
         with pytest.raises(DimensionMismatchError):
-            local_isometry_survey(T, [vec_from_ints([1, 0, 0]), FiniteVector.basis(0, EXACT)])
+            local_isometry_survey(T, [vec_from_ints([1, 0, 0]), [1, 0]])
         with pytest.raises(PreconditionError):
-            local_isometry_survey(T, [FiniteVector.basis(0, EXACT), vec_from_ints([1, 0, 0])])
+            local_isometry_survey(T, [[1, 0], vec_from_ints([1, 0, 0])])
 
 
 def ref_polarization_reconstruct(quad, h, h0):
@@ -317,14 +320,11 @@ def ref_polarization_reconstruct(quad, h, h0):
     j h a Scalar multiple, that polarization_reconstruct ran before it read
     h0, h0 + h and h0 + (h + h); kept as the reference it must equal bit for
     bit."""
-    finite = isinstance(h, FiniteVector)
-    mode = h.mode if finite else h[0].mode
+    mode = h[0].mode
     acc = None
     for j in range(3):
         c = (-1) ** j * math.comb(2, j)
-        jh = h.scale(Scalar.from_int(j, mode)) if finite else vec_scale(
-            Scalar.from_int(j, mode), h)
-        term = quad(h0.add(jh) if finite else vec_add(h0, jh)) * c
+        term = quad(vec_add(h0, vec_scale(Scalar.from_int(j, mode), h))) * c
         acc = term if acc is None else acc + term
     return acc / Scalar.from_int(2, mode)
 
@@ -353,8 +353,8 @@ class TestPolarization:
         # the generator (n + 1)^2 gives squared weights ((n + 2)/(n + 1))^2,
         # rational squares, so exact apply runs on finitely supported vectors
         W = shift_from_polynomial(Polynomial.from_ints([1, 2, 1]))
-        h = FiniteVector({0: Scalar.exact(1), 1: Scalar.exact(2)}, mode=EXACT)
-        h0 = FiniteVector.basis(3, EXACT)
+        h = vec_from_ints([1, 2, 0, 0])
+        h0 = basis_vector(4, 3, EXACT)
         values = []
         for k in range(1, 5):
             form = defect_form(W, k)
@@ -389,14 +389,15 @@ class TestPolarization:
         W = shift_from_polynomial(Polynomial.from_ints([1, 2, 1], mode=mode), 24)
 
         def vector():
-            return FiniteVector({i: Scalar.from_int(rng.randint(-4, 4), mode)
-                                 * Scalar.from_int(rng.randint(1, 3), mode)
-                                 / Scalar.from_int(rng.randint(1, 3), mode)
-                                 for i in rng.sample(range(8), rng.randint(1, 4))}, mode=mode)
+            entries = {i: Scalar.from_int(rng.randint(-4, 4), mode)
+                       * Scalar.from_int(rng.randint(1, 3), mode)
+                       / Scalar.from_int(rng.randint(1, 3), mode)
+                       for i in rng.sample(range(8), rng.randint(1, 4))}
+            return tuple(entries.get(i, Scalar.zero(mode)) for i in range(8))
 
         for _ in range(40):
             h, h0 = vector(), vector()
-            for quad in (lambda v: v.norm_sq(),
+            for quad in (vec_norm_sq,
                          lambda v, form=defect_form(W, rng.randint(0, 4)): form(v, v)):
                 assert bits(polarization_reconstruct(quad, h, h0)) == bits(
                     ref_polarization_reconstruct(quad, h, h0))
@@ -428,7 +429,7 @@ class TestSurvey:
     def test_weighted_shift(self):
         # ||W^n e_j||^2 = (n+j+1)^2 / (j+1)^2: degree 2 on every basis vector
         W = shift_from_polynomial(Polynomial.from_ints([1, 2, 1]), 32)
-        res = local_isometry_survey(W, [FiniteVector.basis(j, EXACT) for j in range(3)])
+        res = local_isometry_survey(W, [basis_vector(3, j, EXACT) for j in range(3)])
         assert [v.describe() for v in res.per_vector] == ["polynomial(degree=2)"] * 3
         assert res.global_verdict is None
         assert res.order_lower_bound == 3 and res.consistent_with == 3
@@ -475,15 +476,16 @@ class TestOrbitWalk:
         # walk can step with W.apply
         W = shift_from_polynomial(Polynomial.from_ints([1, 2, 1]), 32)
         for j in range(4):
-            walked = orbit_sequence(W, FiniteVector.basis(j, EXACT), 12)
-            assert walked.values == W.basis_orbit(j, 12).values
+            e_j = basis_vector(j + 1, j, EXACT)
+            walked = tuple(vec_norm_sq(v) for v in islice(orbit(W, e_j), 12))
+            assert walked == orbit_sequence(W, e_j, 12).values == W.basis_orbit(j, 12).values
 
     def test_irrational_shift_weights_are_never_rooted(self):
         # the generator 1 + n has squared weights (n + 2)/(n + 1), whose
         # square roots are irrational: ||W^n e_j||^2 = (n + j + 1)/(j + 1)
         # is read from them, and each window walk raised on W.apply
         W = shift_from_polynomial(Polynomial.from_ints([1, 1]), 32)
-        e = [FiniteVector.basis(j, EXACT) for j in range(3)]
+        e = [basis_vector(3, j, EXACT) for j in range(3)]
         assert orbit_sequence(W, e[0], 8).values == W.basis_orbit(0, 8).values
         res = local_isometry_survey(W, e)
         assert [v.describe() for v in res.per_vector] == ["polynomial(degree=1)"] * 3

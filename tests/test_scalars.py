@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from misolab import (
     DenseOperator,
-    FiniteVector,
     ModeMismatchError,
     Polynomial,
     PreconditionError,
     Scalar,
+    basis_vector,
     falling_factorial,
     vec_add,
     vec_from_ints,
@@ -197,9 +197,9 @@ class TestInner:
         assert vec_norm_sq(u) == Scalar.exact(25)
 
     def test_disjoint_support(self):
-        e2 = FiniteVector.basis(2, EXACT)
-        e5 = FiniteVector.basis(5, EXACT)
-        assert e2.inner(e5).is_zero()
+        e2 = basis_vector(6, 2, EXACT)
+        e5 = basis_vector(6, 5, EXACT)
+        assert vec_inner(e2, e5).is_zero()
 
     @given(st.lists(exact_scalars, min_size=2, max_size=4),
            st.lists(exact_scalars, min_size=2, max_size=4))
@@ -216,22 +216,6 @@ class TestInner:
             acc = acc + ik * vec_norm_sq(w)
             ik = ik * i_unit
         assert quarter * acc == vec_inner(u, v)
-
-
-class TestFiniteVector:
-    def test_canonical_form_drops_exact_zeros(self):
-        v = FiniteVector({0: Scalar.exact(0), 3: Scalar.exact(2)}, mode=EXACT)
-        assert v.support() == (3,)
-
-    def test_float_cleanup_is_explicit(self):
-        v = FiniteVector({0: Scalar.flt(1e-12), 1: Scalar.flt(1.0)}, mode=FLOAT)
-        assert v.support() == (0, 1)
-        assert v.cleanup(1e-9).support() == (1,)
-
-    def test_norm_real_nonnegative(self):
-        v = FiniteVector({1: Scalar.exact(1, 2), 4: Scalar.exact(-3)}, mode=EXACT)
-        n = v.norm_sq()
-        assert n.is_real() and n.re == 14
 
 
 class TestPolynomial:

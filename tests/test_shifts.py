@@ -6,20 +6,24 @@ import pytest
 
 from misolab import (
     DenseOperator,
-    FiniteVector,
     JordanSpec,
+    ModeMismatchError,
     Polynomial,
     PreconditionError,
     Scalar,
+    basis_vector,
     build_shift_spec,
     detect_degree,
     jordan_matrix,
     localization_shift,
     newton_coefficients_nonnegative,
+    orbit_sequence,
     shift_from_polynomial,
     shift_is_m_isometry,
     strict_order,
     vec_from_ints,
+    vec_norm_sq,
+    vec_scale,
     WeightedShiftOperator,
 )
 from misolab import suites
@@ -117,30 +121,29 @@ class TestLocalizationShift:
 class TestShiftApplication:
     def test_basis_vector_chains_upward(self):
         W = shift_from_polynomial(Polynomial.from_ints([1, 2, 1], mode=FLOAT), 24)
-        v = FiniteVector.basis(0, FLOAT)
+        v = basis_vector(1, 0, FLOAT)
         for n in range(1, 8):
             v = W.apply(v)
-            assert v.support() == (n,)
-            norm = float(v.norm_sq().re)
+            assert [i for i, c in enumerate(v) if not c.is_zero()] == [n]
+            norm = float(vec_norm_sq(v).re)
             assert abs(norm - (n + 1) ** 2) < 1e-9 * (n + 1) ** 2
 
     def test_exact_apply_needs_rational_square(self):
         # squared weight 2/1 has an irrational root: exact application refuses
         W = shift_from_polynomial(Polynomial.from_ints([1, 1]), 16)
         with pytest.raises(PreconditionError):
-            W.apply(FiniteVector.basis(0, EXACT))
+            W.apply(basis_vector(1, 0, EXACT))
 
     def test_orthogonal_sum_formula(self):
         p = Polynomial.from_ints([1, 1], mode=FLOAT)
         W = shift_from_polynomial(p, 32)
-        coeffs = {0: Scalar.flt(2.0), 1: Scalar.flt(0.0, 1.0), 2: Scalar.flt(-1.0)}
-        v = FiniteVector(coeffs, mode=FLOAT)
+        v = coeffs = (Scalar.flt(2.0), Scalar.flt(0.0, 1.0), Scalar.flt(-1.0))
         for n in range(10):
             want = sum(
                 float((c.abs2() * W.orbit_norm_sq(j, n)).re)
-                for j, c in coeffs.items()
+                for j, c in enumerate(coeffs)
             )
-            got = float(v.norm_sq().re)
+            got = float(vec_norm_sq(v).re)
             assert abs(got - want) <= 1e-9 * max(1.0, want)
             v = W.apply(v)
 
@@ -148,6 +151,38 @@ class TestShiftApplication:
         for ints in ((1,), (1, 1), (1, 2, 1), (1, 0, 1), (3, 2)):
             W = shift_from_polynomial(Polynomial.from_ints(ints), 24)
             assert all(not W.weight_sq(n).is_zero() for n in range(20))
+
+
+class TestShiftVectors:
+    """A shift acts on a tuple of Scalars, zero past its end; a zero entry
+    reads no weight."""
+
+    def test_zero_entries_read_no_weight(self):
+        # the generator 1 + n has irrational weights sqrt((n + 2)/(n + 1))
+        W = shift_from_polynomial(Polynomial.from_ints([1, 1]), 16)
+        zero = Scalar.zero(EXACT)
+        assert W.apply((zero,) * 3) == (zero,) * 4
+        for j in range(4):
+            assert (orbit_sequence(W, basis_vector(j + 1, j, EXACT), 8).values
+                    == W.basis_orbit(j, 8).values)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_apply_reads_no_weight_past_the_prefix_on_zeros(self, mode):
+        W = shift_from_polynomial(Polynomial.from_ints([1, 2, 1], mode=mode), 16)
+        e0 = basis_vector(W.prefix_len + 3, 0, mode)
+        assert W.apply(e0) == vec_scale(W.weight(0), basis_vector(W.prefix_len + 4, 1, mode))
+        with pytest.raises(PreconditionError, match="beyond verified prefix"):
+            W.apply(basis_vector(W.prefix_len + 1, W.prefix_len, mode))
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_orbit_inners_read_the_common_prefix(self, mode):
+        W = shift_from_polynomial(Polynomial.from_ints([1, 1], mode=mode), 16)
+        far = vec_from_ints([1, 2] + [0] * W.prefix_len + [3], mode)
+        near = vec_from_ints([4, 5], mode)
+        assert W._orbit_inners(far, near, 6) == W._orbit_inners(far[:2], near, 6)
+        assert W._orbit_inners(near, far, 6) == W._orbit_inners(near, far[:2], 6)
+        with pytest.raises(PreconditionError, match="beyond verified prefix"):
+            W._orbit_inners(far, far, 6)
 
 
 class TestShiftOrbitNorms:
@@ -167,9 +202,25 @@ class TestShiftOrbitNorms:
             assert list(W.basis_orbit(j, window).values) == [W.orbit_norm_sq(j, n)
                                                              for n in range(window)]
 
-    def test_exact_squared_weights_are_real(self):
-        with pytest.raises(PreconditionError):
-            WeightedShiftOperator([Scalar.exact(1), Scalar.exact(1, 1)], EXACT)
+    @pytest.mark.parametrize("weights_sq", [
+        [Scalar.flt(-1.0), Scalar.flt(1.0)], [Scalar.exact(-4), Scalar.exact(1)],
+        [Scalar.flt(1.0), Scalar.flt(2.0, 1.0)], [Scalar.exact(1), Scalar.exact(1, 1)]],
+        ids=["float", "exact", "float-complex", "exact-complex"])
+    def test_squared_weights_are_real_and_nonnegative(self, weights_sq):
+        # a float -1.0 raised a bare ValueError (math domain error) from
+        # weight(0), an exact -4 only there, as an irrational weight
+        with pytest.raises(PreconditionError, match="real and nonnegative"):
+            WeightedShiftOperator(weights_sq, weights_sq[0].mode)
+
+    @pytest.mark.parametrize("weights_sq, mode", [
+        ([Scalar.flt(2.0), Scalar.flt(3.0), Scalar.flt(0.5)], EXACT),
+        ([Scalar.exact(2), Scalar.flt(3.0)], FLOAT),
+        ([Scalar.exact(2), Scalar.exact(3)], "exactly"),
+        ([2, 3], EXACT)], ids=["float-as-exact", "mixed", "unknown-mode", "ints"])
+    def test_squared_weights_are_scalars_of_the_mode(self, weights_sq, mode):
+        # float weights in an exact shift gave the exact window 1, 2, 6
+        with pytest.raises(ModeMismatchError):
+            WeightedShiftOperator(weights_sq, mode)
 
 
 class TestShiftSuiteFailures:
