@@ -609,8 +609,8 @@ def direct_sum(*ops):
 
 # ---------------------------------------------------------------------------
 # Vectors are plain tuples of scalars, for dense operators and weighted
-# shifts alike; the helpers below keep inner products and norms in one place.  inner() is conjugate-linear in the
-# second argument.
+# shifts alike; the helpers below keep inner products and norms in one
+# place.  inner() is conjugate-linear in the second argument.
 # ---------------------------------------------------------------------------
 
 def _check_vector(vec, mode, dim=None):

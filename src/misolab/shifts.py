@@ -35,10 +35,13 @@ class WeightedShiftOperator:
         weights_sq = tuple(weights_sq)
         if len(weights_sq) < 2:
             raise PreconditionError("shift prefix must cover at least 2 weights")
-        if not all(isinstance(w, Scalar) and w.mode == mode for w in weights_sq):
-            raise ModeMismatchError(f"squared weights must be Scalars of mode {mode!r}")
-        if any(w.im or w.re < 0 for w in weights_sq):
-            raise PreconditionError("squared weights must be real and nonnegative")
+        for w in weights_sq:  # one pass; an exact sign is its numerator's
+            if not isinstance(w, Scalar):
+                raise PreconditionError("squared weights must be Scalars")
+            if w.mode != mode:
+                raise ModeMismatchError(f"squared weights must be of mode {mode!r}")
+            if w.im or (w.re.numerator if mode == EXACT else w.re) < 0:
+                raise PreconditionError("squared weights must be real and nonnegative")
         self.mode = mode
         self.weights_sq = weights_sq
 

@@ -362,6 +362,16 @@ class TestPolarization:
             assert values[-1] == form(h, h)
         assert values == [Scalar.exact(x) for x in (-8, 4, 0, 0)]
 
+    def test_shift_vectors_of_unequal_length_are_refused(self):
+        # a shift's form reads the two vectors as zero past their ends, but
+        # polarization adds them with vec_add, which needs equal lengths
+        W = shift_from_polynomial(Polynomial.from_ints([1, 2, 1]))
+        form = defect_form(W, 2)
+        h, h0 = vec_from_ints([1, 2]), basis_vector(4, 3, EXACT)
+        assert form(h, h0) == form(h + (Scalar.exact(0),) * 2, h0)
+        with pytest.raises(DimensionMismatchError):
+            polarization_reconstruct(lambda v: form(v, v), h, h0)
+
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_matches_the_three_sample_loop_on_tuples(self, mode):
         rng = random.Random(23)

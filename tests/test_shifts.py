@@ -215,12 +215,20 @@ class TestShiftOrbitNorms:
     @pytest.mark.parametrize("weights_sq, mode", [
         ([Scalar.flt(2.0), Scalar.flt(3.0), Scalar.flt(0.5)], EXACT),
         ([Scalar.exact(2), Scalar.flt(3.0)], FLOAT),
-        ([Scalar.exact(2), Scalar.exact(3)], "exactly"),
-        ([2, 3], EXACT)], ids=["float-as-exact", "mixed", "unknown-mode", "ints"])
+        ([Scalar.exact(2), Scalar.exact(3)], "exactly")],
+        ids=["float-as-exact", "mixed", "unknown-mode"])
     def test_squared_weights_are_scalars_of_the_mode(self, weights_sq, mode):
         # float weights in an exact shift gave the exact window 1, 2, 6
         with pytest.raises(ModeMismatchError):
             WeightedShiftOperator(weights_sq, mode)
+
+    @pytest.mark.parametrize("weights_sq", [
+        [2, 3], [Scalar.exact(2), 3], [Scalar.exact(2), None]],
+        ids=["ints", "scalar-and-int", "none"])
+    def test_squared_weights_that_are_not_scalars_are_refused(self, weights_sq):
+        # the rule of a vector entry that is not a Scalar
+        with pytest.raises(PreconditionError, match="must be Scalars"):
+            WeightedShiftOperator(weights_sq, EXACT)
 
 
 class TestShiftSuiteFailures:
