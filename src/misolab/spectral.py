@@ -226,24 +226,26 @@ def _exact_eigenspaces(T, hints):
     return spaces
 
 
-def _kernel_chain(M, tol):
+def _kernel_chain(M, tol, cap):
     """(depth, basis) for a complex array M: depth the smallest k >= 1 with
     ker M^k = ker M^(k+1), and basis the unboxed rows of vh whose conjugates
-    span ker M^depth; a call runs it once per distinct cluster mean.  It is
-    matrices._row_space_walk in floats: R_(k+1) is the rows of vh, from one
-    SVD of R_k M, whose singular values are not negligible (scaled by the
-    largest |entry| of R_k M), and the other rows span ker M^(k+1)."""
+    span ker M^depth.  It is matrices._row_space_walk in floats: R_(k+1) is
+    the rows of vh, from one SVD of R_k M, whose singular values are not
+    negligible (scaled by the largest |entry| of R_k M), and the other rows
+    span ker M^(k+1).  Kernels only grow, so the walk stops at one of more
+    than cap rows: a cluster of cap eigenvalues fails whatever comes later."""
     rows, depth, basis = M, 0, M[:0]
-    while len(rows):
-        if not np.isfinite(rows).all():
+    while len(rows) and len(basis) <= cap:
+        top = float(np.abs(rows).max(initial=1.0))
+        if not math.isfinite(top) and not np.isfinite(rows).all():
             raise PreconditionError("float overflow: the kernel walk of T - zI left float range")
-        top = max(1.0, float(np.abs(rows).max()))
         _, s, vh = np.linalg.svd(rows)
-        live = np.array([not negligible(x, FLOAT, max(tol, 1e-10), lambda: top, "the kernel")
-                         for x in s.tolist()] + [False] * (len(vh) - len(s)))
-        if live.sum() == len(rows):
+        rank = len(s)       # LAPACK lists the singular values in descending order
+        while rank and negligible(s[rank - 1], FLOAT, max(tol, 1e-10), lambda: top, "the kernel"):
+            rank -= 1
+        if rank == len(rows):
             break
-        rows, depth, basis = vh[live] @ M, depth + 1, vh[~live]
+        rows, depth, basis = vh[:rank] @ M, depth + 1, vh[rank:]
     return max(depth, 1), basis
 
 
@@ -251,20 +253,25 @@ def _float_eigenspaces(T, tol):
     """(spaces, warnings): numpy's eigenvalues clustered by single linkage
     from radius CLUSTER_TOL * max(1, max |lambda|), tenfold per attempt for
     at most _CLUSTER_MAX_ESCALATIONS, until each cluster mean z has a kernel
-    chain of T - zI as long as its cluster; a warning names the radius.  The
-    attempts share one dict of chains by the bits of z: the same z, the
-    same T - zI and SVDs.  If no attempt is consistent the tolerance cannot
-    separate the clusters, and a PreconditionError names the last radius."""
+    chain of T - zI as long as its cluster; a warning names the radius.  A
+    radius linking no new pair is skipped: its partition is the last, which
+    failed.  Attempts share one dict of chains by z's bits and the cluster
+    size.  If no attempt is consistent the tolerance cannot separate the
+    clusters, and a PreconditionError names the last radius."""
     arr = to_numpy(T)
     eigs = np.linalg.eigvals(arr)
     scale = max(1.0, float(np.abs(eigs).max()))
+    with np.errstate(all="ignore"):
+        dist = np.abs(eigs[:, None] - eigs[None, :])
     warnings = []
     chains = {}
     radius = CLUSTER_TOL * scale
     for attempt in range(_CLUSTER_MAX_ESCALATIONS):
         if attempt:
-            radius *= _CLUSTER_ESCALATION
-        clusters = _single_linkage(eigs, radius)
+            low, radius = radius, radius * _CLUSTER_ESCALATION
+            if not ((dist > low) & (dist <= radius)).any():
+                continue
+        clusters = _single_linkage(eigs, radius, dist)
         spaces = _spaces_from_clusters(arr, clusters, tol, chains)
         if spaces is not None:
             if attempt > 0:
@@ -277,13 +284,16 @@ def _float_eigenspaces(T, tol):
         "tolerance cannot separate the generalized eigenspaces")
 
 
-def _single_linkage(eigs, radius):
+def _single_linkage(eigs, radius, dist=None):
     """The clusters of eigs under links of length <= radius, in (real, imag)
-    order, inside and among them.  One np.abs tests all pairs (hypot, as
-    abs(np.complex128)); an overflowing distance is inf, with no warning."""
+    order, inside and among them.  dist, the distances of all pairs, is one
+    np.abs (hypot, as abs(np.complex128)) unless given; an overflowing
+    distance is inf, with no warning."""
     n = len(eigs)
-    with np.errstate(all="ignore"):
-        close = (np.abs(eigs[:, None] - eigs[None, :]) <= radius).tolist()
+    if dist is None:
+        with np.errstate(all="ignore"):
+            dist = np.abs(eigs[:, None] - eigs[None, :])
+    close = (dist <= radius).tolist()
     parent = list(range(n))
 
     def find(a):
@@ -310,24 +320,24 @@ def _inter_cluster_gaps(clusters):
 
 def _spaces_from_clusters(arr, clusters, tol, chains):
     """The GeneralizedEigenspace of each cluster, or None if a kernel is not
-    as large as its cluster.  chains keeps each mean's _kernel_chain; only
-    the returned bases are boxed."""
-    dim = len(arr)
+    as large as its cluster.  chains keeps each (mean, cluster size)'s
+    _kernel_chain, capped at that size, so a walk cut short is never read
+    for a larger cluster; only the returned bases are boxed."""
     found = []
-    for members in clusters:
-        # a mean or a walk step that leaves float range is caught by _kernel_chain
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a mean or a walk step that leaves float range is caught by _kernel_chain
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members in clusters:
             z = complex(np.mean(members))   # mean cancels the Jordan scatter
-            key = np.complex128(z).tobytes()     # bits: 0.0 and -0.0 differ
+            key = np.complex128(z).tobytes(), len(members)   # bits: 0.0 and -0.0 differ
             if key not in chains:
-                chains[key] = _kernel_chain(arr - z * np.eye(dim), tol)
-        depth, basis = chains[key]
-        if len(basis) != len(members):
-            return None
-        found.append((z, depth, basis))
+                chains[key] = _kernel_chain(arr - z * np.eye(len(arr)), tol, len(members))
+            depth, basis = chains[key]
+            if len(basis) != len(members):
+                return None
+            found.append((z, depth, basis))
     return [GeneralizedEigenspace(eigenvalue=Scalar.flt(z.real, z.imag),
-                                  basis=tuple(tuple(Scalar.flt(x.real, x.imag) for x in v.conj())
-                                              for v in basis),
+                                  basis=tuple(tuple(Scalar(FLOAT, x.real, x.imag) for x in v)
+                                              for v in basis.conj().tolist()),
                                   chain_depth=depth)
             for z, depth, basis in found]
 

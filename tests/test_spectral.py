@@ -597,6 +597,53 @@ class TestFloatClustering:
         assert dec.warnings and dec.warnings[0].startswith("eigenvalue clustering escalated")
         assert len(inputs) == len(set(inputs))
 
+    @pytest.mark.parametrize("sizes,seed,svds,linkages", [
+        pytest.param([(ONE, 8)], 1, 10, 2, id="J8(1)"),
+        pytest.param([(ONE, 8), (Scalar.exact(-1), 1)], 2, 13, 2, id="J8(1)+J1(-1)")])
+    def test_failing_attempts_do_no_work_whose_outcome_is_known(self, monkeypatch, sizes,
+                                                                 seed, svds, linkages):
+        # a walk stops once its kernel outgrows the cluster, and a radius that
+        # links no new pair is not clustered again: the walks without either
+        # took 12 and 16 SVDs and 5 linkages each, for the same bits
+        T = escalating_case(sizes, seed)
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(spectral, "_single_linkage",
+                            counted("linkage", spectral._single_linkage))
+        dec = algebraic_decompose(T)
+        assert (calls["svd"], calls["linkage"]) == (svds, linkages)
+        monkeypatch.undo()
+        assert_matches_reference(dec, ref_float_decompose(T))
+
+    def test_a_capped_walk_is_not_read_for_a_larger_cluster(self):
+        # the walk of J_3(0) for a cluster of one stops at a kernel of two
+        # rows; a cluster of three with the same mean, 1.0, walks to the end
+        arr = to_numpy(operator_to_float(jordan_matrix(JordanSpec(ONE, 3))))
+        chains = {}
+        assert spectral._spaces_from_clusters(arr, [[1.0]], 1e-8, chains) is None
+        (space,) = spectral._spaces_from_clusters(arr, [[0.5, 1.0, 1.5]], 1e-8, chains)
+        assert (space.dimension, space.chain_depth) == (3, 3)
+
+    @pytest.mark.parametrize("case", [
+        pytest.param(lambda: DenseOperator([[Scalar.flt(0.6, 0.8)]]), id="1x1"),
+        pytest.param(lambda: DenseOperator.zeros(3, FLOAT), id="zero-3x3"),
+        # U (zI) U*: rounding scatters the one eigenvalue
+        pytest.param(lambda: escalating_case([(Z35, 1)] * 4, 6), id="conjugated-zI"),
+        pytest.param(lambda: parse_operator_spec({"mode": "float", "jordan_blocks": [
+            {"z": 1, "size": 3}, {"z": 1, "size": 2}]}).operator, id="J3(1)+J2(1)"),
+        pytest.param(lambda: escalating_case([(Scalar.exact(0), 4)], 7), id="conjugated-J4(0)"),
+    ])
+    def test_small_cases_have_the_reference_bits(self, case):
+        T = case()
+        assert_matches_reference(algebraic_decompose(T), ref_float_decompose(T))
+
     @pytest.mark.parametrize("big", ["1.05", "1.01"])
     def test_inseparable_clusters_are_a_precondition(self, big):
         # T - big I has a singular value of about (big - 1)^k <= 4e-11 from
