@@ -603,8 +603,9 @@ class TestFloatClustering:
     def test_failing_attempts_do_no_work_whose_outcome_is_known(self, monkeypatch, sizes,
                                                                  seed, svds, linkages):
         # a walk stops once its kernel outgrows the cluster, and a radius that
-        # links no new pair is not clustered again: the walks without either
-        # took 12 and 16 SVDs and 5 linkages each, for the same bits
+        # links no new pair is not clustered again; walking every chain to its
+        # end and clustering at every radius takes 12 and 16 SVDs and 5
+        # linkages, for the same bits
         T = escalating_case(sizes, seed)
         calls = Counter()
 
