@@ -271,7 +271,7 @@ def _float_eigenspaces(T, tol):
             low, radius = radius, radius * _CLUSTER_ESCALATION
             if not ((dist > low) & (dist <= radius)).any():
                 continue
-        clusters = _single_linkage(eigs, radius, dist)
+        clusters = _single_linkage(eigs, radius)
         spaces = _spaces_from_clusters(arr, clusters, tol, chains)
         if spaces is not None:
             if attempt > 0:
@@ -284,16 +284,13 @@ def _float_eigenspaces(T, tol):
         "tolerance cannot separate the generalized eigenspaces")
 
 
-def _single_linkage(eigs, radius, dist=None):
+def _single_linkage(eigs, radius):
     """The clusters of eigs under links of length <= radius, in (real, imag)
-    order, inside and among them.  dist, the distances of all pairs, is one
-    np.abs (hypot, as abs(np.complex128)) unless given; an overflowing
-    distance is inf, with no warning."""
+    order, inside and among them.  One np.abs tests all pairs (hypot, as
+    abs(np.complex128)); an overflowing distance is inf, with no warning."""
     n = len(eigs)
-    if dist is None:
-        with np.errstate(all="ignore"):
-            dist = np.abs(eigs[:, None] - eigs[None, :])
-    close = (dist <= radius).tolist()
+    with np.errstate(all="ignore"):
+        close = (np.abs(eigs[:, None] - eigs[None, :]) <= radius).tolist()
     parent = list(range(n))
 
     def find(a):

@@ -624,7 +624,7 @@ class TestFloatClustering:
         assert_matches_reference(dec, ref_float_decompose(T))
 
     def test_a_capped_walk_is_not_read_for_a_larger_cluster(self):
-        # the walk of J_3(0) for a cluster of one stops at a kernel of two
+        # the walk of J_3(1) - I for a cluster of one stops at a kernel of two
         # rows; a cluster of three with the same mean, 1.0, walks to the end
         arr = to_numpy(operator_to_float(jordan_matrix(JordanSpec(ONE, 3))))
         chains = {}
