@@ -34,7 +34,6 @@ from .errors import (
 )
 from .isometry import (
     DEFAULT_DEFECT_TOL,
-    DefectForm,
     DefectOperator,
     OrderVerdict,
     SurveyResult,
@@ -53,7 +52,6 @@ from .matrices import (
     basis_vector,
     direct_sum,
     orbit,
-    vec,
     vec_add,
     vec_from_ints,
     vec_inner,

@@ -76,7 +76,9 @@ def _parse_scalar_flag(text, mode):
 
 
 def _parse_vector_flag(text, mode, dim):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise SpecFileError(f"vector {reprlib.repr(text)} has an empty entry")
     if len(parts) != dim:
         raise SpecFileError(
             f"vector {reprlib.repr(text)} has {len(parts)} entries, operator needs {dim}")
@@ -487,25 +489,21 @@ def _command_parsers():
     return parser, commands
 
 
-def _build_parser():
-    """The top-level parser, which reads any argv."""
-    return _command_parsers()[0]
-
-
 def _parse_args(argv):
-    """The namespace _build_parser().parse_args(argv) gives, with its errors.
-    When argv[0] names a command, that command's sub-parser reads the rest
-    directly: the top-level parser would hand it the same arguments, after
-    a pass of its own over them.  Arguments the sub-parser leaves go to the
-    top-level parser's error(), as in parse_args."""
+    """The namespace the top-level parser's parse_args(argv) gives, with its
+    errors.  When argv[0] names a command, that command's sub-parser reads
+    the rest directly: the top-level parser would hand it the same
+    arguments, after a pass of its own over them.  Arguments the sub-parser
+    leaves go to the top-level parser's error(), as in parse_args."""
     if argv is None:
         argv = sys.argv[1:]
-    command = _command_parsers()[1].get(argv[0]) if argv else None
+    parser, commands = _command_parsers()
+    command = commands.get(argv[0]) if argv else None
     if command is None:
-        return _build_parser().parse_args(argv)
+        return parser.parse_args(argv)
     args, extra = command.parse_known_args(argv[1:])
     if extra:
-        _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     args.command = argv[0]
     return args
 

@@ -209,7 +209,7 @@ def newton_expansion_check(T, m, n_max, tol=DEFAULT_DEFECT_TOL):
     return ok
 
 
-class DefectForm:
+def defect_form(op, k):
     """The sesquilinear defect form F_{T;k}(f,g) = sum_j (-1)^j C(k,j) <T^j f, T^j g>.
 
     Uses only inner products of orbit vectors, so it is available on
@@ -218,21 +218,10 @@ class DefectForm:
     and g, from a dense operator's kept parts or a weighted shift's squared
     weights.
     """
-
-    def __init__(self, op, k):
-        if k < 0:
-            raise PreconditionError("form order must be nonnegative")
-        self.op = op
-        self.k = k
-
-    def __call__(self, f, g):
-        k = self.k
-        return reduce(add, (ip * ((-1) ** j * math.comb(k, j))
-                            for j, ip in enumerate(self.op._orbit_inners(f, g, k + 1))))
-
-
-def defect_form(op, k):
-    return DefectForm(op, k)
+    if k < 0:
+        raise PreconditionError("form order must be nonnegative")
+    return lambda f, g: reduce(add, (ip * ((-1) ** j * math.comb(k, j))
+                                     for j, ip in enumerate(op._orbit_inners(f, g, k + 1))))
 
 
 def polarization_reconstruct(quad, h, h0):

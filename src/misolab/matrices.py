@@ -193,9 +193,6 @@ class DenseOperator:
 
     # -- queries ------------------------------------------------------
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def max_abs(self):
         """The largest entry modulus, nan if any is: one reduction, made on
         first use and kept (a kept float form is made read-only)."""
@@ -628,10 +625,6 @@ def _check_vector(vec, mode, dim=None):
         raise PreconditionError("operators act on tuples of Scalars") from None
     if vec_mode != mode:
         raise ModeMismatchError("vector mode does not match operator mode")
-
-
-def vec(entries):
-    return tuple(entries)
 
 
 def vec_from_ints(entries, mode=EXACT):

@@ -101,20 +101,6 @@ class Polynomial:
     def scale(self, c):
         return Polynomial([c * a for a in self.coeffs], mode=self.mode)
 
-    def star(self):
-        """Coefficient-wise conjugate."""
-        return Polynomial([a.conj() for a in self.coeffs], mode=self.mode)
-
-    def re_part(self):
-        return Polynomial(
-            [Scalar(self.mode, a.re, a.re * 0) for a in self.coeffs], mode=self.mode
-        )
-
-    def im_part(self):
-        return Polynomial(
-            [Scalar(self.mode, a.im, a.im * 0) for a in self.coeffs], mode=self.mode
-        )
-
     def has_real_coeffs(self):
         return all(a.is_real() for a in self.coeffs)
 

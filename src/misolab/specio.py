@@ -14,7 +14,6 @@ import math
 import re
 import reprlib
 import sys
-from functools import cached_property
 
 from .errors import SpecFileError
 from .matrices import _entry_operator, direct_sum
@@ -150,8 +149,7 @@ def scalar_to_report(s):
 
 
 class OperatorSpec:
-    """A parsed spec file.  A plain class, not a record: `document` is a
-    cached_property, which needs an instance dict."""
+    """A parsed spec file."""
 
     def __init__(self, mode, kind, operator, eigen_hints, source):
         self.mode = mode
@@ -159,13 +157,6 @@ class OperatorSpec:
         self.operator = operator        # DenseOperator or WeightedShiftOperator
         self.eigen_hints = eigen_hints  # tuple of Scalars, or None
         self.source = source            # the JSON document parsed
-
-    @cached_property
-    def document(self):
-        """The canonical JSON document, made on first read: most commands
-        never read it."""
-        return serialize_parsed(self.mode, self.kind, self.source, self.operator,
-                                self.eigen_hints)
 
 
 def parse_operator_spec(doc):
@@ -255,7 +246,7 @@ def serialize_parsed(mode, kind, doc, op, hints):
 
 
 def serialize_operator_spec(spec):
-    return dict(spec.document)
+    return serialize_parsed(spec.mode, spec.kind, spec.source, spec.operator, spec.eigen_hints)
 
 
 # one decoder for every file: json.load with a keyword builds a new one per call

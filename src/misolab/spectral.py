@@ -261,6 +261,7 @@ def _float_eigenspaces(T, tol):
     arr = to_numpy(T)
     eigs = np.linalg.eigvals(arr)
     scale = max(1.0, float(np.abs(eigs).max()))
+    # read by linkage, skip test and warning; hypot, so an overflow is inf
     with np.errstate(all="ignore"):
         dist = np.abs(eigs[:, None] - eigs[None, :])
     warnings = []
@@ -271,12 +272,13 @@ def _float_eigenspaces(T, tol):
             low, radius = radius, radius * _CLUSTER_ESCALATION
             if not ((dist > low) & (dist <= radius)).any():
                 continue
-        clusters = _single_linkage(eigs, radius)
+        clusters, roots = _single_linkage(eigs, dist <= radius)
         spaces = _spaces_from_clusters(arr, clusters, tol, chains)
         if spaces is not None:
             if attempt > 0:
                 warnings.append(f"eigenvalue clustering escalated to radius {radius:.2e}")
-            if any(radius < g <= 10 * radius for g in _inter_cluster_gaps(clusters)):
+            # every distance across two clusters is above radius
+            if ((dist <= 10 * radius) & (roots[:, None] != roots)).any():
                 warnings.append("ambiguous eigenvalue clusters within 10x the cluster radius")
             return spaces, warnings
     raise PreconditionError(
@@ -284,13 +286,12 @@ def _float_eigenspaces(T, tol):
         "tolerance cannot separate the generalized eigenspaces")
 
 
-def _single_linkage(eigs, radius):
-    """The clusters of eigs under links of length <= radius, in (real, imag)
-    order, inside and among them.  One np.abs tests all pairs (hypot, as
-    abs(np.complex128)); an overflowing distance is inf, with no warning."""
+def _single_linkage(eigs, close):
+    """(clusters, roots): the clusters of eigs joined by the pairs i < j with
+    close[i, j], in (real, imag) order, inside and among them; roots[i] is
+    the representative index of eigs[i]'s cluster."""
     n = len(eigs)
-    with np.errstate(all="ignore"):
-        close = (np.abs(eigs[:, None] - eigs[None, :]) <= radius).tolist()
+    close = close.tolist()
     parent = list(range(n))
 
     def find(a):
@@ -302,17 +303,12 @@ def _single_linkage(eigs, radius):
         for j in range(i + 1, n):
             if close[i][j]:
                 parent[find(i)] = find(j)
+    roots = [find(i) for i in range(n)]
     re, im = eigs.real.tolist(), eigs.imag.tolist()
     clusters = {}
     for i in sorted(range(n), key=lambda i: (re[i], im[i])):
-        clusters.setdefault(find(i), []).append(eigs[i])
-    return list(clusters.values())
-
-
-def _inter_cluster_gaps(clusters):
-    with np.errstate(all="ignore"):
-        return [min(abs(a - b) for a in ci for b in cj)
-                for i, ci in enumerate(clusters) for cj in clusters[i + 1:]]
+        clusters.setdefault(roots[i], []).append(eigs[i])
+    return list(clusters.values()), np.array(roots)
 
 
 def _spaces_from_clusters(arr, clusters, tol, chains):
@@ -731,7 +727,7 @@ def _restricted_strict_order(T, spanning, tol):
 
 class SpectrumCheck(NamedTuple):
     all_on_circle: bool
-    spectrum: tuple         # Scalars (float mode: cluster representatives)
+    spectrum: tuple         # Scalars; float mode: numpy's eigenvalues, repeated by multiplicity
     moduli: tuple
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from misolab import diffcalc, isometry, shifts, spectral, suites
 from misolab import parse_operator_spec, serialize_operator_spec
-from misolab.cli import _build_parser, _json_report, _parse_args, main
+from misolab.cli import _command_parsers, _json_report, _parse_args, main
 from misolab.diffcalc import DEFAULT_FLOAT_TOL
 from misolab.errors import SpecFileError
 from misolab.isometry import DEFAULT_DEFECT_TOL
@@ -59,7 +59,7 @@ class TestSpecRoundTrip:
     def test_matrix_spec(self):
         spec = parse_operator_spec(EXAMPLE_DOC)
         doc2 = serialize_operator_spec(spec)
-        assert parse_operator_spec(doc2).document == doc2
+        assert serialize_operator_spec(parse_operator_spec(doc2)) == doc2
 
     def test_jordan_spec_derives_hints(self):
         doc = {"mode": "exact",
@@ -68,13 +68,13 @@ class TestSpecRoundTrip:
         assert spec.operator.dim == 3
         assert [format_rational(h) for h in spec.eigen_hints] == ["0+1i", "1"]
         doc2 = serialize_operator_spec(spec)
-        assert parse_operator_spec(doc2).document == doc2
+        assert serialize_operator_spec(parse_operator_spec(doc2)) == doc2
 
     def test_shift_spec(self):
         doc = {"mode": "exact", "shift": {"polynomial": ["1", "1"], "prefix": 16}}
         spec = parse_operator_spec(doc)
         doc2 = serialize_operator_spec(spec)
-        assert parse_operator_spec(doc2).document == doc2
+        assert serialize_operator_spec(parse_operator_spec(doc2)) == doc2
 
     def test_float_spec(self):
         doc = {"mode": "float", "matrix": [[[0.0, 1.0], [2.0, 0.0]],
@@ -82,11 +82,8 @@ class TestSpecRoundTrip:
         spec = parse_operator_spec(doc)
         assert spec.mode == "float"
 
-    def test_document_is_made_on_first_read(self):
-        spec = parse_operator_spec(EXAMPLE_DOC)
-        assert "document" not in vars(spec)
-        assert spec.document == EXAMPLE_DOC
-        assert spec.document is spec.document
+    def test_canonical_document_round_trips(self):
+        assert serialize_operator_spec(parse_operator_spec(EXAMPLE_DOC)) == EXAMPLE_DOC
 
     def test_exactly_one_operator_key(self):
         with pytest.raises(SpecFileError):
@@ -481,6 +478,15 @@ def test_non_finite_float_flag_is_2(tmp_path, capsys, flag, value):
     assert f"float scalar {value.split(',')[0]!r} is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1,,0", "1,0,", ",1,0", "1, ,0", "", " "])
+def test_empty_vector_entry_is_2(tmp_path, capsys, value):
+    # the empty entries were dropped: 1,,0 and ,1,0 read as (1, 0) and exited 0
+    path = write(tmp_path, "t.json", {"mode": "exact", "matrix": [["1", "0"], ["0", "-1"]]})
+    argv = ["ortho", path, f"--h1={value}", "--h2=0,1", "--z1=1", "--z2=-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: vector {value!r} has an empty entry\n"
+
+
 @pytest.mark.parametrize("flag", ["--z1", "--h1"])
 @pytest.mark.parametrize("value", ["\u0661", "1_0"])
 def test_float_flag_outside_ascii_digits_is_2(tmp_path, capsys, flag, value):
@@ -636,7 +642,7 @@ class TestExactEntriesBeyondFloatRange:
       "--tol", "1e-3"], 1e-3),
 ])
 def test_each_command_parser_holds_its_tol_default(argv, tol):
-    assert _build_parser().parse_args(argv).tol == tol
+    assert _command_parsers()[0].parse_args(argv).tol == tol
 
 
 def test_exact_commands_never_load_numpy(tmp_path):
@@ -770,4 +776,4 @@ def parse_outcome(parse, argv, capsys):
 ], ids=lambda argv: " ".join(argv) or "empty")
 def test_parse_args_is_the_top_level_parse(argv, capsys):
     assert parse_outcome(_parse_args, argv, capsys) == parse_outcome(
-        _build_parser().parse_args, argv, capsys)
+        _command_parsers()[0].parse_args, argv, capsys)

@@ -219,14 +219,6 @@ class TestInner:
 
 
 class TestPolynomial:
-    def test_star_conjugates_coefficients(self):
-        p = Polynomial([Scalar.exact(1), Scalar.exact(0, 1)], mode=EXACT)
-        assert p.star() == Polynomial([Scalar.exact(1), Scalar.exact(0, -1)], mode=EXACT)
-
-    def test_re_part(self):
-        p = Polynomial([Scalar.exact(0), Scalar.exact(0), Scalar.exact(2, 3)], mode=EXACT)
-        assert p.re_part() == Polynomial.from_ints([0, 0, 2])
-
     def test_eval(self):
         p = Polynomial.from_ints([1, 0, 1])
         assert p(3) == Scalar.exact(10)

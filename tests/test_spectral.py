@@ -48,9 +48,9 @@ from misolab.isometry import _defects
 from misolab.matrices import (_echelon, _polarization_vector, _row_space_walk, _shifted,
                               polarization_pairs)
 from misolab.scalars import EXACT, FLOAT
-from misolab.spectral import (CLUSTER_TOL, _inter_cluster_gaps, _restricted_strict_order,
-                              _single_linkage, _strictness_criterion, exact_nullspace,
-                              exact_rref, from_numpy, to_numpy)
+from misolab.spectral import (CLUSTER_TOL, _restricted_strict_order, _single_linkage,
+                              _strictness_criterion, exact_nullspace, exact_rref, from_numpy,
+                              to_numpy)
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
                             perturbation_corpus, random_unitary)
 
@@ -76,8 +76,8 @@ class TestJordanMatrix:
     def test_size_three(self):
         J = jordan_matrix(JordanSpec(Scalar.exact(-1), 3))
         for r in range(3):
-            assert J.entry(r, r) == Scalar.exact(-1)
-        assert J.entry(0, 1) == ONE and J.entry(1, 2) == ONE
+            assert J.rows[r][r] == Scalar.exact(-1)
+        assert J.rows[0][1] == ONE and J.rows[1][2] == ONE
 
 
 class TestNilpotency:
@@ -403,8 +403,10 @@ class TestGeneralizedEigenspaces:
 
 def ref_float_decompose(T, tol=1e-8):
     """algebraic_decompose in float mode without shared work: each clustering
-    attempt walks every kernel chain from scratch, every kernel of every
-    step is boxed, and the cross-Gram is vec_inner per pair.  A chain walks
+    attempt links by the pair loop and walks every kernel chain from
+    scratch, every kernel of every step is boxed, the ambiguity warning
+    reads the least distance of each cluster pair, and the cross-Gram is
+    vec_inner per pair.  A chain walks
     R_k M from R_0 M = M: the rows of vh above the threshold, the rank, are
     the next R, the rows below it span ker M^(k+1), and the walk stops when
     the rank stops falling."""
@@ -414,7 +416,7 @@ def ref_float_decompose(T, tol=1e-8):
     for attempt in range(7):
         if attempt:
             radius *= 10.0
-        clusters = _single_linkage(eigs, radius)
+        clusters = ref_single_linkage(eigs, radius)
         spaces = []
         for members in clusters:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -438,7 +440,10 @@ def ref_float_decompose(T, tol=1e-8):
             spaces.append((Scalar.flt(z.real, z.imag), tuple(kernels[-1]), depth))
         else:
             warnings = [f"eigenvalue clustering escalated to radius {radius:.2e}"] if attempt else []
-            if any(radius < g <= 10 * radius for g in _inter_cluster_gaps(clusters)):
+            with np.errstate(all="ignore"):
+                gaps = [min(abs(a - b) for a in ci for b in cj)
+                        for i, ci in enumerate(clusters) for cj in clusters[i + 1:]]
+            if any(radius < g <= 10 * radius for g in gaps):
                 warnings.append("ambiguous eigenvalue clusters within 10x the cluster radius")
             failures = [f"eigenvalue {z.re:g}{z.im:+g}i is not unimodular"
                         for z, _, _ in spaces if abs(z.modulus() - 1.0) > tol][:1]
@@ -532,8 +537,16 @@ class TestFloatClustering:
     @settings(max_examples=200, deadline=None)
     def test_single_linkage_matches_the_pair_loop(self, values, radius):
         eigs = np.array(values, dtype=complex)
-        got, ref = _single_linkage(eigs, radius), ref_single_linkage(eigs, radius)
+        with np.errstate(all="ignore"):
+            close = np.abs(eigs[:, None] - eigs[None, :]) <= radius
+        (got, roots), ref = _single_linkage(eigs, close), ref_single_linkage(eigs, radius)
         assert [[z.tobytes() for z in c] for c in got] == [[z.tobytes() for z in c] for c in ref]
+        # roots[i] names eigs[i]'s cluster: grouped by it, eigs are the clusters
+        groups = {}
+        for z, r in zip(eigs, roots.tolist()):
+            groups.setdefault(r, []).append(z.tobytes())
+        assert sorted(map(sorted, groups.values())) == \
+            sorted(sorted(z.tobytes() for z in c) for c in got)
 
     def test_conjugated_jordan_block_escalates(self):
         dec = algebraic_decompose(escalating_case([(ONE, 8)], 1))
@@ -655,6 +668,18 @@ class TestFloatClustering:
         with pytest.raises(PreconditionError,
                            match=r"never became consistent up to radius 1\.\d\de\+00"):
             algebraic_decompose(T)
+
+    @pytest.mark.parametrize("gap,ambiguous", [(5e-6, True), (5e-5, False)])
+    def test_ambiguity_warning_reads_ten_radii(self, gap, ambiguous):
+        # diag(1, 1 + gap) splits at the first radius, 1e-6 (times max|z|);
+        # a gap of 5e-6 lies within ten radii of it, 5e-5 does not
+        T = DenseOperator([[Scalar.flt(1.0), Scalar.flt(0.0)],
+                           [Scalar.flt(0.0), Scalar.flt(1.0 + gap)]])
+        dec = algebraic_decompose(T)
+        assert [b.dimension for b in dec.blocks] == [1, 1]
+        assert dec.warnings == (
+            ("ambiguous eigenvalue clusters within 10x the cluster radius",) if ambiguous else ())
+        assert_matches_reference(dec, ref_float_decompose(T))
 
 
 class TestAlgebraicDecompose:
@@ -1258,3 +1283,5 @@ class TestSpectrumCheck:
         T = operator_to_float(jordan_matrix(JordanSpec(I_, 3)))
         res = unimodular_spectrum_check(T)
         assert res.all_on_circle
+        # float mode lists every eigenvalue numpy returns, not one per cluster
+        assert len(res.spectrum) == T.dim
