@@ -406,10 +406,9 @@ def ref_float_decompose(T, tol=1e-8):
     attempt links by the pair loop and walks every kernel chain from
     scratch, every kernel of every step is boxed, the ambiguity warning
     reads the least distance of each cluster pair, and the cross-Gram is
-    vec_inner per pair.  A chain walks
-    R_k M from R_0 M = M: the rows of vh above the threshold, the rank, are
-    the next R, the rows below it span ker M^(k+1), and the walk stops when
-    the rank stops falling."""
+    vec_inner per pair.  A chain walks R_k M from R_0 M = M: the rows of vh
+    above the threshold, the rank, are the next R, the rows below it span
+    ker M^(k+1), and the walk stops when the rank stops falling."""
     arr, n = to_numpy(T), T.dim
     eigs = np.linalg.eigvals(arr)
     radius = CLUSTER_TOL * max(1.0, float(np.abs(eigs).max()))
