@@ -27,7 +27,9 @@ from .errors import (
 from .matrices import (
     DenseOperator,
     _defect_walk,
+    _eigen_range,
     _forms,
+    _orbit_norms,
     _polarization_pair,
     _polarization_values,
     _polarization_vector,
@@ -38,6 +40,9 @@ from .matrices import (
 from .scalars import EXACT, FLOAT, Scalar, falling_factorial, negligible, zero_threshold
 
 DEFAULT_DEFECT_TOL = 1e-8
+# a float beta_{m-1} counts as positive semidefinite if its negative
+# eigenvalues are within this fraction of its largest |eigenvalue|
+_PSD_TOL = 1e-9
 
 
 class DefectOperator(NamedTuple):
@@ -128,7 +133,12 @@ def default_m_max(T):
 def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
     """Smallest m <= m_max with beta_m(T) = 0, with a nonzero witness for
     beta_{m-1}; NotWithinBound otherwise.  The verdict keeps the defects it
-    walked, beta_0 .. beta_{m-1}, or beta_0 .. beta_{m_max} if not strict."""
+    walked, beta_0 .. beta_{m-1}, or beta_0 .. beta_{m_max} if not strict.
+
+    In float mode a beta_m that passes the zero test ends the walk only
+    where the theorems allow a strict order m (_order_is_possible);
+    otherwise the walk goes on as if beta_m were nonzero.  In exact mode
+    the theorems hold of every zero beta_m, so no test is made."""
     if m_max is None:
         m_max = default_m_max(T)
     if m_max < 1:
@@ -137,7 +147,8 @@ def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
     walked = [next(walk)]
     for d in islice(walk, m_max):
         m = d.m
-        if negligible(d.matrix, T.mode, tol, lambda: d.float_scale, f"beta_{m}"):
+        if negligible(d.matrix, T.mode, tol, lambda: d.float_scale, f"beta_{m}") and (
+                T.mode == EXACT or _order_is_possible(T.dim, m, walked, tol)):
             witness = None
             if m >= 2:
                 witness = _nonzero_form_witness(walked[-1], tol)
@@ -150,6 +161,28 @@ def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
         walked.append(d)
     return OrderVerdict(strict=False, m=m_max, residual=_residual(walked[-1].matrix),
                         defects=tuple(walked))
+
+
+def _order_is_possible(dim, m, walked, tol):
+    """Whether a strict order m fits the float defects walked, beta_0 ..
+    beta_{m-1}.  On C^dim a strict m-isometry has m = 2 nu - 1 <= 2 dim - 1,
+    nu its largest Jordan block, which is odd; and by Newton's formula
+    ||T^n h||^2 = sum_{j<m} C(n,j) (-1)^j <beta_j h, h>, whose leading
+    coefficient (-1)^(m-1) <beta_{m-1} h, h> / (m-1)! cannot be negative, so
+    for odd m beta_{m-1} is positive semidefinite (Agler and Stankus,
+    "m-isometric transformations of Hilbert space, I", Integral Equations
+    Operator Theory 21, 1995).  beta_{m-1} must also fail the zero test: a
+    zero one was refused as an order of its own.  Its negative eigenvalues
+    are negligible within _PSD_TOL of its largest |eigenvalue|."""
+    if m % 2 == 0 or m > 2 * dim - 1:
+        return False
+    if m == 1:
+        return True
+    prev = walked[-1]
+    if negligible(prev.matrix, FLOAT, tol, lambda: prev.float_scale, f"beta_{m - 1}"):
+        return False
+    low, top = _eigen_range(prev.matrix)
+    return negligible(-low, FLOAT, _PSD_TOL, lambda: top, f"lambda_min(beta_{m - 1})")
 
 
 def _residual(beta):
@@ -173,14 +206,19 @@ def _nonzero_form_witness(d, tol):
 
 
 def orbit_sequence(T, h, window_len=None):
-    """gamma_{T,h}: the window of squared orbit norms ||T^n h||^2, read by
-    T._orbit_inners: a DenseOperator steps it on its kept parts, a weighted
-    shift reads it from its squared weights.  The default window is
-    default_window_len(dim) for a dense operator and 16 otherwise."""
+    """gamma_{T,h}: the window of squared orbit norms ||T^n h||^2.  A float
+    DenseOperator walks it on its kept parts into one array
+    (matrices._orbit_norms), and the window keeps the float64 samples
+    unboxed; otherwise it is read by T._orbit_inners: an exact
+    DenseOperator steps it on its kept parts, a weighted shift reads it
+    from its squared weights.  The default window is default_window_len(dim)
+    for a dense operator and 16 otherwise."""
     if window_len is None:
         window_len = default_window_len(T.dim) if isinstance(T, DenseOperator) else 16
     if window_len < 2:
         raise WindowTooShortError("orbit window must hold at least 2 samples")
+    if isinstance(T, DenseOperator) and T.mode == FLOAT:
+        return OrbitSequence._of_floats(_orbit_norms(T, h, window_len))
     return OrbitSequence(T._orbit_inners(h, h, window_len))
 
 

@@ -345,9 +345,9 @@ def _complex(re, im):
 
 
 def _norms_sq(w, axis):
-    """sum_k |w_k|^2 along axis of a complex array, as a complex array whose
-    imaginary parts are exactly 0.0: <w, w>, which orbit windows need real."""
-    return _complex((np.square(w.real) + np.square(w.imag)).sum(axis), 0.0)
+    """sum_k |w_k|^2 along axis of a complex array, as a float array: <w, w>,
+    which orbit windows need real."""
+    return (np.square(w.real) + np.square(w.imag)).sum(axis)
 
 
 def _dot(a, b):
@@ -496,11 +496,11 @@ def _orbit_windows(op, pairs, count):
     Each vector gets apply's checks and is taken apart once, and only the
     samples are boxed: exact samples equal vec_inner on the orbit() vectors.
     Float mode walks all the distinct vectors at once, as the columns of
-    one n x p array: each step is one T @ V, and each sample a conjugated
-    column dot, or sum |w_k|^2 where v is u, a sample with imaginary part
-    exactly 0.0.  Exact vectors are walked one by one, scattered against
-    T's nonzero columns and kept over their least common denominators (one
-    gcd a step), not growing like den^k."""
+    one n x p array (_float_walk): each sample is a conjugated column dot,
+    or sum |w_k|^2 where v is u, a sample with imaginary part exactly 0.0.
+    Exact vectors are walked one by one, scattered against T's nonzero
+    columns and kept over their least common denominators (one gcd a
+    step), not growing like den^k."""
     for u, v in pairs:
         op._check_vec(u)
         op._check_vec(v)
@@ -509,16 +509,36 @@ def _orbit_windows(op, pairs, count):
         return [_exact_orbit_inners(rows, dt, u, v, count) for u, v in pairs]
     cols = {id(w): w for pair in pairs for w in pair}
     where = {key: j for j, key in enumerate(cols)}
-    steps = [np.stack([_parts(w, FLOAT)[1] for w in cols.values()], axis=1)]
+    walk = _float_walk(rows, np.stack([_parts(w, FLOAT)[1] for w in cols.values()], axis=1),
+                       count)
     with np.errstate(all="ignore"):
-        while len(steps) < count:
-            steps.append(rows @ steps[-1])
-        walk = np.stack(steps)              # count x n x p
         iu, iv = ([where[id(pair[j])] for pair in pairs] for j in (0, 1))
         samples = (walk[..., iu] * walk[..., iv].conj()).sum(axis=1)      # count x pairs
         same = [j for j, (u, v) in enumerate(pairs) if u is v]
         samples[:, same] = _norms_sq(walk[..., [iu[j] for j in same]], 1)
     return [_fbox(window[:count]) for window in samples.T.tolist()]
+
+
+def _orbit_norms(op, h, count):
+    """The float64 array of ||T^k h||^2 for k < count, T the float
+    DenseOperator op: _orbit_windows' samples of the pair (h, h), bit for
+    bit, with apply's checks on h and no Scalar made."""
+    op._check_vec(h)
+    walk = _float_walk(op._row_parts()[1], _parts(h, FLOAT)[1][:, None], count)
+    with np.errstate(all="ignore"):
+        return _norms_sq(walk, 1)[:count, 0]
+
+
+def _float_walk(rows, start, count):
+    """The max(count, 1) x n x p complex array of T^k V, V the n x p array
+    start and T the n x n array rows: one np.matmul into the kept array a
+    step, on the n x p shape (a walk of n x n blocks would round otherwise)."""
+    walk = np.empty((max(count, 1), *start.shape), dtype=complex)
+    walk[0] = start
+    with np.errstate(all="ignore"):
+        for k in range(1, count):
+            np.matmul(rows, walk[k - 1], out=walk[k])
+    return walk
 
 
 def _exact_orbit_inners(rows, dt, u, v, count):
@@ -782,6 +802,14 @@ def _sparse_dot(form, nonzeros):
         s += p * x - q * y
         t += p * y + q * x
     return s, t
+
+
+def _eigen_range(B):
+    """(lambda_min, max |lambda|) of the float Hermitian operator B, from
+    LAPACK's eigenvalues (numpy's eigvalsh, which reads B's lower triangle
+    and lists them ascending)."""
+    eigs = np.linalg.eigvalsh(B._row_parts()[1])
+    return float(eigs[0]), max(-float(eigs[0]), float(eigs[-1]))
 
 
 def _largest(moduli):

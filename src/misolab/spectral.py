@@ -60,6 +60,9 @@ CLUSTER_TOL = 1e-6
 # dimension does not match its algebraic multiplicity
 _CLUSTER_ESCALATION = 10.0
 _CLUSTER_MAX_ESCALATIONS = 7
+# the smallest radius a split tries, relative to max(1, max |lambda|): 512
+# rounding units, below which rounding alone moves eigenvalues that far
+_CLUSTER_FLOOR = 512 * 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +256,19 @@ def _float_eigenspaces(T, tol):
     """(spaces, warnings): numpy's eigenvalues clustered by single linkage
     from radius CLUSTER_TOL * max(1, max |lambda|), tenfold per attempt for
     at most _CLUSTER_MAX_ESCALATIONS, until each cluster mean z has a kernel
-    chain of T - zI as long as its cluster; a warning names the radius.  A
-    radius linking no new pair is skipped: its partition is the last, which
-    failed.  Attempts share one dict of chains by z's bits and the cluster
-    size.  If no attempt is consistent the tolerance cannot separate the
-    clusters, and a PreconditionError names the last radius."""
+    chain of T - zI as long as its cluster; a warning names the radius.  If
+    none is consistent, the radius is split: tenfold below the first, down
+    to _CLUSTER_FLOOR * max(1, max |lambda|).  A radius that links or
+    unlinks no pair against the one before it is skipped: its partition is
+    that one's, which failed.  Attempts share one dict of chains by z's bits
+    and the cluster size.  If no attempt is consistent the tolerance cannot
+    separate the clusters, and a PreconditionError names the largest radius."""
     arr = to_numpy(T)
     eigs = np.linalg.eigvals(arr)
     scale = max(1.0, float(np.abs(eigs).max()))
     # read by linkage, skip test and warning; hypot, so an overflow is inf
     with np.errstate(all="ignore"):
         dist = np.abs(eigs[:, None] - eigs[None, :])
-    warnings = []
     chains = {}
     radius = CLUSTER_TOL * scale
     for attempt in range(_CLUSTER_MAX_ESCALATIONS):
@@ -272,18 +276,35 @@ def _float_eigenspaces(T, tol):
             low, radius = radius, radius * _CLUSTER_ESCALATION
             if not ((dist > low) & (dist <= radius)).any():
                 continue
-        clusters, roots = _single_linkage(eigs, dist <= radius)
-        spaces = _spaces_from_clusters(arr, clusters, tol, chains)
-        if spaces is not None:
-            if attempt > 0:
-                warnings.append(f"eigenvalue clustering escalated to radius {radius:.2e}")
-            # every distance across two clusters is above radius
-            if ((dist <= 10 * radius) & (roots[:, None] != roots)).any():
-                warnings.append("ambiguous eigenvalue clusters within 10x the cluster radius")
-            return spaces, warnings
+        moved = "escalated" if attempt else ""
+        found = _partition(arr, eigs, dist, radius, tol, chains, moved)
+        if found is not None:
+            return found
+    high = CLUSTER_TOL * scale
+    while (low := high / _CLUSTER_ESCALATION) >= _CLUSTER_FLOOR * scale:
+        if ((dist > low) & (dist <= high)).any():
+            found = _partition(arr, eigs, dist, low, tol, chains, "split")
+            if found is not None:
+                return found
+        high = low
     raise PreconditionError(
         f"eigenvalue clustering never became consistent up to radius {radius:.2e}: the "
         "tolerance cannot separate the generalized eigenspaces")
+
+
+def _partition(arr, eigs, dist, radius, tol, chains, moved):
+    """(spaces, warnings) of the single-linkage clusters at radius, or None
+    if a kernel is not as large as its cluster; moved, unless empty, says in
+    a warning how the radius left the first one."""
+    clusters, roots = _single_linkage(eigs, dist <= radius)
+    spaces = _spaces_from_clusters(arr, clusters, tol, chains)
+    if spaces is None:
+        return None
+    warnings = [f"eigenvalue clustering {moved} to radius {radius:.2e}"] if moved else []
+    # every distance across two clusters is above radius
+    if ((dist <= 10 * radius) & (roots[:, None] != roots)).any():
+        warnings.append("ambiguous eigenvalue clusters within 10x the cluster radius")
+    return spaces, warnings
 
 
 def _single_linkage(eigs, close):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -117,6 +118,21 @@ class TestCommands:
             "3": (0, ["polynomial(degree=0)", "not-polynomial-within-window"]),
             "4": (0, ["polynomial(degree=0)", "polynomial(degree=2)"]),
             "14": (0, ["polynomial(degree=0)", "polynomial(degree=2)"])}
+
+    def test_order_on_a_long_float_window(self, tmp_path):
+        # 20000 samples of ||T^n e_2||^2 = 4^-n, walked into one array and
+        # differenced in blocks: about 31 rows of the table are made, not
+        # 20000 (a full table would take 3.2 GB)
+        path = write(tmp_path, "d.json", {"mode": "float", "matrix": [[1.0, 0.0], [0.0, 0.5]]})
+        out = tmp_path / "r.json"
+        start = time.perf_counter()
+        assert main(["order", path, "--window", "20000", f"--output={out}"]) == 0
+        assert time.perf_counter() - start < 1.0
+        report = json.loads(out.read_text())
+        assert report["verdict"] == {"kind": "not-within-bound", "m": 5, "witness": None,
+                                     "residual": 0.2373046875}
+        assert report["basis_orbit_degrees"] == ["polynomial(degree=0)",
+                                                 "polynomial(degree=22)"]
 
     def test_order_not_within_bound(self, tmp_path, capsys):
         path = write(tmp_path, "e.json", EXAMPLE_DOC)

@@ -2,7 +2,9 @@
 
 import math
 import random
+from contextlib import nullcontext
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,9 @@ from misolab import (
     orbit_sequence,
 )
 from misolab import diffcalc
-from misolab.matrices import _int_form, _scalar, vec_max_abs
+from misolab.matrices import _int_form, _scalar, np, vec_max_abs
 from misolab.polynomials import falling_factorial_poly
-from misolab.scalars import EXACT, FLOAT
+from misolab.scalars import EXACT, FLOAT, negligible, zero_threshold
 
 
 def seq(values):
@@ -322,14 +324,109 @@ class TestLazyTableMatchesEager:
         assert [bits(c) for c in got.coeffs] == [bits(c) for c in want.coeffs]
 
 
+# ---------------------------------------------------------------------------
+# The row-by-row detect_degree that the block tables replaced, kept as the
+# reference: each row is made from the last one, cross-checked with one
+# np.correlate, then tested by negligible, one row at a time.
+# ---------------------------------------------------------------------------
+
+
+def rowwise_check(vals, m, row, scale):
+    what = f"the binomial check of difference row {m}"
+    coeffs = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
+    if not scale:
+        sums = [sum(map(mul, coeffs, vals[n:n + m + 1])) for n in range(len(row))]
+        bad = None if sums == list(row) else next(
+            n for n, (acc, entry) in enumerate(zip(sums, row)) if acc != entry)
+    else:
+        slack = zero_threshold(FLOAT, 1e-12 * scale, lambda: math.comb(m, m // 2), what)
+        slack = zero_threshold(FLOAT, slack, lambda: m + 1, what)
+        sums = np.correlate(vals[:len(row) + m], np.array(coeffs, dtype=float))
+        gaps = abs(sums - row)
+        bad = None if gaps.max() <= slack else int((gaps <= slack).argmin())
+    if bad is None:
+        return
+    if scale and not (math.isfinite(sums[bad]) and math.isfinite(row[bad])):
+        raise PreconditionError(f"float overflow: difference row {m} or {what} "
+                                "leaves float range")
+    raise InternalCheckError(f"difference table row {m} entry {bad} disagrees with binomial form")
+
+
+def rowwise_detect_degree(gamma, tol=diffcalc.DEFAULT_FLOAT_TOL):
+    if gamma.window_len < 3:
+        raise WindowTooShortError("degree detection needs at least 3 samples")
+    if gamma.mode == EXACT:
+        _, reals, _ = _int_form(gamma.values)
+        scale = 0.0
+    else:
+        reals = np.array([v.re for v in gamma.values])
+        scale = max(1.0, gamma.max_abs())
+    window = zero_threshold(gamma.mode, tol, lambda: scale, "the window")
+    rows = [reals]
+    for k in range(gamma.window_len):
+        if k:
+            prev = rows[-1]
+            with np.errstate(all="ignore") if scale else nullcontext():
+                row = (np.subtract(prev[1:], prev[:-1]) if scale
+                       else [b - a for a, b in zip(prev, prev[1:])])
+                rowwise_check(reals, k, row, scale)
+            rows.append(row)
+        if gamma.mode == FLOAT:
+            largest = residual = float(np.abs(rows[k]).max())
+        else:
+            largest, residual = max(map(abs, rows[k])), 0.0
+        if negligible(largest, gamma.mode, window, lambda: math.comb(k, k // 2),
+                      f"difference row {k}"):
+            return DegreeVerdict(polynomial=True, degree=k - 1 if k else None,
+                                 zero_sequence=k == 0, residual=residual)
+    return DegreeVerdict(polynomial=False, degree=None, residual=residual)
+
+
+def outcome(detect, gamma, tol):
+    """The verdict's fields, float residual by its bits, or the error's type and message."""
+    try:
+        v = detect(gamma, tol)
+    except (PreconditionError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+    return v.polynomial, v.degree, v.zero_sequence, float.hex(v.residual)
+
+
+# windows near float max: their rows, binomial sums and row thresholds leave
+# float range at rows that a tolerance moves against each other
+huge = st.builds(lambda x, e: x * 10.0 ** e, st.floats(-9.99, 9.99), st.integers(296, 307))
+huge_windows = st.one_of(
+    st.lists(huge, min_size=3, max_size=40),
+    # one sign: the order of adding decides where a binomial sum overflows
+    st.lists(st.builds(lambda x, e: x * 10.0 ** e, st.floats(0.5, 1.5), st.integers(296, 307)),
+             min_size=3, max_size=60),
+    st.builds(poly_values, st.lists(huge, min_size=1, max_size=5), st.integers(3, 30)),
+    st.builds(lambda n, r, x: [x * r ** k for k in range(n)], st.integers(3, 40),
+              st.floats(-2.0, 2.0), huge),
+).filter(lambda v: all(map(math.isfinite, v))).map(lambda v: OrbitSequence.from_reals(v, FLOAT))
+tols = st.sampled_from([diffcalc.DEFAULT_FLOAT_TOL, 1e-3, 1.0, 1e3, 1e8])
+
+
+class TestBlocksMatchTheRowwiseWalk:
+    @given(windows, tols)
+    @settings(max_examples=200, deadline=None)
+    def test_same_outcome(self, gamma, tol):
+        assert outcome(detect_degree, gamma, tol) == outcome(rowwise_detect_degree, gamma, tol)
+
+    @given(huge_windows, tols)
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_near_float_max(self, gamma, tol):
+        assert outcome(detect_degree, gamma, tol) == outcome(rowwise_detect_degree, gamma, tol)
+
+
 class TestRowsAreMadeOnFirstRead:
     def test_detect_degree_stops_at_the_first_vanishing_row(self, monkeypatch):
         checked = []
         check = diffcalc._check_binomial_form
 
-        def recording(vals, m, row, scale):
-            checked.append(m)
-            check(vals, m, row, scale)
+        # one call checks a block's unchecked rows, first .. first + len(rows) - 1
+        def recording(vals, first, rows, scale):
+            checked.extend(range(first, first + len(rows)))
+            check(vals, first, rows, scale)
 
         monkeypatch.setattr(diffcalc, "_check_binomial_form", recording)
         gamma = seq([3 * n + 1 for n in range(20)])
@@ -346,9 +443,10 @@ class TestRowsAreMadeOnFirstRead:
         checked = []
         check = diffcalc._check_binomial_form
 
-        def recording(vals, m, row, scale):
-            checked.append(m)
-            check(vals, m, row, scale)
+        # one call checks a block's unchecked rows, first .. first + len(rows) - 1
+        def recording(vals, first, rows, scale):
+            checked.extend(range(first, first + len(rows)))
+            check(vals, first, rows, scale)
 
         monkeypatch.setattr(diffcalc, "_check_binomial_form", recording)
         gamma = OrbitSequence.from_reals([0.5 * n ** 3 - n + 0.25 for n in range(28)], FLOAT)

@@ -37,9 +37,10 @@ from misolab import (
     vec_scale,
 )
 from misolab import isometry
+from misolab.matrices import _eigen_range
 from misolab.scalars import EXACT, FLOAT
-from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
-                            random_unitary)
+from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, decomposition_corpus,
+                            operator_to_float, perturbation_corpus, random_unitary)
 
 J12 = DenseOperator.from_ints([[1, 1], [0, 1]])
 EXAMPLE = DenseOperator([
@@ -112,6 +113,58 @@ class TestStrictOrder:
         v = strict_order(J12)
         for extra in range(3):
             assert is_m_isometry(J12, v.m + extra)
+
+
+def off_circle_family(k, z, seed, count=7):
+    """J_k(z) (+) (1/2), conjugated by count seeded unitaries: no m-isometry."""
+    T = direct_sum(jordan_matrix(JordanSpec(z, k)),
+                   DenseOperator([[Scalar.exact(Fraction(1, 2))]]))
+    rng = np.random.default_rng(seed)
+    return [conjugate_by_unitary(operator_to_float(T), random_unitary(T.dim, rng))
+            for _ in range(count)]
+
+
+class TestTheoremVetoes:
+    """A float beta_m that passes the zero test ends the walk only at an odd
+    m <= 2 dim - 1 with beta_{m-1} positive semidefinite within the
+    eigenvalue ratio isometry._PSD_TOL (Agler and Stankus, 1995)."""
+
+    # J_9(z) (+) (1/2) for z = 1, -1, i, -i: the beta_m of the Jordan block
+    # vanish from m = 17 on, and the off-circle block's (3/4)^m drops below
+    # the walk's scale; without the vetoes 38 of these 56 read
+    # strict-order(18) to strict-order(21), 18, 20 and 21 impossible on C^10,
+    # and 19 with an indefinite beta_18
+    @pytest.mark.parametrize("z", UNIMODULAR_EXACT[:4], ids=["1", "-1", "i", "-i"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_off_circle_sums_claim_no_order(self, z, seed):
+        for T in off_circle_family(9, z, seed):
+            assert not strict_order(T).strict
+
+    @pytest.mark.parametrize("z", UNIMODULAR_EXACT, ids=["1", "-1", "i", "-i", "3/5+4/5i"])
+    def test_conjugated_jordan_blocks_keep_their_order(self, z):
+        for k in (7, 8, 9):
+            T = conjugate_by_unitary(operator_to_float(jordan_matrix(JordanSpec(z, k))),
+                                     random_unitary(k, np.random.default_rng(k)))
+            assert strict_order(T).describe() == f"strict-order({2 * k - 1})"
+
+    def test_exact_strict_orders_meet_no_veto(self):
+        # the theorems hold of every exact strict order on the corpora, so
+        # the vetoes, which exact mode does not test, would never fire there
+        ops = [jordan_matrix(JordanSpec(z, k)) for z in UNIMODULAR_EXACT for k in (1, 2, 3, 4)]
+        ops += [inst.operator for inst in decomposition_corpus(0)]
+        ops += [op for inst in perturbation_corpus(0)
+                for op in (inst.base, inst.base + inst.nilpotent)]
+        strict = 0
+        for T in ops:
+            v = strict_order(T)
+            if not v.strict:
+                continue
+            strict += 1
+            assert v.m % 2 == 1 and v.m <= 2 * T.dim - 1
+            if v.m >= 2:
+                low, top = _eigen_range(operator_to_float(v.defects[-1].matrix))
+                assert low >= -isometry._PSD_TOL * top
+        assert strict >= 60
 
 
 class TestFloatGramOverflow:

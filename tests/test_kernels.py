@@ -1242,11 +1242,12 @@ class TestSurveyWindows:
             local_isometry_survey(sheared, [basis_vector(2, 0, EXACT)])
 
     def test_strict_float_survey_walks_no_orbit(self, monkeypatch):
-        # the float degrees are read from beta_0 .. beta_{m-1} too
+        # the float degrees are read from beta_0 .. beta_{m-1} too; every
+        # float orbit window is walked by _float_walk
         def walk(*args):
             raise AssertionError("an orbit window was walked")
 
-        monkeypatch.setattr(matrices, "_orbit_windows", walk)
+        monkeypatch.setattr(matrices, "_float_walk", walk)
         T = operator_to_float(direct_sum(*(jordan_matrix(JordanSpec(z=z, size=k)) for z, k in (
             (Scalar.exact(1), 4), (Scalar.exact(0, 1), 3),
             (Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 1)))))
@@ -2002,10 +2003,10 @@ class TestBinomialFormCheck:
         den, reals, _ = _int_form(gamma.values)
         rows = difference_rows(reals)
         for m, row in enumerate(rows):
-            _check_binomial_form(reals, m, row, 0.0)
+            _check_binomial_form(reals, m, [row], 0.0)
         rows[3][1] += 1          # one unit of 1/den
         with pytest.raises(InternalCheckError, match="row 3 entry 1"):
-            _check_binomial_form(reals, 3, rows[3], 0.0)
+            _check_binomial_form(reals, 3, [rows[3]], 0.0)
 
     # C(1040, 520) is beyond float range, so a slack made from it as a
     # float ends in OverflowError; exact rows need no slack at all
@@ -2014,15 +2015,15 @@ class TestBinomialFormCheck:
         den, reals, _ = _int_form(gamma.values)
         assert den == 3
         row = difference_rows(reals)[1040]
-        _check_binomial_form(reals, 1040, row, 0.0)
+        _check_binomial_form(reals, 1040, [row], 0.0)
         row[0] += 1          # one unit of 1/den
         with pytest.raises(InternalCheckError, match="row 1040 entry 0"):
-            _check_binomial_form(reals, 1040, row, 0.0)
+            _check_binomial_form(reals, 1040, [row], 0.0)
 
     def test_long_float_row_slack_overflow_raises(self):
         reals = [1.0] * 1042
         with pytest.raises(PreconditionError, match="float overflow"):
-            _check_binomial_form(reals, 1040, [0.0, 0.0], 1.0)
+            _check_binomial_form(reals, 1040, [[0.0, 0.0]], 1.0)
 
     def test_float_row_beyond_slack_raises(self):
         reals = [float(n * n) + 0.5 for n in range(7)]
@@ -2031,10 +2032,10 @@ class TestBinomialFormCheck:
         slack = 1e-12 * scale * math.comb(m, m // 2) * (m + 1)
         rows = difference_rows(reals)
         rows[m][0] += 0.5 * slack
-        _check_binomial_form(reals, m, rows[m], scale)
+        _check_binomial_form(reals, m, [rows[m]], scale)
         rows[m][0] += 2 * slack
         with pytest.raises(InternalCheckError, match=f"row {m} entry 0"):
-            _check_binomial_form(reals, m, rows[m], scale)
+            _check_binomial_form(reals, m, [rows[m]], scale)
 
 
     # 9 to 16 terms, and rows from m = 57 on, where C(m, k) passes 2^53 and
@@ -2057,11 +2058,11 @@ class TestBinomialFormCheck:
         slack = 1e-12 * scale * math.comb(m, m // 2) * (m + 1)
         assert all(2 * gamma(m + 2) * math.fsum(abs(c * x) for c, x in zip(coeffs, w)) <= slack
                    for w in windows)
-        _check_binomial_form(reals, m, sums, scale)
+        _check_binomial_form(reals, m, [sums], scale)
         n = data.draw(st.integers(0, len(sums) - 1))
         sums[n] += data.draw(st.sampled_from([2.0, -2.0])) * slack
         with pytest.raises(InternalCheckError, match=f"row {m} entry {n} disagrees"):
-            _check_binomial_form(reals, m, sums, scale)
+            _check_binomial_form(reals, m, [sums], scale)
 
 
 class TestDefectCrossCheck:

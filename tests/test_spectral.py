@@ -668,6 +668,19 @@ class TestFloatClustering:
                            match=r"never became consistent up to radius 1\.\d\de\+00"):
             algebraic_decompose(T)
 
+    @pytest.mark.parametrize("gap,radius", [(5e-7, "1.00e-07"), (5e-8, "1.00e-08")])
+    def test_eigenvalues_closer_than_the_first_radius_split(self, gap, radius):
+        # no radius from 1e-6 up separates 1 from 1 + gap, whose mean has no
+        # kernel; the radii below it do, and the block at 1 + gap is refused
+        # as not unimodular
+        T = DenseOperator([[Scalar.flt(1.0), Scalar.flt(0.0)],
+                           [Scalar.flt(0.0), Scalar.flt(1.0 + gap)]])
+        dec = algebraic_decompose(T)
+        assert [(b.eigenvalue.re, b.dimension) for b in dec.blocks] == [(1.0, 1), (1.0 + gap, 1)]
+        assert dec.warnings == (f"eigenvalue clustering split to radius {radius}",
+                                "ambiguous eigenvalue clusters within 10x the cluster radius")
+        assert dec.failures == ("eigenvalue 1+0i is not unimodular",)
+
     @pytest.mark.parametrize("gap,ambiguous", [(5e-6, True), (5e-5, False)])
     def test_ambiguity_warning_reads_ten_radii(self, gap, ambiguous):
         # diag(1, 1 + gap) splits at the first radius, 1e-6 (times max|z|);
