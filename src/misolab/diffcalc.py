@@ -222,19 +222,18 @@ def _binomial_coeffs(m):
 @cache
 def _signed_binomials(k):
     """The (k + 1) x (k + 1) float array whose row m is _binomial_coeffs(m),
-    zero past column m, made by Pascal's rule on ints, each entry rounded
-    once; a row beyond float range is inf.  Checks ask only for k = 2^j - 1,
-    and a slack is within float range only for m below about 1030, so the
-    arrays kept take at most about 45 MB, and that only after a check of
-    row 1024 or later; below row 64 they take 44 KB."""
-    out, row = np.zeros((k + 1, k + 1)), [1]
+    zero past column m, each entry rounded once; a row beyond float range
+    is inf.  Checks ask only for k = 2^j - 1, and a slack is within float
+    range only for m below about 1030, so the arrays kept take at most
+    about 45 MB, and that only after a check of row 1024 or later; below
+    row 64 they take 44 KB."""
+    out = np.zeros((k + 1, k + 1))
     for m in range(k + 1):
         try:
-            out[m, :m + 1] = row
+            out[m, :m + 1] = _binomial_coeffs(m)
         except OverflowError:
             out[m:] = math.inf
             break
-        row = [a - b for a, b in zip([0, *row], [*row, 0])]
     return out
 
 
@@ -252,9 +251,8 @@ def _check_binomial_form(vals, first, rows, scale):
     vals[n+k]| <= gamma_(m+2) 2^m scale of the exact sum, far inside the
     slack.  Where 2^m scale nears float range, so that the order of adding
     decides an overflow, each row's sums are one np.correlate, a row at a
-    time, as the row-by-row walk made them.  Rows are
-    checked in order, the slack of each before its sums: the first that
-    fails raises.  A float entry or binomial sum beyond float range makes
+    time, as the row-by-row walk made them.  Rows are checked in order, the
+    slack of each before its sums: the first that fails raises.  A float entry or binomial sum beyond float range makes
     the two disagree; that is an overflow, not a failed check, and raises
     PreconditionError."""
     if not scale:
