@@ -115,10 +115,11 @@ class DifferenceTable:
     rows.  So a table holds at most about twice the rows read, never depth
     rows up front.  Each row is cross-checked against the alternating
     binomial-sum form when it is first read, the rows not yet checked in
-    one _check_binomial_form call.  Rows are plain real numbers: in exact mode lists of integers over the
-    window's common denominator; in float mode each block is one float64
-    array W - 1 wide, row k of it zero past its W - k entries, and each
-    difference is the IEEE b - a of Python floats.
+    one _check_binomial_form call.  Rows are plain real numbers: in exact
+    mode lists of integers over the window's common denominator; in float
+    mode each block is one float64 array W - 1 wide, row k of it zero past
+    its W - k entries, and each difference is the IEEE b - a of Python
+    floats.
     """
 
     def __init__(self, gamma, depth):
@@ -252,9 +253,9 @@ def _check_binomial_form(vals, first, rows, scale):
     slack.  Where 2^m scale nears float range, so that the order of adding
     decides an overflow, each row's sums are one np.correlate, a row at a
     time, as the row-by-row walk made them.  Rows are checked in order, the
-    slack of each before its sums: the first that fails raises.  A float entry or binomial sum beyond float range makes
-    the two disagree; that is an overflow, not a failed check, and raises
-    PreconditionError."""
+    slack of each before its sums: the first that fails raises.  A float
+    entry or binomial sum beyond float range makes the two disagree; that
+    is an overflow, not a failed check, and raises PreconditionError."""
     if not scale:
         for m, row in enumerate(rows, first):
             coeffs = _binomial_coeffs(m)

@@ -423,7 +423,7 @@ class TestRowsAreMadeOnFirstRead:
         checked = []
         check = diffcalc._check_binomial_form
 
-        # one call checks a block's unchecked rows, first .. first + len(rows) - 1
+        # one call checks the rows not checked yet, first .. first + len(rows) - 1
         def recording(vals, first, rows, scale):
             checked.extend(range(first, first + len(rows)))
             check(vals, first, rows, scale)
@@ -443,7 +443,7 @@ class TestRowsAreMadeOnFirstRead:
         checked = []
         check = diffcalc._check_binomial_form
 
-        # one call checks a block's unchecked rows, first .. first + len(rows) - 1
+        # one call checks the rows not checked yet, first .. first + len(rows) - 1
         def recording(vals, first, rows, scale):
             checked.extend(range(first, first + len(rows)))
             check(vals, first, rows, scale)
