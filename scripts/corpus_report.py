@@ -10,10 +10,15 @@ Run:  python3 scripts/corpus_report.py [--seed N] [--per-kind N] [--count N]
 """
 
 import argparse
+import os
+import sys
 from collections import Counter
 
-from misolab import algebraic_decompose, perturbation_analysis, strict_order
-from misolab.suites import decomposition_corpus, perturbation_corpus
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "src"))
+
+from misolab import algebraic_decompose, perturbation_analysis, strict_order  # noqa: E402
+from misolab.suites import decomposition_corpus, perturbation_corpus  # noqa: E402
 
 
 def report_decomposition(seed, per_kind):

@@ -15,9 +15,14 @@ all of it with an honest orthogonal block sum.
 Run:  python3 scripts/worked_example.py
 """
 
+import os
+import sys
 from itertools import islice
 
-from misolab import (
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "src"))
+
+from misolab import (  # noqa: E402
     format_rational,
     DenseOperator,
     JordanSpec,

@@ -7,7 +7,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import partialmethod, reduce
-from itertools import chain
+from itertools import chain, islice
 from operator import add, mul, sub
 
 from .errors import DimensionMismatchError, ModeMismatchError, PreconditionError
@@ -462,26 +462,74 @@ def _shifted(T, z):
     return DenseOperator._from_parts(EXACT, *_reduced(out, den))
 
 
-def _row_space_walk(M):
-    """(depth, R) for an exact M: depth the smallest k >= 1 with ker M^k =
-    ker M^(k+1), and R the operator whose rows are the _echelon rows of M^depth,
-    padded with zero rows, so that R and M^depth have one kernel.
+def _components(T):
+    """The connected components of an exact T, as (indices, triangular)
+    pairs: i and j are linked where entry ij or ji is nonzero, i != j, so
+    T - zI has the components of T for every z; indices ascend, and
+    triangular says whether the component's block is upper or lower
+    triangular in that order."""
+    n = T.dim
+    links, up, down = [[] for _ in range(n)], [False] * n, [False] * n
+    for i, nz in enumerate(_nonzeros(T._row_parts()[1])):
+        for j, _, _ in nz:
+            if j != i:
+                links[i].append(j)
+                links[j].append(i)
+                up[i] = up[i] or j > i
+                down[i] = down[i] or j < i
+    seen, out = [False] * n, []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start], stack, idx = True, [start], []
+        while stack:
+            i = stack.pop()
+            idx.append(i)
+            for j in links[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        idx.sort()
+        out.append((idx, not (any(up[i] for i in idx) and any(down[i] for i in idx))))
+    return out
 
-    No power of M is formed: R_0 = I and R_(k+1) = _echelon(R_k M), since
-    the row space of M^(k+1) is that of R_k M.  The walk reads only the
-    ranks and stops where the rank stops falling; the RREF of a row space
-    is unique, so the kernel of R is read with the pivots of M^depth's."""
+
+def _row_space_walk(M, components):
+    """(depth, R) for an exact M: depth the smallest k >= 1 with ker M^k =
+    ker M^(k+1), and R the operator whose rows span the row space of
+    M^depth, padded with zero rows, so that R and M^depth have one kernel.
+    components are the _components of M, or of any T with M = T - zI.
+
+    M is block diagonal over its components, and each block walks on its
+    own: R_0 = I and R_(k+1) = _echelon(R_k M), since the row space of
+    M^(k+1) is that of R_k M.  No power of M is formed.  A walk reads only
+    the ranks and stops where the rank stops falling; a triangular block
+    with no zero on its diagonal is invertible and gives its identity rows
+    with no walk.  The depth is the largest block's, and the rows go back
+    into n columns.  The RREF of a row space is unique, so the kernel of R
+    is read with the pivots of M^depth's."""
     n, (_, rows) = M.dim, M._row_parts()
-    nonzeros, depth = _nonzeros(rows), 0
-    basis = [([int(i == j) for j in range(n)], [0] * n) for i in range(n)]
-    while basis:
-        step = _echelon(_scatter(basis, nonzeros))[0]
-        if len(step) == len(basis):
-            break
-        basis, depth = step, depth + 1
+    out, depth = [], 0
+    for idx, triangular in components:
+        k = len(idx)
+        basis, walked = [([int(i == j) for j in range(k)], [0] * k) for i in range(k)], 0
+        if not (triangular and all(rows[i][0][i] or rows[i][1][i] for i in idx)):
+            nonzeros = _nonzeros([([rows[i][0][j] for j in idx], [rows[i][1][j] for j in idx])
+                                  for i in idx])
+            while basis:
+                step = _echelon(_scatter(basis, nonzeros))[0]
+                if len(step) == len(basis):
+                    break
+                basis, walked = step, walked + 1
+        depth = max(depth, walked)
+        for re, im in basis:
+            full_re, full_im = [0] * n, [0] * n
+            for j, x, y in zip(idx, re, im):
+                full_re[j], full_im[j] = x, y
+            out.append((full_re, full_im))
     zero = [0] * n
     return max(depth, 1), DenseOperator._from_parts(
-        EXACT, 1, basis + [(zero, zero)] * (n - len(basis)))
+        EXACT, 1, out + [(zero, zero)] * (n - len(out)))
 
 
 def _conj(form):
@@ -542,17 +590,35 @@ def _float_walk(rows, start, count):
 
 
 def _exact_orbit_inners(rows, dt, u, v, count):
-    """<T^k u, T^k v> for k < count, T the exact rows over dt: walks of u and
-    v (one if v is u) as (den, [form])."""
+    """<T^k u, T^k v> for k < count, T the exact rows over dt, from the
+    _exact_orbit walks of u and v (one if v is u)."""
     cols = _nonzeros(_columns(rows))
-    walks = [(d, [f]) for d, f in (_parts(w, EXACT) for w in ((u,) if v is u else (u, v)))]
     out = []
-    for k in range(count):
-        if k:
-            walks = [_reduced(_scatter(f, cols), dt * d) for d, f in walks]
-        (du, (uf,)), (dv, (vf,)) = walks[0], walks[-1]
+    for steps in islice(zip(*(_exact_orbit(cols, dt, w) for w in ((u,) if v is u else (u, v)))),
+                        count):
+        (du, uf), (dv, vf) = steps[0], steps[-1]
         out.append(_box(_dot(uf, _conj(vf)), du * dv, EXACT))
     return out
+
+
+def _exact_orbit(cols, dt, w):
+    """(den, form) of T^k w for k = 0, 1, ..., without end, T the exact rows
+    over dt with _nonzeros(_columns) cols: each step is scattered against
+    the nonzero columns and kept over its least common denominator (one gcd
+    a step, not growing like den^k), and no Scalar is made."""
+    den, form = _parts(w, EXACT)
+    while True:
+        yield den, form
+        den, (form,) = _reduced(_scatter([form], cols), dt * den)
+
+
+def _reaches_zero(op, h, count):
+    """Whether T^k h = 0 for some k <= count, T the exact DenseOperator op
+    and h a vector of its mode and length: one _exact_orbit walk up to the
+    first zero vector."""
+    dt, rows = op._row_parts()
+    walk = islice(_exact_orbit(_nonzeros(_columns(rows)), dt, h), count + 1)
+    return any(not (any(re) or any(im)) for _, (re, im) in walk)
 
 
 def _defect_walk(T):

@@ -10,6 +10,7 @@ of scope); float mode computes the spectrum numerically and clusters it.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, islice, repeat
 from operator import matmul
@@ -30,12 +31,14 @@ from .isometry import (
 )
 from .matrices import (
     DenseOperator,
+    _components,
     _echelon,
     _forms,
     _largest,
     _orbit_windows,
     _polarization_values,
     _polarization_vector,
+    _reaches_zero,
     _row_space_walk,
     _scalar,
     _scalar_parts,
@@ -199,8 +202,10 @@ def generalized_eigenspaces(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
 def _exact_eigenspaces(T, hints):
     """The spaces of the hints that are eigenvalues, each hint (a Scalar, int
     or Fraction) made an exact Scalar once.  Each kernel chain is one
-    matrices._row_space_walk of T - zI, and only its last kernel is boxed,
-    by one exact_nullspace call."""
+    matrices._row_space_walk of T - zI over the connected components of T,
+    found once for all hints: a block walks on its own, and a triangular one
+    whose diagonal misses z is not walked.  Only the last kernel is boxed,
+    by one exact_nullspace call per hint."""
     if not hints:
         raise EigenHintError(
             "exact mode requires eigen_hints (candidate eigenvalues)"
@@ -214,8 +219,9 @@ def _exact_eigenspaces(T, hints):
         seen.append(z)
     spaces = []
     total = 0
+    components = _components(T)
     for z in seen:
-        depth, rows = _row_space_walk(_shifted(T, z))
+        depth, rows = _row_space_walk(_shifted(T, z), components)
         basis = exact_nullspace(rows)
         if not basis:
             continue  # hint is not an eigenvalue; contributes nothing
@@ -382,7 +388,8 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
     failures = []
     for sp in spaces:
         if not _on_circle(sp.eigenvalue, T.mode, tol):
-            failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue)} is not unimodular")
+            failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue, T.mode, tol)} "
+                            "is not unimodular")
             break
     # |<u, v>| for u, v in the bases of spaces i < j, by one _forms read of I
     # with u from every space but the last and v from every space but the first
@@ -415,13 +422,19 @@ def _form_size(mode):
     return math.hypot if mode == FLOAT else lambda re, im: abs(re) + abs(im)
 
 
-def _fmt_scalar(s):
+def _fmt_scalar(s, mode, tol):
+    """s, off the circle, as re+imi with 6 significant digits ({:g}), or with
+    the shortest digits that round-trip where the 6 digits read as
+    unimodular (1.0000005+0.0i, not 1+0i)."""
     try:
-        return f"{float(s.re):g}{float(s.im):+g}i"
+        re, im = float(s.re), float(s.im)
     except OverflowError:
         # an exact value beyond float range; specio imports this module
         from .specio import format_rational
         return format_rational(s)
+    parts = f"{re:g}", f"{im:+g}"
+    shown = Scalar(mode, *map(Fraction if mode == EXACT else float, parts))
+    return f"{re}{im:+}i" if _on_circle(shown, mode, tol) else f"{parts[0]}{parts[1]}i"
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +527,13 @@ def cyclic_subspace(T, h, tol=DEFAULT_DEFECT_TOL):
 
 def _membership_check(T, h, z, tol):
     """h must lie in the generalized eigenspace of z: (T - zI)^dim h = 0, in
-    exact mode by at most dim `orbit` steps of matrices._shifted's T - zI,
-    up to the first zero vector; in float mode from (T - zI)^dim."""
+    exact mode by at most dim steps of matrices._shifted's M = T - zI, up to
+    the first zero vector: the first by `apply`, with its checks on h, the
+    others as integers (matrices._reaches_zero); in float mode from
+    (T - zI)^dim."""
     if T.mode == EXACT:
-        # from Mh on, so that apply checks h first
-        inside = any(map(vec_is_zero, islice(orbit(_shifted(T, z), h), 1, T.dim + 1)))
+        M = _shifted(T, z)
+        inside = _reaches_zero(M, M.apply(h), T.dim - 1)
     else:
         M = (T - DenseOperator.identity(T.dim, T.mode).scale(z)).power(T.dim)
         inside = negligible(vec_max_abs(M.apply(h)), FLOAT, tol,

@@ -13,9 +13,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_script(script, args):
-    env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    """Run a script as a reader of the README would, with no PYTHONPATH: each
+    script finds the package under src/ itself."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr

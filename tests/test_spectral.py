@@ -45,8 +45,9 @@ from misolab import (
 )
 from misolab import spectral
 from misolab.isometry import _defects
-from misolab.matrices import (_echelon, _polarization_vector, _row_space_walk, _shifted,
-                              polarization_pairs)
+from misolab import matrices
+from misolab.matrices import (_components, _echelon, _polarization_vector, _row_space_walk,
+                              _shifted, polarization_pairs, vec_is_zero)
 from misolab.scalars import EXACT, FLOAT
 from misolab.spectral import (CLUSTER_TOL, _restricted_strict_order, _single_linkage,
                               _strictness_criterion, exact_nullspace, exact_rref, from_numpy,
@@ -296,6 +297,46 @@ WALK_CASES = {
 }
 
 
+def permuted(T, p):
+    """P T P^T for the permutation p: entry ij is T's entry p[i] p[j]."""
+    return DenseOperator([[T.rows[a][b] for b in p] for a in p])
+
+
+def triangular(diagonal, upper, seed):
+    """A seeded exact triangular matrix with the given diagonal and dense
+    Gaussian-integer entries on one side of it."""
+    rng, n = random.Random(seed), len(diagonal)
+    return DenseOperator([[diagonal[i] if i == j else
+                           Scalar.exact(rng.randint(1, 3), rng.randint(-2, 2))
+                           if (j > i if upper else j < i) else Scalar.exact(0)
+                           for j in range(n)] for i in range(n)])
+
+
+# the blocks of T - zI walk on their own: permuted sums, whose blocks are not
+# index ranges, triangular blocks with z on and off their diagonals, isolated
+# indices beside a dense invertible block, and blocks that share an eigenvalue
+BLOCK_PERMUTATION = [5, 0, 7, 2, 4, 1, 6, 3]
+WALK_CASES.update({
+    "blocks-permuted-jordan-sum": (
+        permuted(direct_sum(*(jordan_matrix(JordanSpec(z, k)) for z, k in (
+            (ONE, 3), (I_, 2), (-ONE, 1), (ONE, 2)))), BLOCK_PERMUTATION),
+        (ONE, I_, -ONE, Scalar.exact(0), Z35)),
+    "blocks-upper-and-lower-triangular": (
+        direct_sum(triangular([ONE, Scalar.exact(2), ONE], True, 1),
+                   triangular([I_, I_, Z35], False, 2)),
+        (ONE, Scalar.exact(2), I_, Z35, Scalar.exact(0))),
+    "blocks-isolated-beside-dense": (
+        permuted(direct_sum(dense_similar([(Z35, 2), (-ONE, 1)], 4),
+                            DenseOperator([[ONE, Scalar.exact(0)], [Scalar.exact(0), I_]])),
+                 [3, 0, 1, 4, 2]),
+        (ONE, I_, Z35, -ONE, Scalar.exact(2))),
+    "blocks-sharing-an-eigenvalue": (
+        direct_sum(dense_similar([(ONE, 2)], 5), jordan_matrix(JordanSpec(ONE, 2)),
+                   dense_similar([(ONE, 1), (I_, 2)], 6)),
+        (ONE, I_, -ONE)),
+})
+
+
 class TestRowSpaceWalk:
     @pytest.mark.parametrize("case", sorted(WALK_CASES))
     def test_walk_is_the_powers_chain(self, case):
@@ -307,7 +348,7 @@ class TestRowSpaceWalk:
         for z in hints:
             M = _shifted(T, z)
             assert M == T - DenseOperator.identity(T.dim, EXACT).scale(z)
-            depth, R = _row_space_walk(M)
+            depth, R = _row_space_walk(M, _components(M))
             ref.append((z, *ref_kernel_chain(M)))
             assert (z, depth, exact_nullspace(R)) == ref[-1]
         spaces = generalized_eigenspaces(T, eigen_hints=hints)
@@ -320,8 +361,36 @@ class TestRowSpaceWalk:
         ("zero", Scalar.exact(0), 1, 3), ("identity", ONE, 1, 3),
         ("identity", Scalar.exact(0), 1, 0), ("nilpotent-J5(0)", Scalar.exact(0), 5, 5)])
     def test_depth_and_dimension(self, case, z, depth, dim):
-        got_depth, R = _row_space_walk(_shifted(WALK_CASES[case][0], z))
+        M = _shifted(WALK_CASES[case][0], z)
+        got_depth, R = _row_space_walk(M, _components(M))
         assert (got_depth, len(exact_nullspace(R))) == (depth, dim)
+
+    @pytest.mark.parametrize("case,blocks", [
+        ("blocks-permuted-jordan-sum",
+         [([0], True), ([1, 3, 5], False), ([2, 6], True), ([4, 7], True)]),
+        ("blocks-upper-and-lower-triangular", [([0, 1, 2], True), ([3, 4, 5], True)]),
+        ("blocks-isolated-beside-dense", [([0], True), ([1, 2, 4], False), ([3], True)]),
+        ("blocks-sharing-an-eigenvalue",
+         [([0, 1], False), ([2, 3], True), ([4, 5, 6], False)]),
+        ("nilpotent-J5(0)", [([0, 1, 2, 3, 4], True)]),
+        ("identity", [([0], True), ([1], True), ([2], True)])])
+    def test_components_of_t_serve_every_hint(self, case, blocks):
+        T, hints = WALK_CASES[case]
+        assert _components(T) == blocks
+        assert all(_components(_shifted(T, z)) == blocks for z in hints)
+
+    def test_only_the_singular_block_is_eliminated(self, monkeypatch):
+        # at z = 1, J_4(i) - I is triangular with no zero on its diagonal, so
+        # only the 3 x 3 block J_3(0) of J_3(1) + J_4(i) - I is eliminated
+        T = direct_sum(jordan_matrix(JordanSpec(ONE, 3)), jordan_matrix(JordanSpec(I_, 4)))
+        widths, echelon = [], matrices._echelon
+        monkeypatch.setattr(matrices, "_echelon",
+                            lambda rows: widths.append(len(rows[0][0])) or echelon(rows))
+        M = _shifted(T, ONE)
+        depth, R = _row_space_walk(M, _components(T))
+        assert widths == [3, 3, 3]
+        assert (depth, exact_nullspace(R)) == ref_kernel_chain(M)
+        assert depth == 3
 
     def test_chain_boxes_only_the_final_basis(self, monkeypatch):
         T, hints = WALK_CASES["dense-three-eigenvalues"]
@@ -668,18 +737,19 @@ class TestFloatClustering:
                            match=r"never became consistent up to radius 1\.\d\de\+00"):
             algebraic_decompose(T)
 
-    @pytest.mark.parametrize("gap,radius", [(5e-7, "1.00e-07"), (5e-8, "1.00e-08")])
-    def test_eigenvalues_closer_than_the_first_radius_split(self, gap, radius):
+    @pytest.mark.parametrize("gap,radius,shown", [(5e-7, "1.00e-07", "1.0000005"),
+                                                  (5e-8, "1.00e-08", "1.00000005")])
+    def test_eigenvalues_closer_than_the_first_radius_split(self, gap, radius, shown):
         # no radius from 1e-6 up separates 1 from 1 + gap, whose mean has no
         # kernel; the radii below it do, and the block at 1 + gap is refused
-        # as not unimodular
+        # as not unimodular, named by the digits that tell it from 1
         T = DenseOperator([[Scalar.flt(1.0), Scalar.flt(0.0)],
                            [Scalar.flt(0.0), Scalar.flt(1.0 + gap)]])
         dec = algebraic_decompose(T)
         assert [(b.eigenvalue.re, b.dimension) for b in dec.blocks] == [(1.0, 1), (1.0 + gap, 1)]
         assert dec.warnings == (f"eigenvalue clustering split to radius {radius}",
                                 "ambiguous eigenvalue clusters within 10x the cluster radius")
-        assert dec.failures == ("eigenvalue 1+0i is not unimodular",)
+        assert dec.failures == (f"eigenvalue {shown}+0.0i is not unimodular",)
 
     @pytest.mark.parametrize("gap,ambiguous", [(5e-6, True), (5e-5, False)])
     def test_ambiguity_warning_reads_ten_radii(self, gap, ambiguous):
@@ -975,6 +1045,44 @@ class TestOrthoFromDefects:
         walked.clear()
         assert ortho_test_generalized(T, h1, h2, ONE, -ONE, window_len=6).orbit_polynomial
         assert walked == []
+
+
+def membership_cases():
+    """(T, h, z): every WALK_CASES hint against the generalized eigenvectors
+    of T, the unit vectors, a sum across two eigenspaces and zero; and the
+    exact ortho corpora's h1, h2 and h1 + h2 against z1 and z2."""
+    for T, hints in WALK_CASES.values():
+        spaces = generalized_eigenspaces(T, eigen_hints=hints)
+        vectors = [v for sp in spaces for v in sp.basis]
+        vectors += [basis_vector(T.dim, j, EXACT) for j in range(T.dim)]
+        vectors += [vec_add(spaces[0].basis[0], spaces[-1].basis[-1]),
+                    (Scalar.exact(0),) * T.dim]
+        yield from ((T, h, z) for z in hints for h in vectors)
+    for case in [*map(sheared_ortho_pair, range(16)), *map(certified_ortho_case, range(12))]:
+        T, h1, h2, z1, z2 = case
+        yield from ((T, h, z) for z in (z1, z2) for h in (h1, h2, vec_add(h1, h2)))
+
+
+def test_exact_membership_is_the_orbit_walk(monkeypatch):
+    """The exact membership check takes one `apply` step of T - zI and walks
+    the others as integers; it agrees with the `orbit` walk of T - zI, which
+    boxes every step."""
+    cases = list(membership_cases())
+    ref = [any(map(vec_is_zero, islice(orbit(_shifted(T, z), h), 1, T.dim + 1)))
+           for T, h, z in cases]
+    assert set(ref) == {True, False}
+    applied, apply = [], DenseOperator.apply
+    monkeypatch.setattr(DenseOperator, "apply",
+                        lambda op, vec: applied.append(vec) or apply(op, vec))
+    got = []
+    for T, h, z in cases:
+        try:
+            spectral._membership_check(T, h, z, 1e-9)
+            got.append(True)
+        except PreconditionError:
+            got.append(False)
+    assert got == ref
+    assert applied == [h for _, h, _ in cases]
 
 
 @pytest.mark.parametrize("test_fn", [ortho_test_generalized, jordan_pair_equivalences])
