@@ -423,18 +423,20 @@ def _form_size(mode):
 
 
 def _fmt_scalar(s, mode, tol):
-    """s, off the circle, as re+imi with 6 significant digits ({:g}), or with
-    the shortest digits that round-trip where the 6 digits read as
-    unimodular (1.0000005+0.0i, not 1+0i)."""
+    """s, off the circle, as re+imi with 6 significant digits ({:g}).  Where
+    those digits read as unimodular, a float s gets the shortest digits that
+    round-trip (1.0000005+0.0i, not 1+0i) and an exact s its exact value, as
+    an exact s beyond float range does."""
+    # specio imports this module
+    from .specio import format_rational
     try:
         re, im = float(s.re), float(s.im)
     except OverflowError:
-        # an exact value beyond float range; specio imports this module
-        from .specio import format_rational
         return format_rational(s)
     parts = f"{re:g}", f"{im:+g}"
-    shown = Scalar(mode, *map(Fraction if mode == EXACT else float, parts))
-    return f"{re}{im:+}i" if _on_circle(shown, mode, tol) else f"{parts[0]}{parts[1]}i"
+    if not _on_circle(Scalar(mode, *map(Fraction if mode == EXACT else float, parts)), mode, tol):
+        return f"{parts[0]}{parts[1]}i"
+    return format_rational(s) if mode == EXACT else f"{re}{im:+}i"
 
 
 # ---------------------------------------------------------------------------

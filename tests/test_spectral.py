@@ -798,6 +798,20 @@ class TestAlgebraicDecompose:
         assert not dec.certified
         assert any("unimodular" in f for f in dec.failures)
 
+    @pytest.mark.parametrize("z,shown", [
+        (Scalar.exact(Fraction(3, 2), Fraction(1, 2)), "1.5+0.5i"),
+        (Scalar.exact(Fraction(10**7 + 1, 10**7)), "10000001/10000000"),
+        (Scalar.exact(0, Fraction(10**20 + 1, 10**20)),
+         "0+100000000000000000001/100000000000000000000i"),
+        (Scalar.flt(1.5, 0.5), "1.5+0.5i"), (Scalar.flt(1 + 1e-7), "1.0000001+0.0i")])
+    def test_refused_eigenvalue_reads_off_the_circle(self, z, shown):
+        # six digits name the eigenvalue unless they read as unimodular: then
+        # a float one gets its round-trip digits and an exact one its value
+        one, zero = Scalar.one(z.mode), Scalar.zero(z.mode)
+        T = DenseOperator([[one, zero], [zero, z]])
+        dec = algebraic_decompose(T, eigen_hints=(one, z) if z.mode == EXACT else None)
+        assert dec.failures == (f"eigenvalue {shown} is not unimodular",)
+
     @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
     def test_coupled_pair_is_seen_in_any_position(self, order):
         # 1 + EXAMPLE: the blocks at i and -i are not orthogonal, and the block
