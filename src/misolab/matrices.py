@@ -469,29 +469,18 @@ def _components(T):
     triangular says whether the component's block is upper or lower
     triangular in that order."""
     n = T.dim
-    links, up, down = [[] for _ in range(n)], [False] * n, [False] * n
+    label, up, down = list(range(n)), [False] * n, [False] * n
     for i, nz in enumerate(_nonzeros(T._row_parts()[1])):
         for j, _, _ in nz:
-            if j != i:
-                links[i].append(j)
-                links[j].append(i)
-                up[i] = up[i] or j > i
-                down[i] = down[i] or j < i
-    seen, out = [False] * n, []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start], stack, idx = True, [start], []
-        while stack:
-            i = stack.pop()
-            idx.append(i)
-            for j in links[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        idx.sort()
-        out.append((idx, not (any(up[i] for i in idx) and any(down[i] for i in idx))))
-    return out
+            up[i], down[i] = up[i] or j > i, down[i] or j < i
+            if label[j] != label[i]:
+                old = label[j]
+                label = [label[i] if x == old else x for x in label]
+    blocks = {}
+    for i, x in enumerate(label):
+        blocks.setdefault(x, []).append(i)
+    return [(idx, not (any(up[i] for i in idx) and any(down[i] for i in idx)))
+            for idx in blocks.values()]
 
 
 def _row_space_walk(M, components):
