@@ -495,17 +495,15 @@ def _row_space_walk(M, components):
     the ranks and stops where the rank stops falling; a triangular block
     with no zero on its diagonal is invertible and gives its identity rows
     with no walk.  The depth is the largest block's, and the rows go back
-    into n columns (a block of all n indices walks M's own rows).  The RREF
-    of a row space is unique, so the kernel of R is read with the pivots of
-    M^depth's."""
+    into n columns.  The RREF of a row space is unique, so the kernel of R
+    is read with the pivots of M^depth's."""
     n, (_, rows) = M.dim, M._row_parts()
     out, depth = [], 0
     for idx, triangular in components:
         k = len(idx)
         basis, walked = [([int(i == j) for j in range(k)], [0] * k) for i in range(k)], 0
         if not (triangular and all(rows[i][0][i] or rows[i][1][i] for i in idx)):
-            nonzeros = _nonzeros(rows if k == n else
-                                 [([rows[i][0][j] for j in idx], [rows[i][1][j] for j in idx])
+            nonzeros = _nonzeros([([rows[i][0][j] for j in idx], [rows[i][1][j] for j in idx])
                                   for i in idx])
             while basis:
                 step = _echelon(_scatter(basis, nonzeros))[0]
@@ -513,9 +511,6 @@ def _row_space_walk(M, components):
                     break
                 basis, walked = step, walked + 1
         depth = max(depth, walked)
-        if k == n:      # the one component: M's own rows, already n wide
-            out = basis
-            break
         for re, im in basis:
             full_re, full_im = [0] * n, [0] * n
             for j, x, y in zip(idx, re, im):

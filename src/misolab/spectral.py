@@ -388,7 +388,7 @@ def algebraic_decompose(T, eigen_hints=None, tol=DEFAULT_DEFECT_TOL):
     failures = []
     for sp in spaces:
         if not _on_circle(sp.eigenvalue, T.mode, tol):
-            failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue, T.mode, tol)} "
+            failures.append(f"eigenvalue {_fmt_scalar(sp.eigenvalue, tol)} "
                             "is not unimodular")
             break
     # |<u, v>| for u, v in the bases of spaces i < j, by one _forms read of I
@@ -422,7 +422,7 @@ def _form_size(mode):
     return math.hypot if mode == FLOAT else lambda re, im: abs(re) + abs(im)
 
 
-def _fmt_scalar(s, mode, tol):
+def _fmt_scalar(s, tol):
     """s, off the circle, as re+imi with 6 significant digits ({:g}).  Where
     those digits read as unimodular, a float s gets the shortest digits that
     round-trip (1.0000005+0.0i, not 1+0i) and an exact s its exact value, as
@@ -433,7 +433,7 @@ def _fmt_scalar(s, mode, tol):
         re, im = float(s.re), float(s.im)
     except OverflowError:
         return format_rational(s)
-    parts = f"{re:g}", f"{im:+g}"
+    mode, parts = s.mode, (f"{re:g}", f"{im:+g}")
     if not _on_circle(Scalar(mode, *map(Fraction if mode == EXACT else float, parts)), mode, tol):
         return f"{parts[0]}{parts[1]}i"
     return format_rational(s) if mode == EXACT else f"{re}{im:+}i"
