@@ -42,7 +42,6 @@ from .isometry import (
     default_m_max,
     is_m_isometry,
     local_isometry_survey,
-    newton_expansion_check,
     orbit_sequence,
     polarization_reconstruct,
     strict_order,
@@ -60,7 +59,7 @@ from .matrices import (
     vec_sub,
 )
 from .polynomials import Polynomial, falling_factorial_poly
-from .scalars import EXACT, FLOAT, Scalar, falling_factorial, same_mode
+from .scalars import EXACT, FLOAT, Scalar, same_mode
 from .shifts import (
     ShiftSpec,
     WeightedShiftOperator,
@@ -86,7 +85,6 @@ from .spectral import (
     NilpotentInfo,
     OrthoTestResult,
     PerturbationResult,
-    SpectrumCheck,
     algebraic_decompose,
     cyclic_subspace,
     generalized_eigenspaces,
@@ -95,7 +93,6 @@ from .spectral import (
     nilpotency_index,
     ortho_test_generalized,
     perturbation_analysis,
-    unimodular_spectrum_check,
 )
 from .suites import SUITES, SuiteResult, run_all_suites, run_suite
 

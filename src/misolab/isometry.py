@@ -37,7 +37,7 @@ from .matrices import (
     np,
     vec_add,
 )
-from .scalars import EXACT, FLOAT, Scalar, falling_factorial, negligible, zero_threshold
+from .scalars import EXACT, FLOAT, negligible, zero_threshold
 
 DEFAULT_DEFECT_TOL = 1e-8
 # a float beta_{m-1} counts as positive semidefinite if its negative
@@ -220,31 +220,6 @@ def orbit_sequence(T, h, window_len=None):
     if isinstance(T, DenseOperator) and T.mode == FLOAT:
         return OrbitSequence._of_floats(_orbit_norms(T, h, window_len))
     return OrbitSequence(T._orbit_inners(h, h, window_len))
-
-
-def newton_expansion_check(T, m, n_max, tol=DEFAULT_DEFECT_TOL):
-    """Verify T*^n T^n = sum_{k<m} (n)_k (-1)^k / k! beta_k(T) for n <= n_max.
-
-    Precondition: T is an m-isometry (checked).  The beta_k come from one
-    walk: for n < m the identity is defect()'s binomial cross-check of beta_n."""
-    if not is_m_isometry(T, m, tol):
-        raise PreconditionError(f"operator is not an {m}-isometry")
-    betas = list(islice(_defects(T), m))
-    scale = sum(b.float_scale for b in betas)
-    ok = True
-    Tn = DenseOperator.identity(T.dim, T.mode)
-    for n in range(n_max + 1):
-        lhs = Tn.adjoint() @ Tn
-        rhs = DenseOperator.zeros(T.dim, T.mode)
-        for k in range(m):
-            c = falling_factorial(n, k) * (-1) ** k
-            coeff = Scalar.from_int(c, T.mode) / Scalar.from_int(math.factorial(k), T.mode)
-            rhs = rhs + betas[k].matrix.scale(coeff)
-        if not negligible(lhs - rhs, T.mode, tol, lambda: scale * max(1.0, float(n) ** m),
-                          f"T*^{n} T^{n}"):
-            ok = False
-        Tn = Tn @ T
-    return ok
 
 
 def defect_form(op, k):

@@ -223,13 +223,3 @@ def negligible(value, mode, tol, magnitude, what):
     if not isinstance(value, (int, float)):
         value = value.modulus() if isinstance(value, Scalar) else value.max_abs()
     return bool(value <= thr)
-
-
-def falling_factorial(n, k):
-    """(n)_k = n(n-1)...(n-k+1); empty product 1 for k = 0, zero for k > n."""
-    if k < 0 or n < 0:
-        raise ValueError("falling_factorial requires nonnegative arguments")
-    out = 1
-    for j in range(k):
-        out *= n - j
-    return out

@@ -224,11 +224,12 @@ def _json_list(value, what):
     return value
 
 
-def serialize_parsed(mode, kind, doc, op, hints):
+def serialize_operator_spec(spec):
     """Canonical document for the parsed spec (round-trips to the same spec)."""
+    mode, kind, doc, hints = spec.mode, spec.kind, spec.source, spec.eigen_hints
     out = {"mode": mode}
     if kind == "matrix":
-        out["matrix"] = [[scalar_to_report(e) for e in r] for r in op.rows]
+        out["matrix"] = [[scalar_to_report(e) for e in r] for r in spec.operator.rows]
     elif kind == "jordan_blocks":
         out["jordan_blocks"] = [
             {"z": scalar_to_report(parse_entry(b["z"], mode)), "size": b["size"]}
@@ -243,10 +244,6 @@ def serialize_parsed(mode, kind, doc, op, hints):
     if hints is not None and (kind != "jordan_blocks" or "eigen_hints" in doc):
         out["eigen_hints"] = [scalar_to_report(h) for h in hints]
     return out
-
-
-def serialize_operator_spec(spec):
-    return serialize_parsed(spec.mode, spec.kind, spec.source, spec.operator, spec.eigen_hints)
 
 
 # one decoder for every file: json.load with a keyword builds a new one per call

@@ -133,13 +133,6 @@ def _max_column_vector(P):
 # Exact rational elimination
 # ---------------------------------------------------------------------------
 
-def exact_rref(A):
-    """Reduced row echelon form of an exact DenseOperator: (its nonzero rows
-    as exact Scalars, pivot cols), from matrices._echelon's integer rows."""
-    rows, pivots = _echelon(A._row_parts()[1])
-    return [[_rref_entry(row, c, j) for j in range(A.dim)] for row, c in zip(rows, pivots)], pivots
-
-
 def _rref_entry(row, c, j, sign=1):
     """sign times entry x of an integer row over its pivot p at c: x conj(p) / |p|^2."""
     re, im = row
@@ -757,24 +750,3 @@ def _restricted_strict_order(T, spanning, tol):
                for (row,) in _forms([d.matrix], spanning, spanning) for _, re, im in row):
             return d.m
     return None
-
-
-# ---------------------------------------------------------------------------
-# Spectrum diagnostics
-# ---------------------------------------------------------------------------
-
-class SpectrumCheck(NamedTuple):
-    all_on_circle: bool
-    spectrum: tuple         # Scalars; float mode: numpy's eigenvalues, repeated by multiplicity
-    moduli: tuple
-
-
-def unimodular_spectrum_check(T, tol=DEFAULT_DEFECT_TOL, eigen_hints=None):
-    """Necessary-condition filter: eigenvalue moduli vs. the unit circle."""
-    if T.mode == EXACT:
-        spectrum = tuple(sp.eigenvalue for sp in _exact_eigenspaces(T, eigen_hints))
-    else:
-        spectrum = tuple(Scalar.flt(z.real, z.imag) for z in np.linalg.eigvals(to_numpy(T)))
-    on_circle = all(_on_circle(z, T.mode, tol) for z in spectrum)
-    moduli = tuple(s.modulus() for s in spectrum)
-    return SpectrumCheck(all_on_circle=on_circle, spectrum=spectrum, moduli=moduli)

@@ -710,7 +710,7 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     isometry.SurveyResult, shifts.ShiftSpec, spectral.JordanSpec, spectral.NilpotentInfo,
     spectral.GeneralizedEigenspace, spectral.AlgebraicDecomposition,
     spectral.PerturbationResult, spectral.OrthoTestResult, spectral.JordanPairReport,
-    spectral.SpectrumCheck, suites.SuiteResult, suites.CorpusInstance,
+    suites.SuiteResult, suites.CorpusInstance,
     suites.PerturbationInstance,
 ], ids=lambda record: record.__name__)
 def test_records_are_immutable(record):

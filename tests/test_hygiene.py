@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,50 @@ def test_unread_private_functions_are_seen():
                        "def _cmd_x():\n    pass\n",
                "b.py": "from a import _read\nf = _read\n"}
     assert unread_private_functions(sources) == [("a.py", "_method"), ("a.py", "_used")]
+
+
+def unread_public_names(sources, readme):
+    """(module, name) for each module-level public function or class that
+    no code reads by name outside its own body, as a Name or as an
+    attribute, and that readme does not name.  sources maps repository
+    paths to source text; the names are those of src/misolab/*.py other
+    than __init__.py, whose re-exports are imports, not reads."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    reads = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for path, tree in trees.items():
+        if not path.startswith("src/misolab/") or path.endswith("/__init__.py"):
+            continue
+        for defn in tree.body:
+            if (isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not defn.name.startswith("_")
+                    and not re.search(rf"\b{defn.name}\b", readme)):
+                inside = {id(node) for node in ast.walk(defn)}
+                if not any(name == defn.name and id(node) not in inside for node, name in reads):
+                    unread.append((Path(path).name, defn.name))
+    return sorted(unread)
+
+
+# a public name that no request, suite, script or README entry reaches is
+# kept only for its tests
+def test_every_public_name_is_read():
+    root = SRC.parent.parent
+    paths = [*SRC.glob("*.py"), *root.glob("scripts/*.py"), *root.glob("perfbench/*.py")]
+    sources = {str(p.relative_to(root)): p.read_text() for p in paths}
+    assert unread_public_names(sources, (root / "README.md").read_text()) == []
+
+
+def test_unread_public_names_are_seen():
+    sources = {"src/misolab/a.py": "def used():\n    return used()\n"
+                                   "def named():\n    pass\n"
+                                   "def read():\n    pass\n"
+                                   "class Record:\n    def method(self):\n        pass\n"
+                                   "def _private():\n    return Record()\n",
+               "scripts/b.py": "from misolab import a\n"
+                               "def main():\n    return a.read\n"}
+    assert unread_public_names(sources, "`named()` is documented") == [("a.py", "used")]
 
 
 def unread_slots(sources):

@@ -24,7 +24,6 @@ from misolab import (
     Polynomial,
     jordan_matrix,
     local_isometry_survey,
-    newton_expansion_check,
     orbit,
     orbit_sequence,
     polarization_reconstruct,
@@ -186,40 +185,6 @@ class TestFloatGramOverflow:
             defect(T, 2)
         with pytest.raises(PreconditionError, match="float overflow"):
             is_m_isometry(T, 3)
-
-
-class TestNewtonExpansion:
-    def test_isometry(self):
-        assert newton_expansion_check(DenseOperator.identity(3, EXACT), 1, 6)
-
-    def test_jordan_blocks(self):
-        assert newton_expansion_check(J12, 3, 6)
-        ji = jordan_matrix(JordanSpec(Scalar.exact(0, 1), 2))
-        assert newton_expansion_check(ji, 3, 6)
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionError):
-            newton_expansion_check(EXAMPLE, 2, 4)
-
-    def test_walks_the_defects_once(self, monkeypatch):
-        # is_m_isometry's defect() walks the recurrence and the Gram operators
-        # once each; the beta_k for k < m come from one more recurrence walk
-        walks = {"_defects": 0, "_grams": 0}
-
-        def counted(name):
-            real = getattr(isometry, name)
-
-            def walk(T):
-                walks[name] += 1
-                return real(T)
-            return walk
-
-        for name in walks:
-            monkeypatch.setattr(isometry, name, counted(name))
-        T = direct_sum(jordan_matrix(JordanSpec(Scalar.exact(1), 4)),
-                       jordan_matrix(JordanSpec(Scalar.exact(-1), 4)))
-        assert newton_expansion_check(T, 7, 10)
-        assert walks["_defects"] <= 2 and walks["_grams"] <= 1
 
 
 class TestDefectForm:

@@ -14,7 +14,6 @@ from misolab import (
     PreconditionError,
     Scalar,
     basis_vector,
-    falling_factorial,
     vec_add,
     vec_from_ints,
     vec_inner,
@@ -132,18 +131,6 @@ class TestNegligible:
         decision = negligible(op, FLOAT, tol, lambda: magnitude, "x")
         assert decision == negligible(op.max_abs(), FLOAT, tol, lambda: magnitude, "x")
         assert decision == (op.max_abs() <= thr)
-
-
-class TestFallingFactorial:
-    def test_examples(self):
-        assert falling_factorial(5, 2) == 20
-        assert falling_factorial(3, 5) == 0
-        assert falling_factorial(7, 0) == 1
-
-    def test_matches_binomial_times_factorial(self):
-        for n in range(21):
-            for k in range(n + 1):
-                assert falling_factorial(n, k) == math.comb(n, k) * math.factorial(k)
 
 
 class TestDenseOperator:

@@ -36,7 +36,6 @@ from misolab import (
     parse_operator_spec,
     perturbation_analysis,
     strict_order,
-    unimodular_spectrum_check,
     vec_add,
     vec_from_ints,
     vec_inner,
@@ -50,7 +49,7 @@ from misolab.matrices import (_components, _echelon, _polarization_vector, _row_
                               _shifted, polarization_pairs, vec_is_zero)
 from misolab.scalars import EXACT, FLOAT
 from misolab.spectral import (CLUSTER_TOL, _restricted_strict_order, _single_linkage,
-                              _strictness_criterion, exact_nullspace, exact_rref, from_numpy,
+                              _rref_entry, _strictness_criterion, exact_nullspace, from_numpy,
                               to_numpy)
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, operator_to_float,
                             perturbation_corpus, random_unitary)
@@ -149,6 +148,12 @@ def ref_nullspace(rows):
     return basis
 
 
+def rref(A):
+    """(RREF rows as exact Scalars, pivot cols) from matrices._echelon's integer rows."""
+    rows, pivots = _echelon(A._row_parts()[1])
+    return [[_rref_entry(row, c, j) for j in range(A.dim)] for row, c in zip(rows, pivots)], pivots
+
+
 def parts_of(rows):
     return [[(s.re, s.im) for s in r] for r in rows]
 
@@ -196,7 +201,7 @@ class TestExactElimination:
         square += [[zero] * dim for _ in range(dim - len(rows))]
         A = DenseOperator(square)
         ref_red, ref_pivots = ref_exact_rref(square)
-        red, pivots = exact_rref(A)
+        red, pivots = rref(A)
         assert pivots == ref_pivots
         assert parts_of(red) == parts_of(ref_red[:len(pivots)])
 
@@ -222,7 +227,7 @@ class TestExactElimination:
                           + [[zero] * dim for _ in range(dim - len(rows))])
         scaled = [([a * x - b * y for x, y in zip(re, im)], [a * y + b * x for x, y in zip(re, im)])
                   for (re, im), (a, b) in zip(A._row_parts()[1], factors)]
-        red, pivots = exact_rref(A)
+        red, pivots = rref(A)
         got, got_pivots = _echelon(scaled)
         assert got_pivots == pivots and len(got) == len(red)
         for row, ref in zip(got, red):
@@ -233,7 +238,7 @@ class TestExactElimination:
     def test_purely_imaginary_pivot(self):
         # rows (i, 1) and (2i, 2): rank 1, kernel spanned by (i, 1)
         A = DenseOperator([[I_, ONE], [Scalar.exact(0, 2), Scalar.exact(2)]])
-        assert exact_rref(A) == ([[ONE, -I_]], [0])
+        assert rref(A) == ([[ONE, -I_]], [0])
         assert exact_nullspace(A) == [(I_, ONE)]
 
 
@@ -452,7 +457,6 @@ class TestGeneralizedEigenspaces:
         assert all(isinstance(b.eigenvalue, Scalar) and b.eigenvalue.mode == EXACT
                    for b in dec.blocks)
         assert dec.certified and dec.predicted_strict_order == 3
-        assert unimodular_spectrum_check(T, eigen_hints=hints).all_on_circle
 
     def test_equal_int_and_scalar_hints_are_duplicates(self):
         with pytest.raises(EigenHintError, match="duplicate"):
@@ -1400,22 +1404,3 @@ class TestCyclicSubspace:
             for s in (1e-5, 1e-3, 1.0, 1e3, 1e5):
                 v = tuple(Scalar.flt(z.real, z.imag) for z in (s * h).astype(complex))
                 assert len(cyclic_subspace(T, v)) == length
-
-
-class TestSpectrumCheck:
-    def test_unitary(self):
-        T = DenseOperator([[I_, Scalar.exact(0)], [Scalar.exact(0), ONE]])
-        res = unimodular_spectrum_check(T, eigen_hints=(I_, ONE))
-        assert res.all_on_circle
-
-    def test_contraction(self):
-        T = DenseOperator([[Scalar.exact(Fraction(1, 2))]])
-        res = unimodular_spectrum_check(T, eigen_hints=(Scalar.exact(Fraction(1, 2)),))
-        assert not res.all_on_circle
-
-    def test_triangular_spectrum_float(self):
-        T = operator_to_float(jordan_matrix(JordanSpec(I_, 3)))
-        res = unimodular_spectrum_check(T)
-        assert res.all_on_circle
-        # float mode lists every eigenvalue numpy returns, not one per cluster
-        assert len(res.spectrum) == T.dim
