@@ -57,6 +57,20 @@ class TestDifferenceTable:
             difference_table(seq([1, 2]), 2)
 
 
+class TestFallingFactorial:
+    def test_examples(self):
+        assert falling_factorial_poly(2, EXACT)(5) == Scalar.exact(20)
+        assert falling_factorial_poly(5, EXACT)(3) == Scalar.exact(0)
+        assert falling_factorial_poly(0, EXACT)(7) == Scalar.exact(1)
+
+    def test_matches_binomial_times_factorial(self):
+        for k in range(21):
+            p = falling_factorial_poly(k, EXACT)
+            assert p.degree == k
+            for n in range(21):
+                assert p(n) == Scalar.exact(math.comb(n, k) * math.factorial(k))
+
+
 class TestDetectDegree:
     def test_linear(self):
         v = detect_degree(seq([n + 1 for n in range(8)]))

@@ -37,6 +37,7 @@ from misolab import (
 )
 from misolab import isometry
 from misolab.matrices import _eigen_range
+from misolab.polynomials import falling_factorial_poly
 from misolab.scalars import EXACT, FLOAT
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, decomposition_corpus,
                             operator_to_float, perturbation_corpus, random_unitary)
@@ -185,6 +186,60 @@ class TestFloatGramOverflow:
             defect(T, 2)
         with pytest.raises(PreconditionError, match="float overflow"):
             is_m_isometry(T, 3)
+
+
+def newton_expansion_holds(T, m, n_max):
+    """T*^n T^n = sum_{k<m} (n)_k (-1)^k / k! beta_k(T) exactly for n <= n_max,
+    with beta_k from defect() and (n)_k from falling_factorial_poly."""
+    betas = [defect(T, k).matrix for k in range(m)]
+    Tn = DenseOperator.identity(T.dim, T.mode)
+    for n in range(n_max + 1):
+        rhs = DenseOperator.zeros(T.dim, T.mode)
+        for k, beta in enumerate(betas):
+            coeff = (falling_factorial_poly(k, T.mode)(n) * Scalar.from_int((-1) ** k, T.mode)
+                     / Scalar.from_int(math.factorial(k), T.mode))
+            rhs = rhs + beta.scale(coeff)
+        if not Tn.adjoint() @ Tn == rhs:
+            return False
+        Tn = Tn @ T
+    return True
+
+
+class TestNewtonExpansion:
+    def test_isometry(self):
+        assert newton_expansion_holds(DenseOperator.identity(3, EXACT), 1, 6)
+
+    def test_jordan_blocks(self):
+        assert newton_expansion_holds(J12, 3, 6)
+        ji = jordan_matrix(JordanSpec(Scalar.exact(0, 1), 2))
+        assert newton_expansion_holds(ji, 3, 6)
+
+    def test_fails_off_the_m_isometries(self):
+        # for n < m the m-term expansion is the binomial inversion of the
+        # defects and holds for every T; at n = m it misses (-1)^m beta_m
+        assert not is_m_isometry(EXAMPLE, 2)
+        assert newton_expansion_holds(EXAMPLE, 2, 1)
+        assert not newton_expansion_holds(EXAMPLE, 2, 2)
+
+    def test_walks_the_defects_once(self, monkeypatch):
+        # is_m_isometry's defect() walks the recurrence and the Gram
+        # operators once each
+        walks = {"_defects": 0, "_grams": 0}
+
+        def counted(name):
+            real = getattr(isometry, name)
+
+            def walk(T):
+                walks[name] += 1
+                return real(T)
+            return walk
+
+        for name in walks:
+            monkeypatch.setattr(isometry, name, counted(name))
+        T = direct_sum(jordan_matrix(JordanSpec(Scalar.exact(1), 4)),
+                       jordan_matrix(JordanSpec(Scalar.exact(-1), 4)))
+        assert is_m_isometry(T, 7)
+        assert walks == {"_defects": 1, "_grams": 1}
 
 
 class TestDefectForm:

@@ -836,6 +836,30 @@ class TestAlgebraicDecompose:
         assert dec.predicted_strict_order % 2 == 1
 
 
+class TestUnimodularSpectrum:
+    """The on-circle test of algebraic_decompose, read through its verdict."""
+
+    def test_unitary(self):
+        T = DenseOperator([[I_, Scalar.exact(0)], [Scalar.exact(0), ONE]])
+        dec = algebraic_decompose(T, eigen_hints=(I_, ONE))
+        assert dec.certified and dec.failures == ()
+        assert all(b.eigenvalue.abs2() == ONE for b in dec.blocks)
+
+    def test_contraction(self):
+        half = Scalar.exact(Fraction(1, 2))
+        dec = algebraic_decompose(DenseOperator([[half]]), eigen_hints=(half,))
+        assert not dec.certified
+        assert dec.failures == ("eigenvalue 0.5+0i is not unimodular",)
+
+    def test_triangular_spectrum_float(self):
+        T = operator_to_float(jordan_matrix(JordanSpec(I_, 3)))
+        dec = algebraic_decompose(T)
+        assert dec.certified and dec.predicted_strict_order == 5
+        # the eigenvalues numpy returns for the one Jordan block form one
+        # space that spans the whole of C^3
+        assert [(b.dimension, b.chain_depth) for b in dec.blocks] == [(T.dim, 3)]
+
+
 class TestPerturbation:
     def test_identity_plus_nilpotent(self):
         A = DenseOperator.identity(2, EXACT)
