@@ -9,9 +9,13 @@ time is the least of its REPS runs.  The script prints, for each slot group
 (a slot's command and kind, such as `order/jordan` or
 `verify/shift-factory`), its number of requests, the sum of their times and
 its share of the total, largest first; then the total and the requests per
-second it gives.  This shows where a cycle's time goes, and so which
-changes can move the benchmark's `requests_per_s`; it leaves out the
-reference kernel that perfbench runs between requests.
+second it gives.  Last, for the p50 and the p90 of the requests' times,
+computed as perfbench's latency_metrics computes them
+(statistics.quantiles with n=10), it prints the two requests on either
+side of that rank, each with its rank, slot and time.  This shows where a
+cycle's time goes, and so which changes can move the benchmark's
+`requests_per_s` and latency percentiles; it leaves out the reference
+kernel that perfbench runs between requests and its slowdown scaling.
 
 Run:  python3 scripts/slot_times.py WORKLOAD SEED CYCLES REPS
       e.g. python3 scripts/slot_times.py exact-cli 1 0-1 9
@@ -21,7 +25,9 @@ CYCLES is an index, a range `a-b` or a comma-separated list of either.
 import argparse
 import contextlib
 import io
+import math
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -86,6 +92,15 @@ def main(argv=None):
         print(f"{name:<28} {count:>4} {t * 1e3:>10.2f} ms {100 * t / total:>5.1f}%")
     print(f"{'total':<28} {len(reqs):>4} {total * 1e3:>10.2f} ms "
           f"{len(reqs) / total:.1f} req/s")
+    # the deciles of the ranks 1 .. N are the fractional ranks the deciles of
+    # the times interpolate between
+    ranked = sorted(zip(best, (req.slot for req in reqs)))
+    ranks, deciles = (statistics.quantiles(x, n=10) for x in (range(1, len(reqs) + 1), best))
+    for name, i in (("p50", 4), ("p90", 8)):
+        lo = math.floor(ranks[i])
+        sides = ", ".join(f"rank {r} {ranked[r - 1][1]} {ranked[r - 1][0] * 1e3:.2f} ms"
+                          for r in (lo, min(lo + 1, len(reqs))))
+        print(f"{name} {deciles[i] * 1e3:.2f} ms: {sides}")
     return 0
 
 

@@ -11,7 +11,7 @@ verdicts made here; in float mode they are zero tests on <beta_j h, h>.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -42,9 +42,9 @@ class OrbitSequence:
     """A finite window of real samples gamma_0 .. gamma_N.  Its kernel form
     (den, reals), a float64 array over 1 in float mode and ints over the lcm
     of the samples' denominators in exact mode, is made on first use and
-    kept.  A float window walked on arrays (_of_floats) is born in that form
-    and boxes its Scalars on the first read of values, as DenseOperator.rows
-    does."""
+    kept.  A window walked on the kernel form (_of_form) is born in that
+    form and boxes its Scalars on the first read of values, as
+    DenseOperator.rows does."""
 
     __slots__ = ("mode", "_values", "_form")
 
@@ -61,20 +61,26 @@ class OrbitSequence:
         self.mode, self._values, self._form = mode, values, None
 
     @staticmethod
-    def _of_floats(reals):
-        """The float window of a float64 array of two or more real samples,
-        checked finite, with no Scalar made."""
-        finite = np.isfinite(reals)
-        if not finite.all():
-            _not_finite(int(finite.argmin()))
+    def _of_form(mode, den, reals):
+        """The window of its kernel form, with no Scalar made: a float64
+        array over 1, checked finite, or ints over a common den."""
+        if len(reals) < 2:
+            raise WindowTooShortError("orbit window must hold at least 2 samples")
+        if mode == FLOAT:
+            finite = np.isfinite(reals)
+            if not finite.all():
+                _not_finite(int(finite.argmin()))
         gamma = object.__new__(OrbitSequence)
-        gamma.mode, gamma._values, gamma._form = FLOAT, None, (1, reals)
+        gamma.mode, gamma._values, gamma._form = mode, None, (den, reals)
         return gamma
 
     @property
     def values(self):
         if self._values is None:
-            self._values = tuple(Scalar(FLOAT, x, 0.0) for x in self._form[1].tolist())
+            den, reals = self._form
+            self._values = (tuple(Scalar(FLOAT, x, 0.0) for x in reals.tolist())
+                            if self.mode == FLOAT else
+                            tuple(_scalar(x, 0, den, EXACT) for x in reals))
         return self._values
 
     def _kernel_form(self):
@@ -215,9 +221,11 @@ def difference_table(gamma, depth):
     return DifferenceTable(gamma, depth)
 
 
+@lru_cache(maxsize=128)
 def _binomial_coeffs(m):
-    """(-1)^(m-k) C(m, k) for k = 0..m, as ints."""
-    return [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
+    """(-1)^(m-k) C(m, k) for k = 0..m, a tuple of ints; the 128 rows asked
+    for last are kept, so a long window does not keep every row it read."""
+    return tuple((-1) ** (m - k) * math.comb(m, k) for k in range(m + 1))
 
 
 @cache

@@ -16,7 +16,8 @@ from itertools import islice
 from operator import add
 from typing import NamedTuple, Optional
 
-from .diffcalc import DegreeVerdict, OrbitSequence, default_window_len, detect_degree
+from .diffcalc import (DegreeVerdict, OrbitSequence, _binomial_coeffs, default_window_len,
+                       detect_degree)
 from .errors import (
     DimensionMismatchError,
     InternalCheckError,
@@ -29,6 +30,7 @@ from .matrices import (
     _defect_walk,
     _eigen_range,
     _forms,
+    _int_combination,
     _orbit_norms,
     _polarization_pair,
     _polarization_values,
@@ -102,15 +104,20 @@ def defect(T, m):
     The definitional binomial sum sum_k (-1)^k C(m,k) T*^k T^k is computed
     beside it as a cross-check: the two must agree, exactly in exact mode
     and within 1e-12 of the binomial sum's own scale,
-    sum_k C(m,k) max(|T*^k T^k|, 1), in float mode.
+    sum_k C(m,k) max(|T*^k T^k|, 1), in float mode.  The Grams come from
+    the generic @, not from the walk's kernel, and an exact sum is made in
+    one integer pass (matrices._int_combination).
     """
     if m < 0:
         raise PreconditionError("defect order must be nonnegative")
     d = next(islice(_defects(T), m, None))
-    grams = list(islice(_grams(T), m + 1))
-    binomial = reduce(add, (g.scale((-1) ** k * math.comb(m, k)) for k, g in enumerate(grams)))
-    scale = (sum(math.comb(m, k) * max(g.max_abs(), 1.0) for k, g in enumerate(grams))
-             if T.mode == FLOAT else 1.0)
+    # coeffs[k] = (-1)^k C(m, k)
+    grams, coeffs = list(islice(_grams(T), m + 1)), _binomial_coeffs(m)[::-1]
+    if T.mode == EXACT:
+        binomial, scale = _int_combination(grams, coeffs), 1.0
+    else:
+        binomial = reduce(add, map(DenseOperator.scale, grams, coeffs))
+        scale = sum(abs(c) * max(g.max_abs(), 1.0) for c, g in zip(coeffs, grams))
     _check_finite(binomial, scale, f"the Gram operators T*^k T^k for k <= {m}")
     if not negligible(d.matrix - binomial, T.mode, 1e-12, lambda: scale, f"beta_{m}"):
         raise InternalCheckError(f"defect recurrence and binomial sum disagree at m={m}")
@@ -206,19 +213,18 @@ def _nonzero_form_witness(d, tol):
 
 
 def orbit_sequence(T, h, window_len=None):
-    """gamma_{T,h}: the window of squared orbit norms ||T^n h||^2.  A float
-    DenseOperator walks it on its kept parts into one array
-    (matrices._orbit_norms), and the window keeps the float64 samples
-    unboxed; otherwise it is read by T._orbit_inners: an exact
-    DenseOperator steps it on its kept parts, a weighted shift reads it
-    from its squared weights.  The default window is default_window_len(dim)
-    for a dense operator and 16 otherwise."""
+    """gamma_{T,h}: the window of squared orbit norms ||T^n h||^2.  A
+    DenseOperator walks it on its kept parts (matrices._orbit_norms), into
+    one float64 array or ints over one denominator, and the window keeps the
+    samples unboxed; a weighted shift reads it from its squared weights
+    (T._orbit_inners).  The default window is default_window_len(dim) for a
+    dense operator and 16 otherwise."""
     if window_len is None:
         window_len = default_window_len(T.dim) if isinstance(T, DenseOperator) else 16
     if window_len < 2:
         raise WindowTooShortError("orbit window must hold at least 2 samples")
-    if isinstance(T, DenseOperator) and T.mode == FLOAT:
-        return OrbitSequence._of_floats(_orbit_norms(T, h, window_len))
+    if isinstance(T, DenseOperator):
+        return OrbitSequence._of_form(T.mode, *_orbit_norms(T, h, window_len))
     return OrbitSequence(T._orbit_inners(h, h, window_len))
 
 

@@ -393,6 +393,17 @@ def _reduced(rows, den):
     return den, rows
 
 
+def _int_combination(ops, coeffs):
+    """sum_k coeffs[k] ops[k] of exact operators and int coefficients, made
+    in one pass over the ops' parts over the lcm of their dens, reduced once."""
+    parts = [op._row_parts() for op in ops]
+    den = math.lcm(*(d for d, _ in parts))
+    ks = [c * (den // d) for c, (d, _) in zip(coeffs, parts)]
+    return DenseOperator._from_parts(EXACT, *_reduced(
+        [tuple([sum(map(mul, ks, col)) for col in zip(*(rows[i][p] for _, rows in parts))]
+               for p in (0, 1)) for i in range(ops[0].dim)], den))
+
+
 def _primitive(re, im):
     """The Gaussian-integer row (re, im) divided by the gcd of its parts."""
     g = math.gcd(*re, *im)
@@ -511,11 +522,7 @@ def _row_space_walk(M, components):
                     break
                 basis, walked = step, walked + 1
         depth = max(depth, walked)
-        for re, im in basis:
-            full_re, full_im = [0] * n, [0] * n
-            for j, x, y in zip(idx, re, im):
-                full_re[j], full_im[j] = x, y
-            out.append((full_re, full_im))
+        out += _dense((zip(idx, re, im) for re, im in basis), n)
     zero = [0] * n
     return max(depth, 1), DenseOperator._from_parts(
         EXACT, 1, out + [(zero, zero)] * (n - len(out)))
@@ -543,7 +550,8 @@ def _orbit_windows(op, pairs, count):
         op._check_vec(v)
     dt, rows = op._row_parts()
     if op.mode == EXACT:
-        return [_exact_orbit_inners(rows, dt, u, v, count) for u, v in pairs]
+        return [[_box(z, den, EXACT) for z in zip(re, im)] for den, re, im in (
+            _exact_orbit_inners(rows, dt, u, v, count) for u, v in pairs)]
     cols = {id(w): w for pair in pairs for w in pair}
     where = {key: j for j, key in enumerate(cols)}
     walk = _float_walk(rows, np.stack([_parts(w, FLOAT)[1] for w in cols.values()], axis=1),
@@ -557,13 +565,17 @@ def _orbit_windows(op, pairs, count):
 
 
 def _orbit_norms(op, h, count):
-    """The float64 array of ||T^k h||^2 for k < count, T the float
-    DenseOperator op: _orbit_windows' samples of the pair (h, h), bit for
-    bit, with apply's checks on h and no Scalar made."""
+    """The kernel form (den, reals) of ||T^k h||^2 for k < count, T the
+    DenseOperator op, with apply's checks on h and no Scalar made: the ints
+    of _exact_orbit_inners over their lcm, or _orbit_windows' float samples
+    of the pair (h, h), bit for bit, as a float64 array over 1."""
     op._check_vec(h)
-    walk = _float_walk(op._row_parts()[1], _parts(h, FLOAT)[1][:, None], count)
+    dt, rows = op._row_parts()
+    if op.mode == EXACT:
+        return _exact_orbit_inners(rows, dt, h, h, count)[:2]
+    walk = _float_walk(rows, _parts(h, FLOAT)[1][:, None], count)
     with np.errstate(all="ignore"):
-        return _norms_sq(walk, 1)[:count, 0]
+        return 1, _norms_sq(walk, 1)[:count, 0]
 
 
 def _float_walk(rows, start, count):
@@ -579,15 +591,21 @@ def _float_walk(rows, start, count):
 
 
 def _exact_orbit_inners(rows, dt, u, v, count):
-    """<T^k u, T^k v> for k < count, T the exact rows over dt, from the
-    _exact_orbit walks of u and v (one if v is u)."""
-    cols = _nonzeros(_columns(rows))
-    out = []
+    """<T^k u, T^k v> for k < count as (den, re, im), the ints over the lcm
+    of the samples' denominators (_over_lcm), T the exact rows over dt, from
+    the _exact_orbit walks of u and v (one if v is u, <w, w> then the sum of
+    the squares of w's parts); no Fraction is made."""
+    cols, re, im = _nonzeros(_columns(rows)), [], []
     for steps in islice(zip(*(_exact_orbit(cols, dt, w) for w in ((u,) if v is u else (u, v)))),
                         count):
         (du, uf), (dv, vf) = steps[0], steps[-1]
-        out.append(_box(_dot(uf, _conj(vf)), du * dv, EXACT))
-    return out
+        x, y = ((sum(map(mul, uf[0], uf[0])) + sum(map(mul, uf[1], uf[1])), 0) if v is u
+                else _dot(uf, _conj(vf)))
+        d = du * dv
+        gx, gy = math.gcd(x, d), math.gcd(y, d)
+        re.append((x // gx, d // gx))
+        im.append((y // gy, d // gy))
+    return _over_lcm(re, im)
 
 
 def _exact_orbit(cols, dt, w):
@@ -615,10 +633,12 @@ def _defect_walk(T):
     beta_m T, T taken apart once.  The float scale is the running maximum of
     |beta_j| + |T* beta_j T|, j < m, from 1 (past the true order both are
     rounding noise, and the last step's alone would compare noise with
-    noise); |beta_j| is the max_abs kept on beta_j.  An exact step scatters
-    beta against T's nonzero rows (C = beta T) and subtracts the rows of C,
-    combined by T*'s nonzeros, from beta dt^2, reduced once; a float step
-    is `@`'s a_star @ beta @ a."""
+    noise); |beta_j| is the max_abs kept on beta_j.  An exact step keeps
+    beta as its _nonzeros: it scatters them against T's nonzero rows (C =
+    beta T), then C's against T*'s nonzeros onto beta dt^2
+    (_sparse_scatter), reduced by one gcd, so that a zero entry or row of
+    beta costs nothing; the yielded beta's dense rows are filled once.  A
+    float step is `@`'s a_star @ beta @ a."""
     mode, (dt, a) = T.mode, T._row_parts()
     beta = DenseOperator.identity(T.dim, mode)
     den, b = beta._row_parts()
@@ -631,20 +651,45 @@ def _defect_walk(T):
                 scale = max(scale, beta.max_abs() + float(np.abs(step).max()))
                 b = b - step
             beta = DenseOperator._from_parts(FLOAT, 1, b)
-    rows, d2 = _nonzeros(a), dt * dt
-    star = [[(k, x, -y) for k, x, y in col] for col in _nonzeros(_columns(a))]
+    n, d2, rows, b = T.dim, dt * dt, _nonzeros(a), _nonzeros(b)
+    star = [[(k, -x, y) for k, x, y in col] for col in _nonzeros(_columns(a))]
     while True:
         yield beta, 1.0
-        c, out = _nonzeros(_scatter(b, rows)), []
-        for (re, im), nz in zip(b, star):
-            re, im = ([x * d2 for x in re], [y * d2 for y in im]) if d2 != 1 else (re[:], im[:])
-            for k, x, y in nz:
-                for j, u, v in c[k]:
-                    re[j] -= x * u - y * v
-                    im[j] -= x * v + y * u
-            out.append((re, im))
-        den, b = _reduced(out, den * d2)
-        beta = DenseOperator._from_parts(EXACT, den, b)
+        b, den = _sparse_scatter(star, _sparse_scatter(b, rows, [()] * n, 1), b, d2), den * d2
+        g = math.gcd(den, *(p for nz in b for _, x, y in nz for p in (x, y))) if den > 1 else 1
+        if g > 1:
+            b, den = [[(j, x // g, y // g) for j, x, y in nz] for nz in b], den // g
+        beta = DenseOperator._from_parts(EXACT, den, _dense(b, n))
+
+
+def _sparse_scatter(a_nonzeros, b_nonzeros, start, d):
+    """The _nonzeros of d s + a b, b square, with s, a and b given by their
+    _nonzeros (s as start): _scatter's row scatter into one dict a row, so
+    that a zero entry or row of s, a or b costs nothing, and zero sums are
+    dropped.  Entries come in no set order."""
+    out = []
+    for row, first in zip(a_nonzeros, start):
+        re, im = {}, {}
+        for j, x, y in first:
+            re[j], im[j] = x * d, y * d
+        for k, x, y in row:
+            for j, u, v in b_nonzeros[k]:
+                re[j] = re.get(j, 0) + x * u - y * v
+                im[j] = im.get(j, 0) + x * v + y * u
+        out.append([(j, x, im[j]) for j, x in re.items() if x or im[j]])
+    return out
+
+
+def _dense(nonzeros, n):
+    """The exact (re, im) rows of length n with the given (j, re, im)
+    entries a row, as _nonzeros lists them; the others are zero."""
+    out = []
+    for nz in nonzeros:
+        re, im = [0] * n, [0] * n
+        for j, x, y in nz:
+            re[j], im[j] = x, y
+        out.append((re, im))
+    return out
 
 
 def orbit(op, h):

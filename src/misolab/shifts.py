@@ -20,9 +20,9 @@ from typing import NamedTuple
 from .diffcalc import DEFAULT_FLOAT_TOL, OrbitSequence, default_window_len, detect_degree
 from .errors import ModeMismatchError, PreconditionError
 from .isometry import orbit_sequence
-from .matrices import _check_vector
+from .matrices import _check_vector, _over_lcm, _scalar
 from .polynomials import Polynomial
-from .scalars import _ZERO, EXACT, FLOAT, Scalar, _frac
+from .scalars import EXACT, FLOAT, Scalar
 
 
 class WeightedShiftOperator:
@@ -88,21 +88,25 @@ class WeightedShiftOperator:
         return math.prod(self._prefix(j, n), start=Scalar.one(self.mode))
 
     def basis_orbit(self, j, window_len):
-        """The window ||W^n e_j||^2, n < window_len."""
-        return OrbitSequence(self._norms_sq(j, window_len))
+        """The window ||W^n e_j||^2, n < window_len; an exact one is born in
+        its kernel form, _norms_sq's ints over their lcm."""
+        norms = self._norms_sq(j, window_len)
+        if self.mode == FLOAT:
+            return OrbitSequence(norms)
+        return OrbitSequence._of_form(EXACT, *_over_lcm(norms, [])[:2])
 
     def _norms_sq(self, j, count):
-        """||W^n e_j||^2 for n < count: running products of the squared weights,
-        exact ones of their ints, each reduced through the Fraction it boxes."""
-        weights, one = self._prefix(j, count - 1), Scalar.one(self.mode)
+        """||W^n e_j||^2 for n < count: running products of the squared
+        weights, as float Scalars, or as exact (num, den) int pairs in
+        lowest terms, with no Fraction made."""
+        weights = self._prefix(j, count - 1)
         if self.mode == FLOAT:
-            return list(accumulate(weights, mul, initial=one))
-        out, num, den = [one], 1, 1
+            return list(accumulate(weights, mul, initial=Scalar.one(FLOAT)))
+        out = [(1, 1)]
         for w in weights:
-            a, b = w.re.as_integer_ratio()
-            q = _frac(num * a, den * b)
-            num, den = q.as_integer_ratio()
-            out.append(Scalar(EXACT, q, _ZERO))
+            (num, den), (a, b) = out[-1], w.re.as_integer_ratio()
+            g = math.gcd(num * a, den * b)
+            out.append((num * a // g, den * b // g))
         return out
 
     def _orbit_inners(self, f, g, count):
@@ -114,6 +118,8 @@ class WeightedShiftOperator:
         self._check_vec(g)
         terms = [(c * d.conj(), self._norms_sq(i, count)) for i, (c, d) in enumerate(zip(f, g))
                  if not (c.is_zero() or d.is_zero())]
+        if self.mode == EXACT:
+            terms = [(c, [_scalar(num, 0, den, EXACT) for num, den in w]) for c, w in terms]
         return [sum((c * w[n] for c, w in terms), Scalar.zero(self.mode))
                 for n in range(count)]
 

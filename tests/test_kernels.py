@@ -25,6 +25,7 @@ from misolab import (
     Polynomial,
     PreconditionError,
     Scalar,
+    WeightedShiftOperator,
     defect,
     detect_degree,
     direct_sum,
@@ -38,7 +39,7 @@ from misolab import (
     vec_scale,
 )
 from misolab import isometry, matrices, polynomials
-from misolab.diffcalc import _check_binomial_form, default_window_len
+from misolab.diffcalc import _binomial_coeffs, _check_binomial_form, default_window_len
 from misolab.isometry import (
     DefectOperator,
     _beta_degrees,
@@ -1449,6 +1450,33 @@ class TestSparseKernels:
         assert all(fractions(s) for w in got for s in w)
 
 
+class TestIntegerWindows:
+    """Exact orbit windows and shift basis orbits are born in their kernel
+    form, ints over the lcm of the samples' denominators, with no Scalar made
+    until values is first read: the samples of the Scalar loops."""
+
+    @given(st.one_of(dims.flatmap(lambda n: st.tuples(operators(n), vectors(n))),
+                     sparse_dims.filter(lambda n: n <= 6).flatmap(
+                         lambda n: st.tuples(sparse_operators(n), sparse_vectors(n)))),
+           st.integers(2, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_orbit_sequence(self, case, window_len):
+        T, h = case
+        gamma, ref = orbit_sequence(T, h, window_len), ref_norm_window(T, h, window_len)
+        assert gamma._kernel_form() == _int_form(ref)[:2] and gamma._values is None
+        assert gamma.values == tuple(ref) and all(map(fractions, gamma.values))
+
+    @given(st.lists(st.builds(Fraction, st.integers(0, 40), st.integers(1, 30)), min_size=14,
+                    max_size=14), st.integers(0, 3), st.integers(2, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_basis_orbit(self, weights, j, window_len):
+        W = WeightedShiftOperator([Scalar.exact(w) for w in weights], EXACT)
+        gamma, ref = W.basis_orbit(j, window_len), [W.orbit_norm_sq(j, n)
+                                                    for n in range(window_len)]
+        assert gamma._kernel_form() == _int_form(ref)[:2] and gamma._values is None
+        assert gamma.values == tuple(ref) and all(map(fractions, gamma.values))
+
+
 def binomial_defects(T, m):
     """beta_0 .. beta_m as defect() cross-checks them: the binomial sums
     sum_k (-1)^k C(j,k) T*^k T^k of the Gram operators."""
@@ -1471,6 +1499,32 @@ def operator_defect_walk(T, m):
     return out
 
 
+@st.composite
+def walk_operators(draw):
+    """An exact operator of one of three kinds: a Jordan sum at Gaussian-
+    rational eigenvalues over denominators other than 1; a unitary diagonal
+    beside a Jordan block, whose beta_m, m >= 1, have zero rows; or a Jordan
+    sum conjugated by shears I + c E_ab until it is dense."""
+    kind = draw(st.sampled_from(["jordan", "zero rows", "sheared"]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    small = st.integers(-6, 6)
+    if kind == "jordan":
+        zs = [Scalar.exact(Fraction(draw(small), d), Fraction(draw(small), d))
+              for d in draw(st.lists(st.sampled_from([2, 3, 5, 25]), min_size=len(sizes),
+                                     max_size=len(sizes)))]
+    else:
+        zs = draw(st.lists(unimodular, min_size=len(sizes), max_size=len(sizes)))
+    if kind == "zero rows":
+        sizes, zs = [1] * len(sizes) + [draw(st.integers(2, 4))], zs + [draw(unimodular)]
+    T = direct_sum(*(jordan_matrix(JordanSpec(z, k)) for z, k in zip(zs, sizes)))
+    n = T.dim
+    if kind == "sheared" and n > 1:
+        for a, b in [(a, b) for a in range(n) for b in range(n) if a != b]:
+            c = Scalar.exact(draw(st.integers(1, 2)))
+            T = shear(n, a, b, c) @ T @ shear(n, a, b, -c)
+    return T
+
+
 J4_3_4 = direct_sum(jordan_matrix(JordanSpec(Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 3)),
                     jordan_matrix(JordanSpec(Scalar.exact(Fraction(1, 2), Fraction(-1, 3)), 1)))
 
@@ -1490,6 +1544,17 @@ class TestDefectWalk:
         for (beta, scale), ref in zip(walk, binomial_defects(T, m)):
             assert beta.rows == ref.rows and beta._row_parts() == ref._row_parts()
             assert scale == 1.0
+
+    @given(walk_operators())
+    @example(J4_3_4)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_walk_is_the_operator_recurrence(self, T):
+        # the walk keeps beta as its nonzero entries; each beta it yields has
+        # the parts of beta - T* beta T made by the generic kernels
+        ref, Tstar = DenseOperator.identity(T.dim, EXACT), T.adjoint()
+        for beta, _ in islice(_defect_walk(T), 2 * T.dim + 2):
+            assert beta._row_parts() == ref._row_parts()
+            ref = ref - Tstar @ ref @ T
 
     @given(st.integers(0, 12), dims.flatmap(float_operators))
     @settings(max_examples=60, deadline=None)
@@ -1998,6 +2063,11 @@ def difference_rows(reals):
 
 
 class TestBinomialFormCheck:
+    def test_binomial_rows_are_tuples_in_a_bounded_cache(self):
+        # a long window asks for many rows; only the last 128 are kept
+        assert _binomial_coeffs(4) == (1, -4, 6, -4, 1)
+        assert _binomial_coeffs.cache_info().maxsize == 128
+
     def test_exact_row_off_by_one_over_den_raises(self):
         gamma = OrbitSequence.from_reals([Fraction(n ** 3 - 2, 7 + n) for n in range(7)], EXACT)
         den, reals, _ = _int_form(gamma.values)
@@ -2065,7 +2135,80 @@ class TestBinomialFormCheck:
             _check_binomial_form(reals, m, [sums], scale)
 
 
+def test_exact_defect_walk_visits_only_nonzero_pairs():
+    """A step of the exact defect walk makes four integer products per pair
+    of nonzero entries of beta and T, and of T* and C = beta T, and two per
+    nonzero entry of beta for beta dt^2: a zero entry or row of beta costs
+    none.  On 1 + 1 + 1 + 4 (a unitary diagonal beside one Jordan block)
+    the beta_m, m >= 1, are zero on the diagonal's rows and columns."""
+    mults = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            mults.append(None)
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Counted(int(self) + int(other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return Counted(int(self) - int(other))
+
+        def __rsub__(self, other):
+            return Counted(int(other) - int(self))
+
+        def __neg__(self):
+            return Counted(-int(self))
+
+        def __floordiv__(self, other):
+            return Counted(int(self) // int(other))
+
+    T = direct_sum(*(jordan_matrix(JordanSpec(z=z, size=k)) for z, k in (
+        (Scalar.exact(1), 1), (Scalar.exact(0, 1), 1), (Scalar.exact(-1), 1),
+        (Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 4))))
+    den, rows = T._row_parts()
+    counted = DenseOperator._from_parts(EXACT, den, [tuple(list(map(Counted, part)) for part in r)
+                                                     for r in rows])
+    walk, ref, Tstar = _defect_walk(counted), DenseOperator.identity(7, EXACT), T.adjoint()
+    for m in range(6):
+        beta, c = ref.rows, ref_matmul(ref, T)
+        nonzeros = sum(not s.is_zero() for r in beta for s in r)
+        if m:
+            assert not any(not s.is_zero() for r in beta[:3] for s in r) and nonzeros <= 16
+        mults.clear()
+        got, _ = next(walk)
+        assert got._row_parts() == ref._row_parts()
+        if m:   # beta_0 is yielded before any step
+            assert 0 < len(mults) <= bound < 4 * 2 * 7 ** 3
+        bound = 4 * (nonzero_pairs(beta, T.rows) + nonzero_pairs(Tstar.rows, c)) + 2 * nonzeros
+        ref = ref - Tstar @ ref @ T
+
+
 class TestDefectCrossCheck:
+    def test_corrupted_walk_raises(self, monkeypatch):
+        # the exact binomial sum is made in integers, apart from the walk: a
+        # beta_3 one unit of 1/den off is caught at m = 3 and at no other m
+        real = isometry._defect_walk
+
+        def corrupted(T):
+            for m, (beta, scale) in enumerate(real(T)):
+                if m == 3:
+                    den, rows = beta._row_parts()
+                    rows = [(list(re), list(im)) for re, im in rows]
+                    rows[1][0][2] += 1
+                    beta = DenseOperator._from_parts(EXACT, den, rows)
+                yield beta, scale
+
+        monkeypatch.setattr(isometry, "_defect_walk", corrupted)
+        for m in (1, 2, 4):
+            assert defect(J4_3_4, m).matrix == defect(J4_3_4, m).matrix
+        with pytest.raises(InternalCheckError, match="m=3"):
+            defect(J4_3_4, 3)
+
     @pytest.mark.parametrize("mode,bump", [(EXACT, Scalar.exact(Fraction(1, 10 ** 30))),
                                            (FLOAT, Scalar.flt(1e-6))])
     def test_perturbed_recurrence_raises(self, monkeypatch, mode, bump):

@@ -40,14 +40,23 @@ def test_slot_times_prints_each_group_the_total_and_the_rate():
     lines = run_script("slot_times.py", ["exact-cli", "1", "0", "1"]).stdout.splitlines()
     assert lines[0] == "exact-cli seed 1 cycles 0 reps 1"
     group = re.compile(r"([a-z-]+/[\w-]+) +(\d+) +(\d+\.\d\d) ms +(\d+\.\d)%")
-    groups = [group.fullmatch(line) for line in lines[1:-1]]
+    groups = [group.fullmatch(line) for line in lines[1:-3]]
     assert all(groups), lines
     names = [g[1] for g in groups]
     assert len(set(names)) == len(names) and "verify/shift-factory" in names
     times = [float(g[3]) for g in groups]
     assert times == sorted(times, reverse=True)
-    total = re.fullmatch(r"total +51 +(\d+\.\d\d) ms (\d+\.\d) req/s", lines[-1])
-    assert total, lines[-1]
+    total = re.fullmatch(r"total +51 +(\d+\.\d\d) ms (\d+\.\d) req/s", lines[-3])
+    assert total, lines[-3]
+    # statistics.quantiles(n=10) of 51 times: the p50 is the 26th, the p90
+    # lies between the 46th and the 47th
+    side = r"rank (\d+) (\S+) (\d+\.\d\d) ms"
+    for line, name, ranks in zip(lines[-2:], ("p50", "p90"), ((26, 27), (46, 47))):
+        quantile = re.fullmatch(rf"{name} (\d+\.\d\d) ms: {side}, {side}", line)
+        assert quantile, line
+        assert (int(quantile[2]), int(quantile[5])) == ranks
+        assert {"/".join(quantile[j].split("/")[:2]) for j in (3, 6)} <= set(names)
+        assert float(quantile[4]) <= float(quantile[1]) <= float(quantile[7])
     assert sum(int(g[2]) for g in groups) == 51
     assert abs(sum(times) - float(total[1])) <= 0.01 * len(times)
     assert abs(float(total[2]) - 51e3 / float(total[1])) <= 0.1 + 1e-3 * float(total[2])
