@@ -230,12 +230,14 @@ class DenseOperator:
 # ---------------------------------------------------------------------------
 # Kernels, one per operation for both modes.  They run on the kernel form of
 # the scalars (_parts); operator results keep it (rows box on first read),
-# apply and vec_inner box each entry, orbit windows box samples, and the form
-# readers (_polarization_values, _forms) box nothing.
+# apply and vec_inner box each entry, _orbit_windows boxes samples, orbit-norm
+# windows keep theirs (_orbit_norms), and the form readers
+# (_polarization_values, _forms) box nothing.
 # Exact mode runs on Gaussian integers over one common denominator, so its
 # results are the canonical fractions the Scalar loops give; its products (@,
-# apply, orbit steps) add only nonzero terms (_scatter), and _forms only the
-# terms on the vectors' supports, as integer sums do not depend on order.
+# apply, orbit steps) add only nonzero terms (_scatter), the defect walk reads
+# only beta's nonzeros (_sparse_scatter), and _forms only the terms on the
+# vectors' supports, as integer sums do not depend on order.
 # Float mode runs on complex128 arrays with plain numpy
 # operations: +, - and negation are the Scalar loop's bits, and so is scale,
 # made from real products as the Scalar product makes them; products and
