@@ -1783,21 +1783,10 @@ def test_exact_basis_survey_takes_no_vector_apart(monkeypatch):
     assert [c for c in converted if list(c) == list(other)]
 
 
-def nonzero_pairs(a_rows, b_rows):
-    """The number of pairs of nonzero entries a_ik, b_kj: the terms of the
-    product a b that are not zero."""
-    return sum(sum(not t.is_zero() for t in b_rows[k])
-               for r in a_rows for k, s in enumerate(r) if not s.is_zero())
-
-
-def test_exact_products_visit_only_nonzero_pairs():
-    """On a Jordan sum of blocks 4 + 4 + 4, a Gram step T* G T and an orbit
-    step make four integer products per pair of nonzero entries, not per
-    term of the dense sums (4 n^3 and 4 n^2).  T's parts are an int type
-    that counts its products and keeps its type through sums, differences,
-    negation and quotients, so products of results are counted too."""
-    mults = []
-
+def counting_ints(mults):
+    """An int type that appends to mults at each product and keeps its type
+    through sums, differences, negation and quotients, so that products of
+    results are counted too."""
     class Counted(int):
         def __mul__(self, other):
             mults.append(None)
@@ -1822,6 +1811,24 @@ def test_exact_products_visit_only_nonzero_pairs():
         def __floordiv__(self, other):
             return Counted(int(self) // int(other))
 
+    return Counted
+
+
+def nonzero_pairs(a_rows, b_rows):
+    """The number of pairs of nonzero entries a_ik, b_kj: the terms of the
+    product a b that are not zero."""
+    return sum(sum(not t.is_zero() for t in b_rows[k])
+               for r in a_rows for k, s in enumerate(r) if not s.is_zero())
+
+
+def test_exact_products_visit_only_nonzero_pairs():
+    """On a Jordan sum of blocks 4 + 4 + 4, a Gram step T* G T and an orbit
+    step make four integer products per pair of nonzero entries, not per
+    term of the dense sums (4 n^3 and 4 n^2).  T's parts are an int type
+    that counts its products and keeps its type through sums, differences,
+    negation and quotients, so products of results are counted too."""
+    mults = []
+    Counted = counting_ints(mults)
     T = direct_sum(*(jordan_matrix(JordanSpec(z=z, size=4)) for z in (
         Scalar.exact(1), Scalar.exact(0, 1), Scalar.exact(Fraction(3, 5), Fraction(4, 5)))))
     den, rows = T._row_parts()
@@ -2142,31 +2149,7 @@ def test_exact_defect_walk_visits_only_nonzero_pairs():
     none.  On 1 + 1 + 1 + 4 (a unitary diagonal beside one Jordan block)
     the beta_m, m >= 1, are zero on the diagonal's rows and columns."""
     mults = []
-
-    class Counted(int):
-        def __mul__(self, other):
-            mults.append(None)
-            return Counted(int(self) * int(other))
-
-        __rmul__ = __mul__
-
-        def __add__(self, other):
-            return Counted(int(self) + int(other))
-
-        __radd__ = __add__
-
-        def __sub__(self, other):
-            return Counted(int(self) - int(other))
-
-        def __rsub__(self, other):
-            return Counted(int(other) - int(self))
-
-        def __neg__(self):
-            return Counted(-int(self))
-
-        def __floordiv__(self, other):
-            return Counted(int(self) // int(other))
-
+    Counted = counting_ints(mults)
     T = direct_sum(*(jordan_matrix(JordanSpec(z=z, size=k)) for z, k in (
         (Scalar.exact(1), 1), (Scalar.exact(0, 1), 1), (Scalar.exact(-1), 1),
         (Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 4))))
@@ -2205,7 +2188,7 @@ class TestDefectCrossCheck:
 
         monkeypatch.setattr(isometry, "_defect_walk", corrupted)
         for m in (1, 2, 4):
-            assert defect(J4_3_4, m).matrix == defect(J4_3_4, m).matrix
+            assert defect(J4_3_4, m).m == m
         with pytest.raises(InternalCheckError, match="m=3"):
             defect(J4_3_4, 3)
 
