@@ -39,12 +39,11 @@ def default_window_len(dim):
 
 
 class OrbitSequence:
-    """A finite window of real samples gamma_0 .. gamma_N.  Its kernel form
-    (den, reals), a float64 array over 1 in float mode and ints over the lcm
-    of the samples' denominators in exact mode, is made on first use and
-    kept.  A window walked on the kernel form (_of_form) is born in that
-    form and boxes its Scalars on the first read of values, as
-    DenseOperator.rows does."""
+    """A finite window of real samples gamma_0 .. gamma_N, held in its kernel
+    form (den, reals) from construction: a float64 array over 1 in float
+    mode, ints over the lcm of the samples' denominators in exact mode.  A
+    window walked on the kernel form (_of_form) boxes its Scalars on the
+    first read of values, as DenseOperator.rows does."""
 
     __slots__ = ("mode", "_values", "_form")
 
@@ -58,7 +57,9 @@ class OrbitSequence:
                 _not_finite(n)
             if not v.is_real():
                 raise PreconditionError("orbit samples must be real")
-        self.mode, self._values, self._form = mode, values, None
+        self.mode, self._values = mode, values
+        self._form = (_int_form(values)[:2] if mode == EXACT else
+                      (1, np.array([v.re for v in values], dtype=float)))
 
     @staticmethod
     def _of_form(mode, den, reals):
@@ -83,18 +84,9 @@ class OrbitSequence:
                             tuple(_scalar(x, 0, den, EXACT) for x in reals))
         return self._values
 
-    def _kernel_form(self):
-        if self._form is None:
-            if self.mode == EXACT:
-                den, reals, _ = _int_form(self._values)
-            else:
-                den, reals = 1, np.array([v.re for v in self._values], dtype=float)
-            self._form = den, reals
-        return self._form
-
     @property
     def window_len(self):
-        return len(self._values if self._form is None else self._form[1])
+        return len(self._form[1])
 
     @staticmethod
     def from_reals(reals, mode):
@@ -103,9 +95,8 @@ class OrbitSequence:
         return OrbitSequence([Scalar.flt(r) for r in reals])
 
     def max_abs(self):
-        if self.mode == FLOAT:
-            return float(np.abs(self._kernel_form()[1]).max())
-        return max(v.modulus() for v in self.values)
+        den, reals = self._form
+        return float(np.abs(reals).max()) if self.mode == FLOAT else max(map(abs, reals)) / den
 
 
 def _not_finite(n):
@@ -134,7 +125,7 @@ class DifferenceTable:
                 f"depth {depth} too large for window of {gamma.window_len} samples"
             )
         self._gamma, self.depth = gamma, depth
-        self._den, self._window = gamma._kernel_form()
+        self._den, self._window = gamma._form
         # (first row, rows) per block; row 0 is the window, and it is not checked
         self._blocks = [(0, [self._window] if gamma.mode == EXACT else self._window[None])]
         self._checked = 0

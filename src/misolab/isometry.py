@@ -31,6 +31,7 @@ from .matrices import (
     _eigen_range,
     _forms,
     _int_combination,
+    _log_abs_det,
     _orbit_norms,
     _polarization_pair,
     _polarization_values,
@@ -155,7 +156,7 @@ def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
     for d in islice(walk, m_max):
         m = d.m
         if negligible(d.matrix, T.mode, tol, lambda: d.float_scale, f"beta_{m}") and (
-                T.mode == EXACT or _order_is_possible(T.dim, m, walked, tol)):
+                T.mode == EXACT or _order_is_possible(T, m, walked, tol)):
             witness = None
             if m >= 2:
                 witness = _nonzero_form_witness(walked[-1], tol)
@@ -170,7 +171,7 @@ def strict_order(T, m_max=None, tol=DEFAULT_DEFECT_TOL):
                         defects=tuple(walked))
 
 
-def _order_is_possible(dim, m, walked, tol):
+def _order_is_possible(T, m, walked, tol):
     """Whether a strict order m fits the float defects walked, beta_0 ..
     beta_{m-1}.  On C^dim a strict m-isometry has m = 2 nu - 1 <= 2 dim - 1,
     nu its largest Jordan block, which is odd; and by Newton's formula
@@ -180,8 +181,11 @@ def _order_is_possible(dim, m, walked, tol):
     "m-isometric transformations of Hilbert space, I", Integral Equations
     Operator Theory 21, 1995).  beta_{m-1} must also fail the zero test: a
     zero one was refused as an order of its own.  Its negative eigenvalues
-    are negligible within _PSD_TOL of its largest |eigenvalue|."""
-    if m % 2 == 0 or m > 2 * dim - 1:
+    are negligible within _PSD_TOL of its largest |eigenvalue|.  And T is a
+    unitary plus a nilpotent that commutes with it (Agler, Helton and
+    Stankus, Linear Algebra Appl. 274, 1998), so |det T| = 1: log |det T|, a
+    sum of dim log-moduli, is negligible within tol * dim."""
+    if m % 2 == 0 or m > 2 * T.dim - 1:
         return False
     if m == 1:
         return True
@@ -189,7 +193,8 @@ def _order_is_possible(dim, m, walked, tol):
     if negligible(prev.matrix, FLOAT, tol, lambda: prev.float_scale, f"beta_{m - 1}"):
         return False
     low, top = _eigen_range(prev.matrix)
-    return negligible(-low, FLOAT, _PSD_TOL, lambda: top, f"lambda_min(beta_{m - 1})")
+    return (negligible(-low, FLOAT, _PSD_TOL, lambda: top, f"lambda_min(beta_{m - 1})")
+            and negligible(abs(_log_abs_det(T)), FLOAT, tol, lambda: T.dim, "log |det T|"))
 
 
 def _residual(beta):

@@ -914,6 +914,13 @@ def _eigen_range(B):
     return float(eigs[0]), max(-float(eigs[0]), float(eigs[-1]))
 
 
+def _log_abs_det(A):
+    """log |det A| of the float operator A, the sum of the logs of its
+    singular values (LAPACK's, as numpy's svd gives them); -inf if one is 0."""
+    with np.errstate(divide="ignore"):
+        return float(np.log(np.linalg.svd(A._row_parts()[1], compute_uv=False)).sum())
+
+
 def _largest(moduli):
     """The largest of a list of float moduli, nan if any is (Python's max keeps
     a nan only if it comes first); the sum of moduli >= 0 is nan only then."""

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .diffcalc import DEFAULT_FLOAT_TOL, OrbitSequence, default_window_len, detect_degree
 from .errors import ModeMismatchError, PreconditionError
 from .isometry import orbit_sequence
-from .matrices import _check_vector, _over_lcm, _scalar
+from .matrices import _check_vector, _over_lcm, _scalar, np
 from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, Scalar
 
@@ -88,20 +88,20 @@ class WeightedShiftOperator:
         return math.prod(self._prefix(j, n), start=Scalar.one(self.mode))
 
     def basis_orbit(self, j, window_len):
-        """The window ||W^n e_j||^2, n < window_len; an exact one is born in
-        its kernel form, _norms_sq's ints over their lcm."""
+        """The window ||W^n e_j||^2, n < window_len, born in its kernel form:
+        _norms_sq's floats as one float64 array, or its ints over their lcm."""
         norms = self._norms_sq(j, window_len)
         if self.mode == FLOAT:
-            return OrbitSequence(norms)
+            return OrbitSequence._of_form(FLOAT, 1, np.array(norms, dtype=float))
         return OrbitSequence._of_form(EXACT, *_over_lcm(norms, [])[:2])
 
     def _norms_sq(self, j, count):
         """||W^n e_j||^2 for n < count: running products of the squared
-        weights, as float Scalars, or as exact (num, den) int pairs in
-        lowest terms, with no Fraction made."""
+        weights, as floats, or as exact (num, den) int pairs in lowest terms,
+        with no Fraction made."""
         weights = self._prefix(j, count - 1)
         if self.mode == FLOAT:
-            return list(accumulate(weights, mul, initial=Scalar.one(FLOAT)))
+            return list(accumulate((w.re for w in weights), mul, initial=1.0))
         out = [(1, 1)]
         for w in weights:
             (num, den), (a, b) = out[-1], w.re.as_integer_ratio()

@@ -252,83 +252,64 @@ def _kernel_chain(M, tol, cap):
 
 
 def _float_eigenspaces(T, tol):
-    """(spaces, warnings): numpy's eigenvalues clustered by single linkage
-    from radius CLUSTER_TOL * max(1, max |lambda|), tenfold per attempt for
-    at most _CLUSTER_MAX_ESCALATIONS, until each cluster mean z has a kernel
-    chain of T - zI as long as its cluster; a warning names the radius.  If
-    none is consistent, the radius is split: tenfold below the first, down
-    to _CLUSTER_FLOOR * max(1, max |lambda|).  A radius that links or
-    unlinks no pair against the one before it is skipped: its partition is
-    that one's, which failed.  Attempts share one dict of chains by z's bits
-    and the cluster size.  If no attempt is consistent the tolerance cannot
-    separate the clusters, and a PreconditionError names the largest radius."""
+    """(spaces, warnings): numpy's eigenvalues clustered by single linkage,
+    at one list of radii, until each cluster mean z has a kernel chain of
+    T - zI as long as its cluster.  With s = max(1, max |lambda|) the list is
+    CLUSTER_TOL * s, _CLUSTER_MAX_ESCALATIONS - 1 tenfold escalations, then
+    tenfold splits below the first down to _CLUSTER_FLOOR * s; a warning names
+    a radius other than the first.  A radius that links the same pairs as one
+    tried is skipped: its partition is that one's, which failed.  Attempts
+    share one dict of chains by z's bits and the cluster size.  If no attempt
+    is consistent the tolerance cannot separate the clusters, and a
+    PreconditionError names the largest escalated radius."""
     arr = to_numpy(T)
     eigs = np.linalg.eigvals(arr)
     scale = max(1.0, float(np.abs(eigs).max()))
     # read by linkage, skip test and warning; hypot, so an overflow is inf
     with np.errstate(all="ignore"):
         dist = np.abs(eigs[:, None] - eigs[None, :])
-    chains = {}
-    radius = CLUSTER_TOL * scale
-    for attempt in range(_CLUSTER_MAX_ESCALATIONS):
-        if attempt:
-            low, radius = radius, radius * _CLUSTER_ESCALATION
-            if not ((dist > low) & (dist <= radius)).any():
-                continue
-        moved = "escalated" if attempt else ""
-        found = _partition(arr, eigs, dist, radius, tol, chains, moved)
-        if found is not None:
-            return found
-    high = CLUSTER_TOL * scale
-    while (low := high / _CLUSTER_ESCALATION) >= _CLUSTER_FLOOR * scale:
-        if ((dist > low) & (dist <= high)).any():
-            found = _partition(arr, eigs, dist, low, tol, chains, "split")
-            if found is not None:
-                return found
-        high = low
+    radii = [(CLUSTER_TOL * scale, "")]
+    for _ in range(_CLUSTER_MAX_ESCALATIONS - 1):
+        radii.append((radii[-1][0] * _CLUSTER_ESCALATION, "escalated"))
+    largest, radius = radii[-1][0], radii[0][0]
+    # splits lie below the first radius, so an inf one has none
+    while _CLUSTER_FLOOR * scale <= (radius := radius / _CLUSTER_ESCALATION) < radii[0][0]:
+        radii.append((radius, "split"))
+    chains, tried = {}, set()
+    for radius, moved in radii:
+        close = dist <= radius
+        if close.tobytes() in tried:
+            continue
+        tried.add(close.tobytes())
+        clusters, roots = _single_linkage(eigs, close)
+        spaces = _spaces_from_clusters(arr, clusters, tol, chains)
+        if spaces is None:
+            continue
+        warnings = [f"eigenvalue clustering {moved} to radius {radius:.2e}"] if moved else []
+        # every distance across two clusters is above radius
+        if ((dist <= 10 * radius) & (roots[:, None] != roots)).any():
+            warnings.append("ambiguous eigenvalue clusters within 10x the cluster radius")
+        return spaces, warnings
     raise PreconditionError(
-        f"eigenvalue clustering never became consistent up to radius {radius:.2e}: the "
+        f"eigenvalue clustering never became consistent up to radius {largest:.2e}: the "
         "tolerance cannot separate the generalized eigenspaces")
 
 
-def _partition(arr, eigs, dist, radius, tol, chains, moved):
-    """(spaces, warnings) of the single-linkage clusters at radius, or None
-    if a kernel is not as large as its cluster; moved, unless empty, says in
-    a warning how the radius left the first one."""
-    clusters, roots = _single_linkage(eigs, dist <= radius)
-    spaces = _spaces_from_clusters(arr, clusters, tol, chains)
-    if spaces is None:
-        return None
-    warnings = [f"eigenvalue clustering {moved} to radius {radius:.2e}"] if moved else []
-    # every distance across two clusters is above radius
-    if ((dist <= 10 * radius) & (roots[:, None] != roots)).any():
-        warnings.append("ambiguous eigenvalue clusters within 10x the cluster radius")
-    return spaces, warnings
-
-
 def _single_linkage(eigs, close):
-    """(clusters, roots): the clusters of eigs joined by the pairs i < j with
-    close[i, j], in (real, imag) order, inside and among them; roots[i] is
-    the representative index of eigs[i]'s cluster."""
+    """(clusters, roots): the clusters of eigs joined by the symmetric relation
+    close, in (real, imag) order, inside and among them; roots[i] is the least
+    index in eigs[i]'s cluster.  Squaring the boolean close | I n.bit_length()
+    times reaches every path of up to n - 1 links."""
     n = len(eigs)
-    close = close.tolist()
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if close[i][j]:
-                parent[find(i)] = find(j)
-    roots = [find(i) for i in range(n)]
-    re, im = eigs.real.tolist(), eigs.imag.tolist()
+    reach = close | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    roots = reach.argmax(axis=1)
+    re, im, first = eigs.real.tolist(), eigs.imag.tolist(), roots.tolist()
     clusters = {}
     for i in sorted(range(n), key=lambda i: (re[i], im[i])):
-        clusters.setdefault(roots[i], []).append(eigs[i])
-    return list(clusters.values()), np.array(roots)
+        clusters.setdefault(first[i], []).append(eigs[i])
+    return list(clusters.values()), roots
 
 
 def _spaces_from_clusters(arr, clusters, tol, chains):

@@ -21,7 +21,7 @@ from misolab.diffcalc import DEFAULT_FLOAT_TOL
 from misolab.errors import SpecFileError
 from misolab.isometry import DEFAULT_DEFECT_TOL
 from misolab.specio import format_rational, parse_rational
-from misolab.suites import SUITES, SuiteResult, random_unitary
+from misolab.suites import SUITES, SuiteResult, conjugate_by_unitary, random_unitary
 
 EXAMPLE_DOC = {
     "mode": "exact",
@@ -534,6 +534,24 @@ def test_float_strict_degrees_need_no_orbit_window(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["verdict"]["kind"] == "strict-order" and report["verdict"]["m"] == 3
     assert report["basis_orbit_degrees"] == ["polynomial(degree=0)", "polynomial(degree=2)"]
+
+
+def test_float_order_refuses_an_off_circle_sum_as_decompose_does(tmp_path, capsys):
+    # J_12(i) (+) (1/2), conjugated once: beta_23 passes the zero test and
+    # beta_22 is positive semidefinite, which read strict-order(23), while
+    # decompose refuses the eigenvalue 1/2; |log |det T|| = log 2 refuses it
+    # here too
+    T = parse_operator_spec({"mode": "float", "jordan_blocks": [
+        {"z": [0, 1], "size": 12}, {"z": 0.5, "size": 1}]}).operator
+    T = conjugate_by_unitary(T, random_unitary(13, np.random.default_rng(0)))
+    path = write(tmp_path, "o.json", {"mode": "float", "matrix": [
+        [[x.re, x.im] for x in row] for row in T.rows]})
+    out = tmp_path / "r.json"
+    assert main(["order", path, f"--output={out}"]) == 0
+    verdict = json.loads(out.read_text())["verdict"]
+    assert (verdict["kind"], verdict["m"]) == ("not-within-bound", 27)
+    assert main(["decompose", path]) == 0
+    assert "eigenvalue 0.5-5.55112e-17i is not unimodular" in capsys.readouterr().out
 
 
 def test_float_gram_overflow_is_3(tmp_path, capsys):

@@ -55,6 +55,42 @@ def test_tol_arithmetic_is_seen_in_zero_threshold():
     assert tol_arithmetic(SRC / "scalars.py")
 
 
+def tol_floors(sources):
+    """(module, function, call) for each max(...) or min(...) call, in the
+    modules sources maps by name, with an argument tol or x.tol: a floor or
+    cap on the tolerance that no threshold shows.  A function around such a
+    call holds it too."""
+    def is_tol(node):
+        return (isinstance(node, ast.Name) and node.id == "tol"
+                or isinstance(node, ast.Attribute) and node.attr == "tol")
+
+    found = set()
+    for module, source in sources.items():
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, ast.FunctionDef):
+                found.update((module, fn.name, ast.unparse(node)) for node in ast.walk(fn)
+                             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                             and node.func.id in ("max", "min") and any(map(is_tol, node.args)))
+    return sorted(found)
+
+
+# the hidden floors ROADMAP item 1 lists: a new one fails here, and mending
+# one shortens the list
+def test_only_the_listed_tol_floors_remain():
+    assert tol_floors({p.name: p.read_text() for p in SRC.glob("*.py")}) == [
+        ("cli.py", "_cmd_order", "max(args.tol, DEFAULT_FLOAT_TOL)"),
+        ("spectral.py", "_kernel_chain", "max(tol, 1e-10)"),
+        ("spectral.py", "_pair_preconditions", "max(tol, 1e-08)")]
+
+
+def test_tol_floors_are_seen():
+    source = ("def f(x, tol, args):\n"
+              "    a = max(tol, 1e-10) + min(1.0, args.tol)\n"
+              "    return max(x, 1.0) + max(tol_scale, 2) + max(x.tol_like, 3)\n")
+    assert tol_floors({"a.py": source}) == [("a.py", "f", "max(tol, 1e-10)"),
+                                            ("a.py", "f", "min(1.0, args.tol)")]
+
+
 def zero_decisions(source, exempt=()):
     """Lines on which a module decides a zero by itself: an is_zero call with
     an argument, a vec_is_zero call with a second one, or a comparison with a

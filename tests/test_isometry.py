@@ -36,9 +36,9 @@ from misolab import (
     vec_scale,
 )
 from misolab import isometry
-from misolab.matrices import _eigen_range
+from misolab.matrices import _eigen_range, _log_abs_det
 from misolab.polynomials import falling_factorial_poly
-from misolab.scalars import EXACT, FLOAT
+from misolab.scalars import EXACT, FLOAT, negligible
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, decomposition_corpus,
                             operator_to_float, perturbation_corpus, random_unitary)
 
@@ -127,22 +127,26 @@ def off_circle_family(k, z, seed, count=7):
 class TestTheoremVetoes:
     """A float beta_m that passes the zero test ends the walk only at an odd
     m <= 2 dim - 1 with beta_{m-1} positive semidefinite within the
-    eigenvalue ratio isometry._PSD_TOL (Agler and Stankus, 1995)."""
+    eigenvalue ratio isometry._PSD_TOL (Agler and Stankus, 1995), and with
+    |log |det T|| negligible within tol * dim (Agler, Helton and Stankus,
+    1998)."""
 
-    # J_9(z) (+) (1/2) for z = 1, -1, i, -i: the beta_m of the Jordan block
-    # vanish from m = 17 on, and the off-circle block's (3/4)^m drops below
-    # the walk's scale; without the vetoes 38 of these 56 read
-    # strict-order(18) to strict-order(21), 18, 20 and 21 impossible on C^10,
-    # and 19 with an indefinite beta_18
+    # J_k(z) (+) (1/2) for z = 1, -1, i, -i: the beta_m of the Jordan block
+    # vanish from m = 2k - 1 on, and the off-circle block's (3/4)^m drops
+    # below the walk's scale.  At k = 9, without the vetoes 38 of these 56
+    # read strict-order(18) to strict-order(21), 18, 20 and 21 impossible on
+    # C^10, and 19 with an indefinite beta_18; at k = 12 and 16 all 56 read
+    # strict-order(2k - 1), which only the determinant refuses: log 2 each
+    @pytest.mark.parametrize("k", [9, 12, 16])
     @pytest.mark.parametrize("z", UNIMODULAR_EXACT[:4], ids=["1", "-1", "i", "-i"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_off_circle_sums_claim_no_order(self, z, seed):
-        for T in off_circle_family(9, z, seed):
+    def test_off_circle_sums_claim_no_order(self, z, seed, k):
+        for T in off_circle_family(k, z, seed):
             assert not strict_order(T).strict
 
     @pytest.mark.parametrize("z", UNIMODULAR_EXACT, ids=["1", "-1", "i", "-i", "3/5+4/5i"])
     def test_conjugated_jordan_blocks_keep_their_order(self, z):
-        for k in (7, 8, 9):
+        for k in (7, 8, 9, 12, 16):
             T = conjugate_by_unitary(operator_to_float(jordan_matrix(JordanSpec(z, k))),
                                      random_unitary(k, np.random.default_rng(k)))
             assert strict_order(T).describe() == f"strict-order({2 * k - 1})"
@@ -164,6 +168,8 @@ class TestTheoremVetoes:
             if v.m >= 2:
                 low, top = _eigen_range(operator_to_float(v.defects[-1].matrix))
                 assert low >= -isometry._PSD_TOL * top
+                assert negligible(abs(_log_abs_det(operator_to_float(T))), FLOAT,
+                                  isometry.DEFAULT_DEFECT_TOL, lambda: T.dim, "log |det T|")
         assert strict >= 60
 
 

@@ -1453,7 +1453,9 @@ class TestSparseKernels:
 class TestIntegerWindows:
     """Exact orbit windows and shift basis orbits are born in their kernel
     form, ints over the lcm of the samples' denominators, with no Scalar made
-    until values is first read: the samples of the Scalar loops."""
+    until values is first read: the samples of the Scalar loops.  Float shift
+    basis orbits are born as float64 arrays, and a window made of Scalars
+    holds its form from construction."""
 
     @given(st.one_of(dims.flatmap(lambda n: st.tuples(operators(n), vectors(n))),
                      sparse_dims.filter(lambda n: n <= 6).flatmap(
@@ -1463,18 +1465,41 @@ class TestIntegerWindows:
     def test_orbit_sequence(self, case, window_len):
         T, h = case
         gamma, ref = orbit_sequence(T, h, window_len), ref_norm_window(T, h, window_len)
-        assert gamma._kernel_form() == _int_form(ref)[:2] and gamma._values is None
+        assert gamma._form == _int_form(ref)[:2] and gamma._values is None
         assert gamma.values == tuple(ref) and all(map(fractions, gamma.values))
 
     @given(st.lists(st.builds(Fraction, st.integers(0, 40), st.integers(1, 30)), min_size=14,
-                    max_size=14), st.integers(0, 3), st.integers(2, 12))
+                    max_size=14), st.integers(0, 3), st.integers(2, 12),
+           st.sampled_from([EXACT, FLOAT]))
     @settings(max_examples=30, deadline=None)
-    def test_basis_orbit(self, weights, j, window_len):
-        W = WeightedShiftOperator([Scalar.exact(w) for w in weights], EXACT)
+    def test_basis_orbit(self, weights, j, window_len, mode):
+        # the float samples are the bits of the Scalar products orbit_norm_sq
+        # makes, whose imaginary parts stay 0.0
+        W = WeightedShiftOperator([Scalar.exact(w) if mode == EXACT else Scalar.flt(float(w))
+                                   for w in weights], mode)
         gamma, ref = W.basis_orbit(j, window_len), [W.orbit_norm_sq(j, n)
                                                     for n in range(window_len)]
-        assert gamma._kernel_form() == _int_form(ref)[:2] and gamma._values is None
-        assert gamma.values == tuple(ref) and all(map(fractions, gamma.values))
+        if mode == EXACT:
+            assert gamma._form == _int_form(ref)[:2] and gamma._values is None
+            assert gamma.values == tuple(ref) and all(map(fractions, gamma.values))
+            return
+        den, reals = gamma._form
+        assert (den, reals.dtype, gamma._values) == (1, np.float64, None)
+        assert [x.hex() for x in reals.tolist()] == [s.re.hex() for s in ref]
+        assert [(s.re.hex(), s.im.hex()) for s in gamma.values] == \
+            [(s.re.hex(), s.im.hex()) for s in ref]
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_a_window_of_scalars_holds_its_form(self, mode):
+        values = tuple(Scalar.exact(Fraction(n * n + 1, 6)) if mode == EXACT
+                       else Scalar.flt((n * n + 1) / 6) for n in range(5))
+        gamma = OrbitSequence(values)
+        den, reals = gamma._form
+        if mode == EXACT:
+            assert (den, reals) == (6, [1, 2, 5, 10, 17])
+        else:
+            assert den == 1 and reals.tolist() == [s.re for s in values]
+        assert gamma.values is values and gamma.window_len == 5
 
 
 def binomial_defects(T, m):
