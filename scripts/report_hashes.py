@@ -12,8 +12,14 @@ compare two versions only on one numpy and BLAS build, and may differ
 where a rounding residue does.  The temporary directory's path is
 replaced by `{dir}` before hashing.
 
+With `verify` in place of a workload, and no CYCLES, the script prints for
+each seed one SHA-256 over `misolab verify --suite all --seed SEED
+--output PATH`, hashed as one request of a cycle is.
+
 Run:  python3 scripts/report_hashes.py WORKLOAD SEEDS CYCLES
       e.g. python3 scripts/report_hashes.py exact-cli 1-3 0-1
+      python3 scripts/report_hashes.py verify SEEDS
+      e.g. python3 scripts/report_hashes.py verify 0-3
 SEEDS and CYCLES are an index, a range `a-b` or a comma-separated list
 of either.
 """
@@ -79,14 +85,24 @@ def cycle_hash(workload, seed, cycle, workdir):
     return len(reqs), requests_hash(reqs, workdir)
 
 
+def verify_hash(seed, workdir):
+    """SHA-256 hex digest of `verify --suite all` at seed, as one request."""
+    return requests_hash([workloads.verify_request("all", seed, "verify")], workdir)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("workload", choices=workloads.WORKLOADS)
+    p.add_argument("workload", choices=(*workloads.WORKLOADS, "verify"))
     p.add_argument("seeds", type=indexes)
-    p.add_argument("cycles", type=indexes)
+    p.add_argument("cycles", type=indexes, nargs="?")
     args = p.parse_args(argv)
+    if (args.cycles is None) != (args.workload == "verify"):
+        p.error("a workload needs CYCLES, and verify takes none")
     with tempfile.TemporaryDirectory() as workdir:
         for seed in args.seeds:
+            if args.workload == "verify":
+                print(f"verify seed {seed} sha256 {verify_hash(seed, workdir)}", flush=True)
+                continue
             for cycle in args.cycles:
                 n, digest = cycle_hash(args.workload, seed, cycle, workdir)
                 print(f"{args.workload} seed {seed} cycle {cycle} requests {n} sha256 {digest}",

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import reprlib
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .diffcalc import DEFAULT_FLOAT_TOL, default_window_len
 from .errors import MisolabError, PreconditionError, SpecFileError
@@ -123,86 +123,14 @@ def _vector_out(v):
 # Report emission
 # ---------------------------------------------------------------------------
 
-_INFINITY = float("inf")
-
-
-def _json_scalar(value):
-    """The JSON text json.dumps gives a leaf: bool before int, a float
-    subclass such as np.float64 as a float, NaN and +-Infinity by name."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INFINITY:
-            return "Infinity"
-        if value == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_key(key):
-    """A dict key's JSON text: json.dumps takes str, int, float, bool and None
-    keys and writes each as a string."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return f'"{_json_scalar(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_pieces(value, indent, out):
-    """Append to out the text of json.dumps(value, indent=2) for a value
-    nested at indent: json.dumps runs its pure-Python encoder whenever an
-    indent is set, and this writer does the same work with fewer calls."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for item in value:
-            out.append(sep)
-            _json_pieces(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key, item in value.items():
-            out.append(f"{sep}{_json_key(key)}: ")
-            _json_pieces(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
-    else:
-        out.append(_json_scalar(value))
-
-
-def _json_report(report):
-    """The report's file text: exactly json.dumps(report, indent=2) + "\\n",
-    two-space-indented ASCII JSON."""
-    out = []
-    _json_pieces(report, "", out)
-    out.append("\n")
-    return "".join(out)
+# one encoder for every report: json.dumps with indent=2 builds a new one per call
+_ENCODER = json.JSONEncoder(indent=2)
 
 
 def _write_json(report, output_path):
     """The report as indented JSON, in one write.  A path that cannot be
     written exits 2, after the human report."""
-    text = _json_report(report)
+    text = _ENCODER.encode(report) + "\n"
     try:
         with open(output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -271,7 +199,7 @@ def _cmd_order(args):
         report = _base_report("order", spec, {"mmax": mmax, "tol": args.tol})
         found = None
         for m in range(1, mmax + 1):
-            if shift_is_m_isometry(W, m, tol=max(args.tol, DEFAULT_FLOAT_TOL)):
+            if shift_is_m_isometry(W, m, tol=args.tol):
                 found = m
                 break
         report["verdict"] = (

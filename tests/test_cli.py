@@ -2,7 +2,6 @@
 
 import inspect
 import json
-import math
 import os
 import subprocess
 import sys
@@ -11,12 +10,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from misolab import diffcalc, isometry, shifts, spectral, suites
 from misolab import parse_operator_spec, serialize_operator_spec
-from misolab.cli import _command_parsers, _json_report, _parse_args, main
+from misolab.cli import _command_parsers, _parse_args, main
 from misolab.diffcalc import DEFAULT_FLOAT_TOL
 from misolab.errors import SpecFileError
 from misolab.isometry import DEFAULT_DEFECT_TOL
@@ -266,6 +263,70 @@ class TestExitCodes:
         assert main(["verify", "--suite", "nope"]) == 2
         assert capsys.readouterr().err == (
             f"error: unknown suite 'nope'; available: {', '.join(sorted(SUITES))}\n")
+
+
+# order on a shift spec reads the least m <= --mmax at which shift --m m
+# reads true, at the --tol its report echoes: no hidden floor under it
+@pytest.mark.parametrize("tol", [["--tol", "0"], ["--tol", "1e-12"], []],
+                         ids=["tol-0", "tol-1e-12", "default"])
+@pytest.mark.parametrize("polynomial", [[1.0, 1.0], [1.0, 2.0, 1.0], [3.0, 2.0]],
+                         ids=["1,1", "1,2,1", "3,2"])
+def test_shift_order_is_the_least_m_shift_reads_true(tmp_path, capsys, polynomial, tol):
+    path = write(tmp_path, "s.json", {"mode": "float", "shift": {"polynomial": polynomial}})
+    out = tmp_path / "r.json"
+    assert main(["order", path, f"--output={out}", *tol]) == 0
+    report = json.loads(out.read_text())
+    reads = []
+    for m in range(1, 9):
+        assert main(["shift", path, "--m", str(m), f"--output={out}", *tol]) == 0
+        reads.append(json.loads(out.read_text())["shift"]["is_m_isometry"])
+    capsys.readouterr()
+    assert report["parameters"]["tol"] == (float(tol[1]) if tol else DEFAULT_DEFECT_TOL)
+    assert report["verdict"] == ({"kind": "shift-order", "m": reads.index(True) + 1}
+                                 if True in reads else {"kind": "not-within-bound", "m": 8})
+    if tol != ["--tol", "0"]:
+        assert True in reads
+
+
+FLOAT_EXAMPLE_DOC = {"mode": "float", "matrix": [[[0.0, 1.0], [2.0, 0.0]],
+                                                 [[0.0, 0.0], [0.0, -1.0]]]}
+ORTHO_FLAGS = ["--h1", "1,0", "--h2", "0+1i,1", "--z1", "i", "--z2=-i"]
+
+
+# the report file is json.dumps(report, indent=2) and a newline: ASCII,
+# two-space indents, in every command and mode
+@pytest.mark.parametrize("argv, docs", [
+    pytest.param(["order", "{t}"], {"t": {"mode": "exact", "jordan_blocks": [
+        {"z": "0+1i", "size": 2}]}}, id="order-exact"),
+    pytest.param(["order", "{t}"], {"t": FLOAT_EXAMPLE_DOC}, id="order-float"),
+    pytest.param(["order", "{t}"], {"t": {"mode": "exact", "shift": {"polynomial": ["1", "1"]}}},
+                 id="order-shift-exact"),
+    pytest.param(["order", "{t}"], {"t": {"mode": "float", "shift": {"polynomial": [1.0, 1.0]}}},
+                 id="order-shift-float"),
+    pytest.param(["decompose", "{t}"], {"t": EXAMPLE_DOC}, id="decompose-exact"),
+    pytest.param(["decompose", "{t}"], {"t": FLOAT_EXAMPLE_DOC}, id="decompose-float"),
+    pytest.param(["shift", "{t}", "--m", "3"], {"t": {"mode": "exact", "shift": {
+        "polynomial": ["3", "-2", "1"]}}}, id="shift-exact"),
+    pytest.param(["shift", "{t}", "--m", "2"], {"t": {"mode": "float", "shift": {
+        "polynomial": [1.0, 1.0]}}}, id="shift-float"),
+    pytest.param(["ortho", "{t}", *ORTHO_FLAGS], {"t": EXAMPLE_DOC}, id="ortho-exact"),
+    pytest.param(["ortho", "{t}", *ORTHO_FLAGS], {"t": FLOAT_EXAMPLE_DOC}, id="ortho-float"),
+    pytest.param(["perturb", "{a}", "{n}"], {
+        "a": {"mode": "exact", "matrix": [["1", "0"], ["0", "1"]]},
+        "n": {"mode": "exact", "matrix": [["0", "1"], ["0", "0"]]}}, id="perturb-exact"),
+    pytest.param(["perturb", "{a}", "{n}"], {
+        "a": {"mode": "float", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        "n": {"mode": "float", "matrix": [[0.0, 1.0], [0.0, 0.0]]}}, id="perturb-float"),
+    pytest.param(["verify", "--suite", "shift-factory"], {}, id="verify"),
+])
+def test_report_file_is_json_dumps_text(tmp_path, capsys, argv, docs):
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+    out = tmp_path / "r.json"
+    assert main([a.format(**paths) for a in argv] + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text(encoding="utf-8")
+    assert text.isascii()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_seed_flag_reaches_the_report(capsys, tmp_path):
@@ -737,41 +798,6 @@ def test_records_are_immutable(record):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(built, name, 0)
-
-
-# the leaves json.dumps writes in a form of its own: quotes, control and
-# non-ASCII characters escaped, ints past 64 bits, signed zero, subnormal and
-# huge floats, NaN and the infinities, and a float subclass
-EDGE_LEAVES = ['"q"\\', "\x00\x1f\n\t", "\u00e9\u2028\U0001f600", 2 ** 64 + 1, -(2 ** 100),
-               -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, np.float64(0.1),
-               np.float64(math.nan), True, False, None, [], {}, ()]
-JSON_LEAF = (st.text() | st.integers() | st.integers(2 ** 63, 2 ** 200).map(lambda n: -n)
-             | st.floats() | st.floats().map(np.float64) | st.booleans() | st.none()
-             | st.sampled_from(EDGE_LEAVES))
-JSON_KEY = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
-JSON_TREE = st.recursive(
-    JSON_LEAF,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(JSON_KEY, inner, max_size=4)),
-    max_leaves=24,
-)
-
-
-@given(JSON_TREE)
-@example({"leaves": EDGE_LEAVES, "nested": ({"": [[], {}]}, [()]), 1: 2.5, None: 0,
-          math.inf: -0.0, True: "t"})
-def test_report_writer_is_json_dumps(tree):
-    assert _json_report(tree) == json.dumps(tree, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("value", [{1, 2}, np.int64(3), np.bool_(True), object()],
-                         ids=["set", "np.int64", "np.bool_", "object"])
-def test_report_writer_refuses_what_json_dumps_refuses(value):
-    for tree in (value, [1, value], {"a": {"b": (2.0, value)}}, {(1, 2): 0}):
-        with pytest.raises(TypeError):
-            json.dumps(tree, indent=2)
-        with pytest.raises(TypeError):
-            _json_report(tree)
 
 
 def parse_outcome(parse, argv, capsys):

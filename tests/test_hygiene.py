@@ -78,7 +78,6 @@ def tol_floors(sources):
 # one shortens the list
 def test_only_the_listed_tol_floors_remain():
     assert tol_floors({p.name: p.read_text() for p in SRC.glob("*.py")}) == [
-        ("cli.py", "_cmd_order", "max(args.tol, DEFAULT_FLOAT_TOL)"),
         ("spectral.py", "_kernel_chain", "max(tol, 1e-10)"),
         ("spectral.py", "_pair_preconditions", "max(tol, 1e-08)")]
 
@@ -366,7 +365,7 @@ def json_encoder_reads(source):
                   and any(alias.name in ("dump", "dumps") for alias in node.names))
 
 
-# the cli's writer is the one report encoder, so every report keeps the one
+# cli._ENCODER is the one report encoder, so every report keeps the one
 # format it writes
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_calls_json_dump(path):
@@ -381,3 +380,49 @@ def test_json_encoder_reads_are_seen():
               "text = json.dumps([], indent=2)\n"
               "doc = json.loads(text)\n")
     assert json_encoder_reads(source) == [2, 4, 5]
+
+
+def json_encoder_builds(sources):
+    """(module, scope) for each call that builds a JSONEncoder, as an
+    attribute or by a name imported from json or json.encoder, in the modules
+    sources maps by name; the scope is the innermost function or class
+    around the call, or "<module>"."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module in ("json", "json.encoder")
+                 for alias in node.names if alias.name == "JSONEncoder"}
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = node.name
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Attribute) and node.func.attr == "JSONEncoder"
+                    or isinstance(node.func, ast.Name) and node.func.id in names):
+                found.append((module, scope))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, "<module>")
+    return sorted(found)
+
+
+# one encoder, built once at import: a second one, or one built per call,
+# is a second place where the report format could drift
+def test_one_report_encoder():
+    assert json_encoder_builds({p.name: p.read_text() for p in SRC.glob("*.py")}) == [
+        ("cli.py", "<module>")]
+
+
+def test_json_encoder_builds_are_seen():
+    sources = {"a.py": "import json\n"
+                       "from json.encoder import JSONEncoder as Enc\n"
+                       "ONE = json.JSONEncoder(indent=2)\n"
+                       "def f(x):\n    return json.JSONEncoder().encode(x)\n"
+                       "class C:\n    enc = Enc()\n",
+               "b.py": "import json\n"
+                       "doc = json.JSONDecoder().decode('{}')\n"
+                       "enc = json.encoder.JSONEncoder(indent=2)\n"}
+    assert json_encoder_builds(sources) == [("a.py", "<module>"), ("a.py", "C"), ("a.py", "f"),
+                                            ("b.py", "<module>")]

@@ -76,6 +76,15 @@ def test_exact_cli_cycle_digest_is_pinned():
         "8254db0921a9fdd1e1f39b618199b3201dc48f1d4835d9b59b2fb94280326446\n")
 
 
+def test_verify_digest_is_pinned():
+    """`verify --suite all --seed 0` gives the same exit code, text and JSON
+    report as before.  A change to a suite's checks or its report changes
+    this digest, and the change that makes it updates the pin."""
+    out = run_script("report_hashes.py", ["verify", "0"]).stdout
+    assert out == ("verify seed 0 sha256 "
+                   "664fbe981b2a6e41274b8043f00e2771594531f5ebdf7401014b7569b507fe99\n")
+
+
 def import_report_hashes():
     sys.path.insert(0, os.path.join(ROOT, "scripts"))
     try:

@@ -583,8 +583,11 @@ ESCALATING = [
 
 def ref_single_linkage(eigs, radius):
     """Single linkage by the pair loop on numpy complex scalars: pairs i < j
-    joined where abs(eigs[i] - eigs[j]) <= radius, clusters listed in the
-    (real, imag) order of their first member."""
+    joined where their distance is at most radius, clusters listed in the
+    (real, imag) order of their first member.  The distances are those of
+    _float_eigenspaces' array expression: numpy's scalar abs may round a
+    distance one ulp away from its array abs, which a tie with the radius
+    shows."""
     parent = list(range(len(eigs)))
 
     def find(a):
@@ -593,9 +596,10 @@ def ref_single_linkage(eigs, radius):
         return a
 
     with np.errstate(all="ignore"):
+        dist = np.abs(eigs[:, None] - eigs[None, :])
         for i in range(len(eigs)):
             for j in range(i + 1, len(eigs)):
-                if abs(eigs[i] - eigs[j]) <= radius:
+                if dist[i, j] <= radius:
                     parent[find(i)] = find(j)
     clusters = {}
     for i in sorted(range(len(eigs)), key=lambda i: (eigs[i].real, eigs[i].imag)):
