@@ -2,10 +2,11 @@
 """Time the benchmark workloads' requests in-process, by slot group.
 
 The requests of the given cycles of a workload's request mix
-(perfbench/workloads.py, only read here) run through `misolab.cli.main`
-in one process and a temporary directory: one untimed pass, so that every
-timed run is warm, then REPS timed rounds over all of them.  A request's
-time is the least of its REPS runs.  The script prints, for each slot group
+(perfbench/workloads.py) run through `misolab.cli.main` in one process
+and a temporary directory, each timed by perfbench's own runner
+(`run_request` in perfbench/worker.py; both modules are only imported):
+one untimed pass, so that every timed run is warm, then REPS timed rounds
+over all of them.  A request's time is the least of its REPS runs.  The script prints, for each slot group
 (a slot's command and kind, such as `order/jordan` or
 `verify/shift-factory`), its number of requests, the sum of their times and
 its share of the total, largest first; then the total and the requests per
@@ -23,39 +24,20 @@ CYCLES is an index, a range `a-b` or a comma-separated list of either.
 """
 
 import argparse
-import contextlib
-import io
 import math
 import os
 import statistics
 import sys
 import tempfile
-import time
 from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+import worker  # noqa: E402
 import workloads  # noqa: E402
 from misolab.cli import main as cli_main  # noqa: E402
 from report_hashes import indexes  # noqa: E402
-
-
-def request_time(req, workdir):
-    """The wall time in seconds of one run of req through cli_main."""
-    req.write_files(workdir)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        t0 = time.perf_counter()
-        try:
-            cli_main(req.resolved_argv(workdir))
-        except SystemExit:
-            pass
-        elapsed = time.perf_counter() - t0
-    for name in [req.meta["out"], *req.files]:
-        path = os.path.join(workdir, name)
-        if os.path.exists(path):
-            os.remove(path)
-    return elapsed
 
 
 def slot_group(req):
@@ -77,10 +59,10 @@ def main(argv=None):
     best = [float("inf")] * len(reqs)
     with tempfile.TemporaryDirectory() as workdir:
         for req in reqs:
-            request_time(req, workdir)
+            worker.run_request(cli_main, req, workdir)
         for _ in range(args.reps):
             for i, req in enumerate(reqs):
-                best[i] = min(best[i], request_time(req, workdir))
+                best[i] = min(best[i], worker.run_request(cli_main, req, workdir)[0])
     groups = defaultdict(lambda: [0, 0.0])
     for req, t in zip(reqs, best):
         groups[slot_group(req)][0] += 1

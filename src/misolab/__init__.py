@@ -59,7 +59,7 @@ from .matrices import (
     vec_sub,
 )
 from .polynomials import Polynomial, falling_factorial_poly
-from .scalars import EXACT, FLOAT, Scalar, same_mode
+from .scalars import EXACT, FLOAT, Scalar, format_rational, same_mode
 from .shifts import (
     ShiftSpec,
     WeightedShiftOperator,
@@ -71,7 +71,6 @@ from .shifts import (
 )
 from .specio import (
     OperatorSpec,
-    format_rational,
     load_spec_file,
     parse_operator_spec,
     parse_rational,

@@ -193,6 +193,8 @@ def _cmd_order(args):
     spec = load_spec_file(args.file)
     if isinstance(spec.operator, WeightedShiftOperator):
         W = spec.operator
+        if args.window is not None:
+            raise PreconditionError("order on a shift spec takes no --window")
         mmax = args.mmax if args.mmax is not None else 8
         if mmax < 1:
             raise PreconditionError("m_max must be at least 1")

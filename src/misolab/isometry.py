@@ -95,7 +95,7 @@ def _check_finite(op, scale, what):
     range: entry by entry only past a finite op.max_abs(), as an inf or nan
     entry has an inf or nan modulus, but a finite one's may overflow."""
     if op.mode == FLOAT and not (math.isfinite(scale) and (
-            math.isfinite(op.max_abs()) or np.isfinite(op._row_parts()[1]).all())):
+            math.isfinite(op.max_abs()) or np.isfinite(op._form[1]).all())):
         raise PreconditionError(f"float overflow: {what} leave float range")
 
 
@@ -338,7 +338,7 @@ def _beta_degrees(op, vectors, window_len, verdict, tol):
     except (DimensionMismatchError, ModeMismatchError, PreconditionError):
         return None
     mode, betas, degrees = op.mode, verdict.defects, []
-    kernel, basis = [b.matrix._row_parts()[1] for b in betas], list(map(_basis_index, vectors))
+    kernel, basis = [b.matrix._form[1] for b in betas], list(map(_basis_index, vectors))
     others = _forms([b.matrix for b in betas], [h for h, i in zip(vectors, basis) if i is None])
     if mode == FLOAT:
         diagonals = np.stack([rows.diagonal() for rows in kernel], axis=1)       # n x m

@@ -38,7 +38,7 @@ np = _lazy_numpy()
 class DenseOperator:
     """Immutable square matrix with all entries in one arithmetic mode."""
 
-    __slots__ = ("dim", "mode", "_rows", "_parts_cache", "_max_abs")
+    __slots__ = ("dim", "mode", "_rows", "_form", "_max_abs")
 
     def __init__(self, rows):
         rows = _square(tuple(tuple(r) for r in rows))
@@ -48,26 +48,30 @@ class DenseOperator:
             raise ModeMismatchError("all matrix entries must share one mode")
         self._rows = rows
         self.dim = dim
-        self.mode = modes.pop()
-        self._parts_cache = self._max_abs = None
+        self.mode = mode = modes.pop()
+        self._max_abs = None
+        # the kernel form (den, rows), taken apart once: exact rows are (re,
+        # im) pairs of int lists; float parts are one dim x dim complex array
+        den, form = _parts([s for r in rows for s in r], mode)
+        self._form = den, (_rows_of(*form, dim) if mode == EXACT else form.reshape(dim, dim))
 
     @staticmethod
     def _from_parts(mode, den, form):
-        """The operator of _row_parts() (den, form), den any common one; it
-        boxes its rows on first read.  Kernels (@, +, -, adjoint, scale) make these."""
+        """The operator of the kernel form (den, form), den any common one;
+        it boxes its rows on first read.  Kernels (@, +, -, adjoint, scale) make these."""
         op = object.__new__(DenseOperator)
         op.dim = len(form)
-        op.mode, op._rows, op._parts_cache, op._max_abs = mode, None, (den, form), None
+        op.mode, op._rows, op._form, op._max_abs = mode, None, (den, form), None
         return op
 
     @property
     def rows(self):
         if self._rows is None:
-            (den, form), mode = self._parts_cache, self.mode
+            (den, form), mode = self._form, self.mode
             if mode == FLOAT:
                 rows = map(_fbox, form.tolist())
             else:
-                rows = ((_box(z, den, mode) for z in zip(*r)) for r in form)
+                rows = ((_scalar(*z, den, mode) for z in zip(*r)) for r in form)
             self._rows = tuple(map(tuple, rows))
         return self._rows
 
@@ -101,7 +105,7 @@ class DenseOperator:
 
     def __matmul__(self, other):
         self._check(other)
-        (da, a_rows), (db, b_rows) = self._row_parts(), other._row_parts()
+        (da, a_rows), (db, b_rows) = self._form, other._form
         if self.mode == FLOAT:
             with np.errstate(all="ignore"):
                 return DenseOperator._from_parts(FLOAT, 1, a_rows @ b_rows)
@@ -111,7 +115,7 @@ class DenseOperator:
     def _combine(self, other, op):
         """self op other on the parts, op being add or sub."""
         self._check(other)
-        (da, a_rows), (db, b_rows) = self._row_parts(), other._row_parts()
+        (da, a_rows), (db, b_rows) = self._form, other._form
         if self.mode == FLOAT:
             with np.errstate(all="ignore"):
                 return DenseOperator._from_parts(FLOAT, 1, op(a_rows, b_rows))
@@ -125,7 +129,7 @@ class DenseOperator:
     __sub__ = partialmethod(_combine, op=sub)
 
     def __neg__(self):
-        den, rows = self._row_parts()
+        den, rows = self._form
         if self.mode == FLOAT:
             return DenseOperator._from_parts(FLOAT, 1, -rows)
         return DenseOperator._from_parts(EXACT, den, [([-x for x in re], [-y for y in im])
@@ -135,7 +139,7 @@ class DenseOperator:
         """c times the operator, c as Scalar arithmetic takes it; in float
         mode each entry is c * z, the Scalar product, bit for bit."""
         mode = self.mode
-        den, rows = self._row_parts()
+        den, rows = self._form
         dc, (p, q) = _scalar_parts(c, mode)
         if mode == FLOAT:
             x, y = rows.real, rows.imag
@@ -147,7 +151,7 @@ class DenseOperator:
 
     def adjoint(self):
         """Conjugate transpose."""
-        den, rows = self._row_parts()
+        den, rows = self._form
         if self.mode == FLOAT:
             return DenseOperator._from_parts(FLOAT, 1, rows.T.conj())
         return DenseOperator._from_parts(EXACT, den, [_conj(c) for c in _columns(rows)])
@@ -163,13 +167,13 @@ class DenseOperator:
     def apply(self, vec):
         self._check_vec(vec)
         mode = self.mode
-        da, a_rows = self._row_parts()
+        da, a_rows = self._form
         dv, v = _parts(vec, mode)
         if mode == FLOAT:
             with np.errstate(all="ignore"):
                 return tuple(_fbox((a_rows @ v).tolist()))
         (re, im), = _scatter([v], _nonzeros(_columns(a_rows)))
-        return tuple(_box(z, da * dv, EXACT) for z in zip(re, im))
+        return tuple(_scalar(*z, da * dv, EXACT) for z in zip(re, im))
 
     def _check_vec(self, vec):
         _check_vector(vec, self.mode, self.dim)
@@ -179,25 +183,13 @@ class DenseOperator:
         checks; a weighted shift answers the same call."""
         return _orbit_windows(self, [(u, v)], count)[0]
 
-    def _row_parts(self):
-        """(den, [form of each row]) from _parts of all the entries; made on
-        first use and kept, since the operator never changes."""
-        if self._parts_cache is None:
-            n = self.dim
-            den, form = _parts([s for r in self.rows for s in r], self.mode)
-            # exact rows are (re, im) pairs of int lists; float parts are one
-            # n x n complex array
-            self._parts_cache = den, (_rows_of(*form, n) if self.mode == EXACT
-                                      else form.reshape(n, n))
-        return self._parts_cache
-
     # -- queries ------------------------------------------------------
 
     def max_abs(self):
         """The largest entry modulus, nan if any is: one reduction, made on
         first use and kept (a kept float form is made read-only)."""
         if self._max_abs is None:
-            den, rows = self._row_parts()
+            den, rows = self._form
             if self.mode == EXACT:
                 # int / int is float(Fraction), whatever den is
                 self._max_abs = max(math.hypot(x / den, y / den)
@@ -210,7 +202,7 @@ class DenseOperator:
 
     def is_zero(self):
         """Exactly zero, in either mode; a tolerance is scalars.negligible's."""
-        rows = self._row_parts()[1]
+        rows = self._form[1]
         if self.mode == EXACT:
             return not any(any(part) for r in rows for part in r)
         return not rows.any()
@@ -328,14 +320,9 @@ def _scalar(re, im, den, mode):
     return Scalar(FLOAT, re, im)
 
 
-def _box(z, den, mode):
-    """The Scalar of the kernel value z = (re, im) over den."""
-    return _scalar(*z, den, mode)
-
-
 def _fbox(values):
     """The Scalars of a list of Python complex, float kernel values."""
-    return [_box((z.real, z.imag), 1, FLOAT) for z in values]
+    return [_scalar(z.real, z.imag, 1, FLOAT) for z in values]
 
 
 def _complex(re, im):
@@ -398,7 +385,7 @@ def _reduced(rows, den):
 def _int_combination(ops, coeffs):
     """sum_k coeffs[k] ops[k] of exact operators and int coefficients, made
     in one pass over the ops' parts over the lcm of their dens, reduced once."""
-    parts = [op._row_parts() for op in ops]
+    parts = [op._form for op in ops]
     den = math.lcm(*(d for d, _ in parts))
     ks = [c * (den // d) for c, (d, _) in zip(coeffs, parts)]
     return DenseOperator._from_parts(EXACT, *_reduced(
@@ -462,7 +449,7 @@ def _echelon(rows):
 def _shifted(T, z):
     """T - zI of an exact T, made from T's parts and z's: z a Scalar, int or
     Fraction as `scale` takes it (a float Scalar raises ModeMismatchError)."""
-    dt, rows = T._row_parts()
+    dt, rows = T._form
     dz, (p, q) = _scalar_parts(z, EXACT)
     den = math.lcm(dt, dz)
     kt, kz = den // dt, den // dz
@@ -483,7 +470,7 @@ def _components(T):
     triangular in that order."""
     n = T.dim
     label, up, down = list(range(n)), [False] * n, [False] * n
-    for i, nz in enumerate(_nonzeros(T._row_parts()[1])):
+    for i, nz in enumerate(_nonzeros(T._form[1])):
         for j, _, _ in nz:
             up[i], down[i] = up[i] or j > i, down[i] or j < i
             if label[j] != label[i]:
@@ -510,7 +497,7 @@ def _row_space_walk(M, components):
     with no walk.  The depth is the largest block's, and the rows go back
     into n columns.  The RREF of a row space is unique, so the kernel of R
     is read with the pivots of M^depth's."""
-    n, (_, rows) = M.dim, M._row_parts()
+    n, (_, rows) = M.dim, M._form
     out, depth = [], 0
     for idx, triangular in components:
         k = len(idx)
@@ -550,9 +537,9 @@ def _orbit_windows(op, pairs, count):
     for u, v in pairs:
         op._check_vec(u)
         op._check_vec(v)
-    dt, rows = op._row_parts()
+    dt, rows = op._form
     if op.mode == EXACT:
-        return [[_box(z, den, EXACT) for z in zip(re, im)] for den, re, im in (
+        return [[_scalar(*z, den, EXACT) for z in zip(re, im)] for den, re, im in (
             _exact_orbit_inners(rows, dt, u, v, count) for u, v in pairs)]
     cols = {id(w): w for pair in pairs for w in pair}
     where = {key: j for j, key in enumerate(cols)}
@@ -572,7 +559,7 @@ def _orbit_norms(op, h, count):
     of _exact_orbit_inners over their lcm, or _orbit_windows' float samples
     of the pair (h, h), bit for bit, as a float64 array over 1."""
     op._check_vec(h)
-    dt, rows = op._row_parts()
+    dt, rows = op._form
     if op.mode == EXACT:
         return _exact_orbit_inners(rows, dt, h, h, count)[:2]
     walk = _float_walk(rows, _parts(h, FLOAT)[1][:, None], count)
@@ -625,7 +612,7 @@ def _reaches_zero(op, h, count):
     """Whether T^k h = 0 for some k <= count, T the exact DenseOperator op
     and h a vector of its mode and length: one _exact_orbit walk up to the
     first zero vector."""
-    dt, rows = op._row_parts()
+    dt, rows = op._form
     walk = islice(_exact_orbit(_nonzeros(_columns(rows)), dt, h), count + 1)
     return any(not (any(re) or any(im)) for _, (re, im) in walk)
 
@@ -641,9 +628,9 @@ def _defect_walk(T):
     (_sparse_scatter), reduced by one gcd, so that a zero entry or row of
     beta costs nothing; the yielded beta's dense rows are filled once.  A
     float step is `@`'s a_star @ beta @ a."""
-    mode, (dt, a) = T.mode, T._row_parts()
+    mode, (dt, a) = T.mode, T._form
     beta = DenseOperator.identity(T.dim, mode)
-    den, b = beta._row_parts()
+    den, b = beta._form
     if mode == FLOAT:
         a_star, scale = a.T.conj(), 1.0
         while True:
@@ -711,7 +698,7 @@ def direct_sum(*ops):
     mode = ops[0].mode
     if any(op.mode != mode for op in ops):
         raise ModeMismatchError("direct_sum mode mismatch")
-    dim, parts = sum(op.dim for op in ops), [op._row_parts() for op in ops]
+    dim, parts = sum(op.dim for op in ops), [op._form for op in ops]
     if mode == FLOAT:
         form, off = np.zeros((dim, dim), dtype=complex), 0
         for _, block in parts:
@@ -784,8 +771,8 @@ def vec_inner(u, v):
     if mode == FLOAT:
         with np.errstate(all="ignore"):
             z = complex(_norms_sq(uf, 0) if v is u else np.vdot(vf, uf))
-        return _box((z.real, z.imag), 1, FLOAT)
-    return _box(_dot(uf, _conj(vf)), du * dv, EXACT)
+        return _scalar(z.real, z.imag, 1, FLOAT)
+    return _scalar(*_dot(uf, _conj(vf)), du * dv, EXACT)
 
 
 def vec_norm_sq(u):
@@ -830,7 +817,7 @@ def _polarization_values(B):
     i (B_ab - B_ba) for e_a + i e_b.  Exact mode reads |Re <B h, h>| times
     B's den, with no float; float mode reads the modulus, and raises the
     float-overflow error if any value leaves float range."""
-    n, (_, rows) = B.dim, B._row_parts()
+    n, (_, rows) = B.dim, B._form
     if B.mode == EXACT:
         re, im = [r for r, _ in rows], [i for _, i in rows]
         return [abs(re[a][a] if b is None else re[a][a] + re[b][b] + (
@@ -868,7 +855,7 @@ def _forms(ops, us, vs=None):
     if ops[0].mode == FLOAT:
         U = np.stack([_parts(u, FLOAT)[1] for u in us], axis=1)              # n x q
         with np.errstate(all="ignore"):
-            images = np.stack([B._row_parts()[1] for B in ops]) @ U         # m x n x q
+            images = np.stack([B._form[1] for B in ops]) @ U               # m x n x q
             if vs is None:
                 forms = (images * U.conj()).sum(axis=1)[..., None]          # m x q x 1
             else:
@@ -877,7 +864,7 @@ def _forms(ops, us, vs=None):
         for per_u in forms.transpose(1, 0, 2).tolist():
             yield [[(1, z.real, z.imag) for z in row] for row in per_u]
         return
-    parts = [B._row_parts() for B in ops]
+    parts = [B._form for B in ops]
     ws = None if vs is None else [(d, *_nonzeros([_conj(f)]))
                                   for d, f in (_parts(v, EXACT) for v in vs)]
     for u in us:
@@ -910,7 +897,7 @@ def _eigen_range(B):
     """(lambda_min, max |lambda|) of the float Hermitian operator B, from
     LAPACK's eigenvalues (numpy's eigvalsh, which reads B's lower triangle
     and lists them ascending)."""
-    eigs = np.linalg.eigvalsh(B._row_parts()[1])
+    eigs = np.linalg.eigvalsh(B._form[1])
     return float(eigs[0]), max(-float(eigs[0]), float(eigs[-1]))
 
 
@@ -918,7 +905,7 @@ def _log_abs_det(A):
     """log |det A| of the float operator A, the sum of the logs of its
     singular values (LAPACK's, as numpy's svd gives them); -inf if one is 0."""
     with np.errstate(divide="ignore"):
-        return float(np.log(np.linalg.svd(A._row_parts()[1], compute_uv=False)).sum())
+        return float(np.log(np.linalg.svd(A._form[1], compute_uv=False)).sum())
 
 
 def _largest(moduli):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ModeMismatchError, PreconditionError
+from .errors import ModeMismatchError, PreconditionError, SpecFileError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -223,3 +223,18 @@ def negligible(value, mode, tol, magnitude, what):
     if not isinstance(value, (int, float)):
         value = value.modulus() if isinstance(value, Scalar) else value.max_abs()
     return bool(value <= thr)
+
+
+def format_rational(s):
+    """Render an exact Scalar in the spec-file grammar."""
+    if s.mode != EXACT:
+        raise SpecFileError("format_rational requires an exact scalar")
+    out = _frac_str(s.re)
+    if s.im != 0:
+        sign = "+" if s.im > 0 else "-"
+        out += f"{sign}{_frac_str(abs(s.im))}i"
+    return out
+
+
+def _frac_str(f):
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"

@@ -18,7 +18,7 @@ import sys
 from .errors import SpecFileError
 from .matrices import _entry_operator, direct_sum
 from .polynomials import Polynomial
-from .scalars import EXACT, FLOAT, Scalar, _frac
+from .scalars import EXACT, FLOAT, Scalar, _frac, format_rational
 from .shifts import shift_from_polynomial
 from .spectral import JordanSpec, jordan_matrix
 
@@ -77,21 +77,6 @@ def _json_int(digits):
         return int(digits)
     except ValueError as exc:
         raise _too_long("spec file") from exc
-
-
-def format_rational(s):
-    """Render an exact Scalar in the spec-file grammar."""
-    if s.mode != EXACT:
-        raise SpecFileError("format_rational requires an exact scalar")
-    out = _frac_str(s.re)
-    if s.im != 0:
-        sign = "+" if s.im > 0 else "-"
-        out += f"{sign}{_frac_str(abs(s.im))}i"
-    return out
-
-
-def _frac_str(f):
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _is_int(value):

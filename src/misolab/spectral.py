@@ -56,7 +56,7 @@ from .matrices import (
     vec_scale,
     vec_sub,
 )
-from .scalars import EXACT, FLOAT, Scalar, negligible
+from .scalars import EXACT, FLOAT, Scalar, format_rational, negligible
 
 CLUSTER_TOL = 1e-6
 # single-linkage radius escalation factor used when a cluster's kernel
@@ -145,7 +145,7 @@ def exact_nullspace(A):
     matrices._echelon: only the returned entries are made Scalars.  The
     generalized eigenspaces call it once per hint, on the rows that
     matrices._row_space_walk ends with."""
-    rows, pivots = _echelon(A._row_parts()[1])
+    rows, pivots = _echelon(A._form[1])
     zero, one = Scalar.zero(EXACT), Scalar.one(EXACT)
     basis = []
     for fc in (c for c in range(A.dim) if c not in pivots):
@@ -164,7 +164,7 @@ def exact_nullspace(A):
 def to_numpy(T):
     if T.mode != FLOAT:
         raise ModeMismatchError("numpy bridge requires float mode")
-    return T._row_parts()[1].copy()
+    return T._form[1].copy()
 
 
 def from_numpy(arr):
@@ -401,8 +401,6 @@ def _fmt_scalar(s, tol):
     those digits read as unimodular, a float s gets the shortest digits that
     round-trip (1.0000005+0.0i, not 1+0i) and an exact s its exact value, as
     an exact s beyond float range does."""
-    # specio imports this module
-    from .specio import format_rational
     try:
         re, im = float(s.re), float(s.im)
     except OverflowError:

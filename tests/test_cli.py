@@ -175,6 +175,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "order_bound: 3" in out and "strict_at_bound: True" in out
 
+    def test_exact_perturb_beyond_float_range(self, tmp_path, capsys):
+        # N = 10^200 S, S the 2 x 2 shift: the defects of J_2(1) + N hold
+        # integers past float range, and the exact cross-checks stay in them
+        a = write(tmp_path, "a.json", {"mode": "exact", "jordan_blocks": [{"z": "1", "size": 2}]})
+        n = write(tmp_path, "n.json",
+                  {"mode": "exact", "matrix": [["0", str(10 ** 200)], ["0", "0"]]})
+        out = tmp_path / "r.json"
+        assert main(["perturb", a, n, f"--output={out}"]) == 0
+        capsys.readouterr()
+        perturb = json.loads(out.read_text())["perturbation"]
+        assert (perturb["base_order"], perturb["nilpotency_index"], perturb["order_bound"],
+                perturb["bound_verified"]) == (3, 2, 5, True)
+
     def test_exact_report_is_byte_identical(self, tmp_path, capsys):
         path = write(tmp_path, "j.json",
                      {"mode": "exact", "jordan_blocks": [{"z": "0+1i", "size": 2}]})
@@ -241,6 +254,14 @@ class TestExitCodes:
         path = write(tmp_path, "e.json", EXAMPLE_DOC)
         assert main(["order", path, "--mmax", "0"]) == 3
         assert "m_max must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, polynomial", [("exact", ["1", "1"]), ("float", [1.0, 1.0])])
+    @pytest.mark.parametrize("window", ["3", "1"])
+    def test_order_on_a_shift_refuses_window_with_3(self, tmp_path, capsys, mode, polynomial,
+                                                    window):
+        path = write(tmp_path, "s.json", {"mode": mode, "shift": {"polynomial": polynomial}})
+        assert main(["order", path, "--window", window]) == 3
+        assert capsys.readouterr().err == "error: order on a shift spec takes no --window\n"
 
     def test_suite_violation_is_4(self, capsys, monkeypatch):
         def failing(seed):

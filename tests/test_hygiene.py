@@ -426,3 +426,29 @@ def test_json_encoder_builds_are_seen():
                        "enc = json.encoder.JSONEncoder(indent=2)\n"}
     assert json_encoder_builds(sources) == [("a.py", "<module>"), ("a.py", "C"), ("a.py", "f"),
                                             ("b.py", "<module>")]
+
+
+def nested_imports(source):
+    """Lines of the import statements that are not in the module body: an
+    import inside a function runs on every call and hides a module's
+    dependencies from its top."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_nested_imports_are_seen():
+    source = ("import math\n"
+              "def f(x):\n"
+              "    import json\n"
+              "    return json.dumps(math.floor(x))\n"
+              "def g():\n"
+              "    from .specio import format_rational\n"
+              "    return format_rational\n")
+    assert nested_imports(source) == [3, 6]

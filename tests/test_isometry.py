@@ -60,6 +60,17 @@ class TestDefect:
     def test_order_zero_is_identity(self):
         assert defect(J12, 0).matrix == DenseOperator.identity(2, EXACT)
 
+    def test_exact_defects_beyond_float_range_stay_in_integers(self):
+        # J_2(10^200): every defect entry is past float range, and the exact
+        # cross-check against the binomial sum never turns one into a float
+        z = 10 ** 200
+        T = jordan_matrix(JordanSpec(Scalar.exact(z), 2))
+        for m in range(1, 5):
+            assert not defect(T, m).matrix.is_zero()
+        assert defect(T, 1).matrix.rows[0][0] == Scalar.exact(1 - z * z)
+        assert not is_m_isometry(T, 3)
+        assert strict_order(T).describe() == "not-within-bound(5)"
+
     def test_defect_is_hermitian(self):
         rng = random.Random(5)
         for _ in range(5):

@@ -47,9 +47,9 @@ from misolab.isometry import (
     _grams,
     _nonzero_form_witness,
 )
-from misolab.matrices import (_box, _defect_walk, _forms, _int_form, _orbit_windows,
-                              _polarization_values, _polarization_vector, basis_vector,
-                              polarization_pairs, vec_max_abs)
+from misolab.matrices import (_defect_walk, _forms, _int_form, _orbit_windows,
+                              _polarization_values, _polarization_vector, _scalar,
+                              basis_vector, polarization_pairs, vec_max_abs)
 from misolab.scalars import EXACT, FLOAT, negligible, zero_threshold
 from misolab.specio import load_spec_file, parse_entry, parse_operator_spec
 from misolab.spectral import _strictness_criterion, from_numpy
@@ -238,7 +238,7 @@ class TestExactKernels:
             square(n, hermitian, [Scalar.exact(x, y) for x, y in entries])))
         assert _nonzero_form_witness(beta, 0.0) == ref_nonzero_form_witness(beta, 0.0)
         # beta over a denominator k times its least one, as _defects makes it
-        den, rows = beta.matrix._row_parts()
+        den, rows = beta.matrix._form
         scaled = DenseOperator._from_parts(EXACT, den * k, [([x * k for x in re], [y * k for y in im])
                                                             for re, im in rows])
         assert scaled == beta.matrix
@@ -595,7 +595,7 @@ def ref_scatter_forms(ops, us, vs=None):
     u scattered through B's nonzero columns into all of B u (apply's
     kernel), then dotted with each conjugated v (vec_inner's kernel)."""
     cols = [(den, matrices._nonzeros(matrices._columns(rows)))
-            for den, rows in (B._row_parts() for B in ops)]
+            for den, rows in (B._form for B in ops)]
     ws = None if vs is None else [(d, matrices._conj(f))
                                   for d, f in (matrices._parts(v, EXACT) for v in vs)]
     for u in us:
@@ -671,7 +671,7 @@ class TestFormReaders:
             assert len(per_op) == len(ops)
             for B, row in zip(ops, per_op):
                 against = [u] if vs is None else vs
-                values = [_box((re, im), den, B.mode) for den, re, im in row]
+                values = [_scalar(re, im, den, B.mode) for den, re, im in row]
                 ref = [ref_inner(ref_apply(B, u), v) for v in against]
                 if B.mode == EXACT:
                     assert values == ref
@@ -686,7 +686,7 @@ class TestFormReaders:
     @settings(max_examples=80, deadline=None)
     def test_polarization_values_are_the_vector_loop(self, B):
         # exact: |Re <B h, h>| times B's den; float: |<B h, h>| within form_slack
-        den, cands = B._row_parts()[0], basis_candidates(B.dim, B.mode)
+        den, cands = B._form[0], basis_candidates(B.dim, B.mode)
         values = outcome(lambda: list(_polarization_values(B)))
         if isinstance(values, tuple):
             # a float form left float range: some candidate is near overflow
@@ -750,9 +750,9 @@ def test_a_nan_modulus_is_seen_wherever_it_sits(row):
 
 def record_kernel_reads(monkeypatch):
     """(converted, boxed): the Scalar lists that matrices._parts takes apart,
-    and the arguments of each Scalar that matrices._scalar or _box makes."""
+    and the arguments of each Scalar that matrices._scalar makes."""
     converted, boxed = [], []
-    real_parts, real_scalar, real_box = matrices._parts, matrices._scalar, matrices._box
+    real_parts, real_scalar = matrices._parts, matrices._scalar
 
     def counting(scalars, mode):
         converted.append(scalars)
@@ -762,34 +762,32 @@ def record_kernel_reads(monkeypatch):
         boxed.append(args)
         return real_scalar(*args)
 
-    def box(*args):
-        boxed.append(args)
-        return real_box(*args)
-
     monkeypatch.setattr(matrices, "_parts", counting)
     monkeypatch.setattr(matrices, "_scalar", scalar)
-    monkeypatch.setattr(matrices, "_box", box)
     return converted, boxed
 
 
 def test_strict_order_takes_each_operator_apart_once(monkeypatch):
-    """strict_order takes apart only a T built from Scalars, once, in either
-    mode: an operator of the kernel-form constructors (jordan_matrix here),
-    and the identity the walk starts from, are taken apart zero times; T*,
+    """A T built from Scalars is taken apart once, at construction, on the
+    caller's own Scalars, in either mode; strict_order then takes nothing
+    apart: an operator of the kernel-form constructors (jordan_matrix here)
+    and the identity the walk starts from hold their form from birth; T*,
     the Gram operators, the products T* G_k and every beta_m are made from
     parts, so no product or beta entry becomes a Scalar."""
     converted, boxed = record_kernel_reads(monkeypatch)
     for mode in (EXACT, FLOAT):
         built = jordan_matrix(JordanSpec(z=Scalar.one(mode), size=4))
-        from_scalars = DenseOperator(built.rows)
-        for T, times in ((built, 0), (from_scalars, 1)):
+        rows = built.rows
+        converted.clear()
+        from_scalars = DenseOperator(rows)
+        assert len(converted) == 1
+        entries = [s for r in rows for s in r]
+        assert [s is t for s, t in zip(converted[0], entries)] == [True] * 16
+        for T in (built, from_scalars):
             converted.clear()
             boxed.clear()
             assert strict_order(T).describe() == "strict-order(7)"
-            assert boxed == []
-            assert len(converted) == times
-        entries = [s for r in from_scalars.rows for s in r]
-        assert [s is t for s, t in zip(converted[0], entries)] == [True] * 16
+            assert (converted, boxed) == ([], [])
 
 
 def parts_bits(s):
@@ -799,12 +797,12 @@ def parts_bits(s):
 
 def assert_same_operator(got, want):
     """got, made in the kernel form, and want, a DenseOperator of Scalars,
-    have the same Scalar rows and the same _row_parts(): den, and a form of
+    have the same Scalar rows and the same _form: den, and a form of
     ints or complex128 of the same bits."""
     assert (got.mode, got.dim) == (want.mode, want.dim)
     assert [list(map(parts_bits, r)) for r in got.rows] == \
         [list(map(parts_bits, r)) for r in want.rows]
-    (got_den, got_form), (want_den, want_form) = got._row_parts(), want._row_parts()
+    (got_den, got_form), (want_den, want_form) = got._form, want._form
     assert got_den == want_den
     if got.mode == FLOAT:
         assert got_form.dtype == want_form.dtype == complex
@@ -994,13 +992,13 @@ class TestOrbitWindows:
         v = (Scalar.exact(Fraction(1, r)), Scalar.exact(r))
         expected = [orbit_window(T, u, w, 30) for w in (u, v)]
         dens = []
-        real = matrices._box
+        real = matrices._scalar
 
-        def recording(z, den, mode):
+        def recording(re, im, den, mode):
             dens.append(den)
-            return real(z, den, mode)
+            return real(re, im, den, mode)
 
-        monkeypatch.setattr(matrices, "_box", recording)
+        monkeypatch.setattr(matrices, "_scalar", recording)
         assert [kernel_window(T, u, w, 30) for w in (u, v)] == expected
         assert len(dens) == 60 and max(dens) <= (q * q * r) ** 2
 
@@ -1050,7 +1048,7 @@ def test_exact_forms_read_no_operator_apart(monkeypatch):
         monkeypatch.setattr(matrices, name, counting)
     T = jordan_matrix(JordanSpec(z=Scalar.exact(Fraction(3, 5), Fraction(4, 5)), size=4))
     ops = [T, T.adjoint() @ T, DenseOperator.identity(4, EXACT)]
-    rows = [r for B in ops for r in B._row_parts()[1]]
+    rows = [r for B in ops for r in B._form[1]]
     us = [basis_vector(4, 2, EXACT), tuple(Scalar.exact(j + 1, -j) for j in range(4))]
     for vs in (None, us, [us[1], basis_vector(4, 0, EXACT)]):
         calls.clear()
@@ -1421,7 +1419,7 @@ class TestSparseKernels:
         for x, y in ((a, b), (b, a), (a.adjoint(), b), (a.adjoint() @ b, a)):
             got, ref = x @ y, DenseOperator(ref_matmul(x, y))
             assert got.rows == ref.rows and all(fractions(s) for r in got.rows for s in r)
-            assert got._row_parts() == ref._row_parts()
+            assert got._form == ref._form
 
     @given(sparse_dims.flatmap(lambda n: st.tuples(sparse_operators(n), sparse_vectors(n))))
     @settings(max_examples=40, deadline=None)
@@ -1567,7 +1565,7 @@ class TestDefectWalk:
     def test_exact_walk_is_the_binomial_sum(self, T, m):
         walk = list(islice(_defect_walk(T), m + 1))
         for (beta, scale), ref in zip(walk, binomial_defects(T, m)):
-            assert beta.rows == ref.rows and beta._row_parts() == ref._row_parts()
+            assert beta.rows == ref.rows and beta._form == ref._form
             assert scale == 1.0
 
     @given(walk_operators())
@@ -1578,7 +1576,7 @@ class TestDefectWalk:
         # the parts of beta - T* beta T made by the generic kernels
         ref, Tstar = DenseOperator.identity(T.dim, EXACT), T.adjoint()
         for beta, _ in islice(_defect_walk(T), 2 * T.dim + 2):
-            assert beta._row_parts() == ref._row_parts()
+            assert beta._form == ref._form
             ref = ref - Tstar @ ref @ T
 
     @given(st.integers(0, 12), dims.flatmap(float_operators))
@@ -1586,13 +1584,13 @@ class TestDefectWalk:
     def test_float_walk_is_the_operator_arithmetic(self, m, T):
         for (beta, scale), (ref, ref_scale) in zip(islice(_defect_walk(T), m + 1),
                                                    operator_defect_walk(T, m)):
-            assert beta._row_parts()[1].tobytes() == ref._row_parts()[1].tobytes()
+            assert beta._form[1].tobytes() == ref._form[1].tobytes()
             assert scale.hex() == ref_scale.hex()
 
 
 def fresh_max_abs(op):
     """The largest entry modulus of a float operator, reduced afresh."""
-    return float(np.abs(op._row_parts()[1]).max())
+    return float(np.abs(op._form[1]).max())
 
 
 def ref_first_overflow(T, m_max):
@@ -1600,7 +1598,7 @@ def ref_first_overflow(T, m_max):
     tested entry by entry as the finiteness check did before operators
     kept max_abs; None if there is none.  The steps are the walk's own
     array operations, so the bits are the kernel's."""
-    a = T._row_parts()[1]
+    a = T._form[1]
     b, scale = np.eye(T.dim, dtype=complex), 1.0
     with np.errstate(all="ignore"):
         for m in range(1, m_max + 1):
@@ -1693,7 +1691,7 @@ class TestMaxAbsMemo:
         op = flt_operator([[1.0, 2.0], [3.0, 4.0]])
         assert op.max_abs() == 4.0
         with pytest.raises(ValueError):
-            op._row_parts()[1][0, 0] = 9.0
+            op._form[1][0, 0] = 9.0
         assert op.max_abs() == fresh_max_abs(op) == 4.0
 
 
@@ -1856,7 +1854,7 @@ def test_exact_products_visit_only_nonzero_pairs():
     Counted = counting_ints(mults)
     T = direct_sum(*(jordan_matrix(JordanSpec(z=z, size=4)) for z in (
         Scalar.exact(1), Scalar.exact(0, 1), Scalar.exact(Fraction(3, 5), Fraction(4, 5)))))
-    den, rows = T._row_parts()
+    den, rows = T._form
     counted = DenseOperator._from_parts(EXACT, den, [tuple(list(map(Counted, part)) for part in r)
                                                      for r in rows])
     G = next(islice(_grams(T), 2, None))
@@ -2070,14 +2068,13 @@ def test_scalar_kernels_box_only_their_results(monkeypatch):
         assert value == Scalar.from_int(162, mode)
     monkeypatch.undo()
     monkeypatch.setattr(matrices, "_scalar", refused)
-    monkeypatch.setattr(matrices, "_box", refused)
     T = jordan_matrix(JordanSpec(z=Scalar.exact(Fraction(3, 5), Fraction(4, 5)), size=3))
     z = Scalar.exact(Fraction(3, 5), Fraction(4, 5))
     zI = DenseOperator.identity(3, EXACT).scale(z)
     N = T - zI
-    assert N._row_parts() == (1, [([0, 1, 0], [0, 0, 0]), ([0, 0, 1], [0, 0, 0]),
+    assert N._form == (1, [([0, 1, 0], [0, 0, 0]), ([0, 0, 1], [0, 0, 0]),
                                   ([0, 0, 0], [0, 0, 0])])
-    assert zI._row_parts() == (5, [([3 * (i == j) for j in range(3)],
+    assert zI._form == (5, [([3 * (i == j) for j in range(3)],
                                     [4 * (i == j) for j in range(3)]) for i in range(3)])
 
 
@@ -2178,7 +2175,7 @@ def test_exact_defect_walk_visits_only_nonzero_pairs():
     T = direct_sum(*(jordan_matrix(JordanSpec(z=z, size=k)) for z, k in (
         (Scalar.exact(1), 1), (Scalar.exact(0, 1), 1), (Scalar.exact(-1), 1),
         (Scalar.exact(Fraction(3, 5), Fraction(4, 5)), 4))))
-    den, rows = T._row_parts()
+    den, rows = T._form
     counted = DenseOperator._from_parts(EXACT, den, [tuple(list(map(Counted, part)) for part in r)
                                                      for r in rows])
     walk, ref, Tstar = _defect_walk(counted), DenseOperator.identity(7, EXACT), T.adjoint()
@@ -2189,7 +2186,7 @@ def test_exact_defect_walk_visits_only_nonzero_pairs():
             assert not any(not s.is_zero() for r in beta[:3] for s in r) and nonzeros <= 16
         mults.clear()
         got, _ = next(walk)
-        assert got._row_parts() == ref._row_parts()
+        assert got._form == ref._form
         if m:   # beta_0 is yielded before any step
             assert 0 < len(mults) <= bound < 4 * 2 * 7 ** 3
         bound = 4 * (nonzero_pairs(beta, T.rows) + nonzero_pairs(Tstar.rows, c)) + 2 * nonzeros
@@ -2205,7 +2202,7 @@ class TestDefectCrossCheck:
         def corrupted(T):
             for m, (beta, scale) in enumerate(real(T)):
                 if m == 3:
-                    den, rows = beta._row_parts()
+                    den, rows = beta._form
                     rows = [(list(re), list(im)) for re, im in rows]
                     rows[1][0][2] += 1
                     beta = DenseOperator._from_parts(EXACT, den, rows)

@@ -150,7 +150,7 @@ def ref_nullspace(rows):
 
 def rref(A):
     """(RREF rows as exact Scalars, pivot cols) from matrices._echelon's integer rows."""
-    rows, pivots = _echelon(A._row_parts()[1])
+    rows, pivots = _echelon(A._form[1])
     return [[_rref_entry(row, c, j) for j in range(A.dim)] for row, c in zip(rows, pivots)], pivots
 
 
@@ -226,7 +226,7 @@ class TestExactElimination:
         A = DenseOperator([list(r) + [zero] * (dim - len(r)) for r in rows]
                           + [[zero] * dim for _ in range(dim - len(rows))])
         scaled = [([a * x - b * y for x, y in zip(re, im)], [a * y + b * x for x, y in zip(re, im)])
-                  for (re, im), (a, b) in zip(A._row_parts()[1], factors)]
+                  for (re, im), (a, b) in zip(A._form[1], factors)]
         red, pivots = rref(A)
         got, got_pivots = _echelon(scaled)
         assert got_pivots == pivots and len(got) == len(red)
@@ -347,7 +347,7 @@ class TestRowSpaceWalk:
     def test_walk_is_the_powers_chain(self, case):
         T, hints = WALK_CASES[case]
         if case.startswith("dense"):
-            den, rows = T._row_parts()
+            den, rows = T._form
             assert den > 1 and all(all(re) and all(im) for re, im in rows)
         ref = []
         for z in hints:
