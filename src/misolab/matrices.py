@@ -50,7 +50,7 @@ class DenseOperator:
         self.dim = dim
         self.mode = mode = modes.pop()
         self._max_abs = None
-        # the kernel form (den, rows), taken apart once: exact rows are (re,
+        # the kernel form (den, form), taken apart once: exact rows are (re,
         # im) pairs of int lists; float parts are one dim x dim complex array
         den, form = _parts([s for r in rows for s in r], mode)
         self._form = den, (_rows_of(*form, dim) if mode == EXACT else form.reshape(dim, dim))
