@@ -58,7 +58,7 @@ from .matrices import (
     vec_scale,
     vec_sub,
 )
-from .polynomials import Polynomial, falling_factorial_poly
+from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, Scalar, format_rational, same_mode
 from .shifts import (
     ShiftSpec,

@@ -23,7 +23,6 @@ from .diffcalc import DEFAULT_FLOAT_TOL, default_window_len
 from .errors import MisolabError, PreconditionError, SpecFileError
 from .isometry import DEFAULT_DEFECT_TOL, default_m_max, local_isometry_survey
 from .matrices import DenseOperator, basis_vector
-from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, Scalar
 from .shifts import (
     WeightedShiftOperator,
@@ -32,7 +31,6 @@ from .shifts import (
 )
 from .specio import (
     load_spec_file,
-    parse_entry,
     parse_rational,
     scalar_to_report,
 )
@@ -256,9 +254,7 @@ def _cmd_shift(args):
     spec = load_spec_file(args.file)
     if not isinstance(spec.operator, WeightedShiftOperator):
         raise PreconditionError("shift command needs a shift spec")
-    body = spec.source["shift"]
-    p = Polynomial([parse_entry(c, spec.mode) for c in body["polynomial"]],
-                   mode=spec.mode)
+    p = spec.generator
     certified = newton_coefficients_nonnegative(p)
     report = _base_report("shift", spec, {"m": args.m, "tol": args.tol})
     report["shift"] = {

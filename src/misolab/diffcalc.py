@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, lru_cache
+from itertools import zip_longest
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -22,7 +23,7 @@ from .errors import (
     WindowTooShortError,
 )
 from .matrices import _int_form, _scalar, np
-from .polynomials import Polynomial, falling_factorial_poly
+from .polynomials import Polynomial, _trimmed
 from .scalars import EXACT, FLOAT, Scalar, negligible, same_mode, zero_threshold
 
 DEFAULT_FLOAT_TOL = 1e-9
@@ -88,15 +89,15 @@ class OrbitSequence:
     def window_len(self):
         return len(self._form[1])
 
-    @staticmethod
-    def from_reals(reals, mode):
-        if mode == EXACT:
-            return OrbitSequence([Scalar.exact(r) for r in reals])
-        return OrbitSequence([Scalar.flt(r) for r in reals])
-
     def max_abs(self):
+        """The largest |sample|; inf for an exact sample past float range."""
         den, reals = self._form
-        return float(np.abs(reals).max()) if self.mode == FLOAT else max(map(abs, reals)) / den
+        if self.mode == FLOAT:
+            return float(np.abs(reals).max())
+        try:
+            return max(map(abs, reals)) / den
+        except OverflowError:
+            return math.inf
 
 
 def _not_finite(n):
@@ -360,15 +361,31 @@ def newton_reconstruct(gamma, tol=DEFAULT_FLOAT_TOL):
     """Newton interpolation: p(n) = sum_k (Delta^k gamma)_0 / k! * (n)_k.
 
     Requires a polynomial degree verdict; reproduces every sample in the
-    window (exactly in exact mode) and has the detected degree.
+    window (exactly in exact mode) and has the detected degree.  The sum is
+    made on coefficient lists, with (n)_(k+1) = (n)_k (n - k): each
+    coefficient is the Scalar products and sums of schoolbook polynomial
+    arithmetic in their order, trailing zeros dropped after each term and
+    sum, so float coefficients keep the bits of that arithmetic.  One
+    Polynomial is made, the result.
     """
     verdict, table = _detect_degree(gamma, tol)
     if not verdict.polynomial:
         raise NotPolynomialError(
             "sequence is not polynomial within its window; cannot reconstruct"
         )
-    p = Polynomial.zero(gamma.mode)
-    for k in range(0 if verdict.zero_sequence else verdict.degree + 1):
-        coeff = table.row(k)[0] / Scalar.from_int(math.factorial(k), gamma.mode)
-        p = p + falling_factorial_poly(k, gamma.mode).scale(coeff)
-    return p
+    mode = gamma.mode
+    zero, one = Scalar.zero(mode), Scalar.one(mode)
+    last = -1 if verdict.zero_sequence else verdict.degree
+    total, falling = [], [one]
+    for k in range(last + 1):
+        coeff = table.row(k)[0] / Scalar.from_int(math.factorial(k), mode)
+        term = _trimmed([coeff * a for a in falling])
+        total = _trimmed([a + b for a, b in zip_longest(total, term, fillvalue=zero)])
+        if k < last:
+            # (n)_k (n - k); its last coefficient is 0 + 1 * 1, never trimmed
+            out, minus_k = [zero] * (len(falling) + 1), Scalar.from_int(-k, mode)
+            for j, f in enumerate(falling):
+                out[j] = out[j] + f * minus_k
+                out[j + 1] = out[j + 1] + f * one
+            falling = out
+    return Polynomial(total, mode=mode)

@@ -186,14 +186,18 @@ class DenseOperator:
     # -- queries ------------------------------------------------------
 
     def max_abs(self):
-        """The largest entry modulus, nan if any is: one reduction, made on
-        first use and kept (a kept float form is made read-only)."""
+        """The largest entry modulus, nan if any is and inf for an exact
+        entry past float range: one reduction, made on first use and kept (a
+        kept float form is made read-only)."""
         if self._max_abs is None:
             den, rows = self._form
             if self.mode == EXACT:
                 # int / int is float(Fraction), whatever den is
-                self._max_abs = max(math.hypot(x / den, y / den)
-                                    for re, im in rows for x, y in zip(re, im))
+                try:
+                    self._max_abs = max(math.hypot(x / den, y / den)
+                                        for re, im in rows for x, y in zip(re, im))
+                except OverflowError:
+                    self._max_abs = math.inf
             else:
                 # np.max keeps a nan wherever it sits
                 self._max_abs = float(np.abs(rows).max())

@@ -83,10 +83,6 @@ class WeightedShiftOperator:
         return (Scalar.zero(self.mode),
                 *(c if c.is_zero() else self.weight(i) * c for i, c in enumerate(v)))
 
-    def orbit_norm_sq(self, j, n):
-        """||W^n e_j||^2 as a telescoping product of squared weights."""
-        return math.prod(self._prefix(j, n), start=Scalar.one(self.mode))
-
     def basis_orbit(self, j, window_len):
         """The window ||W^n e_j||^2, n < window_len, born in its kernel form:
         _norms_sq's floats as one float64 array, or its ints over their lcm."""

@@ -136,12 +136,13 @@ def scalar_to_report(s):
 class OperatorSpec:
     """A parsed spec file."""
 
-    def __init__(self, mode, kind, operator, eigen_hints, source):
+    def __init__(self, mode, kind, operator, eigen_hints, source, generator):
         self.mode = mode
         self.kind = kind                # "matrix" | "jordan_blocks" | "shift"
         self.operator = operator        # DenseOperator or WeightedShiftOperator
         self.eigen_hints = eigen_hints  # tuple of Scalars, or None
         self.source = source            # the JSON document parsed
+        self.generator = generator      # a shift spec's Polynomial, or None
 
 
 def parse_operator_spec(doc):
@@ -156,7 +157,7 @@ def parse_operator_spec(doc):
             'spec must contain exactly one of "matrix", "jordan_blocks", "shift"'
         )
     kind = kinds[0]
-    hints = None
+    hints = p = None
     if "eigen_hints" in doc:
         hints = tuple(parse_entry(e, mode)
                       for e in _json_list(doc["eigen_hints"], '"eigen_hints"'))
@@ -200,7 +201,8 @@ def parse_operator_spec(doc):
         if p.is_zero():
             raise SpecFileError("shift polynomial must be nonzero")
         op = shift_from_polynomial(p, prefix)
-    return OperatorSpec(mode=mode, kind=kind, operator=op, eigen_hints=hints, source=doc)
+    return OperatorSpec(mode=mode, kind=kind, operator=op, eigen_hints=hints, source=doc,
+                        generator=p)
 
 
 def _json_list(value, what):

@@ -7,12 +7,13 @@ import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from misolab import diffcalc, isometry, shifts, spectral, suites
-from misolab import parse_operator_spec, serialize_operator_spec
+from misolab import Polynomial, Scalar, parse_operator_spec, serialize_operator_spec
 from misolab.cli import _command_parsers, _parse_args, main
 from misolab.diffcalc import DEFAULT_FLOAT_TOL
 from misolab.errors import SpecFileError
@@ -73,6 +74,12 @@ class TestSpecRoundTrip:
         spec = parse_operator_spec(doc)
         doc2 = serialize_operator_spec(spec)
         assert serialize_operator_spec(parse_operator_spec(doc2)) == doc2
+
+    def test_shift_spec_keeps_its_generator(self):
+        doc = {"mode": "exact", "shift": {"polynomial": ["1", "1/2", "0"], "prefix": 16}}
+        spec = parse_operator_spec(doc)
+        assert spec.generator == Polynomial([Scalar.exact(1), Scalar.exact(Fraction(1, 2))])
+        assert parse_operator_spec(EXAMPLE_DOC).generator is None
 
     def test_float_spec(self):
         doc = {"mode": "float", "matrix": [[[0.0, 1.0], [2.0, 0.0]],

@@ -28,12 +28,16 @@ from misolab import (
 )
 from misolab import diffcalc
 from misolab.matrices import _int_form, _scalar, np, vec_max_abs
-from misolab.polynomials import falling_factorial_poly
 from misolab.scalars import EXACT, FLOAT, negligible, zero_threshold
 
 
+def reals_window(reals, mode):
+    """The window of the reals (ints, Fractions or floats) as Scalars of mode."""
+    return OrbitSequence([Scalar.exact(r) if mode == EXACT else Scalar.flt(r) for r in reals])
+
+
 def seq(values):
-    return OrbitSequence.from_reals(values, EXACT)
+    return reals_window(values, EXACT)
 
 
 class TestDifferenceTable:
@@ -57,20 +61,6 @@ class TestDifferenceTable:
             difference_table(seq([1, 2]), 2)
 
 
-class TestFallingFactorial:
-    def test_examples(self):
-        assert falling_factorial_poly(2, EXACT)(5) == Scalar.exact(20)
-        assert falling_factorial_poly(5, EXACT)(3) == Scalar.exact(0)
-        assert falling_factorial_poly(0, EXACT)(7) == Scalar.exact(1)
-
-    def test_matches_binomial_times_factorial(self):
-        for k in range(21):
-            p = falling_factorial_poly(k, EXACT)
-            assert p.degree == k
-            for n in range(21):
-                assert p(n) == Scalar.exact(math.comb(n, k) * math.factorial(k))
-
-
 class TestDetectDegree:
     def test_linear(self):
         v = detect_degree(seq([n + 1 for n in range(8)]))
@@ -90,13 +80,13 @@ class TestDetectDegree:
 
     def test_float_tolerance(self):
         vals = [float(n * n) + 1e-12 * n for n in range(8)]
-        v = detect_degree(OrbitSequence.from_reals(vals, FLOAT), tol=1e-9)
+        v = detect_degree(reals_window(vals, FLOAT), tol=1e-9)
         assert v.polynomial and v.degree == 2
 
     def test_infinite_float_threshold_raises(self):
         # tol * max|gamma| is inf: every row would count as vanishing, and
         # the geometric window would be called the zero sequence
-        gamma = OrbitSequence.from_reals([1e10 * 2.0 ** n for n in range(6)], FLOAT)
+        gamma = reals_window([1e10 * 2.0 ** n for n in range(6)], FLOAT)
         with pytest.raises(PreconditionError, match="float overflow"):
             detect_degree(gamma, tol=1e300)
 
@@ -109,7 +99,7 @@ class TestDetectDegree:
     ])
     def test_float_difference_row_overflow_raises(self, window):
         with pytest.raises(PreconditionError, match="float overflow: difference row 2"):
-            detect_degree(OrbitSequence.from_reals(window, FLOAT))
+            detect_degree(reals_window(window, FLOAT))
 
 
 class TestNewtonReconstruct:
@@ -128,6 +118,20 @@ class TestNewtonReconstruct:
     def test_rejects_non_polynomial(self):
         with pytest.raises(NotPolynomialError):
             newton_reconstruct(seq([2 ** n for n in range(8)]))
+
+    def test_builds_one_polynomial(self, monkeypatch):
+        # the sum runs on coefficient lists; only the result is a Polynomial
+        made, real_init = [], Polynomial.__init__
+
+        def counted_init(self, *args, **kwargs):
+            made.append(self)
+            real_init(self, *args, **kwargs)
+
+        gamma = seq([n ** 4 - 3 * n + 2 for n in range(9)])
+        monkeypatch.setattr(Polynomial, "__init__", counted_init)
+        p = newton_reconstruct(gamma)
+        monkeypatch.undo()
+        assert made == [p] and p == Polynomial.from_ints([2, -3, 0, 0, 1])
 
     @given(st.lists(
         st.fractions(min_value=-9, max_value=9, max_denominator=4),
@@ -189,6 +193,10 @@ class TestOrbitSequenceInvariants:
         with pytest.raises(ModeMismatchError):
             OrbitSequence([Scalar.exact(1), Scalar.flt(1.0), Scalar.exact(2)])
 
+    def test_exact_max_abs_past_float_range_is_inf(self):
+        assert OrbitSequence([Scalar.exact(10 ** 400), Scalar.exact(0)]).max_abs() == math.inf
+        assert seq([Fraction(-7, 3), 2]).max_abs() == 7 / 3
+
 
 # ---------------------------------------------------------------------------
 # The eager table the lazy one replaced, kept as the reference: it makes,
@@ -245,17 +253,71 @@ def ref_detect_degree(gamma, tol=diffcalc.DEFAULT_FLOAT_TOL):
                          residual=ref_residual(rows[-1], gamma.mode))
 
 
+class RefPolynomial(Polynomial):
+    """Polynomial with the Scalar arithmetic that newton_reconstruct was
+    built on, kept as the reference for its sums and products."""
+
+    @staticmethod
+    def zero(mode):
+        return RefPolynomial([], mode=mode)
+
+    def coefficient(self, k):
+        return self.coeffs[k] if k < len(self.coeffs) else Scalar.zero(self.mode)
+
+    def __add__(self, other):
+        self._check(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefPolynomial(
+            [self.coefficient(k) + other.coefficient(k) for k in range(n)],
+            mode=self.mode,
+        )
+
+    def __sub__(self, other):
+        self._check(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefPolynomial(
+            [self.coefficient(k) - other.coefficient(k) for k in range(n)],
+            mode=self.mode,
+        )
+
+    def __mul__(self, other):
+        self._check(other)
+        if self.is_zero() or other.is_zero():
+            return RefPolynomial.zero(self.mode)
+        out = [Scalar.zero(self.mode)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return RefPolynomial(out, mode=self.mode)
+
+    def scale(self, c):
+        return RefPolynomial([c * a for a in self.coeffs], mode=self.mode)
+
+    def _check(self, other):
+        if self.mode != other.mode:
+            raise ModeMismatchError("polynomial mode mismatch")
+
+
+def ref_falling_factorial_poly(k, mode):
+    """The polynomial x(x-1)...(x-k+1); the constant 1 for k = 0."""
+    p = RefPolynomial([Scalar.one(mode)], mode=mode)
+    x = RefPolynomial([Scalar.zero(mode), Scalar.one(mode)], mode=mode)
+    for j in range(k):
+        p = p * (x - RefPolynomial([Scalar.from_int(j, mode)], mode=mode))
+    return p
+
+
 def ref_newton_reconstruct(gamma, tol=diffcalc.DEFAULT_FLOAT_TOL):
     verdict = ref_detect_degree(gamma, tol)
     if not verdict.polynomial:
         raise NotPolynomialError("not polynomial within the window")
     if verdict.zero_sequence:
-        return Polynomial.zero(gamma.mode)
+        return RefPolynomial.zero(gamma.mode)
     rows = ref_difference_rows(gamma, verdict.degree)
-    p = Polynomial.zero(gamma.mode)
+    p = RefPolynomial.zero(gamma.mode)
     for k in range(verdict.degree + 1):
         coeff = rows[k][0] / Scalar.from_int(math.factorial(k), gamma.mode)
-        p = p + falling_factorial_poly(k, gamma.mode).scale(coeff)
+        p = p + ref_falling_factorial_poly(k, gamma.mode).scale(coeff)
     return p
 
 
@@ -300,8 +362,8 @@ float_values = st.one_of(
     st.builds(lambda n, r: [r ** k for k in range(n)], lengths, st.floats(0.5, 2.0)),
 )
 windows = st.one_of(
-    exact_values.map(lambda v: OrbitSequence.from_reals(v, EXACT)),
-    float_values.map(lambda v: OrbitSequence.from_reals(v, FLOAT)),
+    exact_values.map(lambda v: reals_window(v, EXACT)),
+    float_values.map(lambda v: reals_window(v, FLOAT)),
 )
 
 
@@ -416,7 +478,7 @@ huge_windows = st.one_of(
     st.builds(poly_values, st.lists(huge, min_size=1, max_size=5), st.integers(3, 30)),
     st.builds(lambda n, r, x: [x * r ** k for k in range(n)], st.integers(3, 40),
               st.floats(-2.0, 2.0), huge),
-).filter(lambda v: all(map(math.isfinite, v))).map(lambda v: OrbitSequence.from_reals(v, FLOAT))
+).filter(lambda v: all(map(math.isfinite, v))).map(lambda v: reals_window(v, FLOAT))
 tols = st.sampled_from([diffcalc.DEFAULT_FLOAT_TOL, 1e-3, 1.0, 1e3, 1e8])
 
 
@@ -463,7 +525,7 @@ class TestRowsAreMadeOnFirstRead:
             check(vals, first, rows, scale)
 
         monkeypatch.setattr(diffcalc, "_check_binomial_form", recording)
-        gamma = OrbitSequence.from_reals([0.5 * n ** 3 - n + 0.25 for n in range(28)], FLOAT)
+        gamma = reals_window([0.5 * n ** 3 - n + 0.25 for n in range(28)], FLOAT)
         assert detect_degree(gamma).degree == 3
         assert checked == [1, 2, 3, 4]
 
@@ -471,7 +533,7 @@ class TestRowsAreMadeOnFirstRead:
 @pytest.mark.parametrize("values,m", [([1e308, -1e308, 1e308], 1),
                                       ([(-1) ** n * 1e301 for n in range(28)], 25)])
 def test_float_rows_beyond_float_range_raise(values, m):
-    gamma = OrbitSequence.from_reals(values, FLOAT)
+    gamma = reals_window(values, FLOAT)
     with pytest.raises(PreconditionError) as exc:
         detect_degree(gamma)
     assert str(exc.value) == (f"float overflow: difference row {m} or the binomial check "

@@ -327,6 +327,55 @@ def test_unread_public_names_are_seen():
     assert unread_public_names(sources, "`named()` is documented") == [("a.py", "used")]
 
 
+def unread_public_methods(sources, readme):
+    """(module, class, name) for each public method of a module-level class
+    of src/misolab that no code reads by name outside its own body, as a
+    Name or as an attribute, and that readme does not name: the rule of
+    unread_public_names one level down, over the same sources."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    reads = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for path, tree in trees.items():
+        if not path.startswith("src/misolab/"):
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for defn in cls.body:
+                if (isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not defn.name.startswith("_")
+                        and not re.search(rf"\b{defn.name}\b", readme)):
+                    inside = {id(node) for node in ast.walk(defn)}
+                    if not any(name == defn.name and id(node) not in inside
+                               for node, name in reads):
+                        unread.append((Path(path).name, cls.name, defn.name))
+    return sorted(unread)
+
+
+# a public method that no request, suite, script or README entry reaches is
+# kept only for its tests
+def test_every_public_method_is_read():
+    root = SRC.parent.parent
+    paths = [*SRC.glob("*.py"), *root.glob("scripts/*.py"), *root.glob("perfbench/*.py")]
+    sources = {str(p.relative_to(root)): p.read_text() for p in paths}
+    assert unread_public_methods(sources, (root / "README.md").read_text()) == []
+
+
+def test_unread_public_methods_are_seen():
+    sources = {"src/misolab/a.py": "class Record:\n"
+                                   "    def used(self):\n        return self.used()\n"
+                                   "    def named(self):\n        pass\n"
+                                   "    @property\n    def read(self):\n        pass\n"
+                                   "    def _private(self):\n        return self.called()\n"
+                                   "    def called(self):\n        pass\n"
+                                   "def helper():\n    pass\n",
+               "scripts/b.py": "from misolab import a\n"
+                               "def main(r):\n    return r.read\n"}
+    assert unread_public_methods(sources, "`named()` is documented") == [("a.py", "Record", "used")]
+
+
 def unread_slots(sources):
     """(module, class, name) for each __slots__ entry of a class in the
     modules sources maps by name, that no module reads as an attribute: a

@@ -37,7 +37,6 @@ from misolab import (
 )
 from misolab import isometry
 from misolab.matrices import _eigen_range, _log_abs_det
-from misolab.polynomials import falling_factorial_poly
 from misolab.scalars import EXACT, FLOAT, negligible
 from misolab.suites import (UNIMODULAR_EXACT, conjugate_by_unitary, decomposition_corpus,
                             operator_to_float, perturbation_corpus, random_unitary)
@@ -70,6 +69,12 @@ class TestDefect:
         assert defect(T, 1).matrix.rows[0][0] == Scalar.exact(1 - z * z)
         assert not is_m_isometry(T, 3)
         assert strict_order(T).describe() == "not-within-bound(5)"
+
+    def test_exact_max_abs_past_float_range_is_inf(self):
+        # |beta_1 entries| are about 10^400, past float range
+        T = jordan_matrix(JordanSpec(Scalar.exact(10 ** 200), 2))
+        assert defect(T, 1).matrix.max_abs() == math.inf
+        assert T.max_abs() == 1e200
 
     def test_defect_is_hermitian(self):
         rng = random.Random(5)
@@ -207,13 +212,14 @@ class TestFloatGramOverflow:
 
 def newton_expansion_holds(T, m, n_max):
     """T*^n T^n = sum_{k<m} (n)_k (-1)^k / k! beta_k(T) exactly for n <= n_max,
-    with beta_k from defect() and (n)_k from falling_factorial_poly."""
+    with beta_k from defect() and (n)_k = n! / (n - k)! from math.perm."""
     betas = [defect(T, k).matrix for k in range(m)]
     Tn = DenseOperator.identity(T.dim, T.mode)
     for n in range(n_max + 1):
         rhs = DenseOperator.zeros(T.dim, T.mode)
         for k, beta in enumerate(betas):
-            coeff = (falling_factorial_poly(k, T.mode)(n) * Scalar.from_int((-1) ** k, T.mode)
+            coeff = (Scalar.from_int(math.perm(n, k), T.mode)
+                     * Scalar.from_int((-1) ** k, T.mode)
                      / Scalar.from_int(math.factorial(k), T.mode))
             rhs = rhs + beta.scale(coeff)
         if not Tn.adjoint() @ Tn == rhs:

@@ -1066,6 +1066,11 @@ def ref_norm_window(T, h, n):
     return out
 
 
+def ref_orbit_norm_sq(W, j, n):
+    """||W^n e_j||^2 as the telescoping Scalar product of squared weights."""
+    return math.prod(W.weights_sq[j:j + n], start=Scalar.one(W.mode))
+
+
 def ref_survey(T, vectors, window_len=None):
     """The survey's verdicts as the vector-by-vector loop gives them: the
     global strict order, then one orbit_sequence and one detect_degree per
@@ -1471,11 +1476,11 @@ class TestIntegerWindows:
            st.sampled_from([EXACT, FLOAT]))
     @settings(max_examples=30, deadline=None)
     def test_basis_orbit(self, weights, j, window_len, mode):
-        # the float samples are the bits of the Scalar products orbit_norm_sq
-        # makes, whose imaginary parts stay 0.0
+        # the float samples are the bits of the Scalar products
+        # ref_orbit_norm_sq makes, whose imaginary parts stay 0.0
         W = WeightedShiftOperator([Scalar.exact(w) if mode == EXACT else Scalar.flt(float(w))
                                    for w in weights], mode)
-        gamma, ref = W.basis_orbit(j, window_len), [W.orbit_norm_sq(j, n)
+        gamma, ref = W.basis_orbit(j, window_len), [ref_orbit_norm_sq(W, j, n)
                                                     for n in range(window_len)]
         if mode == EXACT:
             assert gamma._form == _int_form(ref)[:2] and gamma._values is None
@@ -2021,8 +2026,8 @@ def test_scalar_kernels_refuse_the_other_mode(mode):
 
 
 def test_scalar_kernels_box_only_their_results(monkeypatch):
-    """A polynomial takes its coefficients apart once, however often it is
-    evaluated, and its Horner loop makes no Scalar product or sum; zI and
+    """A polynomial takes its coefficients apart once, at construction,
+    however often it is evaluated, and its Horner loop makes no Scalar product or sum; zI and
     T - zI are made from parts, boxing nothing."""
     converted = []
     real_parts = matrices._parts
@@ -2049,8 +2054,8 @@ def test_scalar_kernels_box_only_their_results(monkeypatch):
     for attr in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(Scalar, attr, refused)
     for mode in (EXACT, FLOAT):
-        p = Polynomial.from_ints([1, 2, 3], mode)
         converted.clear()
+        p = Polynomial.from_ints([1, 2, 3], mode)
         values = [p(n) for n in range(20)] + [p(Scalar.i_unit(mode))]
         assert converted == [list(p.coeffs)]
         assert values[3] == Scalar.from_int(34, mode)
@@ -2083,6 +2088,11 @@ def test_scalar_kernels_box_only_their_results(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def reals_window(reals, mode):
+    """The window of the reals (ints, Fractions or floats) as Scalars of mode."""
+    return OrbitSequence([Scalar.exact(r) if mode == EXACT else Scalar.flt(r) for r in reals])
+
+
 def difference_rows(reals):
     rows = [list(reals)]
     while len(rows[-1]) > 1:
@@ -2098,7 +2108,7 @@ class TestBinomialFormCheck:
         assert _binomial_coeffs.cache_info().maxsize == 128
 
     def test_exact_row_off_by_one_over_den_raises(self):
-        gamma = OrbitSequence.from_reals([Fraction(n ** 3 - 2, 7 + n) for n in range(7)], EXACT)
+        gamma = reals_window([Fraction(n ** 3 - 2, 7 + n) for n in range(7)], EXACT)
         den, reals, _ = _int_form(gamma.values)
         rows = difference_rows(reals)
         for m, row in enumerate(rows):
@@ -2110,7 +2120,7 @@ class TestBinomialFormCheck:
     # C(1040, 520) is beyond float range, so a slack made from it as a
     # float ends in OverflowError; exact rows need no slack at all
     def test_long_exact_row_is_compared_without_float(self):
-        gamma = OrbitSequence.from_reals([Fraction(n % 2, 3) for n in range(1042)], EXACT)
+        gamma = reals_window([Fraction(n % 2, 3) for n in range(1042)], EXACT)
         den, reals, _ = _int_form(gamma.values)
         assert den == 3
         row = difference_rows(reals)[1040]

@@ -211,5 +211,5 @@ class TestPolynomial:
         assert p(3) == Scalar.exact(10)
 
     def test_zero_degree_sentinel(self):
-        assert Polynomial.zero(EXACT).degree is None
+        assert Polynomial([], mode=EXACT).degree is None
         assert Polynomial.from_ints([5]).degree == 0
