@@ -292,7 +292,7 @@ def _check_binomial_form(vals, first, rows, scale):
             gaps = abs(sums - rows)
         # row i holds i entries fewer than row 0, and what lies past its end
         # is not read; a nan gap is never within the slack
-        gaps[:, width - len(rows):][np.tri(len(rows), k=-1, dtype=bool)[:, ::-1]] = 0.0
+        gaps[np.arange(len(rows))[:, None] + np.arange(width) >= width] = 0.0
         ok = gaps <= np.array(slacks)[:, None]
         if not ok.all():
             i, n = divmod(int(ok.argmin()), width)

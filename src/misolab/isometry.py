@@ -33,11 +33,11 @@ from .matrices import (
     _int_combination,
     _log_abs_det,
     _orbit_norms,
-    _polarization_pair,
     _polarization_values,
     _polarization_vector,
     basis_vector,
     np,
+    polarization_pairs,
     vec_add,
 )
 from .scalars import EXACT, FLOAT, negligible, zero_threshold
@@ -206,15 +206,15 @@ def _nonzero_form_witness(d, tol):
     best of e_a, e_a + e_b and e_a + i e_b (polarization_pairs), on all of
     which only a zero Hermitian form vanishes.  The values come from
     matrices._polarization_values, four entries of beta each; one max over
-    them finds the first largest, and only that candidate is built, from its
-    index (matrices._polarization_pair)."""
+    them finds the first largest, and only that candidate is built, read
+    from the kept table at its index."""
     # quadratic-form values can sit a factor ~2 below the largest entry,
     # hence the slack on the acceptance threshold
     threshold, values = d.threshold(tol) * 0.25, _polarization_values(d.matrix)
     best, dim = max(values), d.matrix.dim
     return None if best <= threshold else _polarization_vector(
         partial(basis_vector, dim, mode=d.matrix.mode),
-        *_polarization_pair(dim, values.index(best)))
+        *polarization_pairs(dim)[values.index(best)])
 
 
 def orbit_sequence(T, h, window_len=None):

@@ -6,7 +6,7 @@ import importlib.util
 import math
 import sys
 from fractions import Fraction
-from functools import partialmethod, reduce
+from functools import cache, partialmethod, reduce
 from itertools import chain, islice
 from operator import add, mul, sub
 
@@ -226,9 +226,9 @@ class DenseOperator:
 # ---------------------------------------------------------------------------
 # Kernels, one per operation for both modes.  They run on the kernel form of
 # the scalars (_parts); operator results keep it (rows box on first read),
-# apply and vec_inner box each entry, _orbit_windows boxes samples, orbit-norm
-# windows keep theirs (_orbit_norms), and the form readers
-# (_polarization_values, _forms) box nothing.
+# apply and vec_inner box each entry, _orbit_windows boxes _orbit_samples'
+# samples, orbit-norm windows keep theirs (_orbit_norms), and the form
+# readers (_polarization_values, _forms) box nothing.
 # Exact mode runs on Gaussian integers over one common denominator, so its
 # results are the canonical fractions the Scalar loops give; its products (@,
 # apply, orbit steps) add only nonzero terms (_scatter), the defect walk reads
@@ -528,58 +528,54 @@ def _conj(form):
 
 def _orbit_windows(op, pairs, count):
     """<T^k u, T^k v> for k < count as Scalars, for each (u, v) of pairs, T
-    the DenseOperator op, from its kept parts.
-
-    Each vector gets apply's checks and is taken apart once, and only the
-    samples are boxed: exact samples equal vec_inner on the orbit() vectors.
-    Float mode walks all the distinct vectors at once, as the columns of
-    one n x p array (_float_walk): each sample is a conjugated column dot,
-    or sum |w_k|^2 where v is u, a sample with imaginary part exactly 0.0.
-    Exact vectors are walked one by one, scattered against T's nonzero
-    columns and kept over their least common denominators (one gcd a
-    step), not growing like den^k."""
-    for u, v in pairs:
-        op._check_vec(u)
-        op._check_vec(v)
-    dt, rows = op._form
+    the DenseOperator op: _orbit_samples' windows, boxed; exact samples
+    equal vec_inner on the orbit() vectors."""
     if op.mode == EXACT:
-        return [[_scalar(*z, den, EXACT) for z in zip(re, im)] for den, re, im in (
-            _exact_orbit_inners(rows, dt, u, v, count) for u, v in pairs)]
-    cols = {id(w): w for pair in pairs for w in pair}
-    where = {key: j for j, key in enumerate(cols)}
-    walk = _float_walk(rows, np.stack([_parts(w, FLOAT)[1] for w in cols.values()], axis=1),
-                       count)
-    with np.errstate(all="ignore"):
-        iu, iv = ([where[id(pair[j])] for pair in pairs] for j in (0, 1))
-        samples = (walk[..., iu] * walk[..., iv].conj()).sum(axis=1)      # count x pairs
-        same = [j for j, (u, v) in enumerate(pairs) if u is v]
-        samples[:, same] = _norms_sq(walk[..., [iu[j] for j in same]], 1)
-    return [_fbox(window[:count]) for window in samples.T.tolist()]
+        return [[_scalar(*z, den, EXACT) for z in zip(re, im)]
+                for den, re, im in _orbit_samples(op, pairs, count)]
+    return [_fbox(window.tolist()) for window in _orbit_samples(op, pairs, count)]
 
 
 def _orbit_norms(op, h, count):
     """The kernel form (den, reals) of ||T^k h||^2 for k < count, T the
-    DenseOperator op, with apply's checks on h and no Scalar made: the ints
-    of _exact_orbit_inners over their lcm, or _orbit_windows' float samples
-    of the pair (h, h), bit for bit, as a float64 array over 1."""
-    op._check_vec(h)
+    DenseOperator op: _orbit_samples' window of the one pair (h, h), with
+    no Scalar made."""
+    window, = _orbit_samples(op, [(h, h)], count)
+    return window[:2] if op.mode == EXACT else (1, window)
+
+
+def _orbit_samples(op, pairs, count):
+    """<T^k u, T^k v> for k < count, per (u, v) of pairs, T the DenseOperator
+    op, from its kept parts and with no Scalar made: the exact ints (den,
+    re, im) of _exact_orbit_inners, or a float array.  Each vector gets
+    apply's checks and is taken apart once.  Float mode walks the distinct
+    vectors at once, as the columns of one n x p array (_float_walk); a
+    sample is its pair's conjugated column dot, or sum |w_k|^2, a float64,
+    where v is u.  Exact vectors are walked one by one, scattered against
+    T's nonzero columns and kept over their least common denominators (one
+    gcd a step), not growing like den^k."""
+    cols = {id(w): w for pair in pairs for w in pair}
+    for w in cols.values():
+        op._check_vec(w)
     dt, rows = op._form
     if op.mode == EXACT:
-        return _exact_orbit_inners(rows, dt, h, h, count)[:2]
-    walk = _float_walk(rows, _parts(h, FLOAT)[1][:, None], count)
+        return [_exact_orbit_inners(rows, dt, u, v, count) for u, v in pairs]
+    start = np.array([_parts(w, FLOAT)[1] for w in cols.values()]).T
     with np.errstate(all="ignore"):
-        return 1, _norms_sq(walk, 1)[:count, 0]
+        column = dict(zip(cols, _float_walk(rows, start, count).transpose(2, 0, 1)))
+        return [_norms_sq(column[id(u)], 1) if u is v
+                else (column[id(u)] * column[id(v)].conj()).sum(axis=1) for u, v in pairs]
 
 
 def _float_walk(rows, start, count):
-    """The max(count, 1) x n x p complex array of T^k V, V the n x p array
-    start and T the n x n array rows: one np.matmul into the kept array a
-    step, on the n x p shape (a walk of n x n blocks would round otherwise)."""
-    walk = np.empty((max(count, 1), *start.shape), dtype=complex)
-    walk[0] = start
-    with np.errstate(all="ignore"):
-        for k in range(1, count):
-            np.matmul(rows, walk[k - 1], out=walk[k])
+    """The count x n x p complex array of T^k V, V the n x p array start
+    and T the n x n array rows, made under the caller's np.errstate: one
+    np.matmul into the kept array a step, on the n x p shape (a walk of
+    n x n blocks would round otherwise)."""
+    walk = np.empty((count, *start.shape), dtype=complex)
+    walk[:1] = start
+    for k in range(1, count):
+        np.matmul(rows, walk[k - 1], out=walk[k])
     return walk
 
 
@@ -787,23 +783,26 @@ def vec_is_zero(u):
     return all(a.is_zero() for a in u)
 
 
+@cache
 def polarization_pairs(n):
     """The candidates v_j, then v_a + v_b and v_a + i v_b for a < b, of n
-    vectors as triples (j, None, 0), (a, b, 0) and (a, b, 1).  A Hermitian
-    form vanishing on all of them vanishes on the span.  The order is fixed:
-    searches report the first best candidate."""
-    yield from ((j, None, 0) for j in range(n))
-    yield from ((a, b, p) for a in range(n) for b in range(a + 1, n) for p in (0, 1))
+    vectors as triples (j, None, 0), (a, b, 0) and (a, b, 1), in one tuple
+    made once per n and kept, which every reader indexes or iterates.  A
+    Hermitian form vanishing on all of them vanishes on the span.  The order
+    is fixed: searches report the first best candidate."""
+    return (*((j, None, 0) for j in range(n)),
+            *((a, b, p) for a in range(n) for b in range(a + 1, n) for p in (0, 1)))
 
 
-def _polarization_pair(n, k):
-    """The k-th triple of polarization_pairs(n), made from k alone."""
-    if k < n:
-        return k, None, 0
-    (k, phase), a = divmod(k - n, 2), 0
-    while k >= n - 1 - a:
-        k, a = k - (n - 1 - a), a + 1
-    return a, a + 1 + k, phase
+@cache
+def _polarization_gather(n):
+    """The index arrays a, b and phase of polarization_pairs(n)'s candidates
+    from the n-th on, for the float gathers of _polarization_values: made
+    once per n, and only in float mode, so exact processes load no numpy;
+    every caller shares them, so they are read-only."""
+    gather = np.array(polarization_pairs(n)[n:], dtype=np.intp).reshape(-1, 3).T
+    gather.flags.writeable = False
+    return gather
 
 
 def _polarization_vector(vector, a, b, phase):
@@ -819,7 +818,8 @@ def _polarization_values(B):
     the basis vectors, in order, B Hermitian, each read from four entries of
     B: B_aa, or B_aa + B_bb + B_ab + B_ba for e_a + e_b and B_aa + B_bb +
     i (B_ab - B_ba) for e_a + i e_b.  Exact mode reads |Re <B h, h>| times
-    B's den, with no float; float mode reads the modulus, and raises the
+    B's den, with no float; float mode gathers the entries through
+    _polarization_gather's index arrays, reads the modulus, and raises the
     float-overflow error if any value leaves float range."""
     n, (_, rows) = B.dim, B._form
     if B.mode == EXACT:
@@ -827,13 +827,12 @@ def _polarization_values(B):
         return [abs(re[a][a] if b is None else re[a][a] + re[b][b] + (
             re[a][b] + re[b][a] if phase == 0 else im[b][a] - im[a][b]))
             for a, b, phase in polarization_pairs(n)]
-    # upper[a, b] is a < b, and masks read in polarization_pairs' order
-    upper, diag = ~np.tri(n, dtype=bool), rows.diagonal()
+    (a, b, phase), diag = _polarization_gather(n), rows.diagonal()
     with np.errstate(all="ignore"):
-        both, ab, ba = (diag[:, None] + diag)[upper], rows[upper], rows.T[upper]
+        both, ab, ba = diag[a] + diag[b], rows[a, b], rows[b, a]
         diff = ab - ba
-        pairs = np.stack((both + (ab + ba), both + _complex(-diff.imag, diff.real)), axis=1)
-        values = np.abs(np.concatenate((diag, pairs.ravel())))
+        pairs = np.where(phase, both + _complex(-diff.imag, diff.real), both + (ab + ba))
+        values = np.abs(np.concatenate((diag, pairs)))
     if not np.isfinite(values).all():
         raise PreconditionError("float overflow: a form <B h, h> of the polarization "
                                 "candidates leaves float range")

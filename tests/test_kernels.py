@@ -47,7 +47,7 @@ from misolab.isometry import (
     _grams,
     _nonzero_form_witness,
 )
-from misolab.matrices import (_defect_walk, _forms, _int_form, _orbit_windows,
+from misolab.matrices import (_defect_walk, _forms, _int_form, _orbit_norms, _orbit_windows,
                               _polarization_values, _polarization_vector, _scalar,
                               basis_vector, polarization_pairs, vec_max_abs)
 from misolab.scalars import EXACT, FLOAT, negligible, zero_threshold
@@ -284,6 +284,12 @@ def float_vectors(n, scalars=float_scalars):
 
 def float_operators(n, scalars=float_scalars):
     return st.lists(float_vectors(n, scalars), min_size=n, max_size=n).map(DenseOperator)
+
+
+def generic_parts(n, seed):
+    """n (re, im) pairs of generic float parts, whose sums round differently
+    in each order of adding."""
+    return [tuple(z) for z in np.random.default_rng(seed).standard_normal((n, 2))]
 
 
 def bits(scalars):
@@ -1036,6 +1042,93 @@ def test_orbit_windows_take_each_vector_apart_once(monkeypatch):
         assert len(converted) <= 2
 
 
+def ref_orbit_norms(T, h, count):
+    """(den, reals) of ||T^k h||^2 for k < count from a walk of h alone:
+    the ints of one _exact_orbit_inners walk over their lcm, or the sums of
+    |w_j|^2 over one n x 1 float walk, a float64 array over 1."""
+    T._check_vec(h)
+    dt, rows = T._form
+    if T.mode == EXACT:
+        return matrices._exact_orbit_inners(rows, dt, h, h, count)[:2]
+    with np.errstate(all="ignore"):
+        walk = matrices._float_walk(rows, matrices._parts(h, FLOAT)[1][:, None], count)
+        return 1, matrices._norms_sq(walk, 1)[:count, 0]
+
+
+OVERFLOWING_ORBIT = (DenseOperator([[Scalar.flt(1e300)] * 2] * 2), (Scalar.flt(1.0),) * 2)
+
+
+def generic_orbit_case(n, seed):
+    """(T, u, v) of generic float entries, T scaled to keep its orbits in
+    range."""
+    parts = [Scalar.flt(x / n, y / n) for x, y in generic_parts(n * n + 2 * n, seed)]
+    return (DenseOperator([parts[i * n:(i + 1) * n] for i in range(n)]),
+            tuple(parts[n * n:n * n + n]), tuple(parts[n * n + n:]))
+
+
+@given(st.one_of(
+    dims.flatmap(lambda n: st.tuples(operators(n), vectors(n))),
+    st.one_of(dims, long_dims).flatmap(lambda n: st.tuples(
+        st.one_of(float_operators(n), float_operators(n, unit_scalars)), float_vectors(n)))),
+    st.integers(0, 12))
+@example(OVERFLOWING_ORBIT, 4)
+@example(generic_orbit_case(12, 0)[:2], 12)
+@settings(max_examples=80, deadline=None)
+def test_orbit_norms_are_the_one_vector_walk(case, count):
+    """_orbit_norms, the one pair (h, h) of the shared orbit walk, is h's
+    own walk: exactly in exact mode, bit for bit in float mode, and
+    orbit_sequence ends in the same overflow error at the same sample."""
+    T, h = case
+    got, want = _orbit_norms(T, h, count), ref_orbit_norms(T, h, count)
+    if T.mode == EXACT:
+        assert got == want
+    else:
+        assert got[0] == want[0] == 1 and got[1].dtype == want[1].dtype == np.float64
+        assert [x.hex() for x in got[1].tolist()] == [x.hex() for x in want[1].tolist()]
+    read = bits if T.mode == FLOAT else list
+    if count >= 2:
+        assert (outcome(lambda: read(orbit_sequence(T, h, count).values))
+                == outcome(lambda: read(OrbitSequence._of_form(T.mode, *want).values)))
+
+
+def test_an_overflowing_orbit_names_its_first_sample():
+    with pytest.raises(PreconditionError, match="orbit sample 1 is not finite"):
+        orbit_sequence(*OVERFLOWING_ORBIT, 4)
+
+
+def ref_batched_windows(T, pairs, count):
+    """The float windows of the pairs as bits, from one walk of their
+    distinct vectors: the conjugated dots of all the pairs, read from
+    fancy-indexed copies of the walk, then sum |w_k|^2 in place of the dot
+    wherever v is u."""
+    cols = {id(w): w for pair in pairs for w in pair}
+    where = {key: j for j, key in enumerate(cols)}
+    with np.errstate(all="ignore"):
+        walk = matrices._float_walk(T._form[1], np.stack(
+            [matrices._parts(w, FLOAT)[1] for w in cols.values()], axis=1), count)
+        iu, iv = ([where[id(pair[j])] for pair in pairs] for j in (0, 1))
+        samples = (walk[..., iu] * walk[..., iv].conj()).sum(axis=1)
+        same = [j for j, (u, v) in enumerate(pairs) if u is v]
+        samples[:, same] = matrices._norms_sq(walk[..., [iu[j] for j in same]], 1)
+    return [bits(matrices._fbox(window[:count])) for window in samples.T.tolist()]
+
+
+@given(st.one_of(dims, long_dims).flatmap(lambda n: st.tuples(
+    st.one_of(float_operators(n), float_operators(n, unit_scalars)),
+    float_vectors(n), float_vectors(n))), st.integers(0, 12))
+@example(generic_orbit_case(12, 0), 12)
+@settings(max_examples=60, deadline=None)
+def test_float_orbit_windows_keep_the_batched_bits(tuv, count):
+    """Each float window is summed over its own pair's columns, with no dot
+    made where v is u, and keeps the bits of the batched read, however the
+    pairs are mixed."""
+    T, u, v = tuv
+    for pairs in ([(u, v)], [(u, u)], [(u, v), (u, u), (v, v)], [(u, u), (v, v)],
+                  [(v, u), (u, v), (u, u)]):
+        assert [bits(w) for w in _orbit_windows(T, pairs, count)] == ref_batched_windows(
+            T, pairs, count)
+
+
 def test_exact_forms_read_no_operator_apart(monkeypatch):
     """Exact _forms reads B's entries on the vectors' supports: it calls
     neither _columns nor _scatter, and _nonzeros only on a vector's form,
@@ -1700,10 +1793,66 @@ class TestMaxAbsMemo:
         assert op.max_abs() == fresh_max_abs(op) == 4.0
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+def ref_polarization_pairs(n):
+    """The candidate order as a generator makes it, triple by triple."""
+    yield from ((j, None, 0) for j in range(n))
+    yield from ((a, b, p) for a in range(n) for b in range(a + 1, n) for p in (0, 1))
+
+
+def ref_polarization_pair(n, k):
+    """The k-th candidate of n vectors, made from k alone."""
+    if k < n:
+        return k, None, 0
+    (k, phase), a = divmod(k - n, 2), 0
+    while k >= n - 1 - a:
+        k, a = k - (n - 1 - a), a + 1
+    return a, a + 1 + k, phase
+
+
+@pytest.mark.parametrize("n", range(17))
 def test_polarization_pair_is_the_kth_candidate(n):
-    assert [matrices._polarization_pair(n, k) for k in range(n * n)] == list(
-        polarization_pairs(n))
+    """polarization_pairs(n) is one kept table: the same tuple on every
+    call, in the generator's order, its k-th entry the k-th candidate."""
+    table = polarization_pairs(n)
+    assert polarization_pairs(n) is table
+    assert table == tuple(ref_polarization_pairs(n))
+    assert [table[k] for k in range(n * n)] == [ref_polarization_pair(n, k)
+                                                for k in range(n * n)]
+
+
+def ref_mask_polarization_values(B):
+    """The float polarization values of a Hermitian B read through boolean
+    masks of the strict upper triangle, whose row-major order, each pair
+    giving its e_a + e_b value and then its e_a + i e_b one, is the
+    candidate order."""
+    n, (_, rows) = B.dim, B._form
+    upper, diag = ~np.tri(n, dtype=bool), rows.diagonal()
+    with np.errstate(all="ignore"):
+        both, ab, ba = (diag[:, None] + diag)[upper], rows[upper], rows.T[upper]
+        diff = ab - ba
+        pairs = np.stack((both + (ab + ba), both + matrices._complex(-diff.imag, diff.real)),
+                         axis=1)
+        values = np.abs(np.concatenate((diag, pairs.ravel())))
+    if not np.isfinite(values).all():
+        raise PreconditionError("float overflow: a form <B h, h> of the polarization "
+                                "candidates leaves float range")
+    return values.tolist()
+
+
+@given(st.integers(1, 16).flatmap(lambda n: st.sampled_from([BOUNDED, tied_floats]).flatmap(
+    lambda parts: st.lists(st.tuples(parts, parts), min_size=n * n, max_size=n * n)).map(
+    lambda entries: float_operator(n, True, entries))))
+@example(float_operator(*OVERFLOWING_FORMS[0]))
+@example(float_operator(12, True, generic_parts(144, 0)))
+@settings(max_examples=60, deadline=None)
+def test_float_polarization_values_keep_the_mask_bits(B):
+    """The gather through the kept table's index arrays gives the mask
+    read's bits, and the same float-overflow error where a value leaves
+    float range."""
+    def hexes(read):
+        return outcome(lambda: [x.hex() for x in read(B)])
+
+    assert hexes(_polarization_values) == hexes(ref_mask_polarization_values)
 
 
 # (rows of a Hermitian beta, float_scale, tol, exact witness, float witness)

@@ -62,6 +62,23 @@ def test_slot_times_prints_each_group_the_total_and_the_rate():
     assert abs(float(total[2]) - 51e3 / float(total[1])) <= 0.1 + 1e-3 * float(total[2])
 
 
+def test_ab_times_prints_both_roots_and_the_rounds_won():
+    lines = run_script("ab_times.py", [ROOT, ROOT, "exact-cli", "1", "0", "2"]).stdout.splitlines()
+    assert lines[:3] == ["exact-cli seed 1 cycles 0 rounds 2 reps 5, ROOT_A first in odd rounds",
+                         f"A: {ROOT}", f"B: {ROOT}"]
+    spread = r"(\d+\.\d\d) \[(\d+\.\d\d), (\d+\.\d\d)\]"
+    row = re.compile(rf"([a-z-]+/[\w-]+|total) +{spread} +{spread}")
+    rows = [row.fullmatch(line) for line in lines[4:-1]]
+    assert all(rows), lines
+    names = [r[1] for r in rows]
+    assert names[0] == "total" and "verify/shift-factory" in names
+    assert len(set(names)) == len(names)
+    medians = [float(r[2]) for r in rows[1:]]
+    assert medians == sorted(medians, reverse=True)
+    won = re.fullmatch(r"rounds won: A (\d), B (\d)", lines[-1])
+    assert won and int(won[1]) + int(won[2]) <= 2
+
+
 def test_exact_cli_cycle_digest_is_pinned():
     """Cycles 0 and 1 of exact-cli at seed 1 (51 requests each), the two
     that every benchmark run sends, give the same bytes as before: every
